@@ -13,7 +13,11 @@ target-decay chains of `weighting` satisfy that entrywise condition
 whenever theta <= eps and the degree is at least 3, which is exactly how
 `phase_cover_run` turns a weighting into a playable strategy: each phase
 re-targets the unvisited set U, tilts by theta = min(eps, 1 - e^(-psi/32)),
-extracts B, and walks until half of U is gone.
+and walks with B until half of U is gone.  The phase walk needs only the d
+entries of B on each vertex's edges, so it builds those rows in O(m) from
+the BFS distances to U; the float operations are those of the dense
+`induced_chain` -> `extract_bias_matrix` path, so the rows are
+bit-identical to it.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -22,15 +26,15 @@ worker counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .chains import ReversibleChain
-from .graphs import Graph, GraphError, vertex_expansion_exact
+from .chains import BALANCE_TOL, ROW_SUM_TOL, ReversibleChain
+from .graphs import Graph, GraphError, distances_from, vertex_expansion_exact
 from .rng import BufferedDraws, SplitMix64
-from .weighting import induced_chain, target_decay_weighting
+from .weighting import WeightingError, induced_chain, target_decay_weighting
 
 # Configured expansion value used by the phase strategy when the graph is too
 # large for exact enumeration.  The tilt theta = min(eps, 1 - e^(-psi/32)) is
@@ -289,6 +293,75 @@ def _cover_run_policy(g: Graph, rng: SplitMix64, start: int, eps: float, policy:
     return state.steps
 
 
+class _DecayBias:
+    """Bias rows of the target-decay chain in O(m) per target set.
+
+    `rows(U, theta, eps)[v]` equals
+    `extract_bias_matrix(induced_chain(g, target_decay_weighting(g, U, theta)), g, eps)[v, adj[v]]`
+    bit for bit: edge weights come from the same Python powers of 1 - theta,
+    strengths accumulate in canonical edge order, and each adjacency slot
+    evaluates w / s(v) and (Q - (1 - eps)(1/d)) / eps as the dense path does.
+    The dense checks keep O(m) counterparts: eps in (0, 1], rows of Q
+    summing to 1 and detailed balance over edges within 1e-12, B >= -1e-12.
+    The slot index arrays are built once per instance, not once per phase.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.d = g.regular_degree
+        self.ends = np.array(g.edges, dtype=np.intp)
+        slot = {(v, u): v * self.d + i for v, nbrs in enumerate(g.adj) for i, u in enumerate(nbrs)}
+        self.slot_vertex = np.repeat(np.arange(g.n), self.d)
+        self.slot_edge = np.array([g.edge_index[(min(v, u), max(v, u))] for v, u in slot], dtype=np.intp)
+        self.forward = np.array([slot[a, b] for a, b in g.edges], dtype=np.intp)
+        self.backward = np.array([slot[b, a] for a, b in g.edges], dtype=np.intp)
+
+    def rows(self, targets: Sequence[int], theta: float, eps: float) -> list[list[float]]:
+        if not (0.0 < eps <= 1.0):
+            raise WalkError("bias rows need eps in (0, 1]")
+        if not (0.0 <= theta < 1.0):
+            raise WeightingError("target decay needs theta in [0, 1)")
+        dist = distances_from(self.g, targets)
+        decay = 1.0 - theta
+        powers = np.array([decay**k for k in range(int(dist.max()) + 1)])
+        w = powers[dist[self.ends].max(axis=1)]
+        if not w.min() > 0.0:
+            raise WeightingError("edge weights must be positive and finite")
+        # a0 b0 a1 b1 ...: each vertex sums its weights in canonical edge order
+        s = np.bincount(self.ends.ravel(), weights=np.repeat(w, 2), minlength=self.g.n)
+        q = w[self.slot_edge] / s[self.slot_vertex]
+        if np.max(np.abs(q.reshape(-1, self.d).sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+            raise WalkError("decay chain rows must sum to 1 within 1e-12")
+        flow = (s / s.sum())[self.slot_vertex] * q
+        if np.max(np.abs(flow[self.forward] - flow[self.backward])) > BALANCE_TOL:
+            raise WalkError("decay chain fails detailed balance at 1e-12")
+        b = (q - (1.0 - eps) * (1.0 / self.d)) / eps
+        if float(b.min()) < -1e-12:
+            raise WalkError(
+                f"chain is not an eps-biased perturbation of the walk (min entry {b.min():.3e})"
+            )
+        return b.reshape(-1, self.d).tolist()
+
+
+def _check_phase(g: Graph, eps: float) -> None:
+    if not (0.0 <= eps <= 1.0):
+        raise WalkError("eps must lie in [0, 1]")
+    d = g.regular_degree
+    if d is None:
+        raise WalkError("phase cover strategy needs a regular graph")
+    if eps > 0.0 and d < 3:
+        raise WalkError("bias extraction needs degree >= 3")
+
+
+def _phase_psi(g: Graph, psi: float | None) -> float:
+    """Expansion value for the phase tilt: exact when n <= 24, else configured."""
+    if psi is not None:
+        return psi
+    if g.n <= 24:
+        return vertex_expansion_exact(g)[0]
+    return DEFAULT_PSI_CONFIG
+
+
 def phase_cover_run(
     g: Graph,
     eps: float,
@@ -298,11 +371,12 @@ def phase_cover_run(
 ) -> int:
     """Phase-restart cover strategy.
 
-    Each phase fixes U = currently unvisited vertices, builds the
-    target-decay chain Q(U, theta) with theta = min(eps, 1 - e^(-psi/32)),
-    extracts the bias matrix, and plays the eps-biased walk with that fixed
-    strategy until at least half of U has been visited.  Halving means at
-    most log2(n) + 1 re-targeting rounds before the walk finishes the job.
+    Each phase fixes U = currently unvisited vertices, builds the bias
+    rows of the target-decay chain Q(U, theta) with
+    theta = min(eps, 1 - e^(-psi/32)) in O(m) (see `_DecayBias`), and plays
+    the eps-biased walk with that fixed strategy until at least half of U
+    has been visited.  Halving means at most log2(n) + 1 re-targeting
+    rounds before the walk finishes the job.
 
     psi is the vertex expansion: exact when n <= 24, otherwise the
     configured value (default DEFAULT_PSI_CONFIG; any lower bound on the
@@ -311,19 +385,11 @@ def phase_cover_run(
     """
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    d = g.regular_degree
-    if d is None:
-        raise WalkError("phase cover strategy needs a regular graph")
-    if eps > 0.0 and d < 3:
-        raise WalkError("bias extraction needs degree >= 3")
+    _check_phase(g, eps)
     if not (0 <= start < g.n):
         raise WalkError("start vertex out of range")
-    if psi is None:
-        if g.n <= 24:
-            psi, _ = vertex_expansion_exact(g)
-        else:
-            psi = DEFAULT_PSI_CONFIG
-    theta_cap = 1.0 - math.exp(-psi / 32.0)
+    theta = min(eps, 1.0 - math.exp(-_phase_psi(g, psi) / 32.0))
+    bias = _DecayBias(g) if eps > 0.0 else None
 
     draws = BufferedDraws(rng)
     n = g.n
@@ -336,13 +402,7 @@ def phase_cover_run(
     scale = 2.0**-53
     while left:
         unvisited = [v for v in range(n) if not visited[v]]
-        theta = min(eps, theta_cap)
-        if eps == 0.0:
-            rows = None
-        else:
-            q = induced_chain(g, target_decay_weighting(g, unvisited, theta))
-            b = extract_bias_matrix(q, g, eps)
-            rows = [b[v, list(adj[v])] for v in range(n)]
+        rows = bias.rows(unvisited, theta, eps) if bias is not None else None
         phase_target = len(unvisited) // 2  # run until at most this many of U remain
         remaining = len(unvisited)
         while remaining > phase_target:
@@ -419,10 +479,23 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
 
     Trial i uses the stream seed XOR i, so the estimate is a pure function
     of (graph, spec, trials, seed).  Every run takes at least n - 1 steps;
-    that invariant is asserted on each trial.
+    that invariant is asserted on each trial.  The spec's preconditions
+    (eps in [0, 1], start in range, a cycle for the sweep) and the phase
+    strategy's psi are settled once here, not once per trial.
     """
     if trials < 2:
         raise WalkError("estimate_cover_time needs at least 2 trials")
+    if not (0.0 <= spec.eps <= 1.0):
+        raise WalkError("eps must lie in [0, 1]")
+    if spec.start is not None and not (0 <= spec.start < g.n):
+        raise WalkError(f"start vertex {spec.start} out of range for n={g.n}")
+    if spec.kind == "sweep" and any(
+        set(nbrs) != {(v - 1) % g.n, (v + 1) % g.n} for v, nbrs in enumerate(g.adj)
+    ):
+        raise WalkError("sweep walk needs a cycle: vertex v adjacent to exactly v - 1 and v + 1 mod n")
+    if spec.kind == "phase":
+        _check_phase(g, spec.eps)
+        spec = replace(spec, psi=_phase_psi(g, spec.psi))
     rows: list[CoverRow] = []
     for trial in range(trials):
         if spec.start is not None:

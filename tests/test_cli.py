@@ -132,6 +132,34 @@ def test_cover_sim_validates_walk_kind_and_trials(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--start", "99"),
+        ("--start", "-1"),
+        ("--walk", "srw", "--eps", "1.5"),
+        ("--walk", "sweep", "--eps", "1.5"),
+        ("--walk", "sweep", "--eps", "-0.5"),
+    ],
+)
+def test_cover_sim_rejects_start_and_eps_out_of_range(capsys, extra):
+    code, out, err = run(
+        capsys, "cover-sim", "--generate", "cycle:8", "--trials", "4", "--seed", "1", *extra
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["random-regular:16:3:1", "complete:5"])
+def test_cover_sim_sweep_needs_a_cycle(capsys, spec):
+    code, out, err = run(
+        capsys, "cover-sim", "--generate", spec, "--walk", "sweep", "--eps", "0.25",
+        "--trials", "4", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "cycle" in err
+
+
 def test_cover_sim_phase_walk_runs(capsys):
     code, out, _ = run(
         capsys,

@@ -7,6 +7,7 @@ import pytest
 
 from walklab.graphs import build_graph, generate
 from walklab.rng import SplitMix64
+from walklab import walks
 from walklab.walks import (
     CoverEstimate,
     MatrixPolicy,
@@ -23,7 +24,7 @@ from walklab.walks import (
     stationary_boost_audit,
     step,
 )
-from walklab.weighting import induced_chain, target_decay_weighting, uniform_weighting
+from walklab.weighting import WeightingError, induced_chain, target_decay_weighting, uniform_weighting
 
 
 class ScriptedRng:
@@ -250,6 +251,45 @@ def test_extract_bias_matrix_validates_shapes_and_range():
         extract_bias_matrix(srw_chain(g), g, -0.1)
 
 
+def dense_bias_rows(g, targets, theta, eps):
+    b = extract_bias_matrix(induced_chain(g, target_decay_weighting(g, targets, theta)), g, eps)
+    return [b[v, list(g.adj[v])].tolist() for v in range(g.n)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("complete", n=4),
+        generate("complete", n=6),
+        generate("hypercube", dim=4),
+        generate("random_regular", n=512, d=3, seed=11),
+    ],
+    ids=["K4", "K6", "cube4", "rr512"],
+)
+def test_decay_bias_rows_bit_identical_to_dense_extraction(g):
+    rng = SplitMix64(4242)
+    bias = walks._DecayBias(g)
+    for eps in (0.05, 0.25, 1.0):
+        for theta in (min(eps, 1.0 - math.exp(-2.0 / 32.0)), eps / 2):
+            for _ in range(3):
+                targets = sorted({rng.randrange(g.n) for _ in range(1 + rng.randrange(g.n))})
+                rows = bias.rows(targets, theta, eps)
+                assert rows == dense_bias_rows(g, targets, theta, eps), (eps, theta, targets)
+
+
+def test_decay_bias_rows_keep_the_dense_checks():
+    cube = generate("hypercube", dim=3)
+    bias = walks._DecayBias(cube)
+    with pytest.raises(WalkError):
+        bias.rows([0], 0.25, 0.125)  # eps below the tilt: negative bias entries
+    with pytest.raises(WalkError):
+        bias.rows([0], 0.1, 0.0)
+    with pytest.raises(WalkError):
+        bias.rows([0], 0.1, 1.5)
+    with pytest.raises(WeightingError):
+        bias.rows([0], 1.0, 1.0)
+
+
 # --- policies ------------------------------------------------------------------
 
 
@@ -306,6 +346,9 @@ def test_phase_cover_validation():
     k4 = generate("complete", n=4)
     with pytest.raises(WalkError):
         phase_cover_run(k4, 0.2, 1, start=9)
+    for eps in (-0.1, 1.5):
+        with pytest.raises(WalkError):
+            phase_cover_run(k4, eps, 1)
 
 
 def test_phase_cover_unbiased_matches_plain_cover_law():
@@ -325,6 +368,28 @@ def test_phase_cover_terminates_with_bias_and_counts_steps():
     assert steps >= g.n - 1
     again = phase_cover_run(g, 0.25, 1234)
     assert steps == again
+
+
+def test_phase_cover_step_counts_are_pinned_on_rr512():
+    # captured from the dense induced_chain -> extract_bias_matrix path; the
+    # O(m) bias rows must reproduce every trajectory exactly
+    g = generate("random_regular", n=512, d=3, seed=11)
+    steps = [phase_cover_run(g, 0.25, SplitMix64.stream(20260818, t)) for t in range(6)]
+    assert steps == [4323, 4451, 4309, 4668, 8421, 5160]
+
+
+def test_phase_estimate_computes_expansion_once(monkeypatch):
+    g = generate("random_regular", n=16, d=3, seed=9)
+    per_trial = [phase_cover_run(g, 0.25, SplitMix64.stream(77, t), start=t % g.n) for t in range(5)]
+    calls = []
+    exact = walks.vertex_expansion_exact
+    monkeypatch.setattr(walks, "vertex_expansion_exact", lambda h: calls.append(h) or exact(h))
+    est = estimate_cover_time(g, WalkSpec(kind="phase", eps=0.25), trials=5, seed=77)
+    assert [r.steps for r in est.rows] == per_trial
+    assert len(calls) == 1
+    with pytest.raises(WalkError):  # rejected before the expansion is enumerated
+        estimate_cover_time(generate("cycle", n=8), WalkSpec(kind="phase", eps=0.25), trials=2, seed=1)
+    assert len(calls) == 1
 
 
 def test_phase_cover_accepts_configured_expansion():
