@@ -2,15 +2,14 @@
 powers, and total-variation mixing.
 
 Everything here is dense linear algebra on small state spaces.  The
-eigensolver is a cyclic Jacobi iteration on the similarity-symmetrized
-transition matrix D^{1/2} P D^{-1/2}; it returns the full spectrum, which the
-spectral report and the gap/conductance audits all need.  Exhaustive
-conductance enumerates subsets as bitmask arrays and is guarded at n <= 24;
-the spectral path is guarded at n <= 512.
+spectrum is LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) applied to
+the similarity-symmetrized transition matrix D^{1/2} P D^{-1/2}; the full
+spectrum feeds the spectral report and the gap/conductance audits.
+Exhaustive conductance enumerates subsets as bitmask arrays and is guarded
+at n <= 24; the spectral path is guarded at n <= 512.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,6 @@ __all__ = [
     "SpectralReport",
     "ChainError",
     "lazy",
-    "jacobi_eigh",
     "spectral_gap",
     "ergodic_flow",
     "candidate_conductance",
@@ -107,72 +105,6 @@ def lazy(chain: ReversibleChain) -> ReversibleChain:
 # spectrum
 
 
-def jacobi_eigh(
-    a: np.ndarray,
-    tol: float = 1e-11,
-    max_sweeps: int = 60,
-    vectors: bool = False,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi eigensolver for a symmetric matrix.
-
-    Sweeps rotate away off-diagonal entries until their Frobenius norm drops
-    below `tol`.  Returns eigenvalues in descending order and, when
-    `vectors` is set, the matching orthonormal eigenvector columns.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ChainError("jacobi_eigh needs a square matrix")
-    if np.max(np.abs(a - a.T)) > 1e-10:
-        raise ChainError("jacobi_eigh needs a symmetric matrix")
-    a = (a + a.T) / 2.0
-    v = np.eye(n) if vectors else None
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    def off_norm() -> float:
-        # summed from the off-diagonal entries themselves: the subtraction
-        # form total - diag^2 has a sqrt(eps) cancellation floor above tol
-        off = a - np.diag(a.diagonal())
-        return float(np.sqrt((off * off).sum()))
-
-    skip = 1e-300
-    for _ in range(max_sweeps):
-        if off_norm() < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    v[:, p] = c * vp - s * v[:, q]
-                    v[:, q] = s * vp + c * v[:, q]
-    else:
-        raise ChainError("jacobi_eigh did not converge")
-    vals = a.diagonal().copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    if v is not None:
-        v = v[:, order]
-    return vals, v
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Full spectrum of a reversible chain plus the derived gap figures."""
@@ -208,8 +140,7 @@ def spectral_gap(chain: ReversibleChain) -> SpectralReport:
     """
     if chain.n > SPECTRAL_GUARD:
         raise GuardError(f"spectral_gap is dense; n={chain.n} exceeds guard {SPECTRAL_GUARD}")
-    vals, _ = jacobi_eigh(symmetrized(chain))
-    vals_t = tuple(float(x) for x in vals)
+    vals_t = tuple(float(x) for x in np.linalg.eigvalsh(symmetrized(chain))[::-1])
     if chain.n == 1:
         return SpectralReport(vals_t, 0.0, vals_t[-1], 0.0)
     gap = 1.0 - vals_t[1]

@@ -23,24 +23,24 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import graphs as graphmod
-from .chains import CONDUCTANCE_GUARD, SpectralReport, edge_conductance_exact, spectral_gap
+from .chains import CONDUCTANCE_GUARD, ChainError, SpectralReport, edge_conductance_exact, spectral_gap
 from .graphs import Graph, GraphError, GuardError
 from .oracle import (
     EventKind,
     EventSpec,
     OracleError,
     boost_bound_audit,
+    boost_bound_grid,
     conv_lemma_audit,
     eta_grid,
     parse_event_text,
 )
 from .rng import SplitMix64
-from .robustness import section3_lemma_audit, theorem31_check
+from .robustness import psi_lower_bound, section3_lemma_audit, theorem31_check
 from .walks import WalkError, WalkSpec, estimate_cover_time
 from .weighting import (
     EdgeWeighting,
@@ -301,6 +301,7 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
         w = uniform_weighting(g)
     else:
         w = random_lipschitz_weighting(g, args.sigma, rng)
+    psi = psi_lower_bound(g)
     rows = []
     failures = 0
     for index in range(args.subsets):
@@ -308,7 +309,7 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
         verts = list(range(g.n))
         rng.shuffle(verts)
         subset = frozenset(verts[:size])
-        report = section3_lemma_audit(g, w, subset)
+        report = section3_lemma_audit(g, w, subset, psi=psi)
         ok = bool(report)
         if not ok:
             failures += 1
@@ -321,7 +322,7 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
                 "ok": ok,
             }
         )
-    endpoint = theorem31_check(g, w)
+    endpoint = theorem31_check(g, w, psi=psi)
     if not endpoint.ok:
         failures += 1
     out = _out_dir(args)
@@ -443,7 +444,6 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
             "tmax": 5,
             "draws": 10000,
             "seed": None,
-            "threads": 1,
             "out": None,
             "no_timestamp": False,
         },
@@ -454,28 +454,10 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
     catalog = {name: g for name, g in graphmod.small_regular_catalog().items() if g.n <= args.nmax}
     rows: list[dict] = []
     failures = 0
-
-    def run_query(item):
-        name, g, event, eps = item
-        d = g.regular_degree
-        reports = []
-        for eta in eta_grid(d):
-            reports.append((name, boost_bound_audit(g, 0, event, eps, eta)))
-        return reports
-
-    queries = []
     for name, g in sorted(catalog.items()):
         d = g.regular_degree
-        for event in _sweep_events(g, args.tmax):
-            for eps in (0.0, 0.05, 1.0 / d**2):
-                queries.append((name, g, event, eps))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            batches = list(pool.map(run_query, queries))
-    else:
-        batches = [run_query(q) for q in queries]
-    for batch in batches:
-        for name, report in batch:
+        reports = boost_bound_grid(g, 0, _sweep_events(g, args.tmax), (0.0, 0.05, 1.0 / d**2), eta_grid(d))
+        for report in reports:
             rows.append(report.to_json_dict(graph_id=name))
             if not report.ok:
                 failures += 1
@@ -530,7 +512,6 @@ def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
         const=True,
         help="omit timestamps so identical runs are byte-identical",
     )
-    parser.add_argument("--threads", type=int, help="worker cap for sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, GraphError, WeightingError, OracleError, WalkError, GuardError, OSError) as exc:
+    except (InputError, GraphError, WeightingError, ChainError, OracleError, WalkError, GuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

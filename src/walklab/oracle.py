@@ -46,6 +46,7 @@ __all__ = [
     "power_mean",
     "conv_lemma_audit",
     "boost_bound_audit",
+    "boost_bound_grid",
     "BoostReport",
     "eta_grid",
     "srw_expected_cover_exact",
@@ -154,7 +155,10 @@ def _return_bits(g: Graph, u: int) -> list[int]:
     return bits
 
 
-def _event_dp(g: Graph, u: int, event: EventSpec, eps: float) -> float:
+def _horizon_values(g: Graph, u: int, event: EventSpec, eps: float) -> list[float]:
+    """Value at the start for every horizon 0..event.horizon, from one
+    backward pass: after t steps the table holds the horizon-t values, so
+    the pass to the largest horizon yields every shorter one unchanged."""
     if not (0 <= u < g.n):
         raise OracleError("start vertex out of range")
     if event.kind is EventKind.RETURN_TO_START:
@@ -163,25 +167,29 @@ def _event_dp(g: Graph, u: int, event: EventSpec, eps: float) -> float:
         bits, k = _target_bits(g, event)
     full = (1 << k) - 1
     masks = np.arange(1 << k)
+    kid_rows = [masks | bits[w] for w in range(g.n)]
+    start = _initial_mask(event, bits, u)
     # Horizon-0 values are the terminal indicator; monotonicity (children
     # masks are supersets) then keeps satisfied masks at value 1 through
     # every backward step without special casing.
     value = np.where(_satisfied(event, masks, full), 1.0, 0.0)
     value = np.repeat(value[:, None], g.n, axis=1)
+    out = [float(value[start, u])]
     for _ in range(event.horizon):
         nxt = np.empty_like(value)
         for v in range(g.n):
-            kids = np.stack([value[masks | bits[w], w] for w in g.adj[v]])
+            kids = np.stack([value[kid_rows[w], w] for w in g.adj[v]])
             mean = kids.mean(axis=0)
             nxt[:, v] = mean if eps == 0.0 else (1.0 - eps) * mean + eps * kids.max(axis=0)
         value = nxt
-    return float(value[_initial_mask(event, bits, u), u])
+        out.append(float(value[start, u]))
+    return out
 
 
 def srw_event_prob(g: Graph, u: int, event: EventSpec) -> float:
     """Exact probability that the simple random walk from u satisfies the
     event within its horizon."""
-    return _event_dp(g, u, event, 0.0)
+    return _horizon_values(g, u, event, 0.0)[-1]
 
 
 def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> float:
@@ -193,7 +201,7 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
     """
     if not (0.0 <= eps <= 1.0):
         raise OracleError("eps must lie in [0, 1]")
-    return _event_dp(g, u, event, eps)
+    return _horizon_values(g, u, event, eps)[-1]
 
 
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
@@ -396,18 +404,14 @@ class BoostReport:
         }
 
 
-def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float) -> BoostReport:
-    """Evaluate p, q*, and the boost bounds for one (graph, event) query.
-
-    q* dominates every eps-biased strategy, so q* within the bound proves
-    the bound for all of them.
-    """
+def _check_boost_params(eps: float, eta: float) -> None:
     if not (0.0 <= eps <= 1.0):
         raise OracleError("eps must lie in [0, 1]")
     if not (0.0 < eta <= 1.0):
         raise OracleError("eta must lie in (0, 1]")
-    p = srw_event_prob(g, u, event)
-    q_star = optimal_tbrw_event_prob(g, u, event, eps)
+
+
+def _boost_report(g: Graph, event: EventSpec, eps: float, eta: float, p: float, q_star: float) -> BoostReport:
     d_max = max(g.degrees)
     d_min = min(g.degrees)
     t = event.horizon
@@ -418,6 +422,49 @@ def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float
     return BoostReport(
         event=event.describe(), t=t, eps=eps, eta=eta, p=p, q_star=q_star, bound1=bound1, bound2=bound2
     )
+
+
+def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float) -> BoostReport:
+    """Evaluate p, q*, and the boost bounds for one (graph, event) query.
+
+    q* dominates every eps-biased strategy, so q* within the bound proves
+    the bound for all of them.
+    """
+    _check_boost_params(eps, eta)
+    p = srw_event_prob(g, u, event)
+    q_star = optimal_tbrw_event_prob(g, u, event, eps)
+    return _boost_report(g, event, eps, eta, p, q_star)
+
+
+def boost_bound_grid(
+    g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence[float], etas: Sequence[float]
+) -> list[BoostReport]:
+    """`boost_bound_audit` for every (event, eps, eta), in that nesting order.
+
+    Events that differ only in horizon share one DP pass per eps, run to
+    their largest horizon; eps = 0 is the plain walk and supplies p.  The
+    reports equal the per-query ones bit for bit.
+    """
+    for eps in eps_values:
+        for eta in etas:
+            _check_boost_params(eps, eta)
+    tmax: dict[tuple, int] = {}
+    for event in events:
+        key = (event.kind, event.targets)
+        tmax[key] = max(tmax.get(key, 0), event.horizon)
+    values = {
+        (key, eps): _horizon_values(g, u, EventSpec(key[0], t, key[1]), eps)
+        for key, t in tmax.items()
+        for eps in {0.0, *eps_values}
+    }
+    reports = []
+    for event in events:
+        key = (event.kind, event.targets)
+        p = values[key, 0.0][event.horizon]
+        for eps in eps_values:
+            q_star = values[key, eps][event.horizon]
+            reports.extend(_boost_report(g, event, eps, eta, p, q_star) for eta in etas)
+    return reports
 
 
 # ---------------------------------------------------------------------------

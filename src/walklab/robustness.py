@@ -37,6 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .chains import (
+    SPECTRAL_GUARD,
     ReversibleChain,
     candidate_conductance,
     edge_conductance_exact,
@@ -376,8 +377,9 @@ def psi_lower_bound(g: Graph) -> float:
 
     Exact enumeration when n <= 24; otherwise half the spectral gap of the
     simple random walk, via the expansion >= conductance >= gap/2 chain of
-    inequalities.
+    inequalities, which needs a regular graph.
     """
+    _regular_degree_or_raise(g)
     if g.n <= EXPANSION_GUARD:
         psi, _ = vertex_expansion_exact(g)
         return psi
@@ -422,8 +424,8 @@ def theorem31_check(g: Graph, w: EdgeWeighting, psi: float | None = None) -> The
         phi, _ = edge_conductance_exact(p2k)
         report.phi_value = phi
         report.phi_ok = phi >= report.phi_bound - 1e-15
-    if g.n > 512:
-        report.gap_skipped = f"n={g.n} exceeds spectral guard 512"
+    if g.n > SPECTRAL_GUARD:
+        report.gap_skipped = f"n={g.n} exceeds spectral guard {SPECTRAL_GUARD}"
     else:
         gap = spectral_gap(chain).gap
         report.gap_value = gap

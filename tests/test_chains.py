@@ -15,12 +15,10 @@ from walklab.chains import (
     cheeger_audit,
     edge_conductance_exact,
     ergodic_flow,
-    jacobi_eigh,
     lazy,
     mixing_time_tv,
     power_chain,
     spectral_gap,
-    symmetrized,
 )
 from walklab.graphs import generate, small_regular_catalog
 from walklab.rng import SplitMix64
@@ -103,24 +101,30 @@ def test_lazy_spectrum_is_affine_map():
         assert (a + 1) / 2 == pytest.approx(b, abs=1e-11)
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_cycle_spectrum_closed_form(n):
+    rep = spectral_gap(srw(generate("cycle", n=n)))
+    expected = sorted(np.cos(2 * np.pi * np.arange(n) / n), reverse=True)
+    assert np.max(np.abs(np.array(rep.eigenvalues) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_complete_spectrum_closed_form(n):
+    rep = spectral_gap(srw(generate("complete", n=n)))
+    expected = [1.0] + [-1.0 / (n - 1)] * (n - 1)
+    assert np.max(np.abs(np.array(rep.eigenvalues) - expected)) < 1e-12
+    assert rep.lambda_min == pytest.approx(-1.0 / (n - 1), abs=1e-12)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
-def test_jacobi_matches_lapack(seed):
+def test_lazy_spectrum_closed_form(seed):
     rng = SplitMix64(seed)
-    n = 2 + rng.randrange(7)
-    ch = random_reversible(rng, n)
-    ours = np.array(spectral_gap(ch).eigenvalues)
-    theirs = np.sort(np.linalg.eigvalsh(symmetrized(ch)))[::-1]
-    assert np.max(np.abs(ours - theirs)) < 1e-9
-
-
-def test_jacobi_eigenvectors_reconstruct():
-    rng = SplitMix64(7)
-    ch = random_reversible(rng, 6)
-    s = symmetrized(ch)
-    vals, vecs = jacobi_eigh(s, vectors=True)
-    recon = vecs @ np.diag(vals) @ vecs.T
-    assert np.max(np.abs(recon - s)) < 1e-9
+    ch = random_reversible(rng, 2 + rng.randrange(7))
+    vals = np.array(spectral_gap(ch).eigenvalues)
+    lazy_vals = np.array(spectral_gap(lazy(ch)).eigenvalues)
+    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(lazy_vals - (1.0 + vals) / 2.0)) < 1e-12
 
 
 def test_spectral_guard():

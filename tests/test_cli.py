@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from walklab.cli import main
-from walklab.graphs import generate, write_graph_file
+from walklab import graphs, robustness
+from walklab.cli import _sweep_events, main
+from walklab.graphs import generate, small_regular_catalog, write_graph_file
+from walklab.oracle import boost_bound_audit, eta_grid
 
 
 def run(capsys, *argv):
@@ -57,6 +59,17 @@ def test_spectral_rejects_graph_and_generate_together(tmp_path, capsys):
     code, _, err = run(capsys, "spectral", "--graph", str(path), "--generate", "cycle:4")
     assert code == 2
     assert "error:" in err
+
+
+def test_spectral_overflowing_weights_is_input_error(tmp_path, capsys):
+    # three 1e308 weights at vertex 0 overflow its strength to inf, so the
+    # induced chain fails validation: bad input, not a traceback
+    path = tmp_path / "w.txt"
+    g = generate("complete", n=4)
+    path.write_text("".join(f"{u} {v} {1e308 if u == 0 else 1.0}\n" for u, v in g.edges))
+    code, out, err = run(capsys, "spectral", "--generate", "complete:4", "--weights", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_malformed_graph_file_reports_line_number(tmp_path, capsys):
@@ -262,6 +275,27 @@ def test_robustness_audit_uniform_complete_graph(tmp_path, capsys):
     assert len(rows) == 8
 
 
+def test_robustness_audit_enumerates_expansion_once(monkeypatch, capsys):
+    calls = []
+    exact = graphs.vertex_expansion_exact
+    counting = lambda h: calls.append(h) or exact(h)  # noqa: E731
+    monkeypatch.setattr(graphs, "vertex_expansion_exact", counting)
+    monkeypatch.setattr(robustness, "vertex_expansion_exact", counting)
+    code, out, _ = run(capsys, "robustness-audit", "--generate", "complete:6", "--subsets", "6", "--seed", "2")
+    assert code == 0 and read_summary(out)["failures"] == 0
+    assert len(calls) == 1
+
+
+def test_robustness_audit_runs_above_the_expansion_guard(capsys):
+    code, out, err = run(
+        capsys, "robustness-audit", "--generate", "random-regular:32:3:7", "--subsets", "4", "--seed", "3"
+    )
+    assert code == 0, err
+    payload = read_summary(out)
+    assert payload["failures"] == 0
+    assert payload["phi_skipped"] is not None and payload["gap_skipped"] is None
+
+
 # --- boost-audit ---------------------------------------------------------------------
 
 
@@ -322,24 +356,26 @@ def test_lemma_sweep_small_grid(capsys):
     assert payload["queries"] > 0 and payload["conv_draws"] == 200
 
 
-def test_lemma_sweep_threads_agree(tmp_path, capsys):
-    base = [
-        "lemma-sweep",
-        "--nmax",
-        "3",
-        "--tmax",
-        "2",
-        "--draws",
-        "50",
-        "--seed",
-        "9",
-        "--no-timestamp",
-    ]
-    code, _, _ = run(capsys, *base, "--out", str(tmp_path / "one"))
+def test_lemma_sweep_rows_match_per_query_audits(tmp_path, capsys):
+    code, _, _ = run(
+        capsys, "lemma-sweep", "--nmax", "5", "--tmax", "4", "--draws", "0", "--seed", "9",
+        "--out", str(tmp_path), "--no-timestamp",
+    )
     assert code == 0
-    code, _, _ = run(capsys, *base, "--threads", "4", "--out", str(tmp_path / "two"))
-    assert code == 0
-    assert (tmp_path / "one" / "audit.jsonl").read_bytes() == (tmp_path / "two" / "audit.jsonl").read_bytes()
+    expected = []
+    for name, g in sorted(small_regular_catalog().items()):
+        if g.n > 5:
+            continue
+        d = g.regular_degree
+        for event in _sweep_events(g, 4):
+            for eps in (0.0, 0.05, 1.0 / d**2):
+                for eta in eta_grid(d):
+                    row = boost_bound_audit(g, 0, event, eps, eta).to_json_dict(graph_id=name)
+                    expected.append(json.dumps(row, sort_keys=True) + "\n")
+    got = (tmp_path / "audit.jsonl").read_text().splitlines(keepends=True)
+    # report the first differing row only: a full diff of ~2700 rows takes minutes
+    mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert len(got) == len(expected) and mismatch is None, mismatch
 
 
 # --- config files -----------------------------------------------------------------------

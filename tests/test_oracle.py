@@ -14,6 +14,7 @@ from walklab.oracle import (
     OracleError,
     biased_operator,
     boost_bound_audit,
+    boost_bound_grid,
     conv_lemma_audit,
     cover_lower_demo,
     eta_grid,
@@ -302,6 +303,33 @@ def test_boost_bounds_hold_on_catalog_spot_checks():
         for eps in (0.05, 1.0 / d**2):
             report = boost_bound_audit(g, 0, hit(g.n - 1, 4), eps, 0.5)
             assert report.ok, (name, eps)
+
+
+def test_boost_bound_grid_equals_per_query_audits():
+    # mixed kinds and horizons out of order, on a non-regular graph from a
+    # start other than 0: every report matches its own two-DP audit
+    g = probe_graph()
+    events = [
+        hit(5, 3),
+        EventSpec(EventKind.RETURN_TO_START, 4),
+        hit(5, 1),
+        EventSpec(EventKind.HIT_ALL, 2, frozenset({3, 4})),
+        EventSpec(EventKind.COVER_ALL, 5),
+        EventSpec(EventKind.RETURN_TO_START, 2),
+    ]
+    eps_values, etas = (0.05, 0.0, 1 / 3), (0.5, 1.0)
+    grid = boost_bound_grid(g, 2, events, eps_values, etas)
+    expected = [
+        boost_bound_audit(g, 2, event, eps, eta) for event in events for eps in eps_values for eta in etas
+    ]
+    assert grid == expected
+
+
+def test_boost_bound_grid_rejects_bad_parameters():
+    g = generate("complete", n=4)
+    for eps, eta in ((1.5, 0.5), (0.1, 0.0), (0.1, 1.5)):
+        with pytest.raises(OracleError):
+            boost_bound_grid(g, 0, [hit(3, 2)], (0.0, eps), (0.5, eta))
 
 
 # --- exact cover expectations ------------------------------------------------------

@@ -212,6 +212,15 @@ def test_psi_lower_bound_exact_and_spectral():
     assert 0 < lb < 3
 
 
+def test_psi_lower_bound_needs_a_regular_graph():
+    # gap/2 bounds the vertex expansion of regular graphs only
+    from walklab.graphs import build_graph
+
+    chorded = build_graph([(i, (i + 1) % 30) for i in range(30)] + [(0, 15)], 30)
+    with pytest.raises(GraphError):
+        psi_lower_bound(chorded)
+
+
 # --- distance-weighted bottleneck witness ------------------------------------
 
 
