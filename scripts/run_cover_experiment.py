@@ -5,17 +5,13 @@ Runs paired Monte Carlo estimates (same per-trial seed streams) for each
 requested walk kind on one graph and prints a small table with 95%
 confidence intervals.  Example:
 
-    python3 scripts/run_cover_experiment.py --generate random-regular:512:3:11 \
+    PYTHONPATH=src python3 scripts/run_cover_experiment.py --generate random-regular:512:3:11 \
         --kinds srw,phase --eps 0.25 --trials 200 --seed 20260818
 """
 
 import argparse
-import sys
 
-sys.path.insert(0, "src")
-
-from walklab.cli import _parse_generate_spec
-from walklab.graphs import read_graph_file
+from walklab.graphs import parse_generate_spec, read_graph_file
 from walklab.walks import WalkSpec, estimate_cover_time
 
 
@@ -31,7 +27,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
 
-    g = read_graph_file(args.graph) if args.graph else _parse_generate_spec(args.generate)
+    g = read_graph_file(args.graph) if args.graph else parse_generate_spec(args.generate)
     print(f"graph: n={g.n} m={g.m} regular_degree={g.regular_degree}")
     print(f"{'kind':<8} {'eps':>6} {'mean':>10} {'stddev':>10} {'ci95':>24}")
     results = {}

@@ -4,20 +4,19 @@
 For one regular graph this draws weightings at the graph's own smoothness
 budget sigma = exp(1/(2K)), runs the endpoint check (conductance of the
 2K-step power and the spectral gap) on each, and audits the representative
-set lemmas on random subsets.  Example:
+set lemmas on random subsets.  Weighting i draws from the stream
+SplitMix64.stream(seed, i); the subset sampler draws from the stream at index
+2**64 - 1 (SUBSET_STREAM), which no weighting index reaches, so the subsets
+are independent of every weighting.  Example:
 
-    python3 scripts/run_robustness_sweep.py --generate random-regular:16:3:7 \
+    PYTHONPATH=src python3 scripts/run_robustness_sweep.py --generate random-regular:16:3:7 \
         --weightings 20 --subsets 50 --seed 42
 """
 
 import argparse
-import sys
 
-sys.path.insert(0, "src")
-
-from walklab.cli import _parse_generate_spec
-from walklab.graphs import read_graph_file
-from walklab.rng import SplitMix64
+from walklab.graphs import parse_generate_spec, read_graph_file
+from walklab.rng import MASK64, SplitMix64
 from walklab.robustness import (
     psi_lower_bound,
     section3_K,
@@ -26,6 +25,8 @@ from walklab.robustness import (
     theorem31_check,
 )
 from walklab.weighting import lipschitz_beta, random_lipschitz_weighting
+
+SUBSET_STREAM = MASK64
 
 
 def main(argv=None):
@@ -38,13 +39,13 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
 
-    g = read_graph_file(args.graph) if args.graph else _parse_generate_spec(args.generate)
+    g = read_graph_file(args.graph) if args.graph else parse_generate_spec(args.generate)
     psi = psi_lower_bound(g)
     K = section3_K(psi)
     sigma = section3_sigma(K)
     print(f"graph: n={g.n} d={g.regular_degree} psi={psi:.4f} K={K} sigma={sigma:.6f}")
 
-    rng = SplitMix64(args.seed)
+    rng = SplitMix64.stream(args.seed, SUBSET_STREAM)
     failures = 0
     audited = 0
     for i in range(args.weightings):

@@ -129,37 +129,13 @@ def _merge_config(
 # input loading
 
 
-def _parse_generate_spec(spec: str) -> Graph:
-    parts = spec.split(":")
-    kind = parts[0].strip().lower().replace("-", "_")
-    try:
-        if kind == "cycle":
-            return graphmod.generate("cycle", n=int(parts[1]))
-        if kind == "complete":
-            return graphmod.generate("complete", n=int(parts[1]))
-        if kind == "hypercube":
-            return graphmod.generate("hypercube", dim=int(parts[1]))
-        if kind == "circulant":
-            offsets = tuple(int(x) for x in parts[2].split(","))
-            return graphmod.generate("circulant", n=int(parts[1]), offsets=offsets)
-        if kind == "random_regular":
-            if len(parts) != 4:
-                raise InputError("random-regular spec is random-regular:<n>:<d>:<seed>")
-            return graphmod.generate(
-                "random_regular", n=int(parts[1]), d=int(parts[2]), seed=int(parts[3])
-            )
-    except (IndexError, ValueError) as exc:
-        raise InputError(f"malformed generator spec {spec!r}: {exc}") from exc
-    raise InputError(f"unknown generator kind {parts[0]!r}")
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "graph", None) and getattr(args, "generate", None):
         raise InputError("give either --graph or --generate, not both")
     if getattr(args, "graph", None):
         return graphmod.read_graph_file(args.graph)
     if getattr(args, "generate", None):
-        return _parse_generate_spec(args.generate)
+        return graphmod.parse_generate_spec(args.generate)
     raise InputError("a graph is required: pass --graph FILE or --generate SPEC")
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "GuardError",
     "build_graph",
     "generate",
+    "parse_generate_spec",
     "parse_graph_text",
     "format_graph_text",
     "read_graph_file",
@@ -92,12 +93,6 @@ class Graph:
     @cached_property
     def edge_index(self) -> Mapping[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_index
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -259,6 +254,30 @@ def generate(
             raise GraphError("random_regular needs n, d, seed")
         return _random_regular(n, d, seed)
     raise GraphError(f"unknown graph kind {kind!r}")
+
+
+def parse_generate_spec(spec: str) -> Graph:
+    """Graph from a generator spec: cycle:<n>, complete:<n>, hypercube:<dim>,
+    circulant:<n>:<o1,o2,...> or random-regular:<n>:<d>:<seed>."""
+    parts = spec.split(":")
+    kind = parts[0].strip().lower().replace("-", "_")
+    try:
+        if kind == "cycle":
+            return generate("cycle", n=int(parts[1]))
+        if kind == "complete":
+            return generate("complete", n=int(parts[1]))
+        if kind == "hypercube":
+            return generate("hypercube", dim=int(parts[1]))
+        if kind == "circulant":
+            offsets = tuple(int(x) for x in parts[2].split(","))
+            return generate("circulant", n=int(parts[1]), offsets=offsets)
+        if kind == "random_regular":
+            if len(parts) != 4:
+                raise GraphError("random-regular spec is random-regular:<n>:<d>:<seed>")
+            return generate("random_regular", n=int(parts[1]), d=int(parts[2]), seed=int(parts[3]))
+    except (IndexError, ValueError) as exc:
+        raise GraphError(f"malformed generator spec {spec!r}: {exc}") from exc
+    raise GraphError(f"unknown generator kind {parts[0]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ Every randomized component in the package draws from a splitmix-style
 generator.  The k-th output of a stream depends only on (seed, k), which
 makes scalar and block generation bit-identical and lets Monte Carlo
 drivers hand out one independent stream per trial (seed XOR trial index)
-without coordination.  Runs are therefore reproducible bit-for-bit within
-this implementation and statistically across implementations.
+without coordination.  Because the k-th output is a pure function of
+(seed, k), `splitmix_block` computes the next draws of many streams in one
+vector call; `SplitMix64.block_u64` is its one-stream case.  Runs are
+therefore reproducible bit-for-bit within this implementation and
+statistically across implementations.
 """
 from __future__ import annotations
 
@@ -25,6 +28,24 @@ def _mix(z: int) -> int:
     z = (z * _MIX2) & MASK64
     z ^= z >> 31
     return z
+
+
+def splitmix_block(seeds: np.ndarray, counter: int, m: int) -> np.ndarray:
+    """Outputs counter + 1 .. counter + m of every stream in `seeds`.
+
+    Row i holds the next m draws of the stream seeded with seeds[i] whose
+    counter stands at `counter`.  The array is counter-major in memory (its
+    transpose is C-contiguous), so a column, one draw of every stream, is
+    contiguous.
+    """
+    ks = np.arange(counter + 1, counter + m + 1, dtype=np.uint64)
+    z = ks[:, None] * np.uint64(_GAMMA) + np.asarray(seeds, dtype=np.uint64)[None, :]
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z.T
 
 
 class SplitMix64:
@@ -57,14 +78,8 @@ class SplitMix64:
 
     def block_u64(self, m: int) -> np.ndarray:
         """Next m outputs as a uint64 array; continues the scalar stream exactly."""
-        ks = np.arange(self.counter + 1, self.counter + m + 1, dtype=np.uint64)
+        z = splitmix_block(np.array([self.seed], dtype=np.uint64), self.counter, m)[0]
         self.counter += m
-        z = np.uint64(self.seed) + ks * np.uint64(_GAMMA)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
         return z
 
     def block_floats(self, m: int) -> np.ndarray:
@@ -77,28 +92,33 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+MAX_BLOCK = 8192
+
+
 class BufferedDraws:
     """Amortizes per-draw cost in tight simulation loops.
 
     Pulls blocks from a SplitMix64 stream and serves them one at a time; the
-    consumed sequence is identical to calling next_u64 repeatedly.
+    consumed sequence is identical to calling next_u64 repeatedly.  The first
+    block holds `block` draws and each refill doubles it up to MAX_BLOCK, so
+    a short run generates few draws it never uses.
     """
 
-    __slots__ = ("_rng", "_block", "_buf", "_pos")
+    __slots__ = ("_rng", "_block", "_next")
 
-    def __init__(self, rng: SplitMix64, block: int = 8192):
+    def __init__(self, rng: SplitMix64, block: int = 64):
         self._rng = rng
         self._block = block
-        self._buf: list[int] = []
-        self._pos = 0
+        self._next = iter(()).__next__
 
     def u64(self) -> int:
-        if self._pos == len(self._buf):
-            self._buf = self._rng.block_u64(self._block).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._rng.block_u64(self._block).tolist()).__next__
+            if self._block < MAX_BLOCK:
+                self._block = min(2 * self._block, MAX_BLOCK)
+            return self._next()
 
     def float53(self) -> float:
         return (self.u64() >> 11) * 2.0**-53

@@ -21,7 +21,10 @@ bit-identical to it.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
-worker counts.
+worker counts.  Wide srw and sweep batches advance all their trials together
+in numpy, one counter block of draws per refill for every stream; each
+trial's step count equals that of the scalar loop, which also finishes the
+last few trials of a batch from where the lockstep engine left them.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .chains import BALANCE_TOL, ROW_SUM_TOL, ReversibleChain
 from .graphs import Graph, GraphError, distances_from, vertex_expansion_exact
-from .rng import BufferedDraws, SplitMix64
+from .rng import MASK64, BufferedDraws, SplitMix64, splitmix_block
 from .weighting import WeightingError, induced_chain, target_decay_weighting
 
 # Configured expansion value used by the phase strategy when the graph is too
@@ -248,14 +251,15 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
 # cover-time simulation
 
 
-def _cover_run_srw(g: Graph, rng: SplitMix64, start: int) -> int:
-    """Simple random walk until every vertex is seen; one draw per step."""
+def _cover_run_srw(g: Graph, rng: SplitMix64, state: WalkState) -> int:
+    """Simple random walk from `state` until every vertex is seen; one draw per step."""
     adj = g.adj
     visited = bytearray(g.n)
-    visited[start] = 1
-    left = g.n - 1
-    cur = start
-    steps = 0
+    for v in state.visited:
+        visited[v] = 1
+    left = g.n - len(state.visited)
+    cur = state.current
+    steps = state.steps
     draws = BufferedDraws(rng)
     u64 = draws.u64
     while left:
@@ -268,9 +272,8 @@ def _cover_run_srw(g: Graph, rng: SplitMix64, start: int) -> int:
     return steps
 
 
-def _cover_run_policy(g: Graph, rng: SplitMix64, start: int, eps: float, policy: BiasPolicy) -> int:
-    """Epsilon-biased walk until covered; two draws per step."""
-    state = WalkState.fresh(start)
+def _cover_run_policy(g: Graph, rng: SplitMix64, state: WalkState, eps: float, policy: BiasPolicy) -> int:
+    """Epsilon-biased walk from `state` until covered; two draws per step."""
     draws = BufferedDraws(rng)
     n = g.n
     adj = g.adj
@@ -291,6 +294,99 @@ def _cover_run_policy(g: Graph, rng: SplitMix64, start: int, eps: float, policy:
         state.steps += 1
         visited.add(state.current)
     return state.steps
+
+
+# Lockstep engine bounds: batches, and tails of batches, narrower than
+# _LOCKSTEP_MIN trials run the scalar loops; the visited array of one batch
+# holds at most _LOCKSTEP_CELLS booleans and one refill at most _REFILL_DRAWS
+# draws (128 KiB).
+_LOCKSTEP_MIN = 32
+_LOCKSTEP_CELLS = 1 << 20
+_REFILL_DRAWS = 1 << 14
+_DRAWS_PER_STEP = {"srw": 1, "sweep": 2}
+
+
+def _lockstep_width(n: int, kind: str) -> int:
+    """Most trials one lockstep batch advances together; 0 for scalar-only kinds."""
+    if kind not in _DRAWS_PER_STEP:
+        return 0
+    return min(_LOCKSTEP_CELLS // n, _REFILL_DRAWS // _DRAWS_PER_STEP[kind])
+
+
+def _cover_lockstep(g: Graph, spec: WalkSpec, seed: int, first: int, starts: Sequence[int]) -> list[int]:
+    """Cover steps of trials first, first + 1, ... advanced together in numpy.
+
+    Every live trial has taken the same number of steps, so every stream's
+    counter stands at steps * (draws per step) and one `splitmix_block`
+    refill serves all rows.  Row i replays the scalar loop of its trial
+    draw for draw: srw takes neighbour u64 % d, sweep takes the sweep
+    target when coin < eps and neighbour int(r * d) otherwise.  Finished
+    rows stop counting at once and are dropped once they make up a quarter
+    of the batch.  When fewer than _LOCKSTEP_MIN rows are live, each resumes
+    in the scalar loop from its vertex, visited set and stream counter.
+    """
+    n = g.n
+    sweep = spec.kind == "sweep"
+    dps = _DRAWS_PER_STEP[spec.kind]
+    deg = np.array(g.degrees, dtype=np.intp)
+    off = np.concatenate(([0], np.cumsum(deg)[:-1])).astype(np.intp)
+    nbr = np.array([w for nbrs in g.adj for w in nbrs], dtype=np.intp)
+    deg_u = deg.astype(np.uint64)
+    trial = np.arange(first, first + len(starts))
+    seeds = np.uint64(seed & MASK64) ^ trial.astype(np.uint64)
+    cur = np.array(starts, dtype=np.intp)
+    vis = np.zeros((len(starts), n), dtype=bool)
+    flat = vis.reshape(-1)
+    row = np.arange(len(starts)) * n
+    flat[row + cur] = True
+    left = np.full(len(starts), n - 1, dtype=np.intp)  # -1 marks a finished row
+    out = np.zeros(len(starts), dtype=np.int64)
+    scale = 2.0**-53
+    steps = dead = j = 0
+    block = None
+    while True:
+        if not left.all():
+            done = np.flatnonzero(left == 0)
+            out[trial[done] - first] = steps
+            left[done] = -1
+            dead += len(done)
+            if len(left) - dead < _LOCKSTEP_MIN:
+                break
+            if 4 * dead >= len(left):
+                keep = left > 0
+                trial, seeds, cur, left, vis = trial[keep], seeds[keep], cur[keep], left[keep], vis[keep]
+                flat = vis.reshape(-1)
+                row = np.arange(len(trial)) * n
+                dead = 0
+                block = None
+        if block is None:
+            block = splitmix_block(seeds, steps * dps, dps * max(1, _REFILL_DRAWS // (dps * len(seeds))))
+            j = 0
+        if sweep:
+            coin = (block[:, j] >> np.uint64(11)) * scale
+            r = (block[:, j + 1] >> np.uint64(11)) * scale
+            d = deg[cur]
+            uniform = nbr[off[cur] + np.minimum((r * d).astype(np.intp), d - 1)]
+            fwd = (cur + 1) % n
+            bwd = (cur - 1) % n
+            target = np.where(~flat[row + fwd] | flat[row + bwd], fwd, bwd)
+            cur = np.where(coin < spec.eps, target, uniform)
+        else:
+            cur = nbr[off[cur] + (block[:, j] % deg_u[cur]).astype(np.intp)]
+        j += dps
+        if j == block.shape[1]:
+            block = None  # freed before the next refill is allocated
+        steps += 1
+        at = row + cur
+        new = ~flat[at]
+        flat[at] = True
+        left -= new
+    for i in np.flatnonzero(left > 0):
+        rng = SplitMix64.stream(seed, int(trial[i]))
+        rng.counter = steps * dps
+        state = WalkState(current=int(cur[i]), steps=steps, visited=set(np.flatnonzero(vis[i]).tolist()))
+        out[trial[i] - first] = _resume(g, spec, rng, state)
+    return out.tolist()
 
 
 class _DecayBias:
@@ -440,9 +536,6 @@ class WalkSpec:
     psi: float | None = None
     policy: BiasPolicy | None = None
 
-    def label(self) -> str:
-        return self.kind
-
 
 @dataclass
 class CoverRow:
@@ -461,16 +554,21 @@ class CoverEstimate:
 
 
 def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
-    if spec.kind == "srw":
-        return _cover_run_srw(g, rng, start)
     if spec.kind == "phase":
         return phase_cover_run(g, spec.eps, rng, start=start, psi=spec.psi)
+    return _resume(g, spec, rng, WalkState.fresh(start))
+
+
+def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, state: WalkState) -> int:
+    """Scalar srw, sweep or policy walk from `state`; draws continue from `rng`'s counter."""
+    if spec.kind == "srw":
+        return _cover_run_srw(g, rng, state)
     if spec.kind == "sweep":
-        return _cover_run_policy(g, rng, start, spec.eps, SweepPolicy())
+        return _cover_run_policy(g, rng, state, spec.eps, SweepPolicy())
     if spec.kind == "policy":
         if spec.policy is None:
             raise WalkError("policy walk needs a policy")
-        return _cover_run_policy(g, rng, start, spec.eps, spec.policy)
+        return _cover_run_policy(g, rng, state, spec.eps, spec.policy)
     raise WalkError(f"unknown walk kind {spec.kind!r}")
 
 
@@ -482,6 +580,10 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     that invariant is asserted on each trial.  The spec's preconditions
     (eps in [0, 1], start in range, a cycle for the sweep) and the phase
     strategy's psi are settled once here, not once per trial.
+
+    srw and sweep trials run in lockstep batches of up to `_lockstep_width`
+    trials (see `_cover_lockstep`); each trial's steps equal those of its
+    scalar run, so the rows do not depend on how trials are batched.
     """
     if trials < 2:
         raise WalkError("estimate_cover_time needs at least 2 trials")
@@ -496,16 +598,20 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     if spec.kind == "phase":
         _check_phase(g, spec.eps)
         spec = replace(spec, psi=_phase_psi(g, spec.psi))
-    rows: list[CoverRow] = []
-    for trial in range(trials):
-        if spec.start is not None:
-            start = spec.start
-        elif g.n <= 64:
-            start = trial % g.n
+    if spec.start is not None:
+        starts = [spec.start] * trials
+    else:
+        starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
+    width = max(1, _lockstep_width(g.n, spec.kind))  # 1: every trial scalar
+    counts: list[int] = []
+    for first in range(0, trials, width):
+        batch = starts[first:first + width]
+        if len(batch) >= _LOCKSTEP_MIN:
+            counts += _cover_lockstep(g, spec, seed, first, batch)
         else:
-            start = 0
-        rng = SplitMix64.stream(seed, trial)
-        steps = cover_run(g, spec, rng, start)
+            counts += [cover_run(g, spec, SplitMix64.stream(seed, first + i), s) for i, s in enumerate(batch)]
+    rows: list[CoverRow] = []
+    for trial, (start, steps) in enumerate(zip(starts, counts)):
         if steps < g.n - 1:
             raise WalkError("cover run shorter than n - 1 steps; engine is corrupt")
         rows.append(CoverRow(trial=trial, start_vertex=start, steps=steps))

@@ -42,7 +42,6 @@ __all__ = [
     "parse_weighting_text",
     "format_weighting_text",
     "read_weighting_file",
-    "write_weighting_file",
 ]
 
 
@@ -286,7 +285,3 @@ def read_weighting_file(path, g: Graph) -> EdgeWeighting:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_weighting_text(fh.read(), g)
 
-
-def write_weighting_file(w: EdgeWeighting, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_weighting_text(w))

@@ -85,6 +85,9 @@ def test_unknown_generator_spec_is_input_error(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "spectral", "--generate", "cycle")
     assert code == 2
+    code, out, err = run(capsys, "cover-sim", "--generate", "random-regular:16:3", "--trials", "4", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed generator spec") and "Traceback" not in err
 
 
 # --- cover-sim -------------------------------------------------------------------

@@ -19,6 +19,7 @@ from walklab.graphs import (
     format_graph_text,
     generate,
     is_bipartite,
+    parse_generate_spec,
     parse_graph_text,
     small_regular_catalog,
     vertex_expansion_exact,
@@ -123,6 +124,31 @@ def test_random_regular_rejects_odd_product():
 def test_generate_unknown_kind():
     with pytest.raises(GraphError):
         generate("torus", n=4)
+
+
+def test_parse_generate_spec_builds_each_family():
+    assert parse_generate_spec("cycle:7") == generate("cycle", n=7)
+    assert parse_generate_spec("Complete:5") == generate("complete", n=5)
+    assert parse_generate_spec("hypercube:3") == generate("hypercube", dim=3)
+    assert parse_generate_spec("circulant:9:1,3") == generate("circulant", n=9, offsets=(1, 3))
+    assert parse_generate_spec("random-regular:16:3:7") == generate("random_regular", n=16, d=3, seed=7)
+    assert parse_generate_spec("random_regular:16:3:7") == parse_generate_spec("random-regular:16:3:7")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("torus:4", "unknown generator kind"),
+        ("cycle", "malformed generator spec"),
+        ("cycle:x", "malformed generator spec"),
+        ("circulant:9", "malformed generator spec"),
+        ("random-regular:16:3", "random-regular:<n>:<d>:<seed>"),
+        ("random-regular:15:3:1", "n*d even"),
+    ],
+)
+def test_parse_generate_spec_rejects_bad_specs(spec, message):
+    with pytest.raises(GraphError, match=message.replace("*", r"\*")):
+        parse_generate_spec(spec)
 
 
 def test_catalog_members_are_connected_and_regular():

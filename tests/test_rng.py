@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.rng import MASK64, BufferedDraws, SplitMix64
+from walklab.rng import MASK64, MAX_BLOCK, BufferedDraws, SplitMix64, splitmix_block
 
 # First outputs of the classic splitmix64 sequence for seed 0, as published
 # alongside the xoshiro generators; pins the mixing constants.
@@ -103,6 +103,47 @@ def test_buffered_draws_match_direct():
     direct2 = SplitMix64(8192)
     buffered2 = BufferedDraws(SplitMix64(8192), block=16)
     assert [buffered2.float53() for _ in range(100)] == [direct2.next_float() for _ in range(100)]
+    # 20500 draws cross every doubling of the block up to MAX_BLOCK and
+    # refill at the cap at least once, from the default first block and from 1
+    count = 20_500
+    for kwargs in ({}, {"block": 1}):
+        direct3 = SplitMix64(-77)
+        buffered3 = BufferedDraws(SplitMix64(-77), **kwargs)
+        assert [buffered3.u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
+
+
+def test_buffered_draws_grow_blocks_up_to_the_cap():
+    rng = SplitMix64(3)
+    draws = BufferedDraws(rng)
+    draws.u64()
+    assert rng.counter == 64  # a one-draw run generates 64 draws, not MAX_BLOCK
+    for _ in range(64):
+        draws.u64()
+    assert rng.counter == 64 + 128
+    for _ in range(40_000):
+        draws.u64()
+    sizes = []
+    while len(sizes) < 3:
+        before = rng.counter
+        for _ in range(MAX_BLOCK):
+            draws.u64()
+        sizes.append(rng.counter - before)
+    assert sizes == [MAX_BLOCK] * 3
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=40)
+def test_splitmix_block_rows_continue_each_stream(seeds, counter, m):
+    block = splitmix_block(np.array(seeds, dtype=np.uint64), counter, m)
+    assert block.shape == (len(seeds), m) and block.dtype == np.uint64
+    for i, seed in enumerate(seeds):
+        stream = SplitMix64(seed)
+        stream.counter = counter
+        assert [int(x) for x in block[i]] == [stream.next_u64() for _ in range(m)]
 
 
 def test_state_is_serializable_by_value():

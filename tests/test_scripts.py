@@ -1,0 +1,57 @@
+"""Experiment scripts: public imports, streams, and end-to-end runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from walklab.graphs import GraphError
+from walklab.rng import SplitMix64
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["run_robustness_sweep", "run_cover_experiment"])
+def test_scripts_use_only_public_api(name):
+    text = (SCRIPTS / f"{name}.py").read_text()
+    assert "sys.path" not in text
+    assert "import _" not in text and "walklab.cli" not in text
+    assert "PYTHONPATH=src" in text
+
+
+@pytest.mark.parametrize("seed", [42, 0, -3])
+def test_robustness_sweep_subset_stream_aliases_no_weighting(monkeypatch, capsys, seed):
+    # every stream the sweep draws from (one per weighting, one for the
+    # subset sampler) must be distinct; the sampler used to share weighting
+    # 0's stream because seed ^ 0 == seed
+    script = load_script("run_robustness_sweep")
+    seeds = []
+
+    class Recording(SplitMix64):
+        __slots__ = ()
+
+        def __init__(self, stream_seed):
+            super().__init__(stream_seed)
+            seeds.append(self.seed)
+
+    monkeypatch.setattr(script, "SplitMix64", Recording)
+    code = script.main(["--generate", "complete:4", "--weightings", "3", "--subsets", "2", "--seed", str(seed)])
+    assert code == 0
+    assert len(seeds) == 4 and len(set(seeds)) == 4
+    assert "done: 3 weightings" in capsys.readouterr().out
+
+
+def test_cover_experiment_runs_and_rejects_bad_spec(capsys):
+    script = load_script("run_cover_experiment")
+    assert script.main(["--generate", "cycle:12", "--kinds", "srw,sweep", "--trials", "40", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "sweep vs srw" in out
+    with pytest.raises(GraphError):
+        script.main(["--generate", "cycle", "--trials", "4", "--seed", "5"])

@@ -1,9 +1,12 @@
 """Walk engine: biased steps, choice steps, bias extraction, cover runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab.graphs import build_graph, generate
 from walklab.rng import SplitMix64
@@ -435,6 +438,123 @@ def test_cover_mean_matches_complete_graph_exact_value():
     g = generate("complete", n=4)
     est = estimate_cover_time(g, WalkSpec(kind="srw"), trials=4000, seed=7)
     assert abs(est.mean - 5.5) / 5.5 < 0.05
+
+
+# --- lockstep engine -------------------------------------------------------------
+
+LOCKSTEP_GRAPHS = {
+    "complete:4": generate("complete", n=4),
+    "cycle:5": generate("cycle", n=5),
+    "cycle:12": generate("cycle", n=12),
+    "irregular": build_graph(
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5), (5, 6), (6, 4), (2, 7)], 8
+    ),
+    "random-regular:20:3:4": generate("random_regular", n=20, d=3, seed=4),
+}
+
+
+def scalar_steps(g, spec, trials, seed):
+    """Per-trial steps of the scalar loops alone, with estimate_cover_time's starts."""
+    starts = [spec.start if spec.start is not None else (t % g.n if g.n <= 64 else 0) for t in range(trials)]
+    return [cover_run(g, spec, SplitMix64.stream(seed, t), s) for t, s in enumerate(starts)]
+
+
+@st.composite
+def lockstep_cases(draw):
+    name = draw(st.sampled_from(sorted(LOCKSTEP_GRAPHS)))
+    g = LOCKSTEP_GRAPHS[name]
+    if name.startswith("cycle") and draw(st.booleans()):
+        spec = WalkSpec(kind="sweep", eps=draw(st.sampled_from([0.0, 0.25, 1.0])))
+    else:
+        spec = WalkSpec(kind="srw")
+    start = draw(st.none() | st.integers(min_value=0, max_value=g.n - 1))
+    return g, replace(spec, start=start)
+
+
+@given(
+    lockstep_cases(),
+    st.integers(min_value=2, max_value=90),
+    st.sampled_from([0, 1, -1, -(2**70) + 5, 2**64, 2**64 + 12345, 2**80 + 7]) | st.integers(-(2**66), 2**66),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_steps_equal_scalar_steps(case, trials, seed):
+    # widths below and above the lockstep threshold, with the scalar tail
+    g, spec = case
+    est = estimate_cover_time(g, spec, trials=trials, seed=seed)
+    assert [r.steps for r in est.rows] == scalar_steps(g, spec, trials, seed)
+
+
+def recording(calls, fn):
+    """fn, with each call's arguments appended to calls."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+def test_lockstep_runs_only_wide_srw_and_sweep_batches(monkeypatch):
+    calls = []
+    monkeypatch.setattr(walks, "_cover_lockstep", recording(calls, walks._cover_lockstep))
+    cyc = generate("cycle", n=16)
+    estimate_cover_time(cyc, WalkSpec(kind="srw"), trials=walks._LOCKSTEP_MIN - 1, seed=3)
+    rr = generate("random_regular", n=16, d=3, seed=9)
+    estimate_cover_time(rr, WalkSpec(kind="phase", eps=0.25), trials=40, seed=3)
+    assert calls == []
+    estimate_cover_time(cyc, WalkSpec(kind="srw"), trials=walks._LOCKSTEP_MIN, seed=3)
+    estimate_cover_time(cyc, WalkSpec(kind="sweep", eps=0.5), trials=100, seed=3)
+    assert [len(starts) for *_, starts in calls] == [walks._LOCKSTEP_MIN, 100]
+
+
+@pytest.mark.parametrize(
+    "g, spec",
+    [
+        (generate("cycle", n=16), WalkSpec(kind="srw")),
+        (generate("cycle", n=16), WalkSpec(kind="sweep", eps=0.25)),
+        (generate("complete", n=4), WalkSpec(kind="srw", start=1)),
+    ],
+)
+def test_cover_rows_are_a_prefix_of_longer_runs(g, spec):
+    longer = estimate_cover_time(g, spec, trials=300, seed=-5).rows
+    for trials in (20, 40, 299):
+        assert estimate_cover_time(g, spec, trials=trials, seed=-5).rows == longer[:trials]
+
+
+def test_cover_rows_do_not_depend_on_the_batch_width(monkeypatch):
+    g = generate("cycle", n=64)
+    for spec in (WalkSpec(kind="srw"), WalkSpec(kind="sweep", eps=0.25)):
+        whole = estimate_cover_time(g, spec, trials=150, seed=2024).rows
+        monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 40 * g.n)  # batches of 40, 40, 40, 30
+        assert estimate_cover_time(g, spec, trials=150, seed=2024).rows == whole
+        monkeypatch.undo()
+
+
+def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
+    for n in (4, 64, 512, 20_000, 1 << 21):
+        for kind, dps in (("srw", 1), ("sweep", 2)):
+            width = walks._lockstep_width(n, kind)
+            assert width * n <= walks._LOCKSTEP_CELLS
+            assert width * dps <= walks._REFILL_DRAWS
+    assert walks._lockstep_width(1 << 21, "srw") < walks._LOCKSTEP_MIN  # scalar only
+    assert walks._lockstep_width(64, "phase") == 0
+    # a large cycle is cut into batches of at most _LOCKSTEP_CELLS // n trials;
+    # the engine is stubbed out, so nothing walks
+    calls = []
+    big = generate("cycle", n=20_000)
+    stub = recording(calls, lambda g, spec, seed, first, starts: [g.n - 1] * len(starts))
+    monkeypatch.setattr(walks, "_cover_lockstep", stub)
+    est = estimate_cover_time(big, WalkSpec(kind="srw"), trials=200, seed=1)
+    width = walks._LOCKSTEP_CELLS // big.n
+    batches = [(first, len(starts)) for _, _, _, first, starts in calls]
+    assert batches == [(0, width), (width, width), (2 * width, width), (3 * width, 200 - 3 * width)]
+    assert est.trials == 200
+    # one refill holds at most _REFILL_DRAWS draws, however wide the batch
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(walks, "splitmix_block", recording(calls, walks.splitmix_block))
+    estimate_cover_time(generate("complete", n=4), WalkSpec(kind="srw"), trials=5000, seed=8)
+    assert calls and max(len(seeds) * m for seeds, _, m in calls) <= walks._REFILL_DRAWS
 
 
 # --- stationary boost audit ----------------------------------------------------
