@@ -12,7 +12,7 @@ confidence intervals.  Example:
 import argparse
 
 from walklab.graphs import parse_generate_spec, read_graph_file
-from walklab.walks import WalkSpec, estimate_cover_time
+from walklab.walks import WALK_KINDS, WalkSpec, estimate_cover_time
 
 
 def main(argv=None):
@@ -20,19 +20,22 @@ def main(argv=None):
     src = ap.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="edge-list file")
     src.add_argument("--generate", help="generator spec, e.g. cycle:64 or random-regular:512:3:11")
-    ap.add_argument("--kinds", default="srw,phase", help="comma-separated walk kinds")
+    ap.add_argument("--kinds", default="srw,phase", help=f"comma-separated walk kinds: {', '.join(WALK_KINDS)}")
     ap.add_argument("--eps", type=float, default=0.25, help="bias strength for non-srw kinds")
     ap.add_argument("--psi", type=float, default=None, help="expansion estimate for the phase schedule")
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
+    kinds = [kind.strip() for kind in args.kinds.split(",")]
+    unknown = [kind for kind in kinds if kind not in WALK_KINDS]
+    if unknown:
+        ap.error(f"unknown walk kinds {', '.join(map(repr, unknown))}; choose from {', '.join(WALK_KINDS)}")
 
     g = read_graph_file(args.graph) if args.graph else parse_generate_spec(args.generate)
     print(f"graph: n={g.n} m={g.m} regular_degree={g.regular_degree}")
     print(f"{'kind':<8} {'eps':>6} {'mean':>10} {'stddev':>10} {'ci95':>24}")
     results = {}
-    for kind in args.kinds.split(","):
-        kind = kind.strip()
+    for kind in kinds:
         eps = 0.0 if kind == "srw" else args.eps
         spec = WalkSpec(kind=kind, eps=eps, psi=args.psi)
         est = estimate_cover_time(g, spec, trials=args.trials, seed=args.seed)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,7 +42,7 @@ from .oracle import (
 )
 from .rng import SplitMix64
 from .robustness import psi_lower_bound, section3_lemma_audit, theorem31_check
-from .walks import WalkError, WalkSpec, estimate_cover_time
+from .walks import WALK_KINDS, WalkError, WalkSpec, estimate_cover_time
 from .weighting import (
     EdgeWeighting,
     WeightingError,
@@ -220,8 +221,8 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
     )
     if args.seed is None:
         raise InputError("--seed is required")
-    if args.sigma < 1.0:
-        raise InputError("--sigma must be >= 1")
+    if not (args.sigma >= 1.0 and math.isfinite(args.sigma)):
+        raise InputError("--sigma must be finite and >= 1")
     g = _load_graph(args)
     dia, _ = graphmod.diameter(g)
     kmax = args.kmax if args.kmax is not None else dia
@@ -341,7 +342,7 @@ def _cmd_cover_sim(args: argparse.Namespace) -> int:
     )
     if args.seed is None:
         raise InputError("--seed is required")
-    if args.walk not in ("srw", "phase", "sweep"):
+    if args.walk not in WALK_KINDS:
         raise InputError(f"unknown walk kind {args.walk!r}")
     if args.trials < 2:
         raise InputError("--trials must be at least 2")
@@ -518,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover-sim", help="Monte Carlo cover-time estimation")
     _add_common(p)
-    p.add_argument("--walk", help="srw | phase | sweep")
+    p.add_argument("--walk", help=" | ".join(WALK_KINDS))
     p.add_argument("--eps", type=float, help="bias probability per step")
     p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
     p.add_argument("--start", type=int, help="fixed start vertex (default: round-robin when n <= 64)")

@@ -1,10 +1,13 @@
 """Biased random walk simulation and the bias-extraction machinery.
 
 The central walk is the epsilon-biased step: with probability 1 - epsilon
-move to a uniform neighbour, otherwise sample from a policy's probability
-vector over the neighbours.  A policy is any deterministic rule
-(graph, visited set, current vertex, step count) -> neighbour distribution,
-so visited-set strategies and fixed-matrix strategies share one interface.
+move to a uniform neighbour, otherwise sample from a bias vector over the
+neighbours.  `step` is the single-step reference, taking the vector from a
+policy (graph, visited set, current vertex, step count) -> neighbour
+distribution.  The cover runs play that step in one loop, `_biased_walk`,
+whose bias is a function of the current vertex: the phase walk's rows of
+the target-decay bias, or the sweep walk's one-hot rows toward the forward
+or backward neighbour of a cycle.
 
 `extract_bias_matrix` inverts the mixture: given a reversible chain Q
 supported on the graph's edges with Q >= (1 - eps)/d entrywise on edges,
@@ -47,13 +50,14 @@ from .weighting import WeightingError, induced_chain, target_decay_weighting
 # while staying a feasible expansion value for degree >= 3.
 DEFAULT_PSI_CONFIG = 2.0
 
+WALK_KINDS = ("srw", "phase", "sweep")
+
 __all__ = [
     "WalkState",
     "WalkSpec",
     "BiasPolicy",
-    "MatrixPolicy",
-    "SweepPolicy",
     "WalkError",
+    "WALK_KINDS",
     "step",
     "crw_step",
     "crw_emulation_step",
@@ -87,46 +91,6 @@ class WalkState:
 class BiasPolicy(Protocol):
     def __call__(self, g: Graph, visited: set[int], current: int, steps: int) -> np.ndarray:
         """Probability vector aligned with g.adj[current]."""
-
-
-class MatrixPolicy:
-    """State-independent policy reading rows of a stochastic bias matrix."""
-
-    def __init__(self, g: Graph, b: np.ndarray):
-        b = np.asarray(b, dtype=float)
-        if b.shape != (g.n, g.n):
-            raise WalkError("bias matrix has wrong shape")
-        self.rows: list[np.ndarray] = []
-        for v in range(g.n):
-            row = b[v, list(g.adj[v])].copy()
-            total = row.sum()
-            if abs(total - 1.0) > 1e-9:
-                raise WalkError(f"bias row {v} sums to {total}, expected 1")
-            if float(b[v].sum() - total) > 1e-9:
-                raise WalkError(f"bias row {v} puts mass outside the edge set")
-            self.rows.append(row)
-
-    def __call__(self, g: Graph, visited: set[int], current: int, steps: int) -> np.ndarray:
-        return self.rows[current]
-
-
-class SweepPolicy:
-    """Directional bias for cycle-shaped graphs.
-
-    Prefers the +1 neighbour while it is unvisited; once the forward
-    frontier is exhausted it prefers the -1 neighbour.  A pure function of
-    (visited, current), which keeps the policy deterministic and
-    replayable.
-    """
-
-    def __call__(self, g: Graph, visited: set[int], current: int, steps: int) -> np.ndarray:
-        nbrs = g.adj[current]
-        fwd = (current + 1) % g.n
-        bwd = (current - 1) % g.n
-        target = fwd if fwd not in visited or bwd in visited else bwd
-        vec = np.zeros(len(nbrs))
-        vec[nbrs.index(target)] = 1.0
-        return vec
 
 
 def _sample_from_vector(vec: Sequence[float], r: float) -> int:
@@ -251,17 +215,11 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
 # cover-time simulation
 
 
-def _cover_run_srw(g: Graph, rng: SplitMix64, state: WalkState) -> int:
-    """Simple random walk from `state` until every vertex is seen; one draw per step."""
-    adj = g.adj
-    visited = bytearray(g.n)
-    for v in state.visited:
-        visited[v] = 1
-    left = g.n - len(state.visited)
-    cur = state.current
-    steps = state.steps
-    draws = BufferedDraws(rng)
-    u64 = draws.u64
+def _cover_run_srw(
+    adj: Sequence[Sequence[int]], u64: Callable[[], int], visited: bytearray, cur: int, steps: int
+) -> int:
+    """Simple random walk until every vertex is visited; one draw per step."""
+    left = visited.count(0)
     while left:
         nb = adj[cur]
         cur = nb[u64() % len(nb)]
@@ -272,28 +230,63 @@ def _cover_run_srw(g: Graph, rng: SplitMix64, state: WalkState) -> int:
     return steps
 
 
-def _cover_run_policy(g: Graph, rng: SplitMix64, state: WalkState, eps: float, policy: BiasPolicy) -> int:
-    """Epsilon-biased walk from `state` until covered; two draws per step."""
-    draws = BufferedDraws(rng)
-    n = g.n
-    adj = g.adj
-    visited = state.visited
+def _biased_walk(
+    adj: Sequence[Sequence[int]],
+    u64: Callable[[], int],
+    visited: bytearray,
+    cur: int,
+    steps: int,
+    left: int,
+    stop: int,
+    eps: float,
+    bias: Callable[[int], Sequence[float]],
+) -> tuple[int, int, int]:
+    """Epsilon-biased walk until at most `stop` of the `left` unvisited vertices remain.
+
+    Two draws per step, coin then r, as in `step`: coin < eps samples the
+    vector bias(cur) at r, otherwise r picks a uniform neighbour.  Marks
+    `visited` in place and returns (cur, steps, left).
+    """
     scale = 2.0**-53
-    while len(visited) < n:
-        coin = (draws.u64() >> 11) * scale
-        r = (draws.u64() >> 11) * scale
-        nbrs = adj[state.current]
+    while left > stop:
+        nbrs = adj[cur]
+        coin = (u64() >> 11) * scale
+        r = (u64() >> 11) * scale
         if coin < eps:
-            vec = policy(g, visited, state.current, state.steps)
-            idx = _sample_from_vector(vec, r)
+            idx = _sample_from_vector(bias(cur), r)
         else:
             idx = int(r * len(nbrs))
             if idx == len(nbrs):
                 idx -= 1
-        state.current = nbrs[idx]
-        state.steps += 1
-        visited.add(state.current)
-    return state.steps
+        cur = nbrs[idx]
+        steps += 1
+        if not visited[cur]:
+            visited[cur] = 1
+            left -= 1
+    return cur, steps, left
+
+
+def _sweep_bias(g: Graph, visited: bytearray) -> Callable[[int], list[float]]:
+    """Directional bias for cycles, read against `visited` at each call.
+
+    Vertex v prefers its +1 neighbour while that is unvisited or the -1
+    neighbour is visited, and its -1 neighbour otherwise: a pure function
+    of (visited, current), so the walk is replayable.  Both one-hot rows of
+    every vertex are picked once from the two rows of length d = 2 (the lone
+    neighbour of a 2-cycle is slot 0); sampling a one-hot row returns its
+    target for every r in [0, 1).
+    """
+    n = g.n
+    fwd = [(v + 1) % n for v in range(n)]
+    bwd = [(v - 1) % n for v in range(n)]
+    hot = ([1.0, 0.0], [0.0, 1.0])
+    ahead = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, fwd)]
+    back = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, bwd)]
+
+    def bias(v: int) -> list[float]:
+        return back[v] if visited[fwd[v]] and not visited[bwd[v]] else ahead[v]
+
+    return bias
 
 
 # Lockstep engine bounds: batches, and tails of batches, narrower than
@@ -384,8 +377,7 @@ def _cover_lockstep(g: Graph, spec: WalkSpec, seed: int, first: int, starts: Seq
     for i in np.flatnonzero(left > 0):
         rng = SplitMix64.stream(seed, int(trial[i]))
         rng.counter = steps * dps
-        state = WalkState(current=int(cur[i]), steps=steps, visited=set(np.flatnonzero(vis[i]).tolist()))
-        out[trial[i] - first] = _resume(g, spec, rng, state)
+        out[trial[i] - first] = _resume(g, spec, rng, int(cur[i]), steps, bytearray(vis[i].tobytes()))
     return out.tolist()
 
 
@@ -452,6 +444,8 @@ def _check_phase(g: Graph, eps: float) -> None:
 def _phase_psi(g: Graph, psi: float | None) -> float:
     """Expansion value for the phase tilt: exact when n <= 24, else configured."""
     if psi is not None:
+        if not (math.isfinite(psi) and psi >= 0.0):
+            raise WalkError(f"psi must be finite and >= 0, got {psi}")
         return psi
     if g.n <= 24:
         return vertex_expansion_exact(g)[0]
@@ -485,46 +479,27 @@ def phase_cover_run(
     if not (0 <= start < g.n):
         raise WalkError("start vertex out of range")
     theta = min(eps, 1.0 - math.exp(-_phase_psi(g, psi) / 32.0))
-    bias = _DecayBias(g) if eps > 0.0 else None
+    decay = _DecayBias(g) if eps > 0.0 else None
 
-    draws = BufferedDraws(rng)
+    u64 = BufferedDraws(rng).u64
     n = g.n
-    adj = g.adj
     visited = bytearray(n)
     visited[start] = 1
     left = n - 1
     cur = start
     steps = 0
-    scale = 2.0**-53
     while left:
+        # U is every unvisited vertex, so the phase ends when left <= |U| // 2
         unvisited = [v for v in range(n) if not visited[v]]
-        rows = bias.rows(unvisited, theta, eps) if bias is not None else None
-        phase_target = len(unvisited) // 2  # run until at most this many of U remain
-        remaining = len(unvisited)
-        while remaining > phase_target:
-            nbrs = adj[cur]
-            coin = (draws.u64() >> 11) * scale
-            r = (draws.u64() >> 11) * scale
-            if coin < eps:
-                idx = _sample_from_vector(rows[cur], r)
-            else:
-                idx = int(r * len(nbrs))
-                if idx == len(nbrs):
-                    idx -= 1
-            cur = nbrs[idx]
-            steps += 1
-            if not visited[cur]:
-                visited[cur] = 1
-                left -= 1
-                remaining -= 1
-                if left == 0:
-                    break
+        rows = decay.rows(unvisited, theta, eps) if decay is not None else []
+        stop = len(unvisited) // 2
+        cur, steps, left = _biased_walk(g.adj, u64, visited, cur, steps, left, stop, eps, rows.__getitem__)
     return steps
 
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """What to simulate: kind in {srw, phase, policy, sweep}, plus knobs.
+    """What to simulate: kind in WALK_KINDS, plus knobs.
 
     `start` fixes the starting vertex; None means round-robin over all
     starts when n <= 64 (trial i starts at i mod n) and vertex 0 otherwise.
@@ -534,7 +509,6 @@ class WalkSpec:
     eps: float = 0.0
     start: int | None = None
     psi: float | None = None
-    policy: BiasPolicy | None = None
 
 
 @dataclass
@@ -556,19 +530,19 @@ class CoverEstimate:
 def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
     if spec.kind == "phase":
         return phase_cover_run(g, spec.eps, rng, start=start, psi=spec.psi)
-    return _resume(g, spec, rng, WalkState.fresh(start))
+    visited = bytearray(g.n)
+    visited[start] = 1
+    return _resume(g, spec, rng, start, 0, visited)
 
 
-def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, state: WalkState) -> int:
-    """Scalar srw, sweep or policy walk from `state`; draws continue from `rng`'s counter."""
+def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, cur: int, steps: int, visited: bytearray) -> int:
+    """Scalar srw or sweep walk from `cur`; draws continue from `rng`'s counter."""
+    u64 = BufferedDraws(rng).u64
     if spec.kind == "srw":
-        return _cover_run_srw(g, rng, state)
+        return _cover_run_srw(g.adj, u64, visited, cur, steps)
     if spec.kind == "sweep":
-        return _cover_run_policy(g, rng, state, spec.eps, SweepPolicy())
-    if spec.kind == "policy":
-        if spec.policy is None:
-            raise WalkError("policy walk needs a policy")
-        return _cover_run_policy(g, rng, state, spec.eps, spec.policy)
+        left = visited.count(0)
+        return _biased_walk(g.adj, u64, visited, cur, steps, left, 0, spec.eps, _sweep_bias(g, visited))[1]
     raise WalkError(f"unknown walk kind {spec.kind!r}")
 
 
@@ -578,13 +552,15 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     Trial i uses the stream seed XOR i, so the estimate is a pure function
     of (graph, spec, trials, seed).  Every run takes at least n - 1 steps;
     that invariant is asserted on each trial.  The spec's preconditions
-    (eps in [0, 1], start in range, a cycle for the sweep) and the phase
-    strategy's psi are settled once here, not once per trial.
+    (a known kind, eps in [0, 1], start in range, a cycle for the sweep)
+    and the phase strategy's psi are settled once here, not once per trial.
 
     srw and sweep trials run in lockstep batches of up to `_lockstep_width`
     trials (see `_cover_lockstep`); each trial's steps equal those of its
     scalar run, so the rows do not depend on how trials are batched.
     """
+    if spec.kind not in WALK_KINDS:
+        raise WalkError(f"unknown walk kind {spec.kind!r}")
     if trials < 2:
         raise WalkError("estimate_cover_time needs at least 2 trials")
     if not (0.0 <= spec.eps <= 1.0):

@@ -205,8 +205,8 @@ def random_lipschitz_weighting(
     in [1/sigma, sigma], rejecting any move that would push the Lipschitz
     constant beyond sigma.
     """
-    if sigma < 1.0:
-        raise WeightingError("random family needs sigma >= 1")
+    if not (sigma >= 1.0 and math.isfinite(sigma)):
+        raise WeightingError("random family needs a finite sigma >= 1")
     n, m = g.n, g.m
     base_kind = rng.randrange(3)
     if base_kind == 1 and sigma > 1.0:

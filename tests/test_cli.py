@@ -1,10 +1,14 @@
 """Command-line front-end: subcommands, exit codes, files, reproducibility."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab import graphs, robustness
 from walklab.cli import _sweep_events, main
@@ -166,6 +170,17 @@ def test_cover_sim_rejects_start_and_eps_out_of_range(capsys, extra):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("psi", ["nan", "inf", "-1"])
+def test_cover_sim_rejects_bad_psi(capsys, psi):
+    # nan and inf used to run with theta = eps and exit 0
+    code, out, err = run(
+        capsys, "cover-sim", "--generate", "random-regular:16:3:1", "--walk", "phase", "--eps", "0.25",
+        "--psi", psi, "--trials", "4", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: psi must be finite and >= 0") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["random-regular:16:3:1", "complete:5"])
 def test_cover_sim_sweep_needs_a_cycle(capsys, spec):
     code, out, err = run(
@@ -249,6 +264,22 @@ def test_lipschitz_audit_rejects_bad_sigma(capsys):
         capsys, "lipschitz-audit", "--generate", "cycle:8", "--sigma", "0.5", "--seed", "1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, count",
+    [("lipschitz-audit", "--count"), ("robustness-audit", "--subsets")],
+    ids=["lipschitz", "robustness"],
+)
+def test_sigma_that_is_not_finite_is_input_error(capsys, command, count, sigma):
+    # nan used to run uniform weights with exit 0; with no weightings to
+    # draw, lipschitz-audit also printed "sigma": NaN or Infinity, not JSON
+    code, out, err = run(
+        capsys, command, "--generate", "cycle:8", "--sigma", sigma, count, "0", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "sigma" in err and ">= 1" in err
 
 
 # --- robustness-audit ---------------------------------------------------------------
@@ -436,3 +467,84 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+# --- exit-code contract under arbitrary flag values ------------------------------------
+
+
+def good_or_bad(good, bad):
+    """Half the draws from in-range values, half from out-of-range ones."""
+    return st.sampled_from(good) | st.sampled_from(bad)
+
+
+SPECS = good_or_bad(
+    ["cycle:8", "complete:5", "hypercube:3", "circulant:8:1,2", "random-regular:8:3:1",
+     "random-regular:10:3:4"],
+    ["cycle:2", "complete:1", "hypercube:0", "random-regular:5:3:1", "random-regular:4:5:1",
+     "moebius:7", "cycle"],
+)
+FLOATS = good_or_bad(["0", "0.25", "1", "2"], ["1.5", "-1", "nan", "inf", "-inf", "1e308", "1e-300"])
+SMALL_INTS = good_or_bad(["0", "1", "3"], ["-1", "99"])
+SEEDS = st.sampled_from(["0", "1", "-5", str(2**64 + 3)])
+
+
+def flags(draw, **options):
+    """Each flag with its drawn value, or left out; `--flag=value`, so "-inf" reads as a value."""
+    argv = []
+    for name, values in options.items():
+        value = draw(st.none() | values)
+        if value is not None:
+            argv.append(f"--{name.replace('_', '-')}={value}")
+    return argv
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(
+        ["spectral", "lipschitz-audit", "robustness-audit", "cover-sim", "boost-audit", "lemma-sweep"]
+    ))
+    argv = [command]
+    if command != "lemma-sweep":
+        argv.append(f"--generate={draw(SPECS)}")
+    if command not in ("spectral", "boost-audit"):
+        argv.append(f"--seed={draw(SEEDS)}")
+    # work-size flags are always given, since their defaults take seconds
+    if command == "lipschitz-audit":
+        argv.append(f"--count={draw(st.sampled_from(['-1', '0', '2']))}")
+        argv += flags(draw, sigma=FLOATS, kmax=SMALL_INTS, assert_beta_max=FLOATS)
+    elif command == "robustness-audit":
+        argv += flags(draw, sigma=FLOATS, subsets=st.sampled_from(["-1", "0", "2"]))
+    elif command == "cover-sim":
+        argv += flags(draw, walk=good_or_bad(["srw", "phase", "sweep"], ["policy"]), eps=FLOATS, psi=FLOATS,
+                      start=SMALL_INTS, trials=good_or_bad(["2", "40"], ["-1", "1"]))
+    elif command == "boost-audit":
+        event = good_or_bad(["hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"], ["hit:99", "hit:x", "bogus"])
+        argv.append(f"--event={draw(event)}")
+        argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0']))}")
+        argv += flags(draw, eps=FLOATS, eta=FLOATS, start=SMALL_INTS)
+    elif command == "lemma-sweep":
+        argv.append(f"--nmax={draw(st.sampled_from(['-1', '0', '4']))}")
+        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2']))}")
+        argv.append(f"--draws={draw(st.sampled_from(['-1', '0', '10']))}")
+    return argv
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(cli_calls())
+@settings(max_examples=300, deadline=None)
+def test_every_flag_value_keeps_the_exit_code_contract(argv):
+    # 0 success, 1 audit violation, 2 bad input, never a traceback; a
+    # summary is strict JSON (no NaN or Infinity) and exit 1 names a failure
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("error:"), argv
+        return
+    payload = json.loads(out.getvalue(), parse_constant=reject_constant)
+    if code == 1:
+        assert payload.get("failures", 0) + payload.get("conv_failures", 0) > 0 or payload.get("ok") is False

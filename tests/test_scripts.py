@@ -55,3 +55,15 @@ def test_cover_experiment_runs_and_rejects_bad_spec(capsys):
     assert "sweep vs srw" in out
     with pytest.raises(GraphError):
         script.main(["--generate", "cycle", "--trials", "4", "--seed", "5"])
+
+
+@pytest.mark.parametrize("kinds", ["srw,mystery", "srw,policy"])
+def test_cover_experiment_rejects_unknown_kinds_before_any_row(capsys, kinds):
+    # the srw row used to print before the unknown kind died with a traceback
+    script = load_script("run_cover_experiment")
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--generate", "cycle:12", "--kinds", kinds, "--trials", "4", "--seed", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown walk kinds" in captured.err and "Traceback" not in captured.err

@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab.graphs import build_graph, generate
-from walklab.rng import SplitMix64
+from walklab.rng import BufferedDraws, SplitMix64
 from walklab import walks
 from walklab.walks import (
     CoverEstimate,
-    MatrixPolicy,
-    SweepPolicy,
     WalkError,
     WalkSpec,
     WalkState,
@@ -293,37 +291,83 @@ def test_decay_bias_rows_keep_the_dense_checks():
         bias.rows([0], 1.0, 1.0)
 
 
-# --- policies ------------------------------------------------------------------
+# --- the biased walk loop ------------------------------------------------------
 
 
-def test_matrix_policy_validates_rows():
-    g = generate("complete", n=4)
-    good = extract_bias_matrix(srw_chain(g), g, 0.0)
-    pol = MatrixPolicy(g, good)
-    assert np.allclose(pol(g, set(), 0, 0), [1 / 3, 1 / 3, 1 / 3])
-    with pytest.raises(WalkError):
-        MatrixPolicy(g, np.zeros((3, 3)))
-    bad = good.copy()
-    bad[0, 1] += 0.1
-    with pytest.raises(WalkError):
-        MatrixPolicy(g, bad)
-    leaky = np.zeros((4, 4))
-    leaky[:, 0] = 1.0  # vertex 0 puts all mass on itself, off the edge set
-    with pytest.raises(WalkError):
-        MatrixPolicy(g, leaky)
+def visited_bytes(n, seen):
+    visited = bytearray(n)
+    for v in seen:
+        visited[v] = 1
+    return visited
 
 
 def test_sweep_policy_prefers_forward_frontier():
     g = generate("cycle", n=8)
-    pol = SweepPolicy()
-    vec = pol(g, {0}, 0, 0)
+    vec = walks._sweep_bias(g, visited_bytes(8, {0}))(0)
     assert vec[g.adj[0].index(1)] == 1.0
     # forward blocked and backward fresh: turn around
-    vec = pol(g, {1, 2}, 1, 3)
+    vec = walks._sweep_bias(g, visited_bytes(8, {1, 2}))(1)
     assert vec[g.adj[1].index(0)] == 1.0
     # both sides seen: keep pushing forward
-    vec = pol(g, {0, 1, 2}, 1, 4)
+    vec = walks._sweep_bias(g, visited_bytes(8, {0, 1, 2}))(1)
     assert vec[g.adj[1].index(2)] == 1.0
+
+
+def sweep_rule(g, visited, current, steps):
+    """The sweep walk's rule as a `step` policy: forward unless only backward is fresh."""
+    fwd, bwd = (current + 1) % g.n, (current - 1) % g.n
+    target = fwd if fwd not in visited or bwd in visited else bwd
+    return point_mass_on(target)(g, visited, current, steps)
+
+
+class RecordingAdj(list):
+    """Adjacency that records each vertex the walk looks up, i.e. its trajectory."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.path = []
+
+    def __getitem__(self, v):
+        self.path.append(v)
+        return super().__getitem__(v)
+
+
+def stepped_path(g, start, eps, policy, rng, stop):
+    """Trajectory of repeated `step` calls until at most `stop` vertices are unvisited."""
+    state = WalkState.fresh(start)
+    path = [start]
+    while g.n - len(state.visited) > stop:
+        path.append(step(g, state, eps, policy, rng))
+    return path, state.visited
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("seed", [3, 2**64 + 9])
+def test_biased_walk_replays_step_draw_for_draw(eps, seed):
+    # phase rows: one phase toward every vertex but the start on rr64, run
+    # until half of them are visited
+    g = generate("random_regular", n=64, d=3, seed=5)
+    rows = walks._DecayBias(g).rows(list(range(1, g.n)), 0.06, eps) if eps > 0.0 else []
+    policy = lambda g_, vis, cur, steps: rows[cur]
+    expected, seen = stepped_path(g, 0, eps, policy, SplitMix64(seed), (g.n - 1) // 2)
+    adj = RecordingAdj(g.adj)
+    visited = visited_bytes(g.n, {0})
+    cur, steps, left = walks._biased_walk(
+        adj, BufferedDraws(SplitMix64(seed)).u64, visited, 0, 0, g.n - 1, (g.n - 1) // 2, eps, rows.__getitem__
+    )
+    assert adj.path + [cur] == expected
+    assert steps == len(expected) - 1 and left == g.n - len(seen)
+    assert visited == visited_bytes(g.n, seen)
+    # sweep rule on a cycle, to cover
+    cyc = generate("cycle", n=24)
+    expected, _ = stepped_path(cyc, 5, eps, sweep_rule, SplitMix64(seed), 0)
+    adj = RecordingAdj(cyc.adj)
+    visited = visited_bytes(cyc.n, {5})
+    cur, steps, left = walks._biased_walk(
+        adj, BufferedDraws(SplitMix64(seed)).u64, visited, 5, 0, cyc.n - 1, 0, eps, walks._sweep_bias(cyc, visited)
+    )
+    assert adj.path + [cur] == expected
+    assert (steps, left) == (len(expected) - 1, 0)
 
 
 # --- cover runs ----------------------------------------------------------------
@@ -333,10 +377,16 @@ def test_cover_run_dispatch_and_validation():
     g = generate("complete", n=4)
     rng = SplitMix64(5)
     assert cover_run(g, WalkSpec(kind="srw"), rng, 0) >= 3
-    with pytest.raises(WalkError):
-        cover_run(g, WalkSpec(kind="policy", eps=0.2), SplitMix64(5), 0)
-    with pytest.raises(WalkError):
-        cover_run(g, WalkSpec(kind="mystery"), SplitMix64(5), 0)
+    for kind in ("policy", "mystery"):
+        with pytest.raises(WalkError, match="unknown walk kind"):
+            cover_run(g, WalkSpec(kind=kind, eps=0.2), SplitMix64(5), 0)
+
+
+@pytest.mark.parametrize("kind", ["policy", "mystery"])
+def test_estimate_rejects_unknown_kind_before_any_trial(monkeypatch, kind):
+    monkeypatch.setattr(walks, "cover_run", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(WalkError, match="unknown walk kind"):
+        estimate_cover_time(generate("complete", n=4), WalkSpec(kind=kind), trials=2, seed=1)
 
 
 def test_phase_cover_validation():
@@ -398,6 +448,17 @@ def test_phase_estimate_computes_expansion_once(monkeypatch):
 def test_phase_cover_accepts_configured_expansion():
     g = generate("random_regular", n=16, d=3, seed=9)
     assert phase_cover_run(g, 0.25, 7, psi=0.5) >= g.n - 1
+
+
+@pytest.mark.parametrize("psi", [math.nan, math.inf, -1.0])
+def test_phase_rejects_psi_that_is_not_finite_and_nonnegative(psi):
+    # nan and inf used to leave theta = eps silently: min(eps, nan) is eps
+    # and 1 - exp(-inf) is 1
+    g = generate("random_regular", n=16, d=3, seed=9)
+    with pytest.raises(WalkError, match="psi"):
+        phase_cover_run(g, 0.25, 7, psi=psi)
+    with pytest.raises(WalkError, match="psi"):
+        estimate_cover_time(g, WalkSpec(kind="phase", eps=0.25, psi=psi), trials=2, seed=1)
 
 
 def test_sweep_cover_meets_linear_bound_on_cycle():
