@@ -5,8 +5,9 @@ Everything here is dense linear algebra on small state spaces.  The
 spectrum is LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) applied to
 the similarity-symmetrized transition matrix D^{1/2} P D^{-1/2}; the full
 spectrum feeds the spectral report and the gap/conductance audits.
-Exhaustive conductance enumerates subsets as bitmask arrays and is guarded
-at n <= 24; the spectral path is guarded at n <= 512.
+Exhaustive conductance enumerates all 2^n subsets as bitmask arrays built by
+doubling (O(2^n), in chunks of at most 2^20 masks; see `graphs.subset_fold`)
+and is guarded at n <= 24; the spectral path is guarded at n <= 512.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import GuardError
+from .graphs import SUBSET_CHUNK_BITS, GuardError, first_subset_minimum, subset_fold
 
 SPECTRAL_GUARD = 512
 CONDUCTANCE_GUARD = 24
@@ -185,33 +186,70 @@ def candidate_conductance(chain: ReversibleChain, subset) -> float:
 def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int]]:
     """Exhaustive conductance Phi = min over 0 < pi(S) <= 1/2 of Q(S,S^c)/pi(S).
 
-    Enumerates all subsets as bitmask arrays; cost is O(nnz(P) * 2^n),
-    guarded at n <= 24.  Ties resolve to the smallest subset bitmask.
+    The per-mask masses and cut flows are built by doubling, with additions
+    of positive terms only.  Adding vertex k to the vertices 0..k-1, a mask m
+    without k gains lin_k[m] = sum of Q(j, k) over j in m, and m + {k} gains
+    lout_k[~m] = sum of Q(k, j) over j not in m; lin_k and lout_k are
+    themselves built by doubling.  Cost is O(2^n), in chunks of at most 2^20
+    masks, guarded at n <= 24.  pi(S) <= 1/2 is tested as pi(S) <= 1/2 + 1e-12.
+
+    Tie rule: when both sides of a cut qualify (each has pi within 1e-12 of
+    1/2), the side without vertex n - 1 is the candidate, so rounding of the
+    two sides' flows cannot decide which one is reported.  Other ties
+    resolve to the smallest subset bitmask.
     """
     n = chain.n
     if n > CONDUCTANCE_GUARD:
         raise GuardError(f"edge_conductance_exact is exhaustive; n={n} exceeds guard {CONDUCTANCE_GUARD}")
     if n < 2:
         raise ChainError("conductance needs n >= 2")
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    bit = [((masks >> np.uint32(v)) & np.uint32(1)).astype(bool) for v in range(n)]
-    mass = np.zeros(size)
-    for v in range(n):
-        mass[bit[v]] += chain.pi[v]
-    flow = np.zeros(size)
-    f = chain.flow_matrix
-    xs, ys = np.nonzero(chain.matrix > 0.0)
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        if x == y:
-            continue
-        flow[bit[x] & ~bit[y]] += f[x, y]
-    valid = (mass > 0.0) & (mass <= 0.5 + 1e-12)
-    ratio = np.full(size, np.inf)
-    ratio[valid] = flow[valid] / mass[valid]
-    best = int(np.argmin(ratio))
-    members = frozenset(v for v in range(n) if best >> v & 1)
-    return float(ratio[best]), members
+    pi = chain.pi
+    f = np.where(chain.matrix > 0.0, chain.flow_matrix, 0.0)
+    np.fill_diagonal(f, 0.0)
+    low = min(n, SUBSET_CHUNK_BITS)
+    mass_low = subset_fold(np.add, pi[:low], float)
+    flow_low = np.zeros(1 << low)
+    for k in range(low):
+        h = 1 << k
+        np.add(flow_low[:h], subset_fold(np.add, f[k, :k], float)[::-1], out=flow_low[h : 2 * h])
+        flow_low[:h] += subset_fold(np.add, f[:k, k], float)
+    half = 0.5 + 1e-12
+
+    def add_high(base: np.ndarray, inside: list[bool], members: bool) -> np.ndarray:
+        # base plus pi[k], in increasing k, for the high vertices k in (or out of) S
+        for k, k_in in enumerate(inside, start=low):
+            if k_in == members:
+                base = base + pi[k]
+        return base
+
+    def cut_term(k: int, inside: list[bool]) -> np.ndarray:
+        # lout_k[~m] when k is in S, lin_k[m] when it is not
+        k_in = inside[k - low]
+        row = f[k] if k_in else f[:, k]
+        term = subset_fold(np.add, row[:low], float)
+        for j, j_in in enumerate(inside[: k - low], start=low):
+            if j_in != k_in:
+                term += row[j]
+        return term[::-1] if k_in else term
+
+    def chunk_ratio(top: int) -> np.ndarray:
+        inside = [bool(top >> (k - low) & 1) for k in range(low, n)]
+        mass = add_high(mass_low, inside, True)
+        valid = (mass > 0.0) & (mass <= half)
+        # tie rule: a set holding vertex n - 1 yields to a complement that qualifies
+        if n == low:
+            rows = slice(1 << (n - 1), None)
+        else:
+            rows = slice(None) if inside[-1] else slice(0)
+        valid[rows] &= add_high(mass_low[::-1][rows], inside, False) > half
+        flow = flow_low.copy()
+        for k in range(low, n):
+            flow += cut_term(k, inside)
+        np.divide(flow, mass, out=flow, where=valid)
+        flow[~valid] = np.inf
+        return flow
+
+    return first_subset_minimum(n, low, chunk_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,14 @@ def _merge_config(
     return args
 
 
+def _require_nonnegative(args: argparse.Namespace, *names: str) -> None:
+    """Work counts (weightings, subsets, draws, horizons) must not be negative."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # input loading
 
@@ -223,6 +231,7 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
         raise InputError("--seed is required")
     if not (args.sigma >= 1.0 and math.isfinite(args.sigma)):
         raise InputError("--sigma must be finite and >= 1")
+    _require_nonnegative(args, "count", "kmax")
     g = _load_graph(args)
     dia, _ = graphmod.diameter(g)
     kmax = args.kmax if args.kmax is not None else dia
@@ -272,6 +281,7 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
     )
     if args.seed is None:
         raise InputError("--seed is required")
+    _require_nonnegative(args, "subsets")
     g = _load_graph(args)
     rng = SplitMix64.stream(args.seed, 0)
     if args.sigma is None:
@@ -428,6 +438,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
     )
     if args.seed is None:
         raise InputError("--seed is required")
+    _require_nonnegative(args, "nmax", "tmax", "draws")
     catalog = {name: g for name, g in graphmod.small_regular_catalog().items() if g.n <= args.nmax}
     rows: list[dict] = []
     failures = 0

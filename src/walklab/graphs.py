@@ -6,6 +6,14 @@ Graphs are connected, undirected, and loop-free by construction; every
 constructor validates this and refuses anything else.  Vertex sets are plain
 frozensets at the API boundary; the exhaustive enumerations work on bitmask
 arrays internally so that the n <= 24 guard is actually usable.
+
+The subset-enumeration kernel (`subset_fold`, `first_subset_minimum`) is
+shared with `chains.edge_conductance_exact`.  Per-mask arrays are built by
+doubling: the array for vertices 0..k is the array for 0..k-1 followed by a
+copy of it that adds vertex k, so a fold over all 2^n masks costs O(2^n).
+Above 2^SUBSET_CHUNK_BITS masks the enumerators run over chunks that share
+the top n - SUBSET_CHUNK_BITS bits, so no array holds more than
+2^SUBSET_CHUNK_BITS entries.
 """
 from __future__ import annotations
 
@@ -20,6 +28,7 @@ import numpy as np
 from .rng import SplitMix64
 
 EXPANSION_GUARD = 24
+SUBSET_CHUNK_BITS = 20
 
 __all__ = [
     "Graph",
@@ -38,6 +47,8 @@ __all__ = [
     "ball",
     "diameter",
     "is_bipartite",
+    "subset_fold",
+    "first_subset_minimum",
     "vertex_expansion_exact",
     "ball_growth_audit",
     "small_regular_catalog",
@@ -422,31 +433,67 @@ def _subset_bits(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def subset_fold(op: np.ufunc, values, dtype) -> np.ndarray:
+    """Array `out` of length 2^len(values) with out[m] = 0 op values[j0] op
+    values[j1] op ... over the set bits j0 < j1 < ... of m, built by doubling.
+
+    The fold order is fixed (increasing j), so a float sum of a mask's
+    values is the same however the mask's bits are split into chunks.
+    """
+    out = np.zeros(1 << len(values), dtype=dtype)
+    for j, v in enumerate(values):
+        h = 1 << j
+        op(out[:h], v, out=out[h : 2 * h])
+    return out
+
+
+def first_subset_minimum(n: int, low: int, chunk_ratio) -> tuple[float, frozenset[int]]:
+    """First minimum of a per-mask ratio over all 2^n masks, chunk by chunk.
+
+    `chunk_ratio(top)` returns the ratios of the 2^low masks whose bits from
+    `low` up equal `top`, with np.inf for masks that are not candidates.
+    Chunks run in increasing `top` and a later chunk wins only on a strictly
+    smaller value, so ties resolve to the smallest bitmask overall.
+    """
+    best, best_mask = np.inf, 0
+    for top in range(1 << (n - low)):
+        ratio = chunk_ratio(top)
+        i = int(np.argmin(ratio))
+        if ratio[i] < best:
+            best, best_mask = float(ratio[i]), top << low | i
+    return best, _subset_bits(best_mask)
+
+
 def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
     """min over non-empty S with |S| <= n/2 of |Gamma(S) \\ S| / |S|.
 
-    Exhaustive over all subsets, vectorized over bitmasks; guarded at
-    n <= 24.  Ties resolve to the smallest subset bitmask.
+    Exhaustive over all subsets: closed neighbourhoods are OR-folded over
+    the masks by doubling, O(2^n), in chunks of at most 2^20 masks; guarded
+    at n <= 24.  Ties resolve to the smallest subset bitmask.
     """
     n = g.n
     if n > EXPANSION_GUARD:
         raise GuardError(f"vertex_expansion_exact is exhaustive; n={n} exceeds guard {EXPANSION_GUARD}")
     if n < 2:
         raise GraphError("vertex expansion needs n >= 2")
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    pop = np.bitwise_count(masks).astype(np.int64)
-    closed = np.zeros(size, dtype=np.uint32)
+    low = min(n, SUBSET_CHUNK_BITS)
     nbr = g.neighbor_masks
-    for v in range(n):
-        sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
-        closed[sel] |= np.uint32(nbr[v])
-    outer = np.bitwise_count(closed & ~masks).astype(np.int64)
-    valid = (pop >= 1) & (2 * pop <= n)
-    ratio = np.full(size, np.inf)
-    ratio[valid] = outer[valid] / pop[valid]
-    best = int(np.argmin(ratio))  # first occurrence = smallest bitmask
-    return float(ratio[best]), _subset_bits(best)
+    masks = np.arange(1 << low, dtype=np.uint32)
+    pop_low = np.bitwise_count(masks)
+    closed_low = subset_fold(np.bitwise_or, nbr[:low], np.uint32)
+
+    def chunk_ratio(top: int) -> np.ndarray:
+        closed = closed_low
+        for k in range(low, n):
+            if top >> (k - low) & 1:
+                closed = closed | nbr[k]
+        pop = pop_low + top.bit_count()
+        # closed neighbourhoods contain S, so Gamma(S) \ S = closed ^ S
+        outer = np.bitwise_count(closed ^ (masks | top << low))
+        valid = (pop >= 1) & (2 * pop <= n)
+        return np.divide(outer, pop, out=np.full(masks.size, np.inf), where=valid)
+
+    return first_subset_minimum(n, low, chunk_ratio)
 
 
 def ball_growth_audit(g: Graph, seed_set: Iterable[int], k: int, psi: float | None = None) -> bool:

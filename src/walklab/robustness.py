@@ -18,11 +18,14 @@ following structure exists, and each piece is checked here numerically:
   "representatives" R of S.
 * `section3_lemma_audit` checks the four quantitative facts about R:
   pi(R) >= pi(S)/22, pi(S_{b_l}) >= pi(R_l)/11, |B_2K(R_l) \\ S| >= |R_l|/3,
-  and the 2K-step flow Q(R_l, S^c) >= d^-2K pi(R_l)/90.
+  and the 2K-step flow Q(R_l, S^c) >= d^-2K pi(R_l)/90 (skipped for
+  bipartite graphs, whose 2K-step chain never leaves one side of the
+  bipartition, so the flow from that side to its complement is 0).
 * `theorem31_check` verifies the endpoint bounds: conductance of the
-  2K-step chain at least d^-2K/4000 (exhaustively, n <= 20; skipped for
-  bipartite graphs, whose even-step chains are reducible and have zero
-  conductance) and spectral gap at least 1e-8 d^-4K (n <= 512).
+  2K-step chain at least d^-2K/4000 (exhaustively, n <= 24, as far as exact
+  psi reaches; skipped for bipartite graphs, whose even-step chains are
+  reducible and have zero conductance) and spectral gap at least
+  1e-8 d^-4K (n <= 512).
 * `prop311_check` verifies the matching upper bound: a bottleneck weighting
   across a diametral pair pushes conductance below
   min(d^(floor(D/2)-1), n) * beta^(-floor(D/2)+3), witnessed by a ball
@@ -37,6 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .chains import (
+    CONDUCTANCE_GUARD,
     SPECTRAL_GUARD,
     ReversibleChain,
     candidate_conductance,
@@ -63,7 +67,6 @@ from .weighting import (
 )
 
 ALPHA = math.e**2
-PHI_EXACT_GUARD = 20
 BUCKET_EDGE_TOL = 1e-12
 
 __all__ = [
@@ -241,12 +244,17 @@ def representative_indices(
 
 @dataclass
 class LemmaCheck:
-    """One audited inequality: lhs >= rhs - slack, with margin = lhs - rhs."""
+    """One audited inequality: lhs >= rhs - slack, with margin = lhs - rhs.
+
+    A check that does not apply to the input carries a `skipped` reason,
+    records no instances, and adds a "skipped" key to its JSON form.
+    """
 
     name: str
     instances: int = 0
     failures: int = 0
     min_margin: float = math.inf
+    skipped: str | None = None
 
     def record(self, lhs: float, rhs: float, slack: float = 0.0) -> None:
         self.instances += 1
@@ -260,12 +268,15 @@ class LemmaCheck:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
+        d = {
             "name": self.name,
             "instances": self.instances,
             "min_margin": None if math.isinf(self.min_margin) else self.min_margin,
             "failures": self.failures,
         }
+        if self.skipped is not None:
+            d["skipped"] = self.skipped
+        return d
 
 
 @dataclass
@@ -302,7 +313,9 @@ def section3_lemma_audit(
 
     Requires a regular graph and a sigma-Lipschitz weighting for the
     graph's own sigma = exp(1/(2K)).  Sets with |S| > n/2 are reported as
-    skipped, not failed, since the lemmas only speak about small sets.
+    skipped, not failed, since the lemmas only speak about small sets.  On a
+    bipartite graph the flow check is skipped with a reason: the 2K-step
+    chain stays on one side, so S equal to a side has no flow to S^c.
     """
     d = _regular_degree_or_raise(g)
     if psi is None:
@@ -336,6 +349,11 @@ def section3_lemma_audit(
     report.checks = [c_mass, c_top, c_flow, c_ball]
 
     c_mass.record(mass(decomp.representatives), mass(s) / 22.0, slack=1e-12)
+    if is_bipartite(g):
+        c_flow.skipped = (
+            "bipartite graph: the 2K-step chain never leaves one side of the bipartition, "
+            "so a side has no 2K-step flow to its complement"
+        )
     p2k = power_chain(chain, 2 * K)
     scale = d ** (-2.0 * K) / 90.0
     for (a, b), block in zip(decomp.pairs, decomp.blocks):
@@ -344,8 +362,9 @@ def section3_lemma_audit(
         outside = ball(g, block, 2 * K) - s
         c_ball.record(float(len(outside)), len(block) / 3.0, slack=1e-9)
         complement = frozenset(range(g.n)) - s
-        flow = float(p2k.flow_matrix[np.ix_(sorted(block), sorted(complement))].sum())
-        c_flow.record(flow, scale * mass(block), slack=1e-15)
+        if c_flow.skipped is None:
+            flow = float(p2k.flow_matrix[np.ix_(sorted(block), sorted(complement))].sum())
+            c_flow.record(flow, scale * mass(block), slack=1e-15)
     return report
 
 
@@ -391,7 +410,7 @@ def theorem31_check(g: Graph, w: EdgeWeighting, psi: float | None = None) -> The
     """Endpoint bounds of the robustness theorem for one weighting.
 
     psi defaults to a certified lower bound on the vertex expansion.  The
-    conductance claim needs the exhaustive enumerator (n <= 20) and a
+    conductance claim needs the exhaustive enumerator (n <= 24) and a
     non-bipartite graph; the gap claim needs n <= 512.  Claims out of range
     are reported as skipped with a reason.
     """
@@ -412,8 +431,8 @@ def theorem31_check(g: Graph, w: EdgeWeighting, psi: float | None = None) -> The
         gap_bound=1e-8 * d ** (-4.0 * K),
     )
     chain = induced_chain(g, w)
-    if g.n > PHI_EXACT_GUARD:
-        report.phi_skipped = f"n={g.n} exceeds exhaustive-conductance guard {PHI_EXACT_GUARD}"
+    if g.n > CONDUCTANCE_GUARD:
+        report.phi_skipped = f"n={g.n} exceeds exhaustive-conductance guard {CONDUCTANCE_GUARD}"
     elif is_bipartite(g):
         report.phi_skipped = (
             "bipartite graph: the 2K-step chain is reducible across the bipartition, "

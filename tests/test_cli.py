@@ -320,6 +320,21 @@ def test_robustness_audit_enumerates_expansion_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_robustness_audit_skips_the_flow_check_on_a_bipartite_graph(tmp_path, capsys):
+    # the odd side {1, 2, 4, 7} of the 3-cube has no 2K-step flow to the even
+    # side; the flow lemma does not apply there and used to fail with exit 1
+    out_dir = tmp_path / "rob"
+    code, out, err = run(
+        capsys, "robustness-audit", "--generate", "hypercube:3", "--seed=-5", "--out", str(out_dir), "--no-timestamp"
+    )
+    assert code == 0, err
+    assert read_summary(out)["failures"] == 0
+    rows = [json.loads(line) for line in (out_dir / "audit.jsonl").read_text().splitlines()]
+    flows = [c for row in rows for c in row["checks"] if c["name"] == "flow_2K_to_complement_ge_scaled_mass"]
+    assert flows and all("bipartite" in c["skipped"] and c["instances"] == 0 for c in flows)
+    assert any(row["subset"] == [1, 2, 4, 7] for row in rows)
+
+
 def test_robustness_audit_runs_above_the_expansion_guard(capsys):
     code, out, err = run(
         capsys, "robustness-audit", "--generate", "random-regular:32:3:7", "--subsets", "4", "--seed", "3"
@@ -542,6 +557,9 @@ def test_every_flag_value_keeps_the_exit_code_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
+    work_flags = ("--count=", "--kmax=", "--subsets=", "--nmax=", "--tmax=", "--draws=")
+    if any(arg.startswith(work_flags) and arg.endswith("=-1") for arg in argv):
+        assert code == 2, argv  # a negative work count is bad input
     if code == 2:
         assert err.getvalue().startswith("error:"), argv
         return

@@ -194,6 +194,25 @@ def test_endpoint_large_graph_skips_exhaustive_claim():
     assert report.gap_ok
 
 
+def test_endpoint_checks_exhaustive_conductance_up_to_its_guard():
+    # n = 22 is beyond the old 20-vertex limit but within exact psi's reach
+    g = generate("random_regular", n=22, d=3, seed=4)
+    report = theorem31_check(g, uniform_weighting(g))
+    assert report.phi_skipped is None
+    assert report.phi_ok and report.phi_value >= report.phi_bound
+
+
+def test_lemma_audit_skips_flow_check_on_bipartite_graph():
+    # the odd side of the 3-cube: its 2K-step chain never reaches the even side
+    g = generate("hypercube", dim=3)
+    report = section3_lemma_audit(g, uniform_weighting(g), frozenset({1, 2, 4, 7}))
+    flow = next(c for c in report.checks if c.name == "flow_2K_to_complement_ge_scaled_mass")
+    assert "bipartite" in flow.skipped and flow.instances == 0
+    assert flow.to_json_dict()["skipped"] == flow.skipped
+    assert report.ok
+    assert all(c.instances > 0 for c in report.checks if c is not flow)
+
+
 def test_endpoint_rejects_rough_weighting():
     # on a cycle the decay weighting halves per distance step, so adjacent
     # edges differ by a factor 2, far rougher than sigma allows
