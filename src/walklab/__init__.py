@@ -58,7 +58,6 @@ from .walks import (
     WalkState,
     estimate_cover_time,
     extract_bias_matrix,
-    phase_cover_run,
     stationary_boost_audit,
 )
 from .weighting import (

@@ -88,9 +88,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self.adj)

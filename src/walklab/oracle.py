@@ -12,8 +12,9 @@ mean of child values) and the optimal epsilon-biased walk
 optimum because the biased one-step operator is linear in the bias vector,
 so some extreme point of the simplex is maximizing.
 
-Everything is cross-checkable three ways: the float DP, an exact rational
-DP, and a raw trajectory-tree recursion kept for small horizons.
+Everything is cross-checkable: the float DP against an exact rational DP,
+and both against a raw trajectory-tree recursion over small horizons that
+the oracle tests keep as their reference.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .rng import SplitMix64
 MASK_GUARD = 20
 COVER_GUARD = 16
 DEMO_GUARD = 14
-RAW_TREE_GUARD = 8
 
 __all__ = [
     "EventKind",
@@ -41,7 +41,6 @@ __all__ = [
     "srw_event_prob",
     "optimal_tbrw_event_prob",
     "event_prob_exact",
-    "raw_tree_event_prob",
     "biased_operator",
     "power_mean",
     "conv_lemma_audit",
@@ -237,43 +236,6 @@ def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fractio
         return got
 
     return value(u, _initial_mask(event, bits, u), event.horizon)
-
-
-def raw_tree_event_prob(g: Graph, u: int, event: EventSpec, eps: float = 0.0) -> float:
-    """Reference recursion over explicit trajectories, no state collapsing.
-
-    Exponential in the horizon; guarded to horizon <= 8.  Exists purely to
-    certify that the mask DP computes the same numbers.
-    """
-    if event.horizon > RAW_TREE_GUARD:
-        raise GuardError(f"raw tree horizon {event.horizon} exceeds guard {RAW_TREE_GUARD}")
-    if not (0.0 <= eps <= 1.0):
-        raise OracleError("eps must lie in [0, 1]")
-    if event.kind is EventKind.COVER_ALL:
-        targets = frozenset(range(g.n))
-    elif event.kind is EventKind.RETURN_TO_START:
-        targets = frozenset({u})
-    else:
-        targets = event.targets
-
-    def satisfied(traj: tuple[int, ...]) -> bool:
-        seen = set(traj[1:]) if event.kind is EventKind.RETURN_TO_START else set(traj)
-        if event.kind is EventKind.HIT_ANY:
-            return bool(seen & targets)
-        if event.kind is EventKind.RETURN_TO_START:
-            return u in seen
-        return targets <= seen
-
-    def value(traj: tuple[int, ...]) -> float:
-        if satisfied(traj):
-            return 1.0
-        if len(traj) - 1 == event.horizon:
-            return 0.0
-        kids = [value(traj + (w,)) for w in g.adj[traj[-1]]]
-        mean = sum(kids) / len(kids)
-        return mean if eps == 0.0 else (1.0 - eps) * mean + eps * max(kids)
-
-    return value((u,))
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,6 @@ class SplitMix64:
         self.counter += m
         return z
 
-    def block_floats(self, m: int) -> np.ndarray:
-        return (self.block_u64(m) >> np.uint64(11)) * 2.0**-53
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
@@ -119,6 +116,3 @@ class BufferedDraws:
             if self._block < MAX_BLOCK:
                 self._block = min(2 * self._block, MAX_BLOCK)
             return self._next()
-
-    def float53(self) -> float:
-        return (self.u64() >> 11) * 2.0**-53

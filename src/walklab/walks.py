@@ -14,13 +14,16 @@ supported on the graph's edges with Q >= (1 - eps)/d entrywise on edges,
 it recovers the row-stochastic bias B with (1-eps) P + eps B = Q.  The
 target-decay chains of `weighting` satisfy that entrywise condition
 whenever theta <= eps and the degree is at least 3, which is exactly how
-`phase_cover_run` turns a weighting into a playable strategy: each phase
+the phase walk turns a weighting into a playable strategy: each phase
 re-targets the unvisited set U, tilts by theta = min(eps, 1 - e^(-psi/32)),
 and walks with B until half of U is gone.  The phase walk needs only the d
-entries of B on each vertex's edges, so it builds those rows in O(m) from
-the BFS distances to U; the float operations are those of the dense
-`induced_chain` -> `extract_bias_matrix` path, so the rows are
+entries of B on each vertex's edges, so `_DecayBias` builds those rows in
+O(m) from the BFS distances to U; the float operations are those of the
+dense `induced_chain` -> `extract_bias_matrix` path, so the rows are
 bit-identical to it.
+
+`cover_run` plays one trial and `estimate_cover_time` many; both check the
+spec once, in `_checked`, and play scalar trials through `_trial_runner`.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,14 +58,10 @@ WALK_KINDS = ("srw", "phase", "sweep")
 __all__ = [
     "WalkState",
     "WalkSpec",
-    "BiasPolicy",
     "WalkError",
     "WALK_KINDS",
     "step",
-    "crw_step",
-    "crw_emulation_step",
     "extract_bias_matrix",
-    "phase_cover_run",
     "cover_run",
     "estimate_cover_time",
     "CoverEstimate",
@@ -88,11 +87,6 @@ class WalkState:
         return cls(current=start, steps=0, visited={start})
 
 
-class BiasPolicy(Protocol):
-    def __call__(self, g: Graph, visited: set[int], current: int, steps: int) -> np.ndarray:
-        """Probability vector aligned with g.adj[current]."""
-
-
 def _sample_from_vector(vec: Sequence[float], r: float) -> int:
     acc = 0.0
     last = 0
@@ -104,11 +98,13 @@ def _sample_from_vector(vec: Sequence[float], r: float) -> int:
     return last
 
 
-def step(g: Graph, state: WalkState, eps: float, policy: BiasPolicy | None, rng) -> int:
+def step(g: Graph, state: WalkState, eps: float, policy: Callable[..., Sequence[float]] | None, rng) -> int:
     """One epsilon-biased step; mutates and returns the new vertex.
 
-    Consumes exactly two draws (coin, choice) regardless of the branch, so
-    trajectories are replayable from the stream alone.
+    policy(g, visited, current, steps) is the bias vector aligned with
+    g.adj[current], and may be None when eps = 0.  Consumes exactly two
+    draws (coin, choice) regardless of the branch, so trajectories are
+    replayable from the stream alone.
     """
     if not (0.0 <= eps <= 1.0):
         raise WalkError("eps must lie in [0, 1]")
@@ -125,54 +121,6 @@ def step(g: Graph, state: WalkState, eps: float, policy: BiasPolicy | None, rng)
         if idx == len(nbrs):
             idx -= 1
     nxt = nbrs[idx]
-    state.current = nxt
-    state.steps += 1
-    state.visited.add(nxt)
-    return nxt
-
-
-def crw_step(g: Graph, state: WalkState, policy: BiasPolicy, rng) -> int:
-    """Choice step: two independent uniform neighbour draws; the policy's
-    vector picks the preferred one (higher value wins, ties go to the lower
-    vertex id).  Identical draws leave no choice."""
-    nbrs = g.adj[state.current]
-    d = len(nbrs)
-    i = rng.next_u64() % d
-    j = rng.next_u64() % d
-    if i == j:
-        nxt = nbrs[i]
-    else:
-        vec = policy(g, state.visited, state.current, state.steps)
-        if vec[i] > vec[j] or (vec[i] == vec[j] and nbrs[i] < nbrs[j]):
-            nxt = nbrs[i]
-        else:
-            nxt = nbrs[j]
-    state.current = nxt
-    state.steps += 1
-    state.visited.add(nxt)
-    return nxt
-
-
-def crw_emulation_step(g: Graph, state: WalkState, eps: float, policy: BiasPolicy, rng) -> int:
-    """Choice step that reproduces the eps-biased marginal exactly.
-
-    From the offered ordered pair (x, y) it keeps x with probability
-    1/2 + (eps d / 2)(b_x - b_y); averaging over the uniform pair gives the
-    marginal (1 - eps)/d + eps b per neighbour.  Valid for eps <= 1/d.
-    """
-    nbrs = g.adj[state.current]
-    d = len(nbrs)
-    if eps * d > 1.0 + 1e-12:
-        raise WalkError("choice emulation needs eps <= 1/d")
-    i = rng.next_u64() % d
-    j = rng.next_u64() % d
-    r = rng.next_float()
-    if i == j:
-        nxt = nbrs[i]
-    else:
-        vec = policy(g, state.visited, state.current, state.steps)
-        keep_first = 0.5 + 0.5 * eps * d * (float(vec[i]) - float(vec[j]))
-        nxt = nbrs[i] if r < keep_first else nbrs[j]
     state.current = nxt
     state.steps += 1
     state.visited.add(nxt)
@@ -431,72 +379,6 @@ class _DecayBias:
         return b.reshape(-1, self.d).tolist()
 
 
-def _check_phase(g: Graph, eps: float) -> None:
-    if not (0.0 <= eps <= 1.0):
-        raise WalkError("eps must lie in [0, 1]")
-    d = g.regular_degree
-    if d is None:
-        raise WalkError("phase cover strategy needs a regular graph")
-    if eps > 0.0 and d < 3:
-        raise WalkError("bias extraction needs degree >= 3")
-
-
-def _phase_psi(g: Graph, psi: float | None) -> float:
-    """Expansion value for the phase tilt: exact when n <= 24, else configured."""
-    if psi is not None:
-        if not (math.isfinite(psi) and psi >= 0.0):
-            raise WalkError(f"psi must be finite and >= 0, got {psi}")
-        return psi
-    if g.n <= 24:
-        return vertex_expansion_exact(g)[0]
-    return DEFAULT_PSI_CONFIG
-
-
-def phase_cover_run(
-    g: Graph,
-    eps: float,
-    rng: SplitMix64 | int,
-    start: int = 0,
-    psi: float | None = None,
-) -> int:
-    """Phase-restart cover strategy.
-
-    Each phase fixes U = currently unvisited vertices, builds the bias
-    rows of the target-decay chain Q(U, theta) with
-    theta = min(eps, 1 - e^(-psi/32)) in O(m) (see `_DecayBias`), and plays
-    the eps-biased walk with that fixed strategy until at least half of U
-    has been visited.  Halving means at most log2(n) + 1 re-targeting
-    rounds before the walk finishes the job.
-
-    psi is the vertex expansion: exact when n <= 24, otherwise the
-    configured value (default DEFAULT_PSI_CONFIG; any lower bound on the
-    true expansion keeps theta inside the regime where the tilted chain
-    provably mixes).
-    """
-    if isinstance(rng, int):
-        rng = SplitMix64(rng)
-    _check_phase(g, eps)
-    if not (0 <= start < g.n):
-        raise WalkError("start vertex out of range")
-    theta = min(eps, 1.0 - math.exp(-_phase_psi(g, psi) / 32.0))
-    decay = _DecayBias(g) if eps > 0.0 else None
-
-    u64 = BufferedDraws(rng).u64
-    n = g.n
-    visited = bytearray(n)
-    visited[start] = 1
-    left = n - 1
-    cur = start
-    steps = 0
-    while left:
-        # U is every unvisited vertex, so the phase ends when left <= |U| // 2
-        unvisited = [v for v in range(n) if not visited[v]]
-        rows = decay.rows(unvisited, theta, eps) if decay is not None else []
-        stop = len(unvisited) // 2
-        cur, steps, left = _biased_walk(g.adj, u64, visited, cur, steps, left, stop, eps, rows.__getitem__)
-    return steps
-
-
 @dataclass(frozen=True)
 class WalkSpec:
     """What to simulate: kind in WALK_KINDS, plus knobs.
@@ -527,42 +409,15 @@ class CoverEstimate:
     rows: list[CoverRow] = field(default_factory=list)
 
 
-def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
-    if spec.kind == "phase":
-        return phase_cover_run(g, spec.eps, rng, start=start, psi=spec.psi)
-    visited = bytearray(g.n)
-    visited[start] = 1
-    return _resume(g, spec, rng, start, 0, visited)
+def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
+    """`spec` with every precondition checked and, for phase, psi resolved.
 
-
-def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, cur: int, steps: int, visited: bytearray) -> int:
-    """Scalar srw or sweep walk from `cur`; draws continue from `rng`'s counter."""
-    u64 = BufferedDraws(rng).u64
-    if spec.kind == "srw":
-        return _cover_run_srw(g.adj, u64, visited, cur, steps)
-    if spec.kind == "sweep":
-        left = visited.count(0)
-        return _biased_walk(g.adj, u64, visited, cur, steps, left, 0, spec.eps, _sweep_bias(g, visited))[1]
-    raise WalkError(f"unknown walk kind {spec.kind!r}")
-
-
-def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> CoverEstimate:
-    """Monte Carlo cover-time estimate with per-trial derived streams.
-
-    Trial i uses the stream seed XOR i, so the estimate is a pure function
-    of (graph, spec, trials, seed).  Every run takes at least n - 1 steps;
-    that invariant is asserted on each trial.  The spec's preconditions
-    (a known kind, eps in [0, 1], start in range, a cycle for the sweep)
-    and the phase strategy's psi are settled once here, not once per trial.
-
-    srw and sweep trials run in lockstep batches of up to `_lockstep_width`
-    trials (see `_cover_lockstep`); each trial's steps equal those of its
-    scalar run, so the rows do not depend on how trials are batched.
+    psi is the given value, else the exact vertex expansion when n <= 24,
+    else DEFAULT_PSI_CONFIG: any lower bound on the true expansion keeps
+    theta inside the regime where the tilted chain provably mixes.
     """
     if spec.kind not in WALK_KINDS:
         raise WalkError(f"unknown walk kind {spec.kind!r}")
-    if trials < 2:
-        raise WalkError("estimate_cover_time needs at least 2 trials")
     if not (0.0 <= spec.eps <= 1.0):
         raise WalkError("eps must lie in [0, 1]")
     if spec.start is not None and not (0 <= spec.start < g.n):
@@ -571,21 +426,105 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
         set(nbrs) != {(v - 1) % g.n, (v + 1) % g.n} for v, nbrs in enumerate(g.adj)
     ):
         raise WalkError("sweep walk needs a cycle: vertex v adjacent to exactly v - 1 and v + 1 mod n")
-    if spec.kind == "phase":
-        _check_phase(g, spec.eps)
-        spec = replace(spec, psi=_phase_psi(g, spec.psi))
+    if spec.kind != "phase":
+        return spec
+    d = g.regular_degree
+    if d is None:
+        raise WalkError("phase cover strategy needs a regular graph")
+    if spec.eps > 0.0 and d < 3:
+        raise WalkError("bias extraction needs degree >= 3")
+    psi = spec.psi
+    if psi is None:
+        psi = vertex_expansion_exact(g)[0] if g.n <= 24 else DEFAULT_PSI_CONFIG
+    if not (math.isfinite(psi) and psi >= 0.0):
+        raise WalkError(f"psi must be finite and >= 0, got {psi}")
+    return replace(spec, psi=psi)
+
+
+def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
+    """Scalar cover walk of a checked spec, as a function (rng, start) -> steps.
+
+    Each phase of the phase walk fixes U = the unvisited vertices and plays
+    the bias rows of Q(U, theta) (see `_DecayBias`) until half of U is
+    visited: at most log2(n) + 1 phases.  theta and the `_DecayBias` are
+    built once here and shared by every trial the runner plays.
+    """
+    n = g.n
+    if spec.kind != "phase":
+
+        def cover(rng: SplitMix64, start: int) -> int:
+            visited = bytearray(n)
+            visited[start] = 1
+            return _resume(g, spec, rng, start, 0, visited)
+
+        return cover
+    eps = spec.eps
+    theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
+    decay = _DecayBias(g) if eps > 0.0 else None
+
+    def phase_cover(rng: SplitMix64, start: int) -> int:
+        u64 = BufferedDraws(rng).u64
+        visited = bytearray(n)
+        visited[start] = 1
+        left = n - 1
+        cur = start
+        steps = 0
+        while left:
+            # U is every unvisited vertex, so the phase ends when left <= |U| // 2
+            unvisited = [v for v in range(n) if not visited[v]]
+            rows = decay.rows(unvisited, theta, eps) if decay is not None else []
+            stop = len(unvisited) // 2
+            cur, steps, left = _biased_walk(g.adj, u64, visited, cur, steps, left, stop, eps, rows.__getitem__)
+        return steps
+
+    return phase_cover
+
+
+def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
+    """Steps of one cover walk of `spec` from `start`, drawing from `rng`.
+
+    Checks the spec as `estimate_cover_time` does and plays the same trial.
+    """
+    return _trial_runner(g, _checked(g, replace(spec, start=start)))(rng, start)
+
+
+def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, cur: int, steps: int, visited: bytearray) -> int:
+    """Scalar srw or sweep walk from `cur`; draws continue from `rng`'s counter."""
+    u64 = BufferedDraws(rng).u64
+    if spec.kind == "srw":
+        return _cover_run_srw(g.adj, u64, visited, cur, steps)
+    left = visited.count(0)
+    return _biased_walk(g.adj, u64, visited, cur, steps, left, 0, spec.eps, _sweep_bias(g, visited))[1]
+
+
+def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> CoverEstimate:
+    """Monte Carlo cover-time estimate with per-trial derived streams.
+
+    Trial i uses the stream seed XOR i, so the estimate is a pure function
+    of (graph, spec, trials, seed).  Every run takes at least n - 1 steps;
+    that invariant is asserted on each trial.  The spec is checked, and the
+    phase strategy's psi resolved, once here, not once per trial.
+
+    srw and sweep trials run in lockstep batches of up to `_lockstep_width`
+    trials (see `_cover_lockstep`); each trial's steps equal those of its
+    scalar run, so the rows do not depend on how trials are batched.
+    """
+    if trials < 2:
+        raise WalkError("estimate_cover_time needs at least 2 trials")
+    spec = _checked(g, spec)
     if spec.start is not None:
         starts = [spec.start] * trials
     else:
         starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
     width = max(1, _lockstep_width(g.n, spec.kind))  # 1: every trial scalar
+    run = _trial_runner(g, spec)
     counts: list[int] = []
     for first in range(0, trials, width):
         batch = starts[first:first + width]
         if len(batch) >= _LOCKSTEP_MIN:
             counts += _cover_lockstep(g, spec, seed, first, batch)
         else:
-            counts += [cover_run(g, spec, SplitMix64.stream(seed, first + i), s) for i, s in enumerate(batch)]
+            counts += [run(SplitMix64.stream(seed, first + i), s) for i, s in enumerate(batch)]
     rows: list[CoverRow] = []
     for trial, (start, steps) in enumerate(zip(starts, counts)):
         if steps < g.n - 1:

@@ -75,18 +75,26 @@ class EdgeWeighting:
 
     @cached_property
     def strengths(self) -> np.ndarray:
-        """Vertex strengths w(x) = sum of incident edge weights."""
+        """Vertex strengths w(x) = sum of incident edge weights, each finite."""
         s = np.zeros(self.graph.n)
-        for idx, (u, v) in enumerate(self.graph.edges):
-            s[u] += self.weights[idx]
-            s[v] += self.weights[idx]
+        with np.errstate(over="ignore"):
+            for idx, (u, v) in enumerate(self.graph.edges):
+                s[u] += self.weights[idx]
+                s[v] += self.weights[idx]
+        over = np.flatnonzero(~np.isfinite(s))
+        if len(over):
+            raise WeightingError(f"strength of vertex {over[0]} overflows the float range")
         s.setflags(write=False)
         return s
 
     @property
     def total(self) -> float:
-        """W = sum_x w(x) = twice the total edge weight."""
-        return float(self.strengths.sum())
+        """W = sum_x w(x) = twice the total edge weight, finite."""
+        with np.errstate(over="ignore"):
+            total = float(self.strengths.sum())
+        if not math.isfinite(total):
+            raise WeightingError("total edge weight overflows the float range")
+        return total
 
 
 def uniform_weighting(g: Graph) -> EdgeWeighting:

@@ -65,15 +65,21 @@ def test_spectral_rejects_graph_and_generate_together(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectral_overflowing_weights_is_input_error(tmp_path, capsys):
-    # three 1e308 weights at vertex 0 overflow its strength to inf, so the
-    # induced chain fails validation: bad input, not a traceback
+    # three 1e308 weights at vertex 0 overflow its strength to inf: bad
+    # input named as such, with no numpy overflow warning on the way
     path = tmp_path / "w.txt"
     g = generate("complete", n=4)
     path.write_text("".join(f"{u} {v} {1e308 if u == 0 else 1.0}\n" for u, v in g.edges))
     code, out, err = run(capsys, "spectral", "--generate", "complete:4", "--weights", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error: strength of vertex 0 overflows") and "Traceback" not in err
+    # every strength finite, their sum not
+    path.write_text("".join(f"{u} {v} 5e307\n" for u, v in g.edges))
+    code, out, err = run(capsys, "spectral", "--generate", "complete:4", "--weights", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: total edge weight overflows")
 
 
 def test_malformed_graph_file_reports_line_number(tmp_path, capsys):

