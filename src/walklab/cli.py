@@ -242,6 +242,8 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
         rng = SplitMix64.stream(args.seed, index)
         w = random_lipschitz_weighting(g, args.sigma, rng)
         beta = lipschitz_beta(g, w)
+        if not math.isfinite(beta):
+            raise InputError(f"weighting {index}: its Lipschitz constant overflows the float range")
         max_beta = max(max_beta, beta)
         ok = all(stationary_ratio_audit(g, w, k) for k in range(1, kmax + 1))
         if args.assert_beta_max is not None and beta > args.assert_beta_max:

@@ -77,7 +77,9 @@ class Graph:
     """Connected simple undirected graph on vertices 0..n-1.
 
     `edges` is the canonical sorted tuple of (u, v) pairs with u < v; `adj`
-    holds sorted neighbour tuples.  Instances are immutable and hashable.
+    holds sorted neighbour tuples.  Instances are immutable and hashable;
+    derived tables (degrees, edge index, incidence, distance matrix) are
+    computed on first use and cached on the instance.
     """
 
     n: int
@@ -101,6 +103,28 @@ class Graph:
     @cached_property
     def edge_index(self) -> Mapping[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Incident edge ids per vertex, in `adj` order, as a flat id array
+        and n + 1 offsets: vertex v owns ids[offsets[v]:offsets[v + 1]]."""
+        ids = np.fromiter(
+            (self.edge_index[(min(v, u), max(v, u))] for v in range(self.n) for u in self.adj[v]),
+            dtype=np.int64,
+            count=2 * self.m,
+        )
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=offsets[1:])
+        ids.setflags(write=False)
+        offsets.setflags(write=False)
+        return ids, offsets
+
+    @cached_property
+    def distance_matrix(self) -> np.ndarray:
+        """All-pairs BFS distances, computed on first use and kept (n^2 int64)."""
+        dm = all_pairs_distances(self)
+        dm.setflags(write=False)
+        return dm
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -387,15 +411,12 @@ def diameter(g: Graph) -> tuple[int, tuple[int, int]]:
     """Diameter and its lexicographically smallest witness pair (u, v), u < v."""
     if g.n < 2:
         raise GraphError("diameter needs n >= 2")
-    best = -1
-    pair = (0, 0)
-    dm = all_pairs_distances(g)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if dm[u, v] > best:
-                best = int(dm[u, v])
-                pair = (u, v)
-    return best, pair
+    dm = g.distance_matrix
+    # The first maximum in row-major order lies above the diagonal: the
+    # matrix is symmetric, so a maximum at (u, v) with v < u would put an
+    # earlier one at (v, u).
+    u, v = divmod(int(np.argmax(dm)), g.n)
+    return int(dm[u, v]), (u, v)
 
 
 def is_bipartite(g: Graph) -> bool:

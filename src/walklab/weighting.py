@@ -7,7 +7,17 @@ W = sum_x w(x).  The smoothness of a weighting is measured by its Lipschitz
 constant: the largest ratio between weights of two edges sharing a vertex.
 A beta-Lipschitz weighting distorts stationary mass between vertices at
 distance k by at most (d_max beta^2 / d_min)^k, and that bound is what
-`stationary_ratio_audit` checks.
+`stationary_ratio_audit` checks, over all pairs at once on the graph's
+cached distance matrix.
+
+`lipschitz_beta` reduces each vertex's slice of the graph's incidence table
+to max / min.  `random_lipschitz_weighting` perturbs one edge per move and
+keeps the per-vertex ratios and the number of vertices above
+sigma (1 + RATIO_TOL): a move on edge (a, b) recomputes only the ratios at a
+and b, and is accepted iff no other vertex is above the bound and both new
+ratios are within it.  That is the global test beta <= sigma (1 + RATIO_TOL)
+at O(deg a + deg b) per move instead of O(m).  A move whose new weight is
+not positive and finite is rejected like one that breaks the bound.
 
 Two structured constructions appear throughout: `target_decay_weighting`
 tilts the walk toward a target set U via w(u,v) = (1-theta)^{max of the two
@@ -24,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .chains import ReversibleChain
-from .graphs import Graph, GraphError, GraphFileError, diameter, distances_from
+from .graphs import Graph, GraphFileError, diameter, distances_from
 from .rng import SplitMix64
 
 RATIO_TOL = 1e-12
@@ -101,21 +111,28 @@ def uniform_weighting(g: Graph) -> EdgeWeighting:
     return EdgeWeighting(g, np.ones(g.m))
 
 
+def _vertex_ratios(g: Graph, weights: np.ndarray) -> np.ndarray:
+    """max / min of the weights incident to each vertex (inf on overflow)."""
+    ids, offsets = g.incidence
+    inc = weights[ids]
+    with np.errstate(over="ignore"):
+        return np.maximum.reduceat(inc, offsets[:-1]) / np.minimum.reduceat(inc, offsets[:-1])
+
+
 def lipschitz_beta(g: Graph, w: EdgeWeighting) -> float:
     """Smallest beta such that w is beta-Lipschitz.
 
     Equivalently: the largest ratio max/min over the weights incident to a
-    single vertex, maximized over vertices.  A weighting is beta'-Lipschitz
-    iff beta' >= this value (ratio comparisons carry a 1e-12 relative
-    tolerance downstream).
+    single vertex, maximized over vertices, and at least 1.  A weighting is
+    beta'-Lipschitz iff beta' >= this value (ratio comparisons carry a 1e-12
+    relative tolerance downstream).  A ratio beyond the float range gives
+    inf.
     """
     if w.graph is not g and w.graph != g:
         raise WeightingError("weighting belongs to a different graph")
-    beta = 1.0
-    for v in range(g.n):
-        inc = [w.weights[g.edge_index[(min(v, u), max(v, u))]] for u in g.adj[v]]
-        beta = max(beta, max(inc) / min(inc))
-    return float(beta)
+    if g.m == 0:
+        return 1.0
+    return float(_vertex_ratios(g, w.weights).max(initial=1.0))
 
 
 def target_decay_weighting(g: Graph, targets: Iterable[int], theta: float) -> EdgeWeighting:
@@ -150,7 +167,7 @@ def bottleneck_weighting(g: Graph, beta: float) -> tuple[EdgeWeighting, tuple[in
     d, (u, v) = diameter(g)
     if d < 4:
         raise WeightingError(f"bottleneck weighting needs diameter >= 4, got {d}")
-    dist = distances_from(g, [u, v])
+    dist = np.minimum(g.distance_matrix[u], g.distance_matrix[v])
     weights = np.array(
         [beta ** (-float(min(dist[a], dist[b]))) for a, b in g.edges], dtype=float
     )
@@ -178,24 +195,25 @@ def stationary_ratio_audit(g: Graph, w: EdgeWeighting, k: int, beta: float | Non
         (d_min / (d_max beta^2))^k <= pi(x)/pi(y) <= (d_max beta^2 / d_min)^k
     with beta = lipschitz_beta(g, w) by default; passing a claimed beta
     audits against that budget instead.  Comparisons carry a 1e-12 relative
-    tolerance.
+    tolerance.  A bound beyond the float range is inf, which every ratio
+    meets.
     """
     if k < 0:
         raise WeightingError("stationary_ratio_audit needs k >= 0")
-    if beta is None:
-        beta = lipschitz_beta(g, w)
+    beta = lipschitz_beta(g, w) if beta is None else float(beta)
     d_min = min(g.degrees)
     d_max = max(g.degrees)
-    bound = (d_max * beta * beta / d_min) ** k
+    try:
+        bound = (d_max * beta * beta / d_min) ** k
+    except OverflowError:
+        bound = math.inf
     pi = w.strengths / w.total
-    for x in range(g.n):
-        dist = distances_from(g, [x])
-        for y in range(g.n):
-            if 0 <= dist[y] <= k:
-                ratio = pi[x] / pi[y]
-                if ratio > bound * (1.0 + RATIO_TOL) or ratio < (1.0 - RATIO_TOL) / bound:
-                    return False
-    return True
+    if not np.all(pi > 0.0):
+        raise WeightingError(f"stationary mass of vertex {int(np.argmin(pi))} underflows to 0")
+    with np.errstate(over="ignore"):
+        ratio = pi[:, None] / pi[None, :]
+    bad = (ratio > bound * (1.0 + RATIO_TOL)) | (ratio < (1.0 - RATIO_TOL) / bound)
+    return not bool(np.any(bad & (g.distance_matrix <= k)))
 
 
 def random_lipschitz_weighting(
@@ -211,7 +229,8 @@ def random_lipschitz_weighting(
     diameter allows it) a bottleneck weighting with ratio capped at sigma.
     Then applies random single-edge multiplicative perturbations with factors
     in [1/sigma, sigma], rejecting any move that would push the Lipschitz
-    constant beyond sigma.
+    constant beyond sigma or the weight out of the positive float range.
+    Every round draws an edge and a factor, accepted or not.
     """
     if not (sigma >= 1.0 and math.isfinite(sigma)):
         raise WeightingError("random family needs a finite sigma >= 1")
@@ -230,21 +249,39 @@ def random_lipschitz_weighting(
             w = uniform_weighting(g)
     else:
         w = uniform_weighting(g)
-    weights = w.weights.copy()
     if rounds is None:
         rounds = 3 * m
     log_sigma = math.log(sigma) if sigma > 1.0 else 0.0
+    if log_sigma == 0.0 or m == 0:
+        return w
+    limit = sigma * (1.0 + RATIO_TOL)
+    ids, offsets = g.incidence
+    incident = [ids[offsets[v] : offsets[v + 1]].tolist() for v in range(n)]
+    weights = w.weights.tolist()
+    ratios = _vertex_ratios(g, w.weights).tolist()
+    over = sum(r > limit for r in ratios)
+
+    def ratio_at(v: int) -> float:
+        inc = [weights[i] for i in incident[v]]
+        return max(inc) / min(inc)
+
     for _ in range(rounds):
-        if log_sigma == 0.0:
-            break
         e = rng.randrange(m)
         factor = math.exp((2.0 * rng.next_float() - 1.0) * log_sigma)
-        candidate = weights.copy()
-        candidate[e] *= factor
-        cw = EdgeWeighting(g, candidate)
-        if lipschitz_beta(g, cw) <= sigma * (1.0 + RATIO_TOL):
-            weights = candidate
-    return EdgeWeighting(g, weights)
+        old = weights[e]
+        new = old * factor
+        if not 0.0 < new < math.inf:
+            continue
+        a, b = g.edges[e]
+        others = over - (ratios[a] > limit) - (ratios[b] > limit)
+        weights[e] = new
+        ra, rb = ratio_at(a), ratio_at(b)
+        if others == 0 and ra <= limit and rb <= limit:
+            ratios[a], ratios[b] = ra, rb
+            over = 0
+        else:
+            weights[e] = old
+    return EdgeWeighting(g, np.array(weights))
 
 
 # ---------------------------------------------------------------------------

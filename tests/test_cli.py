@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import graphs, robustness
+from walklab import graphs, robustness, weighting
 from walklab.cli import _sweep_events, main
 from walklab.graphs import generate, small_regular_catalog, write_graph_file
 from walklab.oracle import boost_bound_audit, eta_grid
@@ -288,6 +288,76 @@ def test_sigma_that_is_not_finite_is_input_error(capsys, command, count, sigma):
     assert err.startswith("error:") and "sigma" in err and ">= 1" in err
 
 
+def test_lipschitz_audit_overflowing_bound_passes(capsys):
+    # (d_max beta^2 / d_min)^k past the float range used to end in an
+    # OverflowError traceback; an infinite bound is met by every ratio
+    code, out, err = run(
+        capsys, "lipschitz-audit", "--generate", "cycle:8", "--sigma", "1e100", "--count", "1", "--seed", "1"
+    )
+    assert code in (0, 1) and err == ""
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert payload["count"] == 1 and payload["max_beta"] <= 1e100
+
+
+@pytest.mark.parametrize("sigma", ["1e100", "1e200", "1.7976931348623157e308"])
+@pytest.mark.parametrize("seed", ["1", "2", "5"])
+def test_lipschitz_audit_huge_sigma_keeps_the_exit_code_contract(capsys, sigma, seed):
+    # moves past the float range are rejected, not reported as bad weights,
+    # and no overflow warning is printed (RuntimeWarning is an error here)
+    code, out, err = run(
+        capsys, "lipschitz-audit", "--generate", "cycle:8", "--sigma", sigma, "--count", "2", "--seed", seed
+    )
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:") and "positive and finite" not in err
+    else:
+        json.loads(out, parse_constant=reject_constant)
+
+
+@pytest.mark.parametrize(
+    "sigma, seed, message",
+    [
+        # at the largest float sigma the move bound itself is inf, so a vertex
+        # ratio can overflow; printing that beta would put Infinity in the JSON
+        ("1.7976931348623157e308", "1", "weighting 0: its Lipschitz constant overflows"),
+        # a stationary mass of 0 would turn the audit's ratios into 0/0
+        ("1.7e308", "11", "stationary mass of vertex 1 underflows to 0"),
+    ],
+)
+def test_lipschitz_audit_past_the_float_range_is_input_error(capsys, sigma, seed, message):
+    code, out, err = run(
+        capsys, "lipschitz-audit", "--generate", "cycle:8", "--sigma", sigma, "--count", "1", "--seed", seed
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_lipschitz_audit_computes_distances_once(monkeypatch, capsys):
+    matrices, bfs = [], []
+    real_matrix, real_bfs = graphs.all_pairs_distances, graphs.distances_from
+
+    def counted_matrix(g):
+        matrices.append(g.n)
+        return real_matrix(g)
+
+    def counted_bfs(g, sources):
+        bfs.append(g.n)
+        return real_bfs(g, sources)
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", counted_matrix)
+    monkeypatch.setattr(graphs, "distances_from", counted_bfs)
+    monkeypatch.setattr(weighting, "distances_from", counted_bfs)
+    code, _, _ = run(
+        capsys, "lipschitz-audit", "--generate", "random-regular:32:3:7", "--count", "8", "--seed", "1"
+    )
+    assert code == 0
+    # the kmax default, every bottleneck base and every audit share one
+    # matrix; the other searches are generator connectivity checks and one
+    # multi-source search per target-decay base
+    assert matrices == [32]
+    assert len(bfs) < 2 * 32
+
+
 # --- robustness-audit ---------------------------------------------------------------
 
 
@@ -504,7 +574,7 @@ SPECS = good_or_bad(
     ["cycle:2", "complete:1", "hypercube:0", "random-regular:5:3:1", "random-regular:4:5:1",
      "moebius:7", "cycle"],
 )
-FLOATS = good_or_bad(["0", "0.25", "1", "2"], ["1.5", "-1", "nan", "inf", "-inf", "1e308", "1e-300"])
+FLOATS = good_or_bad(["0", "0.25", "1", "2"], ["1.5", "-1", "nan", "inf", "-inf", "1e100", "1e308", "1e-300"])
 SMALL_INTS = good_or_bad(["0", "1", "3"], ["-1", "99"])
 SEEDS = st.sampled_from(["0", "1", "-5", str(2**64 + 3)])
 

@@ -1,13 +1,17 @@
 """Edge weightings: Lipschitz constants, induced chains, ratio bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import GraphError, GraphFileError, build_graph, diameter, generate
+import walklab.weighting as weighting_module
+from walklab.graphs import GraphError, GraphFileError, build_graph, diameter, distances_from, generate
 from walklab.rng import SplitMix64
 from walklab.weighting import (
+    RATIO_TOL,
     EdgeWeighting,
     WeightingError,
     bottleneck_weighting,
@@ -247,3 +251,170 @@ def test_weighting_parse_rejects_duplicate_and_missing():
         parse_weighting_text("0 1 1.0\n1 0 2.0\n", g)
     with pytest.raises(GraphFileError):
         parse_weighting_text("0 1 1.0\n1 2 1.0\n2 3 1.0\n", g)
+
+
+# --- reference loops ------------------------------------------------------
+# The per-vertex and per-pair loops that the vectorized layer replaced,
+# kept as oracles: every seeded weighting, beta, audit answer and diameter
+# witness must match them exactly.
+
+
+def reference_beta(g, w):
+    beta = 1.0
+    for v in range(g.n):
+        inc = [w.weights[g.edge_index[(min(v, u), max(v, u))]] for u in g.adj[v]]
+        beta = max(beta, max(inc) / min(inc))
+    return float(beta)
+
+
+def reference_diameter(g):
+    best, pair = -1, (0, 0)
+    dm = np.stack([distances_from(g, [v]) for v in range(g.n)])
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if dm[u, v] > best:
+                best, pair = int(dm[u, v]), (u, v)
+    return best, pair
+
+
+def reference_audit(g, w, k, beta=None):
+    if beta is None:
+        beta = reference_beta(g, w)
+    bound = (max(g.degrees) * beta * beta / min(g.degrees)) ** k
+    pi = w.strengths / w.total
+    for x in range(g.n):
+        dist = distances_from(g, [x])
+        for y in range(g.n):
+            if 0 <= dist[y] <= k:
+                ratio = pi[x] / pi[y]
+                if ratio > bound * (1.0 + RATIO_TOL) or ratio < (1.0 - RATIO_TOL) / bound:
+                    return False
+    return True
+
+
+def reference_random_weighting(g, sigma, rng, rounds=None):
+    """Copy, re-validate and recompute the global beta on every move."""
+    n, m = g.n, g.m
+    base_kind = rng.randrange(3)
+    if base_kind == 1 and sigma > 1.0:
+        size = 1 + rng.randrange(max(1, n // 2))
+        targets = set()
+        while len(targets) < size:
+            targets.add(rng.randrange(n))
+        w = target_decay_weighting(g, targets, 1.0 - 1.0 / sigma)
+    elif base_kind == 2 and sigma > 1.0:
+        d, (u, v) = reference_diameter(g)
+        dist = distances_from(g, [u, v])
+        if d >= 4:
+            w = EdgeWeighting(g, np.array([sigma ** (-float(min(dist[a], dist[b]))) for a, b in g.edges]))
+        else:
+            w = uniform_weighting(g)
+    else:
+        w = uniform_weighting(g)
+    weights = w.weights.copy()
+    if rounds is None:
+        rounds = 3 * m
+    log_sigma = math.log(sigma) if sigma > 1.0 else 0.0
+    for _ in range(rounds):
+        if log_sigma == 0.0:
+            break
+        e = rng.randrange(m)
+        factor = math.exp((2.0 * rng.next_float() - 1.0) * log_sigma)
+        candidate = weights.copy()
+        candidate[e] *= factor
+        cw = EdgeWeighting(g, candidate)
+        if reference_beta(g, cw) <= sigma * (1.0 + RATIO_TOL):
+            weights = candidate
+    return EdgeWeighting(g, weights)
+
+
+# degrees 1 to 3, diameter 7, so the bottleneck base applies
+IRREGULAR = build_graph(
+    [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7), (7, 8), (8, 9)], 10
+)
+ORACLE_GRAPHS = st.one_of(
+    st.integers(min_value=3, max_value=13).map(lambda n: generate("cycle", n=n)),
+    st.just(generate("hypercube", dim=4)),
+    st.tuples(st.sampled_from([8, 12, 16, 24]), st.integers(min_value=0, max_value=30)).map(
+        lambda t: generate("random_regular", n=t[0], d=3, seed=t[1])
+    ),
+    st.just(IRREGULAR),
+)
+
+
+@given(
+    ORACLE_GRAPHS,
+    st.sampled_from([1.0, 1.3, 2.0, 6.0]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.none() | st.integers(min_value=0, max_value=80),
+)
+@settings(max_examples=80, deadline=None)
+def test_lipschitz_layer_matches_reference_loops(g, sigma, seed, rounds):
+    rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+    w = random_lipschitz_weighting(g, sigma, rng, rounds)
+    ref = reference_random_weighting(g, sigma, ref_rng, rounds)
+    assert w.weights.tobytes() == ref.weights.tobytes()
+    assert rng.next_u64() == ref_rng.next_u64()  # the same draws were consumed
+    beta = lipschitz_beta(g, w)
+    assert beta == reference_beta(g, w)
+    spread = EdgeWeighting(g, np.exp(np.random.default_rng(seed).uniform(-20.0, 20.0, g.m)))
+    assert lipschitz_beta(g, spread) == reference_beta(g, spread)
+    dia, pair = diameter(g)
+    assert (dia, pair) == reference_diameter(g)
+    for k in range(dia + 2):
+        for claimed in (None, 1.0, sigma):
+            assert stationary_ratio_audit(g, w, k, claimed) == reference_audit(g, w, k, claimed), (k, claimed)
+        assert stationary_ratio_audit(g, spread, k) == reference_audit(g, spread, k)
+
+
+def test_random_weighting_does_no_global_work_per_move(monkeypatch):
+    calls = {"beta": 0, "weighting": 0}
+    real_beta, real_check = weighting_module.lipschitz_beta, EdgeWeighting.__post_init__
+
+    def counted_beta(g, w):
+        calls["beta"] += 1
+        return real_beta(g, w)
+
+    def counted_check(self):
+        calls["weighting"] += 1
+        real_check(self)
+
+    monkeypatch.setattr(weighting_module, "lipschitz_beta", counted_beta)
+    monkeypatch.setattr(EdgeWeighting, "__post_init__", counted_check)
+    g = generate("random_regular", n=64, d=3, seed=5)
+    for index in range(6):
+        random_lipschitz_weighting(g, 2.0, SplitMix64.stream(9, index))  # 3m = 288 moves each
+    # one base weighting and the result per call, never one per move
+    assert calls == {"beta": 0, "weighting": 12}
+
+
+def test_lipschitz_beta_without_edges_is_one():
+    g = build_graph([], 1)
+    assert lipschitz_beta(g, uniform_weighting(g)) == 1.0
+
+
+@pytest.mark.parametrize("sigma", [1e100, 1e200, 1.7e308])
+def test_random_weighting_rejects_moves_that_leave_the_float_range(sigma):
+    # a bottleneck base on the 12-cycle, then moves by factors up to sigma:
+    # products that overflow or underflow are rejected like out-of-bound ones
+    g = generate("cycle", n=12)
+    built = 0
+    for index in range(20):
+        rng = SplitMix64.stream(4, index)
+        try:
+            w = random_lipschitz_weighting(g, sigma, rng, rounds=200)
+        except WeightingError as exc:
+            assert "theta" in str(exc)  # 1 - 1/sigma rounds to 1: no target-decay base
+            continue
+        assert np.all(np.isfinite(w.weights)) and np.all(w.weights > 0.0)
+        assert lipschitz_beta(g, w) <= sigma * (1.0 + RATIO_TOL)
+        built += 1
+    assert built > 0
+
+
+def test_ratio_audit_overflowing_bound_passes():
+    # (d_max beta^2 / d_min)^k beyond the float range is an infinite budget
+    g = generate("cycle", n=8)
+    w = target_decay_weighting(g, [0], 0.5)
+    assert stationary_ratio_audit(g, w, 3, beta=1e100)
+    assert not stationary_ratio_audit(g, w, 3, beta=1.0)
