@@ -14,8 +14,10 @@ flags, config, graph, or weighting files).  Every randomized subcommand
 requires --seed; identical configuration and seed give byte-identical output
 files once --no-timestamp is passed.
 
-Flags can also come from a key=value config file (--config); explicit flags
-win over file values.
+Flags can also come from a key=value config file (--config): a key is a flag
+name (dashes or underscores), its value is typed like the flag, and explicit
+flags win over file values.  `build_parser` is the one declaration of every
+flag: its type, default, help, and whether it is required or a work count.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 from . import graphs as graphmod
 from .chains import CONDUCTANCE_GUARD, ChainError, SpectralReport, edge_conductance_exact, spectral_gap
@@ -44,7 +47,6 @@ from .rng import SplitMix64
 from .robustness import psi_lower_bound, section3_lemma_audit, theorem31_check
 from .walks import WALK_KINDS, WalkError, WalkSpec, estimate_cover_time
 from .weighting import (
-    EdgeWeighting,
     WeightingError,
     induced_chain,
     lipschitz_beta,
@@ -62,133 +64,130 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# flags and config files
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose flags also declare the checks `_parse` makes.
+
+    `needed=True` marks a flag that must be set, on the command line or in
+    the config file; `work=True` marks a work count (weightings, subsets,
+    draws, horizons) that must not be negative.  A malformed flag raises
+    InputError, so `main` reports it like any other bad input (exit 2).
+    """
+
+    commands: dict[str, _Parser]
+
+    def add_argument(self, *args, needed: bool = False, work: bool = False, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        action.needed, action.work = needed, work
+        return action
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
+def _switch(flag: str, text: str) -> bool:
+    low = text.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise InputError(f"{flag}: expected a boolean, got {text!r}")
+
+
+def _config_defaults(command: _Parser, path: str) -> dict[str, str]:
+    """The key=value lines of a config file, as defaults for `command`'s flags.
+
+    A value stays text until it is used, that is, until the command line
+    leaves its flag out: argparse then converts it with the flag's own type,
+    and `_parse` reads a switch (--no-timestamp) from a word such as true
+    or off.
+    """
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        key, _, text = line.partition("=")
+        values[key.strip().replace("-", "_")] = text.strip()
+    unknown = set(values) - {action.dest for action in command._actions if action.dest != "help"}
+    if unknown:
+        raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
 
 
-def _coerce(text: str, kind: type) -> object:
-    if kind is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InputError(f"expected a boolean, got {text!r}")
-    try:
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-    except ValueError as exc:
-        raise InputError(f"expected {kind.__name__}, got {text!r}") from exc
-    return text
-
-
-def _merge_config(
-    args: argparse.Namespace,
-    defaults: dict[str, object],
-    types: dict[str, type] | None = None,
-) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from defaults.
-
-    `types` pins the coercion for keys whose default is None; other keys
-    coerce to their default's type.
-    """
-    config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    types = types or {}
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in config:
-            kind = types.get(key, type(default) if default is not None else str)
-            setattr(args, key, _coerce(config[key], kind))
-        else:
-            setattr(args, key, default)
-    unknown = set(config) - set(defaults) - {"config"}
-    if unknown:
-        raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Every flag resolved: the command line, then the config file, then the
+    defaults of `build_parser`; required flags and work counts checked."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = parser.commands[args.command]
+    if args.config is not None:
+        command.set_defaults(**_config_defaults(command, args.config))
+        args = parser.parse_args(argv)
+    for action in command._actions:
+        flag, value = action.option_strings[0], getattr(args, action.dest, None)
+        if action.nargs == 0 and isinstance(value, str):
+            value = _switch(flag, value)
+            setattr(args, action.dest, value)
+        if action.needed and value is None:
+            raise InputError(f"{flag} is required")
+        if action.work and value is not None and value < 0:
+            raise InputError(f"{flag} must be >= 0, got {value}")
     return args
 
 
-def _require_nonnegative(args: argparse.Namespace, *names: str) -> None:
-    """Work counts (weightings, subsets, draws, horizons) must not be negative."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 0:
-            raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-
-
 # ---------------------------------------------------------------------------
-# input loading
+# input and output
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "graph", None) and getattr(args, "generate", None):
+    if args.graph and args.generate:
         raise InputError("give either --graph or --generate, not both")
-    if getattr(args, "graph", None):
+    if args.graph:
         return graphmod.read_graph_file(args.graph)
-    if getattr(args, "generate", None):
+    if args.generate:
         return graphmod.parse_generate_spec(args.generate)
     raise InputError("a graph is required: pass --graph FILE or --generate SPEC")
 
 
-def _load_weighting(g: Graph, args: argparse.Namespace) -> EdgeWeighting:
-    if getattr(args, "weights", None):
-        return read_weighting_file(args.weights, g)
-    return uniform_weighting(g)
+def _report(
+    args: argparse.Namespace,
+    payload: dict,
+    *,
+    audit: list[dict] | None = None,
+    results: list[list] | None = None,
+) -> None:
+    """Print `payload` as the JSON summary.
 
-
-# ---------------------------------------------------------------------------
-# output plumbing
-
-
-def _timestamp_line() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_json(path: Path, payload: dict, stamp: bool) -> None:
-    if stamp:
-        payload = {"timestamp": _timestamp_line(), **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_jsonl(path: Path, rows: list[dict], stamp: bool) -> None:
-    with path.open("w") as fh:
-        if stamp:
-            fh.write(json.dumps({"timestamp": _timestamp_line()}) + "\n")
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _out_dir(args: argparse.Namespace) -> Path | None:
-    if getattr(args, "out", None) is None:
-        return None
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _emit_summary(args: argparse.Namespace, payload: dict) -> None:
-    out = _out_dir(args)
-    stamp = not bool(getattr(args, "no_timestamp", False))
-    if out is not None:
-        _write_json(out / "summary.json", payload, stamp)
+    With --out, first write `audit` rows to audit.jsonl, `results` rows
+    (header first) to results.csv and `payload` to summary.json; each file
+    starts with a timestamp unless --no-timestamp is given.
+    """
+    if args.out is not None:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat(timespec="seconds")
+        if audit is not None:
+            with (out / "audit.jsonl").open("w") as fh:
+                if stamp:
+                    fh.write(json.dumps({"timestamp": stamp}) + "\n")
+                for row in audit:
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+        if results is not None:
+            with (out / "results.csv").open("w", newline="") as fh:
+                if stamp:
+                    fh.write(f"# generated {stamp}\n")
+                csv.writer(fh).writerows(results)
+        summary = payload if stamp is None else {"timestamp": stamp, **payload}
+        (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -197,9 +196,8 @@ def _emit_summary(args: argparse.Namespace, payload: dict) -> None:
 
 
 def _cmd_spectral(args: argparse.Namespace) -> int:
-    args = _merge_config(args, {"graph": None, "generate": None, "weights": None, "out": None, "no_timestamp": False})
     g = _load_graph(args)
-    w = _load_weighting(g, args)
+    w = read_weighting_file(args.weights, g) if args.weights else uniform_weighting(g)
     chain = induced_chain(g, w)
     report: SpectralReport = spectral_gap(chain)
     if g.n <= CONDUCTANCE_GUARD:
@@ -207,31 +205,15 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
         payload = report.to_json_dict(phi=phi, phi_argmin=sorted(argmin))
     else:
         payload = report.to_json_dict(phi=None, phi_argmin=None)
-    _emit_summary(args, payload)
+    _report(args, payload)
     return 0
 
 
 def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
-    args = _merge_config(
-        args,
-        {
-            "graph": None,
-            "generate": None,
-            "sigma": 2.0,
-            "count": 50,
-            "kmax": None,
-            "assert_beta_max": None,
-            "seed": None,
-            "out": None,
-            "no_timestamp": False,
-        },
-        types={"kmax": int, "assert_beta_max": float, "seed": int},
-    )
-    if args.seed is None:
-        raise InputError("--seed is required")
     if not (args.sigma >= 1.0 and math.isfinite(args.sigma)):
         raise InputError("--sigma must be finite and >= 1")
-    _require_nonnegative(args, "count", "kmax")
+    if args.assert_beta_max is not None and math.isnan(args.assert_beta_max):
+        raise InputError("--assert-beta-max must be a number, got nan")
     g = _load_graph(args)
     dia, _ = graphmod.diameter(g)
     kmax = args.kmax if args.kmax is not None else dia
@@ -251,10 +233,6 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
         if not ok:
             failures += 1
         rows.append({"weighting_index": index, "beta": beta, "ok": ok})
-    out = _out_dir(args)
-    stamp = not args.no_timestamp
-    if out is not None:
-        _write_jsonl(out / "audit.jsonl", rows, stamp)
     payload = {
         "count": args.count,
         "failures": failures,
@@ -263,27 +241,11 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
         "kmax": kmax,
         "seed": args.seed,
     }
-    _emit_summary(args, payload)
+    _report(args, payload, audit=rows)
     return 1 if failures else 0
 
 
 def _cmd_robustness_audit(args: argparse.Namespace) -> int:
-    args = _merge_config(
-        args,
-        {
-            "graph": None,
-            "generate": None,
-            "sigma": None,
-            "subsets": 50,
-            "seed": None,
-            "out": None,
-            "no_timestamp": False,
-        },
-        types={"sigma": float, "seed": int},
-    )
-    if args.seed is None:
-        raise InputError("--seed is required")
-    _require_nonnegative(args, "subsets")
     g = _load_graph(args)
     rng = SplitMix64.stream(args.seed, 0)
     if args.sigma is None:
@@ -314,10 +276,6 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
     endpoint = theorem31_check(g, w, psi=psi)
     if not endpoint.ok:
         failures += 1
-    out = _out_dir(args)
-    stamp = not args.no_timestamp
-    if out is not None:
-        _write_jsonl(out / "audit.jsonl", rows, stamp)
     payload = {
         "subsets": args.subsets,
         "failures": failures,
@@ -331,46 +289,16 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
         "gap_skipped": endpoint.gap_skipped,
         "seed": args.seed,
     }
-    _emit_summary(args, payload)
+    _report(args, payload, audit=rows)
     return 1 if failures else 0
 
 
 def _cmd_cover_sim(args: argparse.Namespace) -> int:
-    args = _merge_config(
-        args,
-        {
-            "graph": None,
-            "generate": None,
-            "walk": "srw",
-            "eps": 0.0,
-            "psi": None,
-            "start": None,
-            "trials": 100,
-            "seed": None,
-            "out": None,
-            "no_timestamp": False,
-        },
-        types={"psi": float, "start": int, "seed": int},
-    )
-    if args.seed is None:
-        raise InputError("--seed is required")
-    if args.walk not in WALK_KINDS:
-        raise InputError(f"unknown walk kind {args.walk!r}")
-    if args.trials < 2:
-        raise InputError("--trials must be at least 2")
     g = _load_graph(args)
     spec = WalkSpec(kind=args.walk, eps=args.eps, start=args.start, psi=args.psi)
     estimate = estimate_cover_time(g, spec, trials=args.trials, seed=args.seed)
-    out = _out_dir(args)
-    stamp = not args.no_timestamp
-    if out is not None:
-        with (out / "results.csv").open("w", newline="") as fh:
-            if stamp:
-                fh.write(f"# generated {_timestamp_line()}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "start_vertex", "steps", "walk_kind", "eps", "seed"])
-            for row in estimate.rows:
-                writer.writerow([row.trial, row.start_vertex, row.steps, args.walk, args.eps, args.seed])
+    results = [["trial", "start_vertex", "steps", "walk_kind", "eps", "seed"]]
+    results += [[row.trial, row.start_vertex, row.steps, args.walk, args.eps, args.seed] for row in estimate.rows]
     payload = {
         "mean": estimate.mean,
         "stddev": estimate.stddev,
@@ -381,34 +309,17 @@ def _cmd_cover_sim(args: argparse.Namespace) -> int:
         "eps": args.eps,
         "seed": args.seed,
     }
-    _emit_summary(args, payload)
+    _report(args, payload, results=results)
     return 0
 
 
 def _cmd_boost_audit(args: argparse.Namespace) -> int:
-    args = _merge_config(
-        args,
-        {
-            "graph": None,
-            "generate": None,
-            "event": None,
-            "t": None,
-            "eps": 0.0,
-            "eta": 1.0,
-            "start": 0,
-            "out": None,
-            "no_timestamp": False,
-        },
-        types={"t": int},
-    )
-    if args.event is None or args.t is None:
-        raise InputError("--event and --t are required")
     g = _load_graph(args)
     event = parse_event_text(args.event, args.t)
     report = boost_bound_audit(g, args.start, event, args.eps, args.eta)
     payload = report.to_json_dict(graph_id=args.generate or args.graph)
     payload["ok"] = report.ok
-    _emit_summary(args, payload)
+    _report(args, payload)
     return 0 if report.ok else 1
 
 
@@ -426,21 +337,6 @@ def _sweep_events(g: Graph, tmax: int) -> list[EventSpec]:
 
 
 def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
-    args = _merge_config(
-        args,
-        {
-            "nmax": 6,
-            "tmax": 5,
-            "draws": 10000,
-            "seed": None,
-            "out": None,
-            "no_timestamp": False,
-        },
-        types={"seed": int},
-    )
-    if args.seed is None:
-        raise InputError("--seed is required")
-    _require_nonnegative(args, "nmax", "tmax", "draws")
     catalog = {name: g for name, g in graphmod.small_regular_catalog().items() if g.n <= args.nmax}
     rows: list[dict] = []
     failures = 0
@@ -466,10 +362,6 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
             conv_failures += 1
     failures += conv_failures
 
-    out = _out_dir(args)
-    stamp = not args.no_timestamp
-    if out is not None:
-        _write_jsonl(out / "audit.jsonl", rows, stamp)
     payload = {
         "queries": len(rows),
         "failures": failures - conv_failures,
@@ -477,7 +369,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
         "conv_failures": conv_failures,
         "seed": args.seed,
     }
-    _emit_summary(args, payload)
+    _report(args, payload, audit=rows)
     return 1 if failures else 0
 
 
@@ -485,7 +377,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
+def _add_common(parser: _Parser, *, graph: bool = True) -> None:
     if graph:
         parser.add_argument("--graph", help="graph file (header 'n m', then one 'u v' per line)")
         parser.add_argument(
@@ -497,16 +389,19 @@ def _add_common(parser: argparse.ArgumentParser, *, graph: bool = True) -> None:
     parser.add_argument("--out", help="directory for results.csv / summary.json / audit.jsonl")
     parser.add_argument(
         "--no-timestamp",
-        dest="no_timestamp",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="omit timestamps so identical runs are byte-identical",
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="walklab", description=__doc__.split("\n\n")[0])
+def _add_seed(parser: _Parser) -> None:
+    parser.add_argument("--seed", type=int, needed=True, help="stream seed (required)")
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="walklab", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("spectral", help="eigenvalues, gap, conductance of a weighted graph")
     _add_common(p)
@@ -515,55 +410,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lipschitz-audit", help="stationary ratio bounds for random weightings")
     _add_common(p)
-    p.add_argument("--sigma", type=float, help="Lipschitz budget (>= 1)")
-    p.add_argument("--count", type=int, help="number of random weightings")
-    p.add_argument("--kmax", type=int, help="largest distance to audit (default: diameter)")
-    p.add_argument("--assert-beta-max", dest="assert_beta_max", type=float,
+    p.add_argument("--sigma", type=float, default=2.0, help="Lipschitz budget (>= 1)")
+    p.add_argument("--count", type=int, default=50, work=True, help="number of random weightings")
+    p.add_argument("--kmax", type=int, work=True, help="largest distance to audit (default: diameter)")
+    p.add_argument("--assert-beta-max", type=float,
                    help="fail any weighting whose Lipschitz constant exceeds this")
-    p.add_argument("--seed", type=int, help="stream seed (required)")
+    _add_seed(p)
     p.set_defaults(handler=_cmd_lipschitz_audit)
 
     p = sub.add_parser("robustness-audit", help="bucket/representative lemma checks + gap endpoint")
     _add_common(p)
     p.add_argument("--sigma", type=float, help="random weighting budget; omit for uniform weights")
-    p.add_argument("--subsets", type=int, help="number of random subsets to audit")
-    p.add_argument("--seed", type=int, help="stream seed (required)")
+    p.add_argument("--subsets", type=int, default=50, work=True, help="number of random subsets to audit")
+    _add_seed(p)
     p.set_defaults(handler=_cmd_robustness_audit)
 
     p = sub.add_parser("cover-sim", help="Monte Carlo cover-time estimation")
     _add_common(p)
-    p.add_argument("--walk", help=" | ".join(WALK_KINDS))
-    p.add_argument("--eps", type=float, help="bias probability per step")
+    p.add_argument("--walk", default="srw", help=" | ".join(WALK_KINDS))
+    p.add_argument("--eps", type=float, default=0.0, help="bias probability per step (0 for srw)")
     p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
     p.add_argument("--start", type=int, help="fixed start vertex (default: round-robin when n <= 64)")
-    p.add_argument("--trials", type=int, help="number of independent trials")
-    p.add_argument("--seed", type=int, help="stream seed (required)")
+    p.add_argument("--trials", type=int, default=100, help="number of independent trials (>= 2)")
+    _add_seed(p)
     p.set_defaults(handler=_cmd_cover_sim)
 
     p = sub.add_parser("boost-audit", help="exact DP check of the event-boost bounds")
     _add_common(p)
-    p.add_argument("--event", help="hit:V | hitall:V1,V2 | hitany:V1,V2 | cover | return")
-    p.add_argument("--t", type=int, help="event horizon")
-    p.add_argument("--eps", type=float, help="bias probability")
-    p.add_argument("--eta", type=float, help="exponent for the root bound (0 < eta <= 1)")
-    p.add_argument("--start", type=int, help="start vertex")
+    p.add_argument("--event", needed=True, help="hit:V | hitall:V1,V2 | hitany:V1,V2 | cover | return")
+    p.add_argument("--t", type=int, needed=True, help="event horizon")
+    p.add_argument("--eps", type=float, default=0.0, help="bias probability")
+    p.add_argument("--eta", type=float, default=1.0, help="exponent for the root bound (0 < eta <= 1)")
+    p.add_argument("--start", type=int, default=0, help="start vertex")
     p.set_defaults(handler=_cmd_boost_audit)
 
     p = sub.add_parser("lemma-sweep", help="boost-bound grid over the small graph catalog")
     _add_common(p, graph=False)
-    p.add_argument("--nmax", type=int, help="largest catalog graph to include")
-    p.add_argument("--tmax", type=int, help="largest horizon")
-    p.add_argument("--draws", type=int, help="randomized one-step audit draws")
-    p.add_argument("--seed", type=int, help="stream seed (required)")
+    p.add_argument("--nmax", type=int, default=6, work=True, help="largest catalog graph to include")
+    p.add_argument("--tmax", type=int, default=5, work=True, help="largest horizon")
+    p.add_argument("--draws", type=int, default=10000, work=True, help="randomized one-step audit draws")
+    _add_seed(p)
     p.set_defaults(handler=_cmd_lemma_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(argv)
         return args.handler(args)
     except (InputError, GraphError, WeightingError, ChainError, OracleError, WalkError, GuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

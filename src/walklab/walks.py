@@ -420,6 +420,8 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
         raise WalkError(f"unknown walk kind {spec.kind!r}")
     if not (0.0 <= spec.eps <= 1.0):
         raise WalkError("eps must lie in [0, 1]")
+    if spec.kind == "srw" and spec.eps != 0.0:
+        raise WalkError(f"the simple random walk takes no bias: eps must be 0, got {spec.eps}")
     if spec.start is not None and not (0 <= spec.start < g.n):
         raise WalkError(f"start vertex {spec.start} out of range for n={g.n}")
     if spec.kind == "sweep" and any(
@@ -510,7 +512,7 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     scalar run, so the rows do not depend on how trials are batched.
     """
     if trials < 2:
-        raise WalkError("estimate_cover_time needs at least 2 trials")
+        raise WalkError(f"a cover-time estimate needs at least 2 trials, got {trials}")
     spec = _checked(g, spec)
     if spec.start is not None:
         starts = [spec.start] * trials

@@ -26,6 +26,7 @@ middle of a diametral pair via w(x,y) = beta^{-dist({x,y}, {u,v})}.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,34 +228,37 @@ def random_lipschitz_weighting(
     Starts from one of three bases chosen at random: uniform, target decay
     with theta = 1 - 1/sigma toward a random non-empty set, or (when the
     diameter allows it) a bottleneck weighting with ratio capped at sigma.
-    Then applies random single-edge multiplicative perturbations with factors
-    in [1/sigma, sigma], rejecting any move that would push the Lipschitz
-    constant beyond sigma or the weight out of the positive float range.
-    Every round draws an edge and a factor, accepted or not.
+    A base that cannot be built, or whose vertex ratios round past sigma
+    (theta = 1 - 1/sigma loses 1/sigma as sigma nears 2^53), is replaced by
+    the uniform base after its draws are taken.  Then applies random
+    single-edge multiplicative perturbations with factors in [1/sigma,
+    sigma], rejecting any move that would push the Lipschitz constant beyond
+    sigma or the weight out of the positive float range.  Every round draws
+    an edge and a factor, accepted or not.
     """
     if not (sigma >= 1.0 and math.isfinite(sigma)):
         raise WeightingError("random family needs a finite sigma >= 1")
     n, m = g.n, g.m
+    limit = sigma * (1.0 + RATIO_TOL)
     base_kind = rng.randrange(3)
+    w = None
     if base_kind == 1 and sigma > 1.0:
         size = 1 + rng.randrange(max(1, n // 2))
         targets = set()
         while len(targets) < size:
             targets.add(rng.randrange(n))
-        w = target_decay_weighting(g, targets, 1.0 - 1.0 / sigma)
+        with contextlib.suppress(WeightingError):
+            w = target_decay_weighting(g, targets, 1.0 - 1.0 / sigma)
     elif base_kind == 2 and sigma > 1.0:
-        try:
+        with contextlib.suppress(WeightingError):
             w, _ = bottleneck_weighting(g, sigma)
-        except WeightingError:
-            w = uniform_weighting(g)
-    else:
+    if w is None or (m and np.max(_vertex_ratios(g, w.weights)) > limit):
         w = uniform_weighting(g)
     if rounds is None:
         rounds = 3 * m
     log_sigma = math.log(sigma) if sigma > 1.0 else 0.0
     if log_sigma == 0.0 or m == 0:
         return w
-    limit = sigma * (1.0 + RATIO_TOL)
     ids, offsets = g.incidence
     incident = [ids[offsets[v] : offsets[v + 1]].tolist() for v in range(n)]
     weights = w.weights.tolist()

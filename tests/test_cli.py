@@ -3,15 +3,17 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import graphs, robustness, weighting
-from walklab.cli import _sweep_events, main
+from walklab.cli import _parse, _sweep_events, build_parser, main
 from walklab.graphs import generate, small_regular_catalog, write_graph_file
 from walklab.oracle import boost_bound_audit, eta_grid
 
@@ -164,6 +166,10 @@ def test_cover_sim_validates_walk_kind_and_trials(capsys):
         ("--start", "99"),
         ("--start", "-1"),
         ("--walk", "srw", "--eps", "1.5"),
+        # the plain walk used to ignore a bias and still write it to
+        # summary.json and every results.csv row
+        ("--walk", "srw", "--eps", "0.5"),
+        ("--eps", "0.25"),
         ("--walk", "sweep", "--eps", "1.5"),
         ("--walk", "sweep", "--eps", "-0.5"),
     ],
@@ -270,6 +276,27 @@ def test_lipschitz_audit_rejects_bad_sigma(capsys):
         capsys, "lipschitz-audit", "--generate", "cycle:8", "--sigma", "0.5", "--seed", "1"
     )
     assert code == 2
+
+
+def test_lipschitz_audit_rejects_a_nan_beta_bound(capsys):
+    # beta > nan is always false, so a NaN bound used to assert nothing
+    code, out, err = run(
+        capsys, "lipschitz-audit", "--generate", "cycle:8", "--count", "2", "--assert-beta-max", "nan", "--seed", "1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --assert-beta-max")
+
+
+@pytest.mark.parametrize("sigma", ["1e15", "1e100"])
+def test_lipschitz_audit_base_past_sigma_starts_uniform(capsys, sigma):
+    # theta = 1 - 1/sigma rounds: at 1e100 it is 1 and the run used to exit 2
+    # naming theta, a parameter never given; at 1e15 the target-decay base's
+    # ratio 1/(1 - theta) is 1.0008e15 and max_beta came out above sigma
+    code, out, err = run(
+        capsys, "lipschitz-audit", "--generate", "cycle:8", "--sigma", sigma, "--count", "2", "--seed", "1"
+    )
+    assert code == 0 and err == ""
+    assert 1.0 <= json.loads(out, parse_constant=reject_constant)["max_beta"] <= float(sigma)
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf"])
@@ -546,6 +573,86 @@ def test_missing_config_file(capsys):
     assert code == 2
 
 
+def every_flag():
+    for name, command in build_parser().commands.items():
+        for action in command._actions:
+            if action.dest not in ("help", "config"):
+                yield name, action
+
+
+NEEDED = {"--seed": "1", "--event": "cover", "--t": "2"}
+
+
+def needed_argv(command, skip):
+    """`command` with valid values for its required flags, `skip` left out."""
+    argv = [command]
+    for action in build_parser().commands[command]._actions:
+        flag = action.option_strings[0]
+        if action.needed and flag != skip:
+            argv += [flag, NEEDED[flag]]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, action", list(every_flag()), ids=[f"{c}{a.option_strings[0]}" for c, a in every_flag()]
+)
+def test_config_keys_resolve_like_their_flags(tmp_path, command, action):
+    flag, key = action.option_strings[0], action.dest
+    config = tmp_path / "run.cfg"
+
+    def resolved(*argv, config_lines=None):
+        if config_lines is not None:
+            config.write_text(config_lines)
+            argv = ("--config", str(config), *argv)
+        args = vars(_parse([*needed_argv(command, flag), *argv]))
+        del args["config"]
+        return args
+
+    if action.nargs == 0:  # the --no-timestamp switch
+        assert resolved(config_lines=f"{key} = true\n") == resolved(flag)
+        assert resolved(config_lines=f"{key.replace('_', '-')} = off\n") == resolved()
+        assert resolved(flag, config_lines=f"{key} = no\n") == resolved(flag)
+        return
+    first, second = {int: ("3", "4"), float: ("0.5", "0.75"), None: ("a:1", "b:2")}[action.type]
+    for spelling in (key, key.replace("_", "-")):
+        args = resolved(config_lines=f"{spelling} = {first}\n")
+        assert args == resolved(flag, first)
+        assert args[key] == (action.type or str)(first) != action.default
+        assert resolved(flag, second, config_lines=f"{spelling} = {first}\n") == resolved(flag, second)
+
+
+# --- malformed flags and the README ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover-sim", "--generate", "cycle:8", "--trials", "abc", "--seed", "1"],
+        ["cover-sim", "--generate", "cycle:8", "--seed", "1", "--warp-speed", "9"],
+        ["cover-sim", "--generate", "cycle:8", "--seed"],
+        ["warp"],
+        [],
+    ],
+    ids=["non-numeric", "unknown-flag", "missing-value", "unknown-command", "no-command"],
+)
+def test_malformed_flags_exit_2_in_process(capsys, argv):
+    # these used to print argparse's usage text and raise SystemExit(2)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "usage:" not in err
+
+
+def test_readme_cli_lines_parse():
+    # a renamed or retyped flag fails here, not in a reader's shell
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("walklab ")]
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert _parse(argv).command == argv[0], line
+    assert {shlex.split(line)[1] for line in lines} == set(build_parser().commands)
+
+
 # --- process-level smoke ------------------------------------------------------------------
 
 
@@ -574,8 +681,13 @@ SPECS = good_or_bad(
     ["cycle:2", "complete:1", "hypercube:0", "random-regular:5:3:1", "random-regular:4:5:1",
      "moebius:7", "cycle"],
 )
-FLOATS = good_or_bad(["0", "0.25", "1", "2"], ["1.5", "-1", "nan", "inf", "-inf", "1e100", "1e308", "1e-300"])
-SMALL_INTS = good_or_bad(["0", "1", "3"], ["-1", "99"])
+# values that no int or float flag parses
+MALFORMED = ["abc", "1e", ""]
+FLOATS = good_or_bad(
+    ["0", "0.25", "1", "2"], ["1.5", "-1", "nan", "inf", "-inf", "1e100", "1e308", "1e-300", *MALFORMED]
+)
+SMALL_INTS = good_or_bad(["0", "1", "3"], ["-1", "99", "2.5", *MALFORMED])
+WORK = st.sampled_from(["-1", "0", "2", "two"])
 SEEDS = st.sampled_from(["0", "1", "-5", str(2**64 + 3)])
 
 
@@ -601,23 +713,33 @@ def cli_calls(draw):
         argv.append(f"--seed={draw(SEEDS)}")
     # work-size flags are always given, since their defaults take seconds
     if command == "lipschitz-audit":
-        argv.append(f"--count={draw(st.sampled_from(['-1', '0', '2']))}")
+        argv.append(f"--count={draw(WORK)}")
         argv += flags(draw, sigma=FLOATS, kmax=SMALL_INTS, assert_beta_max=FLOATS)
     elif command == "robustness-audit":
-        argv += flags(draw, sigma=FLOATS, subsets=st.sampled_from(["-1", "0", "2"]))
+        argv += flags(draw, sigma=FLOATS, subsets=WORK)
     elif command == "cover-sim":
         argv += flags(draw, walk=good_or_bad(["srw", "phase", "sweep"], ["policy"]), eps=FLOATS, psi=FLOATS,
-                      start=SMALL_INTS, trials=good_or_bad(["2", "40"], ["-1", "1"]))
+                      start=SMALL_INTS, trials=good_or_bad(["2", "40"], ["-1", "1", "forty"]))
     elif command == "boost-audit":
         event = good_or_bad(["hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"], ["hit:99", "hit:x", "bogus"])
         argv.append(f"--event={draw(event)}")
-        argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0']))}")
+        argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0', 'x']))}")
         argv += flags(draw, eps=FLOATS, eta=FLOATS, start=SMALL_INTS)
     elif command == "lemma-sweep":
-        argv.append(f"--nmax={draw(st.sampled_from(['-1', '0', '4']))}")
-        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2']))}")
-        argv.append(f"--draws={draw(st.sampled_from(['-1', '0', '10']))}")
+        argv.append(f"--nmax={draw(st.sampled_from(['-1', '0', '4', 'four']))}")
+        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2', '2.0']))}")
+        argv.append(f"--draws={draw(st.sampled_from(['-1', '0', '10', '']))}")
+    # one flag no subcommand owns, in about one call of ten
+    argv += draw(st.sampled_from([[]] * 9 + [["--warp-speed=9"]]))
     return argv
+
+
+def parses(kind, text):
+    try:
+        (kind or str)(text)
+    except ValueError:
+        return False
+    return True
 
 
 def reject_constant(name):
@@ -636,6 +758,13 @@ def test_every_flag_value_keeps_the_exit_code_contract(argv):
     work_flags = ("--count=", "--kmax=", "--subsets=", "--nmax=", "--tmax=", "--draws=")
     if any(arg.startswith(work_flags) and arg.endswith("=-1") for arg in argv):
         assert code == 2, argv  # a negative work count is bad input
+    owned = build_parser().commands[argv[0]]._option_string_actions
+    for arg in argv[1:]:
+        flag, _, value = arg.partition("=")
+        if flag not in owned or not parses(owned[flag].type, value):
+            assert code == 2, argv  # an unknown flag, or a value its flag's type rejects
+    if "--assert-beta-max=nan" in argv:
+        assert code == 2, argv  # beta > nan is always false: the bound would assert nothing
     if code == 2:
         assert err.getvalue().startswith("error:"), argv
         return

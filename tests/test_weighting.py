@@ -398,18 +398,29 @@ def test_random_weighting_rejects_moves_that_leave_the_float_range(sigma):
     # a bottleneck base on the 12-cycle, then moves by factors up to sigma:
     # products that overflow or underflow are rejected like out-of-bound ones
     g = generate("cycle", n=12)
-    built = 0
     for index in range(20):
-        rng = SplitMix64.stream(4, index)
-        try:
-            w = random_lipschitz_weighting(g, sigma, rng, rounds=200)
-        except WeightingError as exc:
-            assert "theta" in str(exc)  # 1 - 1/sigma rounds to 1: no target-decay base
-            continue
+        w = random_lipschitz_weighting(g, sigma, SplitMix64.stream(4, index), rounds=200)
         assert np.all(np.isfinite(w.weights)) and np.all(w.weights > 0.0)
         assert lipschitz_beta(g, w) <= sigma * (1.0 + RATIO_TOL)
-        built += 1
-    assert built > 0
+
+
+@pytest.mark.parametrize("sigma", [1e15, 1e100])
+def test_random_weighting_base_past_sigma_starts_uniform(sigma):
+    # theta = 1 - 1/sigma rounds: at 1e15 the target-decay base's ratio
+    # 1/(1 - theta) is 1.0008e15, above sigma, and at 1e100 theta is 1 and
+    # the base cannot be built.  The uniform base replaces it after the
+    # base's draws, so the stream continues where a sigma = 3 base leaves it.
+    replaced = 0
+    for g in (generate("cycle", n=8), generate("cycle", n=12)):
+        for index in range(12):
+            w = random_lipschitz_weighting(g, sigma, SplitMix64.stream(1, index))
+            assert lipschitz_beta(g, w) <= sigma * (1.0 + RATIO_TOL)
+            huge, moderate = SplitMix64.stream(1, index), SplitMix64.stream(1, index)
+            base = random_lipschitz_weighting(g, sigma, huge, rounds=0)
+            usual = random_lipschitz_weighting(g, 3.0, moderate, rounds=0)
+            assert huge.next_float() == moderate.next_float()
+            replaced += bool(np.all(base.weights == 1.0)) and lipschitz_beta(g, usual) > 1.0
+    assert replaced > 0
 
 
 def test_ratio_audit_overflowing_bound_passes():
