@@ -7,6 +7,9 @@ constructor validates this and refuses anything else.  Vertex sets are plain
 frozensets at the API boundary; the exhaustive enumerations work on bitmask
 arrays internally so that the n <= 24 guard is actually usable.
 
+`Graph.slots` is the package's one flat adjacency layout (see `Slots`),
+built once per graph and indexed by every O(m) computation on it.
+
 The subset-enumeration kernel (`subset_fold`, `first_subset_minimum`) is
 shared with `chains.edge_conductance_exact`.  Per-mask arrays are built by
 doubling: the array for vertices 0..k is the array for 0..k-1 followed by a
@@ -32,6 +35,7 @@ SUBSET_CHUNK_BITS = 20
 
 __all__ = [
     "Graph",
+    "Slots",
     "GraphError",
     "GraphFileError",
     "GuardError",
@@ -73,13 +77,30 @@ class GuardError(ValueError):
 
 
 @dataclass(frozen=True)
+class Slots:
+    """A graph's adjacency as 2m slots, one per (vertex, neighbour) pair.
+
+    Vertex v owns slots offsets[v]:offsets[v + 1], its i-th pointing at
+    adj[v][i]; per vertex that is also the canonical order of its edges.
+    Column e of `edge_slots` (2 x m) holds the slots of edge e = (a, b): a's
+    toward b, then the reverse.  Every array is int64 and read-only.
+    """
+
+    vertex: np.ndarray
+    neighbor: np.ndarray
+    edge: np.ndarray
+    offsets: np.ndarray
+    edge_slots: np.ndarray
+
+
+@dataclass(frozen=True)
 class Graph:
     """Connected simple undirected graph on vertices 0..n-1.
 
     `edges` is the canonical sorted tuple of (u, v) pairs with u < v; `adj`
     holds sorted neighbour tuples.  Instances are immutable and hashable;
-    derived tables (degrees, edge index, incidence, distance matrix) are
-    computed on first use and cached on the instance.
+    derived tables (degrees, edge index, slot table, distance matrix) are
+    computed on first use and cached on the instance, arrays read-only.
     """
 
     n: int
@@ -105,19 +126,18 @@ class Graph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Incident edge ids per vertex, in `adj` order, as a flat id array
-        and n + 1 offsets: vertex v owns ids[offsets[v]:offsets[v + 1]]."""
-        ids = np.fromiter(
-            (self.edge_index[(min(v, u), max(v, u))] for v in range(self.n) for u in self.adj[v]),
-            dtype=np.int64,
-            count=2 * self.m,
-        )
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=offsets[1:])
-        ids.setflags(write=False)
-        offsets.setflags(write=False)
-        return ids, offsets
+    def slots(self) -> Slots:
+        """The adjacency as 2m slots in `adj` order; see `Slots`."""
+        offsets = np.cumsum((0,) + self.degrees)
+        vertex = np.repeat(np.arange(self.n), self.degrees)
+        neighbor = np.array([u for nbrs in self.adj for u in nbrs], dtype=np.int64)
+        pairs = zip(vertex.tolist(), neighbor.tolist())
+        edge = np.array([self.edge_index[min(v, u), max(v, u)] for v, u in pairs], dtype=np.int64)
+        # the stable sort puts the slot at each edge's lower endpoint first
+        table = Slots(vertex, neighbor, edge, offsets, np.argsort(edge, kind="stable").reshape(-1, 2).T.copy())
+        for a in vars(table).values():
+            a.setflags(write=False)
+        return table
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -372,7 +392,7 @@ def write_graph_file(g: Graph, path) -> None:
 
 def distances_from(g: Graph, sources: Iterable[int]) -> np.ndarray:
     """Multi-source BFS distances; -1 marks unreachable vertices."""
-    src = sorted(set(int(v) for v in sources))
+    src = sorted(set(map(int, sources)))
     if not src:
         raise GraphError("distances_from needs a non-empty source set")
     for v in src:
@@ -420,20 +440,11 @@ def diameter(g: Graph) -> tuple[int, tuple[int, int]]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = np.full(g.n, -1, dtype=np.int64)
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if color[w] < 0:
-                    color[w] = color[v] ^ 1
-                    nxt.append(w)
-                elif color[w] == color[v]:
-                    return False
-        frontier = nxt
-    return True
+    """True iff no edge joins two vertices at the same BFS depth from vertex 0:
+    such an edge closes an odd cycle, and without one depth parity 2-colours g."""
+    dist = distances_from(g, [0])
+    sl = g.slots
+    return not bool(np.any(dist[sl.vertex] == dist[sl.neighbor]))
 
 
 # ---------------------------------------------------------------------------

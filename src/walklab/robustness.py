@@ -217,6 +217,9 @@ def representative_indices(
     s = frozenset(int(v) for v in subset)
     if not s:
         raise GraphError("representative_indices needs a non-empty set")
+    outside = sorted(v for v in s if not 0 <= v < len(partition.index_of))
+    if outside:
+        raise GraphError(f"vertex {outside[0]} out of range for n={len(partition.index_of)}")
     member: dict[int, set[int]] = {}
     for v in s:
         member.setdefault(partition.index_of[v], set()).add(v)

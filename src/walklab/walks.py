@@ -17,10 +17,9 @@ whenever theta <= eps and the degree is at least 3, which is exactly how
 the phase walk turns a weighting into a playable strategy: each phase
 re-targets the unvisited set U, tilts by theta = min(eps, 1 - e^(-psi/32)),
 and walks with B until half of U is gone.  The phase walk needs only the d
-entries of B on each vertex's edges, so `_DecayBias` builds those rows in
-O(m) from the BFS distances to U; the float operations are those of the
-dense `induced_chain` -> `extract_bias_matrix` path, so the rows are
-bit-identical to it.
+entries of B on each vertex's edges: `_decay_rows` solves for them with the
+dense path's `_bias` on the slot probabilities of `weighting`, in O(m) per
+phase and bit-identical to `induced_chain` -> `extract_bias_matrix`.
 
 `cover_run` plays one trial and `estimate_cover_time` many; both check the
 spec once, in `_checked`, and play scalar trials through `_trial_runner`.
@@ -40,10 +39,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chains import BALANCE_TOL, ROW_SUM_TOL, ReversibleChain
-from .graphs import Graph, GraphError, distances_from, vertex_expansion_exact
+from .chains import ReversibleChain
+from .graphs import Graph, vertex_expansion_exact
 from .rng import MASK64, BufferedDraws, SplitMix64, splitmix_block
-from .weighting import WeightingError, induced_chain, target_decay_weighting
+from .weighting import slot_transitions, target_decay_weighting, uniform_weighting
 
 # Configured expansion value used by the phase strategy when the graph is too
 # large for exact enumeration.  The tilt theta = min(eps, 1 - e^(-psi/32)) is
@@ -144,19 +143,39 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
     n = g.n
     if q.n != n:
         raise WalkError("chain and graph size mismatch")
+    sl = g.slots
     p = np.zeros((n, n))
-    for v in range(n):
-        p[v, list(g.adj[v])] = 1.0 / len(g.adj[v])
+    p[sl.vertex, sl.neighbor] = slot_transitions(uniform_weighting(g))
     if eps == 0.0:
         if float(np.max(np.abs(q.matrix - p))) > 1e-12:
             raise WalkError("eps = 0 requires Q to equal the simple random walk")
         return p
-    b = (q.matrix - (1.0 - eps) * p) / eps
+    return _bias(q.matrix, p, eps)
+
+
+def _bias(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
+    """B = (Q - (1 - eps) P) / eps entrywise, for eps in (0, 1]."""
+    b = (q - (1.0 - eps) * p) / eps
     if float(b.min()) < -1e-12:
         raise WalkError(
             f"chain is not an eps-biased perturbation of the walk (min entry {b.min():.3e})"
         )
     return b
+
+
+def _decay_rows(g: Graph, theta: float, eps: float) -> Callable[[Sequence[int]], list[list[float]]]:
+    """`_decay_rows(g, theta, eps)(U)[v]` is B over adj[v] for the chain
+    Q(U, theta) of a regular graph, in O(m): bit for bit the entries of
+    `extract_bias_matrix(induced_chain(g, target_decay_weighting(g, U, theta)), g, eps)`."""
+    if not (0.0 < eps <= 1.0):
+        raise WalkError("bias rows need eps in (0, 1]")
+    p = slot_transitions(uniform_weighting(g))
+
+    def rows(targets: Sequence[int]) -> list[list[float]]:
+        q = slot_transitions(target_decay_weighting(g, targets, theta))
+        return _bias(q, p, eps).reshape(g.n, -1).tolist()
+
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +288,8 @@ def _cover_lockstep(g: Graph, spec: WalkSpec, seed: int, first: int, starts: Seq
     n = g.n
     sweep = spec.kind == "sweep"
     dps = _DRAWS_PER_STEP[spec.kind]
-    deg = np.array(g.degrees, dtype=np.intp)
-    off = np.concatenate(([0], np.cumsum(deg)[:-1])).astype(np.intp)
-    nbr = np.array([w for nbrs in g.adj for w in nbrs], dtype=np.intp)
+    sl = g.slots
+    deg = np.diff(sl.offsets)
     deg_u = deg.astype(np.uint64)
     trial = np.arange(first, first + len(starts))
     seeds = np.uint64(seed & MASK64) ^ trial.astype(np.uint64)
@@ -307,13 +325,13 @@ def _cover_lockstep(g: Graph, spec: WalkSpec, seed: int, first: int, starts: Seq
             coin = (block[:, j] >> np.uint64(11)) * scale
             r = (block[:, j + 1] >> np.uint64(11)) * scale
             d = deg[cur]
-            uniform = nbr[off[cur] + np.minimum((r * d).astype(np.intp), d - 1)]
+            uniform = sl.neighbor[sl.offsets[cur] + np.minimum((r * d).astype(np.intp), d - 1)]
             fwd = (cur + 1) % n
             bwd = (cur - 1) % n
             target = np.where(~flat[row + fwd] | flat[row + bwd], fwd, bwd)
             cur = np.where(coin < spec.eps, target, uniform)
         else:
-            cur = nbr[off[cur] + (block[:, j] % deg_u[cur]).astype(np.intp)]
+            cur = sl.neighbor[sl.offsets[cur] + (block[:, j] % deg_u[cur]).astype(np.intp)]
         j += dps
         if j == block.shape[1]:
             block = None  # freed before the next refill is allocated
@@ -327,56 +345,6 @@ def _cover_lockstep(g: Graph, spec: WalkSpec, seed: int, first: int, starts: Seq
         rng.counter = steps * dps
         out[trial[i] - first] = _resume(g, spec, rng, int(cur[i]), steps, bytearray(vis[i].tobytes()))
     return out.tolist()
-
-
-class _DecayBias:
-    """Bias rows of the target-decay chain in O(m) per target set.
-
-    `rows(U, theta, eps)[v]` equals
-    `extract_bias_matrix(induced_chain(g, target_decay_weighting(g, U, theta)), g, eps)[v, adj[v]]`
-    bit for bit: edge weights come from the same Python powers of 1 - theta,
-    strengths accumulate in canonical edge order, and each adjacency slot
-    evaluates w / s(v) and (Q - (1 - eps)(1/d)) / eps as the dense path does.
-    The dense checks keep O(m) counterparts: eps in (0, 1], rows of Q
-    summing to 1 and detailed balance over edges within 1e-12, B >= -1e-12.
-    The slot index arrays are built once per instance, not once per phase.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.d = g.regular_degree
-        self.ends = np.array(g.edges, dtype=np.intp)
-        slot = {(v, u): v * self.d + i for v, nbrs in enumerate(g.adj) for i, u in enumerate(nbrs)}
-        self.slot_vertex = np.repeat(np.arange(g.n), self.d)
-        self.slot_edge = np.array([g.edge_index[(min(v, u), max(v, u))] for v, u in slot], dtype=np.intp)
-        self.forward = np.array([slot[a, b] for a, b in g.edges], dtype=np.intp)
-        self.backward = np.array([slot[b, a] for a, b in g.edges], dtype=np.intp)
-
-    def rows(self, targets: Sequence[int], theta: float, eps: float) -> list[list[float]]:
-        if not (0.0 < eps <= 1.0):
-            raise WalkError("bias rows need eps in (0, 1]")
-        if not (0.0 <= theta < 1.0):
-            raise WeightingError("target decay needs theta in [0, 1)")
-        dist = distances_from(self.g, targets)
-        decay = 1.0 - theta
-        powers = np.array([decay**k for k in range(int(dist.max()) + 1)])
-        w = powers[dist[self.ends].max(axis=1)]
-        if not w.min() > 0.0:
-            raise WeightingError("edge weights must be positive and finite")
-        # a0 b0 a1 b1 ...: each vertex sums its weights in canonical edge order
-        s = np.bincount(self.ends.ravel(), weights=np.repeat(w, 2), minlength=self.g.n)
-        q = w[self.slot_edge] / s[self.slot_vertex]
-        if np.max(np.abs(q.reshape(-1, self.d).sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise WalkError("decay chain rows must sum to 1 within 1e-12")
-        flow = (s / s.sum())[self.slot_vertex] * q
-        if np.max(np.abs(flow[self.forward] - flow[self.backward])) > BALANCE_TOL:
-            raise WalkError("decay chain fails detailed balance at 1e-12")
-        b = (q - (1.0 - eps) * (1.0 / self.d)) / eps
-        if float(b.min()) < -1e-12:
-            raise WalkError(
-                f"chain is not an eps-biased perturbation of the walk (min entry {b.min():.3e})"
-            )
-        return b.reshape(-1, self.d).tolist()
 
 
 @dataclass(frozen=True)
@@ -447,9 +415,9 @@ def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
     """Scalar cover walk of a checked spec, as a function (rng, start) -> steps.
 
     Each phase of the phase walk fixes U = the unvisited vertices and plays
-    the bias rows of Q(U, theta) (see `_DecayBias`) until half of U is
-    visited: at most log2(n) + 1 phases.  theta and the `_DecayBias` are
-    built once here and shared by every trial the runner plays.
+    the bias rows of Q(U, theta) (see `_decay_rows`) until half of U is
+    visited: at most log2(n) + 1 phases.  theta and the row builder are set
+    up once here and shared by every trial the runner plays.
     """
     n = g.n
     if spec.kind != "phase":
@@ -462,7 +430,7 @@ def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
         return cover
     eps = spec.eps
     theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
-    decay = _DecayBias(g) if eps > 0.0 else None
+    decay_rows = _decay_rows(g, theta, eps) if eps > 0.0 else None
 
     def phase_cover(rng: SplitMix64, start: int) -> int:
         u64 = BufferedDraws(rng).u64
@@ -474,7 +442,7 @@ def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
         while left:
             # U is every unvisited vertex, so the phase ends when left <= |U| // 2
             unvisited = [v for v in range(n) if not visited[v]]
-            rows = decay.rows(unvisited, theta, eps) if decay is not None else []
+            rows = decay_rows(unvisited) if decay_rows is not None else []
             stop = len(unvisited) // 2
             cur, steps, left = _biased_walk(g.adj, u64, visited, cur, steps, left, stop, eps, rows.__getitem__)
         return steps
@@ -573,9 +541,9 @@ def stationary_boost_audit(g: Graph, targets, theta: float) -> StationaryBoostRe
     u_set = sorted(set(int(v) for v in targets))
     if not u_set:
         raise WalkError("stationary boost bound needs a non-empty target set")
-    chain = induced_chain(g, target_decay_weighting(g, u_set, theta))
+    pi = target_decay_weighting(g, u_set, theta).pi
     exponent = 1.0 + (math.log1p(-theta) / math.log(d) if theta > 0.0 else 0.0)
     bound = (1.0 / (2.0 * d * len(u_set))) * (len(u_set) / g.n) ** exponent
-    margins = [float(chain.pi[u]) - bound for u in u_set]
+    margins = [float(pi[u]) - bound for u in u_set]
     failures = sum(1 for m in margins if m < -1e-15)
     return StationaryBoostReport(min_margin=min(margins), failures=failures, bound_exponent=exponent)

@@ -10,14 +10,17 @@ distance k by at most (d_max beta^2 / d_min)^k, and that bound is what
 `stationary_ratio_audit` checks, over all pairs at once on the graph's
 cached distance matrix.
 
-`lipschitz_beta` reduces each vertex's slice of the graph's incidence table
-to max / min.  `random_lipschitz_weighting` perturbs one edge per move and
-keeps the per-vertex ratios and the number of vertices above
-sigma (1 + RATIO_TOL): a move on edge (a, b) recomputes only the ratios at a
-and b, and is accepted iff no other vertex is above the bound and both new
-ratios are within it.  That is the global test beta <= sigma (1 + RATIO_TOL)
-at O(deg a + deg b) per move instead of O(m).  A move whose new weight is
-not positive and finite is rejected like one that breaks the bound.
+Per-vertex and per-edge work indexes the graph's slot table: strengths are
+one `bincount` over it, `lipschitz_beta` reduces each vertex's slice to
+max / min, and `slot_transitions` gives the checked P on every slot in
+O(m), for `induced_chain`'s dense matrix and the phase walk alike.
+`random_lipschitz_weighting` perturbs one edge per move and keeps the
+per-vertex ratios and the number of vertices above sigma (1 + RATIO_TOL):
+a move on edge (a, b) recomputes only the ratios at a and b, and is
+accepted iff no other vertex is above the bound and both new ratios are
+within it.  That is the global test beta <= sigma (1 + RATIO_TOL) at
+O(deg a + deg b) per move instead of O(m).  A move whose new weight is not
+positive and finite is rejected like one that breaks the bound.
 
 Two structured constructions appear throughout: `target_decay_weighting`
 tilts the walk toward a target set U via w(u,v) = (1-theta)^{max of the two
@@ -34,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chains import ReversibleChain
+from .chains import BALANCE_TOL, ROW_SUM_TOL, ChainError, ReversibleChain
 from .graphs import Graph, GraphFileError, diameter, distances_from
 from .rng import SplitMix64
 
@@ -47,6 +50,7 @@ __all__ = [
     "target_decay_weighting",
     "bottleneck_weighting",
     "lipschitz_beta",
+    "slot_transitions",
     "induced_chain",
     "stationary_ratio_audit",
     "random_lipschitz_weighting",
@@ -71,7 +75,7 @@ class EdgeWeighting:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.graph.m,):
             raise WeightingError(f"expected {self.graph.m} weights, got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             raise WeightingError("edge weights must be positive and finite")
         w = w.copy()
         w.setflags(write=False)
@@ -86,12 +90,10 @@ class EdgeWeighting:
 
     @cached_property
     def strengths(self) -> np.ndarray:
-        """Vertex strengths w(x) = sum of incident edge weights, each finite."""
-        s = np.zeros(self.graph.n)
-        with np.errstate(over="ignore"):
-            for idx, (u, v) in enumerate(self.graph.edges):
-                s[u] += self.weights[idx]
-                s[v] += self.weights[idx]
+        """Vertex strengths w(x) = sum of incident edge weights, each finite,
+        added in canonical edge order."""
+        sl = self.graph.slots
+        s = np.bincount(sl.vertex, weights=self.weights[sl.edge], minlength=self.graph.n)
         over = np.flatnonzero(~np.isfinite(s))
         if len(over):
             raise WeightingError(f"strength of vertex {over[0]} overflows the float range")
@@ -107,6 +109,13 @@ class EdgeWeighting:
             raise WeightingError("total edge weight overflows the float range")
         return total
 
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Stationary law pi(x) = w(x) / W of the induced chain."""
+        pi = self.strengths / self.total
+        pi.setflags(write=False)
+        return pi
+
 
 def uniform_weighting(g: Graph) -> EdgeWeighting:
     return EdgeWeighting(g, np.ones(g.m))
@@ -114,10 +123,10 @@ def uniform_weighting(g: Graph) -> EdgeWeighting:
 
 def _vertex_ratios(g: Graph, weights: np.ndarray) -> np.ndarray:
     """max / min of the weights incident to each vertex (inf on overflow)."""
-    ids, offsets = g.incidence
-    inc = weights[ids]
+    sl = g.slots
+    inc = weights[sl.edge]
     with np.errstate(over="ignore"):
-        return np.maximum.reduceat(inc, offsets[:-1]) / np.minimum.reduceat(inc, offsets[:-1])
+        return np.maximum.reduceat(inc, sl.offsets[:-1]) / np.minimum.reduceat(inc, sl.offsets[:-1])
 
 
 def lipschitz_beta(g: Graph, w: EdgeWeighting) -> float:
@@ -145,15 +154,13 @@ def target_decay_weighting(g: Graph, targets: Iterable[int], theta: float) -> Ed
     """
     if not (0.0 <= theta < 1.0):
         raise WeightingError("target decay needs theta in [0, 1)")
-    u_set = sorted(set(int(v) for v in targets))
+    u_set = sorted(set(map(int, targets)))
     if not u_set:
         raise WeightingError("target decay needs a non-empty target set")
     dist = distances_from(g, u_set)
-    decay = 1.0 - theta
-    weights = np.array(
-        [decay ** int(max(dist[a], dist[b])) for a, b in g.edges], dtype=float
-    )
-    return EdgeWeighting(g, weights)
+    powers = np.array([(1.0 - theta) ** k for k in range(int(dist.max()) + 1)])
+    sl = g.slots
+    return EdgeWeighting(g, powers[dist[sl.vertex[sl.edge_slots]].max(axis=0)])
 
 
 def bottleneck_weighting(g: Graph, beta: float) -> tuple[EdgeWeighting, tuple[int, int]]:
@@ -169,24 +176,35 @@ def bottleneck_weighting(g: Graph, beta: float) -> tuple[EdgeWeighting, tuple[in
     if d < 4:
         raise WeightingError(f"bottleneck weighting needs diameter >= 4, got {d}")
     dist = np.minimum(g.distance_matrix[u], g.distance_matrix[v])
-    weights = np.array(
-        [beta ** (-float(min(dist[a], dist[b]))) for a, b in g.edges], dtype=float
-    )
-    return EdgeWeighting(g, weights), (u, v)
+    powers = np.array([beta ** -float(k) for k in range(int(dist.max()) + 1)])
+    sl = g.slots
+    return EdgeWeighting(g, powers[dist[sl.vertex[sl.edge_slots]].min(axis=0)]), (u, v)
+
+
+def slot_transitions(w: EdgeWeighting) -> np.ndarray:
+    """P(v, u) = w(v, u) / w(v) of the induced chain on every slot of the graph.
+
+    O(m).  Raises ChainError unless every row sums to 1 and detailed balance
+    pi(v) P(v, u) = pi(u) P(u, v) holds on every edge, both within 1e-12.
+    """
+    sl = w.graph.slots
+    p = w.weights[sl.edge] / w.strengths[sl.vertex]
+    if np.max(np.abs(np.bincount(sl.vertex, weights=p, minlength=w.graph.n) - 1.0)) > ROW_SUM_TOL:
+        raise ChainError("rows must sum to 1 within 1e-12")
+    flow = w.pi[sl.vertex] * p
+    if np.max(np.abs(flow[sl.edge_slots[0]] - flow[sl.edge_slots[1]])) > BALANCE_TOL:
+        raise ChainError("detailed balance fails at 1e-12")
+    return p
 
 
 def induced_chain(g: Graph, w: EdgeWeighting) -> ReversibleChain:
     """P(x,y) = w(x,y)/w(x) with stationary law pi(x) = w(x)/W."""
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise WeightingError("induced chain needs n >= 2")
-    p = np.zeros((n, n))
-    s = w.strengths
-    for idx, (a, b) in enumerate(g.edges):
-        p[a, b] = w.weights[idx] / s[a]
-        p[b, a] = w.weights[idx] / s[b]
-    pi = s / w.total
-    return ReversibleChain(p, pi)
+    sl = g.slots
+    p = np.zeros((g.n, g.n))
+    p[sl.vertex, sl.neighbor] = slot_transitions(w)
+    return ReversibleChain(p, w.pi)
 
 
 def stationary_ratio_audit(g: Graph, w: EdgeWeighting, k: int, beta: float | None = None) -> bool:
@@ -208,7 +226,7 @@ def stationary_ratio_audit(g: Graph, w: EdgeWeighting, k: int, beta: float | Non
         bound = (d_max * beta * beta / d_min) ** k
     except OverflowError:
         bound = math.inf
-    pi = w.strengths / w.total
+    pi = w.pi
     if not np.all(pi > 0.0):
         raise WeightingError(f"stationary mass of vertex {int(np.argmin(pi))} underflows to 0")
     with np.errstate(over="ignore"):
@@ -259,8 +277,7 @@ def random_lipschitz_weighting(
     log_sigma = math.log(sigma) if sigma > 1.0 else 0.0
     if log_sigma == 0.0 or m == 0:
         return w
-    ids, offsets = g.incidence
-    incident = [ids[offsets[v] : offsets[v + 1]].tolist() for v in range(n)]
+    incident = [ids.tolist() for ids in np.split(g.slots.edge, g.slots.offsets[1:-1])]
     weights = w.weights.tolist()
     ratios = _vertex_ratios(g, w.weights).tolist()
     over = sum(r > limit for r in ratios)

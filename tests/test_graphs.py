@@ -1,7 +1,9 @@
 """Graph construction, generators, distances, and exact vertex expansion."""
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +218,68 @@ def test_bipartite_detection():
     assert not is_bipartite(generate("cycle", n=7))
     assert not is_bipartite(generate("complete", n=4))
     assert is_bipartite(generate("hypercube", dim=3))
+
+
+def reference_is_bipartite(g: Graph) -> bool:
+    """BFS 2-colouring from vertex 0, the loop `is_bipartite` replaced."""
+    color = np.full(g.n, -1, dtype=np.int64)
+    color[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if color[w] < 0:
+                    color[w] = color[v] ^ 1
+                    nxt.append(w)
+                elif color[w] == color[v]:
+                    return False
+        frontier = nxt
+    return True
+
+
+@st.composite
+def connected_graphs(draw, max_n=14):
+    """A random spanning tree plus random chords, randomly relabelled:
+    irregular graphs of every shape, trees (bipartite) included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    parents = [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    label = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((label[v], label[p]))) for v, p in enumerate(parents, start=1)}
+    edges |= {tuple(sorted((label[a], label[b]))) for a, b in chords if a != b}
+    return build_graph(sorted(edges), n)
+
+
+SLOT_GRAPHS = st.one_of(
+    connected_graphs(),
+    st.sampled_from(list(small_regular_catalog().values())),
+    st.integers(min_value=3, max_value=12).map(lambda n: generate("cycle", n=n)),
+    st.integers(min_value=1, max_value=4).map(lambda dim: generate("hypercube", dim=dim)),
+)
+
+
+@given(SLOT_GRAPHS)
+@settings(max_examples=150, deadline=None)
+def test_slot_table_and_bipartite_test_match_the_adjacency(g):
+    sl = g.slots
+    pairs = [(v, u) for v in range(g.n) for u in g.adj[v]]
+    assert list(zip(sl.vertex.tolist(), sl.neighbor.tolist())) == pairs
+    assert sl.edge.tolist() == [g.edge_index[(min(v, u), max(v, u))] for v, u in pairs]
+    assert sl.offsets.tolist() == [0, *itertools.accumulate(g.degrees)]
+    assert sl.edge_slots.shape == (2, g.m)
+    for e, (a, b) in enumerate(g.edges):
+        assert pairs[sl.edge_slots[0, e]] == (a, b) and pairs[sl.edge_slots[1, e]] == (b, a)
+    assert is_bipartite(g) == reference_is_bipartite(g)
+
+
+def test_cached_graph_arrays_are_read_only():
+    for g in (generate("random_regular", n=16, d=3, seed=7), build_graph([], 1)):
+        arrays = [g.distance_matrix] + [getattr(g.slots, f.name) for f in dataclasses.fields(g.slots)]
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 # --- expansion ------------------------------------------------------------

@@ -115,6 +115,18 @@ def test_representative_indices_on_chain():
     assert decomp.representatives <= subset
 
 
+def test_subset_vertices_out_of_range_are_rejected():
+    # 16 used to raise IndexError from the bucket lookup, and -1 silently
+    # read the last vertex's bucket and came back inside a block
+    g = generate("random_regular", n=16, d=3, seed=7)
+    w = uniform_weighting(g)
+    with pytest.raises(GraphError, match="vertex 16 out of range"):
+        section3_lemma_audit(g, w, {16})
+    part = bucket_partition(induced_chain(g, w))
+    with pytest.raises(GraphError, match="vertex -1 out of range"):
+        representative_indices({-1, 2}, part)
+
+
 # --- lemma audits -----------------------------------------------------------
 
 

@@ -2,13 +2,15 @@
 
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import build_graph, generate
+from walklab.chains import ChainError, ReversibleChain
+from walklab.graphs import Graph, build_graph, generate
 from walklab.rng import BufferedDraws, SplitMix64
 from walklab import walks
 from walklab.walks import (
@@ -164,6 +166,29 @@ def test_extract_bias_matrix_reconstructs_decay_chain():
     assert float(np.max(np.abs((1 - eps) * pc + eps * bc - qc.matrix))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("complete", n=5),
+        generate("hypercube", dim=3),
+        generate("random_regular", n=64, d=3, seed=5),
+        build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)], 5),
+    ],
+    ids=["K5", "cube3", "rr64", "irregular"],
+)
+def test_extract_bias_matrix_matches_the_per_vertex_loop(g):
+    # P as the per-vertex loop built it before the slot table, and B by the
+    # formula written out
+    p = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        p[v, list(g.adj[v])] = 1.0 / len(g.adj[v])
+    assert extract_bias_matrix(srw_chain(g), g, 0.0).tobytes() == p.tobytes()
+    q = induced_chain(g, target_decay_weighting(g, [0], 0.1))
+    for eps in (0.25, 0.5, 1.0) if g.regular_degree else (1.0,):
+        b = extract_bias_matrix(q, g, eps)
+        assert b.tobytes() == ((q.matrix - (1.0 - eps) * p) / eps).tobytes()
+
+
 def test_extract_bias_matrix_rejects_eps_below_tilt():
     cube = generate("hypercube", dim=3)
     theta = 0.25
@@ -179,6 +204,9 @@ def test_extract_bias_matrix_validates_shapes_and_range():
         extract_bias_matrix(srw_chain(other), g, 0.1)
     with pytest.raises(WalkError):
         extract_bias_matrix(srw_chain(g), g, -0.1)
+    # a lone vertex has no walk to perturb (this used to divide by its degree 0)
+    with pytest.raises(ChainError, match="rows must sum to 1"):
+        extract_bias_matrix(ReversibleChain(np.ones((1, 1)), np.ones(1)), build_graph([], 1), 0.5)
 
 
 def dense_bias_rows(g, targets, theta, eps):
@@ -198,26 +226,24 @@ def dense_bias_rows(g, targets, theta, eps):
 )
 def test_decay_bias_rows_bit_identical_to_dense_extraction(g):
     rng = SplitMix64(4242)
-    bias = walks._DecayBias(g)
     for eps in (0.05, 0.25, 1.0):
         for theta in (min(eps, 1.0 - math.exp(-2.0 / 32.0)), eps / 2):
             for _ in range(3):
                 targets = sorted({rng.randrange(g.n) for _ in range(1 + rng.randrange(g.n))})
-                rows = bias.rows(targets, theta, eps)
+                rows = walks._decay_rows(g, theta, eps)(targets)
                 assert rows == dense_bias_rows(g, targets, theta, eps), (eps, theta, targets)
 
 
 def test_decay_bias_rows_keep_the_dense_checks():
     cube = generate("hypercube", dim=3)
-    bias = walks._DecayBias(cube)
     with pytest.raises(WalkError):
-        bias.rows([0], 0.25, 0.125)  # eps below the tilt: negative bias entries
+        walks._decay_rows(cube, 0.25, 0.125)([0])  # eps below the tilt: negative bias entries
     with pytest.raises(WalkError):
-        bias.rows([0], 0.1, 0.0)
+        walks._decay_rows(cube, 0.1, 0.0)
     with pytest.raises(WalkError):
-        bias.rows([0], 0.1, 1.5)
+        walks._decay_rows(cube, 0.1, 1.5)
     with pytest.raises(WeightingError):
-        bias.rows([0], 1.0, 1.0)
+        walks._decay_rows(cube, 1.0, 1.0)([0])
 
 
 # --- the biased walk loop ------------------------------------------------------
@@ -276,7 +302,7 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # phase rows: one phase toward every vertex but the start on rr64, run
     # until half of them are visited
     g = generate("random_regular", n=64, d=3, seed=5)
-    rows = walks._DecayBias(g).rows(list(range(1, g.n)), 0.06, eps) if eps > 0.0 else []
+    rows = walks._decay_rows(g, 0.06, eps)(list(range(1, g.n))) if eps > 0.0 else []
     policy = lambda g_, vis, cur, steps: rows[cur]
     expected, seen = stepped_path(g, 0, eps, policy, SplitMix64(seed), (g.n - 1) // 2)
     adj = RecordingAdj(g.adj)
@@ -382,11 +408,14 @@ def test_phase_estimate_computes_expansion_once(monkeypatch):
 
 
 def test_phase_estimate_builds_bias_rows_once(monkeypatch):
-    # one _DecayBias, with its O(m) slot index arrays, serves every trial
-    g = generate("random_regular", n=16, d=3, seed=9)
+    # the graph's slot table is built once and every phase of every trial
+    # reads it; no phase rebuilds slot index arrays
+    build = Graph.__dict__["slots"].func
     built = []
-    decay = walks._DecayBias
-    monkeypatch.setattr(walks, "_DecayBias", lambda h: built.append(h) or decay(h))
+    counted = cached_property(lambda h: built.append(h) or build(h))
+    counted.__set_name__(Graph, "slots")
+    monkeypatch.setattr(Graph, "slots", counted)
+    g = generate("random_regular", n=16, d=3, seed=9)
     est = estimate_cover_time(g, phase(0.25), trials=5, seed=77)
     assert len(built) == 1 and len(est.rows) == 5
 

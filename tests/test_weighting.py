@@ -1,5 +1,6 @@
 """Edge weightings: Lipschitz constants, induced chains, ratio bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walklab.weighting as weighting_module
+from walklab.chains import ChainError, ReversibleChain
 from walklab.graphs import GraphError, GraphFileError, build_graph, diameter, distances_from, generate
 from walklab.rng import SplitMix64
 from walklab.weighting import (
@@ -20,6 +22,7 @@ from walklab.weighting import (
     lipschitz_beta,
     parse_weighting_text,
     random_lipschitz_weighting,
+    slot_transitions,
     stationary_ratio_audit,
     target_decay_weighting,
     uniform_weighting,
@@ -365,6 +368,125 @@ def test_lipschitz_layer_matches_reference_loops(g, sigma, seed, rounds):
         for claimed in (None, 1.0, sigma):
             assert stationary_ratio_audit(g, w, k, claimed) == reference_audit(g, w, k, claimed), (k, claimed)
         assert stationary_ratio_audit(g, spread, k) == reference_audit(g, spread, k)
+
+
+def reference_strengths(w):
+    """Per-edge accumulation in canonical edge order, the loop `strengths` replaced."""
+    g = w.graph
+    s = np.zeros(g.n)
+    with np.errstate(over="ignore"):
+        for idx, (u, v) in enumerate(g.edges):
+            s[u] += w.weights[idx]
+            s[v] += w.weights[idx]
+    over = np.flatnonzero(~np.isfinite(s))
+    if len(over):
+        raise WeightingError(f"strength of vertex {over[0]} overflows the float range")
+    return s
+
+
+def reference_induced_chain(g, w):
+    p = np.zeros((g.n, g.n))
+    s = reference_strengths(w)
+    for idx, (a, b) in enumerate(g.edges):
+        p[a, b] = w.weights[idx] / s[a]
+        p[b, a] = w.weights[idx] / s[b]
+    return ReversibleChain(p, s / w.total)
+
+
+def reference_target_decay(g, targets, theta):
+    dist = distances_from(g, targets)
+    return EdgeWeighting(g, np.array([(1.0 - theta) ** int(max(dist[a], dist[b])) for a, b in g.edges]))
+
+
+def reference_bottleneck(g, beta):
+    _, (u, v) = reference_diameter(g)
+    dist = np.minimum(distances_from(g, [u]), distances_from(g, [v]))
+    return EdgeWeighting(g, np.array([beta ** (-float(min(dist[a], dist[b]))) for a, b in g.edges])), (u, v)
+
+
+def outcome(f):
+    """f()'s items with arrays and weightings as bytes, or the type and
+    message of the error it raises."""
+    try:
+        result = f()
+    except (WeightingError, ChainError) as exc:
+        return type(exc), str(exc)
+    as_array = lambda x: x.weights if isinstance(x, EdgeWeighting) else x
+    return [x.tobytes() if isinstance(x, np.ndarray) else x for x in map(as_array, result)]
+
+
+# weights of every scale: moderate, spread over the float range, subnormal,
+# and large enough that two of them at one vertex overflow its strength
+WEIGHTS = st.one_of(
+    st.floats(min_value=0.25, max_value=4.0),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.sampled_from([5e-324, 1e-320, 1e308, 1.5e308]),
+)
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random spanning tree plus random chords, randomly relabelled (the
+    strategy of the same name in test_graphs.py)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    parents = [draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    label = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((label[v], label[p]))) for v, p in enumerate(parents, start=1)}
+    edges |= {tuple(sorted((label[a], label[b]))) for a, b in chords if a != b}
+    return build_graph(sorted(edges), n)
+
+
+@given(st.one_of(ORACLE_GRAPHS, connected_graphs()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_slot_layer_matches_reference_loops(g, data):
+    weights = data.draw(st.lists(WEIGHTS, min_size=g.m, max_size=g.m), label="weights")
+    w = EdgeWeighting(g, np.array(weights))
+    assert outcome(lambda: [w.strengths]) == outcome(lambda: [reference_strengths(w)])
+    if g.n >= 2:
+        chain = outcome(lambda: [(c := induced_chain(g, w)).matrix, c.pi, w.pi])
+        ref = outcome(lambda: [(c := reference_induced_chain(g, w)).matrix, c.pi, c.pi])
+        assert chain == ref
+    targets = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1), label="targets")
+    theta = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), label="theta")
+    decay = outcome(lambda: [target_decay_weighting(g, targets, theta)])
+    assert decay == outcome(lambda: [reference_target_decay(g, targets, theta)])
+    if g.n >= 2 and diameter(g)[0] >= 4:
+        beta = data.draw(st.floats(min_value=1.0, max_value=1e200, exclude_min=True), label="beta")
+        assert outcome(lambda: bottleneck_weighting(g, beta)) == outcome(lambda: reference_bottleneck(g, beta))
+
+
+def test_strength_overflow_names_the_first_vertex():
+    # on the path 0-1-2-3 vertices 1 and 2 both overflow; the message names 1
+    w = EdgeWeighting(build_graph([(0, 1), (1, 2), (2, 3)], 4), np.array([1e308, 1e308, 1e308]))
+    for strengths in (lambda: w.strengths, lambda: reference_strengths(w)):
+        with pytest.raises(WeightingError, match="strength of vertex 1 overflows"):
+            strengths()
+
+
+def test_slot_transitions_check_rows_and_detailed_balance():
+    # both checks guard the slot table's bookkeeping: strengths that do not
+    # match the slots' edges break the row sums, and slots paired with the
+    # wrong reverse break detailed balance
+    g = generate("cycle", n=6)
+    w = target_decay_weighting(g, [0], 0.5)
+    sl, s = g.slots, w.strengths
+    g.__dict__["slots"] = dataclasses.replace(sl, edge=np.roll(sl.edge, 1))
+    with pytest.raises(ChainError, match="rows must sum to 1"):
+        slot_transitions(w)
+    g.__dict__["slots"] = dataclasses.replace(sl, edge_slots=np.stack([sl.edge_slots[0], np.roll(sl.edge_slots[1], 1)]))
+    with pytest.raises(ChainError, match="detailed balance"):
+        slot_transitions(w)
+    assert s is w.strengths
+
+
+def test_weighting_arrays_are_read_only():
+    g = generate("random_regular", n=16, d=3, seed=7)
+    w = target_decay_weighting(g, [0, 5], 0.3)
+    for a in (w.weights, w.strengths, w.pi):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 1.0
 
 
 def test_random_weighting_does_no_global_work_per_move(monkeypatch):
