@@ -24,7 +24,7 @@ from walklab.robustness import (
     section3_sigma,
     theorem31_check,
 )
-from walklab.weighting import lipschitz_beta, random_lipschitz_weighting
+from walklab.weighting import random_lipschitz_weighting
 
 SUBSET_STREAM = MASK64
 
@@ -50,7 +50,7 @@ def main(argv=None):
     audited = 0
     for i in range(args.weightings):
         w = random_lipschitz_weighting(g, sigma, SplitMix64.stream(args.seed, i))
-        report = theorem31_check(g, w, psi=psi)
+        report = theorem31_check(w, psi=psi)
         gap_margin = report.gap_value / report.gap_bound if report.gap_ok is not None else float("nan")
         phi_note = (
             f"phi {report.phi_value:.4f} >= {report.phi_bound:.3e}"
@@ -58,7 +58,7 @@ def main(argv=None):
             else f"phi skipped ({report.phi_skipped})"
         )
         print(
-            f"weighting {i:>3}: beta={lipschitz_beta(g, w):.6f} ok={report.ok} "
+            f"weighting {i:>3}: beta={report.beta:.6f} ok={report.ok} "
             f"gap={report.gap_value:.4f} (x{gap_margin:.2e} above bound), {phi_note}"
         )
         failures += 0 if report.ok else 1
@@ -66,7 +66,7 @@ def main(argv=None):
             size = 1 + rng.randrange(max(1, g.n // 2))
             verts = list(range(g.n))
             rng.shuffle(verts)
-            sub = section3_lemma_audit(g, w, frozenset(verts[:size]), psi=psi)
+            sub = section3_lemma_audit(w, frozenset(verts[:size]), psi=psi)
             if sub.skipped is None:
                 audited += 1
                 if not sub.ok:

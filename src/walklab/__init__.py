@@ -18,7 +18,6 @@ from .chains import (
     cheeger_audit,
     edge_conductance_exact,
     ergodic_flow,
-    lazy,
     mixing_time_tv,
     power_chain,
     spectral_gap,

@@ -28,7 +28,6 @@ __all__ = [
     "ReversibleChain",
     "SpectralReport",
     "ChainError",
-    "lazy",
     "spectral_gap",
     "ergodic_flow",
     "candidate_conductance",
@@ -49,14 +48,11 @@ class ReversibleChain:
     balance pi(x) P(x,y) = pi(y) P(y,x).
 
     Validation happens at construction: row sums and detailed balance to
-    1e-12, pi positive and summing to 1.  `is_lazy` records whether the chain
-    was built as (P + I)/2; mixing runs use it to enforce the monotone-TV
-    sanity check.
+    1e-12, pi positive and summing to 1.
     """
 
     matrix: np.ndarray
     pi: np.ndarray
-    is_lazy: bool = False
 
     def __post_init__(self):
         p = np.asarray(self.matrix, dtype=float)
@@ -94,12 +90,6 @@ class ReversibleChain:
         f = self.pi[:, None] * self.matrix
         f.setflags(write=False)
         return f
-
-
-def lazy(chain: ReversibleChain) -> ReversibleChain:
-    """Lazy version (P + I)/2; same stationary law, halved spectral gap."""
-    n = chain.n
-    return ReversibleChain((chain.matrix + np.eye(n)) / 2.0, chain.pi, is_lazy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +257,16 @@ def power_chain(chain: ReversibleChain, m: int) -> ReversibleChain:
     pm = np.linalg.matrix_power(chain.matrix, m)
     pm = np.maximum(pm, 0.0)
     pm /= pm.sum(axis=1, keepdims=True)
-    return ReversibleChain(pm, chain.pi, is_lazy=chain.is_lazy)
+    return ReversibleChain(pm, chain.pi)
 
 
 def mixing_time_tv(chain: ReversibleChain, start: int, horizon: int | None = None) -> int | None:
     """Smallest t >= 1 with TV(P^t(start, .), pi) <= 1/4, or None if the
     distance never crosses 1/4 within the horizon (default 10 n^2).
 
-    For lazy chains the TV sequence is verified to be non-increasing along
-    the run; a violation means the chain data is corrupt.
+    TV(mu P^t, pi) is non-increasing in t for every stochastic P, so the run
+    checks that it never rises by more than 1e-12; a rise means the chain
+    data is corrupt.
     """
     n = chain.n
     if not (0 <= start < n):
@@ -288,8 +279,8 @@ def mixing_time_tv(chain: ReversibleChain, start: int, horizon: int | None = Non
     for t in range(1, horizon + 1):
         dist = dist @ chain.matrix
         tv = 0.5 * float(np.abs(dist - chain.pi).sum())
-        if chain.is_lazy and tv > prev_tv + 1e-12:
-            raise ChainError("TV distance increased along a lazy-chain run")
+        if tv > prev_tv + 1e-12:
+            raise ChainError("TV distance increased along the run")
         prev_tv = tv
         if tv <= 0.25:
             return t

@@ -198,7 +198,7 @@ def _report(
 def _cmd_spectral(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     w = read_weighting_file(args.weights, g) if args.weights else uniform_weighting(g)
-    chain = induced_chain(g, w)
+    chain = induced_chain(w)
     report: SpectralReport = spectral_gap(chain)
     if g.n <= CONDUCTANCE_GUARD:
         phi, argmin = edge_conductance_exact(chain)
@@ -223,11 +223,11 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
     for index in range(args.count):
         rng = SplitMix64.stream(args.seed, index)
         w = random_lipschitz_weighting(g, args.sigma, rng)
-        beta = lipschitz_beta(g, w)
+        beta = lipschitz_beta(w)
         if not math.isfinite(beta):
             raise InputError(f"weighting {index}: its Lipschitz constant overflows the float range")
         max_beta = max(max_beta, beta)
-        ok = all(stationary_ratio_audit(g, w, k) for k in range(1, kmax + 1))
+        ok = all(stationary_ratio_audit(w, k) for k in range(1, kmax + 1))
         if args.assert_beta_max is not None and beta > args.assert_beta_max:
             ok = False
         if not ok:
@@ -260,7 +260,7 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
         verts = list(range(g.n))
         rng.shuffle(verts)
         subset = frozenset(verts[:size])
-        report = section3_lemma_audit(g, w, subset, psi=psi)
+        report = section3_lemma_audit(w, subset, psi=psi)
         ok = bool(report)
         if not ok:
             failures += 1
@@ -273,7 +273,7 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
                 "ok": ok,
             }
         )
-    endpoint = theorem31_check(g, w, psi=psi)
+    endpoint = theorem31_check(w, psi=psi)
     if not endpoint.ok:
         failures += 1
     payload = {

@@ -306,7 +306,6 @@ def _regular_degree_or_raise(g: Graph) -> int:
 
 
 def section3_lemma_audit(
-    g: Graph,
     w: EdgeWeighting,
     subset,
     alpha: float = ALPHA,
@@ -320,12 +319,13 @@ def section3_lemma_audit(
     bipartite graph the flow check is skipped with a reason: the 2K-step
     chain stays on one side, so S equal to a side has no flow to S^c.
     """
+    g = w.graph
     d = _regular_degree_or_raise(g)
     if psi is None:
         psi, _ = vertex_expansion_exact(g)
     K = section3_K(psi)
     sigma = section3_sigma(K)
-    beta = lipschitz_beta(g, w)
+    beta = lipschitz_beta(w)
     report = Section3Report(K=K, sigma=sigma, beta=beta)
     if beta > sigma * (1.0 + 1e-12):
         report.skipped = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
@@ -337,7 +337,7 @@ def section3_lemma_audit(
         report.skipped = f"|S|={len(s)} exceeds n/2"
         return report
 
-    chain = induced_chain(g, w)
+    chain = induced_chain(w)
     partition = bucket_partition(chain)
     decomp = representative_indices(s, partition, alpha)
     pi = chain.pi
@@ -405,11 +405,11 @@ def psi_lower_bound(g: Graph) -> float:
     if g.n <= EXPANSION_GUARD:
         psi, _ = vertex_expansion_exact(g)
         return psi
-    srw = induced_chain(g, uniform_weighting(g))
+    srw = induced_chain(uniform_weighting(g))
     return spectral_gap(srw).gap / 2.0
 
 
-def theorem31_check(g: Graph, w: EdgeWeighting, psi: float | None = None) -> Theorem31Report:
+def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Report:
     """Endpoint bounds of the robustness theorem for one weighting.
 
     psi defaults to a certified lower bound on the vertex expansion.  The
@@ -417,12 +417,13 @@ def theorem31_check(g: Graph, w: EdgeWeighting, psi: float | None = None) -> The
     non-bipartite graph; the gap claim needs n <= 512.  Claims out of range
     are reported as skipped with a reason.
     """
+    g = w.graph
     d = _regular_degree_or_raise(g)
     if psi is None:
         psi = psi_lower_bound(g)
     K = section3_K(psi)
     sigma = section3_sigma(K)
-    beta = lipschitz_beta(g, w)
+    beta = lipschitz_beta(w)
     if beta > sigma * (1.0 + 1e-12):
         raise GraphError(f"weighting is not sigma-Lipschitz: beta={beta:.6g} > sigma={sigma:.6g}")
     report = Theorem31Report(
@@ -433,7 +434,7 @@ def theorem31_check(g: Graph, w: EdgeWeighting, psi: float | None = None) -> The
         phi_bound=d ** (-2.0 * K) / 4000.0,
         gap_bound=1e-8 * d ** (-4.0 * K),
     )
-    chain = induced_chain(g, w)
+    chain = induced_chain(w)
     if g.n > CONDUCTANCE_GUARD:
         report.phi_skipped = f"n={g.n} exceeds exhaustive-conductance guard {CONDUCTANCE_GUARD}"
     elif is_bipartite(g):
@@ -485,7 +486,7 @@ def prop311_check(g: Graph, beta: float) -> Prop311Report:
     w, (u, v) = bottleneck_weighting(g, beta)
     dd, _ = diameter(g)
     radius = dd // 2 - 1
-    chain = induced_chain(g, w)
+    chain = induced_chain(w)
     candidates = [ball(g, [u], radius), ball(g, [v], radius)]
     masses = [float(chain.pi[sorted(c)].sum()) for c in candidates]
     pick = 0 if masses[0] <= masses[1] else 1

@@ -19,7 +19,7 @@ re-targets the unvisited set U, tilts by theta = min(eps, 1 - e^(-psi/32)),
 and walks with B until half of U is gone.  The phase walk needs only the d
 entries of B on each vertex's edges: `_decay_rows` solves for them with the
 dense path's `_bias` on the slot probabilities of `weighting`, in O(m) per
-phase and bit-identical to `induced_chain` -> `extract_bias_matrix`.
+phase and bit-identical to `induced_chain(w)` -> `extract_bias_matrix`.
 
 `cover_run` plays one trial and `estimate_cover_time` many; both check the
 spec once, in `_checked`, and play scalar trials through `_trial_runner`.
@@ -44,12 +44,13 @@ from .graphs import Graph, vertex_expansion_exact
 from .rng import MASK64, BufferedDraws, SplitMix64, splitmix_block
 from .weighting import slot_transitions, target_decay_weighting, uniform_weighting
 
-# Configured expansion value used by the phase strategy when the graph is too
-# large for exact enumeration.  The tilt theta = min(eps, 1 - e^(-psi/32)) is
-# deliberately conservative in its exponent, so a timid psi makes the bias
-# statistically invisible at simulation scales; 2.0 keeps theta around 6% for
-# moderate eps, which is where the cover-time advantage becomes measurable
-# while staying a feasible expansion value for degree >= 3.
+# psi used by the phase strategy when the graph is too large for exact
+# enumeration.  It is a configured tilt, not a feasible expansion value: for
+# n > 24 the vertex expansion is at most ceil(n/2)/floor(n/2) <= 13/12.  The
+# tilt theta = min(eps, 1 - e^(-psi/32)) is conservative in its exponent, so a
+# timid psi makes the bias statistically invisible at simulation scales; 2.0
+# keeps theta around 6% for moderate eps, where the cover-time advantage
+# becomes measurable.
 DEFAULT_PSI_CONFIG = 2.0
 
 WALK_KINDS = ("srw", "phase", "sweep")
@@ -166,7 +167,7 @@ def _bias(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
 def _decay_rows(g: Graph, theta: float, eps: float) -> Callable[[Sequence[int]], list[list[float]]]:
     """`_decay_rows(g, theta, eps)(U)[v]` is B over adj[v] for the chain
     Q(U, theta) of a regular graph, in O(m): bit for bit the entries of
-    `extract_bias_matrix(induced_chain(g, target_decay_weighting(g, U, theta)), g, eps)`."""
+    `extract_bias_matrix(induced_chain(target_decay_weighting(g, U, theta)), g, eps)`."""
     if not (0.0 < eps <= 1.0):
         raise WalkError("bias rows need eps in (0, 1]")
     p = slot_transitions(uniform_weighting(g))

@@ -1,19 +1,21 @@
 """Positive edge weightings and the reversible chains they induce.
 
-A weighting w assigns a positive weight to every edge; the induced chain
-moves from x to y with probability w(x,y) / w(x), where w(x) sums the
-weights at x, and its stationary law is pi(x) = w(x) / W with
-W = sum_x w(x).  The smoothness of a weighting is measured by its Lipschitz
-constant: the largest ratio between weights of two edges sharing a vertex.
-A beta-Lipschitz weighting distorts stationary mass between vertices at
+A weighting w assigns a positive weight to every edge of its graph
+`w.graph`; the induced chain `induced_chain(w)` moves from x to y with
+probability w(x,y) / w(x), where w(x) sums the weights at x, and its
+stationary law is pi(x) = w(x) / W with W = sum_x w(x).  Every function of a
+weighting reads the graph from w, so no second graph can disagree with it.
+The smoothness of a weighting is measured by its Lipschitz constant: the
+largest ratio between weights of two edges sharing a vertex.  A
+beta-Lipschitz weighting distorts stationary mass between vertices at
 distance k by at most (d_max beta^2 / d_min)^k, and that bound is what
-`stationary_ratio_audit` checks, over all pairs at once on the graph's
+`stationary_ratio_audit(w, k)` checks, over all pairs at once on the graph's
 cached distance matrix.
 
 Per-vertex and per-edge work indexes the graph's slot table: strengths are
 one `bincount` over it, `lipschitz_beta` reduces each vertex's slice to
-max / min, and `slot_transitions` gives the checked P on every slot in
-O(m), for `induced_chain`'s dense matrix and the phase walk alike.
+max / min, and `slot_transitions(w)` gives the checked P on every slot in
+O(m), for `induced_chain(w)`'s dense matrix and the phase walk alike.
 `random_lipschitz_weighting` perturbs one edge per move and keeps the
 per-vertex ratios and the number of vertices above sigma (1 + RATIO_TOL):
 a move on edge (a, b) recomputes only the ratios at a and b, and is
@@ -121,15 +123,15 @@ def uniform_weighting(g: Graph) -> EdgeWeighting:
     return EdgeWeighting(g, np.ones(g.m))
 
 
-def _vertex_ratios(g: Graph, weights: np.ndarray) -> np.ndarray:
+def _vertex_ratios(w: EdgeWeighting) -> np.ndarray:
     """max / min of the weights incident to each vertex (inf on overflow)."""
-    sl = g.slots
-    inc = weights[sl.edge]
+    sl = w.graph.slots
+    inc = w.weights[sl.edge]
     with np.errstate(over="ignore"):
         return np.maximum.reduceat(inc, sl.offsets[:-1]) / np.minimum.reduceat(inc, sl.offsets[:-1])
 
 
-def lipschitz_beta(g: Graph, w: EdgeWeighting) -> float:
+def lipschitz_beta(w: EdgeWeighting) -> float:
     """Smallest beta such that w is beta-Lipschitz.
 
     Equivalently: the largest ratio max/min over the weights incident to a
@@ -138,11 +140,9 @@ def lipschitz_beta(g: Graph, w: EdgeWeighting) -> float:
     relative tolerance downstream).  A ratio beyond the float range gives
     inf.
     """
-    if w.graph is not g and w.graph != g:
-        raise WeightingError("weighting belongs to a different graph")
-    if g.m == 0:
+    if w.graph.m == 0:
         return 1.0
-    return float(_vertex_ratios(g, w.weights).max(initial=1.0))
+    return float(_vertex_ratios(w).max(initial=1.0))
 
 
 def target_decay_weighting(g: Graph, targets: Iterable[int], theta: float) -> EdgeWeighting:
@@ -197,8 +197,10 @@ def slot_transitions(w: EdgeWeighting) -> np.ndarray:
     return p
 
 
-def induced_chain(g: Graph, w: EdgeWeighting) -> ReversibleChain:
-    """P(x,y) = w(x,y)/w(x) with stationary law pi(x) = w(x)/W."""
+def induced_chain(w: EdgeWeighting) -> ReversibleChain:
+    """P(x,y) = w(x,y)/w(x) on the edges of w.graph, with stationary law
+    pi(x) = w(x)/W."""
+    g = w.graph
     if g.n < 2:
         raise WeightingError("induced chain needs n >= 2")
     sl = g.slots
@@ -207,19 +209,20 @@ def induced_chain(g: Graph, w: EdgeWeighting) -> ReversibleChain:
     return ReversibleChain(p, w.pi)
 
 
-def stationary_ratio_audit(g: Graph, w: EdgeWeighting, k: int, beta: float | None = None) -> bool:
+def stationary_ratio_audit(w: EdgeWeighting, k: int, beta: float | None = None) -> bool:
     """Stationary mass distortion over distance.
 
     Verifies, for every pair x, y with dist(x,y) <= k,
         (d_min / (d_max beta^2))^k <= pi(x)/pi(y) <= (d_max beta^2 / d_min)^k
-    with beta = lipschitz_beta(g, w) by default; passing a claimed beta
+    with beta = lipschitz_beta(w) by default; passing a claimed beta
     audits against that budget instead.  Comparisons carry a 1e-12 relative
     tolerance.  A bound beyond the float range is inf, which every ratio
     meets.
     """
     if k < 0:
         raise WeightingError("stationary_ratio_audit needs k >= 0")
-    beta = lipschitz_beta(g, w) if beta is None else float(beta)
+    g = w.graph
+    beta = lipschitz_beta(w) if beta is None else float(beta)
     d_min = min(g.degrees)
     d_max = max(g.degrees)
     try:
@@ -270,7 +273,7 @@ def random_lipschitz_weighting(
     elif base_kind == 2 and sigma > 1.0:
         with contextlib.suppress(WeightingError):
             w, _ = bottleneck_weighting(g, sigma)
-    if w is None or (m and np.max(_vertex_ratios(g, w.weights)) > limit):
+    if w is None or (m and np.max(_vertex_ratios(w)) > limit):
         w = uniform_weighting(g)
     if rounds is None:
         rounds = 3 * m
@@ -279,7 +282,7 @@ def random_lipschitz_weighting(
         return w
     incident = [ids.tolist() for ids in np.split(g.slots.edge, g.slots.offsets[1:-1])]
     weights = w.weights.tolist()
-    ratios = _vertex_ratios(g, w.weights).tolist()
+    ratios = _vertex_ratios(w).tolist()
     over = sum(r > limit for r in ratios)
 
     def ratio_at(v: int) -> float:

@@ -85,7 +85,7 @@ def test_criterion_01_cheeger_sandwich():
     checked = 0
     for name, g in generator_suite_14().items():
         for wname, w in weighting_family(g, seed=101).items():
-            assert cheeger_audit(induced_chain(g, w), slack=1e-9), (name, wname)
+            assert cheeger_audit(induced_chain(w), slack=1e-9), (name, wname)
             checked += 1
     elapsed = time.time() - start
     assert elapsed < 60.0
@@ -111,7 +111,7 @@ def test_criterion_02_expansion_sandwich():
         d = g.regular_degree
         assert d is not None, name
         psi, _ = vertex_expansion_exact(g)
-        phi, _ = edge_conductance_exact(induced_chain(g, uniform_weighting(g)))
+        phi, _ = edge_conductance_exact(induced_chain(uniform_weighting(g)))
         assert psi / d - 1e-12 <= phi <= psi + 1e-12, (name, psi, phi)
         count += 1
     print(f"PASS criterion 2: expansion sandwich on {count} regular graphs, zero violations")
@@ -125,7 +125,7 @@ def test_criterion_03_stationary_ratio_bound():
     for index in range(200):
         w = random_lipschitz_weighting(g, 2.0, SplitMix64.stream(300, index))
         for k in range(1, dia + 1):
-            assert stationary_ratio_audit(g, w, k), (index, k)
+            assert stationary_ratio_audit(w, k), (index, k)
     print(f"PASS criterion 3: stationary ratio bound, 200 weightings x k<=D={dia}, zero violations")
 
 
@@ -142,7 +142,7 @@ def test_criterion_04_bias_decomposition():
         rng.shuffle(verts)
         targets = verts[:size]
         eps = 0.02 + 0.96 * rng.next_float()
-        q = induced_chain(g, target_decay_weighting(g, targets, eps))
+        q = induced_chain(target_decay_weighting(g, targets, eps))
         b = extract_bias_matrix(q, g, eps)
         worst_entry = min(worst_entry, float(b.min()))
         p = np.zeros((n, n))
@@ -185,12 +185,12 @@ def test_criterion_06_representative_lemma_audits():
     rng = SplitMix64(601)
     audited = 0
     for w in weightings:
-        assert lipschitz_beta(g, w) <= sigma * (1 + 1e-12)
+        assert lipschitz_beta(w) <= sigma * (1 + 1e-12)
         for _ in range(34):
             size = 1 + rng.randrange(8)
             verts = list(range(16))
             rng.shuffle(verts)
-            report = section3_lemma_audit(g, w, frozenset(verts[:size]), psi=psi)
+            report = section3_lemma_audit(w, frozenset(verts[:size]), psi=psi)
             assert report.skipped is None
             assert report.ok, sorted(verts[:size])
             audited += 1
@@ -216,7 +216,7 @@ def test_criterion_07_gap_endpoint():
             random_lipschitz_weighting(g, sigma, SplitMix64.stream(700, i)) for i in range(count)
         ]
         for w in weightings:
-            report = theorem31_check(g, w, psi=psi)
+            report = theorem31_check(w, psi=psi)
             assert report.ok, name
             if report.phi_ok is not None:
                 assert report.phi_ok and report.phi_value >= report.phi_bound

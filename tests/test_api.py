@@ -3,17 +3,24 @@
 A deleted function must take its names with it: from the module's
 `__all__`, from the package's imports and from the benchmark tracer's
 table, whose `Tracer.install` otherwise fails on the first traced run.
+
+A weighting carries its graph, so no public function takes a graph beside a
+weighting: a second graph could disagree with `w.graph`.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import walklab
+from walklab.graphs import Graph
+from walklab.weighting import EdgeWeighting
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(walklab.__path__))
@@ -51,3 +58,17 @@ def test_every_traced_entry_point_resolves(monkeypatch):
             assert attr in vars(owner), span
     finally:
         sys.modules.pop("tracer", None)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_takes_a_graph_beside_a_weighting(name):
+    module = importlib.import_module(f"walklab.{name}")
+    both = [
+        attr
+        for attr, fn in vars(module).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+        and not attr.startswith("_")
+        and {Graph, EdgeWeighting} <= {t for p, t in typing.get_type_hints(fn).items() if p != "return"}
+    ]
+    assert both == []

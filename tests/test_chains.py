@@ -15,7 +15,6 @@ from walklab.chains import (
     cheeger_audit,
     edge_conductance_exact,
     ergodic_flow,
-    lazy,
     mixing_time_tv,
     power_chain,
     spectral_gap,
@@ -26,14 +25,19 @@ from walklab.weighting import induced_chain, random_lipschitz_weighting, uniform
 
 
 def srw(g):
-    return induced_chain(g, uniform_weighting(g))
+    return induced_chain(uniform_weighting(g))
+
+
+def lazy(chain: ReversibleChain) -> ReversibleChain:
+    """(P + I)/2: same stationary law, halved spectral gap."""
+    return ReversibleChain((chain.matrix + np.eye(chain.n)) / 2.0, chain.pi)
 
 
 def random_reversible(rng: SplitMix64, n: int) -> ReversibleChain:
     """Random weighted complete-graph walk; reversible by construction."""
     g = generate("complete", n=n)
     w = random_lipschitz_weighting(g, 3.0, rng)
-    return induced_chain(g, w)
+    return induced_chain(w)
 
 
 # --- validation -----------------------------------------------------------
@@ -229,6 +233,16 @@ def test_mixing_time_periodic_chain_diverges():
     assert mixing_time_tv(srw(generate("cycle", n=6)), 0) is None
 
 
+def test_mixing_time_checks_monotone_tv_on_every_chain():
+    # TV to pi never rises under a stochastic matrix; corrupt data that makes
+    # it rise is caught whether or not the chain is lazy.
+    corrupt = object.__new__(ReversibleChain)
+    object.__setattr__(corrupt, "matrix", np.array([[1.5, -0.5], [-0.5, 1.5]]))
+    object.__setattr__(corrupt, "pi", np.array([0.5, 0.5]))
+    with pytest.raises(ChainError, match="TV distance increased"):
+        mixing_time_tv(corrupt, 0)
+
+
 def test_mixing_time_lazy_cycle_relabeling_invariant():
     ch = lazy(srw(generate("cycle", n=6)))
     times = {mixing_time_tv(ch, v) for v in range(6)}
@@ -242,4 +256,4 @@ def test_cheeger_audit_on_catalog():
         assert cheeger_audit(srw(g)), name
         if g.n >= 3:
             w = random_lipschitz_weighting(g, 2.0, rng)
-            assert cheeger_audit(induced_chain(g, w)), name
+            assert cheeger_audit(induced_chain(w)), name

@@ -60,7 +60,7 @@ def test_bucket_index_half_open_intervals():
 def test_bucket_partition_covers_all_vertices():
     g = generate("cycle", n=6)
     w = target_decay_weighting(g, [0], 0.5)
-    part = bucket_partition(induced_chain(g, w))
+    part = bucket_partition(induced_chain(w))
     assert sorted(v for vs in part.buckets.values() for v in vs) == list(range(6))
     for i, vs in part.buckets.items():
         assert all(part.index_of[v] == i for v in vs)
@@ -68,7 +68,7 @@ def test_bucket_partition_covers_all_vertices():
 
 def test_bucket_partition_uniform_single_bucket():
     g = generate("cycle", n=6)
-    part = bucket_partition(induced_chain(g, uniform_weighting(g)))
+    part = bucket_partition(induced_chain(uniform_weighting(g)))
     assert len(part.buckets) == 1
 
 
@@ -105,7 +105,7 @@ def test_block_recursion_respects_alpha_threshold():
 def test_representative_indices_on_chain():
     g = generate("cycle", n=16)
     w = target_decay_weighting(g, [0], 0.6)
-    chain = induced_chain(g, w)
+    chain = induced_chain(w)
     part = bucket_partition(chain)
     subset = frozenset(range(8))
     decomp = representative_indices(subset, part, ALPHA)
@@ -121,8 +121,8 @@ def test_subset_vertices_out_of_range_are_rejected():
     g = generate("random_regular", n=16, d=3, seed=7)
     w = uniform_weighting(g)
     with pytest.raises(GraphError, match="vertex 16 out of range"):
-        section3_lemma_audit(g, w, {16})
-    part = bucket_partition(induced_chain(g, w))
+        section3_lemma_audit(w, {16})
+    part = bucket_partition(induced_chain(w))
     with pytest.raises(GraphError, match="vertex -1 out of range"):
         representative_indices({-1, 2}, part)
 
@@ -138,7 +138,7 @@ def test_lemma_audit_uniform_regular_16():
         size = 1 + rng.randrange(8)
         verts = list(range(16))
         rng.shuffle(verts)
-        report = section3_lemma_audit(g, w, frozenset(verts[:size]))
+        report = section3_lemma_audit(w, frozenset(verts[:size]))
         assert report.ok, report
 
 
@@ -152,13 +152,13 @@ def test_lemma_audit_sigma_lipschitz_16():
         size = 1 + rng.randrange(8)
         verts = list(range(16))
         rng.shuffle(verts)
-        report = section3_lemma_audit(g, w, frozenset(verts[:size]))
+        report = section3_lemma_audit(w, frozenset(verts[:size]))
         assert report.ok, report
 
 
 def test_lemma_audit_skips_oversize_subset():
     g = generate("cycle", n=8)
-    report = section3_lemma_audit(g, uniform_weighting(g), frozenset(range(5)))
+    report = section3_lemma_audit(uniform_weighting(g), frozenset(range(5)))
     assert report.skipped is not None
     assert not report.ok
 
@@ -166,7 +166,7 @@ def test_lemma_audit_skips_oversize_subset():
 def test_lemma_audit_skips_rough_weighting():
     g = generate("random_regular", n=16, d=3, seed=4)
     w = target_decay_weighting(g, [0], 0.9)  # beta up to 10, far beyond sigma
-    report = section3_lemma_audit(g, w, frozenset({0, 1}))
+    report = section3_lemma_audit(w, frozenset({0, 1}))
     assert report.skipped is not None
 
 
@@ -175,7 +175,7 @@ def test_lemma_audit_requires_regular_graph():
 
     path_plus = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
     with pytest.raises(GraphError):
-        section3_lemma_audit(path_plus, uniform_weighting(path_plus), frozenset({0}))
+        section3_lemma_audit(uniform_weighting(path_plus), frozenset({0}))
 
 
 # --- endpoint checks ---------------------------------------------------------
@@ -183,7 +183,7 @@ def test_lemma_audit_requires_regular_graph():
 
 def test_endpoint_complete_graph_passes_both_claims():
     g = generate("complete", n=4)
-    report = theorem31_check(g, uniform_weighting(g))
+    report = theorem31_check(uniform_weighting(g))
     assert report.phi_skipped is None
     assert report.phi_ok and report.gap_ok
     assert report.ok
@@ -192,7 +192,7 @@ def test_endpoint_complete_graph_passes_both_claims():
 
 def test_endpoint_bipartite_skips_conductance_claim():
     g = generate("cycle", n=4)
-    report = theorem31_check(g, uniform_weighting(g))
+    report = theorem31_check(uniform_weighting(g))
     assert report.phi_skipped is not None
     assert "bipartite" in report.phi_skipped
     assert report.gap_ok
@@ -201,7 +201,7 @@ def test_endpoint_bipartite_skips_conductance_claim():
 
 def test_endpoint_large_graph_skips_exhaustive_claim():
     g = generate("random_regular", n=64, d=3, seed=12)
-    report = theorem31_check(g, uniform_weighting(g))
+    report = theorem31_check(uniform_weighting(g))
     assert report.phi_skipped is not None
     assert report.gap_ok
 
@@ -209,7 +209,7 @@ def test_endpoint_large_graph_skips_exhaustive_claim():
 def test_endpoint_checks_exhaustive_conductance_up_to_its_guard():
     # n = 22 is beyond the old 20-vertex limit but within exact psi's reach
     g = generate("random_regular", n=22, d=3, seed=4)
-    report = theorem31_check(g, uniform_weighting(g))
+    report = theorem31_check(uniform_weighting(g))
     assert report.phi_skipped is None
     assert report.phi_ok and report.phi_value >= report.phi_bound
 
@@ -217,7 +217,7 @@ def test_endpoint_checks_exhaustive_conductance_up_to_its_guard():
 def test_lemma_audit_skips_flow_check_on_bipartite_graph():
     # the odd side of the 3-cube: its 2K-step chain never reaches the even side
     g = generate("hypercube", dim=3)
-    report = section3_lemma_audit(g, uniform_weighting(g), frozenset({1, 2, 4, 7}))
+    report = section3_lemma_audit(uniform_weighting(g), frozenset({1, 2, 4, 7}))
     flow = next(c for c in report.checks if c.name == "flow_2K_to_complement_ge_scaled_mass")
     assert "bipartite" in flow.skipped and flow.instances == 0
     assert flow.to_json_dict()["skipped"] == flow.skipped
@@ -231,7 +231,7 @@ def test_endpoint_rejects_rough_weighting():
     g = generate("cycle", n=6)
     w = target_decay_weighting(g, [0], 0.5)
     with pytest.raises(GraphError):
-        theorem31_check(g, w)
+        theorem31_check(w)
 
 
 def test_psi_lower_bound_exact_and_spectral():

@@ -93,11 +93,11 @@ def bottleneck_chain(rng: SplitMix64, n: int) -> ReversibleChain:
         a, b = sides[0][rng.randrange(len(sides[0]))], sides[1][rng.randrange(len(sides[1]))]
         weights[min(a, b), max(a, b)] = 10.0 ** (-4.0 - 3.0 * rng.next_float())
     g = build_graph(sorted(weights), n)
-    return induced_chain(g, EdgeWeighting(g, [weights[e] for e in g.edges]))
+    return induced_chain(EdgeWeighting(g, [weights[e] for e in g.edges]))
 
 
 def srw(g):
-    return induced_chain(g, uniform_weighting(g))
+    return induced_chain(uniform_weighting(g))
 
 
 # --- conductance ------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_conductance_matches_gather_scatter_reference(seed, bottleneck):
         chain = bottleneck_chain(rng, n)
     else:
         g = generate("complete", n=n)
-        chain = power_chain(induced_chain(g, random_lipschitz_weighting(g, 3.0, rng)), 1 + rng.randrange(3))
+        chain = power_chain(induced_chain(random_lipschitz_weighting(g, 3.0, rng)), 1 + rng.randrange(3))
     phi, argmin = edge_conductance_exact(chain)
     ref_phi, _ = gather_scatter_conductance(chain)
     assert phi == pytest.approx(ref_phi, rel=1e-12, abs=0.0)

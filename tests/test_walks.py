@@ -128,7 +128,7 @@ def test_step_unbiased_marginal_is_uniform():
 
 
 def srw_chain(g):
-    return induced_chain(g, uniform_weighting(g))
+    return induced_chain(uniform_weighting(g))
 
 
 def test_extract_bias_matrix_identity_when_unbiased():
@@ -140,7 +140,7 @@ def test_extract_bias_matrix_identity_when_unbiased():
 def test_extract_bias_matrix_zero_eps_requires_exact_srw():
     # the cube has diameter 3, so a decay weighting genuinely tilts the chain
     g = generate("hypercube", dim=3)
-    tilted = induced_chain(g, target_decay_weighting(g, [0], 0.25))
+    tilted = induced_chain(target_decay_weighting(g, [0], 0.25))
     with pytest.raises(WalkError):
         extract_bias_matrix(tilted, g, 0.0)
 
@@ -150,7 +150,7 @@ def test_extract_bias_matrix_reconstructs_decay_chain():
     # decay chain is the plain walk and the extracted bias equals it
     g = generate("complete", n=4)
     eps = 0.25
-    q = induced_chain(g, target_decay_weighting(g, [3], eps))
+    q = induced_chain(target_decay_weighting(g, [3], eps))
     b = extract_bias_matrix(q, g, eps)
     assert float(b.min()) >= -1e-12
     assert np.allclose(b.sum(axis=1), 1.0, atol=1e-12)
@@ -158,7 +158,7 @@ def test_extract_bias_matrix_reconstructs_decay_chain():
     assert float(np.max(np.abs((1 - eps) * p + eps * b - q.matrix))) <= 1e-12
 
     cube = generate("hypercube", dim=3)
-    qc = induced_chain(cube, target_decay_weighting(cube, [0], eps))
+    qc = induced_chain(target_decay_weighting(cube, [0], eps))
     bc = extract_bias_matrix(qc, cube, eps)
     pc = extract_bias_matrix(srw_chain(cube), cube, 0.0)
     assert float(bc.min()) >= -1e-12
@@ -183,7 +183,7 @@ def test_extract_bias_matrix_matches_the_per_vertex_loop(g):
     for v in range(g.n):
         p[v, list(g.adj[v])] = 1.0 / len(g.adj[v])
     assert extract_bias_matrix(srw_chain(g), g, 0.0).tobytes() == p.tobytes()
-    q = induced_chain(g, target_decay_weighting(g, [0], 0.1))
+    q = induced_chain(target_decay_weighting(g, [0], 0.1))
     for eps in (0.25, 0.5, 1.0) if g.regular_degree else (1.0,):
         b = extract_bias_matrix(q, g, eps)
         assert b.tobytes() == ((q.matrix - (1.0 - eps) * p) / eps).tobytes()
@@ -192,7 +192,7 @@ def test_extract_bias_matrix_matches_the_per_vertex_loop(g):
 def test_extract_bias_matrix_rejects_eps_below_tilt():
     cube = generate("hypercube", dim=3)
     theta = 0.25
-    q = induced_chain(cube, target_decay_weighting(cube, [0], theta))
+    q = induced_chain(target_decay_weighting(cube, [0], theta))
     with pytest.raises(WalkError):
         extract_bias_matrix(q, cube, theta / 2)
 
@@ -210,7 +210,7 @@ def test_extract_bias_matrix_validates_shapes_and_range():
 
 
 def dense_bias_rows(g, targets, theta, eps):
-    b = extract_bias_matrix(induced_chain(g, target_decay_weighting(g, targets, theta)), g, eps)
+    b = extract_bias_matrix(induced_chain(target_decay_weighting(g, targets, theta)), g, eps)
     return [b[v, list(g.adj[v])].tolist() for v in range(g.n)]
 
 

@@ -63,7 +63,7 @@ def test_weight_lookup_is_symmetric():
 
 def test_beta_uniform_is_one():
     g = generate("complete", n=5)
-    assert lipschitz_beta(g, uniform_weighting(g)) == 1.0
+    assert lipschitz_beta(uniform_weighting(g)) == 1.0
 
 
 def test_beta_alternating_cycle():
@@ -71,7 +71,7 @@ def test_beta_alternating_cycle():
     # canonical edge order (0,1),(0,5),(1,2),(2,3),(3,4),(4,5)
     weights = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (3, 4): 2, (4, 5): 1, (0, 5): 2}
     w = EdgeWeighting(g, np.array([weights[e] for e in g.edges], dtype=float))
-    assert lipschitz_beta(g, w) == 2.0
+    assert lipschitz_beta(w) == 2.0
 
 
 def test_beta_only_constrains_shared_vertex_edges():
@@ -82,7 +82,7 @@ def test_beta_only_constrains_shared_vertex_edges():
     values[(1, 2)] = 100.0
     values[(2, 3)] = 100.0
     w = EdgeWeighting(g, np.array([values[e] for e in g.edges]))
-    assert lipschitz_beta(g, w) == 100.0
+    assert lipschitz_beta(w) == 100.0
 
 
 # --- target decay ---------------------------------------------------------
@@ -109,7 +109,7 @@ def test_target_decay_beta_bound():
         for g in (generate("cycle", n=9), generate("hypercube", dim=3), generate("complete", n=5)):
             targets = [rng.randrange(g.n)]
             w = target_decay_weighting(g, targets, theta)
-            assert lipschitz_beta(g, w) <= 1.0 / (1.0 - theta) + 1e-12
+            assert lipschitz_beta(w) <= 1.0 / (1.0 - theta) + 1e-12
 
 
 def test_target_decay_rejects_bad_theta():
@@ -129,7 +129,7 @@ def test_bottleneck_cycle12_values():
     assert pair == (0, 6)
     assert w.weight(0, 1) == pytest.approx(1.0)
     assert w.weight(2, 3) == pytest.approx(0.25)
-    assert lipschitz_beta(g, w) <= 2.0 + 1e-12
+    assert lipschitz_beta(w) <= 2.0 + 1e-12
 
 
 def test_bottleneck_needs_diameter_four():
@@ -147,7 +147,7 @@ def test_bottleneck_needs_beta_above_one():
 
 def test_induced_chain_uniform_is_srw():
     g = generate("complete", n=4)
-    ch = induced_chain(g, uniform_weighting(g))
+    ch = induced_chain(uniform_weighting(g))
     assert np.allclose(ch.pi, 0.25)
     assert ch.matrix[0, 1] == pytest.approx(1 / 3)
     assert ch.matrix[0, 0] == 0.0
@@ -157,17 +157,27 @@ def test_induced_chain_c4_alternating():
     g = generate("cycle", n=4)
     # edges in canonical order: (0,1),(0,3),(1,2),(2,3) -> weights 1,2,2,1
     w = EdgeWeighting(g, np.array([1.0, 2.0, 2.0, 1.0]))
-    ch = induced_chain(g, w)
+    ch = induced_chain(w)
     assert np.allclose(ch.pi, 0.25)
     assert ch.matrix[0, 1] == pytest.approx(1 / 3)
     assert ch.matrix[0, 3] == pytest.approx(2 / 3)
+
+
+def test_induced_chain_moves_on_the_weightings_own_edges():
+    # the path 0-1-2-3-4-5 plus the chord (1, 4): same size as cycle:6, other edges
+    path_plus = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)], 6)
+    w = uniform_weighting(path_plus)
+    ch = induced_chain(w)
+    support = {(int(x), int(y)) for x, y in zip(*np.nonzero(ch.matrix))}
+    assert support == {(u, v) for u, v in path_plus.edges} | {(v, u) for u, v in path_plus.edges}
+    assert np.array_equal(ch.pi, w.strengths / w.total)
 
 
 def test_induced_chain_rows_sum_to_one():
     rng = SplitMix64(17)
     g = generate("hypercube", dim=3)
     w = random_lipschitz_weighting(g, 2.5, rng)
-    ch = induced_chain(g, w)
+    ch = induced_chain(w)
     assert np.max(np.abs(ch.matrix.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -178,21 +188,21 @@ def test_ratio_audit_uniform_all_k():
     g = generate("cycle", n=8)
     w = uniform_weighting(g)
     for k in range(1, 5):
-        assert stationary_ratio_audit(g, w, k)
+        assert stationary_ratio_audit(w, k)
 
 
 def test_ratio_audit_target_decay_cycle():
     g = generate("cycle", n=6)
     w = target_decay_weighting(g, [0], 0.5)
     for k in range(1, 4):
-        assert stationary_ratio_audit(g, w, k)
+        assert stationary_ratio_audit(w, k)
 
 
 def test_ratio_audit_flags_violations():
     # beta reported as 1 for a non-uniform weighting must fail at k=1
     g = generate("cycle", n=6)
     w = target_decay_weighting(g, [0], 0.5)
-    assert not stationary_ratio_audit(g, w, 1, beta=1.0)
+    assert not stationary_ratio_audit(w, 1, beta=1.0)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -201,10 +211,10 @@ def test_ratio_audit_random_weightings(seed):
     rng = SplitMix64(seed)
     g = generate("random_regular", n=10, d=3, seed=seed % 7)
     w = random_lipschitz_weighting(g, 2.0, rng)
-    assert lipschitz_beta(g, w) <= 2.0 * (1 + 1e-12)
+    assert lipschitz_beta(w) <= 2.0 * (1 + 1e-12)
     dia, _ = diameter(g)
     for k in range(1, dia + 1):
-        assert stationary_ratio_audit(g, w, k)
+        assert stationary_ratio_audit(w, k)
 
 
 # --- random weighting generator -------------------------------------------
@@ -215,13 +225,13 @@ def test_random_weighting_respects_sigma_and_seed():
     a = random_lipschitz_weighting(g, 1.5, SplitMix64(5))
     b = random_lipschitz_weighting(g, 1.5, SplitMix64(5))
     assert np.array_equal(a.weights, b.weights)
-    assert lipschitz_beta(g, a) <= 1.5 * (1 + 1e-12)
+    assert lipschitz_beta(a) <= 1.5 * (1 + 1e-12)
 
 
 def test_random_weighting_sigma_one_is_uniform_ratio():
     g = generate("cycle", n=6)
     w = random_lipschitz_weighting(g, 1.0, SplitMix64(11))
-    assert lipschitz_beta(g, w) == pytest.approx(1.0)
+    assert lipschitz_beta(w) == pytest.approx(1.0)
 
 
 # --- file format ----------------------------------------------------------
@@ -358,16 +368,16 @@ def test_lipschitz_layer_matches_reference_loops(g, sigma, seed, rounds):
     ref = reference_random_weighting(g, sigma, ref_rng, rounds)
     assert w.weights.tobytes() == ref.weights.tobytes()
     assert rng.next_u64() == ref_rng.next_u64()  # the same draws were consumed
-    beta = lipschitz_beta(g, w)
+    beta = lipschitz_beta(w)
     assert beta == reference_beta(g, w)
     spread = EdgeWeighting(g, np.exp(np.random.default_rng(seed).uniform(-20.0, 20.0, g.m)))
-    assert lipschitz_beta(g, spread) == reference_beta(g, spread)
+    assert lipschitz_beta(spread) == reference_beta(g, spread)
     dia, pair = diameter(g)
     assert (dia, pair) == reference_diameter(g)
     for k in range(dia + 2):
         for claimed in (None, 1.0, sigma):
-            assert stationary_ratio_audit(g, w, k, claimed) == reference_audit(g, w, k, claimed), (k, claimed)
-        assert stationary_ratio_audit(g, spread, k) == reference_audit(g, spread, k)
+            assert stationary_ratio_audit(w, k, claimed) == reference_audit(g, w, k, claimed), (k, claimed)
+        assert stationary_ratio_audit(spread, k) == reference_audit(g, spread, k)
 
 
 def reference_strengths(w):
@@ -384,7 +394,8 @@ def reference_strengths(w):
     return s
 
 
-def reference_induced_chain(g, w):
+def reference_induced_chain(w):
+    g = w.graph
     p = np.zeros((g.n, g.n))
     s = reference_strengths(w)
     for idx, (a, b) in enumerate(g.edges):
@@ -444,8 +455,8 @@ def test_slot_layer_matches_reference_loops(g, data):
     w = EdgeWeighting(g, np.array(weights))
     assert outcome(lambda: [w.strengths]) == outcome(lambda: [reference_strengths(w)])
     if g.n >= 2:
-        chain = outcome(lambda: [(c := induced_chain(g, w)).matrix, c.pi, w.pi])
-        ref = outcome(lambda: [(c := reference_induced_chain(g, w)).matrix, c.pi, c.pi])
+        chain = outcome(lambda: [(c := induced_chain(w)).matrix, c.pi, w.pi])
+        ref = outcome(lambda: [(c := reference_induced_chain(w)).matrix, c.pi, c.pi])
         assert chain == ref
     targets = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1), label="targets")
     theta = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), label="theta")
@@ -493,9 +504,9 @@ def test_random_weighting_does_no_global_work_per_move(monkeypatch):
     calls = {"beta": 0, "weighting": 0}
     real_beta, real_check = weighting_module.lipschitz_beta, EdgeWeighting.__post_init__
 
-    def counted_beta(g, w):
+    def counted_beta(w):
         calls["beta"] += 1
-        return real_beta(g, w)
+        return real_beta(w)
 
     def counted_check(self):
         calls["weighting"] += 1
@@ -512,7 +523,7 @@ def test_random_weighting_does_no_global_work_per_move(monkeypatch):
 
 def test_lipschitz_beta_without_edges_is_one():
     g = build_graph([], 1)
-    assert lipschitz_beta(g, uniform_weighting(g)) == 1.0
+    assert lipschitz_beta(uniform_weighting(g)) == 1.0
 
 
 @pytest.mark.parametrize("sigma", [1e100, 1e200, 1.7e308])
@@ -523,7 +534,7 @@ def test_random_weighting_rejects_moves_that_leave_the_float_range(sigma):
     for index in range(20):
         w = random_lipschitz_weighting(g, sigma, SplitMix64.stream(4, index), rounds=200)
         assert np.all(np.isfinite(w.weights)) and np.all(w.weights > 0.0)
-        assert lipschitz_beta(g, w) <= sigma * (1.0 + RATIO_TOL)
+        assert lipschitz_beta(w) <= sigma * (1.0 + RATIO_TOL)
 
 
 @pytest.mark.parametrize("sigma", [1e15, 1e100])
@@ -536,12 +547,12 @@ def test_random_weighting_base_past_sigma_starts_uniform(sigma):
     for g in (generate("cycle", n=8), generate("cycle", n=12)):
         for index in range(12):
             w = random_lipschitz_weighting(g, sigma, SplitMix64.stream(1, index))
-            assert lipschitz_beta(g, w) <= sigma * (1.0 + RATIO_TOL)
+            assert lipschitz_beta(w) <= sigma * (1.0 + RATIO_TOL)
             huge, moderate = SplitMix64.stream(1, index), SplitMix64.stream(1, index)
             base = random_lipschitz_weighting(g, sigma, huge, rounds=0)
             usual = random_lipschitz_weighting(g, 3.0, moderate, rounds=0)
             assert huge.next_float() == moderate.next_float()
-            replaced += bool(np.all(base.weights == 1.0)) and lipschitz_beta(g, usual) > 1.0
+            replaced += bool(np.all(base.weights == 1.0)) and lipschitz_beta(usual) > 1.0
     assert replaced > 0
 
 
@@ -549,5 +560,5 @@ def test_ratio_audit_overflowing_bound_passes():
     # (d_max beta^2 / d_min)^k beyond the float range is an infinite budget
     g = generate("cycle", n=8)
     w = target_decay_weighting(g, [0], 0.5)
-    assert stationary_ratio_audit(g, w, 3, beta=1e100)
-    assert not stationary_ratio_audit(g, w, 3, beta=1.0)
+    assert stationary_ratio_audit(w, 3, beta=1e100)
+    assert not stationary_ratio_audit(w, 3, beta=1.0)
