@@ -62,17 +62,19 @@ def main(argv=None):
             f"gap={report.gap_value:.4f} (x{gap_margin:.2e} above bound), {phi_note}"
         )
         failures += 0 if report.ok else 1
+        subsets = []
         for _ in range(args.subsets):
             size = 1 + rng.randrange(max(1, g.n // 2))
             verts = list(range(g.n))
             rng.shuffle(verts)
-            sub = section3_lemma_audit(w, frozenset(verts[:size]), psi=psi)
+            subsets.append(frozenset(verts[:size]))
+        for subset, sub in zip(subsets, section3_lemma_audit(w, subsets, psi=psi)):
             if sub.skipped is None:
                 audited += 1
                 if not sub.ok:
                     failures += 1
                     worst = min(sub.checks, key=lambda c: c.min_margin)
-                    print(f"  subset audit FAILED: {sorted(verts[:size])} worst check {worst.name}")
+                    print(f"  subset audit FAILED: {sorted(subset)} worst check {worst.name}")
     print(f"done: {args.weightings} weightings, {audited} subset audits, {failures} failures")
     return 0 if failures == 0 else 1
 

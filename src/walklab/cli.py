@@ -253,29 +253,25 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
     else:
         w = random_lipschitz_weighting(g, args.sigma, rng)
     psi = psi_lower_bound(g)
-    rows = []
-    failures = 0
-    for index in range(args.subsets):
+    subsets = []
+    for _ in range(args.subsets):
         size = 1 + rng.randrange(max(1, g.n // 2))
         verts = list(range(g.n))
         rng.shuffle(verts)
-        subset = frozenset(verts[:size])
-        report = section3_lemma_audit(w, subset, psi=psi)
-        ok = bool(report)
-        if not ok:
-            failures += 1
-        rows.append(
-            {
-                "subset_index": index,
-                "subset": sorted(subset),
-                "skipped": report.skipped,
-                "checks": [c.to_json_dict() for c in report.checks],
-                "ok": ok,
-            }
-        )
+        subsets.append(frozenset(verts[:size]))
+    reports = section3_lemma_audit(w, subsets, psi=psi)
+    rows = [
+        {
+            "subset_index": index,
+            "subset": sorted(subset),
+            "skipped": report.skipped,
+            "checks": [c.to_json_dict() for c in report.checks],
+            "ok": report.ok,
+        }
+        for index, (subset, report) in enumerate(zip(subsets, reports))
+    ]
     endpoint = theorem31_check(w, psi=psi)
-    if not endpoint.ok:
-        failures += 1
+    failures = sum(not report.ok for report in reports) + (not endpoint.ok)
     payload = {
         "subsets": args.subsets,
         "failures": failures,

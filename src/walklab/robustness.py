@@ -12,20 +12,25 @@ following structure exists, and each piece is checked here numerically:
   than the two adjacent buckets.
 * `representative_indices` runs the block/gap recursion on the occupied
   bucket sizes of a set S: a block keeps absorbing the next bucket while it
-  is large (more than alpha/2 times the block so far, alpha = e^2), the
-  witness bucket that ends a block opens a gap, and a new block starts at
-  the next size increase after the witness.  The blocks R_1..R_L are the
+  is large (more than alpha/2 times the block so far, alpha = ALPHA = e^2),
+  the witness bucket that ends a block opens a gap, and a new block starts
+  at the next size increase after the witness.  The blocks R_1..R_L are the
   "representatives" R of S.
-* `section3_lemma_audit` checks the four quantitative facts about R:
+* `section3_lemma_audit` checks the four quantitative facts about R for
+  every set S of one weighting:
   pi(R) >= pi(S)/22, pi(S_{b_l}) >= pi(R_l)/11, |B_2K(R_l) \\ S| >= |R_l|/3,
   and the 2K-step flow Q(R_l, S^c) >= d^-2K pi(R_l)/90 (skipped for
   bipartite graphs, whose 2K-step chain never leaves one side of the
-  bipartition, so the flow from that side to its complement is 0).
+  bipartition, so the flow from that side to its complement is 0).  The
+  chain, its buckets and its dense 2K-step power are built once per call,
+  not once per set.
 * `theorem31_check` verifies the endpoint bounds: conductance of the
   2K-step chain at least d^-2K/4000 (exhaustively, n <= 24, as far as exact
   psi reaches; skipped for bipartite graphs, whose even-step chains are
   reducible and have zero conductance) and spectral gap at least
-  1e-8 d^-4K (n <= 512).
+  1e-8 d^-4K (n <= 512).  It and `section3_lemma_audit` resolve d, psi, K,
+  sigma and beta the same way: a missing psi is `psi_lower_bound` (exact
+  for n <= 24, the spectral lower bound above that).
 * `prop311_check` verifies the matching upper bound: a bottleneck weighting
   across a diametral pair pushes conductance below
   min(d^(floor(D/2)-1), n) * beta^(-floor(D/2)+3), witnessed by a ball
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -113,10 +118,6 @@ class BucketPartition:
     index_of: tuple[int, ...]
     buckets: Mapping[int, frozenset[int]]
 
-    @property
-    def max_index(self) -> int:
-        return max(self.buckets)
-
     def bucket(self, i: int) -> frozenset[int]:
         return self.buckets.get(i, frozenset())
 
@@ -192,11 +193,10 @@ def representative_blocks_from_sizes(
 
 @dataclass(frozen=True)
 class RepresentativeDecomposition:
-    """Blocks R_l (bucket runs a_l..b_l of S), their union R, and the gaps."""
+    """Blocks R_l (bucket runs a_l..b_l of S) and their union R."""
 
     pairs: tuple[tuple[int, int], ...]
     blocks: tuple[frozenset[int], ...]
-    gaps: tuple[frozenset[int], ...]
 
     @property
     def representatives(self) -> frozenset[int]:
@@ -206,13 +206,12 @@ class RepresentativeDecomposition:
         return frozenset(out)
 
 
-def representative_indices(
-    subset, partition: BucketPartition, alpha: float = ALPHA
-) -> RepresentativeDecomposition:
+def representative_indices(subset, partition: BucketPartition) -> RepresentativeDecomposition:
     """Def-3.5 style decomposition of a vertex set S.
 
     S is sliced into S_i = S intersect V_i, the block recursion runs on the
-    sizes |S_i|, and the blocks/gaps are materialized as vertex sets.
+    sizes |S_i| with alpha = ALPHA, and the blocks are materialized as vertex
+    sets.
     """
     s = frozenset(int(v) for v in subset)
     if not s:
@@ -224,8 +223,7 @@ def representative_indices(
     for v in s:
         member.setdefault(partition.index_of[v], set()).add(v)
     sizes = {i: len(vs) for i, vs in member.items()}
-    pairs = representative_blocks_from_sizes(sizes, alpha)
-    imax = max(sizes)
+    pairs = representative_blocks_from_sizes(sizes, ALPHA)
 
     def union_range(lo: int, hi: int) -> frozenset[int]:
         out: set[int] = set()
@@ -233,12 +231,7 @@ def representative_indices(
             out |= member.get(i, set())
         return frozenset(out)
 
-    blocks = tuple(union_range(a, b) for a, b in pairs)
-    gaps = []
-    for l, (a, b) in enumerate(pairs):
-        nxt_a = pairs[l + 1][0] if l + 1 < len(pairs) else imax + 1
-        gaps.append(union_range(b + 1, nxt_a - 1))
-    return RepresentativeDecomposition(tuple(pairs), blocks, tuple(gaps))
+    return RepresentativeDecomposition(tuple(pairs), tuple(union_range(a, b) for a, b in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -305,70 +298,79 @@ def _regular_degree_or_raise(g: Graph) -> int:
     return d
 
 
-def section3_lemma_audit(
-    w: EdgeWeighting,
-    subset,
-    alpha: float = ALPHA,
-    psi: float | None = None,
-) -> Section3Report:
-    """Audit the representative-set lemmas for one set S.
-
-    Requires a regular graph and a sigma-Lipschitz weighting for the
-    graph's own sigma = exp(1/(2K)).  Sets with |S| > n/2 are reported as
-    skipped, not failed, since the lemmas only speak about small sets.  On a
-    bipartite graph the flow check is skipped with a reason: the 2K-step
-    chain stays on one side, so S equal to a side has no flow to S^c.
-    """
+def _section3_scale(w: EdgeWeighting, psi: float | None) -> tuple[int, float, int, float, float]:
+    """(d, psi, K, sigma, beta) of a weighting; psi defaults to `psi_lower_bound`."""
     g = w.graph
     d = _regular_degree_or_raise(g)
     if psi is None:
-        psi, _ = vertex_expansion_exact(g)
+        psi = psi_lower_bound(g)
     K = section3_K(psi)
-    sigma = section3_sigma(K)
-    beta = lipschitz_beta(w)
-    report = Section3Report(K=K, sigma=sigma, beta=beta)
-    if beta > sigma * (1.0 + 1e-12):
-        report.skipped = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
-        return report
-    s = frozenset(int(v) for v in subset)
-    if not s:
-        raise GraphError("section3_lemma_audit needs a non-empty set")
-    if 2 * len(s) > g.n:
-        report.skipped = f"|S|={len(s)} exceeds n/2"
-        return report
+    return d, psi, K, section3_sigma(K), lipschitz_beta(w)
 
-    chain = induced_chain(w)
-    partition = bucket_partition(chain)
-    decomp = representative_indices(s, partition, alpha)
-    pi = chain.pi
+
+def section3_lemma_audit(
+    w: EdgeWeighting, subsets: Iterable[Iterable[int]], psi: float | None = None
+) -> list[Section3Report]:
+    """Audit the representative-set lemmas for each set S, one report per set.
+
+    Requires a regular graph and a sigma-Lipschitz weighting for the
+    graph's own sigma = exp(1/(2K)); a rougher weighting skips every report.
+    Sets with |S| > n/2 are reported as skipped, not failed, since the lemmas
+    only speak about small sets.  On a bipartite graph the flow check is
+    skipped with a reason: the 2K-step chain stays on one side, so S equal to
+    a side has no flow to S^c.  The chain, its buckets and its 2K-step power
+    are built once, when the first set reaches the checks.
+    """
+    g = w.graph
+    d, psi, K, sigma, beta = _section3_scale(w, psi)
+    rough = beta > sigma * (1.0 + 1e-12)
+    scale = d ** (-2.0 * K) / 90.0
+    reports = []
+    chain = None
 
     def mass(vs) -> float:
-        return float(sum(pi[v] for v in vs))
+        return float(sum(chain.pi[v] for v in vs))
 
-    c_mass = LemmaCheck("representative_mass_ge_S_over_22")
-    c_top = LemmaCheck("top_bucket_ge_block_over_11")
-    c_ball = LemmaCheck("ball_2K_outside_S_ge_block_over_3")
-    c_flow = LemmaCheck("flow_2K_to_complement_ge_scaled_mass")
-    report.checks = [c_mass, c_top, c_flow, c_ball]
+    for subset in subsets:
+        report = Section3Report(K=K, sigma=sigma, beta=beta)
+        reports.append(report)
+        if rough:
+            report.skipped = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
+            continue
+        s = frozenset(int(v) for v in subset)
+        if not s:
+            raise GraphError("section3_lemma_audit needs a non-empty set")
+        if 2 * len(s) > g.n:
+            report.skipped = f"|S|={len(s)} exceeds n/2"
+            continue
+        if chain is None:
+            chain = induced_chain(w)
+            partition = bucket_partition(chain)
+            bipartite = is_bipartite(g)
+            p2k = None if bipartite else power_chain(chain, 2 * K)
+        decomp = representative_indices(s, partition)
+        c_mass = LemmaCheck("representative_mass_ge_S_over_22")
+        c_top = LemmaCheck("top_bucket_ge_block_over_11")
+        c_ball = LemmaCheck("ball_2K_outside_S_ge_block_over_3")
+        c_flow = LemmaCheck("flow_2K_to_complement_ge_scaled_mass")
+        report.checks = [c_mass, c_top, c_flow, c_ball]
 
-    c_mass.record(mass(decomp.representatives), mass(s) / 22.0, slack=1e-12)
-    if is_bipartite(g):
-        c_flow.skipped = (
-            "bipartite graph: the 2K-step chain never leaves one side of the bipartition, "
-            "so a side has no 2K-step flow to its complement"
-        )
-    p2k = power_chain(chain, 2 * K)
-    scale = d ** (-2.0 * K) / 90.0
-    for (a, b), block in zip(decomp.pairs, decomp.blocks):
-        top = block & partition.bucket(b)
-        c_top.record(mass(top), mass(block) / 11.0, slack=1e-12)
-        outside = ball(g, block, 2 * K) - s
-        c_ball.record(float(len(outside)), len(block) / 3.0, slack=1e-9)
-        complement = frozenset(range(g.n)) - s
-        if c_flow.skipped is None:
-            flow = float(p2k.flow_matrix[np.ix_(sorted(block), sorted(complement))].sum())
-            c_flow.record(flow, scale * mass(block), slack=1e-15)
-    return report
+        c_mass.record(mass(decomp.representatives), mass(s) / 22.0, slack=1e-12)
+        if bipartite:
+            c_flow.skipped = (
+                "bipartite graph: the 2K-step chain never leaves one side of the bipartition, "
+                "so a side has no 2K-step flow to its complement"
+            )
+        complement = sorted(frozenset(range(g.n)) - s)
+        for (a, b), block in zip(decomp.pairs, decomp.blocks):
+            top = block & partition.bucket(b)
+            c_top.record(mass(top), mass(block) / 11.0, slack=1e-12)
+            outside = ball(g, block, 2 * K) - s
+            c_ball.record(float(len(outside)), len(block) / 3.0, slack=1e-9)
+            if p2k is not None:
+                flow = float(p2k.flow_matrix[np.ix_(sorted(block), complement)].sum())
+                c_flow.record(flow, scale * mass(block), slack=1e-15)
+    return reports
 
 
 @dataclass
@@ -418,12 +420,7 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
     are reported as skipped with a reason.
     """
     g = w.graph
-    d = _regular_degree_or_raise(g)
-    if psi is None:
-        psi = psi_lower_bound(g)
-    K = section3_K(psi)
-    sigma = section3_sigma(K)
-    beta = lipschitz_beta(w)
+    d, psi, K, sigma, beta = _section3_scale(w, psi)
     if beta > sigma * (1.0 + 1e-12):
         raise GraphError(f"weighting is not sigma-Lipschitz: beta={beta:.6g} > sigma={sigma:.6g}")
     report = Theorem31Report(

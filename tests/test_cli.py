@@ -1,6 +1,7 @@
 """Command-line front-end: subcommands, exit codes, files, reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -418,9 +419,19 @@ def test_robustness_audit_enumerates_expansion_once(monkeypatch, capsys):
     counting = lambda h: calls.append(h) or exact(h)  # noqa: E731
     monkeypatch.setattr(graphs, "vertex_expansion_exact", counting)
     monkeypatch.setattr(robustness, "vertex_expansion_exact", counting)
+    built = []
+
+    def count_builds(name):
+        real = getattr(robustness, name)
+        monkeypatch.setattr(robustness, name, lambda *args: built.append(name) or real(*args))
+
+    for name in ("induced_chain", "is_bipartite", "power_chain"):
+        count_builds(name)
     code, out, _ = run(capsys, "robustness-audit", "--generate", "complete:6", "--subsets", "6", "--seed", "2")
     assert code == 0 and read_summary(out)["failures"] == 0
     assert len(calls) == 1
+    # one build for the Section-3 audit of all six subsets, one for the endpoint check
+    assert sorted(built) == ["induced_chain"] * 2 + ["is_bipartite"] * 2 + ["power_chain"] * 2
 
 
 def test_robustness_audit_skips_the_flow_check_on_a_bipartite_graph(tmp_path, capsys):
@@ -438,14 +449,33 @@ def test_robustness_audit_skips_the_flow_check_on_a_bipartite_graph(tmp_path, ca
     assert any(row["subset"] == [1, 2, 4, 7] for row in rows)
 
 
-def test_robustness_audit_runs_above_the_expansion_guard(capsys):
+def test_robustness_audit_runs_above_the_expansion_guard(tmp_path, capsys):
+    out_dir = tmp_path / "rob"
     code, out, err = run(
-        capsys, "robustness-audit", "--generate", "random-regular:32:3:7", "--subsets", "4", "--seed", "3"
+        capsys,
+        "robustness-audit",
+        "--generate",
+        "random-regular:32:3:7",
+        "--subsets",
+        "20",
+        "--seed",
+        "3",
+        "--out",
+        str(out_dir),
+        "--no-timestamp",
     )
     assert code == 0, err
     payload = read_summary(out)
     assert payload["failures"] == 0
     assert payload["phi_skipped"] is not None and payload["gap_skipped"] is None
+    # byte-for-byte pins: how the subsets are batched must not change a row or the summary
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("audit.jsonl", "summary.json")
+    }
+    assert digests == {
+        "audit.jsonl": "a3ef710bbac054d0938840443cbb4aceb9190f5d8ddc35109fff989a2e20a126",
+        "summary.json": "377f5295db29230ab90c875d671acca8a7231ed68ab8f483a4daf64ddcab440b",
+    }
 
 
 # --- boost-audit ---------------------------------------------------------------------

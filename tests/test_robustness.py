@@ -108,7 +108,7 @@ def test_representative_indices_on_chain():
     chain = induced_chain(w)
     part = bucket_partition(chain)
     subset = frozenset(range(8))
-    decomp = representative_indices(subset, part, ALPHA)
+    decomp = representative_indices(subset, part)
     for a, b in decomp.pairs:
         assert a <= b
     assert all(v in subset for block in decomp.blocks for v in block)
@@ -121,7 +121,7 @@ def test_subset_vertices_out_of_range_are_rejected():
     g = generate("random_regular", n=16, d=3, seed=7)
     w = uniform_weighting(g)
     with pytest.raises(GraphError, match="vertex 16 out of range"):
-        section3_lemma_audit(w, {16})
+        section3_lemma_audit(w, [{16}])
     part = bucket_partition(induced_chain(w))
     with pytest.raises(GraphError, match="vertex -1 out of range"):
         representative_indices({-1, 2}, part)
@@ -134,11 +134,13 @@ def test_lemma_audit_uniform_regular_16():
     g = generate("random_regular", n=16, d=3, seed=4)
     w = uniform_weighting(g)
     rng = SplitMix64(21)
+    subsets = []
     for _ in range(25):
         size = 1 + rng.randrange(8)
         verts = list(range(16))
         rng.shuffle(verts)
-        report = section3_lemma_audit(w, frozenset(verts[:size]))
+        subsets.append(frozenset(verts[:size]))
+    for report in section3_lemma_audit(w, subsets):
         assert report.ok, report
 
 
@@ -152,13 +154,13 @@ def test_lemma_audit_sigma_lipschitz_16():
         size = 1 + rng.randrange(8)
         verts = list(range(16))
         rng.shuffle(verts)
-        report = section3_lemma_audit(w, frozenset(verts[:size]))
+        [report] = section3_lemma_audit(w, [frozenset(verts[:size])])
         assert report.ok, report
 
 
 def test_lemma_audit_skips_oversize_subset():
     g = generate("cycle", n=8)
-    report = section3_lemma_audit(uniform_weighting(g), frozenset(range(5)))
+    [report] = section3_lemma_audit(uniform_weighting(g), [frozenset(range(5))])
     assert report.skipped is not None
     assert not report.ok
 
@@ -166,8 +168,43 @@ def test_lemma_audit_skips_oversize_subset():
 def test_lemma_audit_skips_rough_weighting():
     g = generate("random_regular", n=16, d=3, seed=4)
     w = target_decay_weighting(g, [0], 0.9)  # beta up to 10, far beyond sigma
-    report = section3_lemma_audit(w, frozenset({0, 1}))
+    [report] = section3_lemma_audit(w, [frozenset({0, 1})])
     assert report.skipped is not None
+
+
+SECTION3_CASES = {
+    "uniform": (
+        lambda: uniform_weighting(generate("random_regular", n=16, d=3, seed=4)),
+        [{0}, {1, 5, 9}, set(range(8)), {3, 12}],
+    ),
+    "rough": (
+        lambda: target_decay_weighting(generate("random_regular", n=16, d=3, seed=4), [0], 0.9),
+        [{0, 1}, set(range(8)), set(range(12))],
+    ),
+    "oversize": (lambda: uniform_weighting(generate("cycle", n=8)), [set(range(5)), {0, 1}, set(range(8)), {2, 6}]),
+    "bipartite": (
+        lambda: uniform_weighting(generate("hypercube", dim=3)),
+        [{1, 2, 4, 7}, {0, 3}, {0, 5}, {0, 1, 2, 3}],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECTION3_CASES))
+def test_lemma_audit_of_many_sets_matches_one_set_calls(case):
+    make, subsets = SECTION3_CASES[case]
+    w = make()
+    reports = section3_lemma_audit(w, subsets)
+    assert reports == [section3_lemma_audit(w, [s])[0] for s in subsets]
+    assert any(r.skipped for r in reports) == (case in {"rough", "oversize"})
+
+
+def test_lemma_audit_defaults_psi_to_the_endpoint_lower_bound():
+    # above the 24-vertex expansion guard a missing psi is the spectral lower
+    # bound, as in theorem31_check, not an exhaustive enumeration that refuses
+    w = uniform_weighting(generate("random_regular", n=32, d=3, seed=7))
+    [report] = section3_lemma_audit(w, [frozenset(range(4))])
+    assert report.K == theorem31_check(w).K
+    assert report.ok
 
 
 def test_lemma_audit_requires_regular_graph():
@@ -175,7 +212,7 @@ def test_lemma_audit_requires_regular_graph():
 
     path_plus = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
     with pytest.raises(GraphError):
-        section3_lemma_audit(uniform_weighting(path_plus), frozenset({0}))
+        section3_lemma_audit(uniform_weighting(path_plus), [frozenset({0})])
 
 
 # --- endpoint checks ---------------------------------------------------------
@@ -217,7 +254,7 @@ def test_endpoint_checks_exhaustive_conductance_up_to_its_guard():
 def test_lemma_audit_skips_flow_check_on_bipartite_graph():
     # the odd side of the 3-cube: its 2K-step chain never reaches the even side
     g = generate("hypercube", dim=3)
-    report = section3_lemma_audit(uniform_weighting(g), frozenset({1, 2, 4, 7}))
+    [report] = section3_lemma_audit(uniform_weighting(g), [frozenset({1, 2, 4, 7})])
     flow = next(c for c in report.checks if c.name == "flow_2K_to_complement_ge_scaled_mass")
     assert "bipartite" in flow.skipped and flow.instances == 0
     assert flow.to_json_dict()["skipped"] == flow.skipped
