@@ -44,7 +44,7 @@ from .oracle import (
     srw_event_prob,
     srw_expected_cover_exact,
 )
-from .rng import BufferedDraws, SplitMix64
+from .rng import SplitMix64
 from .robustness import (
     bucket_partition,
     prop311_check,

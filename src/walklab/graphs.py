@@ -391,23 +391,31 @@ def write_graph_file(g: Graph, path) -> None:
 
 
 def distances_from(g: Graph, sources: Iterable[int]) -> np.ndarray:
-    """Multi-source BFS distances; -1 marks unreachable vertices."""
+    """Multi-source BFS distances; -1 marks unreachable vertices.
+
+    The walk runs on a Python list and converts to int64 once at the end:
+    element access on a numpy array costs several times a list's.
+    """
     src = sorted(set(map(int, sources)))
     if not src:
         raise GraphError("distances_from needs a non-empty source set")
     for v in src:
         if not (0 <= v < g.n):
             raise GraphError(f"source vertex {v} out of range")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    frontier = src
-    for v in frontier:
+    return np.array(_bfs(g.adj, src), dtype=np.int64)
+
+
+def _bfs(adj: Sequence[Sequence[int]], src: list[int]) -> list[int]:
+    dist = [-1] * len(adj)
+    for v in src:
         dist[v] = 0
+    frontier = src
     depth = 0
     while frontier:
         depth += 1
         nxt = []
         for v in frontier:
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if dist[w] < 0:
                     dist[w] = depth
                     nxt.append(w)
@@ -416,7 +424,8 @@ def distances_from(g: Graph, sources: Iterable[int]) -> np.ndarray:
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    return np.stack([distances_from(g, [v]) for v in range(g.n)])
+    """n x n int64 BFS distances, row v from source v, built with one array call."""
+    return np.array([_bfs(g.adj, [v]) for v in range(g.n)], dtype=np.int64)
 
 
 def ball(g: Graph, center: Iterable[int], radius: int) -> frozenset[int]:

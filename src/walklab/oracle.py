@@ -158,6 +158,8 @@ def _horizon_values(g: Graph, u: int, event: EventSpec, eps: float) -> list[floa
     """Value at the start for every horizon 0..event.horizon, from one
     backward pass: after t steps the table holds the horizon-t values, so
     the pass to the largest horizon yields every shorter one unchanged."""
+    if g.n < 2:
+        raise OracleError("event DP needs n >= 2")
     if not (0 <= u < g.n):
         raise OracleError("start vertex out of range")
     if event.kind is EventKind.RETURN_TO_START:
@@ -205,6 +207,8 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
 
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
     """Rational-arithmetic twin of the DP, for float cross-validation."""
+    if g.n < 2:
+        raise OracleError("event DP needs n >= 2")
     if not (Fraction(0) <= eps <= Fraction(1)):
         raise OracleError("eps must lie in [0, 1]")
     if event.kind is EventKind.RETURN_TO_START:

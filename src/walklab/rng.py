@@ -9,8 +9,17 @@ without coordination.  Because the k-th output is a pure function of
 vector call; `SplitMix64.block_u64` is its one-stream case.  Runs are
 therefore reproducible bit-for-bit within this implementation and
 statistically across implementations.
+
+Tight simulation loops read a stream through `draws` (u64 ints) or
+`unit_draws` (next_float's uniforms, decoded in numpy).  Each returns the
+`__next__` of a C-level iterator over blocks of `block_u64`, 64 draws first
+and doubling up to MAX_BLOCK, so a draw costs no Python frame and the served
+sequence is exactly that of next_u64 or next_float.
 """
 from __future__ import annotations
+
+from itertools import chain, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -38,6 +47,8 @@ def splitmix_block(seeds: np.ndarray, counter: int, m: int) -> np.ndarray:
     transpose is C-contiguous), so a column, one draw of every stream, is
     contiguous.
     """
+    if m < 0:
+        raise ValueError(f"splitmix_block needs m >= 0, got {m}")
     ks = np.arange(counter + 1, counter + m + 1, dtype=np.uint64)
     z = ks[:, None] * np.uint64(_GAMMA) + np.asarray(seeds, dtype=np.uint64)[None, :]
     z ^= z >> np.uint64(30)
@@ -77,7 +88,8 @@ class SplitMix64:
         return self.next_u64() % n
 
     def block_u64(self, m: int) -> np.ndarray:
-        """Next m outputs as a uint64 array; continues the scalar stream exactly."""
+        """Next m outputs as a uint64 array; continues the scalar stream exactly.
+        m < 0 raises ValueError (in `splitmix_block`) and leaves the counter."""
         z = splitmix_block(np.array([self.seed], dtype=np.uint64), self.counter, m)[0]
         self.counter += m
         return z
@@ -92,27 +104,31 @@ class SplitMix64:
 MAX_BLOCK = 8192
 
 
-class BufferedDraws:
-    """Amortizes per-draw cost in tight simulation loops.
+def _blocks(rng: SplitMix64, block: int) -> Iterator[np.ndarray]:
+    """Successive uint64 blocks of `rng`: `block` draws (at most MAX_BLOCK), then
+    doubling up to MAX_BLOCK."""
+    if block < 1:
+        raise ValueError(f"draw blocks need at least one draw, got {block}")
+    return map(rng.block_u64, _block_sizes(block))
 
-    Pulls blocks from a SplitMix64 stream and serves them one at a time; the
-    consumed sequence is identical to calling next_u64 repeatedly.  The first
-    block holds `block` draws and each refill doubles it up to MAX_BLOCK, so
-    a short run generates few draws it never uses.
-    """
 
-    __slots__ = ("_rng", "_block", "_next")
+def _block_sizes(block: int) -> Iterator[int]:
+    while block < MAX_BLOCK:
+        yield block
+        block *= 2
+    yield from repeat(MAX_BLOCK)
 
-    def __init__(self, rng: SplitMix64, block: int = 64):
-        self._rng = rng
-        self._block = block
-        self._next = iter(()).__next__
 
-    def u64(self) -> int:
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(self._rng.block_u64(self._block).tolist()).__next__
-            if self._block < MAX_BLOCK:
-                self._block = min(2 * self._block, MAX_BLOCK)
-            return self._next()
+def draws(rng: SplitMix64, block: int = 64) -> Callable[[], int]:
+    """Next-draw function over `rng`'s u64 stream: call k returns what the k-th
+    next_u64 would.  Draws are generated in blocks (see `_blocks`) and served by
+    a C-level iterator, so a short run generates few draws it never uses and a
+    long one pays no Python frame per draw."""
+    return chain.from_iterable(z.tolist() for z in _blocks(rng, block)).__next__
+
+
+def unit_draws(rng: SplitMix64, block: int = 64) -> Callable[[], float]:
+    """As `draws`, decoded to next_float's uniforms in [0, 1) in numpy:
+    (z >> 11) * 2**-53 is exact for 53-bit integers."""
+    scale = 2.0**-53
+    return chain.from_iterable(((z >> np.uint64(11)) * scale).tolist() for z in _blocks(rng, block)).__next__

@@ -41,7 +41,7 @@ import numpy as np
 
 from .chains import ReversibleChain
 from .graphs import Graph, vertex_expansion_exact
-from .rng import MASK64, BufferedDraws, SplitMix64, splitmix_block
+from .rng import MASK64, SplitMix64, draws, splitmix_block, unit_draws
 from .weighting import slot_transitions, target_decay_weighting, uniform_weighting
 
 # psi used by the phase strategy when the graph is too large for exact
@@ -200,7 +200,7 @@ def _cover_run_srw(
 
 def _biased_walk(
     adj: Sequence[Sequence[int]],
-    u64: Callable[[], int],
+    unit: Callable[[], float],
     visited: bytearray,
     cur: int,
     steps: int,
@@ -211,15 +211,14 @@ def _biased_walk(
 ) -> tuple[int, int, int]:
     """Epsilon-biased walk until at most `stop` of the `left` unvisited vertices remain.
 
-    Two draws per step, coin then r, as in `step`: coin < eps samples the
-    vector bias(cur) at r, otherwise r picks a uniform neighbour.  Marks
-    `visited` in place and returns (cur, steps, left).
+    Two uniform draws per step from `unit`, coin then r, as in `step`:
+    coin < eps samples the vector bias(cur) at r, otherwise r picks a uniform
+    neighbour.  Marks `visited` in place and returns (cur, steps, left).
     """
-    scale = 2.0**-53
     while left > stop:
         nbrs = adj[cur]
-        coin = (u64() >> 11) * scale
-        r = (u64() >> 11) * scale
+        coin = unit()
+        r = unit()
         if coin < eps:
             idx = _sample_from_vector(bias(cur), r)
         else:
@@ -434,7 +433,7 @@ def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
     decay_rows = _decay_rows(g, theta, eps) if eps > 0.0 else None
 
     def phase_cover(rng: SplitMix64, start: int) -> int:
-        u64 = BufferedDraws(rng).u64
+        unit = unit_draws(rng)
         visited = bytearray(n)
         visited[start] = 1
         left = n - 1
@@ -445,7 +444,7 @@ def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
             unvisited = [v for v in range(n) if not visited[v]]
             rows = decay_rows(unvisited) if decay_rows is not None else []
             stop = len(unvisited) // 2
-            cur, steps, left = _biased_walk(g.adj, u64, visited, cur, steps, left, stop, eps, rows.__getitem__)
+            cur, steps, left = _biased_walk(g.adj, unit, visited, cur, steps, left, stop, eps, rows.__getitem__)
         return steps
 
     return phase_cover
@@ -461,11 +460,10 @@ def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
 
 def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, cur: int, steps: int, visited: bytearray) -> int:
     """Scalar srw or sweep walk from `cur`; draws continue from `rng`'s counter."""
-    u64 = BufferedDraws(rng).u64
     if spec.kind == "srw":
-        return _cover_run_srw(g.adj, u64, visited, cur, steps)
+        return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
     left = visited.count(0)
-    return _biased_walk(g.adj, u64, visited, cur, steps, left, 0, spec.eps, _sweep_bias(g, visited))[1]
+    return _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, _sweep_bias(g, visited))[1]
 
 
 def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> CoverEstimate:

@@ -516,6 +516,16 @@ def test_boost_audit_bad_event_text(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("t", ["0", "2"])
+@pytest.mark.parametrize("event", ["cover", "return", "hit:0"])
+def test_boost_audit_on_one_vertex_is_input_error(tmp_path, capsys, event, t):
+    path = tmp_path / "g1.txt"
+    path.write_text("1 0\n")
+    code, out, err = run(capsys, "boost-audit", "--graph", str(path), "--event", event, "--t", t)
+    assert code == 2
+    assert out == "" and err == "error: event DP needs n >= 2\n"
+
+
 # --- lemma-sweep -----------------------------------------------------------------------
 
 
@@ -731,6 +741,18 @@ def flags(draw, **options):
     return argv
 
 
+# graphs below every generator's range: one vertex, and one edge
+TINY_GRAPHS = {"g1.txt": "1 0\n", "g2.txt": "2 1\n0 1\n"}
+
+
+@pytest.fixture(scope="module")
+def tiny_graphs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tiny")
+    for name, text in TINY_GRAPHS.items():
+        (directory / name).write_text(text)
+    return directory
+
+
 @st.composite
 def cli_calls(draw):
     command = draw(st.sampled_from(
@@ -738,7 +760,10 @@ def cli_calls(draw):
     ))
     argv = [command]
     if command != "lemma-sweep":
-        argv.append(f"--generate={draw(SPECS)}")
+        # a graph file is named relative to the `tiny_graphs` directory
+        source = draw(st.sampled_from(["generate", "graph"]))
+        argv.append(f"--graph={draw(st.sampled_from(sorted(TINY_GRAPHS)))}" if source == "graph"
+                    else f"--generate={draw(SPECS)}")
     if command not in ("spectral", "boost-audit"):
         argv.append(f"--seed={draw(SEEDS)}")
     # work-size flags are always given, since their defaults take seconds
@@ -751,7 +776,8 @@ def cli_calls(draw):
         argv += flags(draw, walk=good_or_bad(["srw", "phase", "sweep"], ["policy"]), eps=FLOATS, psi=FLOATS,
                       start=SMALL_INTS, trials=good_or_bad(["2", "40"], ["-1", "1", "forty"]))
     elif command == "boost-audit":
-        event = good_or_bad(["hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"], ["hit:99", "hit:x", "bogus"])
+        event = good_or_bad(["hit:0", "hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"],
+                            ["hit:99", "hit:x", "bogus"])
         argv.append(f"--event={draw(event)}")
         argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0', 'x']))}")
         argv += flags(draw, eps=FLOATS, eta=FLOATS, start=SMALL_INTS)
@@ -777,10 +803,11 @@ def reject_constant(name):
 
 
 @given(cli_calls())
-@settings(max_examples=300, deadline=None)
-def test_every_flag_value_keeps_the_exit_code_contract(argv):
+@settings(max_examples=600, deadline=None)
+def test_every_flag_value_keeps_the_exit_code_contract(tiny_graphs, argv):
     # 0 success, 1 audit violation, 2 bad input, never a traceback; a
     # summary is strict JSON (no NaN or Infinity) and exit 1 names a failure
+    argv = [f"--graph={tiny_graphs / arg[8:]}" if arg.startswith("--graph=") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from walklab.graphs import (
     GraphFileError,
     GuardError,
     ball,
+    all_pairs_distances,
     ball_growth_audit,
     build_graph,
     diameter,
@@ -271,6 +273,77 @@ def test_slot_table_and_bipartite_test_match_the_adjacency(g):
     for e, (a, b) in enumerate(g.edges):
         assert pairs[sl.edge_slots[0, e]] == (a, b) and pairs[sl.edge_slots[1, e]] == (b, a)
     assert is_bipartite(g) == reference_is_bipartite(g)
+
+
+def reference_distances(g: Graph, sources) -> np.ndarray:
+    """Element-wise BFS on an int64 array: the list-backed BFS's oracle."""
+    src = sorted(set(map(int, sources)))
+    if not src:
+        raise GraphError("distances_from needs a non-empty source set")
+    for v in src:
+        if not (0 <= v < g.n):
+            raise GraphError(f"source vertex {v} out of range")
+    dist = np.full(g.n, -1, dtype=np.int64)
+    frontier = src
+    for v in frontier:
+        dist[v] = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if dist[w] < 0:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def two_components() -> Graph:
+    """A path 0-1-2 beside an edge 3-4, built without build_graph's connectivity check."""
+    return Graph(n=5, edges=((0, 1), (1, 2), (3, 4)), adj=((1,), (0, 2), (1,), (4,), (3,)))
+
+
+BFS_GRAPHS = st.one_of(
+    st.integers(min_value=3, max_value=300).map(lambda n: generate("cycle", n=n)),
+    st.integers(min_value=1, max_value=7).map(lambda dim: generate("hypercube", dim=dim)),
+    connected_graphs(max_n=40),
+    st.just(two_components()),
+)
+
+
+@given(BFS_GRAPHS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_distances_from_matches_the_elementwise_bfs(g, data):
+    how = data.draw(st.sampled_from(["one", "several", "all"]))
+    if how == "one":
+        sources = [data.draw(st.integers(0, g.n - 1))]
+    elif how == "several":
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=6))
+    else:
+        sources = list(range(g.n))[::-1]
+    got = distances_from(g, iter(sources))
+    assert got.dtype == np.int64 and got.shape == (g.n,)
+    assert got.tolist() == reference_distances(g, sources).tolist()
+    for bad in ([], [g.n], [0, -1]):
+        with pytest.raises(GraphError) as want:
+            reference_distances(g, bad)
+        with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
+            distances_from(g, bad)
+
+
+@given(st.one_of(
+    st.integers(min_value=3, max_value=80).map(lambda n: generate("cycle", n=n)),
+    st.integers(min_value=1, max_value=6).map(lambda dim: generate("hypercube", dim=dim)),
+    connected_graphs(max_n=40),
+    st.just(two_components()),
+))
+@settings(max_examples=60, deadline=None)
+def test_all_pairs_distances_matches_the_stacked_reference(g):
+    dm = all_pairs_distances(g)
+    assert dm.dtype == np.int64 and dm.shape == (g.n, g.n)
+    assert np.array_equal(dm, np.stack([reference_distances(g, [v]) for v in range(g.n)]))
 
 
 def test_cached_graph_arrays_are_read_only():

@@ -218,6 +218,23 @@ def test_oracle_guards():
         event_prob_exact(generate("cycle", n=4), 0, hit(1, 2), Fraction(3, 2))
 
 
+@pytest.mark.parametrize("t", [0, 2])
+@pytest.mark.parametrize("event", ["cover", "return", "hit:0"])
+def test_event_dp_needs_two_vertices(event, t):
+    # a one-vertex graph has no step to take: the float DP and its rational
+    # twin both reject it, at every horizon
+    g = build_graph([], 1)
+    spec = parse_event_text(event, t)
+    for query in (
+        lambda: srw_event_prob(g, 0, spec),
+        lambda: optimal_tbrw_event_prob(g, 0, spec, 0.5),
+        lambda: event_prob_exact(g, 0, spec),
+        lambda: boost_bound_grid(g, 0, [spec], [0.0], [1.0]),
+    ):
+        with pytest.raises(OracleError, match="n >= 2"):
+            query()
+
+
 # --- one-step operator and power means -------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.rng import MASK64, MAX_BLOCK, BufferedDraws, SplitMix64, splitmix_block
+from walklab.rng import MASK64, MAX_BLOCK, SplitMix64, draws, splitmix_block, unit_draws
 
 # First outputs of the classic splitmix64 sequence for seed 0, as published
 # alongside the xoshiro generators; pins the mixing constants.
@@ -98,39 +98,62 @@ def test_shuffle_is_a_permutation():
     assert again == items
 
 
-def test_buffered_draws_match_direct():
+def test_draws_match_direct():
     direct = SplitMix64(4096)
-    buffered = BufferedDraws(SplitMix64(4096), block=16)
-    assert [buffered.u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
+    u64 = draws(SplitMix64(4096), block=16)
+    assert [u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
     direct2 = SplitMix64(8192)
-    buffered2 = BufferedDraws(SplitMix64(8192), block=16)
-    assert [(buffered2.u64() >> 11) * 2.0**-53 for _ in range(100)] == [direct2.next_float() for _ in range(100)]
+    unit = unit_draws(SplitMix64(8192), block=16)
+    assert [unit() for _ in range(100)] == [direct2.next_float() for _ in range(100)]
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
     # refill at the cap at least once, from the default first block and from 1
     count = 20_500
     for kwargs in ({}, {"block": 1}):
         direct3 = SplitMix64(-77)
-        buffered3 = BufferedDraws(SplitMix64(-77), **kwargs)
-        assert [buffered3.u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
+        u64 = draws(SplitMix64(-77), **kwargs)
+        assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
+        direct4 = SplitMix64(2**64 + 5)
+        unit = unit_draws(SplitMix64(2**64 + 5), **kwargs)
+        got = [unit() for _ in range(count)]
+        assert all(type(x) is float for x in got)
+        assert got == [direct4.next_float() for _ in range(count)]
 
 
-def test_buffered_draws_grow_blocks_up_to_the_cap():
+@pytest.mark.parametrize("make", [draws, unit_draws])
+def test_draws_grow_blocks_up_to_the_cap(make):
     rng = SplitMix64(3)
-    draws = BufferedDraws(rng)
-    draws.u64()
+    next_draw = make(rng)
+    next_draw()
     assert rng.counter == 64  # a one-draw run generates 64 draws, not MAX_BLOCK
-    for _ in range(64):
-        draws.u64()
-    assert rng.counter == 64 + 128
-    for _ in range(40_000):
-        draws.u64()
-    sizes = []
-    while len(sizes) < 3:
+    sizes = [64]
+    while sizes[-1] < MAX_BLOCK or len(sizes) < 10:
         before = rng.counter
-        for _ in range(MAX_BLOCK):
-            draws.u64()
+        for _ in range(sizes[-1]):
+            next_draw()
         sizes.append(rng.counter - before)
-    assert sizes == [MAX_BLOCK] * 3
+    assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]
+
+
+@pytest.mark.parametrize("make", [draws, unit_draws])
+@pytest.mark.parametrize("block", [0, -1, -64])
+def test_draws_reject_empty_blocks(make, block):
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="at least one draw"):
+        make(rng, block=block)
+    assert rng.counter == 0
+
+
+def test_negative_blocks_do_not_rewind_the_stream():
+    r = SplitMix64(9)
+    r.next_u64()
+    r.next_u64()
+    with pytest.raises(ValueError, match="m >= 0"):
+        r.block_u64(-1)
+    assert r.counter == 2
+    assert r.next_u64() == SplitMix64(9).block_u64(3)[2]
+    assert r.block_u64(0).shape == (0,) and r.counter == 3
+    with pytest.raises(ValueError, match="m >= 0"):
+        splitmix_block(np.array([1, 2], dtype=np.uint64), 5, -1)
 
 
 @given(

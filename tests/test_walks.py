@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from walklab.chains import ChainError, ReversibleChain
 from walklab.graphs import Graph, build_graph, generate
-from walklab.rng import BufferedDraws, SplitMix64
+from walklab.rng import SplitMix64, unit_draws
 from walklab import walks
 from walklab.walks import (
     CoverEstimate,
@@ -308,7 +308,7 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     adj = RecordingAdj(g.adj)
     visited = visited_bytes(g.n, {0})
     cur, steps, left = walks._biased_walk(
-        adj, BufferedDraws(SplitMix64(seed)).u64, visited, 0, 0, g.n - 1, (g.n - 1) // 2, eps, rows.__getitem__
+        adj, unit_draws(SplitMix64(seed)), visited, 0, 0, g.n - 1, (g.n - 1) // 2, eps, rows.__getitem__
     )
     assert adj.path + [cur] == expected
     assert steps == len(expected) - 1 and left == g.n - len(seen)
@@ -319,7 +319,7 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     adj = RecordingAdj(cyc.adj)
     visited = visited_bytes(cyc.n, {5})
     cur, steps, left = walks._biased_walk(
-        adj, BufferedDraws(SplitMix64(seed)).u64, visited, 5, 0, cyc.n - 1, 0, eps, walks._sweep_bias(cyc, visited)
+        adj, unit_draws(SplitMix64(seed)), visited, 5, 0, cyc.n - 1, 0, eps, walks._sweep_bias(cyc, visited)
     )
     assert adj.path + [cur] == expected
     assert (steps, left) == (len(expected) - 1, 0)
