@@ -4,8 +4,8 @@ The package splits into a dependency-ordered stack:
 
     rng         counter-based deterministic random streams
     graphs      immutable graphs, generators, exact vertex expansion
-    weighting   Lipschitz edge weightings and their induced chains
     chains      reversible transition matrices, spectra, conductance
+    weighting   Lipschitz edge weightings and their induced chains
     robustness  bucket/representative decomposition and its audited bounds
     walks       biased walk simulation and the phase cover strategy
     oracle      exact event-probability DP and the boost bounds

@@ -20,11 +20,10 @@ the top n - SUBSET_CHUNK_BITS bits, so no array holds more than
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -271,65 +270,49 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
     raise GraphError(f"random_regular({n}, {d}) failed to produce a simple connected graph")
 
 
-def generate(
-    kind: str,
-    *,
-    n: int | None = None,
-    d: int | None = None,
-    dim: int | None = None,
-    offsets: Sequence[int] | None = None,
-    seed: int | None = None,
-) -> Graph:
+# family -> (builder, its parameter names in spec order)
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...]]] = {
+    "cycle": (_cycle, ("n",)),
+    "complete": (_complete, ("n",)),
+    "hypercube": (_hypercube, ("dim",)),
+    "circulant": (_circulant, ("n", "offsets")),
+    "random_regular": (_random_regular, ("n", "d", "seed")),
+}
+
+
+def generate(kind: str, **params) -> Graph:
     """Named graph families.  Deterministic given all parameters.
 
     kinds: cycle(n), complete(n), hypercube(dim), circulant(n, offsets),
     random_regular(n, d, seed).
     """
-    if kind == "cycle":
-        if n is None:
-            raise GraphError("cycle needs n")
-        return _cycle(n)
-    if kind == "complete":
-        if n is None:
-            raise GraphError("complete needs n")
-        return _complete(n)
-    if kind == "hypercube":
-        if dim is None:
-            raise GraphError("hypercube needs dim")
-        return _hypercube(dim)
-    if kind == "circulant":
-        if n is None or offsets is None:
-            raise GraphError("circulant needs n and offsets")
-        return _circulant(n, offsets)
-    if kind == "random_regular":
-        if n is None or d is None or seed is None:
-            raise GraphError("random_regular needs n, d, seed")
-        return _random_regular(n, d, seed)
-    raise GraphError(f"unknown graph kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise GraphError(f"unknown graph kind {kind!r}")
+    build, names = _FAMILIES[kind]
+    if set(params) != set(names):
+        raise GraphError(f"{kind} needs exactly {', '.join(names)}")
+    return build(**params)
 
 
 def parse_generate_spec(spec: str) -> Graph:
     """Graph from a generator spec: cycle:<n>, complete:<n>, hypercube:<dim>,
     circulant:<n>:<o1,o2,...> or random-regular:<n>:<d>:<seed>."""
-    parts = spec.split(":")
-    kind = parts[0].strip().lower().replace("-", "_")
+    head, *parts = spec.split(":")
+    kind = head.strip().lower().replace("-", "_")
+    if kind not in _FAMILIES:
+        raise GraphError(f"unknown generator kind {head!r}")
+    names = _FAMILIES[kind][1]
+    if len(parts) != len(names):
+        form = ":".join([kind.replace("_", "-")] + [f"<{name}>" for name in names])
+        raise GraphError(f"malformed generator spec {spec!r}: expected {form}")
     try:
-        if kind == "cycle":
-            return generate("cycle", n=int(parts[1]))
-        if kind == "complete":
-            return generate("complete", n=int(parts[1]))
-        if kind == "hypercube":
-            return generate("hypercube", dim=int(parts[1]))
-        if kind == "circulant":
-            offsets = tuple(int(x) for x in parts[2].split(","))
-            return generate("circulant", n=int(parts[1]), offsets=offsets)
-        if kind == "random_regular":
-            if len(parts) != 4:
-                raise GraphError("random-regular spec is random-regular:<n>:<d>:<seed>")
-            return generate("random_regular", n=int(parts[1]), d=int(parts[2]), seed=int(parts[3]))
-    except (IndexError, ValueError) as exc:
+        params = {
+            name: tuple(int(x) for x in part.split(",")) if name == "offsets" else int(part)
+            for name, part in zip(names, parts)
+        }
+    except ValueError as exc:
         raise GraphError(f"malformed generator spec {spec!r}: {exc}") from exc
-    raise GraphError(f"unknown generator kind {parts[0]!r}")
+    return generate(kind, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -62,10 +62,12 @@ class OracleError(ValueError):
 
 
 class EventKind(Enum):
-    HIT_ALL = "hit-all"
-    HIT_ANY = "hit-any"
-    COVER_ALL = "cover-all"
-    RETURN_TO_START = "return-to-start"
+    """Event kinds; each value is the kind's word in event text."""
+
+    HIT_ALL = "hitall"
+    HIT_ANY = "hitany"
+    COVER_ALL = "cover"
+    RETURN_TO_START = "return"
 
 
 @dataclass(frozen=True)
@@ -93,37 +95,42 @@ class EventSpec:
     def describe(self) -> str:
         if self.kind is EventKind.HIT_ANY and len(self.targets) == 1:
             return f"hit:{next(iter(self.targets))}"
-        if self.kind in (EventKind.HIT_ALL, EventKind.HIT_ANY):
-            verts = ",".join(str(v) for v in sorted(self.targets))
-            return f"{'hitall' if self.kind is EventKind.HIT_ALL else 'hitany'}:{verts}"
-        return "cover" if self.kind is EventKind.COVER_ALL else "return"
+        if self.targets:
+            return f"{self.kind.value}:{','.join(str(v) for v in sorted(self.targets))}"
+        return self.kind.value
 
 
 def parse_event_text(text: str, horizon: int) -> EventSpec:
-    """Parse "hit:3", "hitall:1,2", "hitany:0,5", "cover", "return"."""
-    head, _, tail = text.partition(":")
+    """Parse "hit:3", "hitall:1,2", "hitany:0,5", "cover", "return"; "hit"
+    is short for "hitany"."""
+    head, colon, tail = text.partition(":")
     head = head.strip().lower()
-    if head == "cover":
-        return EventSpec(EventKind.COVER_ALL, horizon)
-    if head == "return":
-        return EventSpec(EventKind.RETURN_TO_START, horizon)
-    if head in ("hit", "hitany", "hitall"):
-        try:
-            targets = frozenset(int(part) for part in tail.split(","))
-        except ValueError as exc:
-            raise OracleError(f"bad target list in event {text!r}") from exc
-        kind = EventKind.HIT_ALL if head == "hitall" else EventKind.HIT_ANY
-        return EventSpec(kind, horizon, targets)
-    raise OracleError(f"unknown event {text!r}")
+    try:
+        kind = EventKind("hitany" if head == "hit" else head)
+    except ValueError:
+        raise OracleError(f"unknown event {text!r}") from None
+    try:
+        targets = frozenset(int(part) for part in tail.split(",")) if colon else frozenset()
+    except ValueError as exc:
+        raise OracleError(f"bad target list in event {text!r}") from exc
+    return EventSpec(kind, horizon, targets)
 
 
 # ---------------------------------------------------------------------------
 # DP core
 
 
-def _target_bits(g: Graph, event: EventSpec) -> tuple[list[int], int]:
-    """Per-vertex mask bit (0 when inert) and the number of tracked bits."""
-    if event.kind is EventKind.COVER_ALL:
+def _encode(g: Graph, u: int, event: EventSpec) -> tuple[list[int], int, int]:
+    """The event as DP masks from start u: each vertex's mask bit (0 when
+    inert), the mask of every tracked vertex, and the mask at time 0.
+    Checks every precondition the DPs share."""
+    if g.n < 2:
+        raise OracleError("event DP needs n >= 2")
+    if not (0 <= u < g.n):
+        raise OracleError("start vertex out of range")
+    if event.kind is EventKind.RETURN_TO_START:
+        targets = [u]
+    elif event.kind is EventKind.COVER_ALL:
         targets = list(range(g.n))
     else:
         targets = sorted(event.targets)
@@ -134,7 +141,9 @@ def _target_bits(g: Graph, event: EventSpec) -> tuple[list[int], int]:
     bits = [0] * g.n
     for i, v in enumerate(targets):
         bits[v] = 1 << i
-    return bits, len(targets)
+    # A return event does not count time 0 as a visit to the start.
+    start = 0 if event.kind is EventKind.RETURN_TO_START else bits[u]
+    return bits, (1 << len(targets)) - 1, start
 
 
 def _satisfied(event: EventSpec, mask: np.ndarray | int, full: int):
@@ -143,33 +152,13 @@ def _satisfied(event: EventSpec, mask: np.ndarray | int, full: int):
     return mask != 0
 
 
-def _initial_mask(event: EventSpec, bits: Sequence[int], u: int) -> int:
-    # A return event does not count time 0 as a visit to the start.
-    return 0 if event.kind is EventKind.RETURN_TO_START else bits[u]
-
-
-def _return_bits(g: Graph, u: int) -> list[int]:
-    bits = [0] * g.n
-    bits[u] = 1
-    return bits
-
-
 def _horizon_values(g: Graph, u: int, event: EventSpec, eps: float) -> list[float]:
     """Value at the start for every horizon 0..event.horizon, from one
     backward pass: after t steps the table holds the horizon-t values, so
     the pass to the largest horizon yields every shorter one unchanged."""
-    if g.n < 2:
-        raise OracleError("event DP needs n >= 2")
-    if not (0 <= u < g.n):
-        raise OracleError("start vertex out of range")
-    if event.kind is EventKind.RETURN_TO_START:
-        bits, k = _return_bits(g, u), 1
-    else:
-        bits, k = _target_bits(g, event)
-    full = (1 << k) - 1
-    masks = np.arange(1 << k)
+    bits, full, start = _encode(g, u, event)
+    masks = np.arange(full + 1)
     kid_rows = [masks | bits[w] for w in range(g.n)]
-    start = _initial_mask(event, bits, u)
     # Horizon-0 values are the terminal indicator; monotonicity (children
     # masks are supersets) then keeps satisfied masks at value 1 through
     # every backward step without special casing.
@@ -207,25 +196,13 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
 
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
     """Rational-arithmetic twin of the DP, for float cross-validation."""
-    if g.n < 2:
-        raise OracleError("event DP needs n >= 2")
     if not (Fraction(0) <= eps <= Fraction(1)):
         raise OracleError("eps must lie in [0, 1]")
-    if event.kind is EventKind.RETURN_TO_START:
-        bits = _return_bits(g, u)
-        full = 1
-    else:
-        bits, k = _target_bits(g, event)
-        full = (1 << k) - 1
-    sat_mask = (
-        (lambda m: m == full)
-        if event.kind in (EventKind.HIT_ALL, EventKind.COVER_ALL)
-        else (lambda m: m != 0)
-    )
+    bits, full, start = _encode(g, u, event)
     memo: dict[tuple[int, int, int], Fraction] = {}
 
     def value(v: int, mask: int, left: int) -> Fraction:
-        if sat_mask(mask):
+        if _satisfied(event, mask, full):
             return Fraction(1)
         if left == 0:
             return Fraction(0)
@@ -239,7 +216,7 @@ def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fractio
             memo[key] = got
         return got
 
-    return value(u, _initial_mask(event, bits, u), event.horizon)
+    return value(u, start, event.horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ statistically across implementations.
 
 Tight simulation loops read a stream through `draws` (u64 ints) or
 `unit_draws` (next_float's uniforms, decoded in numpy).  Each returns the
-`__next__` of a C-level iterator over blocks of `block_u64`, 64 draws first
-and doubling up to MAX_BLOCK, so a draw costs no Python frame and the served
-sequence is exactly that of next_u64 or next_float.
+`__next__` of a C-level iterator over blocks of `block_u64`, FIRST_BLOCK
+draws first and doubling up to MAX_BLOCK, so a draw costs no Python frame
+and the served sequence is exactly that of next_u64 or next_float.
 """
 from __future__ import annotations
 
@@ -101,34 +101,30 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
+FIRST_BLOCK = 64
 MAX_BLOCK = 8192
 
 
-def _blocks(rng: SplitMix64, block: int) -> Iterator[np.ndarray]:
-    """Successive uint64 blocks of `rng`: `block` draws (at most MAX_BLOCK), then
-    doubling up to MAX_BLOCK."""
-    if block < 1:
-        raise ValueError(f"draw blocks need at least one draw, got {block}")
-    return map(rng.block_u64, _block_sizes(block))
-
-
-def _block_sizes(block: int) -> Iterator[int]:
+def _blocks(rng: SplitMix64) -> Iterator[np.ndarray]:
+    """Successive uint64 blocks of `rng`: FIRST_BLOCK draws, then doubling up
+    to MAX_BLOCK."""
+    block = FIRST_BLOCK
     while block < MAX_BLOCK:
-        yield block
+        yield rng.block_u64(block)
         block *= 2
-    yield from repeat(MAX_BLOCK)
+    yield from map(rng.block_u64, repeat(MAX_BLOCK))
 
 
-def draws(rng: SplitMix64, block: int = 64) -> Callable[[], int]:
+def draws(rng: SplitMix64) -> Callable[[], int]:
     """Next-draw function over `rng`'s u64 stream: call k returns what the k-th
     next_u64 would.  Draws are generated in blocks (see `_blocks`) and served by
     a C-level iterator, so a short run generates few draws it never uses and a
     long one pays no Python frame per draw."""
-    return chain.from_iterable(z.tolist() for z in _blocks(rng, block)).__next__
+    return chain.from_iterable(z.tolist() for z in _blocks(rng)).__next__
 
 
-def unit_draws(rng: SplitMix64, block: int = 64) -> Callable[[], float]:
+def unit_draws(rng: SplitMix64) -> Callable[[], float]:
     """As `draws`, decoded to next_float's uniforms in [0, 1) in numpy:
     (z >> 11) * 2**-53 is exact for 53-bit integers."""
     scale = 2.0**-53
-    return chain.from_iterable(((z >> np.uint64(11)) * scale).tolist() for z in _blocks(rng, block)).__next__
+    return chain.from_iterable(((z >> np.uint64(11)) * scale).tolist() for z in _blocks(rng)).__next__

@@ -50,7 +50,6 @@ from .chains import (
     ReversibleChain,
     candidate_conductance,
     edge_conductance_exact,
-    ergodic_flow,
     power_chain,
     spectral_gap,
 )

@@ -6,6 +6,8 @@ table, whose `Tracer.install` otherwise fails on the first traced run.
 
 A weighting carries its graph, so no public function takes a graph beside a
 weighting: a second graph could disagree with `w.graph`.
+
+No module imports a name it never uses, unless its `__all__` re-exports it.
 """
 
 import ast
@@ -72,3 +74,27 @@ def test_no_function_takes_a_graph_beside_a_weighting(name):
         and {Graph, EdgeWeighting} <= {t for p, t in typing.get_type_hints(fn).items() if p != "return"}
     ]
     assert both == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_uses(name):
+    # the package's __init__ imports only to re-export, so it is not checked
+    assert _unused_imports(Path(walklab.__file__).with_name(f"{name}.py")) == []

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from walklab import graphs, robustness, weighting
 from walklab.cli import _parse, _sweep_events, build_parser, main
 from walklab.graphs import generate, small_regular_catalog, write_graph_file
-from walklab.oracle import boost_bound_audit, eta_grid
+from walklab.oracle import EventKind, boost_bound_audit, eta_grid
 
 
 def run(capsys, *argv):
@@ -101,6 +101,40 @@ def test_unknown_generator_spec_is_input_error(capsys):
     code, out, err = run(capsys, "cover-sim", "--generate", "random-regular:16:3", "--trials", "4", "--seed", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: malformed generator spec") and "Traceback" not in err
+
+
+# one valid spec of every generator family
+FAMILY_SPECS = ["cycle:12", "complete:4", "hypercube:3", "circulant:12:1,4", "random-regular:16:3:1"]
+
+
+def test_family_specs_cover_every_family():
+    assert {spec.split(":")[0].replace("-", "_") for spec in FAMILY_SPECS} == set(graphs._FAMILIES)
+    for spec in FAMILY_SPECS:
+        graphs.parse_generate_spec(spec)  # valid until a part is added
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--generate", f"{spec}:{extra}") for spec in FAMILY_SPECS for extra in ("5", "junk")]
+    + [("--event", "cover:5"), ("--event", "return:x")],
+)
+def test_spec_with_extra_parts_is_input_error(capsys, flag, text):
+    argv = {"--generate": ["spectral"], "--event": ["boost-audit", "--generate", "complete:4", "--t", "2"]}[flag]
+    code, out, err = run(capsys, *argv, flag, text)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_spec_help_lists_every_family_and_event_word():
+    commands = build_parser().commands
+    generate_help = commands["spectral"]._option_string_actions["--generate"].help
+    event_help = commands["boost-audit"]._option_string_actions["--event"].help
+    assert [part.split(":")[0] for part in generate_help.split(": ", 1)[1].split(", ")] == [
+        kind.replace("_", "-") for kind in graphs._FAMILIES
+    ]
+    assert [part.split(":")[0].strip() for part in event_help.split("|")] == [
+        "hit", *(kind.value for kind in EventKind)
+    ]
 
 
 # --- cover-sim -------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import graphs
 from walklab.graphs import (
     Graph,
     GraphError,
@@ -130,6 +131,18 @@ def test_generate_unknown_kind():
         generate("torus", n=4)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("cycle", {}),
+    ("cycle", {"n": 5, "d": 3}),
+    ("circulant", {"n": 8}),
+    ("hypercube", {"n": 8}),
+    ("random_regular", {"n": 8, "d": 3}),
+])
+def test_generate_needs_exactly_the_family_parameters(kind, params):
+    with pytest.raises(GraphError, match=f"^{kind} needs exactly "):
+        generate(kind, **params)
+
+
 def test_parse_generate_spec_builds_each_family():
     assert parse_generate_spec("cycle:7") == generate("cycle", n=7)
     assert parse_generate_spec("Complete:5") == generate("complete", n=5)
@@ -137,6 +150,35 @@ def test_parse_generate_spec_builds_each_family():
     assert parse_generate_spec("circulant:9:1,3") == generate("circulant", n=9, offsets=(1, 3))
     assert parse_generate_spec("random-regular:16:3:7") == generate("random_regular", n=16, d=3, seed=7)
     assert parse_generate_spec("random_regular:16:3:7") == parse_generate_spec("random-regular:16:3:7")
+
+
+# every generator family: its parameter names and valid values, in spec order
+FAMILY_PARAMS = {
+    "cycle": (("n",), st.tuples(st.integers(3, 40))),
+    "complete": (("n",), st.tuples(st.integers(2, 12))),
+    "hypercube": (("dim",), st.tuples(st.integers(1, 5))),
+    "circulant": (("n", "offsets"), st.integers(3, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n // 2), max_size=3).map(lambda o: (1, *o)))
+    )),
+    "random_regular": (("n", "d", "seed"), st.sampled_from([(8, 3), (10, 4), (12, 3)]).flatmap(
+        lambda nd: st.tuples(st.just(nd[0]), st.just(nd[1]), st.integers(-5, 2**64))
+    )),
+}
+
+
+def test_family_params_cover_every_family():
+    assert {kind: names for kind, (names, _) in FAMILY_PARAMS.items()} == {
+        kind: names for kind, (_, names) in graphs._FAMILIES.items()
+    }
+
+
+@given(st.sampled_from(sorted(FAMILY_PARAMS)).flatmap(lambda kind: st.tuples(st.just(kind), FAMILY_PARAMS[kind][1])))
+@settings(max_examples=60, deadline=None)
+def test_generator_spec_text_round_trips(case):
+    kind, values = case
+    parts = [",".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in values]
+    want = generate(kind, **dict(zip(FAMILY_PARAMS[kind][0], values)))
+    assert parse_generate_spec(":".join([kind.replace("_", "-"), *parts])) == want
 
 
 @pytest.mark.parametrize(

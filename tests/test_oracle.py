@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walklab.graphs import GuardError, build_graph, generate, small_regular_catalog
 from walklab.oracle import (
@@ -109,6 +111,23 @@ def test_event_describe_and_parse_round_trip():
         parse_event_text("hit:abc", 2)
     with pytest.raises(OracleError):
         parse_event_text("survive", 2)
+
+
+@st.composite
+def events(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(EventKind))
+    horizon = draw(st.integers(min_value=0, max_value=12))
+    targets = frozenset()
+    if kind in (EventKind.HIT_ALL, EventKind.HIT_ANY):
+        targets = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    return EventSpec(kind, horizon, targets)
+
+
+@given(events())
+@settings(max_examples=200)
+def test_event_text_round_trips(event):
+    assert parse_event_text(event.describe(), event.horizon) == event
 
 
 # --- exact anchors on the probe graph -------------------------------------------
@@ -216,6 +235,17 @@ def test_oracle_guards():
         optimal_tbrw_event_prob(generate("cycle", n=4), 0, hit(1, 2), 1.5)
     with pytest.raises(OracleError):
         event_prob_exact(generate("cycle", n=4), 0, hit(1, 2), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("u", [-1, 5])
+@pytest.mark.parametrize("event", ["hit:4", "hitall:1,2", "hitany:1,2", "cover", "return"])
+def test_event_dps_reject_a_start_out_of_range(event, u):
+    # a negative start must not index the mask table from its end
+    g = generate("cycle", n=5)
+    spec = parse_event_text(event, 3)
+    for query in (srw_event_prob, event_prob_exact):
+        with pytest.raises(OracleError, match="start vertex out of range"):
+            query(g, u, spec)
 
 
 @pytest.mark.parametrize("t", [0, 2])

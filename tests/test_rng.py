@@ -100,23 +100,22 @@ def test_shuffle_is_a_permutation():
 
 def test_draws_match_direct():
     direct = SplitMix64(4096)
-    u64 = draws(SplitMix64(4096), block=16)
+    u64 = draws(SplitMix64(4096))
     assert [u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
     direct2 = SplitMix64(8192)
-    unit = unit_draws(SplitMix64(8192), block=16)
+    unit = unit_draws(SplitMix64(8192))
     assert [unit() for _ in range(100)] == [direct2.next_float() for _ in range(100)]
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
-    # refill at the cap at least once, from the default first block and from 1
+    # refill at the cap at least once
     count = 20_500
-    for kwargs in ({}, {"block": 1}):
-        direct3 = SplitMix64(-77)
-        u64 = draws(SplitMix64(-77), **kwargs)
-        assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
-        direct4 = SplitMix64(2**64 + 5)
-        unit = unit_draws(SplitMix64(2**64 + 5), **kwargs)
-        got = [unit() for _ in range(count)]
-        assert all(type(x) is float for x in got)
-        assert got == [direct4.next_float() for _ in range(count)]
+    direct3 = SplitMix64(-77)
+    u64 = draws(SplitMix64(-77))
+    assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
+    direct4 = SplitMix64(2**64 + 5)
+    unit = unit_draws(SplitMix64(2**64 + 5))
+    got = [unit() for _ in range(count)]
+    assert all(type(x) is float for x in got)
+    assert got == [direct4.next_float() for _ in range(count)]
 
 
 @pytest.mark.parametrize("make", [draws, unit_draws])
@@ -132,15 +131,6 @@ def test_draws_grow_blocks_up_to_the_cap(make):
             next_draw()
         sizes.append(rng.counter - before)
     assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]
-
-
-@pytest.mark.parametrize("make", [draws, unit_draws])
-@pytest.mark.parametrize("block", [0, -1, -64])
-def test_draws_reject_empty_blocks(make, block):
-    rng = SplitMix64(5)
-    with pytest.raises(ValueError, match="at least one draw"):
-        make(rng, block=block)
-    assert rng.counter == 0
 
 
 def test_negative_blocks_do_not_rewind_the_stream():
