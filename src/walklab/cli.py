@@ -43,7 +43,7 @@ from .oracle import (
     eta_grid,
     parse_event_text,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, draws
 from .robustness import psi_lower_bound, section3_lemma_audit, theorem31_check
 from .walks import WALK_KINDS, WalkError, WalkSpec, estimate_cover_time
 from .weighting import (
@@ -172,6 +172,7 @@ def _report(
     starts with a timestamp unless --no-timestamp is given.
     """
     if args.out is not None:
+        encode = json.JSONEncoder(sort_keys=True).encode
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -180,7 +181,7 @@ def _report(
                 if stamp:
                     fh.write(json.dumps({"timestamp": stamp}) + "\n")
                 for row in audit:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    fh.write(encode(row) + "\n")
         if results is not None:
             with (out / "results.csv").open("w", newline="") as fh:
                 if stamp:
@@ -344,16 +345,18 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
             if not report.ok:
                 failures += 1
 
+    # u64() % k and (u64() >> 11) * 2**-53 are the stream's randrange(k) and
+    # next_float(), read through block draws
     conv_failures = 0
-    rng = SplitMix64.stream(args.seed, 0)
+    u64 = draws(SplitMix64.stream(args.seed, 0))
     for _ in range(args.draws):
-        d = 3 + rng.randrange(4)
-        raw = [rng.next_float() for _ in range(d)]
+        d = 3 + u64() % 4
+        raw = [(u64() >> 11) * 2.0**-53 for _ in range(d)]
         total = sum(raw)
         b = [x / total for x in raw]
-        v = [rng.next_float() for _ in range(d)]
-        eta = (0.25, 0.5, 1.0)[rng.randrange(3)]
-        eps = rng.next_float() / d ** (2.0 * eta)
+        v = [(u64() >> 11) * 2.0**-53 for _ in range(d)]
+        eta = (0.25, 0.5, 1.0)[u64() % 3]
+        eps = (u64() >> 11) * 2.0**-53 / d ** (2.0 * eta)
         if not conv_lemma_audit(d, eps, eta, v, b):
             conv_failures += 1
     failures += conv_failures

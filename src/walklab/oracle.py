@@ -152,34 +152,40 @@ def _satisfied(event: EventSpec, mask: np.ndarray | int, full: int):
     return mask != 0
 
 
-def _horizon_values(g: Graph, u: int, event: EventSpec, eps: float) -> list[float]:
-    """Value at the start for every horizon 0..event.horizon, from one
-    backward pass: after t steps the table holds the horizon-t values, so
-    the pass to the largest horizon yields every shorter one unchanged."""
+def _horizon_values(g: Graph, u: int, event: EventSpec, eps_values: Sequence[float]) -> list[list[float]]:
+    """Value at the start for every eps and every horizon 0..event.horizon,
+    from one backward pass: row e, column t is the horizon-t value of the
+    eps_values[e]-biased walk.  After t steps the table holds the horizon-t
+    values, so the pass to the largest horizon yields every shorter one
+    unchanged.  The eps = 0 row is the plain walk bit for bit: for values
+    in [0, 1], 1.0 * mean + 0.0 * max is mean."""
     bits, full, start = _encode(g, u, event)
+    eps = np.array(eps_values, dtype=float)[:, None]
+    keep = 1.0 - eps
     masks = np.arange(full + 1)
     kid_rows = [masks | bits[w] for w in range(g.n)]
+    nbrs = [np.array(adj) for adj in g.adj]
     # Horizon-0 values are the terminal indicator; monotonicity (children
     # masks are supersets) then keeps satisfied masks at value 1 through
-    # every backward step without special casing.
+    # every backward step without special casing.  value[v, e, mask].
     value = np.where(_satisfied(event, masks, full), 1.0, 0.0)
-    value = np.repeat(value[:, None], g.n, axis=1)
-    out = [float(value[start, u])]
+    value = np.tile(value, (g.n, len(eps), 1))
+    out = [value[u, :, start]]
     for _ in range(event.horizon):
-        nxt = np.empty_like(value)
-        for v in range(g.n):
-            kids = np.stack([value[kid_rows[w], w] for w in g.adj[v]])
-            mean = kids.mean(axis=0)
-            nxt[:, v] = mean if eps == 0.0 else (1.0 - eps) * mean + eps * kids.max(axis=0)
-        value = nxt
-        out.append(float(value[start, u]))
-    return out
+        # kid[w, e, mask]: the value of stepping to w from `mask`
+        kid = np.stack([value[w][:, kid_rows[w]] for w in range(g.n)])
+        value = np.empty_like(value)
+        for v, adj in enumerate(nbrs):
+            kids = kid[adj]
+            value[v] = keep * (np.add.reduce(kids) / len(adj)) + eps * np.maximum.reduce(kids)
+        out.append(value[u, :, start])
+    return np.stack(out, axis=1).tolist()
 
 
 def srw_event_prob(g: Graph, u: int, event: EventSpec) -> float:
     """Exact probability that the simple random walk from u satisfies the
     event within its horizon."""
-    return _horizon_values(g, u, event, 0.0)[-1]
+    return _horizon_values(g, u, event, (0.0,))[0][-1]
 
 
 def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> float:
@@ -191,7 +197,7 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
     """
     if not (0.0 <= eps <= 1.0):
         raise OracleError("eps must lie in [0, 1]")
-    return _horizon_values(g, u, event, eps)[-1]
+    return _horizon_values(g, u, event, (eps,))[0][-1]
 
 
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
@@ -223,36 +229,49 @@ def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fractio
 # one-step operator, power means
 
 
+def _floats(x: Sequence[float], message: str) -> list[float]:
+    """x as a list of floats; OracleError(message) unless x is one flat
+    sequence of numbers."""
+    try:
+        return [float(e) for e in x]
+    except TypeError:
+        raise OracleError(message) from None
+
+
 def biased_operator(eps: float, b: Sequence[float], v: Sequence[float]) -> float:
     """sum_i ((1-eps)/d + eps * b_i) * v_i for a bias distribution b."""
-    b = np.asarray(b, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if b.shape != v.shape or b.ndim != 1:
+    b = _floats(b, "bias and value vectors must have equal length")
+    v = _floats(v, "bias and value vectors must have equal length")
+    if len(b) != len(v):
         raise OracleError("bias and value vectors must have equal length")
     if not (0.0 <= eps <= 1.0):
         raise OracleError("eps must lie in [0, 1]")
-    if b.min() < -1e-12 or abs(float(b.sum()) - 1.0) > 1e-9:
+    if abs(sum(b) - 1.0) > 1e-9 or min(b) < -1e-12:
         raise OracleError("bias must be a probability vector")
-    if v.min() < 0:
+    if min(v) < 0:
         raise OracleError("value entries must be nonnegative")
-    d = len(v)
-    return float(np.dot((1.0 - eps) / d + eps * b, v))
+    uniform = (1.0 - eps) / len(v)
+    return sum((uniform + eps * bi) * vi for bi, vi in zip(b, v))
 
 
 def power_mean(r: float, v: Sequence[float]) -> float:
     """M_r(v) = ((v_1^r + ... + v_d^r) / d)^(1/r); r = inf gives max."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or len(v) == 0:
+    v = _floats(v, "power mean needs a non-empty vector")
+    if not v:
         raise OracleError("power mean needs a non-empty vector")
-    if v.min() < 0:
+    if min(v) < 0:
         raise OracleError("power mean entries must be nonnegative")
     if math.isinf(r):
-        return float(v.max())
+        return max(v)
     if r < 1:
         raise OracleError("power mean implemented for r >= 1 only")
     if r == 1:
-        return float(v.mean())
-    return float((np.power(v, r).mean()) ** (1.0 / r))
+        return sum(v) / len(v)
+    try:
+        total = sum(x**r for x in v)
+    except OverflowError:  # a float power raises where numpy's gives inf
+        return math.inf
+    return (total / len(v)) ** (1.0 / r)
 
 
 def _leq_with_slack(lhs: float, rhs: float, slack: float = 1e-12) -> bool:
@@ -267,8 +286,6 @@ def conv_lemma_audit(d: int, eps: float, eta: float, v: Sequence[float], b: Sequ
     B_{eps,b}(v) <= exp(4/d^eta) * M_{(1+eta)/eta}(v).
     The second check is skipped (not failed) off its precondition.
     """
-    v = np.asarray(v, dtype=float)
-    b = np.asarray(b, dtype=float)
     if len(v) != d or len(b) != d:
         raise OracleError("vectors must have length d")
     lhs = biased_operator(eps, b, v)
@@ -354,17 +371,22 @@ def _check_boost_params(eps: float, eta: float) -> None:
         raise OracleError("eta must lie in (0, 1]")
 
 
-def _boost_report(g: Graph, event: EventSpec, eps: float, eta: float, p: float, q_star: float) -> BoostReport:
+def _boost_reports(
+    g: Graph, event: EventSpec, eps_values: Sequence[float], etas: Sequence[float], p: float, q_stars: Sequence[float]
+) -> list[BoostReport]:
+    """The reports of one event for every (eps, eta), given p and the q* of each eps."""
+    text, t = event.describe(), event.horizon
     d_max = max(g.degrees)
     d_min = min(g.degrees)
-    t = event.horizon
-    bound1 = (1.0 + eps * (d_max - 1)) ** t * p
-    bound2 = None
-    if eps <= 1.0 / d_max ** (2.0 * eta):
-        bound2 = math.exp(4.0 * t / d_min**eta) * p ** (eta / (1.0 + eta)) if p > 0 else 0.0
-    return BoostReport(
-        event=event.describe(), t=t, eps=eps, eta=eta, p=p, q_star=q_star, bound1=bound1, bound2=bound2
-    )
+    reports = []
+    for eps, q_star in zip(eps_values, q_stars):
+        bound1 = (1.0 + eps * (d_max - 1)) ** t * p
+        for eta in etas:
+            bound2 = None
+            if eps <= 1.0 / d_max ** (2.0 * eta):
+                bound2 = math.exp(4.0 * t / d_min**eta) * p ** (eta / (1.0 + eta)) if p > 0 else 0.0
+            reports.append(BoostReport(text, t, eps, eta, p, q_star, bound1, bound2))
+    return reports
 
 
 def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float) -> BoostReport:
@@ -376,7 +398,7 @@ def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float
     _check_boost_params(eps, eta)
     p = srw_event_prob(g, u, event)
     q_star = optimal_tbrw_event_prob(g, u, event, eps)
-    return _boost_report(g, event, eps, eta, p, q_star)
+    return _boost_reports(g, event, [eps], [eta], p, [q_star])[0]
 
 
 def boost_bound_grid(
@@ -384,9 +406,10 @@ def boost_bound_grid(
 ) -> list[BoostReport]:
     """`boost_bound_audit` for every (event, eps, eta), in that nesting order.
 
-    Events that differ only in horizon share one DP pass per eps, run to
-    their largest horizon; eps = 0 is the plain walk and supplies p.  The
-    reports equal the per-query ones bit for bit.
+    Events that differ only in horizon share one DP pass over the eps grid
+    (0, *eps_values), run to their largest horizon; its eps = 0 row is the
+    plain walk and supplies p.  The reports equal the per-query ones bit
+    for bit.
     """
     for eps in eps_values:
         for eta in etas:
@@ -395,18 +418,12 @@ def boost_bound_grid(
     for event in events:
         key = (event.kind, event.targets)
         tmax[key] = max(tmax.get(key, 0), event.horizon)
-    values = {
-        (key, eps): _horizon_values(g, u, EventSpec(key[0], t, key[1]), eps)
-        for key, t in tmax.items()
-        for eps in {0.0, *eps_values}
-    }
+    grid = (0.0, *eps_values)
+    values = {key: _horizon_values(g, u, EventSpec(key[0], t, key[1]), grid) for key, t in tmax.items()}
     reports = []
     for event in events:
-        key = (event.kind, event.targets)
-        p = values[key, 0.0][event.horizon]
-        for eps in eps_values:
-            q_star = values[key, eps][event.horizon]
-            reports.extend(_boost_report(g, event, eps, eta, p, q_star) for eta in etas)
+        p, *q_stars = (row[event.horizon] for row in values[event.kind, event.targets])
+        reports += _boost_reports(g, event, eps_values, etas, p, q_stars)
     return reports
 
 

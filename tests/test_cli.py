@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import graphs, robustness, weighting
+from walklab import cli, graphs, robustness, weighting
 from walklab.cli import _parse, _sweep_events, build_parser, main
 from walklab.graphs import generate, small_regular_catalog, write_graph_file
 from walklab.oracle import EventKind, boost_bound_audit, eta_grid
+from walklab.rng import SplitMix64
 
 
 def run(capsys, *argv):
@@ -602,6 +603,41 @@ def test_lemma_sweep_rows_match_per_query_audits(tmp_path, capsys):
     # report the first differing row only: a full diff of ~2700 rows takes minutes
     mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
     assert len(got) == len(expected) and mismatch is None, mismatch
+
+
+def test_lemma_sweep_files_are_pinned(tmp_path, capsys):
+    # the certify benchmark's lemma-sweep slot, convexity draws included
+    code, _, _ = run(
+        capsys, "lemma-sweep", "--nmax", "5", "--tmax", "4", "--draws", "2000", "--seed", "5",
+        "--no-timestamp", "--out", str(tmp_path),
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("audit.jsonl", "summary.json")
+    }
+    assert digests == {
+        "audit.jsonl": "cc93e560b3b95861e0a35dc0bebd22f294708641452399a1cd19cfb7f66abe19",
+        "summary.json": "fb430082b46b924c0d9f2f06cfe77da277d06b06aafa99260d99310ccef82faf",
+    }
+
+
+def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsys):
+    # the block-draw loop passes the audit what randrange/next_float give
+    seen = []
+    monkeypatch.setattr(cli, "conv_lemma_audit", lambda *args: seen.append(args) or True)
+    code, _, _ = run(capsys, "lemma-sweep", "--nmax", "2", "--tmax", "1", "--draws", "300", "--seed", "5")
+    assert code == 0
+    rng = SplitMix64.stream(5, 0)
+    expected = []
+    for _ in range(300):
+        d = 3 + rng.randrange(4)
+        raw = [rng.next_float() for _ in range(d)]
+        total = sum(raw)
+        b = [x / total for x in raw]
+        v = [rng.next_float() for _ in range(d)]
+        eta = (0.25, 0.5, 1.0)[rng.randrange(3)]
+        expected.append((d, rng.next_float() / d ** (2.0 * eta), eta, v, b))
+    assert seen == expected
 
 
 # --- config files -----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from walklab.oracle import (
     srw_event_prob,
     srw_expected_cover_exact,
 )
+from walklab.oracle import _encode, _horizon_values, _satisfied
 from walklab.rng import SplitMix64
 
 
@@ -216,6 +217,61 @@ def test_dp_agrees_with_raw_tree_and_rationals():
                 assert abs(dp - float(exact)) < 1e-12, (event, eps)
 
 
+# --- one DP pass over an eps grid --------------------------------------------------
+
+
+def one_eps_horizon_values(g, u, event, eps):
+    """The DP pass for a single eps that the eps-grid pass replaced, kept as
+    its reference: value[mask, v], one stacked gather per vertex, and the
+    plain-walk mean alone when eps is 0."""
+    bits, full, start = _encode(g, u, event)
+    masks = np.arange(full + 1)
+    kid_rows = [masks | bits[w] for w in range(g.n)]
+    value = np.where(_satisfied(event, masks, full), 1.0, 0.0)
+    value = np.repeat(value[:, None], g.n, axis=1)
+    out = [float(value[start, u])]
+    for _ in range(event.horizon):
+        nxt = np.empty_like(value)
+        for v in range(g.n):
+            kids = np.stack([value[kid_rows[w], w] for w in g.adj[v]])
+            mean = kids.mean(axis=0)
+            nxt[:, v] = mean if eps == 0.0 else (1.0 - eps) * mean + eps * kids.max(axis=0)
+        value = nxt
+        out.append(float(value[start, u]))
+    return out
+
+
+DP_GRAPHS = {
+    **small_regular_catalog(),
+    **{f"cycle:{n}": generate("cycle", n=n) for n in range(3, 9)},
+    "hypercube:3": generate("hypercube", dim=3),
+}
+
+
+@st.composite
+def eps_grid_queries(draw):
+    g = DP_GRAPHS[draw(st.sampled_from(sorted(DP_GRAPHS)))]
+    kind = draw(st.sampled_from(EventKind))
+    targets = frozenset()
+    if kind in (EventKind.HIT_ALL, EventKind.HIT_ANY):
+        targets = draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=4))
+    event = EventSpec(kind, draw(st.integers(min_value=0, max_value=5)), targets)
+    u = draw(st.integers(min_value=0, max_value=g.n - 1))
+    grid = draw(st.permutations([0.0, 1.0, *draw(st.lists(st.floats(0.0, 1.0), max_size=4))]))
+    return g, u, event, grid
+
+
+@given(eps_grid_queries())
+@settings(max_examples=150, deadline=None)
+def test_eps_grid_pass_equals_one_eps_passes(query):
+    g, u, event, grid = query
+    rows = _horizon_values(g, u, event, grid)
+    assert len(rows) == len(grid)
+    for eps, row in zip(grid, rows):
+        assert len(row) == event.horizon + 1
+        assert row == _horizon_values(g, u, event, [eps])[0] == one_eps_horizon_values(g, u, event, eps), eps
+
+
 def test_dp_values_stay_in_unit_interval():
     for g in small_regular_catalog().values():
         q = optimal_tbrw_event_prob(g, 0, EventSpec(EventKind.COVER_ALL, 6), 0.4)
@@ -302,12 +358,132 @@ def test_power_mean_values():
         power_mean(2, ())
 
 
+def test_power_mean_overflow_is_inf():
+    # x**r past the float range: inf, as numpy's power gave, not OverflowError
+    assert power_mean(4, (1e100, 1.0)) == math.inf
+    assert conv_lemma_audit(2, 0.0, 0.25, (1e100, 1.0), (0.5, 0.5))
+
+
 def test_power_mean_monotone_in_r():
     rng = SplitMix64(91)
     for _ in range(50):
         v = [rng.next_float() for _ in range(5)]
         ms = [power_mean(r, v) for r in (1, 1.5, 2, 4, math.inf)]
         assert all(a <= b + 1e-12 for a, b in zip(ms, ms[1:]))
+
+
+# --- the one-step audit on Python floats vs its numpy reference -------------------
+
+
+def numpy_biased_operator(eps, b, v):
+    """The numpy body `biased_operator` replaced, kept as its reference."""
+    b = np.asarray(b, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if b.shape != v.shape or b.ndim != 1:
+        raise OracleError("bias and value vectors must have equal length")
+    if not (0.0 <= eps <= 1.0):
+        raise OracleError("eps must lie in [0, 1]")
+    if b.min() < -1e-12 or abs(float(b.sum()) - 1.0) > 1e-9:
+        raise OracleError("bias must be a probability vector")
+    if v.min() < 0:
+        raise OracleError("value entries must be nonnegative")
+    d = len(v)
+    return float(np.dot((1.0 - eps) / d + eps * b, v))
+
+
+def numpy_power_mean(r, v):
+    """The numpy body `power_mean` replaced, kept as its reference."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or len(v) == 0:
+        raise OracleError("power mean needs a non-empty vector")
+    if v.min() < 0:
+        raise OracleError("power mean entries must be nonnegative")
+    if math.isinf(r):
+        return float(v.max())
+    if r < 1:
+        raise OracleError("power mean implemented for r >= 1 only")
+    if r == 1:
+        return float(v.mean())
+    return float((np.power(v, r).mean()) ** (1.0 / r))
+
+
+def numpy_conv_lemma_audit(d, eps, eta, v, b):
+    """The numpy body `conv_lemma_audit` replaced, kept as its reference."""
+    v = np.asarray(v, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(v) != d or len(b) != d:
+        raise OracleError("vectors must have length d")
+    lhs = numpy_biased_operator(eps, b, v)
+    rhs = (1.0 + eps * (d - 1)) * numpy_power_mean(1, v)
+    if not lhs <= rhs + 1e-12 * max(1.0, abs(rhs)):
+        return False
+    if 0.0 < eta <= 1.0 and eps <= 1.0 / d ** (2.0 * eta):
+        rhs = math.exp(4.0 / d**eta) * numpy_power_mean((1.0 + eta) / eta, v)
+        if not lhs <= rhs + 1e-12 * max(1.0, abs(rhs)):
+            return False
+    return True
+
+
+def within_ulps(a, b, n=4):
+    # np.dot (BLAS) and numpy's pairwise mean may add in another order
+    return a == b or abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+@st.composite
+def audit_vectors(draw, top=1.0):
+    """(d, b, v): a bias distribution b and values v in [0, top], 1 <= d <= 8."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    raw = draw(st.lists(weight, min_size=d, max_size=d).filter(any))
+    total = sum(raw)
+    v = draw(st.lists(st.floats(0.0, top), min_size=d, max_size=d))
+    return d, [x / total for x in raw], v
+
+
+@given(
+    audit_vectors(top=1e3),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([1, 2, math.inf]), st.floats(1.0, 8.0)),
+)
+@settings(max_examples=300)
+def test_float_operator_and_power_mean_match_numpy(vectors, eps, r):
+    _, b, v = vectors
+    assert within_ulps(biased_operator(eps, b, v), numpy_biased_operator(eps, b, v))
+    assert within_ulps(power_mean(r, v), numpy_power_mean(r, v))
+
+
+@given(audit_vectors(), st.floats(0.0, 1.0), st.floats(0.05, 1.5))
+@settings(max_examples=300)
+def test_float_conv_audit_verdict_matches_numpy(vectors, eps, eta):
+    d, b, v = vectors
+    assert conv_lemma_audit(d, eps, eta, v, b) == numpy_conv_lemma_audit(d, eps, eta, v, b)
+
+
+BAD_AUDIT_INPUTS = {
+    "operator-length": (biased_operator, numpy_biased_operator, (0.5, (0.5, 0.5), (1.0, 2.0, 3.0))),
+    "operator-not-flat": (biased_operator, numpy_biased_operator, (0.5, [[0.5, 0.5]], [[1.0, 2.0]])),
+    "operator-eps-high": (biased_operator, numpy_biased_operator, (1.5, (0.5, 0.5), (1.0, 2.0))),
+    "operator-eps-low": (biased_operator, numpy_biased_operator, (-0.1, (0.5, 0.5), (1.0, 2.0))),
+    "operator-bias-sum": (biased_operator, numpy_biased_operator, (0.5, (0.9, 0.3), (1.0, 2.0))),
+    "operator-bias-negative": (biased_operator, numpy_biased_operator, (0.5, (-0.5, 1.5), (1.0, 2.0))),
+    "operator-value-negative": (biased_operator, numpy_biased_operator, (0.5, (0.5, 0.5), (-1.0, 2.0))),
+    "mean-r-below-1": (power_mean, numpy_power_mean, (0.5, (1.0, 2.0))),
+    "mean-negative": (power_mean, numpy_power_mean, (2, (-1.0, 2.0))),
+    "mean-empty": (power_mean, numpy_power_mean, (2, ())),
+    "mean-not-flat": (power_mean, numpy_power_mean, (2, [[1.0, 2.0]])),
+    "audit-length": (conv_lemma_audit, numpy_conv_lemma_audit, (3, 0.1, 1.0, (1.0, 2.0), (0.5, 0.5))),
+    "audit-eps-high": (conv_lemma_audit, numpy_conv_lemma_audit, (2, 1.5, 1.0, (1.0, 2.0), (0.5, 0.5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_AUDIT_INPUTS))
+def test_float_audit_rejects_what_numpy_rejected(case):
+    audit, reference, args = BAD_AUDIT_INPUTS[case]
+    with pytest.raises(OracleError) as expected:
+        reference(*args)
+    with pytest.raises(OracleError) as got:
+        audit(*args)
+    assert str(got.value) == str(expected.value)
 
 
 # --- one-step convexity bounds ---------------------------------------------------
