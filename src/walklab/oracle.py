@@ -158,10 +158,12 @@ def _horizon_values(g: Graph, u: int, event: EventSpec, eps_values: Sequence[flo
     eps_values[e]-biased walk.  After t steps the table holds the horizon-t
     values, so the pass to the largest horizon yields every shorter one
     unchanged.  The eps = 0 row is the plain walk bit for bit: for values
-    in [0, 1], 1.0 * mean + 0.0 * max is mean."""
+    in [0, 1], 1.0 * mean + 0.0 * max is mean, which a grid of zeros alone
+    takes without the max."""
     bits, full, start = _encode(g, u, event)
     eps = np.array(eps_values, dtype=float)[:, None]
     keep = 1.0 - eps
+    plain = not eps.any()
     masks = np.arange(full + 1)
     kid_rows = [masks | bits[w] for w in range(g.n)]
     nbrs = [np.array(adj) for adj in g.adj]
@@ -170,16 +172,20 @@ def _horizon_values(g: Graph, u: int, event: EventSpec, eps_values: Sequence[flo
     # every backward step without special casing.  value[v, e, mask].
     value = np.where(_satisfied(event, masks, full), 1.0, 0.0)
     value = np.tile(value, (g.n, len(eps), 1))
-    out = [value[u, :, start]]
-    for _ in range(event.horizon):
-        # kid[w, e, mask]: the value of stepping to w from `mask`
-        kid = np.stack([value[w][:, kid_rows[w]] for w in range(g.n)])
-        value = np.empty_like(value)
+    # kid[w, e, mask]: the value of stepping to w from `mask`.  Each step
+    # reads only kid, so it overwrites value in place: two tables in all.
+    kid = np.empty_like(value)
+    out = np.empty((len(eps), event.horizon + 1))
+    out[:, 0] = value[u, :, start]
+    for step in range(1, event.horizon + 1):
+        for w, rows in enumerate(kid_rows):
+            np.take(value[w], rows, axis=1, out=kid[w])
         for v, adj in enumerate(nbrs):
             kids = kid[adj]
-            value[v] = keep * (np.add.reduce(kids) / len(adj)) + eps * np.maximum.reduce(kids)
-        out.append(value[u, :, start])
-    return np.stack(out, axis=1).tolist()
+            mean = np.add.reduce(kids) / len(adj)
+            value[v] = mean if plain else keep * mean + eps * np.maximum.reduce(kids)
+        out[:, step] = value[u, :, start]
+    return out.tolist()
 
 
 def srw_event_prob(g: Graph, u: int, event: EventSpec) -> float:
@@ -406,10 +412,10 @@ def boost_bound_grid(
 ) -> list[BoostReport]:
     """`boost_bound_audit` for every (event, eps, eta), in that nesting order.
 
-    Events that differ only in horizon share one DP pass over the eps grid
-    (0, *eps_values), run to their largest horizon; its eps = 0 row is the
-    plain walk and supplies p.  The reports equal the per-query ones bit
-    for bit.
+    Events that differ only in horizon share one DP pass over the distinct
+    values of (0, *eps_values), run to their largest horizon; its eps = 0
+    row is the plain walk and supplies p.  The reports equal the per-query
+    ones bit for bit.
     """
     for eps in eps_values:
         for eta in etas:
@@ -418,11 +424,14 @@ def boost_bound_grid(
     for event in events:
         key = (event.kind, event.targets)
         tmax[key] = max(tmax.get(key, 0), event.horizon)
-    grid = (0.0, *eps_values)
+    grid = tuple(dict.fromkeys((0.0, *eps_values)))
+    eps_rows = [grid.index(eps) for eps in eps_values]
     values = {key: _horizon_values(g, u, EventSpec(key[0], t, key[1]), grid) for key, t in tmax.items()}
     reports = []
     for event in events:
-        p, *q_stars = (row[event.horizon] for row in values[event.kind, event.targets])
+        table = values[event.kind, event.targets]
+        p = table[0][event.horizon]
+        q_stars = [table[r][event.horizon] for r in eps_rows]
         reports += _boost_reports(g, event, eps_values, etas, p, q_stars)
     return reports
 

@@ -1,6 +1,7 @@
 """Trajectory oracle: event DPs, boost bounds, power means, majorization."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -270,6 +271,20 @@ def test_eps_grid_pass_equals_one_eps_passes(query):
     for eps, row in zip(grid, rows):
         assert len(row) == event.horizon + 1
         assert row == _horizon_values(g, u, event, [eps])[0] == one_eps_horizon_values(g, u, event, eps), eps
+
+
+def test_dp_pass_memory_does_not_grow_with_the_horizon():
+    # A cover event on hypercube:4 has 2^16 masks, so one value table is
+    # 16 * 2^16 * 8 bytes = 8 MiB.  The pass needs two; keeping a table
+    # alive per step would pass 100 MiB at horizon 12.
+    g = generate("hypercube", dim=4)
+    tracemalloc.start()
+    try:
+        _horizon_values(g, 0, EventSpec(EventKind.COVER_ALL, 12), [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
 
 
 def test_dp_values_stay_in_unit_interval():
