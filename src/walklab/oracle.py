@@ -503,15 +503,19 @@ class CoverLowerReport:
 
 def cover_lower_demo(g: Graph, c: float, eps: float, start: int = 0) -> CoverLowerReport:
     """Cover-time lower bound at horizon t = 3 c n, checked against the
-    exact SRW expectation."""
+    exact SRW expectation.  p and q_star come from one event-DP pass over
+    the eps grid (0, eps)."""
     if g.n > DEMO_GUARD:
         raise GuardError(f"cover lower demo guard is n <= {DEMO_GUARD}")
     if c <= 0:
         raise OracleError("c must be positive")
+    if not (0.0 <= eps <= 1.0):
+        raise OracleError("eps must lie in [0, 1]")
     t = int(math.ceil(3.0 * c * g.n - 1e-9))
     event = EventSpec(EventKind.COVER_ALL, t)
-    p = srw_event_prob(g, start, event)
-    q_star = optimal_tbrw_event_prob(g, start, event, eps)
+    # one pass gives p (the eps = 0 row) and q_star (the last row)
+    values = _horizon_values(g, start, event, tuple(dict.fromkeys((0.0, eps))))
+    p, q_star = values[0][-1], values[-1][-1]
     return CoverLowerReport(
         n=g.n,
         t=t,

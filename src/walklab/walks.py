@@ -27,9 +27,12 @@ spec once, in `_checked`, and play scalar trials through `_trial_runner`.
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
 worker counts.  Wide srw and sweep batches advance all their trials together
-in numpy, one counter block of draws per refill for every stream; each
-trial's step count equals that of the scalar loop, which also finishes the
-last few trials of a batch from where the lockstep engine left them.
+in numpy (`_cover_lockstep`), one counter block of draws per refill for
+every stream, decoded once per block; an srw step is then one add and one
+gather through a neighbour table padded to the lcm of the degrees, and first
+visits are counted once per block.  Each trial's step count equals that of
+the scalar loop, which also finishes the last few trials of a batch from
+where the lockstep engine left them.
 """
 from __future__ import annotations
 
@@ -233,15 +236,16 @@ def _biased_walk(
     return cur, steps, left
 
 
-def _sweep_bias(g: Graph, visited: bytearray) -> Callable[[int], list[float]]:
-    """Directional bias for cycles, read against `visited` at each call.
+def _sweep_bias(g: Graph) -> Callable[[bytearray], Callable[[int], list[float]]]:
+    """Directional bias for cycles: `_sweep_bias(g)(visited)` is the bias,
+    read against `visited` at each call.
 
     Vertex v prefers its +1 neighbour while that is unvisited or the -1
     neighbour is visited, and its -1 neighbour otherwise: a pure function
     of (visited, current), so the walk is replayable.  Both one-hot rows of
-    every vertex are picked once from the two rows of length d = 2 (the lone
-    neighbour of a 2-cycle is slot 0); sampling a one-hot row returns its
-    target for every r in [0, 1).
+    every vertex are picked once, here, from the two rows of length d = 2
+    (the lone neighbour of a 2-cycle is slot 0); sampling a one-hot row
+    returns its target for every r in [0, 1).
     """
     n = g.n
     fwd = [(v + 1) % n for v in range(n)]
@@ -250,16 +254,19 @@ def _sweep_bias(g: Graph, visited: bytearray) -> Callable[[int], list[float]]:
     ahead = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, fwd)]
     back = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, bwd)]
 
-    def bias(v: int) -> list[float]:
-        return back[v] if visited[fwd[v]] and not visited[bwd[v]] else ahead[v]
+    def against(visited: bytearray) -> Callable[[int], list[float]]:
+        def bias(v: int) -> list[float]:
+            return back[v] if visited[fwd[v]] and not visited[bwd[v]] else ahead[v]
 
-    return bias
+        return bias
+
+    return against
 
 
 # Lockstep engine bounds: batches, and tails of batches, narrower than
-# _LOCKSTEP_MIN trials run the scalar loops; the visited array of one batch
-# holds at most _LOCKSTEP_CELLS booleans and one refill at most _REFILL_DRAWS
-# draws (128 KiB).
+# _LOCKSTEP_MIN trials run the scalar loops; the visited array of one batch,
+# and the padded neighbour table, hold at most _LOCKSTEP_CELLS cells, and one
+# refill at most _REFILL_DRAWS draws (128 KiB).
 _LOCKSTEP_MIN = 32
 _LOCKSTEP_CELLS = 1 << 20
 _REFILL_DRAWS = 1 << 14
@@ -273,77 +280,136 @@ def _lockstep_width(n: int, kind: str) -> int:
     return min(_LOCKSTEP_CELLS // n, _REFILL_DRAWS // _DRAWS_PER_STEP[kind])
 
 
-def _cover_lockstep(g: Graph, spec: WalkSpec, seed: int, first: int, starts: Sequence[int]) -> list[int]:
+def _slot_span(g: Graph) -> int:
+    """Choices per vertex of the lockstep neighbour table: the lcm of the
+    distinct degrees, so (u % span) % deg(v) = u % deg(v) for every draw u."""
+    return math.lcm(*set(g.degrees))
+
+
+def _cover_lockstep(
+    g: Graph, spec: WalkSpec, seed: int, first: int, starts: Sequence[int], run: Callable[..., int]
+) -> list[int]:
     """Cover steps of trials first, first + 1, ... advanced together in numpy.
 
     Every live trial has taken the same number of steps, so every stream's
     counter stands at steps * (draws per step) and one `splitmix_block`
-    refill serves all rows.  Row i replays the scalar loop of its trial
-    draw for draw: srw takes neighbour u64 % d, sweep takes the sweep
-    target when coin < eps and neighbour int(r * d) otherwise.  Finished
-    rows stop counting at once and are dropped once they make up a quarter
-    of the batch.  When fewer than _LOCKSTEP_MIN rows are live, each resumes
-    in the scalar loop from its vertex, visited set and stream counter.
+    refill of m steps serves all rows.  Each refill is decoded once, as the
+    scalar loops decode each draw: srw's choice u % span, the sweep's
+    coin < eps and uniform choice min(int(r * d), d - 1).  A position is
+    v * width, and nbr[v * width + c] is the position one step from v on
+    choice c: srw's adj[v][c % deg v], or the sweep's uniform choice c in
+    columns 2c and 2c + 1, then its forward and backward targets.  An srw
+    step is one add and one gather.  A sweep step also reads the visited
+    flags of its vertex and both neighbours, and takes the backward column
+    when the forward neighbour is visited and the backward one is not; it
+    marks its vertex one step late, which no read of that vertex's
+    neighbours can see.
+
+    Each block reports every (trial, vertex) pair's first visit: the flags
+    the sweep read, or, for srw, the earliest of the block's cells that
+    were unvisited before it.  These update `left`, and each trial's result
+    holds the step of its latest first visit, its cover time once `left`
+    is 0.  Blocks start at n - 1 steps, which no trial covers in fewer, and
+    double up to the refill cap.  Finished rows are dropped once they make
+    up a quarter of the batch.  When fewer than _LOCKSTEP_MIN rows are
+    live, each resumes in the scalar `run` from its vertex, visited set and
+    stream counter.
     """
     n = g.n
-    sweep = spec.kind == "sweep"
     dps = _DRAWS_PER_STEP[spec.kind]
-    sl = g.slots
-    deg = np.diff(sl.offsets)
-    deg_u = deg.astype(np.uint64)
-    trial = np.arange(first, first + len(starts))
-    seeds = np.uint64(seed & MASK64) ^ trial.astype(np.uint64)
-    cur = np.array(starts, dtype=np.intp)
+    span = _slot_span(g)
+
+    def srw_block(block: np.ndarray, pos: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Walk the block's m steps: the new positions, and the row and the
+        step (1..m) of each first visit, marked in `flat`."""
+        m = len(block)
+        walk = np.remainder(block, span, out=block).view(np.intp)  # choices, then positions
+        for c in walk:
+            np.add(c, pos, out=c)
+            pos = nbr.take(c, out=c, mode="clip")
+        pos = pos.copy()
+        # The cells unvisited before the block as cell * m + step: sorted,
+        # each cell's first entry is its first visit.
+        np.floor_divide(walk, width, out=walk)
+        walk += rows
+        fresh = ~flat.take(walk)
+        walk *= m
+        walk += np.arange(m)[:, None]
+        pairs = walk[fresh]
+        pairs.sort()
+        cells = np.floor_divide(pairs, m, out=walk.reshape(-1)[: len(pairs)])
+        lead = np.ones(len(pairs), dtype=bool)
+        np.not_equal(cells[1:], cells[:-1], out=lead[1:])
+        cells, j = np.divmod(pairs[lead], m)
+        flat[cells] = True
+        return pos, cells // n, j + 1
+
+    def sweep_block(block: np.ndarray, pos: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """As `srw_block`, with steps 0..m - 1: step 0 reads the vertex the
+        block starts from.  Every vertex of a sweep graph has degree span."""
+        scale = 2.0**-53
+        biased = (block[0::2] >> np.uint64(11)) * scale < spec.eps
+        choice = np.minimum(((block[1::2] >> np.uint64(11)) * scale * span).astype(np.intp), span - 1)
+        walk = np.where(biased, 2 * span, 2 * choice)  # choices, then positions
+        del block, biased, choice  # freed before the walk
+        reads = np.empty(walk.shape + (3,), dtype=bool)
+        at = np.empty((len(pos), 3), dtype=np.intp)
+        here = at[:, 1]
+        rows = np.repeat(rows, 3).reshape(-1, 3)
+        for c, r in zip(walk, reads):
+            near.take(pos, axis=0, out=at, mode="clip")
+            np.add(at, rows, out=at)
+            flat.take(at, out=r, mode="clip")  # forward, own and backward flags
+            flat[here] = True
+            np.add(c, pos, out=c)
+            np.add(c, r[:, 0] > r[:, 2], out=c)
+            pos = nbr.take(c, out=c, mode="clip")
+        j, i = np.divmod(np.flatnonzero(~reads[:, :, 1]), len(pos))
+        return pos.copy(), i, j
+
+    if spec.kind == "sweep":
+        width = 2 * span + 2
+        ring = [((v + 1) % n, v, (v - 1) % n) for v in range(n)]
+        cols = [[u for u in adj for _ in range(2)] + [f, b] for adj, (f, _, b) in zip(g.adj, ring)]
+        near = np.repeat(np.array(ring, dtype=np.intp), width, axis=0)  # by position
+        advance = sweep_block
+    else:
+        width = span
+        cols = [[adj[c % len(adj)] for c in range(span)] for adj in g.adj]
+        advance = srw_block
+    nbr = np.array(cols, dtype=np.intp).reshape(-1) * width
+    index = np.arange(len(starts))  # each row's trial, less first
+    pos = np.array(starts, dtype=np.intp) * width
     vis = np.zeros((len(starts), n), dtype=bool)
-    flat = vis.reshape(-1)
-    row = np.arange(len(starts)) * n
-    flat[row + cur] = True
-    left = np.full(len(starts), n - 1, dtype=np.intp)  # -1 marks a finished row
-    out = np.zeros(len(starts), dtype=np.int64)
-    scale = 2.0**-53
-    steps = dead = j = 0
-    block = None
+    vis[index, starts] = True
+    left = np.full(len(starts), n - 1, dtype=np.intp)
+    out = np.zeros(len(starts), dtype=np.int64)  # step of each trial's latest first visit
+    steps = 0
+    m = max(1, n - 1)
     while True:
-        if not left.all():
-            done = np.flatnonzero(left == 0)
-            out[trial[done] - first] = steps
-            left[done] = -1
-            dead += len(done)
-            if len(left) - dead < _LOCKSTEP_MIN:
-                break
-            if 4 * dead >= len(left):
-                keep = left > 0
-                trial, seeds, cur, left, vis = trial[keep], seeds[keep], cur[keep], left[keep], vis[keep]
-                flat = vis.reshape(-1)
-                row = np.arange(len(trial)) * n
-                dead = 0
-                block = None
-        if block is None:
-            block = splitmix_block(seeds, steps * dps, dps * max(1, _REFILL_DRAWS // (dps * len(seeds))))
-            j = 0
-        if sweep:
-            coin = (block[:, j] >> np.uint64(11)) * scale
-            r = (block[:, j + 1] >> np.uint64(11)) * scale
-            d = deg[cur]
-            uniform = sl.neighbor[sl.offsets[cur] + np.minimum((r * d).astype(np.intp), d - 1)]
-            fwd = (cur + 1) % n
-            bwd = (cur - 1) % n
-            target = np.where(~flat[row + fwd] | flat[row + bwd], fwd, bwd)
-            cur = np.where(coin < spec.eps, target, uniform)
-        else:
-            cur = sl.neighbor[sl.offsets[cur] + (block[:, j] % deg_u[cur]).astype(np.intp)]
-        j += dps
-        if j == block.shape[1]:
-            block = None  # freed before the next refill is allocated
-        steps += 1
-        at = row + cur
-        new = ~flat[at]
-        flat[at] = True
-        left -= new
-    for i in np.flatnonzero(left > 0):
-        rng = SplitMix64.stream(seed, int(trial[i]))
+        live = np.count_nonzero(left)
+        if live < _LOCKSTEP_MIN:
+            break
+        if 4 * live <= 3 * len(left):
+            keep = left > 0
+            index, pos, left, vis = index[keep], pos[keep], left[keep], vis[keep]
+        m = min(m, max(1, _REFILL_DRAWS // (dps * len(left))))
+        seeds = np.uint64(seed & MASK64) ^ (index + first).astype(np.uint64)
+        rows = np.arange(len(left)) * n
+        # the refill, (dps * m, rows) in C order, is held by advance() alone
+        pos, i, j = advance(splitmix_block(seeds, steps * dps, dps * m).T, pos, vis.reshape(-1), rows)
+        np.maximum.at(out, index[i], j + steps)
+        left -= np.bincount(i, minlength=len(left))
+        del i, j  # freed before the next refill
+        steps += m
+        m *= 2
+    for r in np.flatnonzero(left):
+        rng = SplitMix64.stream(seed, first + int(index[r]))
         rng.counter = steps * dps
-        out[trial[i] - first] = _resume(g, spec, rng, int(cur[i]), steps, bytearray(vis[i].tobytes()))
+        cur = int(pos[r]) // width
+        visited = bytearray(vis[r].tobytes())
+        visited[cur] = 1  # the sweep marks its last vertex late
+        out[index[r]] = run(rng, cur, steps, visited)
     return out.tolist()
 
 
@@ -411,8 +477,13 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
     return replace(spec, psi=psi)
 
 
-def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
+def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[..., int]:
     """Scalar cover walk of a checked spec, as a function (rng, start) -> steps.
+
+    The srw and sweep runners also play on from a trial's state mid-walk,
+    (rng, cur, steps, visited) -> steps with draws from rng's counter: that
+    is how the lockstep engine hands its last trials over.  The sweep's bias
+    rows are built once here.
 
     Each phase of the phase walk fixes U = the unvisited vertices and plays
     the bias rows of Q(U, theta) (see `_decay_rows`) until half of U is
@@ -421,11 +492,16 @@ def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[[SplitMix64, int], int]:
     """
     n = g.n
     if spec.kind != "phase":
+        sweep_bias = _sweep_bias(g) if spec.kind == "sweep" else None
 
-        def cover(rng: SplitMix64, start: int) -> int:
-            visited = bytearray(n)
-            visited[start] = 1
-            return _resume(g, spec, rng, start, 0, visited)
+        def cover(rng: SplitMix64, cur: int, steps: int = 0, visited: bytearray | None = None) -> int:
+            if visited is None:
+                visited = bytearray(n)
+                visited[cur] = 1
+            if sweep_bias is None:
+                return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
+            left, bias = visited.count(0), sweep_bias(visited)
+            return _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, bias)[1]
 
         return cover
     eps = spec.eps
@@ -458,14 +534,6 @@ def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
     return _trial_runner(g, _checked(g, replace(spec, start=start)))(rng, start)
 
 
-def _resume(g: Graph, spec: WalkSpec, rng: SplitMix64, cur: int, steps: int, visited: bytearray) -> int:
-    """Scalar srw or sweep walk from `cur`; draws continue from `rng`'s counter."""
-    if spec.kind == "srw":
-        return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
-    left = visited.count(0)
-    return _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, _sweep_bias(g, visited))[1]
-
-
 def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> CoverEstimate:
     """Monte Carlo cover-time estimate with per-trial derived streams.
 
@@ -485,13 +553,14 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
         starts = [spec.start] * trials
     else:
         starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
-    width = max(1, _lockstep_width(g.n, spec.kind))  # 1: every trial scalar
+    # 1: every trial scalar, as for a graph whose padded neighbour table is too large
+    width = max(1, _lockstep_width(g.n, spec.kind)) if g.n * _slot_span(g) <= _LOCKSTEP_CELLS else 1
     run = _trial_runner(g, spec)
     counts: list[int] = []
     for first in range(0, trials, width):
         batch = starts[first:first + width]
         if len(batch) >= _LOCKSTEP_MIN:
-            counts += _cover_lockstep(g, spec, seed, first, batch)
+            counts += _cover_lockstep(g, spec, seed, first, batch, run)
         else:
             counts += [run(SplitMix64.stream(seed, first + i), s) for i, s in enumerate(batch)]
     rows: list[CoverRow] = []

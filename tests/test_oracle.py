@@ -31,6 +31,7 @@ from walklab.oracle import (
     srw_event_prob,
     srw_expected_cover_exact,
 )
+from walklab import oracle
 from walklab.oracle import _encode, _horizon_values, _satisfied
 from walklab.rng import SplitMix64
 
@@ -652,6 +653,26 @@ def test_cover_lower_demo_guards():
         cover_lower_demo(generate("cycle", n=16), 1.0, 0.0)
     with pytest.raises(OracleError):
         cover_lower_demo(generate("cycle", n=8), 0.0, 0.0)
+    for eps in (-0.1, 1.5, math.nan):
+        with pytest.raises(OracleError, match=r"eps must lie in \[0, 1\]"):
+            cover_lower_demo(generate("cycle", n=8), 1.0, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05, 1.0])
+def test_cover_lower_demo_takes_both_values_from_one_pass(monkeypatch, eps):
+    g = generate("cycle", n=6)
+    event = EventSpec(EventKind.COVER_ALL, 18)
+    p, q_star = srw_event_prob(g, 1, event), optimal_tbrw_event_prob(g, 1, event, eps)
+    grids = []
+
+    def recorded(g, u, event, eps_values):
+        grids.append(tuple(eps_values))
+        return _horizon_values(g, u, event, eps_values)
+
+    monkeypatch.setattr(oracle, "_horizon_values", recorded)
+    report = cover_lower_demo(g, 1.0, eps, start=1)
+    assert grids == [tuple(dict.fromkeys((0.0, eps)))]
+    assert (report.p, report.q_star) == (p, q_star)
 
 
 # --- majorization -----------------------------------------------------------------

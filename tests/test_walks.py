@@ -1,6 +1,7 @@
 """Walk engine: biased steps, bias extraction, cover runs."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import cached_property
 
@@ -258,13 +259,13 @@ def visited_bytes(n, seen):
 
 def test_sweep_policy_prefers_forward_frontier():
     g = generate("cycle", n=8)
-    vec = walks._sweep_bias(g, visited_bytes(8, {0}))(0)
+    vec = walks._sweep_bias(g)(visited_bytes(8, {0}))(0)
     assert vec[g.adj[0].index(1)] == 1.0
     # forward blocked and backward fresh: turn around
-    vec = walks._sweep_bias(g, visited_bytes(8, {1, 2}))(1)
+    vec = walks._sweep_bias(g)(visited_bytes(8, {1, 2}))(1)
     assert vec[g.adj[1].index(0)] == 1.0
     # both sides seen: keep pushing forward
-    vec = walks._sweep_bias(g, visited_bytes(8, {0, 1, 2}))(1)
+    vec = walks._sweep_bias(g)(visited_bytes(8, {0, 1, 2}))(1)
     assert vec[g.adj[1].index(2)] == 1.0
 
 
@@ -319,7 +320,7 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     adj = RecordingAdj(cyc.adj)
     visited = visited_bytes(cyc.n, {5})
     cur, steps, left = walks._biased_walk(
-        adj, unit_draws(SplitMix64(seed)), visited, 5, 0, cyc.n - 1, 0, eps, walks._sweep_bias(cyc, visited)
+        adj, unit_draws(SplitMix64(seed)), visited, 5, 0, cyc.n - 1, 0, eps, walks._sweep_bias(cyc)(visited)
     )
     assert adj.path + [cur] == expected
     assert (steps, left) == (len(expected) - 1, 0)
@@ -486,7 +487,10 @@ LOCKSTEP_GRAPHS = {
         [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5), (5, 6), (6, 4), (2, 7)], 8
     ),
     "random-regular:20:3:4": generate("random_regular", n=20, d=3, seed=4),
+    "one-vertex": build_graph([], 1),
+    "path:2": build_graph([(0, 1)], 2),
 }
+SWEEP_GRAPHS = {"cycle:5", "cycle:12", "path:2"}  # v adjacent to exactly v - 1 and v + 1 mod n
 
 
 def scalar_steps(g, spec, trials, seed):
@@ -499,7 +503,7 @@ def scalar_steps(g, spec, trials, seed):
 def lockstep_cases(draw):
     name = draw(st.sampled_from(sorted(LOCKSTEP_GRAPHS)))
     g = LOCKSTEP_GRAPHS[name]
-    if name.startswith("cycle") and draw(st.booleans()):
+    if name in SWEEP_GRAPHS and draw(st.booleans()):
         spec = WalkSpec(kind="sweep", eps=draw(st.sampled_from([0.0, 0.25, 1.0])))
     else:
         spec = WalkSpec(kind="srw")
@@ -511,12 +515,18 @@ def lockstep_cases(draw):
     lockstep_cases(),
     st.integers(min_value=2, max_value=90),
     st.sampled_from([0, 1, -1, -(2**70) + 5, 2**64, 2**64 + 12345, 2**80 + 7]) | st.integers(-(2**66), 2**66),
+    st.none() | st.integers(min_value=1, max_value=4),
 )
-@settings(max_examples=60, deadline=None)
-def test_lockstep_steps_equal_scalar_steps(case, trials, seed):
-    # widths below and above the lockstep threshold, with the scalar tail
+@settings(max_examples=80, deadline=None)
+def test_lockstep_steps_equal_scalar_steps(case, trials, seed, block_steps):
+    # widths below and above the lockstep threshold, with the scalar tail;
+    # refills of 1-4 steps put finishes, compaction and the hand-over to the
+    # scalar loop both on block edges and inside blocks
     g, spec = case
-    est = estimate_cover_time(g, spec, trials=trials, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_steps is not None:
+            mp.setattr(walks, "_REFILL_DRAWS", block_steps * walks._DRAWS_PER_STEP[spec.kind] * trials)
+        est = estimate_cover_time(g, spec, trials=trials, seed=seed)
     assert [r.steps for r in est.rows] == scalar_steps(g, spec, trials, seed)
 
 
@@ -540,7 +550,21 @@ def test_lockstep_runs_only_wide_srw_and_sweep_batches(monkeypatch):
     assert calls == []
     estimate_cover_time(cyc, WalkSpec(kind="srw"), trials=walks._LOCKSTEP_MIN, seed=3)
     estimate_cover_time(cyc, WalkSpec(kind="sweep", eps=0.5), trials=100, seed=3)
-    assert [len(starts) for *_, starts in calls] == [walks._LOCKSTEP_MIN, 100]
+    assert [len(starts) for *_, starts, _ in calls] == [walks._LOCKSTEP_MIN, 100]
+
+
+def test_lockstep_leaves_a_graph_with_an_oversized_padded_table_scalar(monkeypatch):
+    # degrees 7, 5, 4, 3, 2 and 1: the padded neighbour table needs 8 * 420 cells
+    g = build_graph([(0, v) for v in range(1, 8)] + [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)], 8)
+    assert walks._slot_span(g) == 420
+    calls = []
+    monkeypatch.setattr(walks, "_cover_lockstep", recording(calls, walks._cover_lockstep))
+    monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 8 * 420 - 1)  # still room for 419 trials
+    rows = estimate_cover_time(g, WalkSpec(kind="srw"), trials=40, seed=5).rows
+    assert calls == []
+    monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 8 * 420)
+    assert estimate_cover_time(g, WalkSpec(kind="srw"), trials=40, seed=5).rows == rows
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -578,11 +602,11 @@ def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
     # the engine is stubbed out, so nothing walks
     calls = []
     big = generate("cycle", n=20_000)
-    stub = recording(calls, lambda g, spec, seed, first, starts: [g.n - 1] * len(starts))
+    stub = recording(calls, lambda g, spec, seed, first, starts, run: [g.n - 1] * len(starts))
     monkeypatch.setattr(walks, "_cover_lockstep", stub)
     est = estimate_cover_time(big, WalkSpec(kind="srw"), trials=200, seed=1)
     width = walks._LOCKSTEP_CELLS // big.n
-    batches = [(first, len(starts)) for _, _, _, first, starts in calls]
+    batches = [(first, len(starts)) for _, _, _, first, starts, _ in calls]
     assert batches == [(0, width), (width, width), (2 * width, width), (3 * width, 200 - 3 * width)]
     assert est.trials == 200
     # one refill holds at most _REFILL_DRAWS draws, however wide the batch
@@ -591,6 +615,30 @@ def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
     monkeypatch.setattr(walks, "splitmix_block", recording(calls, walks.splitmix_block))
     estimate_cover_time(generate("complete", n=4), WalkSpec(kind="srw"), trials=5000, seed=8)
     assert calls and max(len(seeds) * m for seeds, _, m in calls) <= walks._REFILL_DRAWS
+
+
+@pytest.mark.parametrize(
+    "g, spec, trials",
+    [
+        (generate("cycle", n=64), WalkSpec(kind="srw"), 300),
+        (generate("cycle", n=64), WalkSpec(kind="sweep", eps=0.25), 300),
+        (generate("complete", n=4), WalkSpec(kind="srw"), 5000),
+    ],
+)
+def test_lockstep_batch_memory_stays_bounded(g, spec, trials):
+    # One full-width batch holds its visited array and, per refill, the block
+    # (srw decodes it and writes its positions in place), the sorted first
+    # visits and per-row arrays: each at most _REFILL_DRAWS * 8 bytes, a few
+    # alive at once.  Nothing may grow with the number of steps.
+    assert trials <= walks._lockstep_width(g.n, spec.kind)
+    run = walks._trial_runner(g, spec)
+    tracemalloc.start()
+    try:
+        walks._cover_lockstep(g, spec, 17, 0, [t % g.n for t in range(trials)], run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trials * g.n + 8 * walks._REFILL_DRAWS * 8, peak
 
 
 # --- stationary boost audit ----------------------------------------------------
