@@ -16,9 +16,10 @@ are independent of every weighting.  Example:
 import argparse
 
 from walklab.graphs import parse_generate_spec, read_graph_file
-from walklab.rng import MASK64, SplitMix64
+from walklab.rng import SplitMix64
 from walklab.robustness import (
     psi_lower_bound,
+    random_subsets,
     section3_K,
     section3_lemma_audit,
     section3_sigma,
@@ -26,7 +27,7 @@ from walklab.robustness import (
 )
 from walklab.weighting import random_lipschitz_weighting
 
-SUBSET_STREAM = MASK64
+SUBSET_STREAM = 2**64 - 1
 
 
 def main(argv=None):
@@ -62,12 +63,7 @@ def main(argv=None):
             f"gap={report.gap_value:.4f} (x{gap_margin:.2e} above bound), {phi_note}"
         )
         failures += 0 if report.ok else 1
-        subsets = []
-        for _ in range(args.subsets):
-            size = 1 + rng.randrange(max(1, g.n // 2))
-            verts = list(range(g.n))
-            rng.shuffle(verts)
-            subsets.append(frozenset(verts[:size]))
+        subsets = random_subsets(g, args.subsets, rng)
         for subset, sub in zip(subsets, section3_lemma_audit(w, subsets, psi=psi)):
             if sub.skipped is None:
                 audited += 1

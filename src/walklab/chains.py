@@ -7,7 +7,7 @@ the similarity-symmetrized transition matrix D^{1/2} P D^{-1/2}; the full
 spectrum feeds the spectral report and the gap/conductance audits.
 Exhaustive conductance enumerates all 2^n subsets as bitmask arrays built by
 doubling (O(2^n), in chunks of at most 2^20 masks; see `graphs.subset_fold`)
-and is guarded at n <= 24; the spectral path is guarded at n <= 512.
+and is guarded at n <= graphs.SUBSET_GUARD; the spectral path at n <= 512.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import SUBSET_CHUNK_BITS, GuardError, first_subset_minimum, subset_fold
+from .graphs import SUBSET_CHUNK_BITS, SUBSET_GUARD, GuardError, first_subset_minimum, subset_fold
 
 SPECTRAL_GUARD = 512
-CONDUCTANCE_GUARD = 24
 
 ROW_SUM_TOL = 1e-12
 BALANCE_TOL = 1e-12
@@ -181,7 +180,8 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
     without k gains lin_k[m] = sum of Q(j, k) over j in m, and m + {k} gains
     lout_k[~m] = sum of Q(k, j) over j not in m; lin_k and lout_k are
     themselves built by doubling.  Cost is O(2^n), in chunks of at most 2^20
-    masks, guarded at n <= 24.  pi(S) <= 1/2 is tested as pi(S) <= 1/2 + 1e-12.
+    masks, guarded at n <= SUBSET_GUARD.  pi(S) <= 1/2 is tested as
+    pi(S) <= 1/2 + 1e-12.
 
     Tie rule: when both sides of a cut qualify (each has pi within 1e-12 of
     1/2), the side without vertex n - 1 is the candidate, so rounding of the
@@ -189,8 +189,8 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
     resolve to the smallest subset bitmask.
     """
     n = chain.n
-    if n > CONDUCTANCE_GUARD:
-        raise GuardError(f"edge_conductance_exact is exhaustive; n={n} exceeds guard {CONDUCTANCE_GUARD}")
+    if n > SUBSET_GUARD:
+        raise GuardError(f"edge_conductance_exact is exhaustive; n={n} exceeds guard {SUBSET_GUARD}")
     if n < 2:
         raise ChainError("conductance needs n >= 2")
     pi = chain.pi
@@ -260,9 +260,9 @@ def power_chain(chain: ReversibleChain, m: int) -> ReversibleChain:
     return ReversibleChain(pm, chain.pi)
 
 
-def mixing_time_tv(chain: ReversibleChain, start: int, horizon: int | None = None) -> int | None:
+def mixing_time_tv(chain: ReversibleChain, start: int) -> int | None:
     """Smallest t >= 1 with TV(P^t(start, .), pi) <= 1/4, or None if the
-    distance never crosses 1/4 within the horizon (default 10 n^2).
+    distance never crosses 1/4 within 10 n^2 steps.
 
     TV(mu P^t, pi) is non-increasing in t for every stochastic P, so the run
     checks that it never rises by more than 1e-12; a rise means the chain
@@ -271,12 +271,10 @@ def mixing_time_tv(chain: ReversibleChain, start: int, horizon: int | None = Non
     n = chain.n
     if not (0 <= start < n):
         raise ChainError("start vertex out of range")
-    if horizon is None:
-        horizon = 10 * n * n
     dist = np.zeros(n)
     dist[start] = 1.0
     prev_tv = float("inf")
-    for t in range(1, horizon + 1):
+    for t in range(1, 10 * n * n + 1):
         dist = dist @ chain.matrix
         tv = 0.5 * float(np.abs(dist - chain.pi).sum())
         if tv > prev_tv + 1e-12:

@@ -31,8 +31,8 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import graphs as graphmod
-from .chains import CONDUCTANCE_GUARD, ChainError, SpectralReport, edge_conductance_exact, spectral_gap
-from .graphs import Graph, GraphError, GuardError
+from .chains import ChainError, SpectralReport, edge_conductance_exact, spectral_gap
+from .graphs import SUBSET_GUARD, Graph, GraphError, GuardError
 from .oracle import (
     EventKind,
     EventSpec,
@@ -43,8 +43,10 @@ from .oracle import (
     eta_grid,
     parse_event_text,
 )
-from .rng import SplitMix64, draws
-from .robustness import psi_lower_bound, section3_lemma_audit, theorem31_check
+from .rng import SplitMix64, draws, to_unit
+from .robustness import (
+    psi_lower_bound, random_subsets, section3_K, section3_lemma_audit, section3_sigma, theorem31_check
+)
 from .walks import WALK_KINDS, WalkError, WalkSpec, estimate_cover_time
 from .weighting import (
     WeightingError,
@@ -201,7 +203,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     w = read_weighting_file(args.weights, g) if args.weights else uniform_weighting(g)
     chain = induced_chain(w)
     report: SpectralReport = spectral_gap(chain)
-    if g.n <= CONDUCTANCE_GUARD:
+    if g.n <= SUBSET_GUARD:
         phi, argmin = edge_conductance_exact(chain)
         payload = report.to_json_dict(phi=phi, phi_argmin=sorted(argmin))
     else:
@@ -248,18 +250,16 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
 
 def _cmd_robustness_audit(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    psi = psi_lower_bound(g)
     rng = SplitMix64.stream(args.seed, 0)
     if args.sigma is None:
         w = uniform_weighting(g)
     else:
+        budget = section3_sigma(section3_K(psi))
+        if not 1.0 <= args.sigma <= budget:
+            raise InputError(f"--sigma must be >= 1 and <= the budget exp(1/(2K)) = {budget:.6g}; got {args.sigma}")
         w = random_lipschitz_weighting(g, args.sigma, rng)
-    psi = psi_lower_bound(g)
-    subsets = []
-    for _ in range(args.subsets):
-        size = 1 + rng.randrange(max(1, g.n // 2))
-        verts = list(range(g.n))
-        rng.shuffle(verts)
-        subsets.append(frozenset(verts[:size]))
+    subsets = random_subsets(g, args.subsets, rng)
     reports = section3_lemma_audit(w, subsets, psi=psi)
     rows = [
         {
@@ -345,18 +345,17 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
             if not report.ok:
                 failures += 1
 
-    # u64() % k and (u64() >> 11) * 2**-53 are the stream's randrange(k) and
-    # next_float(), read through block draws
+    # u64() % k and to_unit(u64()) are the stream's randrange(k) and next_float(), read through block draws
     conv_failures = 0
     u64 = draws(SplitMix64.stream(args.seed, 0))
     for _ in range(args.draws):
         d = 3 + u64() % 4
-        raw = [(u64() >> 11) * 2.0**-53 for _ in range(d)]
+        raw = [to_unit(u64()) for _ in range(d)]
         total = sum(raw)
         b = [x / total for x in raw]
-        v = [(u64() >> 11) * 2.0**-53 for _ in range(d)]
+        v = [to_unit(u64()) for _ in range(d)]
         eta = (0.25, 0.5, 1.0)[u64() % 3]
-        eps = (u64() >> 11) * 2.0**-53 / d ** (2.0 * eta)
+        eps = to_unit(u64()) / d ** (2.0 * eta)
         if not conv_lemma_audit(d, eps, eta, v, b):
             conv_failures += 1
     failures += conv_failures
@@ -419,7 +418,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("robustness-audit", help="bucket/representative lemma checks + gap endpoint")
     _add_common(p)
-    p.add_argument("--sigma", type=float, help="random weighting budget; omit for uniform weights")
+    p.add_argument("--sigma", type=float, help="random weighting budget in [1, exp(1/(2K))]; omit for uniform weights")
     p.add_argument("--subsets", type=int, default=50, work=True, help="number of random subsets to audit")
     _add_seed(p)
     p.set_defaults(handler=_cmd_robustness_audit)

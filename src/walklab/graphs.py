@@ -5,15 +5,17 @@ vertex expansion by exhaustive subset enumeration.
 Graphs are connected, undirected, and loop-free by construction; every
 constructor validates this and refuses anything else.  Vertex sets are plain
 frozensets at the API boundary; the exhaustive enumerations work on bitmask
-arrays internally so that the n <= 24 guard is actually usable.
+arrays internally so that the n <= SUBSET_GUARD limit is actually usable.
 
 `Graph.slots` is the package's one flat adjacency layout (see `Slots`),
 built once per graph and indexed by every O(m) computation on it.
 
 The subset-enumeration kernel (`subset_fold`, `first_subset_minimum`) is
-shared with `chains.edge_conductance_exact`.  Per-mask arrays are built by
-doubling: the array for vertices 0..k is the array for 0..k-1 followed by a
-copy of it that adds vertex k, so a fold over all 2^n masks costs O(2^n).
+shared with `chains.edge_conductance_exact`.  SUBSET_GUARD is the one limit
+on the vertices it takes, read by every enumeration and every caller that
+falls back above it.  Per-mask arrays are built by doubling: the array for
+vertices 0..k is the array for 0..k-1 followed by a copy of it that adds
+vertex k, so a fold over all 2^n masks costs O(2^n).
 Above 2^SUBSET_CHUNK_BITS masks the enumerators run over chunks that share
 the top n - SUBSET_CHUNK_BITS bits, so no array holds more than
 2^SUBSET_CHUNK_BITS entries.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .rng import SplitMix64
 
-EXPANSION_GUARD = 24
+SUBSET_GUARD = 24
 SUBSET_CHUNK_BITS = 20
 
 __all__ = [
@@ -42,9 +44,7 @@ __all__ = [
     "generate",
     "parse_generate_spec",
     "parse_graph_text",
-    "format_graph_text",
     "read_graph_file",
-    "write_graph_file",
     "distances_from",
     "all_pairs_distances",
     "ball",
@@ -353,20 +353,9 @@ def parse_graph_text(text: str) -> Graph:
         raise GraphFileError(str(exc)) from exc
 
 
-def format_graph_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def read_graph_file(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph_text(fh.read())
-
-
-def write_graph_file(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph_text(g))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +479,11 @@ def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
 
     Exhaustive over all subsets: closed neighbourhoods are OR-folded over
     the masks by doubling, O(2^n), in chunks of at most 2^20 masks; guarded
-    at n <= 24.  Ties resolve to the smallest subset bitmask.
+    at n <= SUBSET_GUARD.  Ties resolve to the smallest subset bitmask.
     """
     n = g.n
-    if n > EXPANSION_GUARD:
-        raise GuardError(f"vertex_expansion_exact is exhaustive; n={n} exceeds guard {EXPANSION_GUARD}")
+    if n > SUBSET_GUARD:
+        raise GuardError(f"vertex_expansion_exact is exhaustive; n={n} exceeds guard {SUBSET_GUARD}")
     if n < 2:
         raise GraphError("vertex expansion needs n >= 2")
     low = min(n, SUBSET_CHUNK_BITS)

@@ -552,17 +552,17 @@ def schur_audit(r: float, x: Sequence[float], y: Sequence[float]) -> bool:
     return power_mean(r, x) >= power_mean(r, y) - 1e-9 * max(1.0, power_mean(r, y))
 
 
-def robin_hood_pair(rng: SplitMix64, length: int, transfers: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def robin_hood_pair(rng: SplitMix64, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Random (x, y) with x majorizing y by construction.
 
-    y is x after a chain of rich-to-poor transfers, each moving at most
+    y is x after a chain of 8 rich-to-poor transfers, each moving at most
     half the gap, which preserves the sum and only ever levels the vector.
     """
     if length < 2:
         raise OracleError("need length >= 2")
     x = np.array([rng.next_float() for _ in range(length)])
     y = x.copy()
-    for _ in range(transfers):
+    for _ in range(8):
         i = rng.randrange(length)
         j = rng.randrange(length)
         if y[i] == y[j]:

@@ -10,11 +10,13 @@ vector call; `SplitMix64.block_u64` is its one-stream case.  Runs are
 therefore reproducible bit-for-bit within this implementation and
 statistically across implementations.
 
+The stream format has one owner: `to_unit` decodes a draw (an int or a
+uint64 array) to a uniform, `stream_seeds` derives a batch of trial seeds.
 Tight simulation loops read a stream through `draws` (u64 ints) or
-`unit_draws` (next_float's uniforms, decoded in numpy).  Each returns the
-`__next__` of a C-level iterator over blocks of `block_u64`, FIRST_BLOCK
-draws first and doubling up to MAX_BLOCK, so a draw costs no Python frame
-and the served sequence is exactly that of next_u64 or next_float.
+`unit_draws` (next_float's uniforms).  Each returns the `__next__` of a
+C-level iterator over blocks of `block_u64`, FIRST_BLOCK draws first and
+doubling up to MAX_BLOCK, so a draw costs no Python frame and the served
+sequence is exactly that of next_u64 or next_float.
 """
 from __future__ import annotations
 
@@ -37,6 +39,17 @@ def _mix(z: int) -> int:
     z = (z * _MIX2) & MASK64
     z ^= z >> 31
     return z
+
+
+def to_unit(z: int | np.ndarray) -> float | np.ndarray:
+    """Uniform in [0, 1) from the top 53 bits of a u64 draw, exactly; `z` is an
+    int or a uint64 array (numpy >= 2 keeps `uint64 >> 11` unsigned)."""
+    return (z >> 11) * 2.0**-53
+
+
+def stream_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
+    """`SplitMix64.stream(seed, i).seed` for each trial index i >= 0, as uint64."""
+    return np.uint64(seed & MASK64) ^ np.asarray(indices).astype(np.uint64)
 
 
 def splitmix_block(seeds: np.ndarray, counter: int, m: int) -> np.ndarray:
@@ -79,7 +92,7 @@ class SplitMix64:
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return to_unit(self.next_u64())
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n).  Modulo bias is O(n / 2**64)."""
@@ -124,7 +137,6 @@ def draws(rng: SplitMix64) -> Callable[[], int]:
 
 
 def unit_draws(rng: SplitMix64) -> Callable[[], float]:
-    """As `draws`, decoded to next_float's uniforms in [0, 1) in numpy:
-    (z >> 11) * 2**-53 is exact for 53-bit integers."""
-    scale = 2.0**-53
-    return chain.from_iterable(((z >> np.uint64(11)) * scale).tolist() for z in _blocks(rng)).__next__
+    """As `draws`, decoded by `to_unit` a block at a time: call k returns what
+    the k-th next_float would."""
+    return chain.from_iterable(to_unit(z).tolist() for z in _blocks(rng)).__next__

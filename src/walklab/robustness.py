@@ -25,12 +25,14 @@ following structure exists, and each piece is checked here numerically:
   chain, its buckets and its dense 2K-step power are built once per call,
   not once per set.
 * `theorem31_check` verifies the endpoint bounds: conductance of the
-  2K-step chain at least d^-2K/4000 (exhaustively, n <= 24, as far as exact
-  psi reaches; skipped for bipartite graphs, whose even-step chains are
-  reducible and have zero conductance) and spectral gap at least
+  2K-step chain at least d^-2K/4000 (exhaustively, n <= SUBSET_GUARD, as
+  far as exact psi reaches; skipped for bipartite graphs, whose even-step
+  chains are reducible and have zero conductance) and spectral gap at least
   1e-8 d^-4K (n <= 512).  It and `section3_lemma_audit` resolve d, psi, K,
   sigma and beta the same way: a missing psi is `psi_lower_bound` (exact
-  for n <= 24, the spectral lower bound above that).
+  for n <= SUBSET_GUARD, the spectral lower bound above that).
+* `random_subsets` draws the sets S that `robustness-audit` and the sweep
+  script audit.
 * `prop311_check` verifies the matching upper bound: a bottleneck weighting
   across a diametral pair pushes conductance below
   min(d^(floor(D/2)-1), n) * beta^(-floor(D/2)+3), witnessed by a ball
@@ -45,7 +47,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .chains import (
-    CONDUCTANCE_GUARD,
     SPECTRAL_GUARD,
     ReversibleChain,
     candidate_conductance,
@@ -54,7 +55,7 @@ from .chains import (
     spectral_gap,
 )
 from .graphs import (
-    EXPANSION_GUARD,
+    SUBSET_GUARD,
     Graph,
     GraphError,
     ball,
@@ -62,6 +63,7 @@ from .graphs import (
     is_bipartite,
     vertex_expansion_exact,
 )
+from .rng import SplitMix64
 from .weighting import (
     EdgeWeighting,
     bottleneck_weighting,
@@ -87,6 +89,7 @@ __all__ = [
     "representative_blocks_from_sizes",
     "representative_indices",
     "section3_lemma_audit",
+    "random_subsets",
     "theorem31_check",
     "prop311_check",
 ]
@@ -372,6 +375,18 @@ def section3_lemma_audit(
     return reports
 
 
+def random_subsets(g: Graph, count: int, rng: SplitMix64) -> list[frozenset[int]]:
+    """`count` random vertex sets for the lemma audit: each draws its size
+    1 + randrange(max(1, n // 2)), then keeps a shuffle's prefix."""
+    subsets = []
+    for _ in range(count):
+        size = 1 + rng.randrange(max(1, g.n // 2))
+        verts = list(range(g.n))
+        rng.shuffle(verts)
+        subsets.append(frozenset(verts[:size]))
+    return subsets
+
+
 @dataclass
 class Theorem31Report:
     K: int
@@ -398,12 +413,12 @@ class Theorem31Report:
 def psi_lower_bound(g: Graph) -> float:
     """A certified lower bound on vertex expansion.
 
-    Exact enumeration when n <= 24; otherwise half the spectral gap of the
-    simple random walk, via the expansion >= conductance >= gap/2 chain of
-    inequalities, which needs a regular graph.
+    Exact enumeration when n <= SUBSET_GUARD; otherwise half the spectral
+    gap of the simple random walk, via the expansion >= conductance >= gap/2
+    chain of inequalities, which needs a regular graph.
     """
     _regular_degree_or_raise(g)
-    if g.n <= EXPANSION_GUARD:
+    if g.n <= SUBSET_GUARD:
         psi, _ = vertex_expansion_exact(g)
         return psi
     srw = induced_chain(uniform_weighting(g))
@@ -414,9 +429,9 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
     """Endpoint bounds of the robustness theorem for one weighting.
 
     psi defaults to a certified lower bound on the vertex expansion.  The
-    conductance claim needs the exhaustive enumerator (n <= 24) and a
-    non-bipartite graph; the gap claim needs n <= 512.  Claims out of range
-    are reported as skipped with a reason.
+    conductance claim needs the exhaustive enumerator (n <= SUBSET_GUARD)
+    and a non-bipartite graph; the gap claim needs n <= 512.  Claims out of
+    range are reported as skipped with a reason.
     """
     g = w.graph
     d, psi, K, sigma, beta = _section3_scale(w, psi)
@@ -431,8 +446,8 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
         gap_bound=1e-8 * d ** (-4.0 * K),
     )
     chain = induced_chain(w)
-    if g.n > CONDUCTANCE_GUARD:
-        report.phi_skipped = f"n={g.n} exceeds exhaustive-conductance guard {CONDUCTANCE_GUARD}"
+    if g.n > SUBSET_GUARD:
+        report.phi_skipped = f"n={g.n} exceeds exhaustive-conductance guard {SUBSET_GUARD}"
     elif is_bipartite(g):
         report.phi_skipped = (
             "bipartite graph: the 2K-step chain is reducible across the bipartition, "

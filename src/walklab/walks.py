@@ -43,17 +43,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chains import ReversibleChain
-from .graphs import Graph, vertex_expansion_exact
-from .rng import MASK64, SplitMix64, draws, splitmix_block, unit_draws
+from .graphs import SUBSET_GUARD, Graph, vertex_expansion_exact
+from .rng import SplitMix64, draws, splitmix_block, stream_seeds, to_unit, unit_draws
 from .weighting import slot_transitions, target_decay_weighting, uniform_weighting
 
 # psi used by the phase strategy when the graph is too large for exact
-# enumeration.  It is a configured tilt, not a feasible expansion value: for
-# n > 24 the vertex expansion is at most ceil(n/2)/floor(n/2) <= 13/12.  The
-# tilt theta = min(eps, 1 - e^(-psi/32)) is conservative in its exponent, so a
-# timid psi makes the bias statistically invisible at simulation scales; 2.0
-# keeps theta around 6% for moderate eps, where the cover-time advantage
-# becomes measurable.
+# enumeration.  It is a configured tilt, not a feasible expansion value:
+# above SUBSET_GUARD = 24 vertices the expansion is at most
+# ceil(n/2)/floor(n/2) <= 13/12.  The tilt theta = min(eps, 1 - e^(-psi/32))
+# is conservative in its exponent, so a timid psi makes the bias
+# statistically invisible at simulation scales; 2.0 keeps theta around 6% for
+# moderate eps, where the cover-time advantage becomes measurable.
 DEFAULT_PSI_CONFIG = 2.0
 
 WALK_KINDS = ("srw", "phase", "sweep")
@@ -347,9 +347,8 @@ def _cover_lockstep(
     def sweep_block(block: np.ndarray, pos: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """As `srw_block`, with steps 0..m - 1: step 0 reads the vertex the
         block starts from.  Every vertex of a sweep graph has degree span."""
-        scale = 2.0**-53
-        biased = (block[0::2] >> np.uint64(11)) * scale < spec.eps
-        choice = np.minimum(((block[1::2] >> np.uint64(11)) * scale * span).astype(np.intp), span - 1)
+        biased = to_unit(block[0::2]) < spec.eps
+        choice = np.minimum((to_unit(block[1::2]) * span).astype(np.intp), span - 1)
         walk = np.where(biased, 2 * span, 2 * choice)  # choices, then positions
         del block, biased, choice  # freed before the walk
         reads = np.empty(walk.shape + (3,), dtype=bool)
@@ -394,7 +393,7 @@ def _cover_lockstep(
             keep = left > 0
             index, pos, left, vis = index[keep], pos[keep], left[keep], vis[keep]
         m = min(m, max(1, _REFILL_DRAWS // (dps * len(left))))
-        seeds = np.uint64(seed & MASK64) ^ (index + first).astype(np.uint64)
+        seeds = stream_seeds(seed, index + first)
         rows = np.arange(len(left)) * n
         # the refill, (dps * m, rows) in C order, is held by advance() alone
         pos, i, j = advance(splitmix_block(seeds, steps * dps, dps * m).T, pos, vis.reshape(-1), rows)
@@ -446,9 +445,10 @@ class CoverEstimate:
 def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
     """`spec` with every precondition checked and, for phase, psi resolved.
 
-    psi is the given value, else the exact vertex expansion when n <= 24,
-    else DEFAULT_PSI_CONFIG: any lower bound on the true expansion keeps
-    theta inside the regime where the tilted chain provably mixes.
+    psi is the given value, else the exact vertex expansion when
+    n <= SUBSET_GUARD, else DEFAULT_PSI_CONFIG: any lower bound on the true
+    expansion keeps theta inside the regime where the tilted chain provably
+    mixes.
     """
     if spec.kind not in WALK_KINDS:
         raise WalkError(f"unknown walk kind {spec.kind!r}")
@@ -471,7 +471,7 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
         raise WalkError("bias extraction needs degree >= 3")
     psi = spec.psi
     if psi is None:
-        psi = vertex_expansion_exact(g)[0] if g.n <= 24 else DEFAULT_PSI_CONFIG
+        psi = vertex_expansion_exact(g)[0] if g.n <= SUBSET_GUARD else DEFAULT_PSI_CONFIG
     if not (math.isfinite(psi) and psi >= 0.0):
         raise WalkError(f"psi must be finite and >= 0, got {psi}")
     return replace(spec, psi=psi)

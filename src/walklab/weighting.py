@@ -16,11 +16,10 @@ Per-vertex and per-edge work indexes the graph's slot table: strengths are
 one `bincount` over it, `lipschitz_beta` reduces each vertex's slice to
 max / min, and `slot_transitions(w)` gives the checked P on every slot in
 O(m), for `induced_chain(w)`'s dense matrix and the phase walk alike.
-`random_lipschitz_weighting` perturbs one edge per move and keeps the
-per-vertex ratios and the number of vertices above sigma (1 + RATIO_TOL):
-a move on edge (a, b) recomputes only the ratios at a and b, and is
-accepted iff no other vertex is above the bound and both new ratios are
-within it.  That is the global test beta <= sigma (1 + RATIO_TOL) at
+`random_lipschitz_weighting` perturbs one edge per move.  Its base and
+every accepted move keep each vertex ratio within sigma (1 + RATIO_TOL), so
+a move on edge (a, b) is accepted iff the recomputed ratios at a and b are
+within it: the global test beta <= sigma (1 + RATIO_TOL) at
 O(deg a + deg b) per move instead of O(m).  A move whose new weight is not
 positive and finite is rejected like one that breaks the bound.
 
@@ -57,7 +56,6 @@ __all__ = [
     "stationary_ratio_audit",
     "random_lipschitz_weighting",
     "parse_weighting_text",
-    "format_weighting_text",
     "read_weighting_file",
 ]
 
@@ -282,8 +280,6 @@ def random_lipschitz_weighting(
         return w
     incident = [ids.tolist() for ids in np.split(g.slots.edge, g.slots.offsets[1:-1])]
     weights = w.weights.tolist()
-    ratios = _vertex_ratios(w).tolist()
-    over = sum(r > limit for r in ratios)
 
     def ratio_at(v: int) -> float:
         inc = [weights[i] for i in incident[v]]
@@ -297,13 +293,8 @@ def random_lipschitz_weighting(
         if not 0.0 < new < math.inf:
             continue
         a, b = g.edges[e]
-        others = over - (ratios[a] > limit) - (ratios[b] > limit)
         weights[e] = new
-        ra, rb = ratio_at(a), ratio_at(b)
-        if others == 0 and ra <= limit and rb <= limit:
-            ratios[a], ratios[b] = ra, rb
-            over = 0
-        else:
+        if ratio_at(a) > limit or ratio_at(b) > limit:
             weights[e] = old
     return EdgeWeighting(g, np.array(weights))
 
@@ -343,11 +334,6 @@ def parse_weighting_text(text: str, g: Graph) -> EdgeWeighting:
         u, v = g.edges[int(missing[0])]
         raise GraphFileError(f"edge ({u}, {v}) has no weight")
     return EdgeWeighting(g, weights)
-
-
-def format_weighting_text(w: EdgeWeighting) -> str:
-    lines = [f"{u} {v} {float(w.weights[i])!r}" for i, (u, v) in enumerate(w.graph.edges)]
-    return "\n".join(lines) + "\n"
 
 
 def read_weighting_file(path, g: Graph) -> EdgeWeighting:

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from walklab.chains import CONDUCTANCE_GUARD, cheeger_audit, edge_conductance_exact
+from walklab.chains import cheeger_audit, edge_conductance_exact
 from walklab.cli import main as cli_main
 from walklab.graphs import (
+    SUBSET_GUARD,
     build_graph,
     diameter,
     generate,
@@ -226,7 +227,7 @@ def test_criterion_07_gap_endpoint():
             if report.gap_ok is not None:
                 assert report.gap_ok and report.gap_value >= report.gap_bound
                 gap_checked += 1
-            if g.n <= CONDUCTANCE_GUARD and not is_bipartite(g):
+            if g.n <= SUBSET_GUARD and not is_bipartite(g):
                 assert report.phi_skipped is None
     assert phi_checked > 0 and gap_checked > 0
     print(

@@ -8,6 +8,9 @@ A weighting carries its graph, so no public function takes a graph beside a
 weighting: a second graph could disagree with `w.graph`.
 
 No module imports a name it never uses, unless its `__all__` re-exports it.
+
+`rng` owns the stream format: no other module or script decodes a draw by
+hand (the constant 2**-53) or derives stream seeds from MASK64.
 """
 
 import ast
@@ -98,3 +101,34 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses(name):
     # the package's __init__ imports only to re-export, so it is not checked
     assert _unused_imports(Path(walklab.__file__).with_name(f"{name}.py")) == []
+
+
+_PURE = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.operator, ast.unaryop)
+
+
+def _stream_format_uses(path: Path) -> list[str]:
+    """Where a file names MASK64 or writes a constant equal to 2**-53."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+        if "MASK64" in names or "MASK64" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(f"{path.name}:{node.lineno} MASK64")
+        elif isinstance(node, (ast.BinOp, ast.Constant)) and all(isinstance(n, _PURE) for n in ast.walk(node)):
+            if eval(compile(ast.Expression(node), path.name, "eval"), {"__builtins__": {}}) == 2.0**-53:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    [Path(walklab.__file__).with_name(f"{name}.py") for name in MODULES if name != "rng"]
+    + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_only_rng_decodes_draws_and_derives_stream_seeds(path):
+    assert _stream_format_uses(path) == []
+
+
+def test_the_stream_format_check_finds_the_uses_in_rng():
+    uses = _stream_format_uses(Path(walklab.__file__).with_name("rng.py"))
+    assert any(use.endswith("MASK64") for use in uses) and any(use.endswith("2.0 ** (-53)") for use in uses)

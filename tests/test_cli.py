@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from walklab import cli, graphs, robustness, weighting
 from walklab.cli import _parse, _sweep_events, build_parser, main
-from walklab.graphs import generate, small_regular_catalog, write_graph_file
+from walklab.graphs import generate, small_regular_catalog
 from walklab.oracle import EventKind, boost_bound_audit, eta_grid
 from walklab.rng import SplitMix64
 
@@ -32,10 +32,12 @@ def read_summary(out_text):
 
 # --- spectral --------------------------------------------------------------------
 
+K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
 
 def test_spectral_complete_graph_from_file(tmp_path, capsys):
     path = tmp_path / "k4.txt"
-    write_graph_file(generate("complete", n=4), path)
+    path.write_text(K4_TEXT)
     code, out, err = run(capsys, "spectral", "--graph", str(path))
     assert code == 0 and err == ""
     payload = read_summary(out)
@@ -63,7 +65,7 @@ def test_spectral_writes_summary_file(tmp_path, capsys):
 
 def test_spectral_rejects_graph_and_generate_together(tmp_path, capsys):
     path = tmp_path / "k4.txt"
-    write_graph_file(generate("complete", n=4), path)
+    path.write_text(K4_TEXT)
     code, _, err = run(capsys, "spectral", "--graph", str(path), "--generate", "cycle:4")
     assert code == 2
     assert "error:" in err
@@ -482,6 +484,28 @@ def test_robustness_audit_skips_the_flow_check_on_a_bipartite_graph(tmp_path, ca
     flows = [c for row in rows for c in row["checks"] if c["name"] == "flow_2K_to_complement_ge_scaled_mass"]
     assert flows and all("bipartite" in c["skipped"] and c["instances"] == 0 for c in flows)
     assert any(row["subset"] == [1, 2, 4, 7] for row in rows)
+
+
+@pytest.mark.parametrize("sigma", ["2", "1.1814", "0.5", "nan", "inf"])
+def test_robustness_audit_rejects_sigma_outside_the_budget_before_any_draw(monkeypatch, capsys, sigma):
+    # complete:6 has K = 3 and budget exp(1/6) = 1.18136; the range is checked
+    # before the weighting or the lemma audit draws anything
+    called = []
+    monkeypatch.setattr(cli, "random_lipschitz_weighting", lambda *a: called.append(a))
+    monkeypatch.setattr(cli, "section3_lemma_audit", lambda *a, **k: called.append(a))
+    code, out, err = run(capsys, "robustness-audit", "--generate", "complete:6", f"--sigma={sigma}", "--seed", "1")
+    assert code == 2 and out == "" and called == []
+    assert err.startswith("error: --sigma must be >= 1 and <= the budget exp(1/(2K)) = 1.18136;")
+    assert err.rstrip().endswith(f"got {float(sigma)}")
+
+
+def test_robustness_audit_accepts_sigma_at_the_budget(capsys):
+    g = generate("complete", n=6)
+    budget = robustness.section3_sigma(robustness.section3_K(robustness.psi_lower_bound(g)))
+    for sigma in ("1", repr(budget)):
+        code, out, err = run(capsys, "robustness-audit", "--generate", "complete:6", "--sigma", sigma, "--seed", "1")
+        assert code == 0 and err == ""
+        assert read_summary(out)["beta"] <= budget * (1.0 + 1e-12)
 
 
 def test_robustness_audit_runs_above_the_expansion_guard(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.rng import MASK64, MAX_BLOCK, SplitMix64, draws, splitmix_block, unit_draws
+from walklab.rng import MASK64, MAX_BLOCK, SplitMix64, draws, splitmix_block, stream_seeds, to_unit, unit_draws
 
 # First outputs of the classic splitmix64 sequence for seed 0, as published
 # alongside the xoshiro generators; pins the mixing constants.
@@ -60,6 +60,28 @@ def test_block_floats_match_scalar():
     b = SplitMix64(31337)
     floats = (b.block_u64(100) >> np.uint64(11)) * 2.0**-53
     assert [a.next_float() for _ in range(100)] == [float(x) for x in floats]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=20))
+@settings(max_examples=50)
+def test_to_unit_decodes_ints_and_arrays_alike(zs):
+    # (z >> 11) * 2**-53 by hand; the array path must stay uint64 under the shift
+    expected = [(z >> 11) * 2.0**-53 for z in zs]
+    assert [to_unit(z) for z in zs] == expected
+    got = to_unit(np.array(zs, dtype=np.uint64))
+    assert got.dtype == np.float64 and got.tolist() == expected
+    assert all(0.0 <= x < 1.0 for x in expected)
+
+
+@given(
+    st.integers(min_value=-(2**70), max_value=2**70) | st.sampled_from([-1, -(2**64), 2**64, 2**64 + 3, MASK64]),
+    st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=12),
+)
+@settings(max_examples=100)
+def test_stream_seeds_match_the_scalar_streams(seed, indices):
+    seeds = stream_seeds(seed, np.array(indices, dtype=np.int64))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [SplitMix64.stream(seed, i).seed for i in indices]
 
 
 def test_randrange_bounds_and_determinism():

@@ -11,6 +11,7 @@ from walklab.robustness import (
     bucket_partition,
     prop311_check,
     psi_lower_bound,
+    random_subsets,
     representative_blocks_from_sizes,
     representative_indices,
     section3_K,
@@ -241,6 +242,21 @@ def test_endpoint_large_graph_skips_exhaustive_claim():
     report = theorem31_check(uniform_weighting(g))
     assert report.phi_skipped is not None
     assert report.gap_ok
+
+
+def test_random_subsets_draw_size_then_shuffle_prefix():
+    # each set: a size 1 + randrange(max(1, n // 2)), then a shuffle's prefix
+    for n, count in ((3, 3), (7, 5), (20, 9)):
+        g = generate("cycle", n=n)
+        rng, replay = SplitMix64.stream(5, 0), SplitMix64.stream(5, 0)
+        expected = []
+        for _ in range(count):
+            size = 1 + replay.randrange(max(1, n // 2))
+            verts = list(range(n))
+            replay.shuffle(verts)
+            expected.append(frozenset(verts[:size]))
+        assert random_subsets(g, count, rng) == expected
+        assert rng.counter == replay.counter
 
 
 def test_endpoint_checks_exhaustive_conductance_up_to_its_guard():
