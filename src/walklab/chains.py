@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import SUBSET_CHUNK_BITS, SUBSET_GUARD, GuardError, first_subset_minimum, subset_fold
+from .graphs import SUBSET_CHUNK_BITS, SUBSET_GUARD, GuardError, WalklabError, first_subset_minimum, subset_fold
 
 SPECTRAL_GUARD = 512
 
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-class ChainError(ValueError):
+class ChainError(WalklabError):
     """Transition data that is not a reversible stochastic chain."""
 
 

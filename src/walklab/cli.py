@@ -10,7 +10,8 @@ One process per invocation, one subcommand per run:
     lemma-sweep       grid audit of the boost bounds over the small catalog
 
 Exit codes: 0 success, 1 an audit found a violation, 2 bad input (malformed
-flags, config, graph, or weighting files).  Every randomized subcommand
+flags, config, graph, or weighting files): a `graphs.WalklabError`, the root
+of every error the package raises, or an OSError.  Every randomized subcommand
 requires --seed; identical configuration and seed give byte-identical output
 files once --no-timestamp is passed.
 
@@ -31,12 +32,11 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import graphs as graphmod
-from .chains import ChainError, SpectralReport, edge_conductance_exact, spectral_gap
-from .graphs import SUBSET_GUARD, Graph, GraphError, GuardError
+from .chains import SpectralReport, edge_conductance_exact, spectral_gap
+from .graphs import SUBSET_GUARD, Graph, WalklabError
 from .oracle import (
     EventKind,
     EventSpec,
-    OracleError,
     boost_bound_audit,
     boost_bound_grid,
     conv_lemma_audit,
@@ -47,9 +47,8 @@ from .rng import SplitMix64, draws, to_unit
 from .robustness import (
     psi_lower_bound, random_subsets, section3_K, section3_lemma_audit, section3_sigma, theorem31_check
 )
-from .walks import WALK_KINDS, WalkError, WalkSpec, estimate_cover_time
+from .walks import WALK_KINDS, WalkSpec, estimate_cover_time
 from .weighting import (
-    WeightingError,
     induced_chain,
     lipschitz_beta,
     random_lipschitz_weighting,
@@ -61,7 +60,7 @@ from .weighting import (
 __all__ = ["main"]
 
 
-class InputError(ValueError):
+class InputError(WalklabError):
     """Anything wrong with flags, config files, or input files."""
 
 
@@ -378,11 +377,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
 def _add_common(parser: _Parser, *, graph: bool = True) -> None:
     if graph:
         parser.add_argument("--graph", help="graph file (header 'n m', then one 'u v' per line)")
-        parser.add_argument(
-            "--generate",
-            help="generator spec: cycle:N, complete:N, hypercube:DIM, "
-            "circulant:N:O1,O2, random-regular:N:D:SEED",
-        )
+        parser.add_argument("--generate", help="generator spec: " + ", ".join(graphmod.spec_forms().values()))
     parser.add_argument("--config", help="key=value config file; explicit flags win")
     parser.add_argument("--out", help="directory for results.csv / summary.json / audit.jsonl")
     parser.add_argument(
@@ -457,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         return args.handler(args)
-    except (InputError, GraphError, WeightingError, ChainError, OracleError, WalkError, GuardError, OSError) as exc:
+    except (WalklabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

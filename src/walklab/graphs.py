@@ -40,8 +40,10 @@ __all__ = [
     "GraphError",
     "GraphFileError",
     "GuardError",
+    "WalklabError",
     "build_graph",
     "generate",
+    "spec_forms",
     "parse_generate_spec",
     "parse_graph_text",
     "read_graph_file",
@@ -58,7 +60,11 @@ __all__ = [
 ]
 
 
-class GraphError(ValueError):
+class WalklabError(ValueError):
+    """Root of every error the package raises on bad input; the CLI's exit 2."""
+
+
+class GraphError(WalklabError):
     """Invalid graph data (self-loop, duplicate edge, disconnected, ...)."""
 
 
@@ -71,7 +77,7 @@ class GraphFileError(GraphError):
         super().__init__(prefix + message)
 
 
-class GuardError(ValueError):
+class GuardError(WalklabError):
     """An exhaustive or dense computation was asked to exceed its size guard."""
 
 
@@ -294,17 +300,24 @@ def generate(kind: str, **params) -> Graph:
     return build(**params)
 
 
+def spec_forms() -> dict[str, str]:
+    """Each generator family's spec form, such as random-regular:<n>:<d>:<seed>."""
+    return {
+        kind: ":".join([kind.replace("_", "-")] + [f"<{name}>" for name in names])
+        for kind, (_, names) in _FAMILIES.items()
+    }
+
+
 def parse_generate_spec(spec: str) -> Graph:
-    """Graph from a generator spec: cycle:<n>, complete:<n>, hypercube:<dim>,
-    circulant:<n>:<o1,o2,...> or random-regular:<n>:<d>:<seed>."""
+    """Graph from a generator spec in one of the `spec_forms`; circulant
+    offsets are comma-separated, as in circulant:8:1,3."""
     head, *parts = spec.split(":")
     kind = head.strip().lower().replace("-", "_")
     if kind not in _FAMILIES:
         raise GraphError(f"unknown generator kind {head!r}")
     names = _FAMILIES[kind][1]
     if len(parts) != len(names):
-        form = ":".join([kind.replace("_", "-")] + [f"<{name}>" for name in names])
-        raise GraphError(f"malformed generator spec {spec!r}: expected {form}")
+        raise GraphError(f"malformed generator spec {spec!r}: expected {spec_forms()[kind]}")
     try:
         params = {
             name: tuple(int(x) for x in part.split(",")) if name == "offsets" else int(part)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, GuardError
+from .graphs import Graph, GuardError, WalklabError
 from .rng import SplitMix64
 
 MASK_GUARD = 20
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-class OracleError(ValueError):
+class OracleError(WalklabError):
     """Invalid event, parameters, or guard violation."""
 
 

@@ -28,9 +28,11 @@ following structure exists, and each piece is checked here numerically:
   2K-step chain at least d^-2K/4000 (exhaustively, n <= SUBSET_GUARD, as
   far as exact psi reaches; skipped for bipartite graphs, whose even-step
   chains are reducible and have zero conductance) and spectral gap at least
-  1e-8 d^-4K (n <= 512).  It and `section3_lemma_audit` resolve d, psi, K,
-  sigma and beta the same way: a missing psi is `psi_lower_bound` (exact
-  for n <= SUBSET_GUARD, the spectral lower bound above that).
+  1e-8 d^-4K (n <= 512).  Both verdicts compare logarithms, so a bound
+  that underflows the float range (printed as 0.0) is still checked.  It
+  and `section3_lemma_audit` resolve d, psi, K, sigma and beta the same
+  way: a missing psi is `psi_lower_bound` (exact for n <= SUBSET_GUARD,
+  the spectral lower bound above that).
 * `random_subsets` draws the sets S that `robustness-audit` and the sweep
   script audit.
 * `prop311_check` verifies the matching upper bound: a bottleneck weighting
@@ -395,6 +397,8 @@ class Theorem31Report:
     psi: float
     phi_bound: float
     gap_bound: float
+    log_phi_bound: float
+    log_gap_bound: float
     phi_value: float | None = None
     phi_ok: bool | None = None
     phi_skipped: str | None = None
@@ -425,6 +429,11 @@ def psi_lower_bound(g: Graph) -> float:
     return spectral_gap(srw).gap / 2.0
 
 
+def _at_least(value: float, log_bound: float) -> bool:
+    """value >= exp(log_bound) up to one part in 1e12, decided on logarithms."""
+    return value > 0.0 and math.log(value) >= log_bound - 1e-12
+
+
 def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Report:
     """Endpoint bounds of the robustness theorem for one weighting.
 
@@ -444,6 +453,8 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
         psi=psi,
         phi_bound=d ** (-2.0 * K) / 4000.0,
         gap_bound=1e-8 * d ** (-4.0 * K),
+        log_phi_bound=-2.0 * K * math.log(d) - math.log(4000.0),
+        log_gap_bound=math.log(1e-8) - 4.0 * K * math.log(d),
     )
     chain = induced_chain(w)
     if g.n > SUBSET_GUARD:
@@ -457,13 +468,13 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
         p2k = power_chain(chain, 2 * K)
         phi, _ = edge_conductance_exact(p2k)
         report.phi_value = phi
-        report.phi_ok = phi >= report.phi_bound - 1e-15
+        report.phi_ok = _at_least(phi, report.log_phi_bound)
     if g.n > SPECTRAL_GUARD:
         report.gap_skipped = f"n={g.n} exceeds spectral guard {SPECTRAL_GUARD}"
     else:
         gap = spectral_gap(chain).gap
         report.gap_value = gap
-        report.gap_ok = gap >= report.gap_bound - 1e-15
+        report.gap_ok = _at_least(gap, report.log_gap_bound)
     return report
 
 

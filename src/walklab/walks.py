@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chains import ReversibleChain
-from .graphs import SUBSET_GUARD, Graph, vertex_expansion_exact
+from .graphs import SUBSET_GUARD, Graph, WalklabError, vertex_expansion_exact
 from .rng import SplitMix64, draws, splitmix_block, stream_seeds, to_unit, unit_draws
 from .weighting import slot_transitions, target_decay_weighting, uniform_weighting
 
@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 
-class WalkError(ValueError):
+class WalkError(WalklabError):
     """Invalid walk parameters or policy output."""
 
 

@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .chains import BALANCE_TOL, ROW_SUM_TOL, ChainError, ReversibleChain
-from .graphs import Graph, GraphFileError, diameter, distances_from
+from .graphs import Graph, GraphFileError, WalklabError, diameter, distances_from
 from .rng import SplitMix64
 
 RATIO_TOL = 1e-12
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-class WeightingError(ValueError):
+class WeightingError(WalklabError):
     """Invalid edge weighting (non-positive weight, wrong edge set, ...)."""
 
 

@@ -1,8 +1,13 @@
-"""Every exported, re-exported and traced name resolves.
+"""Every exported and traced name resolves, and program code reaches it.
 
 A deleted function must take its names with it: from the module's
-`__all__`, from the package's imports and from the benchmark tracer's
-table, whose `Tracer.install` otherwise fails on the first traced run.
+`__all__` and from the benchmark tracer's table, whose `Tracer.install`
+otherwise fails on the first traced run.  An exported name that no program
+code (the package, `scripts/`, `perfbench/`) reaches must be on
+REFERENCE_ONLY, with the reason it stays.
+
+Every exception class of the package derives from `graphs.WalklabError`,
+the one class `cli.main` catches beside OSError for exit code 2.
 
 A weighting carries its graph, so no public function takes a graph beside a
 weighting: a second graph could disagree with `w.graph`.
@@ -24,11 +29,12 @@ from pathlib import Path
 import pytest
 
 import walklab
-from walklab.graphs import Graph
+from walklab.graphs import Graph, WalklabError
 from walklab.weighting import EdgeWeighting
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(walklab.__path__))
+PKG = Path(walklab.__file__).parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -36,20 +42,6 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"walklab.{name}")
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert missing == []
-
-
-def test_every_package_import_resolves():
-    tree = ast.parse(Path(walklab.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imported
-    for module, attr in imported:
-        assert hasattr(importlib.import_module(f"walklab.{module}"), attr), (module, attr)
-        assert hasattr(walklab, attr), attr
 
 
 def test_every_traced_entry_point_resolves(monkeypatch):
@@ -79,6 +71,13 @@ def test_no_function_takes_a_graph_beside_a_weighting(name):
     assert both == []
 
 
+def _exports(path: Path) -> list[str]:
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     imported = {
@@ -88,18 +87,11 @@ def _unused_imports(path: Path) -> list[str]:
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = {
-        elt.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        for elt in node.value.elts
-    }
-    return sorted(imported - used - exported)
+    return sorted(imported - used - set(_exports(path)))
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_name_it_never_uses(name):
-    # the package's __init__ imports only to re-export, so it is not checked
     assert _unused_imports(Path(walklab.__file__).with_name(f"{name}.py")) == []
 
 
@@ -132,3 +124,116 @@ def test_only_rng_decodes_draws_and_derives_stream_seeds(path):
 def test_the_stream_format_check_finds_the_uses_in_rng():
     uses = _stream_format_uses(Path(walklab.__file__).with_name("rng.py"))
     assert any(use.endswith("MASK64") for use in uses) and any(use.endswith("2.0 ** (-53)") for use in uses)
+
+
+# ---------------------------------------------------------------------------
+# one error root
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exception_class_derives_from_the_root(name):
+    module = importlib.import_module(f"walklab.{name}")
+    tree = ast.parse((PKG / f"{name}.py").read_text())
+    classes = [vars(module)[node.name] for node in tree.body if isinstance(node, ast.ClassDef)]
+    errors = [cls for cls in classes if issubclass(cls, BaseException)]
+    assert [cls for cls in errors if not issubclass(cls, WalklabError)] == []
+
+
+def test_cli_main_catches_only_the_root_and_oserror():
+    tree = ast.parse((PKG / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(node.type) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert caught == ["(WalklabError, OSError)"]
+
+
+# ---------------------------------------------------------------------------
+# the public surface is reached by program code
+
+PROGRAM = sorted(PKG.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+# Exported names that no program code reaches, each with the reason it stays.
+# A name that only another entry uses is an entry too: it goes when that goes.
+REFERENCE_ONLY = {
+    "chains.cheeger_audit": "acceptance criterion 1: the Cheeger sandwich",
+    "walks.extract_bias_matrix": "acceptance criterion 4: the dense reference for the O(m) phase bias",
+    "walks.stationary_boost_audit": "acceptance criterion 5: the stationary boost",
+    "walks.StationaryBoostReport": "what stationary_boost_audit returns",
+    "robustness.prop311_check": "acceptance criterion 8: the bottleneck witness",
+    "robustness.Prop311Report": "what prop311_check returns",
+    "chains.candidate_conductance": "prop311_check's conductance of its witness set",
+    "chains.ergodic_flow": "the flow Q(S, S^c) of candidate_conductance",
+    "oracle.event_prob_exact": "acceptance criterion 10: the exact figure anchors",
+    "oracle.schur_audit": "acceptance criterion 12: Schur convexity of the boost",
+    "oracle.robin_hood_pair": "acceptance criterion 12: the pairs schur_audit is run on",
+    "oracle.majorizes": "schur_audit's precondition, also asserted by criterion 12",
+    "walks.step": "the single-step reference the scalar `_biased_walk` is tested against",
+    "walks.WalkState": "the state walks.step advances",
+    "walks.cover_run": "the single-trial entry point README documents",
+    "graphs.ball_growth_audit": "the ball-growth lemma |B_k(S)| >= min((1 + psi)^k |S|, n/2), audited on the catalog",
+    "oracle.cover_lower_demo": "the exact cover lower bound ROADMAP direction 5 will run",
+    "oracle.CoverLowerReport": "what cover_lower_demo returns",
+    "oracle.srw_expected_cover_exact": "the eps = 0 cover time cover_lower_demo compares against (direction 5)",
+    "chains.mixing_time_tv": "the mixing time ROADMAP directions 10 and 4 will call",
+}
+
+
+EXPORTS = {name: set(_exports(PKG / f"{name}.py")) for name in MODULES}
+
+
+def _uses(path: Path) -> list[tuple[tuple[str, str], tuple[str, str] | None]]:
+    """(exported name, holder) for each use in `path` of a name exported by a
+    package module.  A use counts only in the defining module or in a file
+    that imports the name (or its module) from there.  The holder is the
+    exported definition of `path`'s own module that the use sits in, None
+    for any other code."""
+    tree = ast.parse(path.read_text())
+    own = path.stem if path.parent == PKG else None
+    names = {name: (own, name) for name in EXPORTS.get(own, ())}
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("walklab")):
+            source = (node.module or "").removeprefix("walklab").lstrip(".")
+            for alias in node.names:
+                if source:
+                    names[alias.asname or alias.name] = (source, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    uses = []
+    for stmt in tree.body:
+        defined = getattr(stmt, "name", None) or next(
+            (t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)), None
+        )
+        holder = (own, defined) if defined in EXPORTS.get(own, ()) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in names:
+                target = names[node.id]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                target = (modules[node.value.id], node.attr)
+            else:
+                continue
+            if target[1] in EXPORTS.get(target[0], ()) and target != holder:
+                uses.append((target, holder))
+    return uses
+
+
+def _unreached() -> set[str]:
+    """Exported names no program code reaches: a use inside an unreached
+    exported definition does not count."""
+    uses = [use for path in PROGRAM for use in _uses(path)]
+    dead = {(module, name) for module in MODULES for name in EXPORTS[module]}
+    while True:
+        live = dead & {target for target, holder in uses if holder not in dead}
+        if not live:
+            return {f"{module}.{name}" for module, name in dead}
+        dead -= live
+
+
+def test_every_exported_name_is_reached_by_program_code():
+    assert all(REFERENCE_ONLY.values())
+    assert _unreached() == set(REFERENCE_ONLY)
+
+
+def test_the_surface_check_sees_a_name_used_only_by_another_dead_name():
+    # srw_expected_cover_exact is called inside oracle, but only by cover_lower_demo
+    uses = [use for use in _uses(PKG / "oracle.py") if use[0] == ("oracle", "srw_expected_cover_exact")]
+    assert uses == [(("oracle", "srw_expected_cover_exact"), ("oracle", "cover_lower_demo"))]

@@ -140,6 +140,14 @@ def test_spec_help_lists_every_family_and_event_word():
     ]
 
 
+def test_generate_help_and_spec_error_read_the_family_table(monkeypatch):
+    monkeypatch.setitem(graphs._FAMILIES, "wheel_graph", (lambda n: generate("complete", n=n), ("n",)))
+    generate_help = build_parser().commands["spectral"]._option_string_actions["--generate"].help
+    assert generate_help.endswith(", random-regular:<n>:<d>:<seed>, wheel-graph:<n>")
+    with pytest.raises(graphs.GraphError, match="expected wheel-graph:<n>$"):
+        graphs.parse_generate_spec("wheel-graph")
+
+
 # --- cover-sim -------------------------------------------------------------------
 
 
@@ -534,6 +542,25 @@ def test_robustness_audit_runs_above_the_expansion_guard(tmp_path, capsys):
     assert digests == {
         "audit.jsonl": "a3ef710bbac054d0938840443cbb4aceb9190f5d8ddc35109fff989a2e20a126",
         "summary.json": "377f5295db29230ab90c875d671acca8a7231ed68ab8f483a4daf64ddcab440b",
+    }
+
+
+def test_robustness_audit_checks_a_gap_bound_below_the_float_range(tmp_path, capsys):
+    # cycle:40 has K = 326: 1e-8 * 2**(-4K) prints as 0.0 but is still compared, in logarithms
+    out_dir = tmp_path / "rob"
+    code, out, err = run(
+        capsys, "robustness-audit", "--generate", "cycle:40", "--subsets", "5", "--seed", "1",
+        "--out", str(out_dir), "--no-timestamp",
+    )
+    assert code == 0 and err == ""
+    payload = read_summary(out)
+    assert (payload["K"], payload["gap_bound"], payload["failures"]) == (326, 0.0, 0)
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("audit.jsonl", "summary.json")
+    }
+    assert digests == {
+        "audit.jsonl": "d2379324bd549c6581f290fcbcf1165ebee78217c464473af86f11ba8c237b12",
+        "summary.json": "e7a0715c96e14c1e72de5c12a281063fde18f349681a40858aa7777728d2e32e",
     }
 
 

@@ -1,9 +1,11 @@
 """Bucket partition, representative blocks, and the robustness endpoint checks."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from walklab import robustness
 from walklab.graphs import GraphError, generate, vertex_expansion_exact
 from walklab.robustness import (
     ALPHA,
@@ -285,6 +287,32 @@ def test_endpoint_rejects_rough_weighting():
     w = target_decay_weighting(g, [0], 0.5)
     with pytest.raises(GraphError):
         theorem31_check(w)
+
+
+@pytest.mark.parametrize("claim", ["phi", "gap"])
+@pytest.mark.parametrize("factor, ok", [(1 - 1e-9, False), (1.0, True), (1 + 1e-9, True)])
+def test_endpoint_verdict_is_relative_to_its_bound(monkeypatch, claim, factor, ok):
+    # rr(20, 3, 2) has phi_bound 5.8e-12 and gap_bound 5.4e-24; an absolute
+    # slack of 1e-15 passed any value above bound - 1e-15, a gap of 0 included
+    w = uniform_weighting(generate("random_regular", n=20, d=3, seed=2))
+    value = getattr(theorem31_check(w), f"{claim}_bound") * factor
+    if claim == "phi":
+        monkeypatch.setattr(robustness, "edge_conductance_exact", lambda chain: (value, frozenset({0})))
+    else:
+        monkeypatch.setattr(robustness, "spectral_gap", lambda chain: SimpleNamespace(gap=value))
+    report = theorem31_check(w)
+    assert getattr(report, f"{claim}_ok") is ok and report.ok is ok
+
+
+def test_endpoint_gap_bound_below_the_float_range_is_still_checked(monkeypatch):
+    g = generate("cycle", n=40)
+    psi = psi_lower_bound(g)
+    report = theorem31_check(uniform_weighting(g), psi=psi)
+    assert report.K == 326 and report.gap_bound == 0.0
+    assert report.log_gap_bound == pytest.approx(math.log(1e-8) - 4 * 326 * math.log(2), rel=1e-15)
+    assert report.gap_ok and report.gap_value > 0.01
+    monkeypatch.setattr(robustness, "spectral_gap", lambda chain: SimpleNamespace(gap=0.0))
+    assert theorem31_check(uniform_weighting(g), psi=psi).gap_ok is False
 
 
 def test_psi_lower_bound_exact_and_spectral():

@@ -67,3 +67,11 @@ def test_cover_experiment_rejects_unknown_kinds_before_any_row(capsys, kinds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unknown walk kinds" in captured.err and "Traceback" not in captured.err
+
+
+def test_robustness_sweep_runs_where_the_gap_bound_underflows(capsys):
+    # cycle:40 has K = 326, so gap_bound is 0.0; the margin used to divide by it
+    script = load_script("run_robustness_sweep")
+    assert script.main(["--generate", "cycle:40", "--weightings", "1", "--subsets", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "K=326" in out and "(10^398.6 x bound)" in out and "done: 1 weightings" in out
