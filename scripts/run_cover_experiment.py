@@ -3,15 +3,17 @@
 
 Runs paired Monte Carlo estimates (same per-trial seed streams) for each
 requested walk kind on one graph and prints a small table with 95%
-confidence intervals.  Example:
+confidence intervals.  Bad input prints one `error:` line and exits 2.
+Example:
 
     PYTHONPATH=src python3 scripts/run_cover_experiment.py --generate random-regular:512:3:11 \
         --kinds srw,phase --eps 0.25 --trials 200 --seed 20260818
 """
 
 import argparse
+import sys
 
-from walklab.graphs import parse_generate_spec, read_graph_file
+from walklab.graphs import WalklabError, parse_generate_spec, read_graph_file
 from walklab.walks import WALK_KINDS, WalkSpec, estimate_cover_time
 
 
@@ -30,7 +32,15 @@ def main(argv=None):
     unknown = [kind for kind in kinds if kind not in WALK_KINDS]
     if unknown:
         ap.error(f"unknown walk kinds {', '.join(map(repr, unknown))}; choose from {', '.join(WALK_KINDS)}")
+    try:
+        return compare(args, kinds)
+    except WalklabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def compare(args, kinds: list[str]) -> int:
+    """Print the cover-time table of `kinds` and each kind's ratio to srw."""
     g = read_graph_file(args.graph) if args.graph else parse_generate_spec(args.generate)
     print(f"graph: n={g.n} m={g.m} regular_degree={g.regular_degree}")
     print(f"{'kind':<8} {'eps':>6} {'mean':>10} {'stddev':>10} {'ci95':>24}")

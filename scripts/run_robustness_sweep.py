@@ -7,7 +7,9 @@ budget sigma = exp(1/(2K)), runs the endpoint check (conductance of the
 set lemmas on random subsets.  Weighting i draws from the stream
 SplitMix64.stream(seed, i); the subset sampler draws from the stream at index
 2**64 - 1 (SUBSET_STREAM), which no weighting index reaches, so the subsets
-are independent of every weighting.  Example:
+are independent of every weighting.  The exit code is 0 when every check
+passes, 1 when one fails, and 2 on bad input, which prints one `error:` line.
+Example:
 
     PYTHONPATH=src python3 scripts/run_robustness_sweep.py --generate random-regular:16:3:7 \
         --weightings 20 --subsets 50 --seed 42
@@ -15,8 +17,9 @@ are independent of every weighting.  Example:
 
 import argparse
 import math
+import sys
 
-from walklab.graphs import parse_generate_spec, read_graph_file
+from walklab.graphs import WalklabError, parse_generate_spec, read_graph_file
 from walklab.rng import SplitMix64
 from walklab.robustness import (
     psi_lower_bound,
@@ -40,7 +43,15 @@ def main(argv=None):
     ap.add_argument("--subsets", type=int, default=50, help="random subsets per weighting for the lemma audit")
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
+    try:
+        return sweep(args)
+    except WalklabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def sweep(args) -> int:
+    """Print one line per weighting and a closing count; 1 if any check failed."""
     g = read_graph_file(args.graph) if args.graph else parse_generate_spec(args.generate)
     psi = psi_lower_bound(g)
     K = section3_K(psi)

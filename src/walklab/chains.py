@@ -22,6 +22,8 @@ SPECTRAL_GUARD = 512
 
 ROW_SUM_TOL = 1e-12
 BALANCE_TOL = 1e-12
+# conductance ranges over sets with pi(S) <= 1/2, tested as pi(S) <= HALF_MASS
+HALF_MASS = 0.5 + 1e-12
 
 __all__ = [
     "ReversibleChain",
@@ -101,7 +103,6 @@ class SpectralReport:
 
     eigenvalues: tuple[float, ...]
     gap: float
-    lambda_min: float
     lazy_gap: float
 
     def to_json_dict(self, phi: float | None = None, phi_argmin=None) -> dict:
@@ -132,9 +133,9 @@ def spectral_gap(chain: ReversibleChain) -> SpectralReport:
         raise GuardError(f"spectral_gap is dense; n={chain.n} exceeds guard {SPECTRAL_GUARD}")
     vals_t = tuple(float(x) for x in np.linalg.eigvalsh(symmetrized(chain))[::-1])
     if chain.n == 1:
-        return SpectralReport(vals_t, 0.0, vals_t[-1], 0.0)
+        return SpectralReport(vals_t, 0.0, 0.0)
     gap = 1.0 - vals_t[1]
-    return SpectralReport(vals_t, gap, vals_t[-1], gap / 2.0)
+    return SpectralReport(vals_t, gap, gap / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +168,7 @@ def candidate_conductance(chain: ReversibleChain, subset) -> float:
     mass = float(chain.pi[idx].sum())
     if idx.size == 0 or mass <= 0.0:
         raise ChainError("candidate_conductance needs a set of positive mass")
-    if mass > 0.5 + 1e-12:
+    if mass > HALF_MASS:
         raise ChainError("candidate_conductance needs pi(S) <= 1/2")
     return ergodic_flow(chain, subset) / mass
 
@@ -181,7 +182,7 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
     lout_k[~m] = sum of Q(k, j) over j not in m; lin_k and lout_k are
     themselves built by doubling.  Cost is O(2^n), in chunks of at most 2^20
     masks, guarded at n <= SUBSET_GUARD.  pi(S) <= 1/2 is tested as
-    pi(S) <= 1/2 + 1e-12.
+    pi(S) <= HALF_MASS = 1/2 + 1e-12.
 
     Tie rule: when both sides of a cut qualify (each has pi within 1e-12 of
     1/2), the side without vertex n - 1 is the candidate, so rounding of the
@@ -203,7 +204,6 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
         h = 1 << k
         np.add(flow_low[:h], subset_fold(np.add, f[k, :k], float)[::-1], out=flow_low[h : 2 * h])
         flow_low[:h] += subset_fold(np.add, f[:k, k], float)
-    half = 0.5 + 1e-12
 
     def add_high(base: np.ndarray, inside: list[bool], members: bool) -> np.ndarray:
         # base plus pi[k], in increasing k, for the high vertices k in (or out of) S
@@ -225,13 +225,13 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
     def chunk_ratio(top: int) -> np.ndarray:
         inside = [bool(top >> (k - low) & 1) for k in range(low, n)]
         mass = add_high(mass_low, inside, True)
-        valid = (mass > 0.0) & (mass <= half)
+        valid = (mass > 0.0) & (mass <= HALF_MASS)
         # tie rule: a set holding vertex n - 1 yields to a complement that qualifies
         if n == low:
             rows = slice(1 << (n - 1), None)
         else:
             rows = slice(None) if inside[-1] else slice(0)
-        valid[rows] &= add_high(mass_low[::-1][rows], inside, False) > half
+        valid[rows] &= add_high(mass_low[::-1][rows], inside, False) > HALF_MASS
         flow = flow_low.copy()
         for k in range(low, n):
             flow += cut_term(k, inside)

@@ -106,14 +106,11 @@ def _config_defaults(command: _Parser, path: str) -> dict[str, str]:
     or off.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        source = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in graphmod.content_lines(source):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ __all__ = [
     "generate",
     "spec_forms",
     "parse_generate_spec",
+    "content_lines",
+    "parse_endpoints",
     "parse_graph_text",
     "read_graph_file",
     "distances_from",
@@ -150,17 +152,6 @@ class Graph:
         dm = all_pairs_distances(self)
         dm.setflags(write=False)
         return dm
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbourhood bitmasks (closed: vertex bit included)."""
-        masks = []
-        for v in range(self.n):
-            m = 1 << v
-            for w in self.adj[v]:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
 
 
 def build_graph(edges: Iterable[Sequence[int]], n: int) -> Graph:
@@ -329,15 +320,30 @@ def parse_generate_spec(spec: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# file format: header "n m", then m lines "u v"; '#' starts a comment
+# text inputs (graph, weighting and config files): '#' starts a comment,
+# blank lines are skipped, lines number from 1; a graph file is the header
+# "n m", then m lines "u v"
 
 
-def parse_graph_text(text: str) -> Graph:
-    rows: list[tuple[int, list[str]]] = []
+def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, content, raw line) of each line that has content once
+    its comment is cut; the content is stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
-            rows.append((lineno, body.split()))
+            yield lineno, body, raw
+
+
+def parse_endpoints(tok: Sequence[str], lineno: int) -> tuple[int, int]:
+    """The edge endpoints u, v in a file line's first two tokens."""
+    try:
+        return int(tok[0]), int(tok[1])
+    except ValueError:
+        raise GraphFileError("edge endpoints must be integers", lineno) from None
+
+
+def parse_graph_text(text: str) -> Graph:
+    rows = [(lineno, body.split()) for lineno, body, _ in content_lines(text)]
     if not rows:
         raise GraphFileError("empty graph file")
     head_line, head = rows[0]
@@ -353,11 +359,7 @@ def parse_graph_text(text: str) -> Graph:
     for lineno, tok in rows[1:]:
         if len(tok) != 2:
             raise GraphFileError("edge line must be 'u v'", lineno)
-        try:
-            u, v = int(tok[0]), int(tok[1])
-        except ValueError:
-            raise GraphFileError("edge endpoints must be integers", lineno) from None
-        edges.append((u, v))
+        edges.append(parse_endpoints(tok, lineno))
     try:
         return build_graph(edges, n)
     except GraphFileError:
@@ -500,7 +502,10 @@ def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
     if n < 2:
         raise GraphError("vertex expansion needs n >= 2")
     low = min(n, SUBSET_CHUNK_BITS)
-    nbr = g.neighbor_masks
+    sl = g.slots
+    # closed neighbourhood bitmasks; n <= SUBSET_GUARD bits fit in uint32
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    nbr = np.bitwise_or.reduceat(bits[sl.neighbor], sl.offsets[:-1]) | bits
     masks = np.arange(1 << low, dtype=np.uint32)
     pop_low = np.bitwise_count(masks)
     closed_low = subset_fold(np.bitwise_or, nbr[:low], np.uint32)

@@ -351,9 +351,6 @@ class BoostReport:
             return False
         return self.margin2 is None or self.margin2 >= -1e-9
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def to_json_dict(self, graph_id: str) -> dict:
         return {
             "graph_id": graph_id,
@@ -496,9 +493,6 @@ class CoverLowerReport:
     @property
     def ok(self) -> bool:
         return self.implied_bound <= self.exact_cover + 1e-9
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def cover_lower_demo(g: Graph, c: float, eps: float, start: int = 0) -> CoverLowerReport:

@@ -49,6 +49,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .chains import (
+    HALF_MASS,
     SPECTRAL_GUARD,
     ReversibleChain,
     candidate_conductance,
@@ -67,6 +68,7 @@ from .graphs import (
 )
 from .rng import SplitMix64
 from .weighting import (
+    RATIO_TOL,
     EdgeWeighting,
     bottleneck_weighting,
     induced_chain,
@@ -291,9 +293,6 @@ class Section3Report:
     def ok(self) -> bool:
         return self.skipped is None and all(c.ok for c in self.checks)
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _regular_degree_or_raise(g: Graph) -> int:
     d = g.regular_degree
@@ -302,14 +301,16 @@ def _regular_degree_or_raise(g: Graph) -> int:
     return d
 
 
-def _section3_scale(w: EdgeWeighting, psi: float | None) -> tuple[int, float, int, float, float]:
-    """(d, psi, K, sigma, beta) of a weighting; psi defaults to `psi_lower_bound`."""
+def _section3_scale(w: EdgeWeighting, psi: float | None) -> tuple[int, float, int, float, float, bool]:
+    """(d, psi, K, sigma, beta, rough) of a weighting, where rough says that
+    beta exceeds the budget sigma; psi defaults to `psi_lower_bound`."""
     g = w.graph
     d = _regular_degree_or_raise(g)
     if psi is None:
         psi = psi_lower_bound(g)
     K = section3_K(psi)
-    return d, psi, K, section3_sigma(K), lipschitz_beta(w)
+    sigma, beta = section3_sigma(K), lipschitz_beta(w)
+    return d, psi, K, sigma, beta, beta > sigma * (1.0 + RATIO_TOL)
 
 
 def section3_lemma_audit(
@@ -326,8 +327,7 @@ def section3_lemma_audit(
     are built once, when the first set reaches the checks.
     """
     g = w.graph
-    d, psi, K, sigma, beta = _section3_scale(w, psi)
-    rough = beta > sigma * (1.0 + 1e-12)
+    d, psi, K, sigma, beta, rough = _section3_scale(w, psi)
     scale = d ** (-2.0 * K) / 90.0
     reports = []
     chain = None
@@ -410,9 +410,6 @@ class Theorem31Report:
     def ok(self) -> bool:
         return self.phi_ok is not False and self.gap_ok is not False
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def psi_lower_bound(g: Graph) -> float:
     """A certified lower bound on vertex expansion.
@@ -443,8 +440,8 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
     range are reported as skipped with a reason.
     """
     g = w.graph
-    d, psi, K, sigma, beta = _section3_scale(w, psi)
-    if beta > sigma * (1.0 + 1e-12):
+    d, psi, K, sigma, beta, rough = _section3_scale(w, psi)
+    if rough:
         raise GraphError(f"weighting is not sigma-Lipschitz: beta={beta:.6g} > sigma={sigma:.6g}")
     report = Theorem31Report(
         K=K,
@@ -492,9 +489,6 @@ class Prop311Report:
     def ok(self) -> bool:
         return self.conductance_at_witness <= self.bound + 1e-15
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def prop311_check(g: Graph, beta: float) -> Prop311Report:
     """Bottleneck upper bound on conductance.
@@ -514,7 +508,7 @@ def prop311_check(g: Graph, beta: float) -> Prop311Report:
     pick = 0 if masses[0] <= masses[1] else 1
     witness = candidates[pick]
     mass = masses[pick]
-    if mass > 0.5 + 1e-12:
+    if mass > HALF_MASS:
         raise GraphError("neither endpoint ball has stationary mass <= 1/2")
     bound = min(float(d) ** radius, float(g.n)) * beta ** (-(dd // 2) + 3)
     value = candidate_conductance(chain, witness)

@@ -589,9 +589,6 @@ class StationaryBoostReport:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def stationary_boost_audit(g: Graph, targets, theta: float) -> StationaryBoostReport:
     """Checks the stationary lower bound on a target set under decay tilt.

@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .chains import BALANCE_TOL, ROW_SUM_TOL, ChainError, ReversibleChain
-from .graphs import Graph, GraphFileError, WalklabError, diameter, distances_from
+from .graphs import Graph, GraphFileError, WalklabError, content_lines, diameter, distances_from, parse_endpoints
 from .rng import SplitMix64
 
 RATIO_TOL = 1e-12
@@ -80,13 +80,6 @@ class EdgeWeighting:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def weight(self, u: int, v: int) -> float:
-        key = (min(u, v), max(u, v))
-        idx = self.graph.edge_index.get(key)
-        if idx is None:
-            raise WeightingError(f"no edge {key}")
-        return float(self.weights[idx])
 
     @cached_property
     def strengths(self) -> np.ndarray:
@@ -300,22 +293,16 @@ def random_lipschitz_weighting(
 
 
 # ---------------------------------------------------------------------------
-# file format: one "u v weight" line per edge; '#' starts a comment
+# file format: one "u v weight" line per edge, read by `graphs.content_lines`
 
 
 def parse_weighting_text(text: str, g: Graph) -> EdgeWeighting:
     weights = np.full(g.m, np.nan)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body, _ in content_lines(text):
         tok = body.split()
         if len(tok) != 3:
             raise GraphFileError("weight line must be 'u v weight'", lineno)
-        try:
-            u, v = int(tok[0]), int(tok[1])
-        except ValueError:
-            raise GraphFileError("edge endpoints must be integers", lineno) from None
+        u, v = parse_endpoints(tok, lineno)
         try:
             value = float(tok[2])
         except ValueError:

@@ -15,7 +15,13 @@ weighting: a second graph could disagree with `w.graph`.
 No module imports a name it never uses, unless its `__all__` re-exports it.
 
 `rng` owns the stream format: no other module or script decodes a draw by
-hand (the constant 2**-53) or derives stream seeds from MASK64.
+hand (the constant 2**-53) or derives stream seeds from MASK64.  Likewise
+`chains` owns the half-mass limit 1/2 + 1e-12 of conductance, `weighting`
+the Lipschitz slack 1 + 1e-12, and `graphs` the comment rule of the text
+inputs (the split on "#").
+
+Every public method, property and field of an exported class is used, as an
+attribute or a keyword, by program code.
 """
 
 import ast
@@ -35,6 +41,7 @@ from walklab.weighting import EdgeWeighting
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(walklab.__path__))
 PKG = Path(walklab.__file__).parent
+PROGRAM = sorted(PKG.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -71,8 +78,8 @@ def test_no_function_takes_a_graph_beside_a_weighting(name):
     assert both == []
 
 
-def _exports(path: Path) -> list[str]:
-    for node in ast.parse(path.read_text()).body:
+def _exports(path: Path, text: str | None = None) -> list[str]:
+    for node in ast.parse(path.read_text() if text is None else text).body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
     return []
@@ -98,16 +105,23 @@ def test_no_module_imports_a_name_it_never_uses(name):
 _PURE = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.operator, ast.unaryop)
 
 
+def _constant_uses(path: Path, value: float, text: str | None = None) -> list[str]:
+    """Where a file (or `text` in its place) writes a number expression equal to `value`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text() if text is None else text)):
+        if isinstance(node, (ast.BinOp, ast.Constant)) and all(isinstance(n, _PURE) for n in ast.walk(node)):
+            if eval(compile(ast.Expression(node), path.name, "eval"), {"__builtins__": {}}) == value:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
 def _stream_format_uses(path: Path) -> list[str]:
     """Where a file names MASK64 or writes a constant equal to 2**-53."""
-    found = []
+    found = _constant_uses(path, 2.0**-53)
     for node in ast.walk(ast.parse(path.read_text())):
         names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
         if "MASK64" in names or "MASK64" in (getattr(node, "id", None), getattr(node, "attr", None)):
             found.append(f"{path.name}:{node.lineno} MASK64")
-        elif isinstance(node, (ast.BinOp, ast.Constant)) and all(isinstance(n, _PURE) for n in ast.walk(node)):
-            if eval(compile(ast.Expression(node), path.name, "eval"), {"__builtins__": {}}) == 2.0**-53:
-                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     return found
 
 
@@ -124,6 +138,50 @@ def test_only_rng_decodes_draws_and_derives_stream_seeds(path):
 def test_the_stream_format_check_finds_the_uses_in_rng():
     uses = _stream_format_uses(Path(walklab.__file__).with_name("rng.py"))
     assert any(use.endswith("MASK64") for use in uses) and any(use.endswith("2.0 ** (-53)") for use in uses)
+
+
+HALF_MASS = 0.5 + 1e-12
+LIPSCHITZ_SLACK = 1.0 + 1e-12
+
+
+def _comment_splits(path: Path, text: str | None = None) -> list[str]:
+    """Where a file (or `text` in its place) splits a string on "#"."""
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text() if text is None else text))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "split"
+        and node.args
+        and getattr(node.args[0], "value", None) == "#"
+    ]
+
+
+def _others(owner: str) -> list[Path]:
+    return [path for path in PROGRAM if path != PKG / f"{owner}.py"]
+
+
+@pytest.mark.parametrize("path", _others("chains"), ids=lambda path: path.name)
+def test_only_chains_writes_the_half_mass_limit(path):
+    assert _constant_uses(path, HALF_MASS) == []
+
+
+@pytest.mark.parametrize("path", _others("weighting"), ids=lambda path: path.name)
+def test_only_weighting_states_the_lipschitz_slack(path):
+    assert _constant_uses(path, LIPSCHITZ_SLACK) == []
+
+
+@pytest.mark.parametrize("path", _others("graphs"), ids=lambda path: path.name)
+def test_only_graphs_cuts_comments_from_text_lines(path):
+    assert _comment_splits(path) == []
+
+
+def test_the_one_owner_checks_find_what_they_look_for():
+    assert _constant_uses(PKG / "chains.py", HALF_MASS) != []
+    assert _comment_splits(PKG / "graphs.py") != []
+    robustness = PKG / "robustness.py"
+    assert _constant_uses(robustness, LIPSCHITZ_SLACK, "rough = beta > sigma * (1.0 + 1e-12)") != []
+    assert _constant_uses(robustness, HALF_MASS, "if mass > 0.5 + 1e-12:\n    pass") != []
+    assert _comment_splits(robustness, "line = raw.split('#', 1)[0]") != []
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +206,6 @@ def test_cli_main_catches_only_the_root_and_oserror():
 
 # ---------------------------------------------------------------------------
 # the public surface is reached by program code
-
-PROGRAM = sorted(PKG.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 # Exported names that no program code reaches, each with the reason it stays.
 # A name that only another entry uses is an entry too: it goes when that goes.
@@ -237,3 +293,43 @@ def test_the_surface_check_sees_a_name_used_only_by_another_dead_name():
     # srw_expected_cover_exact is called inside oracle, but only by cover_lower_demo
     uses = [use for use in _uses(PKG / "oracle.py") if use[0] == ("oracle", "srw_expected_cover_exact")]
     assert uses == [(("oracle", "srw_expected_cover_exact"), ("oracle", "cover_lower_demo"))]
+
+
+def _unused_members(path: Path, program: list[str], text: str | None = None) -> list[str]:
+    """Public methods, properties and fields of the classes a module (or
+    `text` in its place) exports that no source in `program` uses as an
+    attribute or a keyword."""
+    text = path.read_text() if text is None else text
+    tree = ast.parse(text)
+    exported = set(_exports(path, text))
+    members = [
+        (cls.name, getattr(node, "name", None) or node.target.id)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) or (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+    ]
+    used = {
+        getattr(node, "attr", None) or getattr(node, "arg", None)
+        for source in program
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Attribute, ast.keyword))
+    }
+    return [f"{cls}.{name}" for cls, name in members if not name.startswith("_") and name not in used]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_member_of_an_exported_class_is_used_by_program_code(name):
+    program = [path.read_text() for path in PROGRAM]
+    unused = _unused_members(PKG / f"{name}.py", program)
+    assert [member for member in unused if f"{name}.{member.split('.')[0]}" not in REFERENCE_ONLY] == []
+
+
+def test_the_member_check_sees_a_member_no_program_code_uses():
+    exporter = """__all__ = ["Report"]
+class Report:
+    gap: float
+    spare: float
+    def ok(self): ...
+"""
+    assert _unused_members(PKG / "chains.py", [exporter, "Report(gap=1.0).ok()"], exporter) == ["Report.spare"]

@@ -117,7 +117,7 @@ def test_complete_spectrum_closed_form(n):
     rep = spectral_gap(srw(generate("complete", n=n)))
     expected = [1.0] + [-1.0 / (n - 1)] * (n - 1)
     assert np.max(np.abs(np.array(rep.eigenvalues) - expected)) < 1e-12
-    assert rep.lambda_min == pytest.approx(-1.0 / (n - 1), abs=1e-12)
+    assert rep.eigenvalues[-1] == pytest.approx(-1.0 / (n - 1), abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -554,7 +554,7 @@ def test_boost_bound_probe_graph_report():
     assert abs(report.q_star - 40 / 81) < 1e-14
     assert abs(report.bound1 - 125 / 162) < 1e-13
     assert report.bound2 is not None  # eps = 1/3 = 1/d_max^(2*0.5) exactly
-    assert report.ok and bool(report)
+    assert report.ok
     assert report.margin1 > 0 and report.margin2 > 0
     row = report.to_json_dict("probe")
     assert row["graph_id"] == "probe" and row["event"] == "hit:5" and row["t"] == 2

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from walklab.graphs import GraphError
 from walklab.rng import SplitMix64
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,8 +52,25 @@ def test_cover_experiment_runs_and_rejects_bad_spec(capsys):
     assert script.main(["--generate", "cycle:12", "--kinds", "srw,sweep", "--trials", "40", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert "sweep vs srw" in out
-    with pytest.raises(GraphError):
-        script.main(["--generate", "cycle", "--trials", "4", "--seed", "5"])
+    assert script.main(["--generate", "cycle", "--trials", "4", "--seed", "5"]) == 2
+    assert capsys.readouterr().err == "error: malformed generator spec 'cycle': expected cycle:<n>\n"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run_robustness_sweep", "--generate cycle --seed 1"),
+        ("run_robustness_sweep", "--generate random-regular:600:3:1 --weightings 1 --subsets 1 --seed 1"),
+        ("run_cover_experiment", "--generate cycle:12 --kinds srw --trials 1 --seed 1"),
+        ("run_cover_experiment", "--generate cycle:3 --kinds phase --trials 2 --seed 1"),
+    ],
+)
+def test_scripts_report_bad_input_in_one_line_and_exit_2(capsys, name, argv):
+    # a walklab error used to escape as a traceback with exit code 1, which
+    # for the sweep also means "failures found"
+    assert load_script(name).main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kinds", ["srw,mystery", "srw,policy"])

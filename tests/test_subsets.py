@@ -59,7 +59,7 @@ def gather_scatter_expansion(g) -> tuple[float, frozenset[int]]:
     closed = np.zeros(size, dtype=np.uint32)
     for v in range(n):
         sel = ((masks >> np.uint32(v)) & np.uint32(1)).astype(bool)
-        closed[sel] |= np.uint32(g.neighbor_masks[v])
+        closed[sel] |= np.uint32(sum(1 << u for u in (v, *g.adj[v])))
     outer = np.bitwise_count(closed & ~masks).astype(np.int64)
     valid = (pop >= 1) & (2 * pop <= n)
     ratio = np.full(size, np.inf)

@@ -647,7 +647,7 @@ def test_lockstep_batch_memory_stays_bounded(g, spec, trials):
 def test_stationary_boost_theta_zero_uniform_passes():
     g = generate("complete", n=4)
     report = stationary_boost_audit(g, [0, 1], 0.0)
-    assert report.ok and bool(report)
+    assert report.ok
     assert report.bound_exponent == 1.0
     # uniform pi = 1/4 against 1/(2*3*2) * (2/4) = 1/24
     assert abs(report.min_margin - (0.25 - 1 / 24)) < 1e-12
