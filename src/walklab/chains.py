@@ -105,15 +105,14 @@ class SpectralReport:
     gap: float
     lazy_gap: float
 
-    def to_json_dict(self, phi: float | None = None, phi_argmin=None) -> dict:
-        d = {
+    def to_json_dict(self, phi: float | None, phi_argmin: frozenset[int] | None) -> dict:
+        return {
             "eigenvalues": [round(x, 12) for x in self.eigenvalues],
             "gap": self.gap,
             "lazy_gap": self.lazy_gap,
             "phi": phi,
             "phi_argmin": sorted(phi_argmin) if phi_argmin is not None else None,
         }
-        return d
 
 
 def symmetrized(chain: ReversibleChain) -> np.ndarray:

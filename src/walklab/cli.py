@@ -201,7 +201,7 @@ def _cmd_spectral(args: argparse.Namespace) -> int:
     report: SpectralReport = spectral_gap(chain)
     if g.n <= SUBSET_GUARD:
         phi, argmin = edge_conductance_exact(chain)
-        payload = report.to_json_dict(phi=phi, phi_argmin=sorted(argmin))
+        payload = report.to_json_dict(phi=phi, phi_argmin=argmin)
     else:
         payload = report.to_json_dict(phi=None, phi_argmin=None)
     _report(args, payload)
@@ -354,17 +354,16 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
         eps = to_unit(u64()) / d ** (2.0 * eta)
         if not conv_lemma_audit(d, eps, eta, v, b):
             conv_failures += 1
-    failures += conv_failures
 
     payload = {
         "queries": len(rows),
-        "failures": failures - conv_failures,
+        "failures": failures,
         "conv_draws": args.draws,
         "conv_failures": conv_failures,
         "seed": args.seed,
     }
     _report(args, payload, audit=rows)
-    return 1 if failures else 0
+    return 1 if failures or conv_failures else 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 package builds on: generators, multi-source BFS, balls, diameter, and exact
 vertex expansion by exhaustive subset enumeration.
 
-Graphs are connected, undirected, and loop-free by construction; every
-constructor validates this and refuses anything else.  Vertex sets are plain
+Graphs are connected, undirected, and loop-free by construction:
+`build_graph` is the one check of an edge list (range, self-loops, repeated
+pairs, connectivity) and the one canonicalisation, and every generator and
+file reader hands it its raw pairs.  Vertex sets are plain
 frozensets at the API boundary; the exhaustive enumerations work on bitmask
 arrays internally so that the n <= SUBSET_GUARD limit is actually usable.
 
@@ -162,7 +164,6 @@ def build_graph(edges: Iterable[Sequence[int]], n: int) -> Graph:
     """
     if n < 1:
         raise GraphError("graph needs at least one vertex")
-    canon: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for e in edges:
         u, v = int(e[0]), int(e[1])
@@ -170,12 +171,11 @@ def build_graph(edges: Iterable[Sequence[int]], n: int) -> Graph:
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise GraphError(f"duplicate edge {key}")
         seen.add(key)
-        canon.append(key)
-    canon.sort()
+    canon = sorted(seen)
     adj_sets: list[list[int]] = [[] for _ in range(n)]
     for u, v in canon:
         adj_sets[u].append(v)
@@ -222,20 +222,18 @@ def _circulant(n: int, offsets: Sequence[int]) -> Graph:
         raise GraphError("circulant needs at least one offset")
     if any(s < 1 or s > n // 2 for s in offs):
         raise GraphError("circulant offsets must lie in [1, n//2]")
-    edges = set()
-    for v in range(n):
-        for s in offs:
-            edges.add((min(v, (v + s) % n), max(v, (v + s) % n)))
-    return build_graph(sorted(edges), n)
+    # each edge once: offset n/2 joins v to v + n/2 for the lower half only
+    edges = [(v, (v + s) % n) for s in offs for v in range(n // 2 if 2 * s == n else n)]
+    return build_graph(edges, n)
 
 
 def _random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish d-regular graph via the configuration model.
 
-    Pairs stubs after a seeded shuffle; any self-loop, repeated edge, or
-    disconnected outcome throws the whole matching away and the attempt is
-    resampled from the same stream, so the result is a deterministic
-    function of (n, d, seed).
+    Pairs stubs after a seeded shuffle; when `build_graph` rejects the
+    matching (a self-loop, a repeated edge, or a disconnected outcome) it is
+    thrown away whole and the attempt is resampled from the same stream, so
+    the result is a deterministic function of (n, d, seed).
     """
     if n * d % 2 != 0:
         raise GraphError("random_regular needs n*d even")
@@ -246,24 +244,10 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(100000):
         stubs = stubs_template.copy()
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (min(u, v), max(u, v))
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if not ok:
-            continue
         try:
-            return build_graph(sorted(edges), n)
+            return build_graph(zip(stubs[0::2], stubs[1::2]), n)
         except GraphError:
-            continue  # disconnected; resample
+            continue  # self-loop, repeated edge or disconnected; resample
     raise GraphError(f"random_regular({n}, {d}) failed to produce a simple connected graph")
 
 
@@ -362,8 +346,6 @@ def parse_graph_text(text: str) -> Graph:
         edges.append(parse_endpoints(tok, lineno))
     try:
         return build_graph(edges, n)
-    except GraphFileError:
-        raise
     except GraphError as exc:
         raise GraphFileError(str(exc)) from exc
 

@@ -158,12 +158,10 @@ def _horizon_values(g: Graph, u: int, event: EventSpec, eps_values: Sequence[flo
     eps_values[e]-biased walk.  After t steps the table holds the horizon-t
     values, so the pass to the largest horizon yields every shorter one
     unchanged.  The eps = 0 row is the plain walk bit for bit: for values
-    in [0, 1], 1.0 * mean + 0.0 * max is mean, which a grid of zeros alone
-    takes without the max."""
+    in [0, 1], 1.0 * mean + 0.0 * max is mean."""
     bits, full, start = _encode(g, u, event)
     eps = np.array(eps_values, dtype=float)[:, None]
     keep = 1.0 - eps
-    plain = not eps.any()
     masks = np.arange(full + 1)
     kid_rows = [masks | bits[w] for w in range(g.n)]
     nbrs = [np.array(adj) for adj in g.adj]
@@ -183,7 +181,7 @@ def _horizon_values(g: Graph, u: int, event: EventSpec, eps_values: Sequence[flo
         for v, adj in enumerate(nbrs):
             kids = kid[adj]
             mean = np.add.reduce(kids) / len(adj)
-            value[v] = mean if plain else keep * mean + eps * np.maximum.reduce(kids)
+            value[v] = keep * mean + eps * np.maximum.reduce(kids)
         out[:, step] = value[u, :, start]
     return out.tolist()
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -478,52 +478,52 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
 
 
 def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[..., int]:
-    """Scalar cover walk of a checked spec, as a function (rng, start) -> steps.
+    """Scalar cover walk of a checked spec, (rng, cur, steps=0, visited=None) -> steps.
 
-    The srw and sweep runners also play on from a trial's state mid-walk,
-    (rng, cur, steps, visited) -> steps with draws from rng's counter: that
-    is how the lockstep engine hands its last trials over.  The sweep's bias
-    rows are built once here.
+    Given (rng, start) it plays a whole trial; given a trial's state mid-walk
+    it plays on with draws from rng's counter, which is how the lockstep
+    engine hands its last srw and sweep trials over.  A phase trial can be
+    resumed only at a phase boundary.
 
-    Each phase of the phase walk fixes U = the unvisited vertices and plays
-    the bias rows of Q(U, theta) (see `_decay_rows`) until half of U is
-    visited: at most log2(n) + 1 phases.  theta and the row builder are set
-    up once here and shared by every trial the runner plays.
+    The biased kinds play `_biased_walk` over a schedule of (bias, stop)
+    pairs: the sweep's one-hot rows until every vertex is visited, or per
+    phase of the phase walk the bias rows of Q(U, theta) for U = the
+    unvisited vertices (see `_decay_rows`) until half of U is visited: at
+    most log2(n) + 1 phases.  The sweep rows, theta and the row builder are
+    set up once here and shared by every trial.
     """
     n = g.n
-    if spec.kind != "phase":
-        sweep_bias = _sweep_bias(g) if spec.kind == "sweep" else None
+    if spec.kind == "sweep":
+        sweep_bias = _sweep_bias(g)
 
-        def cover(rng: SplitMix64, cur: int, steps: int = 0, visited: bytearray | None = None) -> int:
-            if visited is None:
-                visited = bytearray(n)
-                visited[cur] = 1
-            if sweep_bias is None:
-                return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
-            left, bias = visited.count(0), sweep_bias(visited)
-            return _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, bias)[1]
+        def schedule(visited: bytearray) -> Iterator[tuple[Callable, int]]:
+            yield sweep_bias(visited), 0
 
-        return cover
-    eps = spec.eps
-    theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
-    decay_rows = _decay_rows(g, theta, eps) if eps > 0.0 else None
+    elif spec.kind == "phase":
+        theta = min(spec.eps, 1.0 - math.exp(-spec.psi / 32.0))
+        decay_rows = _decay_rows(g, theta, spec.eps) if spec.eps > 0.0 else None
 
-    def phase_cover(rng: SplitMix64, start: int) -> int:
-        unit = unit_draws(rng)
-        visited = bytearray(n)
-        visited[start] = 1
-        left = n - 1
-        cur = start
-        steps = 0
+        def schedule(visited: bytearray) -> Iterator[tuple[Callable, int]]:
+            while True:
+                # U is every unvisited vertex, so the phase ends when left <= |U| // 2
+                unvisited = [v for v in range(n) if not visited[v]]
+                rows = decay_rows(unvisited) if decay_rows is not None else []
+                yield rows.__getitem__, len(unvisited) // 2
+
+    def cover(rng: SplitMix64, cur: int, steps: int = 0, visited: bytearray | None = None) -> int:
+        if visited is None:
+            visited = bytearray(n)
+            visited[cur] = 1
+        if spec.kind == "srw":
+            return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
+        unit, left = unit_draws(rng), visited.count(0)
+        plan = schedule(visited)
         while left:
-            # U is every unvisited vertex, so the phase ends when left <= |U| // 2
-            unvisited = [v for v in range(n) if not visited[v]]
-            rows = decay_rows(unvisited) if decay_rows is not None else []
-            stop = len(unvisited) // 2
-            cur, steps, left = _biased_walk(g.adj, unit, visited, cur, steps, left, stop, eps, rows.__getitem__)
+            bias, stop = next(plan)
+            cur, steps, left = _biased_walk(g.adj, unit, visited, cur, steps, left, stop, spec.eps, bias)
         return steps
 
-    return phase_cover
+    return cover
 
 
 def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:

@@ -1,6 +1,7 @@
 """Graph construction, generators, distances, and exact vertex expansion."""
 
 import dataclasses
+import hashlib
 import itertools
 import re
 
@@ -118,6 +119,30 @@ def test_random_regular_is_regular_connected_and_seeded():
     assert g.edges == h.edges
     other = generate("random_regular", n=24, d=3, seed=6)
     assert g.edges != other.edges
+
+
+# SHA-256 of repr(g.edges) for seeded generator outputs: any change to a
+# generator's sampling, its draws or its edges changes the digest.
+GENERATOR_EDGE_DIGESTS = {
+    "random-regular:512:3:11": "3bc9f8a9d6de307590e873e78dffed8903e05be1af720327e447ef68ec61914f",
+    "random-regular:20:3:2": "eafd154977d1a0d6538970413a11b37383a14f3b79bceb018b6ad73a81d6daf0",
+    "random-regular:96:3:5": "cb4ec36b80a39ab2e23f28dd50878308f9a2f90cd6397a904534361641bebc8b",
+    "random-regular:32:3:7": "d347ad6285564375ed389527c6af21ec1ef90f07f66ca2d2fbcd6de88d313d00",
+    "random-regular:64:4:3": "bedc538d4cdb33d34bdecad3f64d7d71554cda5f0b9a3a3d45d7b13687c0ab53",
+    "random-regular:30:5:1": "e4e69c18bad5486312aa8592efb31af5b062e7714044ad0be4d2297358d4a45f",
+    "circulant:8:1,4": "10d3748f6284cfd84f1630a985bd64f6240220f40dfffdbc96feac8eb896685c",
+    "circulant:12:1,6": "5c7b00e4dbafc0c1249b3609f26d0caa2b7579e6727ee585ffe10318ec286e9a",
+    "circulant:20:1,5,10": "e6193b6939d0f70db4114bca69842565b97fbb13a17970cb1eb0626408f4a03a",
+    "hypercube:4": "83433c710d0f4c7355a7517a53cb64ca989379fd622c24beb8df1fdf957c6f38",
+}
+
+
+def test_generators_reproduce_their_pinned_edge_lists():
+    got = {
+        spec: hashlib.sha256(repr(parse_generate_spec(spec).edges).encode()).hexdigest()
+        for spec in GENERATOR_EDGE_DIGESTS
+    }
+    assert got == GENERATOR_EDGE_DIGESTS
 
 
 def test_random_regular_rejects_odd_product():
