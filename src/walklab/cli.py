@@ -5,7 +5,9 @@ One process per invocation, one subcommand per run:
     spectral          eigenvalue/gap/conductance report for a weighted graph
     lipschitz-audit   stationary ratio bounds over random Lipschitz weightings
     robustness-audit  bucket/representative lemma checks plus the gap endpoint
+    robustness-sweep  robustness-audit over random weightings at the budget sigma
     cover-sim         Monte Carlo cover times (results.csv + summary.json)
+    cover-compare     cover-sim for several walk kinds, each mean against srw's
     boost-audit       exact DP bounds for one biased-walk event query
     lemma-sweep       grid audit of the boost bounds over the small catalog
 
@@ -45,10 +47,12 @@ from .oracle import (
 )
 from .rng import SplitMix64, draws, to_unit
 from .robustness import (
-    psi_lower_bound, random_subsets, section3_K, section3_lemma_audit, section3_sigma, theorem31_check
+    Theorem31Report, psi_lower_bound, random_subsets, section3_K, section3_lemma_audit, section3_sigma,
+    theorem31_check,
 )
 from .walks import WALK_KINDS, WalkSpec, estimate_cover_time
 from .weighting import (
+    EdgeWeighting,
     induced_chain,
     lipschitz_beta,
     random_lipschitz_weighting,
@@ -244,18 +248,10 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_robustness_audit(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    psi = psi_lower_bound(g)
-    rng = SplitMix64.stream(args.seed, 0)
-    if args.sigma is None:
-        w = uniform_weighting(g)
-    else:
-        budget = section3_sigma(section3_K(psi))
-        if not 1.0 <= args.sigma <= budget:
-            raise InputError(f"--sigma must be >= 1 and <= the budget exp(1/(2K)) = {budget:.6g}; got {args.sigma}")
-        w = random_lipschitz_weighting(g, args.sigma, rng)
-    subsets = random_subsets(g, args.subsets, rng)
+def _section3_audit(w: EdgeWeighting, psi: float, count: int, rng: SplitMix64) -> tuple[list[dict], Theorem31Report, int]:
+    """The subset rows and the endpoint report of one weighting, and its
+    failure count: `count` subsets drawn from `rng`, audited in one call."""
+    subsets = random_subsets(w.graph, count, rng)
     reports = section3_lemma_audit(w, subsets, psi=psi)
     rows = [
         {
@@ -268,40 +264,93 @@ def _cmd_robustness_audit(args: argparse.Namespace) -> int:
         for index, (subset, report) in enumerate(zip(subsets, reports))
     ]
     endpoint = theorem31_check(w, psi=psi)
-    failures = sum(not report.ok for report in reports) + (not endpoint.ok)
-    payload = {
-        "subsets": args.subsets,
-        "failures": failures,
-        "K": endpoint.K,
-        "beta": endpoint.beta,
-        "phi_bound": endpoint.phi_bound,
-        "phi_value": endpoint.phi_value,
-        "phi_skipped": endpoint.phi_skipped,
-        "gap_bound": endpoint.gap_bound,
-        "gap_value": endpoint.gap_value,
-        "gap_skipped": endpoint.gap_skipped,
-        "seed": args.seed,
-    }
+    return rows, endpoint, sum(not report.ok for report in reports) + (not endpoint.ok)
+
+
+def _endpoint_fields(endpoint: Theorem31Report) -> dict:
+    names = ("K", "beta", "phi_bound", "phi_value", "phi_skipped", "gap_bound", "gap_value", "gap_skipped")
+    return {name: getattr(endpoint, name) for name in names}
+
+
+def _cmd_robustness_audit(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    psi = psi_lower_bound(g)
+    rng = SplitMix64.stream(args.seed, 0)
+    if args.sigma is None:
+        w = uniform_weighting(g)
+    else:
+        budget = section3_sigma(section3_K(psi))
+        if not 1.0 <= args.sigma <= budget:
+            raise InputError(f"--sigma must be >= 1 and <= the budget exp(1/(2K)) = {budget:.6g}; got {args.sigma}")
+        w = random_lipschitz_weighting(g, args.sigma, rng)
+    rows, endpoint, failures = _section3_audit(w, psi, args.subsets, rng)
+    payload = {"subsets": args.subsets, "failures": failures, **_endpoint_fields(endpoint), "seed": args.seed}
     _report(args, payload, audit=rows)
     return 1 if failures else 0
 
 
+def _cmd_robustness_sweep(args: argparse.Namespace) -> int:
+    """Row i is `robustness-audit --sigma <budget> --seed (seed ^ i)`: the
+    weighting and then its subsets draw from stream(seed, i)."""
+    g = _load_graph(args)
+    psi = psi_lower_bound(g)
+    K = section3_K(psi)
+    sigma = section3_sigma(K)
+    rows = []
+    for index in range(args.weightings):
+        rng = SplitMix64.stream(args.seed, index)
+        w = random_lipschitz_weighting(g, sigma, rng)
+        subset_rows, endpoint, failures = _section3_audit(w, psi, args.subsets, rng)
+        # in decades, from logarithms: on long cycles gap_bound underflows to 0.0
+        gap = endpoint.gap_value or 0.0
+        margin = (math.log(gap) - endpoint.log_gap_bound) / math.log(10) if gap > 0.0 else None
+        rows.append({"weighting_index": index, **_endpoint_fields(endpoint), "failures": failures,
+                     "gap_margin_decades": margin, "subset_rows": subset_rows})
+    audited = sum(row["skipped"] is None for weighting in rows for row in weighting["subset_rows"])
+    payload = {"weightings": args.weightings, "subsets": args.subsets, "subset_audits": audited,
+               "failures": sum(row["failures"] for row in rows), "psi": psi, "K": K, "sigma": sigma, "seed": args.seed}
+    _report(args, payload, audit=rows)
+    return 1 if payload["failures"] else 0
+
+
+_COVER_HEADER = ["trial", "start_vertex", "steps", "walk_kind", "eps", "seed"]
+
+
+def _cover_estimate(g: Graph, args: argparse.Namespace, kind: str, eps: float, start: int | None = None):
+    """One `estimate_cover_time` call: its summary stats and its results.csv rows."""
+    spec = WalkSpec(kind=kind, eps=eps, start=start, psi=args.psi)
+    estimate = estimate_cover_time(g, spec, trials=args.trials, seed=args.seed)
+    (lo, hi), mean, sd = estimate.ci95, estimate.mean, estimate.stddev
+    stats = {"walk_kind": kind, "eps": eps, "mean": mean, "stddev": sd, "ci95_lo": lo, "ci95_hi": hi}
+    return stats, [[row.trial, row.start_vertex, row.steps, kind, eps, args.seed] for row in estimate.rows]
+
+
 def _cmd_cover_sim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    spec = WalkSpec(kind=args.walk, eps=args.eps, start=args.start, psi=args.psi)
-    estimate = estimate_cover_time(g, spec, trials=args.trials, seed=args.seed)
-    results = [["trial", "start_vertex", "steps", "walk_kind", "eps", "seed"]]
-    results += [[row.trial, row.start_vertex, row.steps, args.walk, args.eps, args.seed] for row in estimate.rows]
-    payload = {
-        "mean": estimate.mean,
-        "stddev": estimate.stddev,
-        "ci95_lo": estimate.ci95[0],
-        "ci95_hi": estimate.ci95[1],
-        "trials": estimate.trials,
-        "walk_kind": args.walk,
-        "eps": args.eps,
-        "seed": args.seed,
-    }
+    stats, rows = _cover_estimate(g, args, args.walk, args.eps, args.start)
+    _report(args, {**stats, "trials": args.trials, "seed": args.seed}, results=[_COVER_HEADER, *rows])
+    return 0
+
+
+def _cmd_cover_compare(args: argparse.Namespace) -> int:
+    """cover-sim once per kind (srw at eps 0), every estimate before any output."""
+    kinds = [kind.strip() for kind in args.kinds.split(",")]
+    unknown = [kind for kind in kinds if kind not in WALK_KINDS]
+    if unknown:
+        raise InputError(f"unknown walk kinds {', '.join(map(repr, unknown))}; choose from {', '.join(WALK_KINDS)}")
+    g = _load_graph(args)
+    per_kind, results = [], [_COVER_HEADER]
+    for kind in kinds:
+        stats, rows = _cover_estimate(g, args, kind, 0.0 if kind == "srw" else args.eps)
+        per_kind.append(stats)
+        results += rows
+    base = next((stats for stats in per_kind if stats["walk_kind"] == "srw"), None)
+    for stats in per_kind:
+        if base is not None and stats["walk_kind"] != "srw":
+            stats["mean_ratio_to_srw"] = stats["mean"] / base["mean"]
+            stats["ci_separated_from_srw"] = stats["ci95_hi"] < base["ci95_lo"] or base["ci95_hi"] < stats["ci95_lo"]
+    payload = {"n": g.n, "m": g.m, "regular_degree": g.regular_degree, "trials": args.trials, "seed": args.seed,
+               "kinds": per_kind}
     _report(args, payload, results=results)
     return 0
 
@@ -414,6 +463,13 @@ def build_parser() -> _Parser:
     _add_seed(p)
     p.set_defaults(handler=_cmd_robustness_audit)
 
+    p = sub.add_parser("robustness-sweep", help="robustness-audit over random weightings at the budget sigma")
+    _add_common(p)
+    p.add_argument("--weightings", type=int, default=20, work=True, help="number of random weightings")
+    p.add_argument("--subsets", type=int, default=50, work=True, help="random subsets to audit per weighting")
+    _add_seed(p)
+    p.set_defaults(handler=_cmd_robustness_sweep)
+
     p = sub.add_parser("cover-sim", help="Monte Carlo cover-time estimation")
     _add_common(p)
     p.add_argument("--walk", default="srw", help=" | ".join(WALK_KINDS))
@@ -423,6 +479,15 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100, help="number of independent trials (>= 2)")
     _add_seed(p)
     p.set_defaults(handler=_cmd_cover_sim)
+
+    p = sub.add_parser("cover-compare", help="cover-sim per walk kind, each mean against srw's")
+    _add_common(p)
+    p.add_argument("--kinds", default="srw,phase", help="comma-separated walk kinds: " + ", ".join(WALK_KINDS))
+    p.add_argument("--eps", type=float, default=0.25, help="bias probability of every kind but srw (eps 0)")
+    p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
+    p.add_argument("--trials", type=int, default=200, help="number of independent trials per kind (>= 2)")
+    _add_seed(p)
+    p.set_defaults(handler=_cmd_cover_compare)
 
     p = sub.add_parser("boost-audit", help="exact DP check of the event-boost bounds")
     _add_common(p)

@@ -220,9 +220,8 @@ def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fractio
         got = memo.get(key)
         if got is None:
             kids = [value(w, mask | bits[w], left - 1) for w in g.adj[v]]
-            got = Fraction(sum(kids), len(kids))
-            if eps != 0:
-                got = (1 - eps) * got + eps * max(kids)
+            # exact arithmetic: at eps = 0 this is the mean itself
+            got = (1 - eps) * Fraction(sum(kids), len(kids)) + eps * max(kids)
             memo[key] = got
         return got
 

@@ -33,8 +33,8 @@ following structure exists, and each piece is checked here numerically:
   and `section3_lemma_audit` resolve d, psi, K, sigma and beta the same
   way: a missing psi is `psi_lower_bound` (exact for n <= SUBSET_GUARD,
   the spectral lower bound above that).
-* `random_subsets` draws the sets S that `robustness-audit` and the sweep
-  script audit.
+* `random_subsets` draws the sets S that `robustness-audit` and
+  `robustness-sweep` audit.
 * `prop311_check` verifies the matching upper bound: a bottleneck weighting
   across a diametral pair pushes conductance below
   min(d^(floor(D/2)-1), n) * beta^(-floor(D/2)+3), witnessed by a ball

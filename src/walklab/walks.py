@@ -446,9 +446,10 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
     """`spec` with every precondition checked and, for phase, psi resolved.
 
     psi is the given value, else the exact vertex expansion when
-    n <= SUBSET_GUARD, else DEFAULT_PSI_CONFIG: any lower bound on the true
+    n <= SUBSET_GUARD, else DEFAULT_PSI_CONFIG.  A lower bound on the true
     expansion keeps theta inside the regime where the tilted chain provably
-    mixes.
+    mixes; the default is not one (psi <= 13/12 above SUBSET_GUARD), but a
+    configured tilt outside the theorem's hypothesis.
     """
     if spec.kind not in WALK_KINDS:
         raise WalkError(f"unknown walk kind {spec.kind!r}")

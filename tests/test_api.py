@@ -3,7 +3,7 @@
 A deleted function must take its names with it: from the module's
 `__all__` and from the benchmark tracer's table, whose `Tracer.install`
 otherwise fails on the first traced run.  An exported name that no program
-code (the package, `scripts/`, `perfbench/`) reaches must be on
+code (the package, `perfbench/`) reaches must be on
 REFERENCE_ONLY, with the reason it stays.
 
 Every exception class of the package derives from `graphs.WalklabError`,
@@ -14,7 +14,7 @@ weighting: a second graph could disagree with `w.graph`.
 
 No module imports a name it never uses, unless its `__all__` re-exports it.
 
-`rng` owns the stream format: no other module or script decodes a draw by
+`rng` owns the stream format: no other module decodes a draw by
 hand (the constant 2**-53) or derives stream seeds from MASK64.  Likewise
 `chains` owns the half-mass limit 1/2 + 1e-12 of conductance, `weighting`
 the Lipschitz slack 1 + 1e-12, and `graphs` the comment rule of the text
@@ -22,12 +22,15 @@ inputs (the split on "#").
 
 Every public method, property and field of an exported class is used, as an
 attribute or a keyword, by program code.
+
+Every module parses as Python 3.10, the floor `pyproject.toml` declares.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 import typing
 from pathlib import Path
@@ -41,7 +44,23 @@ from walklab.weighting import EdgeWeighting
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(walklab.__path__))
 PKG = Path(walklab.__file__).parent
-PROGRAM = sorted(PKG.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+PROGRAM = sorted(PKG.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+FLOOR_LINE = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+PYTHON_FLOOR = tuple(map(int, FLOOR_LINE.groups()))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_parses_at_the_python_floor(name):
+    """Syntax only: a stdlib function added after the floor is not caught here."""
+    ast.parse((PKG / f"{name}.py").read_text(), feature_version=PYTHON_FLOOR)
+
+
+def test_the_floor_check_rejects_newer_syntax():
+    assert PYTHON_FLOOR == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=PYTHON_FLOOR)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -127,8 +146,7 @@ def _stream_format_uses(path: Path) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    [Path(walklab.__file__).with_name(f"{name}.py") for name in MODULES if name != "rng"]
-    + sorted((ROOT / "scripts").glob("*.py")),
+    [Path(walklab.__file__).with_name(f"{name}.py") for name in MODULES if name != "rng"],
     ids=lambda path: path.name,
 )
 def test_only_rng_decodes_draws_and_derives_stream_seeds(path):

@@ -268,6 +268,68 @@ def test_cover_sim_phase_walk_runs(capsys):
     assert read_summary(out)["mean"] >= 15.0
 
 
+# --- cover-compare ---------------------------------------------------------------
+
+
+def csv_rows(path):
+    return path.read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("spec, kinds", [("cycle:12", "srw,sweep"), ("random-regular:16:3:5", "phase,srw")])
+def test_cover_compare_equals_cover_sim_per_kind(tmp_path, capsys, spec, kinds):
+    common = ["--generate", spec, "--trials", "30", "--seed", "-7", "--no-timestamp"]
+    code, out, err = run(
+        capsys, "cover-compare", *common, "--kinds", kinds, "--eps", "0.3", "--out", str(tmp_path / "c")
+    )
+    assert code == 0 and err == ""
+    payload = read_summary(out)
+    assert (payload["n"], payload["trials"], payload["seed"]) == (int(spec.split(":")[1]), 30, -7)
+    compared = csv_rows(tmp_path / "c" / "results.csv")
+    assert len(compared) == 2 * 30
+    for stats in payload["kinds"]:
+        kind = stats["walk_kind"]
+        eps = "0.0" if kind == "srw" else "0.3"
+        code, out, _ = run(capsys, "cover-sim", *common, "--walk", kind, "--eps", eps, "--out", str(tmp_path / kind))
+        assert code == 0
+        single = read_summary(out)
+        assert {key: single[key] for key in stats if key in single} == {
+            key: value for key, value in stats.items() if key in single
+        }
+        assert [row for row in compared if row.split(",")[3] == kind] == csv_rows(tmp_path / kind / "results.csv")
+    srw, other = sorted(payload["kinds"], key=lambda stats: stats["walk_kind"] != "srw")
+    assert "mean_ratio_to_srw" not in srw
+    assert other["mean_ratio_to_srw"] == other["mean"] / srw["mean"]
+    assert other["ci_separated_from_srw"] == (other["ci95_hi"] < srw["ci95_lo"] or srw["ci95_hi"] < other["ci95_lo"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an unknown kind is named before the graph (here a malformed spec) loads
+        (["--generate", "cycle", "--kinds", "srw,mystery"], "error: unknown walk kinds 'mystery'"),
+        (["--generate", "cycle:12", "--kinds", "srw,policy"], "error: unknown walk kinds 'policy'"),
+        # srw runs first; the phase walk needs degree >= 3, and nothing prints
+        (["--generate", "cycle:12", "--kinds", "srw,phase"], "error: bias extraction needs degree >= 3"),
+        (["--generate", "complete:5", "--kinds", "srw,sweep"], "error: "),
+        (["--generate", "cycle:12", "--trials", "-5"], "error: a cover-time estimate needs at least 2 trials"),
+    ],
+    ids=["unknown-kind-before-graph", "unknown-kind", "phase-off-degree-3", "sweep-off-a-cycle", "negative-trials"],
+)
+def test_cover_compare_bad_input_prints_nothing_but_one_error(capsys, argv, message):
+    code, out, err = run(capsys, "cover-compare", "--trials", "4", "--seed", "5", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_cover_compare_files_are_reproducible(tmp_path, capsys):
+    argv = ["cover-compare", "--generate", "cycle:10", "--kinds", "sweep,srw", "--trials", "8", "--seed", "3",
+            "--no-timestamp"]
+    for name in ("a", "b"):
+        assert run(capsys, *argv, "--out", str(tmp_path / name))[0] == 0
+    for name in ("results.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 # --- lipschitz-audit ---------------------------------------------------------------
 
 
@@ -564,6 +626,87 @@ def test_robustness_audit_checks_a_gap_bound_below_the_float_range(tmp_path, cap
     }
 
 
+# --- robustness-sweep ----------------------------------------------------------------
+
+
+def audit_rows(path):
+    return [json.loads(line) for line in (path / "audit.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("spec, seed", [("complete:6", 42), ("hypercube:3", -3), ("random-regular:10:3:4", 0)])
+def test_robustness_sweep_row_i_is_a_robustness_audit(tmp_path, capsys, spec, seed):
+    code, out, err = run(
+        capsys, "robustness-sweep", "--generate", spec, "--weightings", "3", "--subsets", "4", "--seed", str(seed),
+        "--out", str(tmp_path / "sweep"), "--no-timestamp",
+    )
+    assert code == 0 and err == ""
+    payload = read_summary(out)
+    rows = audit_rows(tmp_path / "sweep")
+    assert [row["weighting_index"] for row in rows] == [0, 1, 2]
+    for index, row in enumerate(rows):
+        code, out, _ = run(
+            capsys, "robustness-audit", "--generate", spec, "--sigma", repr(payload["sigma"]), "--subsets", "4",
+            "--seed", str(seed ^ index), "--out", str(tmp_path / str(index)), "--no-timestamp",
+        )
+        assert code == 0
+        single = read_summary(out)
+        assert {key: row[key] for key in single if key not in ("subsets", "seed")} == {
+            key: value for key, value in single.items() if key not in ("subsets", "seed")
+        }
+        assert row["subset_rows"] == audit_rows(tmp_path / str(index))
+    assert payload["failures"] == 0 and payload["subset_audits"] <= 3 * 4
+
+
+def test_robustness_sweep_reports_the_margin_where_the_gap_bound_underflows(tmp_path, capsys):
+    # cycle:40 has K = 326: gap_bound prints as 0.0, the margin comes from logarithms
+    code, out, err = run(
+        capsys, "robustness-sweep", "--generate", "cycle:40", "--weightings", "1", "--subsets", "1", "--seed", "1",
+        "--out", str(tmp_path), "--no-timestamp",
+    )
+    assert code == 0 and err == ""
+    assert read_summary(out)["K"] == 326
+    (row,) = audit_rows(tmp_path)
+    assert row["gap_bound"] == 0.0 and round(row["gap_margin_decades"], 1) == 398.6
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--generate", "random-regular:600:3:1"], "error: spectral_gap is dense; n=600 exceeds guard 512"),
+        (["--generate", "cycle"], "error: malformed generator spec"),
+        (["--generate", "cycle:8", "--weightings", "-3"], "error: --weightings must be >= 0, got -3"),
+        (["--generate", "cycle:8", "--subsets", "-2"], "error: --subsets must be >= 0, got -2"),
+    ],
+    ids=["spectral-guard", "malformed-spec", "negative-weightings", "negative-subsets"],
+)
+def test_robustness_sweep_bad_input_prints_one_error(capsys, argv, message):
+    code, out, err = run(capsys, "robustness-sweep", "--weightings", "1", "--subsets", "1", "--seed", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_robustness_sweep_files_are_reproducible(tmp_path, capsys):
+    argv = ["robustness-sweep", "--generate", "complete:5", "--weightings", "2", "--subsets", "3", "--seed", "9",
+            "--no-timestamp"]
+    for name in ("a", "b"):
+        assert run(capsys, *argv, "--out", str(tmp_path / name))[0] == 0
+    for name in ("audit.jsonl", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_robustness_sweep_readme_example(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "robustness-sweep", "--generate", "random-regular:16:3:7", "--weightings", "20", "--subsets", "50",
+        "--seed", "42", "--out", str(tmp_path), "--no-timestamp",
+    )
+    assert code == 0
+    payload = read_summary(out)
+    assert (payload["K"], payload["subset_audits"], payload["failures"]) == (5, 1000, 0)
+    first = audit_rows(tmp_path)[0]
+    # weighting 0 as README quotes it
+    assert f"{first['beta']:.6f} {first['gap_value']:.4f} {first['gap_margin_decades']:.1f}" == "1.105171 0.2026 16.8"
+
+
 # --- boost-audit ---------------------------------------------------------------------
 
 
@@ -793,14 +936,17 @@ def test_config_keys_resolve_like_their_flags(tmp_path, command, action):
         ["cover-sim", "--generate", "cycle:8", "--seed"],
         ["warp"],
         [],
+        ["cover-compare", "--generate", "cycle:8", "--trials", "abc", "--seed", "1"],
+        ["robustness-sweep", "--generate", "cycle:8", "--weightings", "x", "--seed", "1"],
     ],
-    ids=["non-numeric", "unknown-flag", "missing-value", "unknown-command", "no-command"],
+    ids=["non-numeric", "unknown-flag", "missing-value", "unknown-command", "no-command", "compare-trials",
+         "sweep-weightings"],
 )
 def test_malformed_flags_exit_2_in_process(capsys, argv):
     # these used to print argparse's usage text and raise SystemExit(2)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "usage:" not in err
+    assert err.startswith("error:") and "usage:" not in err and err.count("\n") == 1
 
 
 def test_readme_cli_lines_parse():
@@ -876,9 +1022,7 @@ def tiny_graphs(tmp_path_factory):
 
 @st.composite
 def cli_calls(draw):
-    command = draw(st.sampled_from(
-        ["spectral", "lipschitz-audit", "robustness-audit", "cover-sim", "boost-audit", "lemma-sweep"]
-    ))
+    command = draw(st.sampled_from(sorted(build_parser().commands)))
     argv = [command]
     if command != "lemma-sweep":
         # a graph file is named relative to the `tiny_graphs` directory
@@ -893,9 +1037,15 @@ def cli_calls(draw):
         argv += flags(draw, sigma=FLOATS, kmax=SMALL_INTS, assert_beta_max=FLOATS)
     elif command == "robustness-audit":
         argv += flags(draw, sigma=FLOATS, subsets=WORK)
+    elif command == "robustness-sweep":
+        argv += [f"--weightings={draw(WORK)}", f"--subsets={draw(WORK)}"]
     elif command == "cover-sim":
         argv += flags(draw, walk=good_or_bad(["srw", "phase", "sweep"], ["policy"]), eps=FLOATS, psi=FLOATS,
                       start=SMALL_INTS, trials=good_or_bad(["2", "40"], ["-1", "1", "forty"]))
+    elif command == "cover-compare":
+        argv.append(f"--trials={draw(good_or_bad(['2', '40'], ['-1', '1', 'forty']))}")
+        argv += flags(draw, kinds=good_or_bad(["srw", "srw,phase", "sweep,srw", "phase,sweep"], ["srw,policy", ""]),
+                      eps=FLOATS, psi=FLOATS)
     elif command == "boost-audit":
         event = good_or_bad(["hit:0", "hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"],
                             ["hit:99", "hit:x", "bogus"])
@@ -933,7 +1083,7 @@ def test_every_flag_value_keeps_the_exit_code_contract(tiny_graphs, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
-    work_flags = ("--count=", "--kmax=", "--subsets=", "--nmax=", "--tmax=", "--draws=")
+    work_flags = ("--count=", "--kmax=", "--subsets=", "--weightings=", "--nmax=", "--tmax=", "--draws=")
     if any(arg.startswith(work_flags) and arg.endswith("=-1") for arg in argv):
         assert code == 2, argv  # a negative work count is bad input
     owned = build_parser().commands[argv[0]]._option_string_actions
