@@ -222,14 +222,12 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
     kmax = args.kmax if args.kmax is not None else dia
     rows = []
     failures = 0
-    max_beta = 0.0
     for index in range(args.count):
         rng = SplitMix64.stream(args.seed, index)
         w = random_lipschitz_weighting(g, args.sigma, rng)
         beta = lipschitz_beta(w)
         if not math.isfinite(beta):
             raise InputError(f"weighting {index}: its Lipschitz constant overflows the float range")
-        max_beta = max(max_beta, beta)
         ok = all(stationary_ratio_audit(w, k) for k in range(1, kmax + 1))
         if args.assert_beta_max is not None and beta > args.assert_beta_max:
             ok = False
@@ -239,7 +237,7 @@ def _cmd_lipschitz_audit(args: argparse.Namespace) -> int:
     payload = {
         "count": args.count,
         "failures": failures,
-        "max_beta": max_beta,
+        "max_beta": max((row["beta"] for row in rows), default=None),
         "sigma": args.sigma,
         "kmax": kmax,
         "seed": args.seed,
@@ -338,6 +336,9 @@ def _cmd_cover_compare(args: argparse.Namespace) -> int:
     unknown = [kind for kind in kinds if kind not in WALK_KINDS]
     if unknown:
         raise InputError(f"unknown walk kinds {', '.join(map(repr, unknown))}; choose from {', '.join(WALK_KINDS)}")
+    repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise InputError(f"walk kinds given more than once: {', '.join(map(repr, repeated))}")
     g = _load_graph(args)
     per_kind, results = [], [_COVER_HEADER]
     for kind in kinds:
@@ -347,7 +348,8 @@ def _cmd_cover_compare(args: argparse.Namespace) -> int:
     base = next((stats for stats in per_kind if stats["walk_kind"] == "srw"), None)
     for stats in per_kind:
         if base is not None and stats["walk_kind"] != "srw":
-            stats["mean_ratio_to_srw"] = stats["mean"] / base["mean"]
+            # a one-vertex graph is covered at step 0 by every kind
+            stats["mean_ratio_to_srw"] = stats["mean"] / base["mean"] if base["mean"] else None
             stats["ci_separated_from_srw"] = stats["ci95_hi"] < base["ci95_lo"] or base["ci95_hi"] < stats["ci95_lo"]
     payload = {"n": g.n, "m": g.m, "regular_degree": g.regular_degree, "trials": args.trials, "seed": args.seed,
                "kinds": per_kind}

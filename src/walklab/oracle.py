@@ -61,6 +61,12 @@ class OracleError(WalklabError):
     """Invalid event, parameters, or guard violation."""
 
 
+def _check_eps(eps: float | Fraction) -> None:
+    """The eps range check; a Fraction compares with the float bounds exactly."""
+    if not (0.0 <= eps <= 1.0):
+        raise OracleError("eps must lie in [0, 1]")
+
+
 class EventKind(Enum):
     """Event kinds; each value is the kind's word in event text."""
 
@@ -199,15 +205,13 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
     among maximizing children the lower vertex id is the canonical pick.
     eps=0 reduces to the plain walk, eps=1 to full control.
     """
-    if not (0.0 <= eps <= 1.0):
-        raise OracleError("eps must lie in [0, 1]")
+    _check_eps(eps)
     return _horizon_values(g, u, event, (eps,))[0][-1]
 
 
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
     """Rational-arithmetic twin of the DP, for float cross-validation."""
-    if not (Fraction(0) <= eps <= Fraction(1)):
-        raise OracleError("eps must lie in [0, 1]")
+    _check_eps(eps)
     bits, full, start = _encode(g, u, event)
     memo: dict[tuple[int, int, int], Fraction] = {}
 
@@ -247,8 +251,7 @@ def biased_operator(eps: float, b: Sequence[float], v: Sequence[float]) -> float
     v = _floats(v, "bias and value vectors must have equal length")
     if len(b) != len(v):
         raise OracleError("bias and value vectors must have equal length")
-    if not (0.0 <= eps <= 1.0):
-        raise OracleError("eps must lie in [0, 1]")
+    _check_eps(eps)
     if abs(sum(b) - 1.0) > 1e-9 or min(b) < -1e-12:
         raise OracleError("bias must be a probability vector")
     if min(v) < 0:
@@ -277,8 +280,8 @@ def power_mean(r: float, v: Sequence[float]) -> float:
     return (total / len(v)) ** (1.0 / r)
 
 
-def _leq_with_slack(lhs: float, rhs: float, slack: float = 1e-12) -> bool:
-    return lhs <= rhs + slack * max(1.0, abs(rhs))
+def _leq_with_slack(lhs: float, rhs: float) -> bool:
+    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
 
 
 def conv_lemma_audit(d: int, eps: float, eta: float, v: Sequence[float], b: Sequence[float]) -> bool:
@@ -365,8 +368,7 @@ class BoostReport:
 
 
 def _check_boost_params(eps: float, eta: float) -> None:
-    if not (0.0 <= eps <= 1.0):
-        raise OracleError("eps must lie in [0, 1]")
+    _check_eps(eps)
     if not (0.0 < eta <= 1.0):
         raise OracleError("eta must lie in (0, 1]")
 
@@ -500,8 +502,7 @@ def cover_lower_demo(g: Graph, c: float, eps: float, start: int = 0) -> CoverLow
         raise GuardError(f"cover lower demo guard is n <= {DEMO_GUARD}")
     if c <= 0:
         raise OracleError("c must be positive")
-    if not (0.0 <= eps <= 1.0):
-        raise OracleError("eps must lie in [0, 1]")
+    _check_eps(eps)
     t = int(math.ceil(3.0 * c * g.n - 1e-9))
     event = EventSpec(EventKind.COVER_ALL, t)
     # one pass gives p (the eps = 0 row) and q_star (the last row)

@@ -108,9 +108,11 @@ class SplitMix64:
         return z
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle: for i = n - 1 down to 1, swap items i
+        and randrange(i + 1), with the n - 1 draws taken as one block."""
+        n = len(items)
+        picks = self.block_u64(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

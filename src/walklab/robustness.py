@@ -153,20 +153,16 @@ def bucket_partition(chain: ReversibleChain) -> BucketPartition:
 # representative blocks
 
 
-def representative_blocks_from_sizes(
-    sizes: Mapping[int, int], alpha: float = ALPHA
-) -> list[tuple[int, int]]:
+def representative_blocks_from_sizes(sizes: Mapping[int, int]) -> list[tuple[int, int]]:
     """Block boundaries (a_l, b_l) from occupied bucket sizes.
 
     a_1 is the first occupied index.  Given a_l, the block ends at the
     smallest b >= a_l whose successor bucket is small:
-    |S_{b+1}| <= (alpha/2) |S_{a_l} u ... u S_b|.  That successor bucket is
+    |S_{b+1}| <= (ALPHA/2) |S_{a_l} u ... u S_b|.  That successor bucket is
     the witness that closes the block; it always falls into the gap, and the
     next block starts at the first index past it where the size grows again
     (|S_a| > |S_{a-1}|).
     """
-    if alpha <= 0.0:
-        raise GraphError("alpha must be positive")
     occupied = sorted(i for i, c in sizes.items() if c > 0)
     if not occupied:
         raise GraphError("representative blocks need a non-empty set")
@@ -182,7 +178,7 @@ def representative_blocks_from_sizes(
     while True:
         b = a
         csum = size(a)
-        while size(b + 1) > (alpha / 2.0) * csum:
+        while size(b + 1) > (ALPHA / 2.0) * csum:
             b += 1
             csum += size(b)
         pairs.append((a, b))
@@ -229,7 +225,7 @@ def representative_indices(subset, partition: BucketPartition) -> Representative
     for v in s:
         member.setdefault(partition.index_of[v], set()).add(v)
     sizes = {i: len(vs) for i, vs in member.items()}
-    pairs = representative_blocks_from_sizes(sizes, ALPHA)
+    pairs = representative_blocks_from_sizes(sizes)
 
     def union_range(lo: int, hi: int) -> frozenset[int]:
         out: set[int] = set()
@@ -258,7 +254,7 @@ class LemmaCheck:
     min_margin: float = math.inf
     skipped: str | None = None
 
-    def record(self, lhs: float, rhs: float, slack: float = 0.0) -> None:
+    def record(self, lhs: float, rhs: float, slack: float) -> None:
         self.instances += 1
         margin = lhs - rhs
         self.min_margin = min(self.min_margin, margin)
@@ -283,9 +279,6 @@ class LemmaCheck:
 
 @dataclass
 class Section3Report:
-    K: int
-    sigma: float
-    beta: float
     checks: list[LemmaCheck] = field(default_factory=list)
     skipped: str | None = None
 
@@ -301,16 +294,16 @@ def _regular_degree_or_raise(g: Graph) -> int:
     return d
 
 
-def _section3_scale(w: EdgeWeighting, psi: float | None) -> tuple[int, float, int, float, float, bool]:
-    """(d, psi, K, sigma, beta, rough) of a weighting, where rough says that
-    beta exceeds the budget sigma; psi defaults to `psi_lower_bound`."""
+def _section3_scale(w: EdgeWeighting, psi: float | None) -> tuple[int, int, float, float, bool]:
+    """(d, K, sigma, beta, rough) of a weighting, where rough says that beta
+    exceeds the budget sigma; psi defaults to `psi_lower_bound`."""
     g = w.graph
     d = _regular_degree_or_raise(g)
     if psi is None:
         psi = psi_lower_bound(g)
     K = section3_K(psi)
     sigma, beta = section3_sigma(K), lipschitz_beta(w)
-    return d, psi, K, sigma, beta, beta > sigma * (1.0 + RATIO_TOL)
+    return d, K, sigma, beta, beta > sigma * (1.0 + RATIO_TOL)
 
 
 def section3_lemma_audit(
@@ -327,7 +320,7 @@ def section3_lemma_audit(
     are built once, when the first set reaches the checks.
     """
     g = w.graph
-    d, psi, K, sigma, beta, rough = _section3_scale(w, psi)
+    d, K, sigma, beta, rough = _section3_scale(w, psi)
     scale = d ** (-2.0 * K) / 90.0
     reports = []
     chain = None
@@ -336,7 +329,7 @@ def section3_lemma_audit(
         return float(sum(chain.pi[v] for v in vs))
 
     for subset in subsets:
-        report = Section3Report(K=K, sigma=sigma, beta=beta)
+        report = Section3Report()
         reports.append(report)
         if rough:
             report.skipped = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
@@ -392,9 +385,7 @@ def random_subsets(g: Graph, count: int, rng: SplitMix64) -> list[frozenset[int]
 @dataclass
 class Theorem31Report:
     K: int
-    sigma: float
     beta: float
-    psi: float
     phi_bound: float
     gap_bound: float
     log_phi_bound: float
@@ -440,14 +431,12 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
     range are reported as skipped with a reason.
     """
     g = w.graph
-    d, psi, K, sigma, beta, rough = _section3_scale(w, psi)
+    d, K, sigma, beta, rough = _section3_scale(w, psi)
     if rough:
         raise GraphError(f"weighting is not sigma-Lipschitz: beta={beta:.6g} > sigma={sigma:.6g}")
     report = Theorem31Report(
         K=K,
-        sigma=sigma,
         beta=beta,
-        psi=psi,
         phi_bound=d ** (-2.0 * K) / 4000.0,
         gap_bound=1e-8 * d ** (-4.0 * K),
         log_phi_bound=-2.0 * K * math.log(d) - math.log(4000.0),

@@ -2,12 +2,11 @@
 
 The central walk is the epsilon-biased step: with probability 1 - epsilon
 move to a uniform neighbour, otherwise sample from a bias vector over the
-neighbours.  `step` is the single-step reference, taking the vector from a
-policy (graph, visited set, current vertex, step count) -> neighbour
-distribution.  The cover runs play that step in one loop, `_biased_walk`,
-whose bias is a function of the current vertex: the phase walk's rows of
-the target-decay bias, or the sweep walk's one-hot rows toward the forward
-or backward neighbour of a cycle.
+neighbours.  `step` is the single-step reference: one step from a vertex,
+given the bias row aligned with its neighbours.  The cover runs play that
+step in one loop, `_biased_walk`, whose bias is a function of the current
+vertex: the phase walk's rows of the target-decay bias, or the sweep walk's
+one-hot rows toward the forward or backward neighbour of a cycle.
 
 `extract_bias_matrix` inverts the mixture: given a reversible chain Q
 supported on the graph's edges with Q >= (1 - eps)/d entrywise on edges,
@@ -59,7 +58,6 @@ DEFAULT_PSI_CONFIG = 2.0
 WALK_KINDS = ("srw", "phase", "sweep")
 
 __all__ = [
-    "WalkState",
     "WalkSpec",
     "WalkError",
     "WALK_KINDS",
@@ -74,20 +72,12 @@ __all__ = [
 
 
 class WalkError(WalklabError):
-    """Invalid walk parameters or policy output."""
+    """Invalid walk parameters or bias."""
 
 
-@dataclass
-class WalkState:
-    """Mutable trajectory state: current vertex, step count, visited set."""
-
-    current: int
-    steps: int
-    visited: set[int]
-
-    @classmethod
-    def fresh(cls, start: int) -> "WalkState":
-        return cls(current=start, steps=0, visited={start})
+def _check_eps(eps: float) -> None:
+    if not (0.0 <= eps <= 1.0):
+        raise WalkError("eps must lie in [0, 1]")
 
 
 def _sample_from_vector(vec: Sequence[float], r: float) -> int:
@@ -101,33 +91,26 @@ def _sample_from_vector(vec: Sequence[float], r: float) -> int:
     return last
 
 
-def step(g: Graph, state: WalkState, eps: float, policy: Callable[..., Sequence[float]] | None, rng) -> int:
-    """One epsilon-biased step; mutates and returns the new vertex.
+def step(g: Graph, cur: int, eps: float, bias: Sequence[float] | None, rng) -> int:
+    """One epsilon-biased step from `cur`; returns the next vertex.
 
-    policy(g, visited, current, steps) is the bias vector aligned with
-    g.adj[current], and may be None when eps = 0.  Consumes exactly two
-    draws (coin, choice) regardless of the branch, so trajectories are
-    replayable from the stream alone.
+    `bias` is the row aligned with g.adj[cur], and may be None when eps = 0.
+    Consumes exactly two draws (coin, then r) regardless of the branch, so
+    trajectories are replayable from the stream alone.
     """
-    if not (0.0 <= eps <= 1.0):
-        raise WalkError("eps must lie in [0, 1]")
-    if eps > 0.0 and policy is None:
-        raise WalkError("eps > 0 needs a policy")
-    nbrs = g.adj[state.current]
+    _check_eps(eps)
+    if eps > 0.0 and bias is None:
+        raise WalkError("eps > 0 needs a bias row")
+    nbrs = g.adj[cur]
     coin = rng.next_float()
     r = rng.next_float()
     if coin < eps:
-        vec = policy(g, state.visited, state.current, state.steps)
-        idx = _sample_from_vector(vec, r)
+        idx = _sample_from_vector(bias, r)
     else:
         idx = int(r * len(nbrs))
         if idx == len(nbrs):
             idx -= 1
-    nxt = nbrs[idx]
-    state.current = nxt
-    state.steps += 1
-    state.visited.add(nxt)
-    return nxt
+    return nbrs[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +125,7 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
     the reconstruction identity stays exact).  eps = 0 degenerates: Q must
     equal P and B is P itself.
     """
-    if not (0.0 <= eps <= 1.0):
-        raise WalkError("eps must lie in [0, 1]")
+    _check_eps(eps)
     n = g.n
     if q.n != n:
         raise WalkError("chain and graph size mismatch")
@@ -453,8 +435,7 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
     """
     if spec.kind not in WALK_KINDS:
         raise WalkError(f"unknown walk kind {spec.kind!r}")
-    if not (0.0 <= spec.eps <= 1.0):
-        raise WalkError("eps must lie in [0, 1]")
+    _check_eps(spec.eps)
     if spec.kind == "srw" and spec.eps != 0.0:
         raise WalkError(f"the simple random walk takes no bias: eps must be 0, got {spec.eps}")
     if spec.start is not None and not (0 <= spec.start < g.n):

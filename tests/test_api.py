@@ -20,6 +20,9 @@ hand (the constant 2**-53) or derives stream seeds from MASK64.  Likewise
 the Lipschitz slack 1 + 1e-12, and `graphs` the comment rule of the text
 inputs (the split on "#").
 
+Each module states the range of eps (a chained `0 <= eps <= 1`) at most
+once, in its own `_check_eps`.
+
 Every public method, property and field of an exported class is used, as an
 attribute or a keyword, by program code.
 
@@ -193,6 +196,29 @@ def test_only_graphs_cuts_comments_from_text_lines(path):
     assert _comment_splits(path) == []
 
 
+def _eps_range_checks(path: Path, text: str | None = None) -> list[str]:
+    """Where a file (or `text` in its place) writes a chained `lo <= eps <= hi`."""
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text() if text is None else text))
+        if isinstance(node, ast.Compare)
+        and [type(op) for op in node.ops] == [ast.LtE, ast.LtE]
+        and "eps" in (getattr(node.comparators[0], "id", None), getattr(node.comparators[0], "attr", None))
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_states_the_eps_range_once(name):
+    assert len(_eps_range_checks(PKG / f"{name}.py")) <= 1
+
+
+def test_the_eps_range_check_finds_each_spelling():
+    assert len(_eps_range_checks(PKG / "walks.py")) == len(_eps_range_checks(PKG / "oracle.py")) == 1
+    for text in ("ok = 0.0 <= eps <= 1.0", "ok = Fraction(0) <= eps <= Fraction(1)", "ok = 0 <= spec.eps <= 1"):
+        assert len(_eps_range_checks(PKG / "oracle.py", text)) == 1
+    assert _eps_range_checks(PKG / "walks.py", "ok = 0.0 < eps <= 1.0") == []
+
+
 def test_the_one_owner_checks_find_what_they_look_for():
     assert _constant_uses(PKG / "chains.py", HALF_MASS) != []
     assert _comment_splits(PKG / "graphs.py") != []
@@ -241,7 +267,6 @@ REFERENCE_ONLY = {
     "oracle.robin_hood_pair": "acceptance criterion 12: the pairs schur_audit is run on",
     "oracle.majorizes": "schur_audit's precondition, also asserted by criterion 12",
     "walks.step": "the single-step reference the scalar `_biased_walk` is tested against",
-    "walks.WalkState": "the state walks.step advances",
     "walks.cover_run": "the single-trial entry point README documents",
     "graphs.ball_growth_audit": "the ball-growth lemma |B_k(S)| >= min((1 + psi)^k |S|, n/2), audited on the catalog",
     "oracle.cover_lower_demo": "the exact cover lower bound ROADMAP direction 5 will run",

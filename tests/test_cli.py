@@ -312,13 +312,28 @@ def test_cover_compare_equals_cover_sim_per_kind(tmp_path, capsys, spec, kinds):
         (["--generate", "cycle:12", "--kinds", "srw,phase"], "error: bias extraction needs degree >= 3"),
         (["--generate", "complete:5", "--kinds", "srw,sweep"], "error: "),
         (["--generate", "cycle:12", "--trials", "-5"], "error: a cover-time estimate needs at least 2 trials"),
+        # a repeated kind would write two sets of rows with the same (walk_kind, trial)
+        (["--generate", "cycle", "--kinds", "srw,sweep, srw"], "error: walk kinds given more than once: 'srw'"),
     ],
-    ids=["unknown-kind-before-graph", "unknown-kind", "phase-off-degree-3", "sweep-off-a-cycle", "negative-trials"],
+    ids=["unknown-kind-before-graph", "unknown-kind", "phase-off-degree-3", "sweep-off-a-cycle", "negative-trials",
+         "repeated-kind-before-graph"],
 )
 def test_cover_compare_bad_input_prints_nothing_but_one_error(capsys, argv, message):
     code, out, err = run(capsys, "cover-compare", "--trials", "4", "--seed", "5", *argv)
     assert code == 2 and out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_cover_compare_on_one_vertex_has_no_ratio(tmp_path, capsys):
+    # every kind covers a one-vertex graph at step 0; the ratio 0/0 used to
+    # end in a ZeroDivisionError traceback
+    (tmp_path / "g1.txt").write_text("1 0\n")
+    code, out, err = run(capsys, "cover-compare", "--graph", str(tmp_path / "g1.txt"), "--kinds", "srw,phase",
+                         "--eps", "0", "--psi", "0", "--trials", "2", "--seed", "0")
+    assert code == 0 and err == ""
+    srw, phase = read_summary(out)["kinds"]
+    assert srw["mean"] == phase["mean"] == 0.0
+    assert phase["mean_ratio_to_srw"] is None and phase["ci_separated_from_srw"] is False
 
 
 def test_cover_compare_files_are_reproducible(tmp_path, capsys):
@@ -421,6 +436,14 @@ def test_sigma_that_is_not_finite_is_input_error(capsys, command, count, sigma):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sigma" in err and ">= 1" in err
+
+
+def test_lipschitz_audit_of_no_weightings_has_no_max_beta(capsys):
+    # 0.0 used to print here, below every Lipschitz constant (beta >= 1)
+    code, out, err = run(capsys, "lipschitz-audit", "--generate", "cycle:8", "--count", "0", "--seed", "1")
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=reject_constant)
+    assert (payload["count"], payload["failures"], payload["max_beta"]) == (0, 0, None)
 
 
 def test_lipschitz_audit_overflowing_bound_passes(capsys):

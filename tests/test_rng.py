@@ -120,6 +120,26 @@ def test_shuffle_is_a_permutation():
     assert again == items
 
 
+def shuffle_per_item(rng, items):
+    """Fisher-Yates with one randrange per item."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@given(st.integers(0, 2000), st.integers(0, 2**66))
+@settings(max_examples=60, deadline=None)
+def test_shuffle_from_one_block_equals_the_per_item_loop(n, seed):
+    # two shuffles in a row, so the second starts from a moved counter
+    block, loop = SplitMix64(seed), SplitMix64(seed)
+    for shuffles in (1, 2):
+        got, want = list(range(n)), list(range(n))
+        block.shuffle(got)
+        shuffle_per_item(loop, want)
+        assert got == want
+        assert block.counter == loop.counter == shuffles * max(n - 1, 0)
+
+
 def test_draws_match_direct():
     direct = SplitMix64(4096)
     u64 = draws(SplitMix64(4096))

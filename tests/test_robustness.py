@@ -84,25 +84,26 @@ def test_block_recursion_on_reference_size_profile():
     # small successor, skips the witness bucket, and restarts at the next
     # strict increase
     sizes = dict(zip(range(2, 11), (2, 12, 52, 70, 8, 5, 6, 32, 68)))
-    assert representative_blocks_from_sizes(sizes, ALPHA) == [(2, 4), (8, 9)]
+    assert representative_blocks_from_sizes(sizes) == [(2, 4), (8, 9)]
 
 
 def test_block_recursion_single_growing_run():
     sizes = {1: 1, 2: 10, 3: 100}
-    assert representative_blocks_from_sizes(sizes, ALPHA) == [(1, 3)]
+    assert representative_blocks_from_sizes(sizes) == [(1, 3)]
 
 
 def test_block_recursion_flat_profile_stops_after_first():
     sizes = {1: 8, 2: 8, 3: 8, 4: 8}
     # |S_2| <= (alpha/2)|S_1| immediately: the block is the single bucket 1,
     # bucket 2 is the witness, and no later bucket grows strictly
-    assert representative_blocks_from_sizes(sizes, ALPHA) == [(1, 1)]
+    assert representative_blocks_from_sizes(sizes) == [(1, 1)]
 
 
 def test_block_recursion_respects_alpha_threshold():
-    # with alpha/2 = 1 the run keeps extending while sizes strictly grow
-    sizes = {1: 1, 2: 3, 3: 2}
-    assert representative_blocks_from_sizes(sizes, 2.0) == [(1, 2)]
+    # alpha/2 = e^2/2 ~ 3.69: bucket 2 (4 > 3.69 * 1) extends the run, bucket 3
+    # (2 <= 3.69 * 5) is the witness that closes it
+    sizes = {1: 1, 2: 4, 3: 2}
+    assert representative_blocks_from_sizes(sizes) == [(1, 2)]
 
 
 def test_representative_indices_on_chain():
@@ -201,13 +202,17 @@ def test_lemma_audit_of_many_sets_matches_one_set_calls(case):
     assert any(r.skipped for r in reports) == (case in {"rough", "oversize"})
 
 
-def test_lemma_audit_defaults_psi_to_the_endpoint_lower_bound():
+def test_lemma_audit_defaults_psi_to_the_endpoint_lower_bound(monkeypatch):
     # above the 24-vertex expansion guard a missing psi is the spectral lower
     # bound, as in theorem31_check, not an exhaustive enumeration that refuses
     w = uniform_weighting(generate("random_regular", n=32, d=3, seed=7))
+    calls = []
+    monkeypatch.setattr(robustness, "psi_lower_bound", lambda g: calls.append(g) or psi_lower_bound(g))
     [report] = section3_lemma_audit(w, [frozenset(range(4))])
-    assert report.K == theorem31_check(w).K
+    assert calls == [w.graph]
     assert report.ok
+    section3_lemma_audit(w, [frozenset(range(4))], psi=0.5)
+    assert calls == [w.graph]
 
 
 def test_lemma_audit_requires_regular_graph():

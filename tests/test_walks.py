@@ -18,7 +18,6 @@ from walklab.walks import (
     CoverEstimate,
     WalkError,
     WalkSpec,
-    WalkState,
     cover_run,
     estimate_cover_time,
     extract_bias_matrix,
@@ -44,14 +43,11 @@ class ScriptedRng:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def point_mass_on(z):
-    def policy(g, visited, current, steps, _z=z):
-        nbrs = g.adj[current]
-        vec = np.zeros(len(nbrs))
-        vec[nbrs.index(_z)] = 1.0
-        return vec
-
-    return policy
+def point_mass_on(g, current, z):
+    """The bias row at `current` that puts all its mass on neighbour z."""
+    vec = np.zeros(len(g.adj[current]))
+    vec[g.adj[current].index(z)] = 1.0
+    return vec
 
 
 def float_as_u64(x: float) -> int:
@@ -63,33 +59,28 @@ def float_as_u64(x: float) -> int:
 
 def test_step_rejects_bad_eps_and_missing_policy():
     g = generate("complete", n=4)
-    state = WalkState.fresh(0)
-    with pytest.raises(WalkError):
-        step(g, state, 1.5, None, SplitMix64(1))
-    with pytest.raises(WalkError):
-        step(g, state, 0.5, None, SplitMix64(1))
+    with pytest.raises(WalkError, match="eps must lie in"):
+        step(g, 0, 1.5, None, SplitMix64(1))
+    with pytest.raises(WalkError, match="needs a bias row"):
+        step(g, 0, 0.5, None, SplitMix64(1))
 
 
 def test_step_consumes_exactly_two_draws_each_branch():
     g = generate("complete", n=4)
     for coin in (0.0, 0.9):
         rng = ScriptedRng([float_as_u64(coin), float_as_u64(0.4)])
-        state = WalkState.fresh(0)
-        step(g, state, 0.5, point_mass_on(1), rng)
+        step(g, 0, 0.5, point_mass_on(g, 0, 1), rng)
         assert rng.draws == 2
-        assert state.steps == 1
-        assert state.current in state.visited
 
 
 def test_step_eps_one_follows_policy_exactly():
     g = generate("complete", n=4)
     rng = SplitMix64(7)
-    state = WalkState.fresh(0)
+    cur = 0
     for _ in range(50):
-        prev = state.current
-        target = (prev + 1) % 4
-        nxt = step(g, state, 1.0, point_mass_on(target), rng)
-        assert nxt == target
+        target = (cur + 1) % 4
+        cur = step(g, cur, 1.0, point_mass_on(g, cur, target), rng)
+        assert cur == target
 
 
 def test_step_biased_marginal_on_complete_graph():
@@ -100,11 +91,9 @@ def test_step_biased_marginal_on_complete_graph():
     rng = SplitMix64(2026)
     trials = 1_000_000
     hits = 0
-    state = WalkState.fresh(0)
-    policy = point_mass_on(1)
+    bias = point_mass_on(g, 0, 1)
     for _ in range(trials):
-        state.current = 0
-        if step(g, state, 0.5, policy, rng) == 1:
+        if step(g, 0, 0.5, bias, rng) == 1:
             hits += 1
     p = 2.0 / 3.0
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -116,10 +105,8 @@ def test_step_unbiased_marginal_is_uniform():
     rng = SplitMix64(11)
     trials = 60_000
     counts = {1: 0, 2: 0, 3: 0}
-    state = WalkState.fresh(0)
     for _ in range(trials):
-        state.current = 0
-        counts[step(g, state, 0.0, None, rng)] += 1
+        counts[step(g, 0, 0.0, None, rng)] += 1
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
     for v in (1, 2, 3):
         assert abs(counts[v] / trials - 1 / 3) <= 4 * sigma
@@ -269,11 +256,11 @@ def test_sweep_policy_prefers_forward_frontier():
     assert vec[g.adj[1].index(2)] == 1.0
 
 
-def sweep_rule(g, visited, current, steps):
-    """The sweep walk's rule as a `step` policy: forward unless only backward is fresh."""
+def sweep_rule(g, visited, current):
+    """The sweep walk's bias row at `current`: forward unless only backward is fresh."""
     fwd, bwd = (current + 1) % g.n, (current - 1) % g.n
     target = fwd if fwd not in visited or bwd in visited else bwd
-    return point_mass_on(target)(g, visited, current, steps)
+    return point_mass_on(g, current, target)
 
 
 class RecordingAdj(list):
@@ -288,13 +275,15 @@ class RecordingAdj(list):
         return super().__getitem__(v)
 
 
-def stepped_path(g, start, eps, policy, rng, stop):
-    """Trajectory of repeated `step` calls until at most `stop` vertices are unvisited."""
-    state = WalkState.fresh(start)
+def stepped_path(g, start, eps, rule, rng, stop):
+    """Trajectory of repeated `step` calls, each with the bias row
+    rule(g, visited, current), until at most `stop` vertices are unvisited."""
+    visited = {start}
     path = [start]
-    while g.n - len(state.visited) > stop:
-        path.append(step(g, state, eps, policy, rng))
-    return path, state.visited
+    while g.n - len(visited) > stop:
+        path.append(step(g, path[-1], eps, rule(g, visited, path[-1]), rng))
+        visited.add(path[-1])
+    return path, visited
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
@@ -304,8 +293,8 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # until half of them are visited
     g = generate("random_regular", n=64, d=3, seed=5)
     rows = walks._decay_rows(g, 0.06, eps)(list(range(1, g.n))) if eps > 0.0 else []
-    policy = lambda g_, vis, cur, steps: rows[cur]
-    expected, seen = stepped_path(g, 0, eps, policy, SplitMix64(seed), (g.n - 1) // 2)
+    rule = lambda g_, vis, cur: rows[cur] if rows else None
+    expected, seen = stepped_path(g, 0, eps, rule, SplitMix64(seed), (g.n - 1) // 2)
     adj = RecordingAdj(g.adj)
     visited = visited_bytes(g.n, {0})
     cur, steps, left = walks._biased_walk(
