@@ -225,11 +225,8 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
         inside = [bool(top >> (k - low) & 1) for k in range(low, n)]
         mass = add_high(mass_low, inside, True)
         valid = (mass > 0.0) & (mass <= HALF_MASS)
-        # tie rule: a set holding vertex n - 1 yields to a complement that qualifies
-        if n == low:
-            rows = slice(1 << (n - 1), None)
-        else:
-            rows = slice(None) if inside[-1] else slice(0)
+        # tie rule: masks from this row up hold n - 1, and yield to a complement that qualifies
+        rows = slice(max(0, (1 << (n - 1)) - (top << low)), None)
         valid[rows] &= add_high(mass_low[::-1][rows], inside, False) > HALF_MASS
         flow = flow_low.copy()
         for k in range(low, n):

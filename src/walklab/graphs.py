@@ -175,6 +175,9 @@ def build_graph(edges: Iterable[Sequence[int]], n: int) -> Graph:
         if key in seen:
             raise GraphError(f"duplicate edge {key}")
         seen.add(key)
+    # too few edges to connect n vertices: refused before n lists are allocated
+    if len(seen) < n - 1:
+        raise GraphError(f"graph is disconnected ({len(seen)} edges cannot connect {n} vertices)")
     canon = sorted(seen)
     adj_sets: list[list[int]] = [[] for _ in range(n)]
     for u, v in canon:
@@ -429,17 +432,6 @@ def is_bipartite(g: Graph) -> bool:
 # vertex expansion
 
 
-def _subset_bits(mask: int) -> frozenset[int]:
-    out = set()
-    v = 0
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
-
-
 def subset_fold(op: np.ufunc, values, dtype) -> np.ndarray:
     """Array `out` of length 2^len(values) with out[m] = 0 op values[j0] op
     values[j1] op ... over the set bits j0 < j1 < ... of m, built by doubling.
@@ -468,7 +460,7 @@ def first_subset_minimum(n: int, low: int, chunk_ratio) -> tuple[float, frozense
         i = int(np.argmin(ratio))
         if ratio[i] < best:
             best, best_mask = float(ratio[i]), top << low | i
-    return best, _subset_bits(best_mask)
+    return best, frozenset(v for v in range(n) if best_mask >> v & 1)
 
 
 def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
@@ -513,6 +505,8 @@ def ball_growth_audit(g: Graph, seed_set: Iterable[int], k: int, psi: float | No
         raise GraphError("ball_growth_audit needs a non-empty set")
     if psi is None:
         psi, _ = vertex_expansion_exact(g)
+    elif not (0.0 <= psi < np.inf):
+        raise GraphError("ball_growth_audit needs a finite psi >= 0")
     grown = len(ball(g, s, k))
     bound = min((1.0 + psi) ** k * len(s), g.n / 2.0)
     return grown >= bound - 1e-9

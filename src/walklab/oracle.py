@@ -4,7 +4,8 @@ Events here are visited-set measurable: whether a length-t trajectory
 satisfies the event depends only on which target vertices it has touched.
 That collapses the d^t trajectory tree onto DP states
 (current vertex, visited-target mask, steps remaining), which is what makes
-exact cover probabilities feasible up to n = 14.
+exact cover probabilities feasible up to n = MASK_GUARD (and the exact
+expected cover time, one linear solve per mask, up to n = COVER_GUARD).
 
 Two walks are evaluated on the same DP: the simple random walk (value =
 mean of child values) and the optimal epsilon-biased walk
@@ -31,7 +32,6 @@ from .rng import SplitMix64
 
 MASK_GUARD = 20
 COVER_GUARD = 16
-DEMO_GUARD = 14
 
 __all__ = [
     "EventKind",
@@ -267,10 +267,10 @@ def power_mean(r: float, v: Sequence[float]) -> float:
         raise OracleError("power mean needs a non-empty vector")
     if min(v) < 0:
         raise OracleError("power mean entries must be nonnegative")
+    if not r >= 1:
+        raise OracleError("power mean implemented for r >= 1 only")
     if math.isinf(r):
         return max(v)
-    if r < 1:
-        raise OracleError("power mean implemented for r >= 1 only")
     if r == 1:
         return sum(v) / len(v)
     try:
@@ -439,35 +439,27 @@ def boost_bound_grid(
 def srw_expected_cover_exact(g: Graph, start: int) -> float:
     """Expected SRW cover time by absorption on the (vertex, visited) chain.
 
-    Masks are processed in decreasing popcount order; within one mask the
-    only unknowns are the already-visited current vertices, so each mask is
-    an independent linear solve.
+    E(v, mask) = 1 + sum_w P(v, w) E(w, mask | bit w), one stacked solve per
+    popcount layer from n - 1 down: a step out of the mask reads the layer
+    above, a step inside it reads 0 from the unwritten table and moves into
+    the matrix I - P on the mask's vertices.
     """
     n = g.n
     if n > COVER_GUARD:
         raise GuardError(f"exact cover expectation guard is n <= {COVER_GUARD}")
     if not (0 <= start < n):
         raise OracleError("start vertex out of range")
-    full = (1 << n) - 1
+    p = np.zeros((n, n))
+    p[g.slots.vertex, g.slots.neighbor] = 1.0 / np.repeat(g.degrees, g.degrees)
+    vs = np.arange(n)
+    masks = np.arange(1 << n)
     expect = np.zeros((1 << n, n))
-    order = sorted(range(1 << n), key=lambda m: -bin(m).count("1"))
-    for mask in order:
-        if mask == full or mask == 0:
-            continue
-        verts = [v for v in range(n) if mask >> v & 1]
-        pos = {v: i for i, v in enumerate(verts)}
-        m = len(verts)
-        a = np.zeros((m, m))
-        rhs = np.ones(m)
-        for v in verts:
-            dv = len(g.adj[v])
-            for w in g.adj[v]:
-                if mask >> w & 1:
-                    a[pos[v], pos[w]] += 1.0 / dv
-                else:
-                    rhs[pos[v]] += expect[mask | (1 << w), w] / dv
-        sol = np.linalg.solve(np.eye(m) - a, rhs)
-        expect[mask, verts] = sol
+    for k in range(n - 1, 0, -1):
+        layer = masks[np.bitwise_count(masks) == k, None]
+        verts = np.nonzero(layer >> vs & 1)[1].reshape(-1, k)
+        rhs = 1.0 + p[verts] @ expect[layer | 1 << vs, vs][:, :, None]
+        a = np.eye(k) - p[verts[:, :, None], verts[:, None, :]]
+        expect[layer, verts] = np.linalg.solve(a, rhs)[:, :, 0]
     return float(expect[1 << start, start])
 
 
@@ -495,14 +487,13 @@ class CoverLowerReport:
 
 
 def cover_lower_demo(g: Graph, c: float, eps: float, start: int = 0) -> CoverLowerReport:
-    """Cover-time lower bound at horizon t = 3 c n, checked against the
-    exact SRW expectation.  p and q_star come from one event-DP pass over
-    the eps grid (0, eps)."""
-    if g.n > DEMO_GUARD:
-        raise GuardError(f"cover lower demo guard is n <= {DEMO_GUARD}")
-    if c <= 0:
-        raise OracleError("c must be positive")
+    """Cover-time lower bound at horizon t = 3 c n, checked against the exact
+    SRW expectation, computed first so that its guard is the demo's.  p and
+    q_star come from one event-DP pass over the eps grid (0, eps)."""
+    if not (0.0 < c < math.inf):
+        raise OracleError("c must be positive and finite")
     _check_eps(eps)
+    exact_cover = srw_expected_cover_exact(g, start)
     t = int(math.ceil(3.0 * c * g.n - 1e-9))
     event = EventSpec(EventKind.COVER_ALL, t)
     # one pass gives p (the eps = 0 row) and q_star (the last row)
@@ -515,7 +506,7 @@ def cover_lower_demo(g: Graph, c: float, eps: float, start: int = 0) -> CoverLow
         p=p,
         q_star=q_star,
         implied_bound=t * (1.0 - q_star),
-        exact_cover=srw_expected_cover_exact(g, start),
+        exact_cover=exact_cover,
     )
 
 

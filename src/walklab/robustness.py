@@ -101,8 +101,8 @@ __all__ = [
 
 def section3_K(psi: float) -> int:
     """K = ceil(2 / log(1 + psi)); log is natural."""
-    if psi <= 0.0:
-        raise GraphError("K needs psi > 0")
+    if not (0.0 < psi < math.inf):
+        raise GraphError("K needs a finite psi > 0")
     return math.ceil(2.0 / math.log1p(psi))
 
 

@@ -214,6 +214,8 @@ def stationary_ratio_audit(w: EdgeWeighting, k: int, beta: float | None = None) 
         raise WeightingError("stationary_ratio_audit needs k >= 0")
     g = w.graph
     beta = lipschitz_beta(w) if beta is None else float(beta)
+    if math.isnan(beta):
+        raise WeightingError("stationary_ratio_audit needs a beta that is not nan")
     d_min = min(g.degrees)
     d_max = max(g.degrees)
     try:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ def test_build_graph_rejects_duplicate_edge():
 def test_build_graph_rejects_disconnected():
     with pytest.raises(GraphError):
         build_graph([(0, 1), (2, 3)], 4)
+
+
+@pytest.mark.parametrize("text", ["1000000 0", "4 3\n0 1\n1 2\n0 2"], ids=["too-few-edges", "isolated-vertex"])
+def test_disconnected_graph_file_is_refused_without_a_per_vertex_table(text):
+    # a 10-byte header promising a million vertices and no edges is refused
+    # on its edge count, before n adjacency lists exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFileError, match="^graph is disconnected"):
+            parse_graph_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_build_graph_rejects_out_of_range():

@@ -624,6 +624,48 @@ def test_exact_cover_cycle():
     assert abs(srw_expected_cover_exact(g, 5) - 28.0) < 1e-9
 
 
+# An irregular graph: a 4-cycle with a pendant path, joined back by a chord.
+IRREGULAR7 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (2, 5)], 7)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("cycle", n=6),
+        generate("complete", n=5),
+        small_regular_catalog()["prism"],
+        generate("random_regular", n=10, d=3, seed=4),
+        IRREGULAR7,
+    ],
+    ids=["cycle:6", "complete:5", "prism", "rr(10,3,4)", "irregular7"],
+)
+def test_exact_cover_equals_the_tail_sum_of_the_cover_law(g):
+    # E[T] = sum over t >= 0 of P(T > t), with P(T <= t) from the event DP,
+    # a second engine; at t = 60 E[T], P(T > t) is down to rounding (~1e-15).
+    u = g.n - 1
+    expect = srw_expected_cover_exact(g, u)
+    law = _horizon_values(g, u, EventSpec(EventKind.COVER_ALL, math.ceil(60 * expect)), [0.0])[0]
+    assert sum(1.0 - f for f in law) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_exact_cover_at_the_guard_from_every_start():
+    cycle, cube = generate("cycle", n=16), generate("hypercube", dim=4)
+    for u in range(16):
+        assert abs(srw_expected_cover_exact(cycle, u) - 120.0) < 1e-9, u
+        assert abs(srw_expected_cover_exact(cube, u) - 59.4973359156472) < 1e-9, u
+    tracemalloc.start()
+    try:
+        srw_expected_cover_exact(cube, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, peak
+
+
+def test_exact_cover_of_one_vertex_is_zero():
+    assert srw_expected_cover_exact(build_graph([], 1), 0) == 0.0
+
+
 def test_exact_cover_guard_and_range():
     with pytest.raises(GuardError):
         srw_expected_cover_exact(generate("cycle", n=18), 0)
@@ -650,12 +692,22 @@ def test_cover_lower_demo_biased_and_full_control():
 
 def test_cover_lower_demo_guards():
     with pytest.raises(GuardError):
-        cover_lower_demo(generate("cycle", n=16), 1.0, 0.0)
+        cover_lower_demo(generate("cycle", n=17), 1.0, 0.0)
     with pytest.raises(OracleError):
         cover_lower_demo(generate("cycle", n=8), 0.0, 0.0)
     for eps in (-0.1, 1.5, math.nan):
         with pytest.raises(OracleError, match=r"eps must lie in \[0, 1\]"):
             cover_lower_demo(generate("cycle", n=8), 1.0, eps)
+
+
+def test_cover_lower_demo_runs_up_to_the_exact_cover_guard(monkeypatch):
+    report = cover_lower_demo(generate("cycle", n=15), 1.0, 0.0)
+    assert report.ok and abs(report.exact_cover - 105.0) < 1e-9
+    passes = []
+    monkeypatch.setattr(oracle, "_horizon_values", lambda *args: passes.append(args))
+    with pytest.raises(GuardError):
+        cover_lower_demo(generate("cycle", n=17), 1.0, 0.0)
+    assert passes == []
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.05, 1.0])

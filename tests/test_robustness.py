@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from walklab import robustness
-from walklab.graphs import GraphError, generate, vertex_expansion_exact
+from walklab import oracle, robustness
+from walklab.graphs import GraphError, ball_growth_audit, generate, vertex_expansion_exact
 from walklab.robustness import (
     ALPHA,
     bucket_index,
@@ -23,8 +23,10 @@ from walklab.robustness import (
 )
 from walklab.rng import SplitMix64
 from walklab.weighting import (
+    WeightingError,
     induced_chain,
     random_lipschitz_weighting,
+    stationary_ratio_audit,
     target_decay_weighting,
     uniform_weighting,
 )
@@ -37,6 +39,45 @@ def test_step_count_formula():
     assert section3_K(1.0) == math.ceil(2 / math.log(2))
     assert section3_K(0.5) == math.ceil(2 / math.log(1.5))
     assert section3_K(3.0) == 2
+
+
+CYCLE8 = generate("cycle", n=8)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: section3_K(math.nan), GraphError),
+        (lambda: section3_K(math.inf), GraphError),
+        (lambda: theorem31_check(uniform_weighting(CYCLE8), psi=math.nan), GraphError),
+        (lambda: section3_lemma_audit(uniform_weighting(CYCLE8), [[0]], psi=math.nan), GraphError),
+        (lambda: oracle.cover_lower_demo(CYCLE8, math.nan, 0.0), oracle.OracleError),
+        (lambda: oracle.cover_lower_demo(CYCLE8, math.inf, 0.0), oracle.OracleError),
+        (lambda: stationary_ratio_audit(uniform_weighting(CYCLE8), 2, beta=math.nan), WeightingError),
+        (lambda: oracle.power_mean(math.nan, (1.0, 2.0)), oracle.OracleError),
+        (lambda: oracle.power_mean(-math.inf, (1.0, 2.0)), oracle.OracleError),
+        (lambda: ball_growth_audit(CYCLE8, {0}, 1, psi=math.nan), GraphError),
+        (lambda: ball_growth_audit(CYCLE8, {0}, 1, psi=math.inf), GraphError),
+        (lambda: ball_growth_audit(CYCLE8, {0}, 1, psi=-0.5), GraphError),
+    ],
+    ids=[
+        "K-nan",
+        "K-inf",
+        "theorem31-psi-nan",
+        "lemma-audit-psi-nan",
+        "cover-demo-c-nan",
+        "cover-demo-c-inf",
+        "stationary-beta-nan",
+        "power-mean-r-nan",
+        "power-mean-r-minus-inf",
+        "ball-growth-psi-nan",
+        "ball-growth-psi-inf",
+        "ball-growth-psi-negative",
+    ],
+)
+def test_non_finite_scale_parameters_are_refused_with_the_module_error(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_sigma_formula():
