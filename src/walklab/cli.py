@@ -21,6 +21,8 @@ Flags can also come from a key=value config file (--config): a key is a flag
 name (dashes or underscores), its value is typed like the flag, and explicit
 flags win over file values.  `build_parser` is the one declaration of every
 flag: its type, default, help, and whether it is required or a work count.
+A run builds the root parser and its own subcommand only; `--help` and an
+unknown subcommand see all of them.
 """
 from __future__ import annotations
 
@@ -128,7 +130,10 @@ def _config_defaults(command: _Parser, path: str) -> dict[str, str]:
 def _parse(argv: list[str] | None) -> argparse.Namespace:
     """Every flag resolved: the command line, then the config file, then the
     defaults of `build_parser`; required flags and work counts checked."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
+    if not parser.commands:  # no subcommand first: help or an error, which list them all
+        parser = build_parser()
     args = parser.parse_args(argv)
     command = parser.commands[args.command]
     if args.config is not None:
@@ -394,7 +399,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
 
     # u64() % k and to_unit(u64()) are the stream's randrange(k) and next_float(), read through block draws
     conv_failures = 0
-    u64 = draws(SplitMix64.stream(args.seed, 0))
+    u64 = draws(SplitMix64.stream(args.seed, 0)).__next__
     for _ in range(args.draws):
         d = 3 + u64() % 4
         raw = [to_unit(u64()) for _ in range(d)]
@@ -438,75 +443,80 @@ def _add_seed(parser: _Parser) -> None:
     parser.add_argument("--seed", type=int, needed=True, help="stream seed (required)")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The root parser and every subcommand, or only `command`: a run declares
+    its own subcommand alone."""
     parser = _Parser(prog="walklab", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    p = sub.add_parser("spectral", help="eigenvalues, gap, conductance of a weighted graph")
-    _add_common(p)
-    p.add_argument("--weights", help="weighting file ('u v weight' per edge)")
-    p.set_defaults(handler=_cmd_spectral)
+    def add(name: str, help_line: str) -> _Parser | None:
+        return sub.add_parser(name, help=help_line) if command in (None, name) else None
 
-    p = sub.add_parser("lipschitz-audit", help="stationary ratio bounds for random weightings")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, default=2.0, help="Lipschitz budget (>= 1)")
-    p.add_argument("--count", type=int, default=50, work=True, help="number of random weightings")
-    p.add_argument("--kmax", type=int, work=True, help="largest distance to audit (default: diameter)")
-    p.add_argument("--assert-beta-max", type=float,
-                   help="fail any weighting whose Lipschitz constant exceeds this")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_lipschitz_audit)
+    if p := add("spectral", "eigenvalues, gap, conductance of a weighted graph"):
+        _add_common(p)
+        p.add_argument("--weights", help="weighting file ('u v weight' per edge)")
+        p.set_defaults(handler=_cmd_spectral)
 
-    p = sub.add_parser("robustness-audit", help="bucket/representative lemma checks + gap endpoint")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, help="random weighting budget in [1, exp(1/(2K))]; omit for uniform weights")
-    p.add_argument("--subsets", type=int, default=50, work=True, help="number of random subsets to audit")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_robustness_audit)
+    if p := add("lipschitz-audit", "stationary ratio bounds for random weightings"):
+        _add_common(p)
+        p.add_argument("--sigma", type=float, default=2.0, help="Lipschitz budget (>= 1)")
+        p.add_argument("--count", type=int, default=50, work=True, help="number of random weightings")
+        p.add_argument("--kmax", type=int, work=True, help="largest distance to audit (default: diameter)")
+        p.add_argument("--assert-beta-max", type=float,
+                       help="fail any weighting whose Lipschitz constant exceeds this")
+        _add_seed(p)
+        p.set_defaults(handler=_cmd_lipschitz_audit)
 
-    p = sub.add_parser("robustness-sweep", help="robustness-audit over random weightings at the budget sigma")
-    _add_common(p)
-    p.add_argument("--weightings", type=int, default=20, work=True, help="number of random weightings")
-    p.add_argument("--subsets", type=int, default=50, work=True, help="random subsets to audit per weighting")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_robustness_sweep)
+    if p := add("robustness-audit", "bucket/representative lemma checks + gap endpoint"):
+        _add_common(p)
+        p.add_argument("--sigma", type=float, help="random weighting budget in [1, exp(1/(2K))]; omit for uniform weights")
+        p.add_argument("--subsets", type=int, default=50, work=True, help="number of random subsets to audit")
+        _add_seed(p)
+        p.set_defaults(handler=_cmd_robustness_audit)
 
-    p = sub.add_parser("cover-sim", help="Monte Carlo cover-time estimation")
-    _add_common(p)
-    p.add_argument("--walk", default="srw", help=" | ".join(WALK_KINDS))
-    p.add_argument("--eps", type=float, default=0.0, help="bias probability per step (0 for srw)")
-    p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
-    p.add_argument("--start", type=int, help="fixed start vertex (default: round-robin when n <= 64)")
-    p.add_argument("--trials", type=int, default=100, help="number of independent trials (>= 2)")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_cover_sim)
+    if p := add("robustness-sweep", "robustness-audit over random weightings at the budget sigma"):
+        _add_common(p)
+        p.add_argument("--weightings", type=int, default=20, work=True, help="number of random weightings")
+        p.add_argument("--subsets", type=int, default=50, work=True, help="random subsets to audit per weighting")
+        _add_seed(p)
+        p.set_defaults(handler=_cmd_robustness_sweep)
 
-    p = sub.add_parser("cover-compare", help="cover-sim per walk kind, each mean against srw's")
-    _add_common(p)
-    p.add_argument("--kinds", default="srw,phase", help="comma-separated walk kinds: " + ", ".join(WALK_KINDS))
-    p.add_argument("--eps", type=float, default=0.25, help="bias probability of every kind but srw (eps 0)")
-    p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
-    p.add_argument("--trials", type=int, default=200, help="number of independent trials per kind (>= 2)")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_cover_compare)
+    if p := add("cover-sim", "Monte Carlo cover-time estimation"):
+        _add_common(p)
+        p.add_argument("--walk", default="srw", help=" | ".join(WALK_KINDS))
+        p.add_argument("--eps", type=float, default=0.0, help="bias probability per step (0 for srw)")
+        p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
+        p.add_argument("--start", type=int, help="fixed start vertex (default: round-robin when n <= 64)")
+        p.add_argument("--trials", type=int, default=100, help="number of independent trials (>= 2)")
+        _add_seed(p)
+        p.set_defaults(handler=_cmd_cover_sim)
 
-    p = sub.add_parser("boost-audit", help="exact DP check of the event-boost bounds")
-    _add_common(p)
-    p.add_argument("--event", needed=True, help="hit:V | hitall:V1,V2 | hitany:V1,V2 | cover | return")
-    p.add_argument("--t", type=int, needed=True, help="event horizon")
-    p.add_argument("--eps", type=float, default=0.0, help="bias probability")
-    p.add_argument("--eta", type=float, default=1.0, help="exponent for the root bound (0 < eta <= 1)")
-    p.add_argument("--start", type=int, default=0, help="start vertex")
-    p.set_defaults(handler=_cmd_boost_audit)
+    if p := add("cover-compare", "cover-sim per walk kind, each mean against srw's"):
+        _add_common(p)
+        p.add_argument("--kinds", default="srw,phase", help="comma-separated walk kinds: " + ", ".join(WALK_KINDS))
+        p.add_argument("--eps", type=float, default=0.25, help="bias probability of every kind but srw (eps 0)")
+        p.add_argument("--psi", type=float, help="expansion value for the phase strategy")
+        p.add_argument("--trials", type=int, default=200, help="number of independent trials per kind (>= 2)")
+        _add_seed(p)
+        p.set_defaults(handler=_cmd_cover_compare)
 
-    p = sub.add_parser("lemma-sweep", help="boost-bound grid over the small graph catalog")
-    _add_common(p, graph=False)
-    p.add_argument("--nmax", type=int, default=6, work=True, help="largest catalog graph to include")
-    p.add_argument("--tmax", type=int, default=5, work=True, help="largest horizon")
-    p.add_argument("--draws", type=int, default=10000, work=True, help="randomized one-step audit draws")
-    _add_seed(p)
-    p.set_defaults(handler=_cmd_lemma_sweep)
+    if p := add("boost-audit", "exact DP check of the event-boost bounds"):
+        _add_common(p)
+        p.add_argument("--event", needed=True, help="hit:V | hitall:V1,V2 | hitany:V1,V2 | cover | return")
+        p.add_argument("--t", type=int, needed=True, help="event horizon")
+        p.add_argument("--eps", type=float, default=0.0, help="bias probability")
+        p.add_argument("--eta", type=float, default=1.0, help="exponent for the root bound (0 < eta <= 1)")
+        p.add_argument("--start", type=int, default=0, help="start vertex")
+        p.set_defaults(handler=_cmd_boost_audit)
+
+    if p := add("lemma-sweep", "boost-bound grid over the small graph catalog"):
+        _add_common(p, graph=False)
+        p.add_argument("--nmax", type=int, default=6, work=True, help="largest catalog graph to include")
+        p.add_argument("--tmax", type=int, default=5, work=True, help="largest horizon")
+        p.add_argument("--draws", type=int, default=10000, work=True, help="randomized one-step audit draws")
+        _add_seed(p)
+        p.set_defaults(handler=_cmd_lemma_sweep)
 
     return parser
 

@@ -1,6 +1,7 @@
 """Immutable simple graphs with the combinatorial machinery the rest of the
 package builds on: generators, multi-source BFS, balls, diameter, and exact
-vertex expansion by exhaustive subset enumeration.
+vertex expansion by exhaustive subset enumeration.  `bfs_columns` runs many
+multi-source BFS at once, one bit per source set, on the slot table.
 
 Graphs are connected, undirected, and loop-free by construction:
 `build_graph` is the one check of an edge list (range, self-loops, repeated
@@ -52,6 +53,7 @@ __all__ = [
     "parse_graph_text",
     "read_graph_file",
     "distances_from",
+    "bfs_columns",
     "all_pairs_distances",
     "ball",
     "diameter",
@@ -392,6 +394,42 @@ def _bfs(adj: Sequence[Sequence[int]], src: list[int]) -> list[int]:
                     dist[w] = depth
                     nxt.append(w)
         frontier = nxt
+    return dist
+
+
+def bfs_columns(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """BFS distances from many source sets at once, bit-parallel on the slot table.
+
+    Column j of the n x B boolean `sources` is one non-empty source set;
+    column j of the n x B int64 result is `distances_from` that set.  The
+    frontier and the reached set hold one bit per (vertex, column), packed
+    into n x ceil(B/64) uint64 words, so a level is one OR-reduction of the
+    frontier words over every vertex's slots.  Only the words that gained
+    bits in a level are decoded, which keeps long-diameter graphs cheap.
+    """
+    src = np.asarray(sources, dtype=bool)
+    if src.ndim != 2 or len(src) != g.n:
+        raise GraphError(f"bfs_columns needs an n x B source array with n = {g.n}")
+    if not src.any(axis=0).all():
+        raise GraphError("bfs_columns needs a non-empty source set in every column")
+    n, b = src.shape
+    words = -(-b // 64)
+    padded = np.zeros((n, 64 * words), dtype=bool)
+    padded[:, :b] = src
+    reached = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    dist = np.where(src, 0, -1)
+    front, depth, sl = reached, 0, g.slots
+    while g.m:  # one vertex has no slots and nothing to reach
+        front = np.bitwise_or.reduceat(front[sl.neighbor], sl.offsets[:-1], axis=0) & ~reached
+        hit = np.flatnonzero(front)  # flat indices of the words that gained bits
+        if not len(hit):
+            break
+        depth += 1
+        reached |= front
+        bits = np.unpackbits(front.reshape(-1)[hit, None].view(np.uint8), axis=1, bitorder="little")
+        i, k = np.divmod(np.flatnonzero(bits.view(bool)), 64)  # a flat search: 2-D nonzero is far slower
+        v, w = np.divmod(hit[i], words)
+        dist[v, 64 * w + k] = depth
     return dist
 
 

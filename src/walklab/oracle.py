@@ -437,7 +437,16 @@ def boost_bound_grid(
 
 
 def srw_expected_cover_exact(g: Graph, start: int) -> float:
-    """Expected SRW cover time by absorption on the (vertex, visited) chain.
+    """Expected SRW cover time from `start`, by absorption on the (vertex,
+    visited) chain: one entry of `_srw_cover_table`."""
+    if not (0 <= start < g.n):
+        raise OracleError("start vertex out of range")
+    return float(_srw_cover_table(g)[1 << start, start])
+
+
+def _srw_cover_table(g: Graph) -> np.ndarray:
+    """E(v, mask), the expected steps to cover from v having visited mask,
+    for every mask holding v: a 2^n x n table, guarded at COVER_GUARD.
 
     E(v, mask) = 1 + sum_w P(v, w) E(w, mask | bit w), one stacked solve per
     popcount layer from n - 1 down: a step out of the mask reads the layer
@@ -447,8 +456,6 @@ def srw_expected_cover_exact(g: Graph, start: int) -> float:
     n = g.n
     if n > COVER_GUARD:
         raise GuardError(f"exact cover expectation guard is n <= {COVER_GUARD}")
-    if not (0 <= start < n):
-        raise OracleError("start vertex out of range")
     p = np.zeros((n, n))
     p[g.slots.vertex, g.slots.neighbor] = 1.0 / np.repeat(g.degrees, g.degrees)
     vs = np.arange(n)
@@ -460,7 +467,7 @@ def srw_expected_cover_exact(g: Graph, start: int) -> float:
         rhs = 1.0 + p[verts] @ expect[layer | 1 << vs, vs][:, :, None]
         a = np.eye(k) - p[verts[:, :, None], verts[:, None, :]]
         expect[layer, verts] = np.linalg.solve(a, rhs)[:, :, 0]
-    return float(expect[1 << start, start])
+    return expect
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,16 @@ statistically across implementations.
 
 The stream format has one owner: `to_unit` decodes a draw (an int or a
 uint64 array) to a uniform, `stream_seeds` derives a batch of trial seeds.
-Tight simulation loops read a stream through `draws` (u64 ints) or
-`unit_draws` (next_float's uniforms).  Each returns the `__next__` of a
-C-level iterator over blocks of `block_u64`, FIRST_BLOCK draws first and
-doubling up to MAX_BLOCK, so a draw costs no Python frame and the served
-sequence is exactly that of next_u64 or next_float.
+Tight simulation loops iterate a stream through `draws` (u64 ints) or
+`unit_draws` (next_float's uniforms).  Each returns a C-level iterator over
+blocks of `block_u64`, FIRST_BLOCK draws first and doubling up to MAX_BLOCK,
+so a draw costs no Python frame and the served sequence is exactly that of
+next_u64 or next_float.
 """
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -130,15 +130,15 @@ def _blocks(rng: SplitMix64) -> Iterator[np.ndarray]:
     yield from map(rng.block_u64, repeat(MAX_BLOCK))
 
 
-def draws(rng: SplitMix64) -> Callable[[], int]:
-    """Next-draw function over `rng`'s u64 stream: call k returns what the k-th
-    next_u64 would.  Draws are generated in blocks (see `_blocks`) and served by
-    a C-level iterator, so a short run generates few draws it never uses and a
+def draws(rng: SplitMix64) -> Iterator[int]:
+    """Iterator over `rng`'s u64 stream: item k is what the k-th next_u64 would
+    return.  Draws are generated in blocks (see `_blocks`) and served by a
+    C-level iterator, so a short run generates few draws it never uses and a
     long one pays no Python frame per draw."""
-    return chain.from_iterable(z.tolist() for z in _blocks(rng)).__next__
+    return chain.from_iterable(z.tolist() for z in _blocks(rng))
 
 
-def unit_draws(rng: SplitMix64) -> Callable[[], float]:
-    """As `draws`, decoded by `to_unit` a block at a time: call k returns what
-    the k-th next_float would."""
-    return chain.from_iterable(to_unit(z).tolist() for z in _blocks(rng)).__next__
+def unit_draws(rng: SplitMix64) -> Iterator[float]:
+    """As `draws`, decoded by `to_unit` a block at a time: item k is what the
+    k-th next_float would return."""
+    return chain.from_iterable(to_unit(z).tolist() for z in _blocks(rng))

@@ -17,11 +17,17 @@ the phase walk turns a weighting into a playable strategy: each phase
 re-targets the unvisited set U, tilts by theta = min(eps, 1 - e^(-psi/32)),
 and walks with B until half of U is gone.  The phase walk needs only the d
 entries of B on each vertex's edges: `_decay_rows` solves for them with the
-dense path's `_bias` on the slot probabilities of `weighting`, in O(m) per
-phase and bit-identical to `induced_chain(w)` -> `extract_bias_matrix`.
+dense path's `_bias` on the slot probabilities of `weighting`, for a batch
+of U sets at once (one `bfs_columns` call, O(m) array work per set), bit for
+bit as `induced_chain(w)` -> `extract_bias_matrix`.  Every phase trial runs
+phases of the same sizes, so `_phase_trials` plays a batch one phase at a
+time: one row build for every trial, then each trial's phase in the loop.
 
 `cover_run` plays one trial and `estimate_cover_time` many; both check the
-spec once, in `_checked`, and play scalar trials through `_trial_runner`.
+spec once, in `_checked`, and play srw and sweep trials through
+`_trial_runner`, phase trials through `_phase_trials` (a batch of one for
+`cover_run`).  The scalar loops iterate their draws: `_biased_walk` reads
+(coin, r) pairs and `_cover_run_srw` u64 draws from the `rng` iterators.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -42,9 +48,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .chains import ReversibleChain
-from .graphs import SUBSET_GUARD, Graph, WalklabError, vertex_expansion_exact
+from .graphs import SUBSET_GUARD, Graph, WalklabError, bfs_columns, vertex_expansion_exact
 from .rng import SplitMix64, draws, splitmix_block, stream_seeds, to_unit, unit_draws
-from .weighting import slot_transitions, target_decay_weighting, uniform_weighting
+from .weighting import _target_decay, slot_transitions, target_decay_weighting, uniform_weighting
 
 # psi used by the phase strategy when the graph is too large for exact
 # enumeration.  It is a configured tilt, not a feasible expansion value:
@@ -149,50 +155,49 @@ def _bias(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
     return b
 
 
-def _decay_rows(g: Graph, theta: float, eps: float) -> Callable[[Sequence[int]], list[list[float]]]:
-    """`_decay_rows(g, theta, eps)(U)[v]` is B over adj[v] for the chain
-    Q(U, theta) of a regular graph, in O(m): bit for bit the entries of
+def _decay_rows(g: Graph, targets: np.ndarray, theta: float, eps: float) -> np.ndarray:
+    """Row j of the B x n boolean `targets` is a target set U; entry [j, v] of
+    the B x n x d result is B over adj[v] for the chain Q(U, theta) of the
+    d-regular graph g.  One `bfs_columns` call and O(B m) array work: bit for
+    bit the entries of
     `extract_bias_matrix(induced_chain(target_decay_weighting(g, U, theta)), g, eps)`."""
     if not (0.0 < eps <= 1.0):
         raise WalkError("bias rows need eps in (0, 1]")
-    p = slot_transitions(uniform_weighting(g))
-
-    def rows(targets: Sequence[int]) -> list[list[float]]:
-        q = slot_transitions(target_decay_weighting(g, targets, theta))
-        return _bias(q, p, eps).reshape(g.n, -1).tolist()
-
-    return rows
+    q = slot_transitions(_target_decay(g, bfs_columns(g, targets.T).T, theta))
+    return _bias(q, slot_transitions(uniform_weighting(g)), eps).reshape(len(targets), g.n, -1)
 
 
 # ---------------------------------------------------------------------------
 # cover-time simulation
 
 
-def _cover_run_srw(
-    adj: Sequence[Sequence[int]], u64: Callable[[], int], visited: bytearray, cur: int, steps: int
-) -> int:
+def _cover_run_srw(adj: Sequence[Sequence[int]], u64: Iterator[int], visited: bytearray, cur: int, steps: int) -> int:
     """Simple random walk until every vertex is visited; one draw per step."""
     left = visited.count(0)
-    while left:
+    if not left:
+        return steps
+    for u in u64:
         nb = adj[cur]
-        cur = nb[u64() % len(nb)]
+        cur = nb[u % len(nb)]
         steps += 1
         if not visited[cur]:
             visited[cur] = 1
             left -= 1
+            if not left:
+                break
     return steps
 
 
 def _biased_walk(
     adj: Sequence[Sequence[int]],
-    unit: Callable[[], float],
+    unit: Iterator[float],
     visited: bytearray,
     cur: int,
     steps: int,
     left: int,
     stop: int,
     eps: float,
-    bias: Callable[[int], Sequence[float]],
+    bias: Callable[[int], Sequence[float]] | None,
 ) -> tuple[int, int, int]:
     """Epsilon-biased walk until at most `stop` of the `left` unvisited vertices remain.
 
@@ -200,10 +205,10 @@ def _biased_walk(
     coin < eps samples the vector bias(cur) at r, otherwise r picks a uniform
     neighbour.  Marks `visited` in place and returns (cur, steps, left).
     """
-    while left > stop:
+    if left <= stop:
+        return cur, steps, left
+    for coin, r in zip(unit, unit):
         nbrs = adj[cur]
-        coin = unit()
-        r = unit()
         if coin < eps:
             idx = _sample_from_vector(bias(cur), r)
         else:
@@ -215,6 +220,8 @@ def _biased_walk(
         if not visited[cur]:
             visited[cur] = 1
             left -= 1
+            if left == stop:
+                break
     return cur, steps, left
 
 
@@ -460,60 +467,74 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
 
 
 def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[..., int]:
-    """Scalar cover walk of a checked spec, (rng, cur, steps=0, visited=None) -> steps.
+    """Scalar srw or sweep cover walk of a checked spec, (rng, cur, steps=0,
+    visited=None) -> steps.
 
     Given (rng, start) it plays a whole trial; given a trial's state mid-walk
     it plays on with draws from rng's counter, which is how the lockstep
-    engine hands its last srw and sweep trials over.  A phase trial can be
-    resumed only at a phase boundary.
-
-    The biased kinds play `_biased_walk` over a schedule of (bias, stop)
-    pairs: the sweep's one-hot rows until every vertex is visited, or per
-    phase of the phase walk the bias rows of Q(U, theta) for U = the
-    unvisited vertices (see `_decay_rows`) until half of U is visited: at
-    most log2(n) + 1 phases.  The sweep rows, theta and the row builder are
-    set up once here and shared by every trial.
+    engine hands its last trials over.  The sweep's one-hot rows are picked
+    once, here, and shared by every trial.
     """
     n = g.n
-    if spec.kind == "sweep":
-        sweep_bias = _sweep_bias(g)
-
-        def schedule(visited: bytearray) -> Iterator[tuple[Callable, int]]:
-            yield sweep_bias(visited), 0
-
-    elif spec.kind == "phase":
-        theta = min(spec.eps, 1.0 - math.exp(-spec.psi / 32.0))
-        decay_rows = _decay_rows(g, theta, spec.eps) if spec.eps > 0.0 else None
-
-        def schedule(visited: bytearray) -> Iterator[tuple[Callable, int]]:
-            while True:
-                # U is every unvisited vertex, so the phase ends when left <= |U| // 2
-                unvisited = [v for v in range(n) if not visited[v]]
-                rows = decay_rows(unvisited) if decay_rows is not None else []
-                yield rows.__getitem__, len(unvisited) // 2
+    sweep_bias = _sweep_bias(g) if spec.kind == "sweep" else None
 
     def cover(rng: SplitMix64, cur: int, steps: int = 0, visited: bytearray | None = None) -> int:
         if visited is None:
             visited = bytearray(n)
             visited[cur] = 1
-        if spec.kind == "srw":
+        if sweep_bias is None:
             return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
-        unit, left = unit_draws(rng), visited.count(0)
-        plan = schedule(visited)
-        while left:
-            bias, stop = next(plan)
-            cur, steps, left = _biased_walk(g.adj, unit, visited, cur, steps, left, stop, spec.eps, bias)
-        return steps
+        left = visited.count(0)
+        return _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, sweep_bias(visited))[1]
 
     return cover
 
 
-def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
-    """Steps of one cover walk of `spec` from `start`, drawing from `rng`.
+def _phase_trials(g: Graph, spec: WalkSpec, streams: Sequence[SplitMix64], starts: Sequence[int]) -> list[int]:
+    """Cover steps of phase trials of a checked spec, played one phase at a time.
 
-    Checks the spec as `estimate_cover_time` does and plays the same trial.
+    Each phase retargets U = the trial's unvisited vertices, tilts by
+    theta = min(eps, 1 - e^(-psi/32)) and walks with the bias rows of
+    Q(U, theta) until half of U is visited.  `left` drops by one per first
+    visit, so every trial runs phases of the same sizes, n - 1, (n - 1) // 2,
+    ..., 1: at most log2(n) + 1 of them.  Each phase builds the rows of every
+    trial in one `_decay_rows` call (none when eps = 0) and then plays each
+    trial's phase in `_biased_walk`, its rows turned into lists just before.
+    A trial resumes each phase from its stream's counter on entry plus two
+    draws per step taken; no draws are held across phases.
     """
-    return _trial_runner(g, _checked(g, replace(spec, start=start)))(rng, start)
+    n, eps = g.n, spec.eps
+    theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
+    origin = [rng.counter for rng in streams]
+    cur, steps = list(starts), [0] * len(starts)
+    visited = [bytearray(n) for _ in starts]
+    for vis, start in zip(visited, starts):
+        vis[start] = 1
+    left = n - 1
+    while left:
+        stop = left // 2
+        if eps > 0.0:
+            unvisited = np.frombuffer(b"".join(visited), dtype=np.uint8).reshape(-1, n) == 0
+            rows = _decay_rows(g, unvisited, theta, eps)
+        for i, rng in enumerate(streams):
+            rng.counter = origin[i] + 2 * steps[i]
+            bias = rows[i].tolist().__getitem__ if eps > 0.0 else None
+            cur[i], steps[i], _ = _biased_walk(g.adj, unit_draws(rng), visited[i], cur[i], steps[i], left, stop, eps, bias)
+        left = stop
+    return steps
+
+
+def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
+    """Steps of one cover walk of `spec` from `start`, drawing from `rng`
+    from its counter on.
+
+    Checks the spec as `estimate_cover_time` does and plays the same trial;
+    a phase trial is a batch of one.
+    """
+    spec = _checked(g, replace(spec, start=start))
+    if spec.kind == "phase":
+        return _phase_trials(g, spec, [rng], [start])[0]
+    return _trial_runner(g, spec)(rng, start)
 
 
 def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> CoverEstimate:
@@ -535,13 +556,20 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
         starts = [spec.start] * trials
     else:
         starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
-    # 1: every trial scalar, as for a graph whose padded neighbour table is too large
-    width = max(1, _lockstep_width(g.n, spec.kind)) if g.n * _slot_span(g) <= _LOCKSTEP_CELLS else 1
+    if spec.kind == "phase":
+        # one batch's bias rows, B x 2m floats, hold at most _LOCKSTEP_CELLS cells
+        width = max(1, _LOCKSTEP_CELLS // max(1, 2 * g.m))
+    elif g.n * _slot_span(g) <= _LOCKSTEP_CELLS:
+        width = max(1, _lockstep_width(g.n, spec.kind))
+    else:
+        width = 1  # every trial scalar: the padded neighbour table is too large
     run = _trial_runner(g, spec)
     counts: list[int] = []
     for first in range(0, trials, width):
         batch = starts[first:first + width]
-        if len(batch) >= _LOCKSTEP_MIN:
+        if spec.kind == "phase":
+            counts += _phase_trials(g, spec, [SplitMix64.stream(seed, first + i) for i in range(len(batch))], batch)
+        elif len(batch) >= _LOCKSTEP_MIN:
             counts += _cover_lockstep(g, spec, seed, first, batch, run)
         else:
             counts += [run(SplitMix64.stream(seed, first + i), s) for i, s in enumerate(batch)]

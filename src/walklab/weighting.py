@@ -66,14 +66,21 @@ class WeightingError(WalklabError):
 
 @dataclass(frozen=True)
 class EdgeWeighting:
-    """Positive weights indexed by the graph's canonical edge order."""
+    """Positive weights indexed by the graph's canonical edge order.
+
+    `weights` may also be a (..., m) stack of weightings of one graph, as the
+    phase walk builds one per trial: `strengths`, `total`, `pi` and
+    `slot_transitions` then hold one result per weighting, each bit for bit
+    that of the weighting alone, and every check runs on each.  The other
+    functions of this module take a single weighting.
+    """
 
     graph: Graph
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.graph.m,):
+        if w.shape[-1:] != (self.graph.m,):
             raise WeightingError(f"expected {self.graph.m} weights, got {w.shape}")
         if not np.isfinite(w).all() or (w <= 0.0).any():
             raise WeightingError("edge weights must be positive and finite")
@@ -85,29 +92,41 @@ class EdgeWeighting:
     def strengths(self) -> np.ndarray:
         """Vertex strengths w(x) = sum of incident edge weights, each finite,
         added in canonical edge order."""
-        sl = self.graph.slots
-        s = np.bincount(sl.vertex, weights=self.weights[sl.edge], minlength=self.graph.n)
+        g = self.graph
+        s = _vertex_sums(g, self.weights.take(g.slots.edge, axis=-1))
         over = np.flatnonzero(~np.isfinite(s))
         if len(over):
-            raise WeightingError(f"strength of vertex {over[0]} overflows the float range")
+            raise WeightingError(f"strength of vertex {over[0] % g.n} overflows the float range")
         s.setflags(write=False)
         return s
 
     @property
-    def total(self) -> float:
-        """W = sum_x w(x) = twice the total edge weight, finite."""
+    def total(self) -> float | np.ndarray:
+        """W = sum_x w(x) = twice the total edge weight, finite; one per weighting of a stack."""
         with np.errstate(over="ignore"):
-            total = float(self.strengths.sum())
-        if not math.isfinite(total):
+            total = self.strengths.sum(axis=-1)
+        if not np.isfinite(total).all():
             raise WeightingError("total edge weight overflows the float range")
-        return total
+        return float(total) if total.ndim == 0 else total
 
     @cached_property
     def pi(self) -> np.ndarray:
         """Stationary law pi(x) = w(x) / W of the induced chain."""
-        pi = self.strengths / self.total
+        pi = self.strengths / np.expand_dims(self.total, -1)
         pi.setflags(write=False)
         return pi
+
+
+def _vertex_sums(g: Graph, x: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of slot values x (..., 2m), as (..., n).
+
+    One `bincount` over the whole stack: each vertex's slots are added in
+    slot order, so every member sums bit for bit as it would alone.
+    """
+    flat = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    bins = g.slots.vertex + g.n * np.arange(len(flat))[:, None]
+    sums = np.bincount(bins.reshape(-1), weights=flat.reshape(-1), minlength=len(flat) * g.n)
+    return sums.reshape(x.shape[:-1] + (g.n,))
 
 
 def uniform_weighting(g: Graph) -> EdgeWeighting:
@@ -143,15 +162,20 @@ def target_decay_weighting(g: Graph, targets: Iterable[int], theta: float) -> Ed
     1/(1-theta)-Lipschitz weighting because adjacent vertices differ in
     distance-to-U by at most one.
     """
-    if not (0.0 <= theta < 1.0):
-        raise WeightingError("target decay needs theta in [0, 1)")
     u_set = sorted(set(map(int, targets)))
     if not u_set:
         raise WeightingError("target decay needs a non-empty target set")
-    dist = distances_from(g, u_set)
+    return _target_decay(g, distances_from(g, u_set), theta)
+
+
+def _target_decay(g: Graph, dist: np.ndarray, theta: float) -> EdgeWeighting:
+    """The target-decay weighting from the distances (..., n) of every vertex
+    to U; a stack of them for a stack of distance rows."""
+    if not (0.0 <= theta < 1.0):
+        raise WeightingError("target decay needs theta in [0, 1)")
     powers = np.array([(1.0 - theta) ** k for k in range(int(dist.max()) + 1)])
     sl = g.slots
-    return EdgeWeighting(g, powers[dist[sl.vertex[sl.edge_slots]].max(axis=0)])
+    return EdgeWeighting(g, powers[dist.take(sl.vertex[sl.edge_slots], axis=-1).max(axis=-2)])
 
 
 def bottleneck_weighting(g: Graph, beta: float) -> tuple[EdgeWeighting, tuple[int, int]]:
@@ -175,15 +199,16 @@ def bottleneck_weighting(g: Graph, beta: float) -> tuple[EdgeWeighting, tuple[in
 def slot_transitions(w: EdgeWeighting) -> np.ndarray:
     """P(v, u) = w(v, u) / w(v) of the induced chain on every slot of the graph.
 
-    O(m).  Raises ChainError unless every row sums to 1 and detailed balance
-    pi(v) P(v, u) = pi(u) P(u, v) holds on every edge, both within 1e-12.
+    O(m), and (..., 2m) for a stack.  Raises ChainError unless every row sums
+    to 1 and detailed balance pi(v) P(v, u) = pi(u) P(u, v) holds on every
+    edge, both within 1e-12.
     """
     sl = w.graph.slots
-    p = w.weights[sl.edge] / w.strengths[sl.vertex]
-    if np.max(np.abs(np.bincount(sl.vertex, weights=p, minlength=w.graph.n) - 1.0)) > ROW_SUM_TOL:
+    p = w.weights.take(sl.edge, axis=-1) / w.strengths.take(sl.vertex, axis=-1)
+    if np.max(np.abs(_vertex_sums(w.graph, p) - 1.0)) > ROW_SUM_TOL:
         raise ChainError("rows must sum to 1 within 1e-12")
-    flow = w.pi[sl.vertex] * p
-    if np.max(np.abs(flow[sl.edge_slots[0]] - flow[sl.edge_slots[1]])) > BALANCE_TOL:
+    flow = w.pi.take(sl.vertex, axis=-1) * p
+    if np.max(np.abs(flow.take(sl.edge_slots[0], axis=-1) - flow.take(sl.edge_slots[1], axis=-1))) > BALANCE_TOL:
         raise ChainError("detailed balance fails at 1e-12")
     return p
 

@@ -20,6 +20,7 @@ from walklab.graphs import (
     ball,
     all_pairs_distances,
     ball_growth_audit,
+    bfs_columns,
     build_graph,
     diameter,
     distances_from,
@@ -412,6 +413,45 @@ def test_distances_from_matches_the_elementwise_bfs(g, data):
             reference_distances(g, bad)
         with pytest.raises(GraphError, match=f"^{re.escape(str(want.value))}$"):
             distances_from(g, bad)
+
+
+COLUMN_GRAPHS = st.one_of(
+    st.integers(min_value=3, max_value=300).map(lambda n: generate("cycle", n=n)),
+    st.just(generate("cycle", n=2048)),
+    st.integers(min_value=1, max_value=7).map(lambda dim: generate("hypercube", dim=dim)),
+    st.sampled_from([(16, 3, 9), (64, 4, 2), (512, 3, 11)]).map(
+        lambda p: generate("random_regular", n=p[0], d=p[1], seed=p[2])
+    ),
+    connected_graphs(max_n=40),
+    st.just(two_components()),
+)
+
+
+@given(COLUMN_GRAPHS, st.sampled_from([1, 63, 64, 65]), st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=120, deadline=None)
+def test_bfs_columns_match_the_scalar_bfs_column_by_column(g, width, seed):
+    # source sets of one vertex, a few, or up to all of them; one stream per case
+    rng = SplitMix64(seed)
+    sources = np.zeros((g.n, width), dtype=bool)
+    for j in range(width):
+        size = (1, 1 + rng.randrange(4), 1 + rng.randrange(g.n))[rng.randrange(3)]
+        sources[[rng.randrange(g.n) for _ in range(size)], j] = True
+    dist = bfs_columns(g, sources)
+    assert dist.dtype == np.int64 and dist.shape == (g.n, width)
+    for j in range(width):
+        assert dist[:, j].tolist() == graphs._bfs(g.adj, np.flatnonzero(sources[:, j]).tolist()), j
+
+
+def test_bfs_columns_need_one_nonempty_set_per_column():
+    g = generate("cycle", n=6)
+    sources = np.zeros((6, 3), dtype=bool)
+    sources[0, 0] = sources[4, 2] = True
+    with pytest.raises(GraphError, match="non-empty source set in every column"):
+        bfs_columns(g, sources)
+    with pytest.raises(GraphError, match="n x B"):
+        bfs_columns(g, np.ones((5, 2), dtype=bool))
+    with pytest.raises(GraphError, match="n x B"):
+        bfs_columns(g, np.ones(6, dtype=bool))
 
 
 @given(st.one_of(

@@ -142,19 +142,19 @@ def test_shuffle_from_one_block_equals_the_per_item_loop(n, seed):
 
 def test_draws_match_direct():
     direct = SplitMix64(4096)
-    u64 = draws(SplitMix64(4096))
+    u64 = draws(SplitMix64(4096)).__next__
     assert [u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
     direct2 = SplitMix64(8192)
-    unit = unit_draws(SplitMix64(8192))
+    unit = unit_draws(SplitMix64(8192)).__next__
     assert [unit() for _ in range(100)] == [direct2.next_float() for _ in range(100)]
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
     # refill at the cap at least once
     count = 20_500
     direct3 = SplitMix64(-77)
-    u64 = draws(SplitMix64(-77))
+    u64 = draws(SplitMix64(-77)).__next__
     assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
     direct4 = SplitMix64(2**64 + 5)
-    unit = unit_draws(SplitMix64(2**64 + 5))
+    unit = unit_draws(SplitMix64(2**64 + 5)).__next__
     got = [unit() for _ in range(count)]
     assert all(type(x) is float for x in got)
     assert got == [direct4.next_float() for _ in range(count)]
@@ -163,7 +163,7 @@ def test_draws_match_direct():
 @pytest.mark.parametrize("make", [draws, unit_draws])
 def test_draws_grow_blocks_up_to_the_cap(make):
     rng = SplitMix64(3)
-    next_draw = make(rng)
+    next_draw = make(rng).__next__
     next_draw()
     assert rng.counter == 64  # a one-draw run generates 64 draws, not MAX_BLOCK
     sizes = [64]

@@ -202,6 +202,14 @@ def dense_bias_rows(g, targets, theta, eps):
     return [b[v, list(g.adj[v])].tolist() for v in range(g.n)]
 
 
+def target_rows(n, sets):
+    """The B x n boolean stack of target sets `_decay_rows` takes."""
+    targets = np.zeros((len(sets), n), dtype=bool)
+    for j, u in enumerate(sets):
+        targets[j, u] = True
+    return targets
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -209,29 +217,36 @@ def dense_bias_rows(g, targets, theta, eps):
         generate("complete", n=6),
         generate("hypercube", dim=4),
         generate("random_regular", n=512, d=3, seed=11),
+        generate("circulant", n=60, offsets=[1, 3, 7, 12, 20, 30]),
     ],
-    ids=["K4", "K6", "cube4", "rr512"],
+    ids=["K4", "K6", "cube4", "rr512", "circulant60-d11"],
 )
 def test_decay_bias_rows_bit_identical_to_dense_extraction(g):
+    # every row of a batch of three target sets; at d >= 8 a pairwise sum of
+    # the strengths would round differently from the dense path's bincount
     rng = SplitMix64(4242)
     for eps in (0.05, 0.25, 1.0):
         for theta in (min(eps, 1.0 - math.exp(-2.0 / 32.0)), eps / 2):
-            for _ in range(3):
-                targets = sorted({rng.randrange(g.n) for _ in range(1 + rng.randrange(g.n))})
-                rows = walks._decay_rows(g, theta, eps)(targets)
-                assert rows == dense_bias_rows(g, targets, theta, eps), (eps, theta, targets)
+            sets = [sorted({rng.randrange(g.n) for _ in range(1 + rng.randrange(g.n))}) for _ in range(3)]
+            rows = walks._decay_rows(g, target_rows(g.n, sets), theta, eps)
+            assert rows.shape == (3, g.n, g.regular_degree)
+            for j, targets in enumerate(sets):
+                assert rows[j].tolist() == dense_bias_rows(g, targets, theta, eps), (eps, theta, targets)
 
 
 def test_decay_bias_rows_keep_the_dense_checks():
     cube = generate("hypercube", dim=3)
+    one = target_rows(cube.n, [[0]])
     with pytest.raises(WalkError):
-        walks._decay_rows(cube, 0.25, 0.125)([0])  # eps below the tilt: negative bias entries
+        walks._decay_rows(cube, one, 0.25, 0.125)  # eps below the tilt: negative bias entries
+    with pytest.raises(WalkError):  # only the second row of the batch has them
+        walks._decay_rows(cube, target_rows(cube.n, [range(cube.n), [0]]), 0.25, 0.125)
     with pytest.raises(WalkError):
-        walks._decay_rows(cube, 0.1, 0.0)
+        walks._decay_rows(cube, one, 0.1, 0.0)
     with pytest.raises(WalkError):
-        walks._decay_rows(cube, 0.1, 1.5)
+        walks._decay_rows(cube, one, 0.1, 1.5)
     with pytest.raises(WeightingError):
-        walks._decay_rows(cube, 1.0, 1.0)([0])
+        walks._decay_rows(cube, one, 1.0, 1.0)
 
 
 # --- the biased walk loop ------------------------------------------------------
@@ -292,7 +307,7 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # phase rows: one phase toward every vertex but the start on rr64, run
     # until half of them are visited
     g = generate("random_regular", n=64, d=3, seed=5)
-    rows = walks._decay_rows(g, 0.06, eps)(list(range(1, g.n))) if eps > 0.0 else []
+    rows = walks._decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0].tolist() if eps > 0.0 else []
     rule = lambda g_, vis, cur: rows[cur] if rows else None
     expected, seen = stepped_path(g, 0, eps, rule, SplitMix64(seed), (g.n - 1) // 2)
     adj = RecordingAdj(g.adj)
@@ -381,6 +396,44 @@ def test_phase_cover_step_counts_are_pinned_on_rr512():
     g = generate("random_regular", n=512, d=3, seed=11)
     steps = [cover_run(g, phase(0.25), SplitMix64.stream(20260818, t), 0) for t in range(6)]
     assert steps == [4323, 4451, 4309, 4668, 8421, 5160]
+
+
+def stepped_phase_steps(g, eps, psi, rng, start):
+    """Cover steps of the phase strategy played with `step`, each phase's
+    rows from the dense extraction: the reference for `cover_run`."""
+    theta = min(eps, 1.0 - math.exp(-psi / 32.0))
+    rows, visited, cur, steps = None, {start}, start, 0
+    while len(visited) < g.n:
+        unvisited = [v for v in range(g.n) if v not in visited]
+        rows = dense_bias_rows(g, unvisited, theta, eps)
+        while g.n - len(visited) > len(unvisited) // 2:
+            cur = step(g, cur, eps, rows[cur], rng)
+            steps += 1
+            visited.add(cur)
+    return steps
+
+
+@pytest.mark.parametrize("skip", [0, 1, 6, 99])
+def test_cover_run_plays_the_phase_trial_from_the_rng_counter(skip):
+    # each phase resumes at the counter the rng held on entry plus two draws
+    # per step taken, wherever that counter started
+    g = generate("random_regular", n=16, d=3, seed=9)
+    rng, reference = SplitMix64(55), SplitMix64(55)
+    for _ in range(skip):
+        rng.next_u64()
+    reference.counter = skip
+    assert cover_run(g, phase(0.25, psi=2.0), rng, 3) == stepped_phase_steps(g, 0.25, 2.0, reference, 3)
+
+
+@pytest.mark.parametrize("trials", [65, 130])
+def test_phase_rows_equal_per_trial_cover_runs(monkeypatch, trials):
+    # one batch, then batches of 64 with a short last one
+    g = generate("random_regular", n=16, d=3, seed=9)
+    spec = phase(0.25, psi=2.0)
+    want = scalar_steps(g, spec, trials, 404)
+    assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
+    monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 64 * 2 * g.m)
+    assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
 
 
 def test_phase_estimate_computes_expansion_once(monkeypatch):
