@@ -24,10 +24,13 @@ phases of the same sizes, so `_phase_trials` plays a batch one phase at a
 time: one row build for every trial, then each trial's phase in the loop.
 
 `cover_run` plays one trial and `estimate_cover_time` many; both check the
-spec once, in `_checked`, and play srw and sweep trials through
-`_trial_runner`, phase trials through `_phase_trials` (a batch of one for
-`cover_run`).  The scalar loops iterate their draws: `_biased_walk` reads
-(coin, r) pairs and `_cover_run_srw` u64 draws from the `rng` iterators.
+spec once, in `_checked`, and make one call (a batch of one for `cover_run`)
+to `_cover_trials(g, spec, seeds, counter, starts) -> steps`, which, like
+`_phase_trials`, plays trial i on the stream seeded seeds[i] from `counter`
+on.  A trial that has taken `steps` steps resumes at counter + (draws per
+step) * steps: 1 draw per srw step, 2 per sweep or phase step.  The scalar
+loops iterate their draws: `_biased_walk` reads (coin, r) pairs and
+`_cover_run_srw` u64 draws from the `rng` iterators.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -259,14 +262,12 @@ def _sweep_bias(g: Graph) -> Callable[[bytearray], Callable[[int], list[float]]]
 _LOCKSTEP_MIN = 32
 _LOCKSTEP_CELLS = 1 << 20
 _REFILL_DRAWS = 1 << 14
-_DRAWS_PER_STEP = {"srw": 1, "sweep": 2}
+_DRAWS_PER_STEP = {"srw": 1, "sweep": 2, "phase": 2}
 
 
 def _lockstep_width(n: int, kind: str) -> int:
-    """Most trials one lockstep batch advances together; 0 for scalar-only kinds."""
-    if kind not in _DRAWS_PER_STEP:
-        return 0
-    return min(_LOCKSTEP_CELLS // n, _REFILL_DRAWS // _DRAWS_PER_STEP[kind])
+    """Most trials one lockstep batch advances together; 0 for phase."""
+    return 0 if kind == "phase" else min(_LOCKSTEP_CELLS // n, _REFILL_DRAWS // _DRAWS_PER_STEP[kind])
 
 
 def _slot_span(g: Graph) -> int:
@@ -276,12 +277,13 @@ def _slot_span(g: Graph) -> int:
 
 
 def _cover_lockstep(
-    g: Graph, spec: WalkSpec, seed: int, first: int, starts: Sequence[int], run: Callable[..., int]
-) -> list[int]:
-    """Cover steps of trials first, first + 1, ... advanced together in numpy.
+    g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, starts: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int, int, bytearray]]]:
+    """Cover steps of srw or sweep trials advanced together in numpy, trial i
+    on the stream seeded seeds[i] from `counter` on.
 
-    Every live trial has taken the same number of steps, so every stream's
-    counter stands at steps * (draws per step) and one `splitmix_block`
+    Every live trial has taken the same number of steps, so every stream
+    stands at counter + steps * (draws per step) and one `splitmix_block`
     refill of m steps serves all rows.  Each refill is decoded once, as the
     scalar loops decode each draw: srw's choice u % span, the sweep's
     coin < eps and uniform choice min(int(r * d), d - 1).  A position is
@@ -301,8 +303,8 @@ def _cover_lockstep(
     is 0.  Blocks start at n - 1 steps, which no trial covers in fewer, and
     double up to the refill cap.  Finished rows are dropped once they make
     up a quarter of the batch.  When fewer than _LOCKSTEP_MIN rows are
-    live, each resumes in the scalar `run` from its vertex, visited set and
-    stream counter.
+    live, it returns every trial's steps (0 if unfinished) and the
+    unfinished trials' (index, vertex, steps, visited) for the scalar loop.
     """
     n = g.n
     dps = _DRAWS_PER_STEP[spec.kind]
@@ -366,7 +368,7 @@ def _cover_lockstep(
         cols = [[adj[c % len(adj)] for c in range(span)] for adj in g.adj]
         advance = srw_block
     nbr = np.array(cols, dtype=np.intp).reshape(-1) * width
-    index = np.arange(len(starts))  # each row's trial, less first
+    index = np.arange(len(starts))  # each row's trial
     pos = np.array(starts, dtype=np.intp) * width
     vis = np.zeros((len(starts), n), dtype=bool)
     vis[index, starts] = True
@@ -382,23 +384,16 @@ def _cover_lockstep(
             keep = left > 0
             index, pos, left, vis = index[keep], pos[keep], left[keep], vis[keep]
         m = min(m, max(1, _REFILL_DRAWS // (dps * len(left))))
-        seeds = stream_seeds(seed, index + first)
         rows = np.arange(len(left)) * n
         # the refill, (dps * m, rows) in C order, is held by advance() alone
-        pos, i, j = advance(splitmix_block(seeds, steps * dps, dps * m).T, pos, vis.reshape(-1), rows)
+        pos, i, j = advance(splitmix_block(seeds[index], counter + steps * dps, dps * m).T, pos, vis.reshape(-1), rows)
         np.maximum.at(out, index[i], j + steps)
         left -= np.bincount(i, minlength=len(left))
         del i, j  # freed before the next refill
         steps += m
         m *= 2
-    for r in np.flatnonzero(left):
-        rng = SplitMix64.stream(seed, first + int(index[r]))
-        rng.counter = steps * dps
-        cur = int(pos[r]) // width
-        visited = bytearray(vis[r].tobytes())
-        visited[cur] = 1  # the sweep marks its last vertex late
-        out[index[r]] = run(rng, cur, steps, visited)
-    return out.tolist()
+    rest = [(int(index[r]), int(pos[r]) // width, steps, bytearray(vis[r].tobytes())) for r in np.flatnonzero(left)]
+    return out.tolist(), rest
 
 
 @dataclass(frozen=True)
@@ -434,11 +429,12 @@ class CoverEstimate:
 def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
     """`spec` with every precondition checked and, for phase, psi resolved.
 
-    psi is the given value, else the exact vertex expansion when
-    n <= SUBSET_GUARD, else DEFAULT_PSI_CONFIG.  A lower bound on the true
-    expansion keeps theta inside the regime where the tilted chain provably
-    mixes; the default is not one (psi <= 13/12 above SUBSET_GUARD), but a
-    configured tilt outside the theorem's hypothesis.
+    psi is the given value, else the exact vertex expansion when eps > 0
+    and n <= SUBSET_GUARD, else DEFAULT_PSI_CONFIG (at eps = 0 theta is 0
+    whatever psi is).  A lower bound on the true expansion keeps theta
+    inside the regime where the tilted chain provably mixes; the default is
+    not one (psi <= 13/12 above SUBSET_GUARD), but a configured tilt outside
+    the theorem's hypothesis.
     """
     if spec.kind not in WALK_KINDS:
         raise WalkError(f"unknown walk kind {spec.kind!r}")
@@ -460,38 +456,45 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
         raise WalkError("bias extraction needs degree >= 3")
     psi = spec.psi
     if psi is None:
-        psi = vertex_expansion_exact(g)[0] if g.n <= SUBSET_GUARD else DEFAULT_PSI_CONFIG
+        psi = vertex_expansion_exact(g)[0] if spec.eps > 0.0 and g.n <= SUBSET_GUARD else DEFAULT_PSI_CONFIG
     if not (math.isfinite(psi) and psi >= 0.0):
         raise WalkError(f"psi must be finite and >= 0, got {psi}")
     return replace(spec, psi=psi)
 
 
-def _trial_runner(g: Graph, spec: WalkSpec) -> Callable[..., int]:
-    """Scalar srw or sweep cover walk of a checked spec, (rng, cur, steps=0,
-    visited=None) -> steps.
+def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, starts: Sequence[int]) -> list[int]:
+    """Cover steps of a batch of trials of a checked spec: trial i starts at
+    starts[i] and plays the stream seeded seeds[i] from `counter` on.
 
-    Given (rng, start) it plays a whole trial; given a trial's state mid-walk
-    it plays on with draws from rng's counter, which is how the lockstep
-    engine hands its last trials over.  The sweep's one-hot rows are picked
-    once, here, and shared by every trial.
+    Phase batches play in `_phase_trials`.  An srw or sweep batch of at
+    least _LOCKSTEP_MIN trials whose padded neighbour table fits in
+    _LOCKSTEP_CELLS runs in `_cover_lockstep`.  Every other trial, and every
+    trial the lockstep engine leaves unfinished, plays the scalar loop from
+    its vertex, visited set and steps, at counter + (draws per step) * steps.
     """
-    n = g.n
+    if spec.kind == "phase":
+        return _phase_trials(g, spec, seeds, counter, starts)
+    n, dps = g.n, _DRAWS_PER_STEP[spec.kind]
+    if len(starts) >= _LOCKSTEP_MIN and n * _slot_span(g) <= _LOCKSTEP_CELLS:
+        out, rest = _cover_lockstep(g, spec, seeds, counter, starts)
+    else:
+        out, rest = [0] * len(starts), [(i, s, 0, bytearray(n)) for i, s in enumerate(starts)]
     sweep_bias = _sweep_bias(g) if spec.kind == "sweep" else None
-
-    def cover(rng: SplitMix64, cur: int, steps: int = 0, visited: bytearray | None = None) -> int:
-        if visited is None:
-            visited = bytearray(n)
-            visited[cur] = 1
+    for i, cur, steps, visited in rest:
+        visited[cur] = 1  # the start, or the vertex the lockstep sweep marks late
+        rng = SplitMix64(int(seeds[i]))
+        rng.counter = counter + dps * steps
         if sweep_bias is None:
-            return _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
-        left = visited.count(0)
-        return _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, sweep_bias(visited))[1]
+            out[i] = _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
+        else:
+            left = visited.count(0)
+            out[i] = _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, sweep_bias(visited))[1]
+    return out
 
-    return cover
 
-
-def _phase_trials(g: Graph, spec: WalkSpec, streams: Sequence[SplitMix64], starts: Sequence[int]) -> list[int]:
-    """Cover steps of phase trials of a checked spec, played one phase at a time.
+def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, starts: Sequence[int]) -> list[int]:
+    """Cover steps of phase trials of a checked spec, played one phase at a
+    time; trial i plays the stream seeded seeds[i] from `counter` on.
 
     Each phase retargets U = the trial's unvisited vertices, tilts by
     theta = min(eps, 1 - e^(-psi/32)) and walks with the bias rows of
@@ -500,12 +503,12 @@ def _phase_trials(g: Graph, spec: WalkSpec, streams: Sequence[SplitMix64], start
     ..., 1: at most log2(n) + 1 of them.  Each phase builds the rows of every
     trial in one `_decay_rows` call (none when eps = 0) and then plays each
     trial's phase in `_biased_walk`, its rows turned into lists just before.
-    A trial resumes each phase from its stream's counter on entry plus two
-    draws per step taken; no draws are held across phases.
+    A trial resumes each phase at counter + 2 * steps, as the scalar srw and
+    sweep loops do; no draws are held across phases.
     """
     n, eps = g.n, spec.eps
     theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
-    origin = [rng.counter for rng in streams]
+    streams = [SplitMix64(seed) for seed in seeds.tolist()]
     cur, steps = list(starts), [0] * len(starts)
     visited = [bytearray(n) for _ in starts]
     for vis, start in zip(visited, starts):
@@ -517,7 +520,7 @@ def _phase_trials(g: Graph, spec: WalkSpec, streams: Sequence[SplitMix64], start
             unvisited = np.frombuffer(b"".join(visited), dtype=np.uint8).reshape(-1, n) == 0
             rows = _decay_rows(g, unvisited, theta, eps)
         for i, rng in enumerate(streams):
-            rng.counter = origin[i] + 2 * steps[i]
+            rng.counter = counter + _DRAWS_PER_STEP["phase"] * steps[i]
             bias = rows[i].tolist().__getitem__ if eps > 0.0 else None
             cur[i], steps[i], _ = _biased_walk(g.adj, unit_draws(rng), visited[i], cur[i], steps[i], left, stop, eps, bias)
         left = stop
@@ -526,15 +529,15 @@ def _phase_trials(g: Graph, spec: WalkSpec, streams: Sequence[SplitMix64], start
 
 def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:
     """Steps of one cover walk of `spec` from `start`, drawing from `rng`
-    from its counter on.
+    from its counter on; `rng` is left just past the trial's last draw.
 
-    Checks the spec as `estimate_cover_time` does and plays the same trial;
-    a phase trial is a batch of one.
+    Checks the spec as `estimate_cover_time` does and plays the same trial,
+    as a batch of one.
     """
     spec = _checked(g, replace(spec, start=start))
-    if spec.kind == "phase":
-        return _phase_trials(g, spec, [rng], [start])[0]
-    return _trial_runner(g, spec)(rng, start)
+    steps = _cover_trials(g, spec, np.array([rng.seed], dtype=np.uint64), rng.counter, [start])[0]
+    rng.counter += _DRAWS_PER_STEP[spec.kind] * steps
+    return steps
 
 
 def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> CoverEstimate:
@@ -545,9 +548,10 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     that invariant is asserted on each trial.  The spec is checked, and the
     phase strategy's psi resolved, once here, not once per trial.
 
-    srw and sweep trials run in lockstep batches of up to `_lockstep_width`
-    trials (see `_cover_lockstep`); each trial's steps equal those of its
-    scalar run, so the rows do not depend on how trials are batched.
+    Trials play in batches of up to `_lockstep_width` srw or sweep trials
+    (see `_cover_lockstep`), or as many phase trials as hold their bias
+    rows in _LOCKSTEP_CELLS; each trial's steps equal those of its scalar
+    run, so the rows do not depend on how trials are batched.
     """
     if trials < 2:
         raise WalkError(f"a cover-time estimate needs at least 2 trials, got {trials}")
@@ -556,23 +560,12 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
         starts = [spec.start] * trials
     else:
         starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
-    if spec.kind == "phase":
-        # one batch's bias rows, B x 2m floats, hold at most _LOCKSTEP_CELLS cells
-        width = max(1, _LOCKSTEP_CELLS // max(1, 2 * g.m))
-    elif g.n * _slot_span(g) <= _LOCKSTEP_CELLS:
-        width = max(1, _lockstep_width(g.n, spec.kind))
-    else:
-        width = 1  # every trial scalar: the padded neighbour table is too large
-    run = _trial_runner(g, spec)
+    # a phase batch's bias rows, B x 2m floats, hold at most _LOCKSTEP_CELLS cells
+    width = max(1, _LOCKSTEP_CELLS // max(1, 2 * g.m) if spec.kind == "phase" else _lockstep_width(g.n, spec.kind))
     counts: list[int] = []
     for first in range(0, trials, width):
         batch = starts[first:first + width]
-        if spec.kind == "phase":
-            counts += _phase_trials(g, spec, [SplitMix64.stream(seed, first + i) for i in range(len(batch))], batch)
-        elif len(batch) >= _LOCKSTEP_MIN:
-            counts += _cover_lockstep(g, spec, seed, first, batch, run)
-        else:
-            counts += [run(SplitMix64.stream(seed, first + i), s) for i, s in enumerate(batch)]
+        counts += _cover_trials(g, spec, stream_seeds(seed, np.arange(first, first + len(batch))), 0, batch)
     rows: list[CoverRow] = []
     for trial, (start, steps) in enumerate(zip(starts, counts)):
         if steps < g.n - 1:

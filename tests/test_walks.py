@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from walklab.chains import ChainError, ReversibleChain
 from walklab.graphs import Graph, build_graph, generate
-from walklab.rng import SplitMix64, unit_draws
+from walklab.rng import SplitMix64, stream_seeds, unit_draws
 from walklab import walks
 from walklab.walks import (
     CoverEstimate,
@@ -344,8 +344,8 @@ def test_cover_run_dispatch_and_validation():
 
 @pytest.mark.parametrize("kind", ["policy", "mystery"])
 def test_estimate_rejects_unknown_kind_before_any_trial(monkeypatch, kind):
-    monkeypatch.setattr(walks, "_trial_runner", lambda *args: pytest.fail("a trial ran"))
-    monkeypatch.setattr(walks, "_cover_lockstep", lambda *args: pytest.fail("a trial ran"))
+    for engine in ("_cover_trials", "_cover_lockstep", "_phase_trials"):
+        monkeypatch.setattr(walks, engine, lambda *args: pytest.fail("a trial ran"))
     with pytest.raises(WalkError, match="unknown walk kind"):
         estimate_cover_time(generate("complete", n=4), WalkSpec(kind=kind), trials=2, seed=1)
     with pytest.raises(WalkError, match="unknown walk kind"):
@@ -413,16 +413,57 @@ def stepped_phase_steps(g, eps, psi, rng, start):
     return steps
 
 
+# one case per walk kind, and the draws each of its steps takes
+COUNTER_CASES = {
+    "srw": (generate("random_regular", n=16, d=3, seed=9), WalkSpec(kind="srw")),
+    "sweep": (generate("cycle", n=12), WalkSpec(kind="sweep", eps=0.25)),
+    "phase": (generate("random_regular", n=16, d=3, seed=9), phase(0.25, psi=2.0)),
+}
+DRAWS_PER_STEP = {"srw": 1, "sweep": 2, "phase": 2}
+
+
+def stepped_cover_steps(g, spec, rng, start):
+    """Cover steps of `spec` played one draw at a time: srw moves to
+    adj[cur][next_u64() % d], the sweep and phase walks take `step`."""
+    if spec.kind == "phase":
+        return stepped_phase_steps(g, spec.eps, spec.psi, rng, start)
+    if spec.kind == "sweep":
+        return len(stepped_path(g, start, spec.eps, sweep_rule, rng, 0)[0]) - 1
+    visited, cur, steps = {start}, start, 0
+    while len(visited) < g.n:
+        cur = g.adj[cur][rng.next_u64() % len(g.adj[cur])]
+        steps += 1
+        visited.add(cur)
+    return steps
+
+
 @pytest.mark.parametrize("skip", [0, 1, 6, 99])
-def test_cover_run_plays_the_phase_trial_from_the_rng_counter(skip):
-    # each phase resumes at the counter the rng held on entry plus two draws
-    # per step taken, wherever that counter started
-    g = generate("random_regular", n=16, d=3, seed=9)
+@pytest.mark.parametrize("kind", sorted(COUNTER_CASES))
+def test_cover_run_plays_the_trial_from_the_rng_counter(kind, skip):
+    # the trial draws from the counter the rng held on entry, wherever it
+    # started (each phase resumes there plus two draws per step taken), and
+    # leaves the rng just past its last draw
+    g, spec = COUNTER_CASES[kind]
     rng, reference = SplitMix64(55), SplitMix64(55)
     for _ in range(skip):
         rng.next_u64()
     reference.counter = skip
-    assert cover_run(g, phase(0.25, psi=2.0), rng, 3) == stepped_phase_steps(g, 0.25, 2.0, reference, 3)
+    assert cover_run(g, spec, rng, 3) == stepped_cover_steps(g, spec, reference, 3)
+    assert rng.counter == reference.counter
+
+
+@pytest.mark.parametrize("kind", sorted(COUNTER_CASES))
+def test_successive_cover_runs_on_one_rng_play_from_consecutive_counters(kind):
+    # the second call starts where the first one's last draw left the
+    # counter, not where a draw block of the iterators happened to end
+    g, spec = COUNTER_CASES[kind]
+    rng = SplitMix64(2024)
+    first, second = cover_run(g, spec, rng, 0), cover_run(g, spec, rng, 1)
+    resumed = SplitMix64(2024)
+    resumed.counter = DRAWS_PER_STEP[kind] * first
+    assert first == cover_run(g, spec, SplitMix64(2024), 0)
+    assert second == cover_run(g, spec, resumed, 1)
+    assert rng.counter == resumed.counter == DRAWS_PER_STEP[kind] * (first + second)
 
 
 @pytest.mark.parametrize("trials", [65, 130])
@@ -448,6 +489,12 @@ def test_phase_estimate_computes_expansion_once(monkeypatch):
     with pytest.raises(WalkError):  # rejected before the expansion is enumerated
         estimate_cover_time(generate("cycle", n=8), phase(0.25), trials=2, seed=1)
     assert len(calls) == 1
+    # at eps = 0 theta is 0 whatever psi is, so none is enumerated
+    calls.clear()
+    rr24 = generate("random_regular", n=24, d=3, seed=1)
+    unbiased = estimate_cover_time(rr24, phase(0.0), trials=4, seed=77)
+    assert calls == []
+    assert unbiased.rows == estimate_cover_time(rr24, phase(0.0, psi=1.0), trials=4, seed=77).rows
 
 
 def test_phase_estimate_builds_bias_rows_once(monkeypatch):
@@ -477,6 +524,8 @@ def test_phase_rejects_psi_that_is_not_finite_and_nonnegative(psi):
         cover_run(g, phase(0.25, psi=psi), SplitMix64(7), 0)
     with pytest.raises(WalkError, match="psi"):
         estimate_cover_time(g, phase(0.25, psi=psi), trials=2, seed=1)
+    with pytest.raises(WalkError, match="psi"):  # a given psi is checked at eps = 0 too
+        estimate_cover_time(g, phase(0.0, psi=psi), trials=2, seed=1)
 
 
 def test_sweep_cover_meets_linear_bound_on_cycle():
@@ -592,7 +641,33 @@ def test_lockstep_runs_only_wide_srw_and_sweep_batches(monkeypatch):
     assert calls == []
     estimate_cover_time(cyc, WalkSpec(kind="srw"), trials=walks._LOCKSTEP_MIN, seed=3)
     estimate_cover_time(cyc, WalkSpec(kind="sweep", eps=0.5), trials=100, seed=3)
-    assert [len(starts) for *_, starts, _ in calls] == [walks._LOCKSTEP_MIN, 100]
+    assert [len(starts) for *_, starts in calls] == [walks._LOCKSTEP_MIN, 100]
+
+
+@pytest.mark.parametrize("spec", [WalkSpec(kind="srw"), WalkSpec(kind="sweep", eps=0.25)], ids=["srw", "sweep"])
+def test_lockstep_batch_from_a_counter_equals_its_scalar_runs(monkeypatch, spec):
+    # the lockstep refills and the hand-over of its tail to the scalar loop
+    # both count from the batch's counter
+    g = generate("cycle", n=16)
+    seeds = stream_seeds(41, np.arange(60))
+    starts = [t % g.n for t in range(60)]
+    handed = []
+    lockstep = walks._cover_lockstep
+
+    def spy(*args):
+        out, rest = lockstep(*args)
+        handed.extend(rest)
+        return out, rest
+
+    monkeypatch.setattr(walks, "_cover_lockstep", spy)
+    steps = walks._cover_trials(g, spec, seeds, 17, starts)
+    assert handed  # the scalar loop finished some of the batch
+    want = []
+    for seed, start in zip(seeds.tolist(), starts):
+        rng = SplitMix64(seed)
+        rng.counter = 17
+        want.append(cover_run(g, spec, rng, start))
+    assert steps == want
 
 
 def test_lockstep_leaves_a_graph_with_an_oversized_padded_table_scalar(monkeypatch):
@@ -644,12 +719,13 @@ def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
     # the engine is stubbed out, so nothing walks
     calls = []
     big = generate("cycle", n=20_000)
-    stub = recording(calls, lambda g, spec, seed, first, starts, run: [g.n - 1] * len(starts))
+    stub = recording(calls, lambda g, spec, seeds, counter, starts: ([g.n - 1] * len(starts), []))
     monkeypatch.setattr(walks, "_cover_lockstep", stub)
     est = estimate_cover_time(big, WalkSpec(kind="srw"), trials=200, seed=1)
     width = walks._LOCKSTEP_CELLS // big.n
-    batches = [(first, len(starts)) for _, _, _, first, starts, _ in calls]
-    assert batches == [(0, width), (width, width), (2 * width, width), (3 * width, 200 - 3 * width)]
+    firsts = [0, width, 2 * width, 3 * width, 200]
+    batches = [(seeds.tolist(), counter, len(starts)) for _, _, seeds, counter, starts in calls]
+    assert batches == [(stream_seeds(1, np.arange(a, b)).tolist(), 0, b - a) for a, b in zip(firsts, firsts[1:])]
     assert est.trials == 200
     # one refill holds at most _REFILL_DRAWS draws, however wide the batch
     monkeypatch.undo()
@@ -673,10 +749,10 @@ def test_lockstep_batch_memory_stays_bounded(g, spec, trials):
     # visits and per-row arrays: each at most _REFILL_DRAWS * 8 bytes, a few
     # alive at once.  Nothing may grow with the number of steps.
     assert trials <= walks._lockstep_width(g.n, spec.kind)
-    run = walks._trial_runner(g, spec)
+    seeds = stream_seeds(17, np.arange(trials))
     tracemalloc.start()
     try:
-        walks._cover_lockstep(g, spec, 17, 0, [t % g.n for t in range(trials)], run)
+        walks._cover_trials(g, spec, seeds, 0, [t % g.n for t in range(trials)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
