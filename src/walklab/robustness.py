@@ -21,9 +21,9 @@ following structure exists, and each piece is checked here numerically:
   pi(R) >= pi(S)/22, pi(S_{b_l}) >= pi(R_l)/11, |B_2K(R_l) \\ S| >= |R_l|/3,
   and the 2K-step flow Q(R_l, S^c) >= d^-2K pi(R_l)/90 (skipped for
   bipartite graphs, whose 2K-step chain never leaves one side of the
-  bipartition, so the flow from that side to its complement is 0).  The
-  chain, its buckets and its dense 2K-step power are built once per call,
-  not once per set.
+  bipartition, so the flow from that side to its complement is 0).  Masses
+  and buckets read w.pi, and the flows of every set in a call come from one
+  stack of 2K slot matvecs P^2K 1_{S^c}: no n x n matrix is built.
 * `theorem31_check` verifies the endpoint bounds: conductance of the
   2K-step chain at least d^-2K/4000 (exhaustively, n <= SUBSET_GUARD, as
   far as exact psi reaches; skipped for bipartite graphs, whose even-step
@@ -51,7 +51,6 @@ import numpy as np
 from .chains import (
     HALF_MASS,
     SPECTRAL_GUARD,
-    ReversibleChain,
     candidate_conductance,
     edge_conductance_exact,
     power_chain,
@@ -70,9 +69,11 @@ from .rng import SplitMix64
 from .weighting import (
     RATIO_TOL,
     EdgeWeighting,
+    _vertex_sums,
     bottleneck_weighting,
     induced_chain,
     lipschitz_beta,
+    slot_transitions,
     uniform_weighting,
 )
 
@@ -141,8 +142,8 @@ def bucket_index(pi_value: float) -> int:
     return int(math.floor(x + BUCKET_EDGE_TOL)) + 1
 
 
-def bucket_partition(chain: ReversibleChain) -> BucketPartition:
-    idx = tuple(bucket_index(float(p)) for p in chain.pi)
+def bucket_partition(w: EdgeWeighting) -> BucketPartition:
+    idx = tuple(bucket_index(float(p)) for p in w.pi)
     buckets: dict[int, set[int]] = {}
     for v, i in enumerate(idx):
         buckets.setdefault(i, set()).add(v)
@@ -316,35 +317,32 @@ def section3_lemma_audit(
     Sets with |S| > n/2 are reported as skipped, not failed, since the lemmas
     only speak about small sets.  On a bipartite graph the flow check is
     skipped with a reason: the 2K-step chain stays on one side, so S equal to
-    a side has no flow to S^c.  The chain, its buckets and its 2K-step power
-    are built once, when the first set reaches the checks.
+    a side has no flow to S^c.  Masses and buckets read w.pi, and the flows
+    of all sets come from one stack of 2K slot matvecs, O(K m) per set.
     """
     g = w.graph
     d, K, sigma, beta, rough = _section3_scale(w, psi)
+    if rough:
+        reason = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
+        return [Section3Report(skipped=reason) for _ in subsets]
     scale = d ** (-2.0 * K) / 90.0
+    partition = bucket_partition(w)
+    bipartite = is_bipartite(g)
     reports = []
-    chain = None
+    flows = []  # (flow check, S, blocks R_l) of every set whose flow is audited
 
     def mass(vs) -> float:
-        return float(sum(chain.pi[v] for v in vs))
+        return float(sum(w.pi[v] for v in vs))
 
     for subset in subsets:
         report = Section3Report()
         reports.append(report)
-        if rough:
-            report.skipped = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
-            continue
         s = frozenset(int(v) for v in subset)
         if not s:
             raise GraphError("section3_lemma_audit needs a non-empty set")
         if 2 * len(s) > g.n:
             report.skipped = f"|S|={len(s)} exceeds n/2"
             continue
-        if chain is None:
-            chain = induced_chain(w)
-            partition = bucket_partition(chain)
-            bipartite = is_bipartite(g)
-            p2k = None if bipartite else power_chain(chain, 2 * K)
         decomp = representative_indices(s, partition)
         c_mass = LemmaCheck("representative_mass_ge_S_over_22")
         c_top = LemmaCheck("top_bucket_ge_block_over_11")
@@ -358,15 +356,24 @@ def section3_lemma_audit(
                 "bipartite graph: the 2K-step chain never leaves one side of the bipartition, "
                 "so a side has no 2K-step flow to its complement"
             )
-        complement = sorted(frozenset(range(g.n)) - s)
+        else:
+            flows.append((c_flow, s, decomp.blocks))
         for (a, b), block in zip(decomp.pairs, decomp.blocks):
             top = block & partition.bucket(b)
             c_top.record(mass(top), mass(block) / 11.0, slack=1e-12)
             outside = ball(g, block, 2 * K) - s
             c_ball.record(float(len(outside)), len(block) / 3.0, slack=1e-9)
-            if p2k is not None:
-                flow = float(p2k.flow_matrix[np.ix_(sorted(block), complement)].sum())
-                c_flow.record(flow, scale * mass(block), slack=1e-15)
+    if flows:
+        # row i becomes P^2K 1_{S_i^c}, each row bit for bit as it would be alone
+        p, neighbor = slot_transitions(w), g.slots.neighbor
+        h = np.ones((len(flows), g.n))
+        for row, (_, s, _) in zip(h, flows):
+            row[sorted(s)] = 0.0
+        for _ in range(2 * K):
+            h = _vertex_sums(g, p * h.take(neighbor, axis=-1))
+        for row, (c_flow, _, blocks) in zip(w.pi * h, flows):
+            for block in blocks:
+                c_flow.record(float(row[sorted(block)].sum()), scale * mass(block), slack=1e-15)
     return reports
 
 
@@ -442,7 +449,7 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
         log_phi_bound=-2.0 * K * math.log(d) - math.log(4000.0),
         log_gap_bound=math.log(1e-8) - 4.0 * K * math.log(d),
     )
-    chain = induced_chain(w)
+    chain = induced_chain(w) if g.n <= SPECTRAL_GUARD else None
     if g.n > SUBSET_GUARD:
         report.phi_skipped = f"n={g.n} exceeds exhaustive-conductance guard {SUBSET_GUARD}"
     elif is_bipartite(g):
@@ -455,7 +462,7 @@ def theorem31_check(w: EdgeWeighting, psi: float | None = None) -> Theorem31Repo
         phi, _ = edge_conductance_exact(p2k)
         report.phi_value = phi
         report.phi_ok = _at_least(phi, report.log_phi_bound)
-    if g.n > SPECTRAL_GUARD:
+    if chain is None:
         report.gap_skipped = f"n={g.n} exceeds spectral guard {SPECTRAL_GUARD}"
     else:
         gap = spectral_gap(chain).gap

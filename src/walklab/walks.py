@@ -265,11 +265,6 @@ _REFILL_DRAWS = 1 << 14
 _DRAWS_PER_STEP = {"srw": 1, "sweep": 2, "phase": 2}
 
 
-def _lockstep_width(n: int, kind: str) -> int:
-    """Most trials one lockstep batch advances together; 0 for phase."""
-    return 0 if kind == "phase" else min(_LOCKSTEP_CELLS // n, _REFILL_DRAWS // _DRAWS_PER_STEP[kind])
-
-
 def _slot_span(g: Graph) -> int:
     """Choices per vertex of the lockstep neighbour table: the lcm of the
     distinct degrees, so (u % span) % deg(v) = u % deg(v) for every draw u."""
@@ -548,7 +543,8 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     that invariant is asserted on each trial.  The spec is checked, and the
     phase strategy's psi resolved, once here, not once per trial.
 
-    Trials play in batches of up to `_lockstep_width` srw or sweep trials
+    Trials play in batches: as many srw or sweep trials as hold their
+    visited arrays in _LOCKSTEP_CELLS and one step's draws in _REFILL_DRAWS
     (see `_cover_lockstep`), or as many phase trials as hold their bias
     rows in _LOCKSTEP_CELLS; each trial's steps equal those of its scalar
     run, so the rows do not depend on how trials are batched.
@@ -560,8 +556,8 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
         starts = [spec.start] * trials
     else:
         starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
-    # a phase batch's bias rows, B x 2m floats, hold at most _LOCKSTEP_CELLS cells
-    width = max(1, _LOCKSTEP_CELLS // max(1, 2 * g.m) if spec.kind == "phase" else _lockstep_width(g.n, spec.kind))
+    width = max(1, _LOCKSTEP_CELLS // max(1, 2 * g.m) if spec.kind == "phase"
+                else min(_LOCKSTEP_CELLS // g.n, _REFILL_DRAWS // _DRAWS_PER_STEP[spec.kind]))
     counts: list[int] = []
     for first in range(0, trials, width):
         batch = starts[first:first + width]

@@ -15,7 +15,8 @@ cached distance matrix.
 Per-vertex and per-edge work indexes the graph's slot table: strengths are
 one `bincount` over it, `lipschitz_beta` reduces each vertex's slice to
 max / min, and `slot_transitions(w)` gives the checked P on every slot in
-O(m), for `induced_chain(w)`'s dense matrix and the phase walk alike.
+O(m), for `induced_chain(w)`'s dense matrix (refused above 512 vertices,
+before it allocates), the Section 3 flows and the phase walk alike.
 `random_lipschitz_weighting` perturbs one edge per move.  Its base and
 every accepted move keep each vertex ratio within sigma (1 + RATIO_TOL), so
 a move on edge (a, b) is accepted iff the recomputed ratios at a and b are
@@ -38,8 +39,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .chains import BALANCE_TOL, ROW_SUM_TOL, ChainError, ReversibleChain
-from .graphs import Graph, GraphFileError, WalklabError, content_lines, diameter, distances_from, parse_endpoints
+from .chains import BALANCE_TOL, ROW_SUM_TOL, SPECTRAL_GUARD, ChainError, ReversibleChain
+from .graphs import Graph, GraphFileError, GuardError, WalklabError, content_lines, diameter, distances_from, parse_endpoints
 from .rng import SplitMix64
 
 RATIO_TOL = 1e-12
@@ -215,10 +216,13 @@ def slot_transitions(w: EdgeWeighting) -> np.ndarray:
 
 def induced_chain(w: EdgeWeighting) -> ReversibleChain:
     """P(x,y) = w(x,y)/w(x) on the edges of w.graph, with stationary law
-    pi(x) = w(x)/W."""
+    pi(x) = w(x)/W, as a dense n x n chain: refused above SPECTRAL_GUARD
+    vertices, before anything of that size is allocated."""
     g = w.graph
     if g.n < 2:
         raise WeightingError("induced chain needs n >= 2")
+    if g.n > SPECTRAL_GUARD:
+        raise GuardError(f"induced_chain is dense; n={g.n} exceeds guard {SPECTRAL_GUARD}")
     sl = g.slots
     p = np.zeros((g.n, g.n))
     p[sl.vertex, sl.neighbor] = slot_transitions(w)

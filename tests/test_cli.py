@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,22 @@ def test_spectral_writes_summary_file(tmp_path, capsys):
     on_disk = json.loads((out_dir / "summary.json").read_text())
     assert on_disk == read_summary(out)
     assert "timestamp" not in on_disk
+
+
+@pytest.mark.parametrize("argv", [["spectral"], ["robustness-audit", "--seed", "1"]], ids=lambda a: a[0])
+def test_dense_commands_refuse_a_large_graph_before_allocating(capsys, argv):
+    # measured peak 2.2 MiB on rr(4096, 3, 1), where the dense chain used to
+    # take 514 MiB before the refusal; the bound, 16 MiB, is an eighth of one
+    # 4096 x 4096 float matrix
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--generate", "random-regular:4096:3:1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert peak <= 16 << 20, peak
+    assert err == "error: induced_chain is dense; n=4096 exceeds guard 512\n"
 
 
 def test_spectral_rejects_graph_and_generate_together(tmp_path, capsys):
@@ -560,8 +577,9 @@ def test_robustness_audit_enumerates_expansion_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "robustness-audit", "--generate", "complete:6", "--subsets", "6", "--seed", "2")
     assert code == 0 and read_summary(out)["failures"] == 0
     assert len(calls) == 1
-    # one build for the Section-3 audit of all six subsets, one for the endpoint check
-    assert sorted(built) == ["induced_chain"] * 2 + ["is_bipartite"] * 2 + ["power_chain"] * 2
+    # the Section-3 audit of all six subsets reads the slot table and builds no
+    # chain; the endpoint check builds the chain and its 2K-step power once
+    assert sorted(built) == ["induced_chain"] + ["is_bipartite"] * 2 + ["power_chain"]
 
 
 def test_robustness_audit_skips_the_flow_check_on_a_bipartite_graph(tmp_path, capsys):
@@ -625,7 +643,7 @@ def test_robustness_audit_runs_above_the_expansion_guard(tmp_path, capsys):
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("audit.jsonl", "summary.json")
     }
     assert digests == {
-        "audit.jsonl": "a3ef710bbac054d0938840443cbb4aceb9190f5d8ddc35109fff989a2e20a126",
+        "audit.jsonl": "bf3b692a0eb407da3b1a5680997309bee7dbdcecd41d43f10e88b9b0bfc66866",
         "summary.json": "377f5295db29230ab90c875d671acca8a7231ed68ab8f483a4daf64ddcab440b",
     }
 
@@ -695,7 +713,7 @@ def test_robustness_sweep_reports_the_margin_where_the_gap_bound_underflows(tmp_
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--generate", "random-regular:600:3:1"], "error: spectral_gap is dense; n=600 exceeds guard 512"),
+        (["--generate", "random-regular:600:3:1"], "error: induced_chain is dense; n=600 exceeds guard 512"),
         (["--generate", "cycle"], "error: malformed generator spec"),
         (["--generate", "cycle:8", "--weightings", "-3"], "error: --weightings must be >= 0, got -3"),
         (["--generate", "cycle:8", "--subsets", "-2"], "error: --subsets must be >= 0, got -2"),

@@ -1,12 +1,15 @@
 """Bucket partition, representative blocks, and the robustness endpoint checks."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from walklab import oracle, robustness
-from walklab.graphs import GraphError, ball_growth_audit, generate, vertex_expansion_exact
+from walklab.chains import power_chain
+from walklab.graphs import GraphError, ball_growth_audit, generate, small_regular_catalog, vertex_expansion_exact
 from walklab.robustness import (
     ALPHA,
     bucket_index,
@@ -104,7 +107,7 @@ def test_bucket_index_half_open_intervals():
 def test_bucket_partition_covers_all_vertices():
     g = generate("cycle", n=6)
     w = target_decay_weighting(g, [0], 0.5)
-    part = bucket_partition(induced_chain(w))
+    part = bucket_partition(w)
     assert sorted(v for vs in part.buckets.values() for v in vs) == list(range(6))
     for i, vs in part.buckets.items():
         assert all(part.index_of[v] == i for v in vs)
@@ -112,7 +115,7 @@ def test_bucket_partition_covers_all_vertices():
 
 def test_bucket_partition_uniform_single_bucket():
     g = generate("cycle", n=6)
-    part = bucket_partition(induced_chain(uniform_weighting(g)))
+    part = bucket_partition(uniform_weighting(g))
     assert len(part.buckets) == 1
 
 
@@ -150,8 +153,7 @@ def test_block_recursion_respects_alpha_threshold():
 def test_representative_indices_on_chain():
     g = generate("cycle", n=16)
     w = target_decay_weighting(g, [0], 0.6)
-    chain = induced_chain(w)
-    part = bucket_partition(chain)
+    part = bucket_partition(w)
     subset = frozenset(range(8))
     decomp = representative_indices(subset, part)
     for a, b in decomp.pairs:
@@ -167,7 +169,7 @@ def test_subset_vertices_out_of_range_are_rejected():
     w = uniform_weighting(g)
     with pytest.raises(GraphError, match="vertex 16 out of range"):
         section3_lemma_audit(w, [{16}])
-    part = bucket_partition(induced_chain(w))
+    part = bucket_partition(w)
     with pytest.raises(GraphError, match="vertex -1 out of range"):
         representative_indices({-1, 2}, part)
 
@@ -262,6 +264,79 @@ def test_lemma_audit_requires_regular_graph():
     path_plus = build_graph([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4)
     with pytest.raises(GraphError):
         section3_lemma_audit(uniform_weighting(path_plus), [frozenset({0})])
+
+
+def dense_flow_margins(w, subsets, psi):
+    """Each set's flow-check min_margin, from the dense P^2K flow matrix."""
+    g = w.graph
+    K = section3_K(psi)
+    flow = power_chain(induced_chain(w), 2 * K).flow_matrix
+    part = bucket_partition(w)
+    scale = g.regular_degree ** (-2.0 * K) / 90.0
+    margins = []
+    for s in subsets:
+        complement = sorted(set(range(g.n)) - s)
+        margins.append(min(
+            float(flow[np.ix_(sorted(block), complement)].sum()) - scale * float(sum(w.pi[v] for v in block))
+            for block in representative_indices(s, part).blocks
+        ))
+    return margins
+
+
+def flow_cases():
+    """(weighting, psi) pairs: the catalog, uniform and at the budget sigma;
+    a sigma-Lipschitz rr(16, 3, 9), where P and its transpose differ; rr512."""
+    rng = SplitMix64.stream(11, 0)
+    for g in small_regular_catalog().values():
+        psi = psi_lower_bound(g)
+        yield uniform_weighting(g), psi
+        yield random_lipschitz_weighting(g, section3_sigma(section3_K(psi)), rng), psi
+    g = generate("random_regular", n=16, d=3, seed=9)
+    psi = psi_lower_bound(g)
+    for _ in range(3):
+        yield random_lipschitz_weighting(g, section3_sigma(section3_K(psi)), rng), psi
+    g = generate("random_regular", n=512, d=3, seed=11)
+    yield uniform_weighting(g), psi_lower_bound(g)
+
+
+def test_flow_margins_match_the_dense_2K_step_chain():
+    rng = SplitMix64.stream(12, 0)
+    audited = 0
+    for w, psi in flow_cases():
+        subsets = random_subsets(w.graph, 10, rng)
+        reports = section3_lemma_audit(w, subsets, psi=psi)
+        flows = [next(c for c in r.checks if c.name == "flow_2K_to_complement_ge_scaled_mass") for r in reports]
+        if flows[0].skipped:  # bipartite
+            continue
+        audited += 1
+        for check, dense in zip(flows, dense_flow_margins(w, subsets, psi)):
+            assert abs(check.min_margin - dense) <= 1e-13 * abs(dense), (w.graph.n, check.min_margin, dense)
+    assert audited == 18
+
+
+def test_theorem31_builds_no_chain_above_the_spectral_guard(monkeypatch):
+    built = []
+    monkeypatch.setattr(robustness, "induced_chain", lambda w: built.append(w))
+    report = theorem31_check(uniform_weighting(generate("random_regular", n=1024, d=3, seed=5)), psi=0.0287)
+    assert built == []
+    assert report.phi_skipped == "n=1024 exceeds exhaustive-conductance guard 24"
+    assert report.gap_skipped == "n=1024 exceeds spectral guard 512"
+
+
+def test_lemma_audit_holds_no_dense_matrix():
+    # measured peak 2.5 MiB at n = 1024 (the dense 2K-step path took 40 MiB);
+    # the bound, 6 MiB, is below one 1024 x 1024 float matrix (8 MiB)
+    g = generate("random_regular", n=1024, d=3, seed=5)
+    w = uniform_weighting(g)
+    subsets = random_subsets(g, 20, SplitMix64.stream(1, 0))
+    tracemalloc.start()
+    try:
+        reports = section3_lemma_audit(w, subsets, psi=0.0287)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in reports)
+    assert peak <= 6 << 20, peak
 
 
 # --- endpoint checks ---------------------------------------------------------

@@ -707,14 +707,31 @@ def test_cover_rows_do_not_depend_on_the_batch_width(monkeypatch):
         monkeypatch.undo()
 
 
+def batch_sizes(monkeypatch, g, spec, trials):
+    """Trials per `_cover_trials` call of one estimate; the engine is stubbed
+    out, so nothing walks."""
+    sizes = []
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_cover_trials", lambda g, spec, seeds, counter, starts: sizes.append(len(starts))
+                  or [g.n - 1] * len(starts))
+        estimate_cover_time(g, spec, trials=trials, seed=1)
+    return sizes
+
+
 def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
-    for n in (4, 64, 512, 20_000, 1 << 21):
-        for kind, dps in (("srw", 1), ("sweep", 2)):
-            width = walks._lockstep_width(n, kind)
-            assert width * n <= walks._LOCKSTEP_CELLS
-            assert width * dps <= walks._REFILL_DRAWS
-    assert walks._lockstep_width(1 << 21, "srw") < walks._LOCKSTEP_MIN  # scalar only
-    assert walks._lockstep_width(64, "phase") == 0
+    for n in (4, 64, 512, 20_000):
+        g = generate("cycle", n=n)
+        for spec, dps in ((WalkSpec(kind="srw"), 1), (WalkSpec(kind="sweep", eps=0.25), 2)):
+            sizes = batch_sizes(monkeypatch, g, spec, 20_000)
+            assert sum(sizes) == 20_000
+            assert max(sizes) * n <= walks._LOCKSTEP_CELLS
+            assert max(sizes) * dps <= walks._REFILL_DRAWS
+    rr = generate("random_regular", n=512, d=3, seed=11)
+    sizes = batch_sizes(monkeypatch, rr, WalkSpec(kind="phase", eps=0.25, psi=0.05), 2000)
+    assert max(sizes) * 2 * rr.m <= walks._LOCKSTEP_CELLS
+    with monkeypatch.context() as m:  # a graph past the cell budget plays its trials one at a time
+        m.setattr(walks, "_LOCKSTEP_CELLS", 10_000)
+        assert batch_sizes(monkeypatch, generate("cycle", n=20_000), WalkSpec(kind="srw"), 40) == [1] * 40
     # a large cycle is cut into batches of at most _LOCKSTEP_CELLS // n trials;
     # the engine is stubbed out, so nothing walks
     calls = []
@@ -743,12 +760,12 @@ def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
         (generate("complete", n=4), WalkSpec(kind="srw"), 5000),
     ],
 )
-def test_lockstep_batch_memory_stays_bounded(g, spec, trials):
+def test_lockstep_batch_memory_stays_bounded(monkeypatch, g, spec, trials):
     # One full-width batch holds its visited array and, per refill, the block
     # (srw decodes it and writes its positions in place), the sorted first
     # visits and per-row arrays: each at most _REFILL_DRAWS * 8 bytes, a few
     # alive at once.  Nothing may grow with the number of steps.
-    assert trials <= walks._lockstep_width(g.n, spec.kind)
+    assert batch_sizes(monkeypatch, g, spec, trials) == [trials]
     seeds = stream_seeds(17, np.arange(trials))
     tracemalloc.start()
     try:
