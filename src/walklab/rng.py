@@ -12,11 +12,12 @@ statistically across implementations.
 
 The stream format has one owner: `to_unit` decodes a draw (an int or a
 uint64 array) to a uniform, `stream_seeds` derives a batch of trial seeds.
-Tight simulation loops iterate a stream through `draws` (u64 ints) or
-`unit_draws` (next_float's uniforms).  Each returns a C-level iterator over
-blocks of `block_u64`, FIRST_BLOCK draws first and doubling up to MAX_BLOCK,
-so a draw costs no Python frame and the served sequence is exactly that of
-next_u64 or next_float.
+`_blocks` serves a stream as successive `block_u64` blocks, FIRST_BLOCK
+draws first (or a size the caller expects to use) and doubling up to
+MAX_BLOCK; the walk loops decode each block in numpy before they read it.
+`draws` iterates a stream's u64 ints, or their remainders mod a span,
+through a C-level iterator over those blocks, so a draw costs no Python
+frame and the served sequence is exactly that of next_u64.
 """
 from __future__ import annotations
 
@@ -120,25 +121,21 @@ FIRST_BLOCK = 64
 MAX_BLOCK = 8192
 
 
-def _blocks(rng: SplitMix64) -> Iterator[np.ndarray]:
-    """Successive uint64 blocks of `rng`: FIRST_BLOCK draws, then doubling up
-    to MAX_BLOCK."""
-    block = FIRST_BLOCK
+def _blocks(rng: SplitMix64, first: int = FIRST_BLOCK) -> Iterator[np.ndarray]:
+    """Successive uint64 blocks of `rng`: `first` draws, clipped to
+    [FIRST_BLOCK, MAX_BLOCK], then doubling up to MAX_BLOCK.  An even `first`
+    gives blocks of even sizes."""
+    block = min(max(first, FIRST_BLOCK), MAX_BLOCK)
     while block < MAX_BLOCK:
         yield rng.block_u64(block)
         block *= 2
     yield from map(rng.block_u64, repeat(MAX_BLOCK))
 
 
-def draws(rng: SplitMix64) -> Iterator[int]:
+def draws(rng: SplitMix64, span: int | None = None, first: int = FIRST_BLOCK) -> Iterator[int]:
     """Iterator over `rng`'s u64 stream: item k is what the k-th next_u64 would
-    return.  Draws are generated in blocks (see `_blocks`) and served by a
-    C-level iterator, so a short run generates few draws it never uses and a
-    long one pays no Python frame per draw."""
-    return chain.from_iterable(z.tolist() for z in _blocks(rng))
-
-
-def unit_draws(rng: SplitMix64) -> Iterator[float]:
-    """As `draws`, decoded by `to_unit` a block at a time: item k is what the
-    k-th next_float would return."""
-    return chain.from_iterable(to_unit(z).tolist() for z in _blocks(rng))
+    return, or its remainder mod `span`, taken in numpy a block at a time.
+    Draws are generated in blocks (see `_blocks`) and served by a C-level
+    iterator, so a short run generates few draws it never uses and a long
+    one pays no Python frame per draw."""
+    return chain.from_iterable((z if span is None else z % span).tolist() for z in _blocks(rng, first))

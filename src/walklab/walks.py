@@ -6,7 +6,9 @@ neighbours.  `step` is the single-step reference: one step from a vertex,
 given the bias row aligned with its neighbours.  The cover runs play that
 step in one loop, `_biased_walk`, whose bias is a function of the current
 vertex: the phase walk's rows of the target-decay bias, or the sweep walk's
-one-hot rows toward the forward or backward neighbour of a cycle.
+one-hot rows toward the forward or backward neighbour of a cycle.  The loop
+samples a row by bisecting its `_thresholds`, the running maxima of its
+cumulative sums, which picks what `step`'s scan picks for every r.
 
 `extract_bias_matrix` inverts the mixture: given a reversible chain Q
 supported on the graph's edges with Q >= (1 - eps)/d entrywise on edges,
@@ -29,8 +31,12 @@ to `_cover_trials(g, spec, seeds, counter, starts) -> steps`, which, like
 `_phase_trials`, plays trial i on the stream seeded seeds[i] from `counter`
 on.  A trial that has taken `steps` steps resumes at counter + (draws per
 step) * steps: 1 draw per srw step, 2 per sweep or phase step.  The scalar
-loops iterate their draws: `_biased_walk` reads (coin, r) pairs and
-`_cover_run_srw` u64 draws from the `rng` iterators.
+loops read draw blocks that numpy has decoded as the lockstep engine decodes
+them: `_cover_run_srw` an srw choice u % span per draw, walked through the
+padded neighbour table of `_srw_table`, and `_biased_walk` one (choice, r)
+pair per step from `_decode_pairs`, choice -1 where the coin says biased.
+Blocks start at the draws of the shortest possible run (`left` srw steps, or
+`left - stop` biased ones) and double from there.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -45,14 +51,16 @@ where the lockstep engine left them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .chains import ReversibleChain
 from .graphs import SUBSET_GUARD, Graph, WalklabError, bfs_columns, vertex_expansion_exact
-from .rng import SplitMix64, draws, splitmix_block, stream_seeds, to_unit, unit_draws
+from .rng import SplitMix64, _blocks, draws, splitmix_block, stream_seeds, to_unit
 from .weighting import _target_decay, slot_transitions, target_decay_weighting, uniform_weighting
 
 # psi used by the phase strategy when the graph is too large for exact
@@ -174,14 +182,60 @@ def _decay_rows(g: Graph, targets: np.ndarray, theta: float, eps: float) -> np.n
 # cover-time simulation
 
 
-def _cover_run_srw(adj: Sequence[Sequence[int]], u64: Iterator[int], visited: bytearray, cur: int, steps: int) -> int:
-    """Simple random walk until every vertex is visited; one draw per step."""
-    left = visited.count(0)
+def _thresholds(rows: np.ndarray) -> list:
+    """Bias rows (..., d) as the lists `_biased_walk` bisects: the running
+    maximum of each row's cumulative sum, its last entry dropped.
+
+    bisect_right(t, r) is `_sample_from_vector(row, r)`: the first i with
+    r < row[0] + ... + row[i], summed in the same order, else d - 1; the
+    running maximum keeps that exact when dust down to -1e-12 makes the
+    sums dip."""
+    return np.maximum.accumulate(np.cumsum(rows, axis=-1), axis=-1)[..., :-1].tolist()
+
+
+def _decode_pairs(z: np.ndarray, d: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(coin, r) draw pairs along the first axis of `z`, decoded as `step`
+    reads them on a d-regular graph: the choice -1 when coin < eps (sample
+    the bias at r), else the uniform neighbour min(int(r * d), d - 1); and r."""
+    biased = to_unit(z[0::2]) < eps
+    r = to_unit(z[1::2])
+    choice = np.minimum((r * d).astype(np.intp), d - 1)
+    choice[biased] = -1
+    return choice, r
+
+
+def _pair_draws(rng: SplitMix64, d: int, eps: float, first: int) -> Iterator[tuple[int, float]]:
+    """`rng`'s draws as the (choice, r) pairs of `_decode_pairs`, a block at a
+    time; blocks start at `first` draws, an even number (see `rng._blocks`)."""
+    return chain.from_iterable(zip(*(a.tolist() for a in _decode_pairs(z, d, eps))) for z in _blocks(rng, first))
+
+
+class _Ring(tuple):
+    """A neighbour tuple read at any choice c as nbrs[c % deg]."""
+
+    def __getitem__(self, c: int) -> int:
+        return tuple.__getitem__(self, c % len(self))
+
+
+def _srw_table(g: Graph) -> tuple[list[Sequence[int]], int | None]:
+    """(table, span) for the srw loops: table[v][c] = adj[v][c % deg v] for c
+    in range(span), span = `_slot_span(g)`, so draw u moves to
+    table[v][u % span].  Rows of degree span are adj's own.  A table wider
+    than _LOCKSTEP_CELLS cells and 2m has `_Ring` rows and span None."""
+    span = _slot_span(g)
+    if g.n * span > max(_LOCKSTEP_CELLS, 2 * g.m):
+        return [_Ring(nbrs) for nbrs in g.adj], None
+    return [nbrs if len(nbrs) == span else tuple(nbrs[c % len(nbrs)] for c in range(span)) for nbrs in g.adj], span
+
+
+def _cover_run_srw(table: Sequence[Sequence[int]], choices: Iterator[int], visited: bytearray, cur: int, steps: int,
+                   left: int) -> int:
+    """Simple random walk until the `left` unvisited vertices are visited:
+    one choice per step, the move table[cur][choice] (see `_srw_table`)."""
     if not left:
         return steps
-    for u in u64:
-        nb = adj[cur]
-        cur = nb[u % len(nb)]
+    for c in choices:
+        cur = table[cur][c]
         steps += 1
         if not visited[cur]:
             visited[cur] = 1
@@ -193,32 +247,27 @@ def _cover_run_srw(adj: Sequence[Sequence[int]], u64: Iterator[int], visited: by
 
 def _biased_walk(
     adj: Sequence[Sequence[int]],
-    unit: Iterator[float],
+    pairs: Iterator[tuple[int, float]],
     visited: bytearray,
     cur: int,
     steps: int,
     left: int,
     stop: int,
-    eps: float,
-    bias: Callable[[int], Sequence[float]] | None,
+    thresholds: Callable[[int], Sequence[float]] | None,
 ) -> tuple[int, int, int]:
     """Epsilon-biased walk until at most `stop` of the `left` unvisited vertices remain.
 
-    Two uniform draws per step from `unit`, coin then r, as in `step`:
-    coin < eps samples the vector bias(cur) at r, otherwise r picks a uniform
+    One (choice, r) pair per step, as `_decode_pairs` reads `step`'s coin
+    and r: choice -1 takes bisect_right(thresholds(cur), r), the bias row's
+    sample at r (see `_thresholds`), any other choice is the uniform
     neighbour.  Marks `visited` in place and returns (cur, steps, left).
     """
     if left <= stop:
         return cur, steps, left
-    for coin, r in zip(unit, unit):
-        nbrs = adj[cur]
-        if coin < eps:
-            idx = _sample_from_vector(bias(cur), r)
-        else:
-            idx = int(r * len(nbrs))
-            if idx == len(nbrs):
-                idx -= 1
-        cur = nbrs[idx]
+    for c, r in pairs:
+        if c < 0:
+            c = bisect_right(thresholds(cur), r)
+        cur = adj[cur][c]
         steps += 1
         if not visited[cur]:
             visited[cur] = 1
@@ -228,29 +277,29 @@ def _biased_walk(
     return cur, steps, left
 
 
-def _sweep_bias(g: Graph) -> Callable[[bytearray], Callable[[int], list[float]]]:
-    """Directional bias for cycles: `_sweep_bias(g)(visited)` is the bias,
-    read against `visited` at each call.
+def _sweep_thresholds(g: Graph) -> Callable[[bytearray], Callable[[int], list[float]]]:
+    """Directional bias for cycles: `_sweep_thresholds(g)(visited)` is the
+    bias as `_thresholds`, read against `visited` at each call.
 
     Vertex v prefers its +1 neighbour while that is unvisited or the -1
     neighbour is visited, and its -1 neighbour otherwise: a pure function
     of (visited, current), so the walk is replayable.  Both one-hot rows of
     every vertex are picked once, here, from the two rows of length d = 2
-    (the lone neighbour of a 2-cycle is slot 0); sampling a one-hot row
-    returns its target for every r in [0, 1).
+    (the lone neighbour of a 2-cycle is slot 0); bisecting a one-hot row's
+    thresholds returns its target for every r in [0, 1).
     """
     n = g.n
     fwd = [(v + 1) % n for v in range(n)]
     bwd = [(v - 1) % n for v in range(n)]
-    hot = ([1.0, 0.0], [0.0, 1.0])
+    hot = _thresholds(np.eye(2))
     ahead = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, fwd)]
     back = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, bwd)]
 
     def against(visited: bytearray) -> Callable[[int], list[float]]:
-        def bias(v: int) -> list[float]:
+        def thresholds(v: int) -> list[float]:
             return back[v] if visited[fwd[v]] and not visited[bwd[v]] else ahead[v]
 
-        return bias
+        return thresholds
 
     return against
 
@@ -280,8 +329,8 @@ def _cover_lockstep(
     Every live trial has taken the same number of steps, so every stream
     stands at counter + steps * (draws per step) and one `splitmix_block`
     refill of m steps serves all rows.  Each refill is decoded once, as the
-    scalar loops decode each draw: srw's choice u % span, the sweep's
-    coin < eps and uniform choice min(int(r * d), d - 1).  A position is
+    scalar loops decode their blocks: srw's choice u % span, the sweep's
+    `_decode_pairs`.  A position is
     v * width, and nbr[v * width + c] is the position one step from v on
     choice c: srw's adj[v][c % deg v], or the sweep's uniform choice c in
     columns 2c and 2c + 1, then its forward and backward targets.  An srw
@@ -333,10 +382,9 @@ def _cover_lockstep(
     def sweep_block(block: np.ndarray, pos: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
         """As `srw_block`, with steps 0..m - 1: step 0 reads the vertex the
         block starts from.  Every vertex of a sweep graph has degree span."""
-        biased = to_unit(block[0::2]) < spec.eps
-        choice = np.minimum((to_unit(block[1::2]) * span).astype(np.intp), span - 1)
-        walk = np.where(biased, 2 * span, 2 * choice)  # choices, then positions
-        del block, biased, choice  # freed before the walk
+        choice = _decode_pairs(block, span, spec.eps)[0]
+        walk = np.where(choice < 0, 2 * span, 2 * choice)  # choices, then positions
+        del block, choice  # freed before the walk
         reads = np.empty(walk.shape + (3,), dtype=bool)
         at = np.empty((len(pos), 3), dtype=np.intp)
         here = at[:, 1]
@@ -360,7 +408,7 @@ def _cover_lockstep(
         advance = sweep_block
     else:
         width = span
-        cols = [[adj[c % len(adj)] for c in range(span)] for adj in g.adj]
+        cols = _srw_table(g)[0]
         advance = srw_block
     nbr = np.array(cols, dtype=np.intp).reshape(-1) * width
     index = np.arange(len(starts))  # each row's trial
@@ -474,16 +522,20 @@ def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
         out, rest = _cover_lockstep(g, spec, seeds, counter, starts)
     else:
         out, rest = [0] * len(starts), [(i, s, 0, bytearray(n)) for i, s in enumerate(starts)]
-    sweep_bias = _sweep_bias(g) if spec.kind == "sweep" else None
+    if spec.kind == "sweep":
+        sweep, span = _sweep_thresholds(g), _slot_span(g)
+    else:
+        table, span = _srw_table(g)
     for i, cur, steps, visited in rest:
         visited[cur] = 1  # the start, or the vertex the lockstep sweep marks late
         rng = SplitMix64(int(seeds[i]))
         rng.counter = counter + dps * steps
-        if sweep_bias is None:
-            out[i] = _cover_run_srw(g.adj, draws(rng), visited, cur, steps)
+        left = visited.count(0)
+        if spec.kind == "sweep":
+            pairs = _pair_draws(rng, span, spec.eps, 2 * left)
+            out[i] = _biased_walk(g.adj, pairs, visited, cur, steps, left, 0, sweep(visited))[1]
         else:
-            left = visited.count(0)
-            out[i] = _biased_walk(g.adj, unit_draws(rng), visited, cur, steps, left, 0, spec.eps, sweep_bias(visited))[1]
+            out[i] = _cover_run_srw(table, draws(rng, span, left), visited, cur, steps, left)
     return out
 
 
@@ -497,11 +549,13 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     visit, so every trial runs phases of the same sizes, n - 1, (n - 1) // 2,
     ..., 1: at most log2(n) + 1 of them.  Each phase builds the rows of every
     trial in one `_decay_rows` call (none when eps = 0) and then plays each
-    trial's phase in `_biased_walk`, its rows turned into lists just before.
-    A trial resumes each phase at counter + 2 * steps, as the scalar srw and
-    sweep loops do; no draws are held across phases.
+    trial's phase in `_biased_walk`, with that trial's `_thresholds` built
+    just before, one trial at a time.  A trial resumes each phase at
+    counter + 2 * steps, as the scalar srw and sweep loops do, and decodes
+    draw blocks from 2 * (left - stop) draws, the phase's shortest length;
+    no draws are held across phases.
     """
-    n, eps = g.n, spec.eps
+    n, d, eps = g.n, g.regular_degree, spec.eps
     theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
     streams = [SplitMix64(seed) for seed in seeds.tolist()]
     cur, steps = list(starts), [0] * len(starts)
@@ -511,13 +565,14 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     left = n - 1
     while left:
         stop = left // 2
+        bias = repeat(None)
         if eps > 0.0:
             unvisited = np.frombuffer(b"".join(visited), dtype=np.uint8).reshape(-1, n) == 0
-            rows = _decay_rows(g, unvisited, theta, eps)
-        for i, rng in enumerate(streams):
+            bias = (_thresholds(rows).__getitem__ for rows in _decay_rows(g, unvisited, theta, eps))
+        for i, (rng, thresholds) in enumerate(zip(streams, bias)):
             rng.counter = counter + _DRAWS_PER_STEP["phase"] * steps[i]
-            bias = rows[i].tolist().__getitem__ if eps > 0.0 else None
-            cur[i], steps[i], _ = _biased_walk(g.adj, unit_draws(rng), visited[i], cur[i], steps[i], left, stop, eps, bias)
+            pairs = _pair_draws(rng, d, eps, 2 * (left - stop))
+            cur[i], steps[i], _ = _biased_walk(g.adj, pairs, visited[i], cur[i], steps[i], left, stop, thresholds)
         left = stop
     return steps
 

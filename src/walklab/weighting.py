@@ -208,8 +208,12 @@ def slot_transitions(w: EdgeWeighting) -> np.ndarray:
     p = w.weights.take(sl.edge, axis=-1) / w.strengths.take(sl.vertex, axis=-1)
     if np.max(np.abs(_vertex_sums(w.graph, p) - 1.0)) > ROW_SUM_TOL:
         raise ChainError("rows must sum to 1 within 1e-12")
-    flow = w.pi.take(sl.vertex, axis=-1) * p
-    if np.max(np.abs(flow.take(sl.edge_slots[0], axis=-1) - flow.take(sl.edge_slots[1], axis=-1))) > BALANCE_TOL:
+    # the flow pi(v) P(v, u) of each edge's two slots, gathered one side at a
+    # time so no (..., 2m) flow array is held
+    a, b = sl.edge_slots
+    gap = w.pi.take(sl.vertex[a], axis=-1) * p.take(a, axis=-1)
+    gap -= w.pi.take(sl.vertex[b], axis=-1) * p.take(b, axis=-1)
+    if np.max(np.abs(gap, out=gap)) > BALANCE_TOL:
         raise ChainError("detailed balance fails at 1e-12")
     return p
 

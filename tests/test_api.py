@@ -266,7 +266,7 @@ REFERENCE_ONLY = {
     "oracle.schur_audit": "acceptance criterion 12: Schur convexity of the boost",
     "oracle.robin_hood_pair": "acceptance criterion 12: the pairs schur_audit is run on",
     "oracle.majorizes": "schur_audit's precondition, also asserted by criterion 12",
-    "walks.step": "the single-step reference the scalar `_biased_walk` is tested against",
+    "walks.step": "the single-step reference the decoded draw pairs and bisected thresholds of `_biased_walk` are tested against",
     "walks.cover_run": "the single-trial entry point README documents",
     "graphs.ball_growth_audit": "the ball-growth lemma |B_k(S)| >= min((1 + psi)^k |S|, n/2), audited on the catalog",
     "oracle.cover_lower_demo": "the exact cover lower bound ROADMAP direction 5 will run",

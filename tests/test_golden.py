@@ -31,8 +31,15 @@ from walklab.cli import main
 MANIFEST = Path(__file__).with_name("golden.json")
 RR512 = "random-regular:512:3:11"
 
-# name -> argv; "{one_vertex}" is replaced by a graph file with one vertex,
-# so no path reaches the hashed output
+# graph files an argv names by placeholder, so no path reaches the hashed
+# output: one vertex, and a 10-cycle with chords 0-5 and 2-7 (degrees 2 and
+# 3, so the srw neighbour table is padded to 6 choices)
+GRAPH_FILES = {
+    "{one_vertex}": "1 0\n",
+    "{irregular}": "10 12\n" + "".join(f"{v} {(v + 1) % 10}\n" for v in range(10)) + "0 5\n2 7\n",
+}
+
+# name -> argv
 CASES: dict[str, list[str]] = {
     # the benchmark's slot shapes, at fixed seeds
     "srw-k4": ["cover-sim", "--generate", "complete:4", "--walk", "srw", "--trials", "1000", "--seed", "1"],
@@ -65,6 +72,17 @@ CASES: dict[str, list[str]] = {
                         "--trials", "4", "--seed", "1"],
     "audit-rr32": ["robustness-audit", "--generate", "random-regular:32:3:7", "--subsets", "20", "--seed", "3"],
     "audit-hypercube3": ["robustness-audit", "--generate", "hypercube:3", "--seed=-5"],
+    # walk paths the benchmark does not reach: every step biased, degree 6,
+    # a sweep whose last trials finish in the scalar loop, and srw on an
+    # irregular graph played scalar (12 trials) and in lockstep (40)
+    "phase-eps1-rr64": ["cover-sim", "--generate", "random-regular:64:3:5", "--walk", "phase", "--eps", "1.0",
+                        "--trials", "8", "--seed", "8"],
+    "phase-hypercube6": ["cover-sim", "--generate", "hypercube:6", "--walk", "phase", "--eps", "0.25",
+                         "--trials", "6", "--seed", "9"],
+    "sweep-c2048": ["cover-sim", "--generate", "cycle:2048", "--walk", "sweep", "--eps", "0.5", "--trials", "40",
+                    "--seed", "10"],
+    "srw-irregular-12": ["cover-sim", "--graph", "{irregular}", "--walk", "srw", "--trials", "12", "--seed", "11"],
+    "srw-irregular-40": ["cover-sim", "--graph", "{irregular}", "--walk", "srw", "--trials", "40", "--seed", "12"],
 }
 
 
@@ -76,8 +94,11 @@ def observe(argv: list[str]) -> dict:
     """Run one invocation in process; its argv, exit code and digests."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "g1.txt").write_text("1 0\n")
-        full = [arg.replace("{one_vertex}", str(root / "g1.txt")) for arg in argv]
+        paths = {}
+        for j, (key, text) in enumerate(GRAPH_FILES.items()):
+            paths[key] = root / f"g{j}.txt"
+            paths[key].write_text(text)
+        full = [str(paths[arg]) if arg in paths else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(full + ["--out", str(root / "out"), "--no-timestamp"])

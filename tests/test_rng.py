@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.rng import MASK64, MAX_BLOCK, SplitMix64, draws, splitmix_block, stream_seeds, to_unit, unit_draws
+from walklab.rng import (
+    FIRST_BLOCK,
+    MASK64,
+    MAX_BLOCK,
+    SplitMix64,
+    _blocks,
+    draws,
+    splitmix_block,
+    stream_seeds,
+    to_unit,
+)
+from walklab.walks import _pair_draws
 
 # First outputs of the classic splitmix64 sequence for seed 0, as published
 # alongside the xoshiro generators; pins the mixing constants.
@@ -140,13 +151,25 @@ def test_shuffle_from_one_block_equals_the_per_item_loop(n, seed):
         assert block.counter == loop.counter == shuffles * max(n - 1, 0)
 
 
+def stepped_pair(rng, d, eps):
+    """One biased step's (choice, r) from two next_float calls, as `walks.step`
+    reads them: -1 when coin < eps, else neighbour min(int(r * d), d - 1)."""
+    coin, r = rng.next_float(), rng.next_float()
+    return (-1 if coin < eps else min(int(r * d), d - 1)), r
+
+
+def pair_draws(rng):
+    """The walk decoder's (choice, r) pairs on a 3-regular graph at eps 0.25."""
+    return _pair_draws(rng, 3, 0.25, FIRST_BLOCK)
+
+
 def test_draws_match_direct():
     direct = SplitMix64(4096)
     u64 = draws(SplitMix64(4096)).__next__
     assert [u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
     direct2 = SplitMix64(8192)
-    unit = unit_draws(SplitMix64(8192)).__next__
-    assert [unit() for _ in range(100)] == [direct2.next_float() for _ in range(100)]
+    pair = pair_draws(SplitMix64(8192)).__next__
+    assert [pair() for _ in range(100)] == [stepped_pair(direct2, 3, 0.25) for _ in range(100)]
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
     # refill at the cap at least once
     count = 20_500
@@ -154,14 +177,14 @@ def test_draws_match_direct():
     u64 = draws(SplitMix64(-77)).__next__
     assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
     direct4 = SplitMix64(2**64 + 5)
-    unit = unit_draws(SplitMix64(2**64 + 5)).__next__
-    got = [unit() for _ in range(count)]
-    assert all(type(x) is float for x in got)
-    assert got == [direct4.next_float() for _ in range(count)]
+    pair = pair_draws(SplitMix64(2**64 + 5)).__next__
+    got = [pair() for _ in range(count // 2)]
+    assert all(type(c) is int and type(r) is float for c, r in got)
+    assert got == [stepped_pair(direct4, 3, 0.25) for _ in range(count // 2)]
 
 
-@pytest.mark.parametrize("make", [draws, unit_draws])
-def test_draws_grow_blocks_up_to_the_cap(make):
+@pytest.mark.parametrize("make, per_item", [(draws, 1), (pair_draws, 2)], ids=["draws", "pair_draws"])
+def test_draws_grow_blocks_up_to_the_cap(make, per_item):
     rng = SplitMix64(3)
     next_draw = make(rng).__next__
     next_draw()
@@ -169,10 +192,39 @@ def test_draws_grow_blocks_up_to_the_cap(make):
     sizes = [64]
     while sizes[-1] < MAX_BLOCK or len(sizes) < 10:
         before = rng.counter
-        for _ in range(sizes[-1]):
+        for _ in range(sizes[-1] // per_item):
             next_draw()
         sizes.append(rng.counter - before)
     assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]
+
+
+@pytest.mark.parametrize(
+    "first, sizes",
+    [
+        (0, [64, 128, 256]),
+        (63, [64, 128, 256]),
+        (100, [100, 200, 400, 800, 1600, 3200, 6400, MAX_BLOCK, MAX_BLOCK]),
+        (5000, [5000, MAX_BLOCK, MAX_BLOCK]),
+        (MAX_BLOCK, [MAX_BLOCK, MAX_BLOCK]),
+        (10**6, [MAX_BLOCK, MAX_BLOCK]),
+    ],
+)
+def test_blocks_start_at_the_first_size_clipped_to_the_bounds(first, sizes):
+    rng = SplitMix64(11)
+    blocks = _blocks(rng, first)
+    got = [next(blocks) for _ in sizes]
+    assert [len(z) for z in got] == sizes and rng.counter == sum(sizes)
+    direct = SplitMix64(11)
+    assert np.concatenate(got).tolist() == [direct.next_u64() for _ in range(sum(sizes))]
+
+
+@pytest.mark.parametrize("span", [None, 1, 2, 6, 420])
+def test_draws_modulo_a_span_are_the_draws_modulo_the_span(span):
+    direct = SplitMix64(-9)
+    choice = draws(SplitMix64(-9), span, 100).__next__
+    count = 1000
+    want = [direct.next_u64() for _ in range(count)]
+    assert [choice() for _ in range(count)] == [u if span is None else u % span for u in want]
 
 
 def test_negative_blocks_do_not_rewind_the_stream():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from functools import cached_property
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from walklab.chains import ChainError, ReversibleChain
 from walklab.graphs import Graph, build_graph, generate
-from walklab.rng import SplitMix64, stream_seeds, unit_draws
+from walklab import rng as rng_module
+from walklab.rng import SplitMix64, stream_seeds
 from walklab import walks
 from walklab.walks import (
     CoverEstimate,
@@ -259,16 +261,23 @@ def visited_bytes(n, seen):
     return visited
 
 
+# r at both ends of [0, 1) and in between
+UNIT_ENDS = (0.0, 0.5, 1.0 - 2.0**-53)
+
+
+def sweep_targets(g, seen, v):
+    """The vertices the sweep's biased step from v reaches over UNIT_ENDS."""
+    thresholds = walks._sweep_thresholds(g)(visited_bytes(g.n, seen))(v)
+    return {g.adj[v][bisect_right(thresholds, r)] for r in UNIT_ENDS}
+
+
 def test_sweep_policy_prefers_forward_frontier():
     g = generate("cycle", n=8)
-    vec = walks._sweep_bias(g)(visited_bytes(8, {0}))(0)
-    assert vec[g.adj[0].index(1)] == 1.0
+    assert sweep_targets(g, {0}, 0) == {1}
     # forward blocked and backward fresh: turn around
-    vec = walks._sweep_bias(g)(visited_bytes(8, {1, 2}))(1)
-    assert vec[g.adj[1].index(0)] == 1.0
+    assert sweep_targets(g, {1, 2}, 1) == {0}
     # both sides seen: keep pushing forward
-    vec = walks._sweep_bias(g)(visited_bytes(8, {0, 1, 2}))(1)
-    assert vec[g.adj[1].index(2)] == 1.0
+    assert sweep_targets(g, {0, 1, 2}, 1) == {2}
 
 
 def sweep_rule(g, visited, current):
@@ -305,16 +314,19 @@ def stepped_path(g, start, eps, rule, rng, stop):
 @pytest.mark.parametrize("seed", [3, 2**64 + 9])
 def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # phase rows: one phase toward every vertex but the start on rr64, run
-    # until half of them are visited
+    # until half of them are visited, reading decoded draw pairs from a
+    # block sized to the phase as `_phase_trials` does
     g = generate("random_regular", n=64, d=3, seed=5)
-    rows = walks._decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0].tolist() if eps > 0.0 else []
+    built = walks._decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0] if eps > 0.0 else None
+    rows = built.tolist() if eps > 0.0 else []
     rule = lambda g_, vis, cur: rows[cur] if rows else None
     expected, seen = stepped_path(g, 0, eps, rule, SplitMix64(seed), (g.n - 1) // 2)
     adj = RecordingAdj(g.adj)
     visited = visited_bytes(g.n, {0})
-    cur, steps, left = walks._biased_walk(
-        adj, unit_draws(SplitMix64(seed)), visited, 0, 0, g.n - 1, (g.n - 1) // 2, eps, rows.__getitem__
-    )
+    left, stop = g.n - 1, (g.n - 1) // 2
+    pairs = walks._pair_draws(SplitMix64(seed), 3, eps, 2 * (left - stop))
+    thresholds = walks._thresholds(built).__getitem__ if eps > 0.0 else None
+    cur, steps, left = walks._biased_walk(adj, pairs, visited, 0, 0, left, stop, thresholds)
     assert adj.path + [cur] == expected
     assert steps == len(expected) - 1 and left == g.n - len(seen)
     assert visited == visited_bytes(g.n, seen)
@@ -323,11 +335,64 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     expected, _ = stepped_path(cyc, 5, eps, sweep_rule, SplitMix64(seed), 0)
     adj = RecordingAdj(cyc.adj)
     visited = visited_bytes(cyc.n, {5})
+    pairs = walks._pair_draws(SplitMix64(seed), 2, eps, 2 * (cyc.n - 1))
     cur, steps, left = walks._biased_walk(
-        adj, unit_draws(SplitMix64(seed)), visited, 5, 0, cyc.n - 1, 0, eps, walks._sweep_bias(cyc)(visited)
+        adj, pairs, visited, 5, 0, cyc.n - 1, 0, walks._sweep_thresholds(cyc)(visited)
     )
     assert adj.path + [cur] == expected
     assert (steps, left) == (len(expected) - 1, 0)
+
+
+dust = st.sampled_from([0.0, -1e-12, -5e-13, -1e-13, 1e-12, 1e-16])
+
+
+@given(
+    st.integers(min_value=2, max_value=8).flatmap(
+        lambda d: st.lists(st.floats(min_value=0.0, max_value=1.0) | dust, min_size=d, max_size=d)
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bisected_thresholds_sample_as_the_row_does(row, normalize):
+    # bisect_right over the running maxima of the cumulative sums equals
+    # `_sample_from_vector` at every threshold, one ulp either side of it,
+    # and the ends of [0, 1), also where dust makes the sums dip
+    if normalize and sum(row) > 0.0:
+        row = [x / sum(row) for x in row]
+    thresholds = walks._thresholds(np.array(row))
+    assert len(thresholds) == len(row) - 1
+    sums = np.cumsum(row).tolist()
+    for r in set(UNIT_ENDS) | {x for t in sums for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))}:
+        assert bisect_right(thresholds, r) == walks._sample_from_vector(row, r), (row, r)
+
+
+IRREGULAR = build_graph([(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)], 10)  # degrees 2 and 3
+
+
+@pytest.mark.parametrize("trials, lockstep, padded", [(12, False, True), (40, True, True), (12, False, False)],
+                         ids=["scalar", "lockstep-hand-over", "unpadded"])
+def test_srw_cover_replays_modulo_degree_stepping_on_an_irregular_graph(monkeypatch, trials, lockstep, padded):
+    # choices u % 6 through the padded table, played scalar, handed over by
+    # the lockstep engine, or read modulo each degree when the table is too
+    # wide, equal stepping to adj[v][next_u64() % deg v]
+    assert walks._slot_span(IRREGULAR) == 6
+    if not padded:
+        monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 6 * IRREGULAR.n - 1)
+    assert (walks._srw_table(IRREGULAR)[1] is None) is not padded
+    handed = []
+    engine = walks._cover_lockstep
+
+    def spy(*args):
+        out, rest = engine(*args)
+        handed.append(rest)
+        return out, rest
+
+    monkeypatch.setattr(walks, "_cover_lockstep", spy)
+    rows = estimate_cover_time(IRREGULAR, WalkSpec(kind="srw"), trials=trials, seed=-31).rows
+    want = [stepped_cover_steps(IRREGULAR, WalkSpec(kind="srw"), SplitMix64.stream(-31, t), t % 10)
+            for t in range(trials)]
+    assert [r.steps for r in rows] == want
+    assert bool(handed) is lockstep and all(handed)  # the lockstep engine left trials to the scalar loop
 
 
 # --- cover runs ----------------------------------------------------------------
@@ -475,6 +540,42 @@ def test_phase_rows_equal_per_trial_cover_runs(monkeypatch, trials):
     assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
     monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 64 * 2 * g.m)
     assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
+
+
+def test_phase_draw_blocks_start_at_the_phase_length(monkeypatch):
+    # each phase's first block holds the draws of its shortest possible
+    # length, 2 (left - stop), so a long phase does not climb from 64
+    # draws: three 32-trial estimates on rr512 make 3486 block_u64 calls,
+    # against 4023 when every phase started at 64 (bound: 3486 + 3%)
+    g = generate("random_regular", n=512, d=3, seed=11)
+    sizes = []
+    block_u64 = SplitMix64.block_u64
+    monkeypatch.setattr(SplitMix64, "block_u64", lambda rng, m: sizes.append(m) or block_u64(rng, m))
+    for seed in (1, 2, 3):
+        estimate_cover_time(g, phase(0.25), trials=32, seed=seed)
+    assert len(sizes) <= 3590
+    assert sizes[0] == 2 * (g.n - 1 - (g.n - 1) // 2)  # 512 draws, the first phase's 256 steps
+    assert min(sizes) == rng_module.FIRST_BLOCK
+
+
+def test_phase_threshold_build_peaks_no_higher_than_its_rows():
+    # one full-width batch of rows on rr(8192, 3), 32 sets, and each set's
+    # thresholds built in turn as `_phase_trials` reads them: the tracemalloc
+    # peak (23.0 MiB) stays within the 25.1 MiB that building the rows alone
+    # took when the walk sampled the rows themselves
+    g = generate("random_regular", n=8192, d=3, seed=11)
+    rng = SplitMix64(5)
+    targets = np.array([rng.block_u64(g.n) % np.uint64(2) == 0 for _ in range(32)])
+    theta = 1.0 - math.exp(-2.0 / 32.0)
+    g.slots  # the graph's cached tables are not part of the build
+    tracemalloc.start()
+    try:
+        for thresholds in map(walks._thresholds, walks._decay_rows(g, targets, theta, 0.25)):
+            assert len(thresholds) == g.n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25.1 * 2**20, peak / 2**20
 
 
 def test_phase_estimate_computes_expansion_once(monkeypatch):
