@@ -1,5 +1,5 @@
-"""Reversible finite Markov chains: spectra, ergodic flow, conductance,
-powers, and total-variation mixing.
+"""Reversible finite Markov chains: spectra, conductance, powers, and
+total-variation mixing.
 
 Everything here is dense linear algebra on small state spaces.  The
 spectrum is LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) applied to
@@ -12,7 +12,6 @@ and is guarded at n <= graphs.SUBSET_GUARD; the spectral path at n <= 512.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "SpectralReport",
     "ChainError",
     "spectral_gap",
-    "ergodic_flow",
-    "candidate_conductance",
     "edge_conductance_exact",
     "power_chain",
     "mixing_time_tv",
@@ -48,8 +45,8 @@ class ReversibleChain:
     """Row-stochastic matrix P with stationary law pi satisfying detailed
     balance pi(x) P(x,y) = pi(y) P(y,x).
 
-    Validation happens at construction: row sums and detailed balance to
-    1e-12, pi positive and summing to 1.
+    Validation happens at construction: entries finite, row sums and detailed
+    balance to 1e-12, pi positive and summing to 1.
     """
 
     matrix: np.ndarray
@@ -63,6 +60,8 @@ class ReversibleChain:
         n = p.shape[0]
         if pi.shape != (n,):
             raise ChainError("pi has wrong length")
+        if not (np.isfinite(p).all() and np.isfinite(pi).all()):
+            raise ChainError("transition matrix and pi must be finite")
         if np.any(p < -1e-15):
             raise ChainError("negative transition probability")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
@@ -84,13 +83,6 @@ class ReversibleChain:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def flow_matrix(self) -> np.ndarray:
-        """Edge measure Q(x, y) = pi(x) P(x, y)."""
-        f = self.pi[:, None] * self.matrix
-        f.setflags(write=False)
-        return f
 
 
 # ---------------------------------------------------------------------------
@@ -138,38 +130,7 @@ def spectral_gap(chain: ReversibleChain) -> SpectralReport:
 
 
 # ---------------------------------------------------------------------------
-# flow and conductance
-
-
-def _as_index_set(chain: ReversibleChain, subset) -> np.ndarray:
-    s = sorted(set(int(v) for v in subset))
-    if any(v < 0 or v >= chain.n for v in s):
-        raise ChainError("subset vertex out of range")
-    return np.array(s, dtype=np.int64)
-
-
-def ergodic_flow(chain: ReversibleChain, subset) -> float:
-    """Q(S, S^c) = sum over x in S, y outside of pi(x) P(x, y)."""
-    idx = _as_index_set(chain, subset)
-    if idx.size == 0:
-        raise ChainError("ergodic_flow needs a non-empty subset")
-    if idx.size == chain.n:
-        raise ChainError("ergodic_flow needs a proper subset")
-    inside = np.zeros(chain.n, dtype=bool)
-    inside[idx] = True
-    f = chain.flow_matrix
-    return float(f[np.ix_(inside, ~inside)].sum())
-
-
-def candidate_conductance(chain: ReversibleChain, subset) -> float:
-    """Flow-to-mass ratio Q(S, S^c) / pi(S) for one subset with pi(S) <= 1/2."""
-    idx = _as_index_set(chain, subset)
-    mass = float(chain.pi[idx].sum())
-    if idx.size == 0 or mass <= 0.0:
-        raise ChainError("candidate_conductance needs a set of positive mass")
-    if mass > HALF_MASS:
-        raise ChainError("candidate_conductance needs pi(S) <= 1/2")
-    return ergodic_flow(chain, subset) / mass
+# conductance
 
 
 def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int]]:
@@ -194,7 +155,7 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
     if n < 2:
         raise ChainError("conductance needs n >= 2")
     pi = chain.pi
-    f = np.where(chain.matrix > 0.0, chain.flow_matrix, 0.0)
+    f = np.where(chain.matrix > 0.0, pi[:, None] * chain.matrix, 0.0)
     np.fill_diagonal(f, 0.0)
     low = min(n, SUBSET_CHUNK_BITS)
     mass_low = subset_fold(np.add, pi[:low], float)

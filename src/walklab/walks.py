@@ -138,9 +138,9 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
     """Solve (1 - eps) P + eps B = Q for the bias matrix B.
 
     P is the simple random walk on g.  B must come out entrywise
-    nonnegative (dust down to -1e-12 is tolerated and kept, not clamped, so
-    the reconstruction identity stays exact).  eps = 0 degenerates: Q must
-    equal P and B is P itself.
+    nonnegative and zero off g's edges, diagonal included (dust within 1e-12
+    is tolerated and kept, not clamped, so the reconstruction identity stays
+    exact).  eps = 0 degenerates: Q must equal P and B is P itself.
     """
     _check_eps(eps)
     n = g.n
@@ -153,7 +153,11 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
         if float(np.max(np.abs(q.matrix - p))) > 1e-12:
             raise WalkError("eps = 0 requires Q to equal the simple random walk")
         return p
-    return _bias(q.matrix, p, eps)
+    b = _bias(q.matrix, p, eps)
+    off_edges = float(b[p == 0.0].max(initial=0.0))
+    if off_edges > 1e-12:
+        raise WalkError(f"chain moves off the edges of the graph (B entry {off_edges:.3e})")
+    return b
 
 
 def _bias(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:

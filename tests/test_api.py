@@ -260,8 +260,6 @@ REFERENCE_ONLY = {
     "walks.StationaryBoostReport": "what stationary_boost_audit returns",
     "robustness.prop311_check": "acceptance criterion 8: the bottleneck witness",
     "robustness.Prop311Report": "what prop311_check returns",
-    "chains.candidate_conductance": "prop311_check's conductance of its witness set",
-    "chains.ergodic_flow": "the flow Q(S, S^c) of candidate_conductance",
     "oracle.event_prob_exact": "acceptance criterion 10: the exact figure anchors",
     "oracle.schur_audit": "acceptance criterion 12: Schur convexity of the boost",
     "oracle.robin_hood_pair": "acceptance criterion 12: the pairs schur_audit is run on",

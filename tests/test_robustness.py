@@ -27,6 +27,7 @@ from walklab.robustness import (
 from walklab.rng import SplitMix64
 from walklab.weighting import (
     WeightingError,
+    bottleneck_weighting,
     induced_chain,
     random_lipschitz_weighting,
     stationary_ratio_audit,
@@ -270,7 +271,8 @@ def dense_flow_margins(w, subsets, psi):
     """Each set's flow-check min_margin, from the dense P^2K flow matrix."""
     g = w.graph
     K = section3_K(psi)
-    flow = power_chain(induced_chain(w), 2 * K).flow_matrix
+    p2k = power_chain(induced_chain(w), 2 * K)
+    flow = p2k.pi[:, None] * p2k.matrix
     part = bucket_partition(w)
     scale = g.regular_degree ** (-2.0 * K) / 90.0
     margins = []
@@ -476,5 +478,38 @@ def test_bottleneck_witness_cycle40_beta4():
 
 
 def test_bottleneck_witness_requires_long_diameter():
-    with pytest.raises(Exception):
+    with pytest.raises(WeightingError, match="diameter >= 4"):
         prop311_check(generate("complete", n=5), 2.0)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cycle", dict(n=40)),
+        ("cycle", dict(n=200)),
+        ("random_regular", dict(n=64, d=3, seed=5)),
+        ("random_regular", dict(n=256, d=3, seed=5)),
+        ("random_regular", dict(n=512, d=3, seed=5)),
+        ("hypercube", dict(dim=8)),
+        ("circulant", dict(n=60, offsets=(1, 7))),
+    ],
+)
+def test_bottleneck_witness_matches_the_dense_flow(kind, params):
+    # the slot sum adds the same products pi(x) P(x, y) as the dense slice, in another order
+    g = generate(kind, **params)
+    for beta in (1.5, 2.0, 4.0, 6.0):
+        report = prop311_check(g, beta)
+        chain = induced_chain(bottleneck_weighting(g, beta)[0])
+        inside = np.zeros(g.n, dtype=bool)
+        inside[list(report.witness)] = True
+        flow = chain.pi[:, None] * chain.matrix
+        dense = float(flow[np.ix_(inside, ~inside)].sum()) / float(chain.pi[inside].sum())
+        assert abs(report.conductance_at_witness - dense) <= 1e-13 * dense, (g.n, beta)
+
+
+def test_bottleneck_witness_builds_no_chain_above_the_spectral_guard(monkeypatch):
+    built = []
+    monkeypatch.setattr(robustness, "induced_chain", lambda w: built.append(w))
+    report = prop311_check(generate("random_regular", n=1024, d=3, seed=5), 6.0)
+    assert built == []
+    assert report.ok

@@ -194,6 +194,9 @@ def test_extract_bias_matrix_validates_shapes_and_range():
         extract_bias_matrix(srw_chain(other), g, 0.1)
     with pytest.raises(WalkError):
         extract_bias_matrix(srw_chain(g), g, -0.1)
+    # the walk on complete:4 puts 2/3 of B's row 0 on (0, 2), which cycle:4 lacks
+    with pytest.raises(WalkError, match="off the edges"):
+        extract_bias_matrix(srw_chain(g), generate("cycle", n=4), 0.5)
     # a lone vertex has no walk to perturb (this used to divide by its degree 0)
     with pytest.raises(ChainError, match="rows must sum to 1"):
         extract_bias_matrix(ReversibleChain(np.ones((1, 1)), np.ones(1)), build_graph([], 1), 0.5)
