@@ -7,23 +7,25 @@ For a d-regular graph with vertex expansion psi, set
 For any sigma-Lipschitz weighting the stationary law is flat enough that the
 following structure exists, and each piece is checked here numerically:
 
-* `bucket_partition` slices vertices into geometric stationary-mass buckets
-  V_i = { v : pi(v) in (e^-i, e^-(i-1)] }.  K-step balls never straddle more
-  than the two adjacent buckets.
-* `representative_indices` runs the block/gap recursion on the occupied
+* `bucket_ids` gives every vertex its geometric stationary-mass bucket,
+  V_i = { v : pi(v) in (e^-i, e^-(i-1)] }, as one int array.  K-step balls
+  never straddle more than the two adjacent buckets.
+* `representative_blocks` runs the block/gap recursion on the occupied
   bucket sizes of a set S: a block keeps absorbing the next bucket while it
   is large (more than alpha/2 times the block so far, alpha = ALPHA = e^2),
   the witness bucket that ends a block opens a gap, and a new block starts
   at the next size increase after the witness.  The blocks R_1..R_L are the
-  "representatives" R of S.
+  "representatives" R of S; each is a vertex mask.
 * `section3_lemma_audit` checks the four quantitative facts about R for
   every set S of one weighting:
   pi(R) >= pi(S)/22, pi(S_{b_l}) >= pi(R_l)/11, |B_2K(R_l) \\ S| >= |R_l|/3,
   and the 2K-step flow Q(R_l, S^c) >= d^-2K pi(R_l)/90 (skipped for
   bipartite graphs, whose 2K-step chain never leaves one side of the
-  bipartition, so the flow from that side to its complement is 0).  Masses
-  and buckets read w.pi, and the flows of every set in a call come from one
-  stack of 2K slot matvecs P^2K 1_{S^c}: no n x n matrix is built.
+  bipartition, so the flow from that side to its complement is 0).  Sets
+  and blocks are vertex masks and masses are sums of w.pi over a mask.
+  Every 2K-ball of a call comes from one multi-source BFS (`bfs_columns`,
+  a column per block), and the flows from one stack of 2K slot matvecs
+  P^2K 1_{S^c}: no n x n matrix is built.
 * `theorem31_check` verifies the endpoint bounds: conductance of the
   2K-step chain at least d^-2K/4000 (exhaustively, n <= SUBSET_GUARD, as
   far as exact psi reaches; skipped for bipartite graphs, whose even-step
@@ -61,6 +63,7 @@ from .graphs import (
     Graph,
     GraphError,
     ball,
+    bfs_columns,
     diameter,
     is_bipartite,
     vertex_expansion_exact,
@@ -82,17 +85,15 @@ BUCKET_EDGE_TOL = 1e-12
 
 __all__ = [
     "ALPHA",
-    "BucketPartition",
-    "RepresentativeDecomposition",
     "LemmaCheck",
     "Section3Report",
     "Theorem31Report",
     "Prop311Report",
     "section3_K",
     "section3_sigma",
-    "bucket_partition",
+    "bucket_ids",
     "representative_blocks_from_sizes",
-    "representative_indices",
+    "representative_blocks",
     "section3_lemma_audit",
     "random_subsets",
     "theorem31_check",
@@ -115,18 +116,7 @@ def section3_sigma(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# buckets
-
-
-@dataclass(frozen=True)
-class BucketPartition:
-    """Geometric stationary-mass buckets; index i holds pi in (e^-i, e^-(i-1)]."""
-
-    index_of: tuple[int, ...]
-    buckets: Mapping[int, frozenset[int]]
-
-    def bucket(self, i: int) -> frozenset[int]:
-        return self.buckets.get(i, frozenset())
+# buckets and representative blocks
 
 
 def bucket_index(pi_value: float) -> int:
@@ -142,16 +132,9 @@ def bucket_index(pi_value: float) -> int:
     return int(math.floor(x + BUCKET_EDGE_TOL)) + 1
 
 
-def bucket_partition(w: EdgeWeighting) -> BucketPartition:
-    idx = tuple(bucket_index(float(p)) for p in w.pi)
-    buckets: dict[int, set[int]] = {}
-    for v, i in enumerate(idx):
-        buckets.setdefault(i, set()).add(v)
-    return BucketPartition(idx, {i: frozenset(s) for i, s in buckets.items()})
-
-
-# ---------------------------------------------------------------------------
-# representative blocks
+def bucket_ids(w: EdgeWeighting) -> np.ndarray:
+    """Bucket of every vertex: V_i = {v : ids[v] == i} holds pi in (e^-i, e^-(i-1)]."""
+    return np.array([bucket_index(float(p)) for p in w.pi], dtype=np.int64)
 
 
 def representative_blocks_from_sizes(sizes: Mapping[int, int]) -> list[tuple[int, int]]:
@@ -194,47 +177,15 @@ def representative_blocks_from_sizes(sizes: Mapping[int, int]) -> list[tuple[int
     return pairs
 
 
-@dataclass(frozen=True)
-class RepresentativeDecomposition:
-    """Blocks R_l (bucket runs a_l..b_l of S) and their union R."""
+def representative_blocks(s: np.ndarray, ids: np.ndarray) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """Def-3.5 style blocks of the set with vertex mask `s`.
 
-    pairs: tuple[tuple[int, int], ...]
-    blocks: tuple[frozenset[int], ...]
-
-    @property
-    def representatives(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.blocks:
-            out |= b
-        return frozenset(out)
-
-
-def representative_indices(subset, partition: BucketPartition) -> RepresentativeDecomposition:
-    """Def-3.5 style decomposition of a vertex set S.
-
-    S is sliced into S_i = S intersect V_i, the block recursion runs on the
-    sizes |S_i| with alpha = ALPHA, and the blocks are materialized as vertex
-    sets.
+    The block recursion runs on the sizes |S_i| of S_i = S intersect V_i
+    (`bucket_ids`); each block comes back as its bucket run (a_l, b_l) and
+    its vertex mask s & (a_l <= ids <= b_l).
     """
-    s = frozenset(int(v) for v in subset)
-    if not s:
-        raise GraphError("representative_indices needs a non-empty set")
-    outside = sorted(v for v in s if not 0 <= v < len(partition.index_of))
-    if outside:
-        raise GraphError(f"vertex {outside[0]} out of range for n={len(partition.index_of)}")
-    member: dict[int, set[int]] = {}
-    for v in s:
-        member.setdefault(partition.index_of[v], set()).add(v)
-    sizes = {i: len(vs) for i, vs in member.items()}
-    pairs = representative_blocks_from_sizes(sizes)
-
-    def union_range(lo: int, hi: int) -> frozenset[int]:
-        out: set[int] = set()
-        for i in range(lo, hi + 1):
-            out |= member.get(i, set())
-        return frozenset(out)
-
-    return RepresentativeDecomposition(tuple(pairs), tuple(union_range(a, b) for a, b in pairs))
+    pairs = representative_blocks_from_sizes(dict(enumerate(np.bincount(ids[s]).tolist())))
+    return [((a, b), s & (a <= ids) & (ids <= b)) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +268,9 @@ def section3_lemma_audit(
     Sets with |S| > n/2 are reported as skipped, not failed, since the lemmas
     only speak about small sets.  On a bipartite graph the flow check is
     skipped with a reason: the 2K-step chain stays on one side, so S equal to
-    a side has no flow to S^c.  Masses and buckets read w.pi, and the flows
+    a side has no flow to S^c.  Sets, blocks and buckets are vertex masks
+    over `bucket_ids`, masses are sums of w.pi over a mask, every 2K-ball
+    comes from one `bfs_columns` call with a column per block, and the flows
     of all sets come from one stack of 2K slot matvecs, O(K m) per set.
     """
     g = w.graph
@@ -325,55 +278,58 @@ def section3_lemma_audit(
     if rough:
         reason = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
         return [Section3Report(skipped=reason) for _ in subsets]
-    scale = d ** (-2.0 * K) / 90.0
-    partition = bucket_partition(w)
-    bipartite = is_bipartite(g)
+    ids = bucket_ids(w)
     reports = []
-    flows = []  # (flow check, S, blocks R_l) of every set whose flow is audited
-
-    def mass(vs) -> float:
-        return float(sum(w.pi[v] for v in vs))
-
+    audited = []  # (report, S, blocks) of every set the lemmas speak about
     for subset in subsets:
         report = Section3Report()
         reports.append(report)
-        s = frozenset(int(v) for v in subset)
-        if not s:
+        vs = sorted({int(v) for v in subset})
+        if not vs:
             raise GraphError("section3_lemma_audit needs a non-empty set")
-        if 2 * len(s) > g.n:
-            report.skipped = f"|S|={len(s)} exceeds n/2"
+        outside = [v for v in vs if not 0 <= v < g.n]
+        if outside:  # before any mask write, where -1 would mark vertex n - 1
+            raise GraphError(f"vertex {outside[0]} out of range for n={g.n}")
+        if 2 * len(vs) > g.n:
+            report.skipped = f"|S|={len(vs)} exceeds n/2"
             continue
-        decomp = representative_indices(s, partition)
+        s = np.zeros(g.n, dtype=bool)
+        s[vs] = True
+        audited.append((report, s, representative_blocks(s, ids)))
+    if not audited:
+        return reports
+    dist = bfs_columns(g, np.column_stack([block for _, _, blocks in audited for _, block in blocks]))
+    balls = iter(((dist >= 0) & (dist <= 2 * K)).T)
+    if is_bipartite(g):
+        flows = None
+    else:
+        # row i becomes pi * P^2K 1_{S_i^c}, each row bit for bit as it would be alone
+        p, neighbor = slot_transitions(w), g.slots.neighbor
+        h = (~np.array([s for _, s, _ in audited])).astype(float)
+        for _ in range(2 * K):
+            h = _vertex_sums(g, p * h.take(neighbor, axis=-1))
+        flows = w.pi * h
+    scale = d ** (-2.0 * K) / 90.0
+    for i, (report, s, blocks) in enumerate(audited):
         c_mass = LemmaCheck("representative_mass_ge_S_over_22")
         c_top = LemmaCheck("top_bucket_ge_block_over_11")
         c_ball = LemmaCheck("ball_2K_outside_S_ge_block_over_3")
         c_flow = LemmaCheck("flow_2K_to_complement_ge_scaled_mass")
         report.checks = [c_mass, c_top, c_flow, c_ball]
-
-        c_mass.record(mass(decomp.representatives), mass(s) / 22.0, slack=1e-12)
-        if bipartite:
+        r = np.logical_or.reduce([block for _, block in blocks])
+        c_mass.record(float(w.pi[r].sum()), float(w.pi[s].sum()) / 22.0, slack=1e-12)
+        if flows is None:
             c_flow.skipped = (
                 "bipartite graph: the 2K-step chain never leaves one side of the bipartition, "
                 "so a side has no 2K-step flow to its complement"
             )
-        else:
-            flows.append((c_flow, s, decomp.blocks))
-        for (a, b), block in zip(decomp.pairs, decomp.blocks):
-            top = block & partition.bucket(b)
-            c_top.record(mass(top), mass(block) / 11.0, slack=1e-12)
-            outside = ball(g, block, 2 * K) - s
-            c_ball.record(float(len(outside)), len(block) / 3.0, slack=1e-9)
-    if flows:
-        # row i becomes P^2K 1_{S_i^c}, each row bit for bit as it would be alone
-        p, neighbor = slot_transitions(w), g.slots.neighbor
-        h = np.ones((len(flows), g.n))
-        for row, (_, s, _) in zip(h, flows):
-            row[sorted(s)] = 0.0
-        for _ in range(2 * K):
-            h = _vertex_sums(g, p * h.take(neighbor, axis=-1))
-        for row, (c_flow, _, blocks) in zip(w.pi * h, flows):
-            for block in blocks:
-                c_flow.record(float(row[sorted(block)].sum()), scale * mass(block), slack=1e-15)
+        for (_, b), block in blocks:
+            mass = float(w.pi[block].sum())
+            c_top.record(float(w.pi[block & (ids == b)].sum()), mass / 11.0, slack=1e-12)
+            outside = np.count_nonzero(next(balls) & ~s)
+            c_ball.record(float(outside), int(np.count_nonzero(block)) / 3.0, slack=1e-9)
+            if flows is not None:
+                c_flow.record(float(flows[i, block].sum()), scale * mass, slack=1e-15)
     return reports
 
 

@@ -267,6 +267,8 @@ REFERENCE_ONLY = {
     "walks.step": "the single-step reference the decoded draw pairs and bisected thresholds of `_biased_walk` are tested against",
     "walks.cover_run": "the single-trial entry point README documents",
     "graphs.ball_growth_audit": "the ball-growth lemma |B_k(S)| >= min((1 + psi)^k |S|, n/2), audited on the catalog",
+    "graphs.ball": "one ball as a vertex set, for prop311_check's witness, ball_growth_audit and the "
+    "set-valued Section 3 audit the mask audit is tested against",
     "oracle.cover_lower_demo": "the exact cover lower bound ROADMAP direction 5 will run",
     "oracle.CoverLowerReport": "what cover_lower_demo returns",
     "oracle.srw_expected_cover_exact": "the eps = 0 cover time cover_lower_demo compares against (direction 5)",

@@ -662,7 +662,7 @@ def test_robustness_audit_checks_a_gap_bound_below_the_float_range(tmp_path, cap
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ("audit.jsonl", "summary.json")
     }
     assert digests == {
-        "audit.jsonl": "d2379324bd549c6581f290fcbcf1165ebee78217c464473af86f11ba8c237b12",
+        "audit.jsonl": "20ce99a00f66ee9434a1acd803c1d476683d02250d84d651ad79618453220fd2",
         "summary.json": "e7a0715c96e14c1e72de5c12a281063fde18f349681a40858aa7777728d2e32e",
     }
 

@@ -1,4 +1,4 @@
-"""Bucket partition, representative blocks, and the robustness endpoint checks."""
+"""Bucket ids, representative blocks, and the robustness endpoint checks."""
 
 import math
 import tracemalloc
@@ -7,18 +7,28 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from walklab import oracle, robustness
+from walklab import graphs, oracle, robustness
 from walklab.chains import power_chain
-from walklab.graphs import GraphError, ball_growth_audit, generate, small_regular_catalog, vertex_expansion_exact
+from walklab.graphs import (
+    GraphError,
+    ball,
+    ball_growth_audit,
+    generate,
+    is_bipartite,
+    small_regular_catalog,
+    vertex_expansion_exact,
+)
 from walklab.robustness import (
     ALPHA,
+    LemmaCheck,
+    Section3Report,
+    bucket_ids,
     bucket_index,
-    bucket_partition,
     prop311_check,
     psi_lower_bound,
     random_subsets,
+    representative_blocks,
     representative_blocks_from_sizes,
-    representative_indices,
     section3_K,
     section3_lemma_audit,
     section3_sigma,
@@ -27,9 +37,11 @@ from walklab.robustness import (
 from walklab.rng import SplitMix64
 from walklab.weighting import (
     WeightingError,
+    _vertex_sums,
     bottleneck_weighting,
     induced_chain,
     random_lipschitz_weighting,
+    slot_transitions,
     stationary_ratio_audit,
     target_decay_weighting,
     uniform_weighting,
@@ -108,16 +120,16 @@ def test_bucket_index_half_open_intervals():
 def test_bucket_partition_covers_all_vertices():
     g = generate("cycle", n=6)
     w = target_decay_weighting(g, [0], 0.5)
-    part = bucket_partition(w)
-    assert sorted(v for vs in part.buckets.values() for v in vs) == list(range(6))
-    for i, vs in part.buckets.items():
-        assert all(part.index_of[v] == i for v in vs)
+    ids = bucket_ids(w)
+    buckets = {int(i): np.flatnonzero(ids == i) for i in np.unique(ids)}
+    assert sorted(v for vs in buckets.values() for v in vs) == list(range(6))
+    for i, vs in buckets.items():
+        assert all(bucket_index(float(w.pi[v])) == i for v in vs)
 
 
 def test_bucket_partition_uniform_single_bucket():
     g = generate("cycle", n=6)
-    part = bucket_partition(uniform_weighting(g))
-    assert len(part.buckets) == 1
+    assert len(np.unique(bucket_ids(uniform_weighting(g)))) == 1
 
 
 # --- representative blocks --------------------------------------------------
@@ -151,28 +163,26 @@ def test_block_recursion_respects_alpha_threshold():
     assert representative_blocks_from_sizes(sizes) == [(1, 2)]
 
 
-def test_representative_indices_on_chain():
+def test_representative_blocks_on_chain():
     g = generate("cycle", n=16)
     w = target_decay_weighting(g, [0], 0.6)
-    part = bucket_partition(w)
-    subset = frozenset(range(8))
-    decomp = representative_indices(subset, part)
-    for a, b in decomp.pairs:
+    subset = np.arange(16) < 8
+    blocks = representative_blocks(subset, bucket_ids(w))
+    for (a, b), _ in blocks:
         assert a <= b
-    assert all(v in subset for block in decomp.blocks for v in block)
-    assert decomp.representatives <= subset
+    assert all(not np.any(block & ~subset) for _, block in blocks)
+    assert not np.any(np.logical_or.reduce([block for _, block in blocks]) & ~subset)
 
 
 def test_subset_vertices_out_of_range_are_rejected():
     # 16 used to raise IndexError from the bucket lookup, and -1 silently
-    # read the last vertex's bucket and came back inside a block
+    # read the last vertex's bucket and came back inside a block; an
+    # oversized set holding 99 used to come back skipped as |S| > n/2
     g = generate("random_regular", n=16, d=3, seed=7)
     w = uniform_weighting(g)
-    with pytest.raises(GraphError, match="vertex 16 out of range"):
-        section3_lemma_audit(w, [{16}])
-    part = bucket_partition(w)
-    with pytest.raises(GraphError, match="vertex -1 out of range"):
-        representative_indices({-1, 2}, part)
+    for subset, vertex in [({16}, 16), ({-1, 2}, -1), (set(range(9)) | {99}, 99), (set(range(9)) | {-1}, -1)]:
+        with pytest.raises(GraphError, match=f"vertex {vertex} out of range"):
+            section3_lemma_audit(w, [{0, 1}, subset])
 
 
 # --- lemma audits -----------------------------------------------------------
@@ -273,14 +283,14 @@ def dense_flow_margins(w, subsets, psi):
     K = section3_K(psi)
     p2k = power_chain(induced_chain(w), 2 * K)
     flow = p2k.pi[:, None] * p2k.matrix
-    part = bucket_partition(w)
+    ids = bucket_ids(w)
     scale = g.regular_degree ** (-2.0 * K) / 90.0
     margins = []
     for s in subsets:
-        complement = sorted(set(range(g.n)) - s)
+        mask = np.isin(np.arange(g.n), sorted(s))
         margins.append(min(
-            float(flow[np.ix_(sorted(block), complement)].sum()) - scale * float(sum(w.pi[v] for v in block))
-            for block in representative_indices(s, part).blocks
+            float(flow[np.ix_(block, ~mask)].sum()) - scale * float(w.pi[block].sum())
+            for _, block in representative_blocks(mask, ids)
         ))
     return margins
 
@@ -316,6 +326,117 @@ def test_flow_margins_match_the_dense_2K_step_chain():
     assert audited == 18
 
 
+def reference_section3_audit(w, subsets, psi=None):
+    """The set-valued audit the mask audit replaced: frozensets per bucket and
+    block, one `graphs.ball` search per block, masses summed over each set,
+    and the same stack of 2K slot matvecs for the flows."""
+    g = w.graph
+    d, K, sigma, beta, rough = robustness._section3_scale(w, psi)
+    if rough:
+        reason = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
+        return [Section3Report(skipped=reason) for _ in subsets]
+    index_of = [bucket_index(float(p)) for p in w.pi]
+    buckets = {}
+    for v, i in enumerate(index_of):
+        buckets.setdefault(i, set()).add(v)
+    buckets = {i: frozenset(vs) for i, vs in buckets.items()}
+    bipartite = is_bipartite(g)
+    scale = d ** (-2.0 * K) / 90.0
+    reports, flows = [], []
+
+    def mass(vs):
+        return float(sum(w.pi[v] for v in vs))
+
+    def union(sets):
+        out = set()
+        for vs in sets:
+            out |= vs
+        return frozenset(out)
+
+    for subset in subsets:
+        report = Section3Report()
+        reports.append(report)
+        s = frozenset(int(v) for v in subset)
+        if 2 * len(s) > g.n:
+            report.skipped = f"|S|={len(s)} exceeds n/2"
+            continue
+        member = {}
+        for v in s:
+            member.setdefault(index_of[v], set()).add(v)
+        pairs = representative_blocks_from_sizes({i: len(vs) for i, vs in member.items()})
+        blocks = [union(member.get(i, set()) for i in range(a, b + 1)) for a, b in pairs]
+        c_mass = LemmaCheck("representative_mass_ge_S_over_22")
+        c_top = LemmaCheck("top_bucket_ge_block_over_11")
+        c_ball = LemmaCheck("ball_2K_outside_S_ge_block_over_3")
+        c_flow = LemmaCheck("flow_2K_to_complement_ge_scaled_mass")
+        report.checks = [c_mass, c_top, c_flow, c_ball]
+        c_mass.record(mass(union(blocks)), mass(s) / 22.0, slack=1e-12)
+        if bipartite:
+            c_flow.skipped = (
+                "bipartite graph: the 2K-step chain never leaves one side of the bipartition, "
+                "so a side has no 2K-step flow to its complement"
+            )
+        else:
+            flows.append((c_flow, s, blocks))
+        for (_, b), block in zip(pairs, blocks):
+            c_top.record(mass(block & buckets[b]), mass(block) / 11.0, slack=1e-12)
+            c_ball.record(float(len(ball(g, block, 2 * K) - s)), len(block) / 3.0, slack=1e-9)
+    if flows:
+        p, neighbor = slot_transitions(w), g.slots.neighbor
+        h = np.ones((len(flows), g.n))
+        for row, (_, s, _) in zip(h, flows):
+            row[sorted(s)] = 0.0
+        for _ in range(2 * K):
+            h = _vertex_sums(g, p * h.take(neighbor, axis=-1))
+        for row, (c_flow, _, blocks) in zip(w.pi * h, flows):
+            for block in blocks:
+                c_flow.record(float(row[sorted(block)].sum()), scale * mass(block), slack=1e-15)
+    return reports
+
+
+def reference_cases():
+    """(weighting, sets, psi): SECTION3_CASES, flow_cases() with ten random
+    sets each, and target decay on cycle:40 at K = 1, whose sets span up to
+    five blocks."""
+    for make, subsets in SECTION3_CASES.values():
+        yield make(), subsets, None
+    rng = SplitMix64.stream(13, 0)
+    for w, psi in flow_cases():
+        yield w, random_subsets(w.graph, 10, rng), psi
+    g = generate("cycle", n=40)
+    yield target_decay_weighting(g, [0], 1.0 - math.exp(-0.5)), random_subsets(g, 40, rng), 100.0
+
+
+def test_lemma_audit_matches_the_set_valued_reference():
+    most_blocks = 0
+    for w, subsets, psi in reference_cases():
+        reports = section3_lemma_audit(w, subsets, psi=psi)
+        expected = reference_section3_audit(w, subsets, psi=psi)
+        for got, want in zip(reports, expected, strict=True):
+            assert got.skipped == want.skipped
+            assert [c.name for c in got.checks] == [c.name for c in want.checks]
+            for c, r in zip(got.checks, want.checks):
+                assert (c.instances, c.failures, c.skipped) == (r.instances, r.failures, r.skipped)
+                assert type(c.min_margin) is float
+                assert c.min_margin == r.min_margin or abs(c.min_margin - r.min_margin) <= 1e-15 * abs(r.min_margin)
+            if got.checks:
+                most_blocks = max(most_blocks, got.checks[1].instances)
+    assert most_blocks >= 3
+
+
+def test_lemma_audit_searches_every_ball_in_one_bfs(monkeypatch):
+    g = generate("random_regular", n=64, d=3, seed=5)
+    subsets = random_subsets(g, 12, SplitMix64.stream(2, 0))
+    columns, searches = [], []
+    real_columns, real_from = graphs.bfs_columns, graphs.distances_from
+    monkeypatch.setattr(robustness, "bfs_columns", lambda g, src: columns.append(src.shape) or real_columns(g, src))
+    monkeypatch.setattr(graphs, "distances_from", lambda g, src: searches.append(src) or real_from(g, src))
+    reports = section3_lemma_audit(uniform_weighting(g), subsets, psi=0.1)
+    # one column per block; the one single-source search is is_bipartite's
+    assert columns == [(64, sum(r.checks[1].instances for r in reports))]
+    assert searches == [[0]]
+
+
 def test_theorem31_builds_no_chain_above_the_spectral_guard(monkeypatch):
     built = []
     monkeypatch.setattr(robustness, "induced_chain", lambda w: built.append(w))
@@ -326,7 +447,7 @@ def test_theorem31_builds_no_chain_above_the_spectral_guard(monkeypatch):
 
 
 def test_lemma_audit_holds_no_dense_matrix():
-    # measured peak 2.5 MiB at n = 1024 (the dense 2K-step path took 40 MiB);
+    # measured peak 1.74 MiB at n = 1024 (the dense 2K-step path took 40 MiB);
     # the bound, 6 MiB, is below one 1024 x 1024 float matrix (8 MiB)
     g = generate("random_regular", n=1024, d=3, seed=5)
     w = uniform_weighting(g)
