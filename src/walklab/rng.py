@@ -6,7 +6,9 @@ makes scalar and block generation bit-identical and lets Monte Carlo
 drivers hand out one independent stream per trial (seed XOR trial index)
 without coordination.  Because the k-th output is a pure function of
 (seed, k), `splitmix_block` computes the next draws of many streams in one
-vector call; `SplitMix64.block_u64` is its one-stream case.  Runs are
+vector call, from one counter for all of them or from a counter per stream
+(the phase walk's trials, each where its last phase left it);
+`SplitMix64.block_u64` is its one-stream case.  Runs are
 therefore reproducible bit-for-bit within this implementation and
 statistically across implementations.
 
@@ -15,6 +17,8 @@ uint64 array) to a uniform, `stream_seeds` derives a batch of trial seeds.
 `_blocks` serves a stream as successive `block_u64` blocks, FIRST_BLOCK
 draws first (or a size the caller expects to use) and doubling up to
 MAX_BLOCK; the walk loops decode each block in numpy before they read it.
+A phase-walk trial reads a column of its batch's `splitmix_block` block
+first and goes on from its own `_blocks` only if it runs past it.
 `draws` iterates a stream's u64 ints, or their remainders mod a span,
 through a C-level iterator over those blocks, so a draw costs no Python
 frame and the served sequence is exactly that of next_u64.
@@ -53,18 +57,19 @@ def stream_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
     return np.uint64(seed & MASK64) ^ np.asarray(indices).astype(np.uint64)
 
 
-def splitmix_block(seeds: np.ndarray, counter: int, m: int) -> np.ndarray:
+def splitmix_block(seeds: np.ndarray, counter: int | np.ndarray, m: int) -> np.ndarray:
     """Outputs counter + 1 .. counter + m of every stream in `seeds`.
 
     Row i holds the next m draws of the stream seeded with seeds[i] whose
-    counter stands at `counter`.  The array is counter-major in memory (its
-    transpose is C-contiguous), so a column, one draw of every stream, is
-    contiguous.
+    counter stands at `counter`, one int for every stream or a uint64 array
+    of one counter per stream (broadcast like `seeds`).  The array is
+    counter-major in memory (its transpose is C-contiguous), so a column,
+    one draw of every stream, is contiguous.
     """
     if m < 0:
         raise ValueError(f"splitmix_block needs m >= 0, got {m}")
-    ks = np.arange(counter + 1, counter + m + 1, dtype=np.uint64)
-    z = ks[:, None] * np.uint64(_GAMMA) + np.asarray(seeds, dtype=np.uint64)[None, :]
+    ks = np.arange(1, m + 1, dtype=np.uint64)[:, None] + np.asarray(counter, dtype=np.uint64)
+    z = ks * np.uint64(_GAMMA) + np.asarray(seeds, dtype=np.uint64)[None, :]
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -124,7 +129,8 @@ MAX_BLOCK = 8192
 def _blocks(rng: SplitMix64, first: int = FIRST_BLOCK) -> Iterator[np.ndarray]:
     """Successive uint64 blocks of `rng`: `first` draws, clipped to
     [FIRST_BLOCK, MAX_BLOCK], then doubling up to MAX_BLOCK.  An even `first`
-    gives blocks of even sizes."""
+    gives blocks of even sizes.  A phase-walk trial that runs past its
+    batch's block goes on here, with `first` the size of that block."""
     block = min(max(first, FIRST_BLOCK), MAX_BLOCK)
     while block < MAX_BLOCK:
         yield rng.block_u64(block)

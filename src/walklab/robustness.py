@@ -264,7 +264,8 @@ def section3_lemma_audit(
     """Audit the representative-set lemmas for each set S, one report per set.
 
     Requires a regular graph and a sigma-Lipschitz weighting for the
-    graph's own sigma = exp(1/(2K)); a rougher weighting skips every report.
+    graph's own sigma = exp(1/(2K)); a rougher weighting skips every report,
+    once every set is checked to be non-empty and in range.
     Sets with |S| > n/2 are reported as skipped, not failed, since the lemmas
     only speak about small sets.  On a bipartite graph the flow check is
     skipped with a reason: the 2K-step chain stays on one side, so S equal to
@@ -275,21 +276,24 @@ def section3_lemma_audit(
     """
     g = w.graph
     d, K, sigma, beta, rough = _section3_scale(w, psi)
-    if rough:
-        reason = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
-        return [Section3Report(skipped=reason) for _ in subsets]
-    ids = bucket_ids(w)
-    reports = []
-    audited = []  # (report, S, blocks) of every set the lemmas speak about
-    for subset in subsets:
-        report = Section3Report()
-        reports.append(report)
+    sets = []
+    for subset in subsets:  # every set is checked before any skip or mask write
         vs = sorted({int(v) for v in subset})
         if not vs:
             raise GraphError("section3_lemma_audit needs a non-empty set")
         outside = [v for v in vs if not 0 <= v < g.n]
-        if outside:  # before any mask write, where -1 would mark vertex n - 1
+        if outside:  # a mask write of -1 would mark vertex n - 1
             raise GraphError(f"vertex {outside[0]} out of range for n={g.n}")
+        sets.append(vs)
+    if rough:
+        reason = f"weighting is not sigma-Lipschitz (beta={beta:.6g} > sigma={sigma:.6g})"
+        return [Section3Report(skipped=reason) for _ in sets]
+    ids = bucket_ids(w)
+    reports = []
+    audited = []  # (report, S, blocks) of every set the lemmas speak about
+    for vs in sets:
+        report = Section3Report()
+        reports.append(report)
         if 2 * len(vs) > g.n:
             report.skipped = f"|S|={len(vs)} exceeds n/2"
             continue

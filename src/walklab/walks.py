@@ -4,11 +4,12 @@ The central walk is the epsilon-biased step: with probability 1 - epsilon
 move to a uniform neighbour, otherwise sample from a bias vector over the
 neighbours.  `step` is the single-step reference: one step from a vertex,
 given the bias row aligned with its neighbours.  The cover runs play that
-step in one loop, `_biased_walk`, whose bias is a function of the current
-vertex: the phase walk's rows of the target-decay bias, or the sweep walk's
-one-hot rows toward the forward or backward neighbour of a cycle.  The loop
-samples a row by bisecting its `_thresholds`, the running maxima of its
-cumulative sums, which picks what `step`'s scan picks for every r.
+step in one loop, `_biased_walk`, which asks a `pick(v, r) -> slot` for the
+bias row's sample at each biased step: the phase walk's pick bisects vertex
+v's `_thresholds`, the running maxima of the cumulative sums of its row of
+the target-decay bias, in one flat list (`_bisector`), which picks what
+`step`'s scan picks for every r; the sweep walk's returns the slot of the
+forward or backward neighbour of a cycle (`_sweep_picks`).
 
 `extract_bias_matrix` inverts the mixture: given a reversible chain Q
 supported on the graph's edges with Q >= (1 - eps)/d entrywise on edges,
@@ -23,7 +24,8 @@ dense path's `_bias` on the slot probabilities of `weighting`, for a batch
 of U sets at once (one `bfs_columns` call, O(m) array work per set), bit for
 bit as `induced_chain(w)` -> `extract_bias_matrix`.  Every phase trial runs
 phases of the same sizes, so `_phase_trials` plays a batch one phase at a
-time: one row build for every trial, then each trial's phase in the loop.
+time: one row build and one draw block for every trial, then each trial's
+phase in the loop.
 
 `cover_run` plays one trial and `estimate_cover_time` many; both check the
 spec once, in `_checked`, and make one call (a batch of one for `cover_run`)
@@ -36,7 +38,8 @@ them: `_cover_run_srw` an srw choice u % span per draw, walked through the
 padded neighbour table of `_srw_table`, and `_biased_walk` one (choice, r)
 pair per step from `_decode_pairs`, choice -1 where the coin says biased.
 Blocks start at the draws of the shortest possible run (`left` srw steps, or
-`left - stop` biased ones) and double from there.
+`left - stop` biased ones) and double from there; a phase batch's first
+block is one `splitmix_block` call for all its trials (see `_phase_trials`).
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -60,7 +63,7 @@ import numpy as np
 
 from .chains import ReversibleChain
 from .graphs import SUBSET_GUARD, Graph, WalklabError, bfs_columns, vertex_expansion_exact
-from .rng import SplitMix64, _blocks, draws, splitmix_block, stream_seeds, to_unit
+from .rng import MAX_BLOCK, SplitMix64, _blocks, draws, splitmix_block, stream_seeds, to_unit
 from .weighting import _target_decay, slot_transitions, target_decay_weighting, uniform_weighting
 
 # psi used by the phase strategy when the graph is too large for exact
@@ -161,8 +164,10 @@ def extract_bias_matrix(q: ReversibleChain, g: Graph, eps: float) -> np.ndarray:
 
 
 def _bias(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
-    """B = (Q - (1 - eps) P) / eps entrywise, for eps in (0, 1]."""
-    b = (q - (1.0 - eps) * p) / eps
+    """B = (Q - (1 - eps) P) / eps entrywise, for eps in (0, 1], as a new
+    array (q and p are only read)."""
+    b = q - (1.0 - eps) * p
+    b /= eps
     if float(b.min()) < -1e-12:
         raise WalkError(
             f"chain is not an eps-biased perturbation of the walk (min entry {b.min():.3e})"
@@ -170,31 +175,50 @@ def _bias(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
     return b
 
 
-def _decay_rows(g: Graph, targets: np.ndarray, theta: float, eps: float) -> np.ndarray:
+def _decay_rows(g: Graph, targets: np.ndarray, theta: float, eps: float, srw: np.ndarray) -> np.ndarray:
     """Row j of the B x n boolean `targets` is a target set U; entry [j, v] of
     the B x n x d result is B over adj[v] for the chain Q(U, theta) of the
-    d-regular graph g.  One `bfs_columns` call and O(B m) array work: bit for
-    bit the entries of
+    d-regular graph g, given `srw = slot_transitions(uniform_weighting(g))`.
+    One `bfs_columns` call and O(B m) array work: bit for bit the entries of
     `extract_bias_matrix(induced_chain(target_decay_weighting(g, U, theta)), g, eps)`."""
     if not (0.0 < eps <= 1.0):
         raise WalkError("bias rows need eps in (0, 1]")
     q = slot_transitions(_target_decay(g, bfs_columns(g, targets.T).T, theta))
-    return _bias(q, slot_transitions(uniform_weighting(g)), eps).reshape(len(targets), g.n, -1)
+    return _bias(q, srw, eps).reshape(len(targets), g.n, -1)
 
 
 # ---------------------------------------------------------------------------
 # cover-time simulation
 
 
-def _thresholds(rows: np.ndarray) -> list:
-    """Bias rows (..., d) as the lists `_biased_walk` bisects: the running
-    maximum of each row's cumulative sum, its last entry dropped.
+def _thresholds(rows: np.ndarray) -> np.ndarray:
+    """Bias rows (..., d) as the thresholds `_bisector` reads: the running
+    maximum of each row's cumulative sum, its last entry dropped.  Built in
+    place on `rows`, a column at a time (a cumsum, then a running max, over
+    a tiny last axis), and returned as a view.
 
-    bisect_right(t, r) is `_sample_from_vector(row, r)`: the first i with
-    r < row[0] + ... + row[i], summed in the same order, else d - 1; the
-    running maximum keeps that exact when dust down to -1e-12 makes the
-    sums dip."""
-    return np.maximum.accumulate(np.cumsum(rows, axis=-1), axis=-1)[..., :-1].tolist()
+    bisect_right(t, r) over a row's d - 1 thresholds t is
+    `_sample_from_vector(row, r)`: the first i with r < row[0] + ... +
+    row[i], summed in the same order, else d - 1; the running maximum keeps
+    that exact when dust down to -1e-12 makes the sums dip."""
+    t = rows[..., :-1]
+    for j in range(1, t.shape[-1]):
+        np.add(t[..., j - 1], t[..., j], out=t[..., j])
+    for j in range(1, t.shape[-1]):
+        np.maximum(t[..., j - 1], t[..., j], out=t[..., j])
+    return t
+
+
+def _bisector(t: list[float], k: int) -> Callable[[int, float], int]:
+    """The phase walk's `pick`: vertex v's row is t[k v : k v + k] of the
+    flat list t, the k = d - 1 `_thresholds` of every vertex in turn, and
+    its sample at r is bisected within those bounds."""
+
+    def pick(v: int, r: float) -> int:
+        lo = k * v
+        return bisect_right(t, r, lo, lo + k) - lo
+
+    return pick
 
 
 def _decode_pairs(z: np.ndarray, d: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,20 +281,21 @@ def _biased_walk(
     steps: int,
     left: int,
     stop: int,
-    thresholds: Callable[[int], Sequence[float]] | None,
+    pick: Callable[[int, float], int] | None,
 ) -> tuple[int, int, int]:
     """Epsilon-biased walk until at most `stop` of the `left` unvisited vertices remain.
 
     One (choice, r) pair per step, as `_decode_pairs` reads `step`'s coin
-    and r: choice -1 takes bisect_right(thresholds(cur), r), the bias row's
-    sample at r (see `_thresholds`), any other choice is the uniform
-    neighbour.  Marks `visited` in place and returns (cur, steps, left).
+    and r: choice -1 takes the slot pick(cur, r), the bias row's sample at
+    r (`_bisector` for the phase walk, `_sweep_picks` for the sweep), any
+    other choice is the uniform neighbour.  Marks `visited` in place and
+    returns (cur, steps, left).
     """
     if left <= stop:
         return cur, steps, left
     for c, r in pairs:
         if c < 0:
-            c = bisect_right(thresholds(cur), r)
+            c = pick(cur, r)
         cur = adj[cur][c]
         steps += 1
         if not visited[cur]:
@@ -281,29 +306,28 @@ def _biased_walk(
     return cur, steps, left
 
 
-def _sweep_thresholds(g: Graph) -> Callable[[bytearray], Callable[[int], list[float]]]:
-    """Directional bias for cycles: `_sweep_thresholds(g)(visited)` is the
-    bias as `_thresholds`, read against `visited` at each call.
+def _sweep_picks(g: Graph) -> Callable[[bytearray], Callable[[int, float], int]]:
+    """Directional bias for cycles: `_sweep_picks(g)(visited)` is the sweep's
+    `pick`, read against `visited` at each call.
 
     Vertex v prefers its +1 neighbour while that is unvisited or the -1
     neighbour is visited, and its -1 neighbour otherwise: a pure function
-    of (visited, current), so the walk is replayable.  Both one-hot rows of
-    every vertex are picked once, here, from the two rows of length d = 2
-    (the lone neighbour of a 2-cycle is slot 0); bisecting a one-hot row's
-    thresholds returns its target for every r in [0, 1).
+    of (visited, current), so the walk is replayable.  The bias row is
+    one-hot, so its sample is that neighbour's slot for every r in [0, 1);
+    both slots of every vertex are found once, here (the lone neighbour of
+    a 2-cycle is slot 0).
     """
     n = g.n
     fwd = [(v + 1) % n for v in range(n)]
     bwd = [(v - 1) % n for v in range(n)]
-    hot = _thresholds(np.eye(2))
-    ahead = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, fwd)]
-    back = [hot[nbrs.index(t)] for nbrs, t in zip(g.adj, bwd)]
+    ahead = [nbrs.index(t) for nbrs, t in zip(g.adj, fwd)]
+    back = [nbrs.index(t) for nbrs, t in zip(g.adj, bwd)]
 
-    def against(visited: bytearray) -> Callable[[int], list[float]]:
-        def thresholds(v: int) -> list[float]:
+    def against(visited: bytearray) -> Callable[[int, float], int]:
+        def pick(v: int, r: float) -> int:
             return back[v] if visited[fwd[v]] and not visited[bwd[v]] else ahead[v]
 
-        return thresholds
+        return pick
 
     return against
 
@@ -527,7 +551,7 @@ def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     else:
         out, rest = [0] * len(starts), [(i, s, 0, bytearray(n)) for i, s in enumerate(starts)]
     if spec.kind == "sweep":
-        sweep, span = _sweep_thresholds(g), _slot_span(g)
+        sweep, span = _sweep_picks(g), _slot_span(g)
     else:
         table, span = _srw_table(g)
     for i, cur, steps, visited in rest:
@@ -552,31 +576,46 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     Q(U, theta) until half of U is visited.  `left` drops by one per first
     visit, so every trial runs phases of the same sizes, n - 1, (n - 1) // 2,
     ..., 1: at most log2(n) + 1 of them.  Each phase builds the rows of every
-    trial in one `_decay_rows` call (none when eps = 0) and then plays each
-    trial's phase in `_biased_walk`, with that trial's `_thresholds` built
-    just before, one trial at a time.  A trial resumes each phase at
-    counter + 2 * steps, as the scalar srw and sweep loops do, and decodes
-    draw blocks from 2 * (left - stop) draws, the phase's shortest length;
+    trial in one `_decay_rows` call (none when eps = 0) and turns them into
+    `_thresholds` in place; each trial then reads its own as one flat list,
+    through `_bisector`, made just before it walks, one trial at a time.
+
+    A trial resumes each phase at counter + 2 * steps, as the scalar srw and
+    sweep loops do.  One `splitmix_block` call per phase draws a block for
+    every trial from its own counter, decoded once by `_decode_pairs`; a
+    trial's columns become lists just before it walks.  The block holds the
+    draws of the phase's shortest length, 2 (left - stop), or the median
+    draws the batch's trials used in the previous phase if more, at most
+    MAX_BLOCK.  A trial that runs past it goes on from its own `_blocks`;
     no draws are held across phases.
     """
     n, d, eps = g.n, g.regular_degree, spec.eps
+    dps = _DRAWS_PER_STEP["phase"]
     theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
+    srw = slot_transitions(uniform_weighting(g)) if eps > 0.0 else None  # a lone vertex at eps = 0 has no slots
     streams = [SplitMix64(seed) for seed in seeds.tolist()]
     cur, steps = list(starts), [0] * len(starts)
     visited = [bytearray(n) for _ in starts]
     for vis, start in zip(visited, starts):
         vis[start] = 1
-    left = n - 1
+    left, size = n - 1, 0
     while left:
         stop = left // 2
-        bias = repeat(None)
+        size = min(max(dps * (left - stop), size), MAX_BLOCK)
+        picks = repeat(None)
         if eps > 0.0:
             unvisited = np.frombuffer(b"".join(visited), dtype=np.uint8).reshape(-1, n) == 0
-            bias = (_thresholds(rows).__getitem__ for rows in _decay_rows(g, unvisited, theta, eps))
-        for i, (rng, thresholds) in enumerate(zip(streams, bias)):
-            rng.counter = counter + _DRAWS_PER_STEP["phase"] * steps[i]
-            pairs = _pair_draws(rng, d, eps, 2 * (left - stop))
-            cur[i], steps[i], _ = _biased_walk(g.adj, pairs, visited[i], cur[i], steps[i], left, stop, thresholds)
+            # the rows are held by `picks` alone, so the next phase frees them before its build
+            picks = (_bisector(t.reshape(-1).tolist(), d - 1)
+                     for t in _thresholds(_decay_rows(g, unvisited, theta, eps, srw)))
+        at = [counter + dps * s for s in steps]
+        choice, r = _decode_pairs(splitmix_block(seeds, np.array(at, dtype=np.uint64), size).T, d, eps)
+        for i, (rng, pick) in enumerate(zip(streams, picks)):
+            rng.counter = at[i] + size
+            pairs = chain(zip(choice[:, i].tolist(), r[:, i].tolist()), _pair_draws(rng, d, eps, size))
+            cur[i], steps[i], _ = _biased_walk(g.adj, pairs, visited[i], cur[i], steps[i], left, stop, pick)
+        del choice, r  # freed before the next phase's build
+        size = sorted(counter + dps * s - a for s, a in zip(steps, at))[len(at) // 2]  # the median draws used
         left = stop
     return steps
 

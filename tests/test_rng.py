@@ -255,6 +255,39 @@ def test_splitmix_block_rows_continue_each_stream(seeds, counter, m):
         assert [int(x) for x in block[i]] == [stream.next_u64() for _ in range(m)]
 
 
+@given(
+    st.integers(min_value=0, max_value=40).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=MASK64),
+                    st.integers(min_value=0, max_value=10_000)
+                    | st.integers(min_value=MASK64 - m - 3, max_value=MASK64 - max(m - 1, 0)),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+        )
+    )
+)
+@settings(max_examples=60)
+def test_splitmix_block_with_a_counter_per_stream_continues_each_stream(case):
+    # row i is stream i's own block_u64(m) from counters[i], m = 0 included,
+    # up to a counter m short of 2^64: draw k = 2^64 wraps to 0 in uint64,
+    # as next_u64's mask wraps it
+    m, streams = case
+    seeds, counters = (np.array(col, dtype=np.uint64) for col in zip(*streams))
+    block = splitmix_block(seeds, counters, m)
+    assert block.shape == (len(streams), m) and block.dtype == np.uint64
+    for row, (seed, counter) in zip(block, streams):
+        stream = SplitMix64(seed)
+        stream.counter = counter
+        assert row.tolist() == stream.block_u64(m).tolist()
+        stream.counter = counter
+        assert row.tolist() == [stream.next_u64() for _ in range(m)]
+
+
 def test_state_is_serializable_by_value():
     r = SplitMix64(10)
     r.next_u64()

@@ -230,6 +230,18 @@ def test_lemma_audit_skips_rough_weighting():
     assert report.skipped is not None
 
 
+@pytest.mark.parametrize("rough", [False, True], ids=["sigma-lipschitz", "rough"])
+@pytest.mark.parametrize("subsets, match", [([{99}, set()], "vertex 99 out of range"), ([{0, 1}, set()], "non-empty")],
+                         ids=["out-of-range", "empty"])
+def test_lemma_audit_checks_every_set_before_skipping_a_rough_weighting(rough, subsets, match):
+    # a rough weighting used to come back as one skipped report per set
+    # before any set was looked at
+    g = generate("random_regular", n=16, d=3, seed=4)
+    w = target_decay_weighting(g, [0], 0.9) if rough else uniform_weighting(g)
+    with pytest.raises(GraphError, match=match):
+        section3_lemma_audit(w, subsets)
+
+
 SECTION3_CASES = {
     "uniform": (
         lambda: uniform_weighting(generate("random_regular", n=16, d=3, seed=4)),

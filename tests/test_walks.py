@@ -1,8 +1,8 @@
 """Walk engine: biased steps, bias extraction, cover runs."""
 
+import functools
 import math
 import tracemalloc
-from bisect import bisect_right
 from dataclasses import replace
 from functools import cached_property
 
@@ -26,7 +26,13 @@ from walklab.walks import (
     stationary_boost_audit,
     step,
 )
-from walklab.weighting import WeightingError, induced_chain, target_decay_weighting, uniform_weighting
+from walklab.weighting import (
+    WeightingError,
+    induced_chain,
+    slot_transitions,
+    target_decay_weighting,
+    uniform_weighting,
+)
 
 
 class ScriptedRng:
@@ -215,6 +221,11 @@ def target_rows(n, sets):
     return targets
 
 
+def decay_rows(g, targets, theta, eps):
+    """`_decay_rows` with the simple random walk's slot transitions it is given."""
+    return walks._decay_rows(g, targets, theta, eps, slot_transitions(uniform_weighting(g)))
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -233,7 +244,7 @@ def test_decay_bias_rows_bit_identical_to_dense_extraction(g):
     for eps in (0.05, 0.25, 1.0):
         for theta in (min(eps, 1.0 - math.exp(-2.0 / 32.0)), eps / 2):
             sets = [sorted({rng.randrange(g.n) for _ in range(1 + rng.randrange(g.n))}) for _ in range(3)]
-            rows = walks._decay_rows(g, target_rows(g.n, sets), theta, eps)
+            rows = decay_rows(g, target_rows(g.n, sets), theta, eps)
             assert rows.shape == (3, g.n, g.regular_degree)
             for j, targets in enumerate(sets):
                 assert rows[j].tolist() == dense_bias_rows(g, targets, theta, eps), (eps, theta, targets)
@@ -243,15 +254,15 @@ def test_decay_bias_rows_keep_the_dense_checks():
     cube = generate("hypercube", dim=3)
     one = target_rows(cube.n, [[0]])
     with pytest.raises(WalkError):
-        walks._decay_rows(cube, one, 0.25, 0.125)  # eps below the tilt: negative bias entries
+        decay_rows(cube, one, 0.25, 0.125)  # eps below the tilt: negative bias entries
     with pytest.raises(WalkError):  # only the second row of the batch has them
-        walks._decay_rows(cube, target_rows(cube.n, [range(cube.n), [0]]), 0.25, 0.125)
+        decay_rows(cube, target_rows(cube.n, [range(cube.n), [0]]), 0.25, 0.125)
     with pytest.raises(WalkError):
-        walks._decay_rows(cube, one, 0.1, 0.0)
+        decay_rows(cube, one, 0.1, 0.0)
     with pytest.raises(WalkError):
-        walks._decay_rows(cube, one, 0.1, 1.5)
+        decay_rows(cube, one, 0.1, 1.5)
     with pytest.raises(WeightingError):
-        walks._decay_rows(cube, one, 1.0, 1.0)
+        decay_rows(cube, one, 1.0, 1.0)
 
 
 # --- the biased walk loop ------------------------------------------------------
@@ -270,8 +281,8 @@ UNIT_ENDS = (0.0, 0.5, 1.0 - 2.0**-53)
 
 def sweep_targets(g, seen, v):
     """The vertices the sweep's biased step from v reaches over UNIT_ENDS."""
-    thresholds = walks._sweep_thresholds(g)(visited_bytes(g.n, seen))(v)
-    return {g.adj[v][bisect_right(thresholds, r)] for r in UNIT_ENDS}
+    pick = walks._sweep_picks(g)(visited_bytes(g.n, seen))
+    return {g.adj[v][pick(v, r)] for r in UNIT_ENDS}
 
 
 def test_sweep_policy_prefers_forward_frontier():
@@ -315,12 +326,37 @@ def stepped_path(g, start, eps, rule, rng, stop):
 
 @pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
 @pytest.mark.parametrize("seed", [3, 2**64 + 9])
+class RecordingPick:
+    """A `pick` that records each (vertex, r) it is asked for."""
+
+    def __init__(self, pick):
+        self.pick, self.calls = pick, []
+
+    def __call__(self, v, r):
+        self.calls.append((v, r))
+        return self.pick(v, r)
+
+
+def biased_steps(path, eps, seed):
+    """The (vertex, r) of each biased step `step` took along `path` on seed's stream."""
+    rng = SplitMix64(seed)
+    calls = []
+    for v in path[:-1]:
+        coin, r = rng.next_float(), rng.next_float()
+        if coin < eps:
+            calls.append((v, r))
+    return calls
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("seed", [3, 2**64 + 9])
 def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # phase rows: one phase toward every vertex but the start on rr64, run
     # until half of them are visited, reading decoded draw pairs from a
-    # block sized to the phase as `_phase_trials` does
+    # block sized to the phase and picking biased steps through the flat
+    # thresholds, as `_phase_trials` does
     g = generate("random_regular", n=64, d=3, seed=5)
-    built = walks._decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0] if eps > 0.0 else None
+    built = decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0] if eps > 0.0 else None
     rows = built.tolist() if eps > 0.0 else []
     rule = lambda g_, vis, cur: rows[cur] if rows else None
     expected, seen = stepped_path(g, 0, eps, rule, SplitMix64(seed), (g.n - 1) // 2)
@@ -328,22 +364,23 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     visited = visited_bytes(g.n, {0})
     left, stop = g.n - 1, (g.n - 1) // 2
     pairs = walks._pair_draws(SplitMix64(seed), 3, eps, 2 * (left - stop))
-    thresholds = walks._thresholds(built).__getitem__ if eps > 0.0 else None
-    cur, steps, left = walks._biased_walk(adj, pairs, visited, 0, 0, left, stop, thresholds)
+    pick = RecordingPick(walks._bisector(walks._thresholds(built).reshape(-1).tolist(), 2) if eps > 0.0 else None)
+    cur, steps, left = walks._biased_walk(adj, pairs, visited, 0, 0, left, stop, pick)
     assert adj.path + [cur] == expected
     assert steps == len(expected) - 1 and left == g.n - len(seen)
     assert visited == visited_bytes(g.n, seen)
+    assert pick.calls == biased_steps(expected, eps, seed)  # one pick per biased step, at its r
     # sweep rule on a cycle, to cover
     cyc = generate("cycle", n=24)
     expected, _ = stepped_path(cyc, 5, eps, sweep_rule, SplitMix64(seed), 0)
     adj = RecordingAdj(cyc.adj)
     visited = visited_bytes(cyc.n, {5})
     pairs = walks._pair_draws(SplitMix64(seed), 2, eps, 2 * (cyc.n - 1))
-    cur, steps, left = walks._biased_walk(
-        adj, pairs, visited, 5, 0, cyc.n - 1, 0, walks._sweep_thresholds(cyc)(visited)
-    )
+    pick = RecordingPick(walks._sweep_picks(cyc)(visited))
+    cur, steps, left = walks._biased_walk(adj, pairs, visited, 5, 0, cyc.n - 1, 0, pick)
     assert adj.path + [cur] == expected
     assert (steps, left) == (len(expected) - 1, 0)
+    assert pick.calls == biased_steps(expected, eps, seed)
 
 
 dust = st.sampled_from([0.0, -1e-12, -5e-13, -1e-13, 1e-12, 1e-16])
@@ -351,22 +388,29 @@ dust = st.sampled_from([0.0, -1e-12, -5e-13, -1e-13, 1e-12, 1e-16])
 
 @given(
     st.integers(min_value=2, max_value=8).flatmap(
-        lambda d: st.lists(st.floats(min_value=0.0, max_value=1.0) | dust, min_size=d, max_size=d)
+        lambda d: st.lists(
+            st.lists(st.floats(min_value=0.0, max_value=1.0) | dust, min_size=d, max_size=d), min_size=1, max_size=4
+        )
     ),
     st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_bisected_thresholds_sample_as_the_row_does(row, normalize):
-    # bisect_right over the running maxima of the cumulative sums equals
-    # `_sample_from_vector` at every threshold, one ulp either side of it,
-    # and the ends of [0, 1), also where dust makes the sums dip
-    if normalize and sum(row) > 0.0:
-        row = [x / sum(row) for x in row]
-    thresholds = walks._thresholds(np.array(row))
-    assert len(thresholds) == len(row) - 1
-    sums = np.cumsum(row).tolist()
-    for r in set(UNIT_ENDS) | {x for t in sums for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))}:
-        assert bisect_right(thresholds, r) == walks._sample_from_vector(row, r), (row, r)
+def test_bisected_thresholds_sample_as_the_row_does(rows, normalize):
+    # the flat thresholds of a stack of rows, bisected between the lo/hi
+    # bounds of row v, equal `_sample_from_vector` of row v at every
+    # threshold, one ulp either side of it, and the ends of [0, 1), also
+    # where dust makes the sums dip
+    if normalize:  # rows whose sum is too small to divide by stay as drawn
+        scaled = [[x / sum(row) for x in row] if sum(row) > 0.0 else row for row in rows]
+        rows = [new if all(map(math.isfinite, new)) else row for row, new in zip(rows, scaled)]
+    d = len(rows[0])
+    thresholds = walks._thresholds(np.array([rows, rows]))  # a batch of two stacks, as `_phase_trials` builds
+    assert thresholds.shape == (2, len(rows), d - 1)
+    pick = walks._bisector(thresholds[1].reshape(-1).tolist(), d - 1)
+    for v, row in enumerate(rows):
+        sums = np.cumsum(row).tolist()
+        for r in set(UNIT_ENDS) | {x for t in sums for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))}:
+            assert pick(v, r) == walks._sample_from_vector(row, r), (row, r)
 
 
 IRREGULAR = build_graph([(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)], 10)  # degrees 2 and 3
@@ -545,36 +589,80 @@ def test_phase_rows_equal_per_trial_cover_runs(monkeypatch, trials):
     assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
 
 
+# eps 0.25, eps 1.0, and a psi whose tilt reaches eps: theta = min(0.25, 1 - e^(-10/32)) = 0.25
+WIDTH_SPECS = {"eps0.25": (0.25, 2.0), "eps1": (1.0, 2.0), "theta-eq-eps": (0.25, 10.0)}
+WIDTH_SEEDS = stream_seeds(606, np.arange(40))
+
+
+@functools.lru_cache(maxsize=None)
+def alone_steps(eps, psi):
+    """Each of 40 phase trials on rr(64, 3) played by its own `cover_run`, from counter 3."""
+    g = generate("random_regular", n=64, d=3, seed=5)
+    steps = []
+    for t, seed in enumerate(WIDTH_SEEDS.tolist()):
+        rng = SplitMix64(seed)
+        rng.counter = 3
+        steps.append(cover_run(g, phase(eps, psi), rng, 7 * t % g.n))
+    return steps
+
+
+@pytest.mark.parametrize("width", [1, 12, 40])
+@pytest.mark.parametrize("case", sorted(WIDTH_SPECS))
+def test_phase_batches_of_any_width_play_each_trial_alone(width, case):
+    # one block per phase serves the batch, each trial's columns drawn from
+    # its own counter: at any width every trial takes the steps of its own
+    # cover_run, so no trial reads another's draws, and the first two take
+    # those of `step` played with the dense rows
+    eps, psi = WIDTH_SPECS[case]
+    assert (min(eps, 1.0 - math.exp(-psi / 32.0)) == eps) is (case == "theta-eq-eps")
+    g = generate("random_regular", n=64, d=3, seed=5)
+    spec = walks._checked(g, phase(eps, psi))
+    starts = [7 * t % g.n for t in range(width)]
+    assert walks._phase_trials(g, spec, WIDTH_SEEDS[:width], 3, starts) == alone_steps(eps, psi)[:width]
+    for t in range(min(width, 2)):
+        rng = SplitMix64(int(WIDTH_SEEDS[t]))
+        rng.counter = 3
+        assert alone_steps(eps, psi)[t] == stepped_phase_steps(g, eps, psi, rng, starts[t])
+
+
 def test_phase_draw_blocks_start_at_the_phase_length(monkeypatch):
-    # each phase's first block holds the draws of its shortest possible
-    # length, 2 (left - stop), so a long phase does not climb from 64
-    # draws: three 32-trial estimates on rr512 make 3486 block_u64 calls,
-    # against 4023 when every phase started at 64 (bound: 3486 + 3%)
+    # each phase draws one block for the whole batch, each trial's from its
+    # own counter: the phase's shortest length, 2 (left - stop) draws, or
+    # twice the previous phase's median steps if more.  Only trials that
+    # run past it draw blocks of their own: three 32-trial estimates on
+    # rr512 make 27 batch calls (one per phase) and 600 block_u64 calls
+    # (bound: 600 + 3%), where one block_u64 stream per trial made 3486
     g = generate("random_regular", n=512, d=3, seed=11)
-    sizes = []
-    block_u64 = SplitMix64.block_u64
+    batches, sizes = [], []
+    block_u64, batch = SplitMix64.block_u64, walks.splitmix_block
     monkeypatch.setattr(SplitMix64, "block_u64", lambda rng, m: sizes.append(m) or block_u64(rng, m))
+    monkeypatch.setattr(walks, "splitmix_block", lambda seeds, at, m: batches.append((len(seeds), m)) or batch(seeds, at, m))
     for seed in (1, 2, 3):
         estimate_cover_time(g, phase(0.25), trials=32, seed=seed)
-    assert len(sizes) <= 3590
-    assert sizes[0] == 2 * (g.n - 1 - (g.n - 1) // 2)  # 512 draws, the first phase's 256 steps
-    assert min(sizes) == rng_module.FIRST_BLOCK
+    assert len(batches) == 27 and {b for b, _ in batches} == {32}
+    assert batches[0][1] == 2 * (g.n - 1 - (g.n - 1) // 2)  # 512 draws, the first phase's 256 steps
+    assert all(2 * (left - left // 2) <= m <= rng_module.MAX_BLOCK
+               for (_, m), left in zip(batches, [511, 255, 127, 63, 31, 15, 7, 3, 1] * 3))
+    assert len(sizes) <= 618
+    assert min(sizes) >= min(m for _, m in batches)  # a trial's own blocks start at the batch block's size
 
 
 def test_phase_threshold_build_peaks_no_higher_than_its_rows():
-    # one full-width batch of rows on rr(8192, 3), 32 sets, and each set's
-    # thresholds built in turn as `_phase_trials` reads them: the tracemalloc
-    # peak (23.0 MiB) stays within the 25.1 MiB that building the rows alone
-    # took when the walk sampled the rows themselves
+    # one full-width batch of rows on rr(8192, 3), 32 sets, turned into
+    # thresholds in place, and each set's flat list built in turn as
+    # `_phase_trials` reads them: the tracemalloc peak (23.0 MiB) stays within
+    # the 25.1 MiB that building the rows alone took when the walk sampled
+    # the rows themselves
     g = generate("random_regular", n=8192, d=3, seed=11)
     rng = SplitMix64(5)
     targets = np.array([rng.block_u64(g.n) % np.uint64(2) == 0 for _ in range(32)])
     theta = 1.0 - math.exp(-2.0 / 32.0)
-    g.slots  # the graph's cached tables are not part of the build
+    srw = slot_transitions(uniform_weighting(g))
+    g.slots  # the graph's cached tables and the walk's transitions are not part of the build
     tracemalloc.start()
     try:
-        for thresholds in map(walks._thresholds, walks._decay_rows(g, targets, theta, 0.25)):
-            assert len(thresholds) == g.n
+        for thresholds in walks._thresholds(walks._decay_rows(g, targets, theta, 0.25, srw)):
+            assert len(thresholds.reshape(-1).tolist()) == 2 * g.n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
