@@ -1,5 +1,4 @@
-"""Reversible finite Markov chains: spectra, conductance, powers, and
-total-variation mixing.
+"""Reversible finite Markov chains: spectra, conductance and powers.
 
 Everything here is dense linear algebra on small state spaces.  The
 spectrum is LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) applied to
@@ -31,7 +30,6 @@ __all__ = [
     "spectral_gap",
     "edge_conductance_exact",
     "power_chain",
-    "mixing_time_tv",
     "cheeger_audit",
 ]
 
@@ -200,7 +198,7 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
 
 
 # ---------------------------------------------------------------------------
-# powers and mixing
+# powers
 
 
 def power_chain(chain: ReversibleChain, m: int) -> ReversibleChain:
@@ -215,31 +213,6 @@ def power_chain(chain: ReversibleChain, m: int) -> ReversibleChain:
     pm = np.maximum(pm, 0.0)
     pm /= pm.sum(axis=1, keepdims=True)
     return ReversibleChain(pm, chain.pi)
-
-
-def mixing_time_tv(chain: ReversibleChain, start: int) -> int | None:
-    """Smallest t >= 1 with TV(P^t(start, .), pi) <= 1/4, or None if the
-    distance never crosses 1/4 within 10 n^2 steps.
-
-    TV(mu P^t, pi) is non-increasing in t for every stochastic P, so the run
-    checks that it never rises by more than 1e-12; a rise means the chain
-    data is corrupt.
-    """
-    n = chain.n
-    if not (0 <= start < n):
-        raise ChainError("start vertex out of range")
-    dist = np.zeros(n)
-    dist[start] = 1.0
-    prev_tv = float("inf")
-    for t in range(1, 10 * n * n + 1):
-        dist = dist @ chain.matrix
-        tv = 0.5 * float(np.abs(dist - chain.pi).sum())
-        if tv > prev_tv + 1e-12:
-            raise ChainError("TV distance increased along the run")
-        prev_tv = tv
-        if tv <= 0.25:
-            return t
-    return None
 
 
 def cheeger_audit(chain: ReversibleChain, slack: float = 1e-9) -> bool:

@@ -61,7 +61,6 @@ __all__ = [
     "subset_fold",
     "first_subset_minimum",
     "vertex_expansion_exact",
-    "ball_growth_audit",
     "small_regular_catalog",
 ]
 
@@ -534,20 +533,6 @@ def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
         return np.divide(outer, pop, out=np.full(masks.size, np.inf), where=valid)
 
     return first_subset_minimum(n, low, chunk_ratio)
-
-
-def ball_growth_audit(g: Graph, seed_set: Iterable[int], k: int, psi: float | None = None) -> bool:
-    """Checks |B_k(S)| >= min((1 + psi)^k * |S|, n/2) with 1e-9 slack."""
-    s = frozenset(int(v) for v in seed_set)
-    if not s:
-        raise GraphError("ball_growth_audit needs a non-empty set")
-    if psi is None:
-        psi, _ = vertex_expansion_exact(g)
-    elif not (0.0 <= psi < np.inf):
-        raise GraphError("ball_growth_audit needs a finite psi >= 0")
-    grown = len(ball(g, s, k))
-    bound = min((1.0 + psi) ** k * len(s), g.n / 2.0)
-    return grown >= bound - 1e-9
 
 
 # ---------------------------------------------------------------------------

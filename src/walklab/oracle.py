@@ -4,8 +4,9 @@ Events here are visited-set measurable: whether a length-t trajectory
 satisfies the event depends only on which target vertices it has touched.
 That collapses the d^t trajectory tree onto DP states
 (current vertex, visited-target mask, steps remaining), which is what makes
-exact cover probabilities feasible up to n = MASK_GUARD (and the exact
-expected cover time, one linear solve per mask, up to n = COVER_GUARD).
+exact cover probabilities feasible up to n = MASK_GUARD.  The plain walk's
+exact expected cover time, from every start at once, takes one stacked
+linear solve per popcount layer of visited sets, up to n = COVER_GUARD.
 
 Two walks are evaluated on the same DP: the simple random walk (value =
 mean of child values) and the optimal epsilon-biased walk
@@ -49,8 +50,6 @@ __all__ = [
     "BoostReport",
     "eta_grid",
     "srw_expected_cover_exact",
-    "cover_lower_demo",
-    "CoverLowerReport",
     "majorizes",
     "schur_audit",
     "robin_hood_pair",
@@ -433,25 +432,20 @@ def boost_bound_grid(
 
 
 # ---------------------------------------------------------------------------
-# exact cover expectations and the lower-bound demo
+# exact cover expectations
 
 
-def srw_expected_cover_exact(g: Graph, start: int) -> float:
-    """Expected SRW cover time from `start`, by absorption on the (vertex,
-    visited) chain: one entry of `_srw_cover_table`."""
-    if not (0 <= start < g.n):
-        raise OracleError("start vertex out of range")
-    return float(_srw_cover_table(g)[1 << start, start])
+def srw_expected_cover_exact(g: Graph) -> np.ndarray:
+    """Expected SRW cover time from every start, by absorption on the
+    (vertex, visited) chain: entry u is the value from u.  Guarded at
+    COVER_GUARD; a one-vertex graph gives [0.0].
 
-
-def _srw_cover_table(g: Graph) -> np.ndarray:
-    """E(v, mask), the expected steps to cover from v having visited mask,
-    for every mask holding v: a 2^n x n table, guarded at COVER_GUARD.
-
-    E(v, mask) = 1 + sum_w P(v, w) E(w, mask | bit w), one stacked solve per
-    popcount layer from n - 1 down: a step out of the mask reads the layer
-    above, a step inside it reads 0 from the unwritten table and moves into
-    the matrix I - P on the mask's vertices.
+    E(v, mask), the expected steps to cover from v having visited mask, is
+    1 + sum_w P(v, w) E(w, mask | bit w) for every mask holding v: one
+    stacked solve per popcount layer from n - 1 down, where a step out of
+    the mask reads the layer above and a step inside it reads 0 from the
+    unwritten table and moves into the matrix I - P on the mask's vertices.
+    Start u reads E(u, {u}).
     """
     n = g.n
     if n > COVER_GUARD:
@@ -467,54 +461,7 @@ def _srw_cover_table(g: Graph) -> np.ndarray:
         rhs = 1.0 + p[verts] @ expect[layer | 1 << vs, vs][:, :, None]
         a = np.eye(k) - p[verts[:, :, None], verts[:, None, :]]
         expect[layer, verts] = np.linalg.solve(a, rhs)[:, :, 0]
-    return expect
-
-
-@dataclass(frozen=True)
-class CoverLowerReport:
-    """Horizon-t cover probabilities and the lower bound they imply.
-
-    implied_bound = t * (1 - q_star) is a valid lower bound on the expected
-    cover time of ANY eps-biased strategy (and in particular the plain
-    walk), because the time to cover exceeds t whenever the horizon-t cover
-    event fails.
-    """
-
-    n: int
-    t: int
-    eps: float
-    p: float
-    q_star: float
-    implied_bound: float
-    exact_cover: float
-
-    @property
-    def ok(self) -> bool:
-        return self.implied_bound <= self.exact_cover + 1e-9
-
-
-def cover_lower_demo(g: Graph, c: float, eps: float, start: int = 0) -> CoverLowerReport:
-    """Cover-time lower bound at horizon t = 3 c n, checked against the exact
-    SRW expectation, computed first so that its guard is the demo's.  p and
-    q_star come from one event-DP pass over the eps grid (0, eps)."""
-    if not (0.0 < c < math.inf):
-        raise OracleError("c must be positive and finite")
-    _check_eps(eps)
-    exact_cover = srw_expected_cover_exact(g, start)
-    t = int(math.ceil(3.0 * c * g.n - 1e-9))
-    event = EventSpec(EventKind.COVER_ALL, t)
-    # one pass gives p (the eps = 0 row) and q_star (the last row)
-    values = _horizon_values(g, start, event, tuple(dict.fromkeys((0.0, eps))))
-    p, q_star = values[0][-1], values[-1][-1]
-    return CoverLowerReport(
-        n=g.n,
-        t=t,
-        eps=eps,
-        p=p,
-        q_star=q_star,
-        implied_bound=t * (1.0 - q_star),
-        exact_cover=exact_cover,
-    )
+    return expect[1 << vs, vs]
 
 
 # ---------------------------------------------------------------------------

@@ -114,14 +114,17 @@ def _sample_from_vector(vec: Sequence[float], r: float) -> int:
 def step(g: Graph, cur: int, eps: float, bias: Sequence[float] | None, rng) -> int:
     """One epsilon-biased step from `cur`; returns the next vertex.
 
-    `bias` is the row aligned with g.adj[cur], and may be None when eps = 0.
-    Consumes exactly two draws (coin, then r) regardless of the branch, so
-    trajectories are replayable from the stream alone.
+    `bias` is the row aligned with g.adj[cur], one entry per neighbour, and
+    may be None when eps = 0.  Consumes exactly two draws (coin, then r)
+    regardless of the branch, so trajectories are replayable from the
+    stream alone.
     """
     _check_eps(eps)
     if eps > 0.0 and bias is None:
         raise WalkError("eps > 0 needs a bias row")
     nbrs = g.adj[cur]
+    if bias is not None and len(bias) != len(nbrs):
+        raise WalkError(f"bias row has {len(bias)} entries, vertex {cur} has {len(nbrs)} neighbours")
     coin = rng.next_float()
     r = rng.next_float()
     if coin < eps:

@@ -264,12 +264,7 @@ def stationary_ratio_audit(w: EdgeWeighting, k: int, beta: float | None = None) 
     return not bool(np.any(bad & (g.distance_matrix <= k)))
 
 
-def random_lipschitz_weighting(
-    g: Graph,
-    sigma: float,
-    rng: SplitMix64,
-    rounds: int | None = None,
-) -> EdgeWeighting:
+def random_lipschitz_weighting(g: Graph, sigma: float, rng: SplitMix64) -> EdgeWeighting:
     """Random member of the sigma-Lipschitz family used by the audit suites.
 
     Starts from one of three bases chosen at random: uniform, target decay
@@ -277,7 +272,7 @@ def random_lipschitz_weighting(
     diameter allows it) a bottleneck weighting with ratio capped at sigma.
     A base that cannot be built, or whose vertex ratios round past sigma
     (theta = 1 - 1/sigma loses 1/sigma as sigma nears 2^53), is replaced by
-    the uniform base after its draws are taken.  Then applies random
+    the uniform base after its draws are taken.  Then applies 3m random
     single-edge multiplicative perturbations with factors in [1/sigma,
     sigma], rejecting any move that would push the Lipschitz constant beyond
     sigma or the weight out of the positive float range.  Every round draws
@@ -301,8 +296,6 @@ def random_lipschitz_weighting(
             w, _ = bottleneck_weighting(g, sigma)
     if w is None or (m and np.max(_vertex_ratios(w)) > limit):
         w = uniform_weighting(g)
-    if rounds is None:
-        rounds = 3 * m
     log_sigma = math.log(sigma) if sigma > 1.0 else 0.0
     if log_sigma == 0.0 or m == 0:
         return w
@@ -313,7 +306,7 @@ def random_lipschitz_weighting(
         inc = [weights[i] for i in incident[v]]
         return max(inc) / min(inc)
 
-    for _ in range(rounds):
+    for _ in range(3 * m):
         e = rng.randrange(m)
         factor = math.exp((2.0 * rng.next_float() - 1.0) * log_sigma)
         old = weights[e]

@@ -4,7 +4,8 @@ A deleted function must take its names with it: from the module's
 `__all__` and from the benchmark tracer's table, whose `Tracer.install`
 otherwise fails on the first traced run.  An exported name that no program
 code (the package, `perfbench/`) reaches must be on
-REFERENCE_ONLY, with the reason it stays.
+REFERENCE_ONLY, with the reason it stays: the acceptance criterion it serves,
+or a test that uses it as a reference.
 
 Every exception class of the package derives from `graphs.WalklabError`,
 the one class `cli.main` catches beside OSError for exit code 2.
@@ -251,29 +252,70 @@ def test_cli_main_catches_only_the_root_and_oserror():
 # ---------------------------------------------------------------------------
 # the public surface is reached by program code
 
-# Exported names that no program code reaches, each with the reason it stays.
+# Exported names that no program code reaches, each with the reason it stays:
+# the acceptance criterion it serves ("acceptance criterion N"), or a test
+# that uses it as the reference an engine is checked against, by name.
 # A name that only another entry uses is an entry too: it goes when that goes.
 REFERENCE_ONLY = {
     "chains.cheeger_audit": "acceptance criterion 1: the Cheeger sandwich",
     "walks.extract_bias_matrix": "acceptance criterion 4: the dense reference for the O(m) phase bias",
     "walks.stationary_boost_audit": "acceptance criterion 5: the stationary boost",
-    "walks.StationaryBoostReport": "what stationary_boost_audit returns",
+    "walks.StationaryBoostReport": "acceptance criterion 5: what stationary_boost_audit returns",
     "robustness.prop311_check": "acceptance criterion 8: the bottleneck witness",
-    "robustness.Prop311Report": "what prop311_check returns",
+    "robustness.Prop311Report": "acceptance criterion 8: what prop311_check returns",
     "oracle.event_prob_exact": "acceptance criterion 10: the exact figure anchors",
     "oracle.schur_audit": "acceptance criterion 12: Schur convexity of the boost",
     "oracle.robin_hood_pair": "acceptance criterion 12: the pairs schur_audit is run on",
-    "oracle.majorizes": "schur_audit's precondition, also asserted by criterion 12",
-    "walks.step": "the single-step reference the decoded draw pairs and bisected thresholds of `_biased_walk` are tested against",
-    "walks.cover_run": "the single-trial entry point README documents",
-    "graphs.ball_growth_audit": "the ball-growth lemma |B_k(S)| >= min((1 + psi)^k |S|, n/2), audited on the catalog",
-    "graphs.ball": "one ball as a vertex set, for prop311_check's witness, ball_growth_audit and the "
-    "set-valued Section 3 audit the mask audit is tested against",
-    "oracle.cover_lower_demo": "the exact cover lower bound ROADMAP direction 5 will run",
-    "oracle.CoverLowerReport": "what cover_lower_demo returns",
-    "oracle.srw_expected_cover_exact": "the eps = 0 cover time cover_lower_demo compares against (direction 5)",
-    "chains.mixing_time_tv": "the mixing time ROADMAP directions 10 and 4 will call",
+    "oracle.majorizes": "acceptance criterion 12: schur_audit's precondition, also asserted there",
+    "walks.step": "the single-step reference the decoded draw pairs and bisected thresholds of `_biased_walk` "
+    "are tested against in test_biased_walk_replays_step_draw_for_draw",
+    "walks.cover_run": "the single-trial entry point README documents, which "
+    "test_phase_batches_of_any_width_play_each_trial_alone plays each batched trial against",
+    "graphs.ball": "acceptance criterion 8: one ball as a vertex set, for prop311_check's witness; also the "
+    "set-valued Section 3 audit of test_lemma_audit_matches_the_set_valued_reference",
+    "oracle.srw_expected_cover_exact": "the exact srw cover time from every start, which "
+    "test_exact_cover_equals_the_tail_sum_of_the_cover_law checks the event DP's cover law against",
 }
+
+CRITERIA = {
+    int(number)
+    for number in re.findall(r"^def test_criterion_(\d+)_", (ROOT / "tests" / "test_acceptance.py").read_text(), re.M)
+}
+
+
+def _test_sources() -> dict[str, list[str]]:
+    """The source of each test function in tests/, by name."""
+    found: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                found.setdefault(node.name, []).append("\n".join(lines[node.lineno - 1 : node.end_lineno]))
+    return found
+
+
+def _anchored(name: str, reason: str, tests: dict[str, list[str]]) -> bool:
+    """Whether `reason` names an acceptance criterion the suite has, or a test
+    whose source uses the export `name` ("module.attr")."""
+    if any(int(number) in CRITERIA for number in re.findall(r"acceptance criterion (\d+)", reason)):
+        return True
+    attr = re.compile(rf"\b{name.split('.')[1]}\b")
+    return any(attr.search(source) for test in re.findall(r"\btest_\w+", reason) for source in tests.get(test, ()))
+
+
+def test_every_reference_only_reason_names_a_criterion_or_a_reference_test():
+    tests = _test_sources()
+    assert [name for name, reason in REFERENCE_ONLY.items() if not _anchored(name, reason, tests)] == []
+
+
+def test_the_reason_check_rejects_a_reason_without_an_anchor():
+    tests = _test_sources()
+    assert not _anchored("chains.spectral_gap", "the mixing time ROADMAP directions 10 and 4 will call", tests)
+    assert not _anchored("chains.spectral_gap", "acceptance criterion 13: no such criterion", tests)
+    assert not _anchored("walks.step", "checked in test_exact_cover_cycle, which never calls it", tests)
+    assert not _anchored("walks.step", "checked in test_no_such_test", tests)
+    assert _anchored("walks.step", "checked in test_step_eps_one_follows_policy_exactly", tests)
+    assert _anchored("chains.spectral_gap", "acceptance criterion 7: the gap endpoint", tests)
 
 
 EXPORTS = {name: set(_exports(PKG / f"{name}.py")) for name in MODULES}
@@ -333,9 +375,9 @@ def test_every_exported_name_is_reached_by_program_code():
 
 
 def test_the_surface_check_sees_a_name_used_only_by_another_dead_name():
-    # srw_expected_cover_exact is called inside oracle, but only by cover_lower_demo
-    uses = [use for use in _uses(PKG / "oracle.py") if use[0] == ("oracle", "srw_expected_cover_exact")]
-    assert uses == [(("oracle", "srw_expected_cover_exact"), ("oracle", "cover_lower_demo"))]
+    # majorizes is called inside oracle, but only by schur_audit
+    uses = [use for use in _uses(PKG / "oracle.py") if use[0] == ("oracle", "majorizes")]
+    assert uses == [(("oracle", "majorizes"), ("oracle", "schur_audit"))]
 
 
 def _unused_members(path: Path, program: list[str], text: str | None = None) -> list[str]:

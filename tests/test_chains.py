@@ -13,7 +13,6 @@ from walklab.chains import (
     ReversibleChain,
     cheeger_audit,
     edge_conductance_exact,
-    mixing_time_tv,
     power_chain,
     spectral_gap,
 )
@@ -203,7 +202,7 @@ def test_conductance_guard():
         edge_conductance_exact(srw(generate("cycle", n=25)))
 
 
-# --- powers and mixing ----------------------------------------------------
+# --- powers ----------------------------------------------------------
 
 
 def test_power_chain_squares_matrix():
@@ -211,31 +210,6 @@ def test_power_chain_squares_matrix():
     p2 = power_chain(ch, 2)
     assert np.allclose(p2.matrix, ch.matrix @ ch.matrix, atol=1e-12)
     assert np.allclose(p2.pi, ch.pi)
-
-
-def test_mixing_time_complete_graph():
-    assert mixing_time_tv(srw(generate("complete", n=4)), 0) == 1
-
-
-def test_mixing_time_periodic_chain_diverges():
-    assert mixing_time_tv(srw(generate("cycle", n=6)), 0) is None
-
-
-def test_mixing_time_checks_monotone_tv_on_every_chain():
-    # TV to pi never rises under a stochastic matrix; corrupt data that makes
-    # it rise is caught whether or not the chain is lazy.
-    corrupt = object.__new__(ReversibleChain)
-    object.__setattr__(corrupt, "matrix", np.array([[1.5, -0.5], [-0.5, 1.5]]))
-    object.__setattr__(corrupt, "pi", np.array([0.5, 0.5]))
-    with pytest.raises(ChainError, match="TV distance increased"):
-        mixing_time_tv(corrupt, 0)
-
-
-def test_mixing_time_lazy_cycle_relabeling_invariant():
-    ch = lazy(srw(generate("cycle", n=6)))
-    times = {mixing_time_tv(ch, v) for v in range(6)}
-    assert len(times) == 1
-    assert times.pop() is not None
 
 
 def test_cheeger_audit_on_catalog():

@@ -19,7 +19,6 @@ from walklab.graphs import (
     GuardError,
     ball,
     all_pairs_distances,
-    ball_growth_audit,
     bfs_columns,
     build_graph,
     diameter,
@@ -522,15 +521,3 @@ def test_expansion_tie_break_smallest_mask():
     psi, argmin = vertex_expansion_exact(generate("cycle", n=4))
     assert psi == 1.0
     assert argmin == frozenset({0, 1})
-
-
-def test_ball_growth_audit_on_expanders():
-    for name, g in small_regular_catalog().items():
-        for v in range(g.n):
-            for k in range(0, 4):
-                assert ball_growth_audit(g, [v], k), (name, v, k)
-
-
-def test_ball_growth_audit_rejects_inflated_psi():
-    g = generate("cycle", n=12)
-    assert not ball_growth_audit(g, [0], 2, psi=3.0)

@@ -19,7 +19,6 @@ from walklab.oracle import (
     boost_bound_audit,
     boost_bound_grid,
     conv_lemma_audit,
-    cover_lower_demo,
     eta_grid,
     event_prob_exact,
     majorizes,
@@ -31,7 +30,6 @@ from walklab.oracle import (
     srw_event_prob,
     srw_expected_cover_exact,
 )
-from walklab import oracle
 from walklab.oracle import _encode, _horizon_values, _satisfied
 from walklab.rng import SplitMix64
 
@@ -615,13 +613,13 @@ def test_boost_bound_grid_rejects_bad_parameters():
 
 def test_exact_cover_complete_graph():
     g = generate("complete", n=4)
-    assert abs(srw_expected_cover_exact(g, 0) - 5.5) < 1e-9
+    assert np.allclose(srw_expected_cover_exact(g), 5.5, rtol=0.0, atol=1e-9)
 
 
 def test_exact_cover_cycle():
-    g = generate("cycle", n=8)
-    assert abs(srw_expected_cover_exact(g, 0) - 28.0) < 1e-9
-    assert abs(srw_expected_cover_exact(g, 5) - 28.0) < 1e-9
+    cover = srw_expected_cover_exact(generate("cycle", n=8))
+    assert abs(cover[0] - 28.0) < 1e-9
+    assert abs(cover[5] - 28.0) < 1e-9
 
 
 # An irregular graph: a 4-cycle with a pendant path, joined back by a chord.
@@ -643,91 +641,35 @@ def test_exact_cover_equals_the_tail_sum_of_the_cover_law(g):
     # E[T] = sum over t >= 0 of P(T > t), with P(T <= t) from the event DP,
     # a second engine; at t = 60 E[T], P(T > t) is down to rounding (~1e-15).
     u = g.n - 1
-    expect = srw_expected_cover_exact(g, u)
+    expect = srw_expected_cover_exact(g)[u]
     law = _horizon_values(g, u, EventSpec(EventKind.COVER_ALL, math.ceil(60 * expect)), [0.0])[0]
     assert sum(1.0 - f for f in law) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_exact_cover_at_the_guard_from_every_start():
-    # every start from one table per graph; the public function on one start
+    # all 16 starts from one call per graph, within the memory bound
     cycle, cube = generate("cycle", n=16), generate("hypercube", dim=4)
-    for g, want in ((cycle, 120.0), (cube, 59.4973359156472)):
-        table = oracle._srw_cover_table(g)
-        for u in range(16):
-            assert abs(table[1 << u, u] - want) < 1e-9, (g.n, u)
+    assert np.all(np.abs(srw_expected_cover_exact(cycle) - 120.0) < 1e-9)
     tracemalloc.start()
     try:
-        value = srw_expected_cover_exact(cube, 0)
+        cover = srw_expected_cover_exact(cube)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(value - 59.4973359156472) < 1e-9
+    assert np.all(np.abs(cover - 59.4973359156472) < 1e-9)
     assert peak < 48 * 2**20, peak
 
 
 def test_exact_cover_of_one_vertex_is_zero():
-    assert srw_expected_cover_exact(build_graph([], 1), 0) == 0.0
+    assert srw_expected_cover_exact(build_graph([], 1)).tolist() == [0.0]
 
 
 def test_exact_cover_guard_and_range():
+    # refused past COVER_GUARD; below it, one value for each start in range(n)
     with pytest.raises(GuardError):
-        srw_expected_cover_exact(generate("cycle", n=18), 0)
-    with pytest.raises(OracleError):
-        srw_expected_cover_exact(generate("cycle", n=4), 8)
-
-
-def test_cover_lower_demo_cycle_consistency():
-    report = cover_lower_demo(generate("cycle", n=8), 1.0, 0.0)
-    assert report.t == 24
-    assert report.q_star == report.p
-    assert abs(report.exact_cover - 28.0) < 1e-9
-    assert report.implied_bound <= report.exact_cover + 1e-9
-    assert report.ok
-
-
-def test_cover_lower_demo_biased_and_full_control():
-    small = cover_lower_demo(generate("complete", n=4), 1.0, 0.01)
-    assert small.ok and small.q_star >= small.p
-    controlled = cover_lower_demo(generate("complete", n=4), 1.0, 1.0)
-    assert controlled.q_star == 1.0
-    assert controlled.implied_bound == 0.0
-
-
-def test_cover_lower_demo_guards():
-    with pytest.raises(GuardError):
-        cover_lower_demo(generate("cycle", n=17), 1.0, 0.0)
-    with pytest.raises(OracleError):
-        cover_lower_demo(generate("cycle", n=8), 0.0, 0.0)
-    for eps in (-0.1, 1.5, math.nan):
-        with pytest.raises(OracleError, match=r"eps must lie in \[0, 1\]"):
-            cover_lower_demo(generate("cycle", n=8), 1.0, eps)
-
-
-def test_cover_lower_demo_runs_up_to_the_exact_cover_guard(monkeypatch):
-    report = cover_lower_demo(generate("cycle", n=15), 1.0, 0.0)
-    assert report.ok and abs(report.exact_cover - 105.0) < 1e-9
-    passes = []
-    monkeypatch.setattr(oracle, "_horizon_values", lambda *args: passes.append(args))
-    with pytest.raises(GuardError):
-        cover_lower_demo(generate("cycle", n=17), 1.0, 0.0)
-    assert passes == []
-
-
-@pytest.mark.parametrize("eps", [0.0, 0.05, 1.0])
-def test_cover_lower_demo_takes_both_values_from_one_pass(monkeypatch, eps):
-    g = generate("cycle", n=6)
-    event = EventSpec(EventKind.COVER_ALL, 18)
-    p, q_star = srw_event_prob(g, 1, event), optimal_tbrw_event_prob(g, 1, event, eps)
-    grids = []
-
-    def recorded(g, u, event, eps_values):
-        grids.append(tuple(eps_values))
-        return _horizon_values(g, u, event, eps_values)
-
-    monkeypatch.setattr(oracle, "_horizon_values", recorded)
-    report = cover_lower_demo(g, 1.0, eps, start=1)
-    assert grids == [tuple(dict.fromkeys((0.0, eps)))]
-    assert (report.p, report.q_star) == (p, q_star)
+        srw_expected_cover_exact(generate("cycle", n=18))
+    for n in (3, 8, 16):
+        assert srw_expected_cover_exact(generate("cycle", n=n)).shape == (n,)
 
 
 # --- majorization -----------------------------------------------------------------

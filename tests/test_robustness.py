@@ -12,7 +12,6 @@ from walklab.chains import power_chain
 from walklab.graphs import (
     GraphError,
     ball,
-    ball_growth_audit,
     generate,
     is_bipartite,
     small_regular_catalog,
@@ -67,28 +66,18 @@ CYCLE8 = generate("cycle", n=8)
         (lambda: section3_K(math.inf), GraphError),
         (lambda: theorem31_check(uniform_weighting(CYCLE8), psi=math.nan), GraphError),
         (lambda: section3_lemma_audit(uniform_weighting(CYCLE8), [[0]], psi=math.nan), GraphError),
-        (lambda: oracle.cover_lower_demo(CYCLE8, math.nan, 0.0), oracle.OracleError),
-        (lambda: oracle.cover_lower_demo(CYCLE8, math.inf, 0.0), oracle.OracleError),
         (lambda: stationary_ratio_audit(uniform_weighting(CYCLE8), 2, beta=math.nan), WeightingError),
         (lambda: oracle.power_mean(math.nan, (1.0, 2.0)), oracle.OracleError),
         (lambda: oracle.power_mean(-math.inf, (1.0, 2.0)), oracle.OracleError),
-        (lambda: ball_growth_audit(CYCLE8, {0}, 1, psi=math.nan), GraphError),
-        (lambda: ball_growth_audit(CYCLE8, {0}, 1, psi=math.inf), GraphError),
-        (lambda: ball_growth_audit(CYCLE8, {0}, 1, psi=-0.5), GraphError),
     ],
     ids=[
         "K-nan",
         "K-inf",
         "theorem31-psi-nan",
         "lemma-audit-psi-nan",
-        "cover-demo-c-nan",
-        "cover-demo-c-inf",
         "stationary-beta-nan",
         "power-mean-r-nan",
         "power-mean-r-minus-inf",
-        "ball-growth-psi-nan",
-        "ball-growth-psi-inf",
-        "ball-growth-psi-negative",
     ],
 )
 def test_non_finite_scale_parameters_are_refused_with_the_module_error(call, error):

@@ -71,6 +71,10 @@ def test_step_rejects_bad_eps_and_missing_policy():
         step(g, 0, 1.5, None, SplitMix64(1))
     with pytest.raises(WalkError, match="needs a bias row"):
         step(g, 0, 0.5, None, SplitMix64(1))
+    # a row must have one entry per neighbour of cur (3 on complete:4)
+    for row in ([0.2] * 5, [0.5]):
+        with pytest.raises(WalkError, match=f"bias row has {len(row)} entries, vertex 0 has 3 neighbours"):
+            step(g, 0, 1.0, row, SplitMix64(1))
 
 
 def test_step_consumes_exactly_two_draws_each_branch():
