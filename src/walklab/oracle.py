@@ -12,7 +12,10 @@ Two walks are evaluated on the same DP: the simple random walk (value =
 mean of child values) and the optimal epsilon-biased walk
 (value = (1-eps) * mean + eps * max).  The max-child rule attains the
 optimum because the biased one-step operator is linear in the bias vector,
-so some extreme point of the simplex is maximizing.
+so some extreme point of the simplex is maximizing.  `boost_bound_grid`
+evaluates every eps of a query on one pass, whose eps = 0 row is the plain
+walk's p; `srw_event_prob` and `optimal_tbrw_event_prob` are the single-eps
+passes it is checked against.
 
 Everything is cross-checkable: the float DP against an exact rational DP,
 and both against a raw trajectory-tree recursion over small horizons that
@@ -366,68 +369,51 @@ class BoostReport:
         }
 
 
-def _check_boost_params(eps: float, eta: float) -> None:
-    _check_eps(eps)
-    if not (0.0 < eta <= 1.0):
-        raise OracleError("eta must lie in (0, 1]")
-
-
-def _boost_reports(
-    g: Graph, event: EventSpec, eps_values: Sequence[float], etas: Sequence[float], p: float, q_stars: Sequence[float]
-) -> list[BoostReport]:
-    """The reports of one event for every (eps, eta), given p and the q* of each eps."""
-    text, t = event.describe(), event.horizon
-    d_max = max(g.degrees)
-    d_min = min(g.degrees)
-    reports = []
-    for eps, q_star in zip(eps_values, q_stars):
-        bound1 = (1.0 + eps * (d_max - 1)) ** t * p
-        for eta in etas:
-            bound2 = None
-            if eps <= 1.0 / d_max ** (2.0 * eta):
-                bound2 = math.exp(4.0 * t / d_min**eta) * p ** (eta / (1.0 + eta)) if p > 0 else 0.0
-            reports.append(BoostReport(text, t, eps, eta, p, q_star, bound1, bound2))
-    return reports
-
-
 def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float) -> BoostReport:
     """Evaluate p, q*, and the boost bounds for one (graph, event) query.
 
     q* dominates every eps-biased strategy, so q* within the bound proves
     the bound for all of them.
     """
-    _check_boost_params(eps, eta)
-    p = srw_event_prob(g, u, event)
-    q_star = optimal_tbrw_event_prob(g, u, event, eps)
-    return _boost_reports(g, event, [eps], [eta], p, [q_star])[0]
+    return boost_bound_grid(g, u, [event], [eps], [eta])[0]
 
 
 def boost_bound_grid(
     g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence[float], etas: Sequence[float]
 ) -> list[BoostReport]:
-    """`boost_bound_audit` for every (event, eps, eta), in that nesting order.
+    """The boost report of every (event, eps, eta), in that nesting order.
 
     Events that differ only in horizon share one DP pass over the distinct
     values of (0, *eps_values), run to their largest horizon; its eps = 0
-    row is the plain walk and supplies p.  The reports equal the per-query
-    ones bit for bit.
+    row is the plain walk and supplies p.  Each p and q* equals the
+    single-eps pass of `srw_event_prob` and `optimal_tbrw_event_prob` bit
+    for bit.
     """
     for eps in eps_values:
-        for eta in etas:
-            _check_boost_params(eps, eta)
+        _check_eps(eps)
+    if not all(0.0 < eta <= 1.0 for eta in etas):
+        raise OracleError("eta must lie in (0, 1]")
     tmax: dict[tuple, int] = {}
     for event in events:
         key = (event.kind, event.targets)
         tmax[key] = max(tmax.get(key, 0), event.horizon)
     grid = tuple(dict.fromkeys((0.0, *eps_values)))
-    eps_rows = [grid.index(eps) for eps in eps_values]
     values = {key: _horizon_values(g, u, EventSpec(key[0], t, key[1]), grid) for key, t in tmax.items()}
+    d_max = max(g.degrees)
+    d_min = min(g.degrees)
     reports = []
     for event in events:
         table = values[event.kind, event.targets]
-        p = table[0][event.horizon]
-        q_stars = [table[r][event.horizon] for r in eps_rows]
-        reports += _boost_reports(g, event, eps_values, etas, p, q_stars)
+        text, t = event.describe(), event.horizon
+        p = table[0][t]
+        for eps in eps_values:
+            q_star = table[grid.index(eps)][t]
+            bound1 = (1.0 + eps * (d_max - 1)) ** t * p
+            for eta in etas:
+                bound2 = None
+                if eps <= 1.0 / d_max ** (2.0 * eta):
+                    bound2 = math.exp(4.0 * t / d_min**eta) * p ** (eta / (1.0 + eta)) if p > 0 else 0.0
+                reports.append(BoostReport(text, t, eps, eta, p, q_star, bound1, bound2))
     return reports
 
 

@@ -40,8 +40,10 @@ following structure exists, and each piece is checked here numerically:
 * `prop311_check` verifies the matching upper bound: a bottleneck weighting
   across a diametral pair pushes conductance below
   min(d^(floor(D/2)-1), n) * beta^(-floor(D/2)+3), witnessed by a ball
-  around one endpoint.  The ball masses read w.pi and the cut Q(S, S^c) sums
-  pi(v) P(v, u) over the slots leaving S, O(m): no n x n matrix is built.
+  around one endpoint.  Both endpoint balls are rows of the distance matrix
+  the weighting is built from, cut at the radius, as vertex masks; their
+  masses read w.pi and the cut Q(S, S^c) sums pi(v) P(v, u) over the slots
+  leaving S, O(m): no n x n chain is built.
 """
 from __future__ import annotations
 
@@ -62,9 +64,7 @@ from .graphs import (
     SUBSET_GUARD,
     Graph,
     GraphError,
-    ball,
     bfs_columns,
-    diameter,
     is_bipartite,
     vertex_expansion_exact,
 )
@@ -453,23 +453,24 @@ def prop311_check(g: Graph, beta: float) -> Prop311Report:
     takes the ball of radius floor(D/2) - 1 around whichever endpoint gives
     stationary mass <= 1/2, and checks its flow ratio Q(S, S^c) / pi(S)
     against min(d^(floor(D/2)-1), n) * beta^(-floor(D/2)+3).  Needs D >= 4.
-    Masses and the cut come from the weighting, O(m).
+    The pair's distance and both balls are read off `g.distance_matrix`,
+    which the weighting has just built; masses and the cut come from the
+    weighting, O(m).
     """
     d = _regular_degree_or_raise(g)
     w, (u, v) = bottleneck_weighting(g, beta)
-    dd, _ = diameter(g)
+    dm = g.distance_matrix
+    dd = int(dm[u, v])
     radius = dd // 2 - 1
-    candidates = [ball(g, [u], radius), ball(g, [v], radius)]
-    masses = [float(w.pi[sorted(c)].sum()) for c in candidates]
+    candidates = [dm[u] <= radius, dm[v] <= radius]
+    masses = [float(w.pi[c].sum()) for c in candidates]
     pick = 0 if masses[0] <= masses[1] else 1
-    witness = candidates[pick]
+    inside = candidates[pick]
     mass = masses[pick]
     if mass > HALF_MASS:
         raise GraphError("neither endpoint ball has stationary mass <= 1/2")
     bound = min(float(d) ** radius, float(g.n)) * beta ** (-(dd // 2) + 3)
     sl = g.slots
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(witness)] = True
     leaving = inside[sl.vertex] & ~inside[sl.neighbor]
     flow = w.pi[sl.vertex[leaving]] * slot_transitions(w)[leaving]
     return Prop311Report(
@@ -477,7 +478,7 @@ def prop311_check(g: Graph, beta: float) -> Prop311Report:
         pair=(u, v),
         radius=radius,
         bound=bound,
-        witness=witness,
+        witness=frozenset(np.flatnonzero(inside).tolist()),
         witness_mass=mass,
         conductance_at_witness=float(flow.sum()) / mass,
     )

@@ -130,9 +130,7 @@ def step(g: Graph, cur: int, eps: float, bias: Sequence[float] | None, rng) -> i
     if coin < eps:
         idx = _sample_from_vector(bias, r)
     else:
-        idx = int(r * len(nbrs))
-        if idx == len(nbrs):
-            idx -= 1
+        idx = min(int(r * len(nbrs)), len(nbrs) - 1)
     return nbrs[idx]
 
 

@@ -271,8 +271,12 @@ REFERENCE_ONLY = {
     "are tested against in test_biased_walk_replays_step_draw_for_draw",
     "walks.cover_run": "the single-trial entry point README documents, which "
     "test_phase_batches_of_any_width_play_each_trial_alone plays each batched trial against",
-    "graphs.ball": "acceptance criterion 8: one ball as a vertex set, for prop311_check's witness; also the "
-    "set-valued Section 3 audit of test_lemma_audit_matches_the_set_valued_reference",
+    "graphs.ball": "the BFS ball that test_bottleneck_witness_reads_the_distance_matrix checks prop311_check's "
+    "witness against, also read by the set-valued Section 3 reference audit",
+    "oracle.srw_event_prob": "the single-eps plain-walk pass each grid row's p is checked against in "
+    "test_lemma_sweep_rows_match_per_query_audits",
+    "oracle.optimal_tbrw_event_prob": "the single-eps biased pass each grid row's q* is checked against in "
+    "test_lemma_sweep_rows_match_per_query_audits",
     "oracle.srw_expected_cover_exact": "the exact srw cover time from every start, which "
     "test_exact_cover_equals_the_tail_sum_of_the_cover_law checks the event DP's cover law against",
 }

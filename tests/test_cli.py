@@ -8,16 +8,17 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import cli, graphs, robustness, weighting
+from walklab import cli, graphs, oracle, robustness, weighting
 from walklab.cli import _parse, _sweep_events, build_parser, main
 from walklab.graphs import generate, small_regular_catalog
-from walklab.oracle import EventKind, boost_bound_audit, eta_grid
+from walklab.oracle import EventKind, boost_bound_audit, eta_grid, optimal_tbrw_event_prob, srw_event_prob
 from walklab.rng import SplitMix64
 
 
@@ -533,6 +534,25 @@ def test_lipschitz_audit_computes_distances_once(monkeypatch, capsys):
     assert len(bfs) < 2 * 32
 
 
+def test_lipschitz_audit_stops_at_the_diameter(monkeypatch, tmp_path, capsys):
+    # cycle:5 has diameter 2: every k past it audits the same pairs against
+    # a larger bound, so --kmax 1000000 gives the verdicts of --kmax 2
+    ks = []
+    real = cli.stationary_ratio_audit
+    monkeypatch.setattr(cli, "stationary_ratio_audit", lambda w, k, beta: ks.append(k) or real(w, k, beta))
+    outputs = []
+    for kmax in ("1000000", "2"):
+        out_dir = tmp_path / kmax
+        code, out, _ = run(capsys, "lipschitz-audit", "--generate", "cycle:5", "--kmax", kmax, "--count", "1",
+                           "--seed", "1", "--out", str(out_dir), "--no-timestamp")
+        assert code == 0
+        payload = read_summary(out)
+        assert payload["kmax"] == int(kmax)
+        outputs.append((payload["failures"], payload["max_beta"], (out_dir / "audit.jsonl").read_text()))
+    assert ks == [1, 2, 1, 2]
+    assert outputs[0] == outputs[1]
+
+
 # --- robustness-audit ---------------------------------------------------------------
 
 
@@ -667,6 +687,19 @@ def test_robustness_audit_checks_a_gap_bound_below_the_float_range(tmp_path, cap
     }
 
 
+def test_robustness_audit_counts_each_failing_subset_and_exits_1(monkeypatch, tmp_path, capsys):
+    # every recorded instance falls one unit short of its bound
+    real = robustness.LemmaCheck.record
+    monkeypatch.setattr(robustness.LemmaCheck, "record", lambda self, lhs, rhs, slack: real(self, rhs - 1.0, rhs, slack))
+    code, out, _ = run(capsys, "robustness-audit", "--generate", "random-regular:20:3:2", "--subsets", "5",
+                       "--seed", "6", "--out", str(tmp_path), "--no-timestamp")
+    assert code == 1
+    payload = read_summary(out)
+    rows = [json.loads(line) for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert payload["failures"] == 5 == len(rows)
+    assert all(not row["ok"] and any(check["failures"] for check in row["checks"]) for row in rows)
+
+
 # --- robustness-sweep ----------------------------------------------------------------
 
 
@@ -796,6 +829,23 @@ def test_boost_audit_on_one_vertex_is_input_error(tmp_path, capsys, event, t):
     assert out == "" and err == "error: event DP needs n >= 2\n"
 
 
+def test_boost_audit_takes_p_and_q_star_from_one_dp_pass(monkeypatch, capsys):
+    passes = []
+    real = oracle._horizon_values
+    monkeypatch.setattr(oracle, "_horizon_values", lambda *args: passes.append(args[3]) or real(*args))
+    code, out, _ = run(capsys, "boost-audit", "--generate", "complete:6", "--event", "cover", "--t", "6",
+                       "--eps", "0.05")
+    assert code == 0 and read_summary(out)["ok"] is True
+    assert passes == [(0.0, 0.05)]
+
+
+def test_boost_audit_exits_1_on_a_violation(monkeypatch, capsys):
+    real = cli.boost_bound_audit
+    monkeypatch.setattr(cli, "boost_bound_audit", lambda *args: replace(real(*args), q_star=-1.0))
+    code, out, _ = run(capsys, "boost-audit", "--generate", "complete:4", "--event", "hit:3", "--t", "2")
+    assert code == 1 and read_summary(out)["ok"] is False
+
+
 # --- lemma-sweep -----------------------------------------------------------------------
 
 
@@ -819,25 +869,31 @@ def test_lemma_sweep_small_grid(capsys):
 
 
 def test_lemma_sweep_rows_match_per_query_audits(tmp_path, capsys):
+    # each row is its own one-query audit, and its p and q* are the
+    # single-eps DP passes bit for bit (JSON floats round-trip exactly)
     code, _, _ = run(
         capsys, "lemma-sweep", "--nmax", "5", "--tmax", "4", "--draws", "0", "--seed", "9",
         "--out", str(tmp_path), "--no-timestamp",
     )
     assert code == 0
-    expected = []
+    expected, singles = [], []
     for name, g in sorted(small_regular_catalog().items()):
         if g.n > 5:
             continue
         d = g.regular_degree
         for event in _sweep_events(g, 4):
+            p = srw_event_prob(g, 0, event)
             for eps in (0.0, 0.05, 1.0 / d**2):
+                q_star = optimal_tbrw_event_prob(g, 0, event, eps)
                 for eta in eta_grid(d):
                     row = boost_bound_audit(g, 0, event, eps, eta).to_json_dict(graph_id=name)
                     expected.append(json.dumps(row, sort_keys=True) + "\n")
+                    singles.append((p, q_star))
     got = (tmp_path / "audit.jsonl").read_text().splitlines(keepends=True)
     # report the first differing row only: a full diff of ~2700 rows takes minutes
     mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
     assert len(got) == len(expected) and mismatch is None, mismatch
+    assert [(row["p"], row["q_star"]) for row in map(json.loads, got)] == singles
 
 
 def test_lemma_sweep_files_are_pinned(tmp_path, capsys):
@@ -873,6 +929,22 @@ def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsy
         eta = (0.25, 0.5, 1.0)[rng.randrange(3)]
         expected.append((d, rng.next_float() / d ** (2.0 * eta), eta, v, b))
     assert seen == expected
+
+
+@pytest.mark.parametrize("failing", ["boost", "conv"])
+def test_lemma_sweep_counts_each_violation_and_exits_1(monkeypatch, capsys, failing):
+    if failing == "boost":
+        real = cli.boost_bound_grid
+        # q* below p: every report of the grid fails
+        monkeypatch.setattr(cli, "boost_bound_grid", lambda *args: [replace(r, q_star=r.p - 1.0) for r in real(*args)])
+    else:
+        monkeypatch.setattr(cli, "conv_lemma_audit", lambda *args: False)
+    code, out, _ = run(capsys, "lemma-sweep", "--nmax", "3", "--tmax", "2", "--draws", "40", "--seed", "5")
+    payload = read_summary(out)
+    assert code == 1
+    assert payload["queries"] > 0
+    assert payload["failures"] == (payload["queries"] if failing == "boost" else 0)
+    assert payload["conv_failures"] == (40 if failing == "conv" else 0)
 
 
 # --- config files -----------------------------------------------------------------------

@@ -31,12 +31,15 @@ from walklab.cli import main
 MANIFEST = Path(__file__).with_name("golden.json")
 RR512 = "random-regular:512:3:11"
 
-# graph files an argv names by placeholder, so no path reaches the hashed
-# output: one vertex, and a 10-cycle with chords 0-5 and 2-7 (degrees 2 and
-# 3, so the srw neighbour table is padded to 6 choices)
-GRAPH_FILES = {
+# input files an argv names by placeholder, so no path reaches the hashed
+# output: one vertex, a 10-cycle with chords 0-5 and 2-7 (degrees 2 and 3,
+# so the srw neighbour table is padded to 6 choices), a weighting of that
+# graph, and a config file
+INPUT_FILES = {
     "{one_vertex}": "1 0\n",
     "{irregular}": "10 12\n" + "".join(f"{v} {(v + 1) % 10}\n" for v in range(10)) + "0 5\n2 7\n",
+    "{irregular_weights}": "".join(f"{v} {(v + 1) % 10} {1 + v % 3}\n" for v in range(10)) + "0 5 0.5\n2 7 4\n",
+    "{config}": "# a comment line\ngenerate = cycle:8\ncount = 3\nsigma = 1.5\n",
 }
 
 # name -> argv
@@ -83,6 +86,16 @@ CASES: dict[str, list[str]] = {
                     "--seed", "10"],
     "srw-irregular-12": ["cover-sim", "--graph", "{irregular}", "--walk", "srw", "--trials", "12", "--seed", "11"],
     "srw-irregular-40": ["cover-sim", "--graph", "{irregular}", "--walk", "srw", "--trials", "40", "--seed", "12"],
+    # front-end paths the cases above do not reach: the exact conductance
+    # and its argmin (n <= 24), a random weighting under the audit, a
+    # weights file, a config file, and a --kmax far past the diameter
+    "spectral-c8": ["spectral", "--generate", "cycle:8"],
+    "audit-sigma-rr20": ["robustness-audit", "--generate", "random-regular:20:3:2", "--sigma", "1.05",
+                         "--subsets", "5", "--seed", "6"],
+    "spectral-weights": ["spectral", "--graph", "{irregular}", "--weights", "{irregular_weights}"],
+    "config-lipschitz": ["lipschitz-audit", "--config", "{config}", "--seed", "2"],
+    "lipschitz-kmax-1e6": ["lipschitz-audit", "--generate", "cycle:5", "--kmax", "1000000", "--count", "1",
+                           "--seed", "1"],
 }
 
 
@@ -95,7 +108,7 @@ def observe(argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = {}
-        for j, (key, text) in enumerate(GRAPH_FILES.items()):
+        for j, (key, text) in enumerate(INPUT_FILES.items()):
             paths[key] = root / f"g{j}.txt"
             paths[key].write_text(text)
         full = [str(paths[arg]) if arg in paths else arg for arg in argv]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import oracle
 from walklab.graphs import GuardError, build_graph, generate, small_regular_catalog
 from walklab.oracle import (
     BoostReport,
@@ -533,6 +534,20 @@ def test_conv_lemma_length_mismatch():
         conv_lemma_audit(3, 0.1, 1.0, (1.0, 2.0), (0.5, 0.5))
 
 
+def test_conv_lemma_fails_each_claim_against_a_low_power_mean(monkeypatch):
+    # constant v, uniform b: B(v) = 1 meets both claims with equality up to
+    # the exp factor; a power mean read low breaks the claim that uses it
+    v, b = (1.0, 1.0, 1.0), (1 / 3, 1 / 3, 1 / 3)
+    real = oracle.power_mean
+    assert conv_lemma_audit(3, 0.0, 1.0, v, b)
+    monkeypatch.setattr(oracle, "power_mean", lambda r, x: 0.5 * real(r, x))
+    assert not conv_lemma_audit(3, 0.0, 1.0, v, b)
+    monkeypatch.setattr(oracle, "power_mean", lambda r, x: real(r, x) if r == 1 else 0.0)
+    assert not conv_lemma_audit(3, 0.0, 1.0, v, b)
+    # off the second claim's precondition only the first is read
+    assert conv_lemma_audit(3, 0.5, 1.0, v, b)
+
+
 def test_eta_grid_contents():
     grid = eta_grid(3)
     assert 0.25 in grid and 0.5 in grid and 1.0 in grid
@@ -581,9 +596,24 @@ def test_boost_bounds_hold_on_catalog_spot_checks():
             assert report.ok, (name, eps)
 
 
+def boost_report(p=0.25, q_star=0.5, bound1=0.75, bound2=None):
+    return BoostReport("hit:1", 2, 0.1, 0.5, p, q_star, bound1, bound2)
+
+
+def test_boost_report_fails_each_of_its_three_checks():
+    assert boost_report().ok
+    assert boost_report(bound2=0.5).ok  # margin2 = 0
+    assert not boost_report(q_star=0.25 - 1e-6).ok  # q* below p
+    assert not boost_report(bound1=0.5 - 1e-6).ok  # margin1 < 0
+    assert not boost_report(bound2=0.5 - 1e-6).ok  # margin2 < 0
+    # within the 1e-9 slack each check still passes
+    assert boost_report(q_star=0.5, p=0.5 + 1e-10, bound1=0.5 - 1e-10, bound2=0.5 - 1e-10).ok
+
+
 def test_boost_bound_grid_equals_per_query_audits():
     # mixed kinds and horizons out of order, on a non-regular graph from a
-    # start other than 0: every report matches its own two-DP audit
+    # start other than 0: every report matches its own one-query audit, and
+    # its p and q* the single-eps DP passes
     g = probe_graph()
     events = [
         hit(5, 3),
@@ -599,6 +629,11 @@ def test_boost_bound_grid_equals_per_query_audits():
         boost_bound_audit(g, 2, event, eps, eta) for event in events for eps in eps_values for eta in etas
     ]
     assert grid == expected
+    singles = [
+        (srw_event_prob(g, 2, event), optimal_tbrw_event_prob(g, 2, event, eps))
+        for event in events for eps in eps_values for eta in etas
+    ]
+    assert [(report.p, report.q_star) for report in grid] == singles
 
 
 def test_boost_bound_grid_rejects_bad_parameters():

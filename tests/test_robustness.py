@@ -177,6 +177,18 @@ def test_subset_vertices_out_of_range_are_rejected():
 # --- lemma audits -----------------------------------------------------------
 
 
+def test_lemma_check_counts_each_instance_past_its_slack():
+    check = LemmaCheck("mass")
+    check.record(1.0, 1.0 + 1e-10, slack=1e-9)
+    assert check.ok and check.instances == 1 and check.failures == 0
+    check.record(1.0, 1.5, slack=1e-9)
+    check.record(2.0, 1.0, slack=1e-9)
+    check.record(0.0, 1.0, slack=1e-9)
+    assert not check.ok
+    assert check.to_json_dict() == {"name": "mass", "instances": 4, "min_margin": -1.0, "failures": 2}
+    assert not Section3Report(checks=[LemmaCheck("flow"), check]).ok
+
+
 def test_lemma_audit_uniform_regular_16():
     g = generate("random_regular", n=16, d=3, seed=4)
     w = uniform_weighting(g)
@@ -627,6 +639,18 @@ def test_bottleneck_witness_matches_the_dense_flow(kind, params):
         flow = chain.pi[:, None] * chain.matrix
         dense = float(flow[np.ix_(inside, ~inside)].sum()) / float(chain.pi[inside].sum())
         assert abs(report.conductance_at_witness - dense) <= 1e-13 * dense, (g.n, beta)
+
+
+def test_bottleneck_witness_reads_the_distance_matrix(monkeypatch):
+    g = generate("cycle", n=40)
+    assert g.distance_matrix.shape == (40, 40)
+    searches = []
+    real = graphs.distances_from
+    monkeypatch.setattr(graphs, "distances_from", lambda *args: searches.append(args) or real(*args))
+    report = prop311_check(g, 2.0)
+    assert searches == []
+    # the witness is the BFS ball of its endpoint
+    assert report.witness == ball(g, [report.pair[0]], report.radius) == frozenset(range(10)) | set(range(31, 40))
 
 
 def test_bottleneck_witness_builds_no_chain_above_the_spectral_guard(monkeypatch):
