@@ -215,8 +215,8 @@ def power_chain(chain: ReversibleChain, m: int) -> ReversibleChain:
     return ReversibleChain(pm, chain.pi)
 
 
-def cheeger_audit(chain: ReversibleChain, slack: float = 1e-9) -> bool:
-    """Checks Phi^2 / 2 <= gap <= 2 Phi within `slack`."""
+def cheeger_audit(chain: ReversibleChain) -> bool:
+    """Checks Phi^2 / 2 <= gap <= 2 Phi within 1e-9."""
     phi, _ = edge_conductance_exact(chain)
     gap = spectral_gap(chain).gap
-    return (phi * phi / 2.0 - slack <= gap) and (gap <= 2.0 * phi + slack)
+    return (phi * phi / 2.0 - 1e-9 <= gap) and (gap <= 2.0 * phi + 1e-9)

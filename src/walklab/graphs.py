@@ -1,7 +1,8 @@
 """Immutable simple graphs with the combinatorial machinery the rest of the
 package builds on: generators, multi-source BFS, balls, diameter, and exact
 vertex expansion by exhaustive subset enumeration.  `bfs_columns` runs many
-multi-source BFS at once, one bit per source set, on the slot table.
+multi-source BFS at once, one bit per source set, on the slot table, and
+`Graph.distance_matrix` is one call of it; `distances_from` is the BFS of one set.
 
 Graphs are connected, undirected, and loop-free by construction:
 `build_graph` is the one check of an edge list (range, self-loops, repeated
@@ -54,7 +55,6 @@ __all__ = [
     "read_graph_file",
     "distances_from",
     "bfs_columns",
-    "all_pairs_distances",
     "ball",
     "diameter",
     "is_bipartite",
@@ -151,8 +151,8 @@ class Graph:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs BFS distances, computed on first use and kept (n^2 int64)."""
-        dm = all_pairs_distances(self)
+        """All-pairs BFS distances from one `bfs_columns` call, a column per source (n^2 int64, kept)."""
+        dm = bfs_columns(self, np.eye(self.n, dtype=bool))
         dm.setflags(write=False)
         return dm
 
@@ -401,10 +401,12 @@ def bfs_columns(g: Graph, sources: np.ndarray) -> np.ndarray:
 
     Column j of the n x B boolean `sources` is one non-empty source set;
     column j of the n x B int64 result is `distances_from` that set.  The
-    frontier and the reached set hold one bit per (vertex, column), packed
-    into n x ceil(B/64) uint64 words, so a level is one OR-reduction of the
-    frontier words over every vertex's slots.  Only the words that gained
-    bits in a level are decoded, which keeps long-diameter graphs cheap.
+    frontier and the unreached set hold one bit per (vertex, column), packed
+    into n x ceil(B/64) uint64 words.  A level ORs the frontier words of each
+    vertex's neighbours: one row gather per neighbour rank that most vertices
+    have, then one `reduceat` over the other slots, so the index tables hold
+    O(m) entries whatever the degrees.  Only the words that gained bits are
+    decoded, 4096 at a time, which keeps long diameters and the decode cheap.
     """
     src = np.asarray(sources, dtype=bool)
     if src.ndim != 2 or len(src) != g.n:
@@ -412,29 +414,41 @@ def bfs_columns(g: Graph, sources: np.ndarray) -> np.ndarray:
     if not src.any(axis=0).all():
         raise GraphError("bfs_columns needs a non-empty source set in every column")
     n, b = src.shape
-    words = -(-b // 64)
-    padded = np.zeros((n, 64 * words), dtype=bool)
-    padded[:, :b] = src
-    reached = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    words, sl = -(-b // 64), g.slots
+    rank = np.arange(2 * g.m) - sl.offsets[sl.vertex]  # each slot's place among its vertex's slots
+    # ranks that over half the vertices have are row gathers, a vertex past its
+    # degree reading its own, already reached row; other slots go to one reduceat
+    wide = max(1, int(np.count_nonzero(2 * np.bincount(rank) > n)))
+    ranks = np.tile(np.arange(n), (wide, 1))
+    low = rank < wide
+    ranks[rank[low], sl.vertex[low]] = sl.neighbor[low]
+    starts = np.flatnonzero(rank[~low] == wide)
+    tail, tail_neighbor = sl.vertex[~low][starts], sl.neighbor[~low]
+    front = np.zeros((n, words), dtype="<u8")
+    front.view(np.uint8)[:, : -(-b // 8)] = np.packbits(src, axis=1, bitorder="little")
     dist = np.where(src, 0, -1)
-    front, depth, sl = reached, 0, g.slots
-    while g.m:  # one vertex has no slots and nothing to reach
-        front = np.bitwise_or.reduceat(front[sl.neighbor], sl.offsets[:-1], axis=0) & ~reached
-        hit = np.flatnonzero(front)  # flat indices of the words that gained bits
+    # buffers reused across levels, as a fresh array this size faults in every
+    # page; `take` writes `out` unbuffered only in "clip" mode (no index clips)
+    unreached, nxt, gathered, depth = ~front, np.empty_like(front), np.empty_like(front), 0
+    while True:
+        np.take(front, ranks[0], axis=0, out=nxt, mode="clip")
+        for r in ranks[1:]:
+            nxt |= np.take(front, r, axis=0, out=gathered, mode="clip")
+        if len(tail):
+            nxt[tail] |= np.bitwise_or.reduceat(front[tail_neighbor], starts, axis=0)
+        nxt &= unreached
+        front, nxt = nxt, front
+        hit = np.flatnonzero(front != 0)  # the words that gained bits; faster than on uint64
         if not len(hit):
-            break
+            return dist
         depth += 1
-        reached |= front
-        bits = np.unpackbits(front.reshape(-1)[hit, None].view(np.uint8), axis=1, bitorder="little")
-        i, k = np.divmod(np.flatnonzero(bits.view(bool)), 64)  # a flat search: 2-D nonzero is far slower
-        v, w = np.divmod(hit[i], words)
-        dist[v, 64 * w + k] = depth
-    return dist
-
-
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """n x n int64 BFS distances, row v from source v, built with one array call."""
-    return np.array([_bfs(g.adj, [v]) for v in range(g.n)], dtype=np.int64)
+        unreached ^= front
+        for start in range(0, len(hit), 4096):
+            h = hit[start : start + 4096]
+            bits = np.unpackbits(front.reshape(-1)[h, None].view(np.uint8), axis=1, bitorder="little")
+            i, k = np.divmod(np.flatnonzero(bits.view(bool)), 64)  # a flat search: 2-D nonzero is far slower
+            v, w = np.divmod(h[i], words)
+            dist[v, 64 * w + k] = depth
 
 
 def ball(g: Graph, center: Iterable[int], radius: int) -> frozenset[int]:
@@ -446,14 +460,13 @@ def ball(g: Graph, center: Iterable[int], radius: int) -> frozenset[int]:
 
 
 def diameter(g: Graph) -> tuple[int, tuple[int, int]]:
-    """Diameter and its lexicographically smallest witness pair (u, v), u < v."""
-    if g.n < 2:
-        raise GraphError("diameter needs n >= 2")
+    """Diameter and its lexicographically smallest witness pair (u, v), u <= v; (0, (0, 0)) on one vertex."""
     dm = g.distance_matrix
-    # The first maximum in row-major order lies above the diagonal: the
-    # matrix is symmetric, so a maximum at (u, v) with v < u would put an
-    # earlier one at (v, u).
-    u, v = divmod(int(np.argmax(dm)), g.n)
+    # The first maximum in row-major order lies above the diagonal, as dm is
+    # symmetric.  argmax runs on the row maxima, then on one row: on the whole
+    # read-only matrix numpy would first copy it.
+    u = int(np.argmax(dm.max(axis=1)))
+    v = int(np.argmax(dm[u]))
     return int(dm[u, v]), (u, v)
 
 

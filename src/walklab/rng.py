@@ -126,7 +126,7 @@ FIRST_BLOCK = 64
 MAX_BLOCK = 8192
 
 
-def _blocks(rng: SplitMix64, first: int = FIRST_BLOCK) -> Iterator[np.ndarray]:
+def _blocks(rng: SplitMix64, first: int) -> Iterator[np.ndarray]:
     """Successive uint64 blocks of `rng`: `first` draws, clipped to
     [FIRST_BLOCK, MAX_BLOCK], then doubling up to MAX_BLOCK.  An even `first`
     gives blocks of even sizes.  A phase-walk trial that runs past its

@@ -11,6 +11,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -510,17 +511,18 @@ def test_lipschitz_audit_past_the_float_range_is_input_error(capsys, sigma, seed
 
 def test_lipschitz_audit_computes_distances_once(monkeypatch, capsys):
     matrices, bfs = [], []
-    real_matrix, real_bfs = graphs.all_pairs_distances, graphs.distances_from
+    real_columns, real_bfs = graphs.bfs_columns, graphs.distances_from
 
-    def counted_matrix(g):
-        matrices.append(g.n)
-        return real_matrix(g)
+    def counted_columns(g, sources):
+        if np.array_equal(sources, np.eye(g.n, dtype=bool)):
+            matrices.append(g.n)
+        return real_columns(g, sources)
 
     def counted_bfs(g, sources):
         bfs.append(g.n)
         return real_bfs(g, sources)
 
-    monkeypatch.setattr(graphs, "all_pairs_distances", counted_matrix)
+    monkeypatch.setattr(graphs, "bfs_columns", counted_columns)
     monkeypatch.setattr(graphs, "distances_from", counted_bfs)
     monkeypatch.setattr(weighting, "distances_from", counted_bfs)
     code, _, _ = run(

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walklab import graphs
@@ -18,7 +18,6 @@ from walklab.graphs import (
     GraphFileError,
     GuardError,
     ball,
-    all_pairs_distances,
     bfs_columns,
     build_graph,
     diameter,
@@ -414,8 +413,16 @@ def test_distances_from_matches_the_elementwise_bfs(g, data):
             distances_from(g, bad)
 
 
+def broom(hub: int, handle: int) -> Graph:
+    """Vertex 0 joined to `hub` leaves, the last of them the start of a path of
+    `handle` more vertices: a star when `handle` is 0."""
+    edges = [(0, v) for v in range(1, hub + 1)] + [(v, v + 1) for v in range(hub, hub + handle)]
+    return build_graph(edges, hub + handle + 1)
+
+
 COLUMN_GRAPHS = st.one_of(
     st.integers(min_value=3, max_value=300).map(lambda n: generate("cycle", n=n)),
+    st.tuples(st.integers(20, 80), st.integers(0, 200)).map(lambda p: broom(*p)),
     st.just(generate("cycle", n=2048)),
     st.integers(min_value=1, max_value=7).map(lambda dim: generate("hypercube", dim=dim)),
     st.sampled_from([(16, 3, 9), (64, 4, 2), (512, 3, 11)]).map(
@@ -426,7 +433,7 @@ COLUMN_GRAPHS = st.one_of(
 )
 
 
-@given(COLUMN_GRAPHS, st.sampled_from([1, 63, 64, 65]), st.integers(min_value=0, max_value=2**64 - 1))
+@given(COLUMN_GRAPHS, st.sampled_from([1, 63, 64, 65, 129]), st.integers(min_value=0, max_value=2**64 - 1))
 @settings(max_examples=120, deadline=None)
 def test_bfs_columns_match_the_scalar_bfs_column_by_column(g, width, seed):
     # source sets of one vertex, a few, or up to all of them; one stream per case
@@ -458,12 +465,28 @@ def test_bfs_columns_need_one_nonempty_set_per_column():
     st.integers(min_value=1, max_value=6).map(lambda dim: generate("hypercube", dim=dim)),
     connected_graphs(max_n=40),
     st.just(two_components()),
+    st.just(build_graph([], 1)),
 ))
+@example(generate("random_regular", n=1024, d=3, seed=1))  # levels that gain bits in over 4096 words
 @settings(max_examples=60, deadline=None)
-def test_all_pairs_distances_matches_the_stacked_reference(g):
-    dm = all_pairs_distances(g)
-    assert dm.dtype == np.int64 and dm.shape == (g.n, g.n)
+def test_distance_matrix_matches_the_stacked_reference(g):
+    dm = g.distance_matrix
+    assert dm.dtype == np.int64 and dm.shape == (g.n, g.n) and not dm.flags.writeable
     assert np.array_equal(dm, np.stack([reference_distances(g, [v]) for v in range(g.n)]))
+
+
+def test_distance_matrix_is_one_bfs_columns_call(monkeypatch):
+    g = generate("random_regular", n=64, d=3, seed=2)
+    calls = []
+
+    def counted(name):
+        real = getattr(graphs, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("bfs_columns", "distances_from", "_bfs"):
+        monkeypatch.setattr(graphs, name, counted(name))
+    g.distance_matrix
+    assert calls == ["bfs_columns"]
 
 
 def test_cached_graph_arrays_are_read_only():

@@ -530,6 +530,15 @@ def test_lipschitz_beta_without_edges_is_one():
     assert lipschitz_beta(uniform_weighting(g)) == 1.0
 
 
+def test_random_weighting_on_one_vertex_is_empty():
+    # the bottleneck base (drawn at s = 1, 5 and 6) reads diameter 0 and
+    # gives way to the uniform base, as below diameter 4 on any graph
+    g = build_graph([], 1)
+    assert diameter(g) == (0, (0, 0))
+    for s in range(12):
+        assert random_lipschitz_weighting(g, 2.0, SplitMix64(s)).weights.shape == (0,)
+
+
 @pytest.mark.parametrize("sigma", [1e100, 1e200, 1.7e308])
 def test_random_weighting_rejects_moves_that_leave_the_float_range(sigma):
     # a bottleneck base on the 12-cycle, then moves by factors up to sigma:
