@@ -33,7 +33,9 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
+
+import numpy as np
 
 from . import graphs as graphmod
 from .chains import SpectralReport, edge_conductance_exact, spectral_gap
@@ -47,7 +49,7 @@ from .oracle import (
     eta_grid,
     parse_event_text,
 )
-from .rng import SplitMix64, draws, to_unit
+from .rng import SplitMix64, splitmix_block, stream_seeds, to_unit
 from .robustness import (
     Theorem31Report, psi_lower_bound, random_subsets, section3_K, section3_lemma_audit, section3_sigma,
     theorem31_check,
@@ -373,6 +375,9 @@ def _cmd_boost_audit(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+CONV_CHUNK = 2048  # convexity audits decoded per draw block, whatever --draws is
+
+
 def _sweep_events(g: Graph, tmax: int) -> list[EventSpec]:
     events = []
     verts = range(g.n)
@@ -384,6 +389,34 @@ def _sweep_events(g: Graph, tmax: int) -> list[EventSpec]:
                     events.append(EventSpec(EventKind.HIT_ALL, t, frozenset({a, b})))
         events.append(EventSpec(EventKind.COVER_ALL, t))
     return events
+
+
+def _conv_audits(seed: int, count: int) -> Iterator[np.ndarray]:
+    """Verdicts of `count` one-step convexity audits drawn from stream
+    (seed, 0), a batch per degree for every CONV_CHUNK audits.
+
+    An audit reads 2d + 3 draws, as randrange and next_float would: d = 3 +
+    randrange(4), d bias weights, d values, the eta pick randrange(3) and
+    the eps draw.  A chunk decodes the most draws its audits can take and
+    walks the records to find where each starts; the next chunk goes on
+    from the end of its last record."""
+    seeds, counter, etas = stream_seeds(seed, [0]), 0, (0.25, 0.5, 1.0)
+    for first in range(0, count, CONV_CHUNK):
+        size = min(CONV_CHUNK, count - first)
+        z = splitmix_block(seeds, counter, 15 * size)[0]  # a record takes at most 2 * 6 + 3 draws
+        lengths, at = (2 * (z % 4) + 9).astype(np.uint8).tobytes(), [0] * size
+        for i in range(1, size):
+            at[i] = at[i - 1] + lengths[at[i - 1]]
+        counter += at[-1] + lengths[at[-1]]
+        at = np.array(at)
+        for d in range(3, 7):
+            rec = at[z[at] % 4 == d - 3, None] + np.arange(2 * d + 3)
+            raw, v, eps = to_unit(z[rec[:, 1 : d + 1]]), to_unit(z[rec[:, d + 1 : 2 * d + 1]]), to_unit(z[rec[:, -1]])
+            pick = z[rec[:, -2]] % 3
+            eta = np.array(etas)[pick]
+            eps /= np.array([d ** (2.0 * e) for e in etas])[pick]
+            # sum() adds the columns left to right, as it adds a list of floats
+            yield conv_lemma_audit(d, eps, eta, v, raw / sum(raw.T)[:, None])
 
 
 def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
@@ -398,20 +431,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
             if not report.ok:
                 failures += 1
 
-    # u64() % k and to_unit(u64()) are the stream's randrange(k) and next_float(), read through block draws
-    conv_failures = 0
-    u64 = draws(SplitMix64.stream(args.seed, 0)).__next__
-    for _ in range(args.draws):
-        d = 3 + u64() % 4
-        raw = [to_unit(u64()) for _ in range(d)]
-        total = sum(raw)
-        b = [x / total for x in raw]
-        v = [to_unit(u64()) for _ in range(d)]
-        eta = (0.25, 0.5, 1.0)[u64() % 3]
-        eps = to_unit(u64()) / d ** (2.0 * eta)
-        if not conv_lemma_audit(d, eps, eta, v, b):
-            conv_failures += 1
-
+    conv_failures = sum(int(np.count_nonzero(~ok)) for ok in _conv_audits(args.seed, args.draws))
     payload = {
         "queries": len(rows),
         "failures": failures,

@@ -109,8 +109,9 @@ class Graph:
 
     `edges` is the canonical sorted tuple of (u, v) pairs with u < v; `adj`
     holds sorted neighbour tuples.  Instances are immutable and hashable;
-    derived tables (degrees, edge index, slot table, distance matrix) are
-    computed on first use and cached on the instance, arrays read-only.
+    derived tables (degrees, edge index, slot table, BFS gathers, distance
+    matrix) are computed on first use and cached on the instance, arrays
+    read-only.
     """
 
     n: int
@@ -148,6 +149,23 @@ class Graph:
         for a in vars(table).values():
             a.setflags(write=False)
         return table
+
+    @cached_property
+    def _level_gathers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`bfs_columns`' level tables: a neighbour row per rank that over half
+        the vertices have (a vertex past its degree names itself), then the
+        `reduceat` vertices, neighbours and segment starts of the other slots."""
+        sl = self.slots
+        rank = np.arange(2 * self.m) - sl.offsets[sl.vertex]  # each slot's place among its vertex's slots
+        wide = max(1, int(np.count_nonzero(2 * np.bincount(rank) > self.n)))
+        ranks = np.tile(np.arange(self.n), (wide, 1))
+        low = rank < wide
+        ranks[rank[low], sl.vertex[low]] = sl.neighbor[low]
+        starts = np.flatnonzero(rank[~low] == wide)
+        tables = (ranks, sl.vertex[~low][starts], sl.neighbor[~low], starts)
+        for a in tables:
+            a.setflags(write=False)
+        return tables
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -414,16 +432,8 @@ def bfs_columns(g: Graph, sources: np.ndarray) -> np.ndarray:
     if not src.any(axis=0).all():
         raise GraphError("bfs_columns needs a non-empty source set in every column")
     n, b = src.shape
-    words, sl = -(-b // 64), g.slots
-    rank = np.arange(2 * g.m) - sl.offsets[sl.vertex]  # each slot's place among its vertex's slots
-    # ranks that over half the vertices have are row gathers, a vertex past its
-    # degree reading its own, already reached row; other slots go to one reduceat
-    wide = max(1, int(np.count_nonzero(2 * np.bincount(rank) > n)))
-    ranks = np.tile(np.arange(n), (wide, 1))
-    low = rank < wide
-    ranks[rank[low], sl.vertex[low]] = sl.neighbor[low]
-    starts = np.flatnonzero(rank[~low] == wide)
-    tail, tail_neighbor = sl.vertex[~low][starts], sl.neighbor[~low]
+    words = -(-b // 64)
+    ranks, tail, tail_neighbor, starts = g._level_gathers
     front = np.zeros((n, words), dtype="<u8")
     front.view(np.uint8)[:, : -(-b // 8)] = np.packbits(src, axis=1, bitorder="little")
     dist = np.where(src, 0, -1)

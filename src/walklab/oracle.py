@@ -14,8 +14,11 @@ mean of child values) and the optimal epsilon-biased walk
 optimum because the biased one-step operator is linear in the bias vector,
 so some extreme point of the simplex is maximizing.  `boost_bound_grid`
 evaluates every eps of a query on one pass, whose eps = 0 row is the plain
-walk's p; `srw_event_prob` and `optimal_tbrw_event_prob` are the single-eps
-passes it is checked against.
+walk's p, and stacks the queries' events on shared passes as long as one
+value table stays within STACK_CELLS cells; `srw_event_prob` and
+`optimal_tbrw_event_prob` are the single-eps passes of one event it is
+checked against.  The one-step operator, power means and convexity audit
+take a stack of vectors along the last axis, as the sweep audits them.
 
 Everything is cross-checkable: the float DP against an exact rational DP,
 and both against a raw trajectory-tree recursion over small horizons that
@@ -36,6 +39,10 @@ from .rng import SplitMix64
 
 MASK_GUARD = 20
 COVER_GUARD = 16
+# Cells (vertex x event x eps x mask) of one value table that events may
+# share: stacking small events saves numpy calls, but each one is computed
+# over every mask of the union of the tracked sets.
+STACK_CELLS = 1 << 15
 
 __all__ = [
     "EventKind",
@@ -63,9 +70,10 @@ class OracleError(WalklabError):
     """Invalid event, parameters, or guard violation."""
 
 
-def _check_eps(eps: float | Fraction) -> None:
-    """The eps range check; a Fraction compares with the float bounds exactly."""
-    if not (0.0 <= eps <= 1.0):
+def _check_eps(eps: float | Fraction | np.ndarray) -> None:
+    """The eps range check, of a number or of each entry of an array; a
+    Fraction compares with the float bounds exactly."""
+    if not all(0.0 <= eps <= 1.0 for eps in np.ravel(eps).tolist()):
         raise OracleError("eps must lie in [0, 1]")
 
 
@@ -128,10 +136,9 @@ def parse_event_text(text: str, horizon: int) -> EventSpec:
 # DP core
 
 
-def _encode(g: Graph, u: int, event: EventSpec) -> tuple[list[int], int, int]:
-    """The event as DP masks from start u: each vertex's mask bit (0 when
-    inert), the mask of every tracked vertex, and the mask at time 0.
-    Checks every precondition the DPs share."""
+def _targets(g: Graph, u: int, event: EventSpec) -> list[int]:
+    """The vertices the event tracks from start u, sorted.  Checks every
+    precondition the DPs share."""
     if g.n < 2:
         raise OracleError("event DP needs n >= 2")
     if not (0 <= u < g.n):
@@ -146,6 +153,13 @@ def _encode(g: Graph, u: int, event: EventSpec) -> tuple[list[int], int, int]:
         raise OracleError("event target out of range")
     if len(targets) > MASK_GUARD:
         raise GuardError(f"event tracks {len(targets)} vertices, guard is {MASK_GUARD}")
+    return targets
+
+
+def _encode(g: Graph, u: int, event: EventSpec) -> tuple[list[int], int, int]:
+    """The event as DP masks from start u: each vertex's mask bit (0 when
+    inert), the mask of every tracked vertex, and the mask at time 0."""
+    targets = _targets(g, u, event)
     bits = [0] * g.n
     for i, v in enumerate(targets):
         bits[v] = 1 << i
@@ -154,50 +168,81 @@ def _encode(g: Graph, u: int, event: EventSpec) -> tuple[list[int], int, int]:
     return bits, (1 << len(targets)) - 1, start
 
 
-def _satisfied(event: EventSpec, mask: np.ndarray | int, full: int):
+def _satisfied(event: EventSpec, mask: np.ndarray | int, want: int):
+    """Whether the visited `mask` satisfies the event whose tracked
+    vertices are the bits of `want`."""
     if event.kind in (EventKind.HIT_ALL, EventKind.COVER_ALL):
-        return mask == full
-    return mask != 0
+        return (mask & want) == want
+    return (mask & want) != 0
 
 
-def _horizon_values(g: Graph, u: int, event: EventSpec, eps_values: Sequence[float]) -> list[list[float]]:
-    """Value at the start for every eps and every horizon 0..event.horizon,
-    from one backward pass: row e, column t is the horizon-t value of the
-    eps_values[e]-biased walk.  After t steps the table holds the horizon-t
-    values, so the pass to the largest horizon yields every shorter one
-    unchanged.  The eps = 0 row is the plain walk bit for bit: for values
-    in [0, 1], 1.0 * mean + 0.0 * max is mean."""
-    bits, full, start = _encode(g, u, event)
+def _horizon_values(
+    g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence[float]
+) -> list[list[list[float]]]:
+    """Value at the start for every event, eps and horizon: entry [k][e][t]
+    is the horizon-t value of the eps_values[e]-biased walk for events[k],
+    t = 0..events[k].horizon.  Events share a pass, in order, while its
+    value table stays within STACK_CELLS; one over it alone runs alone."""
+    groups: list[list[EventSpec]] = []
+    union: set[int] = set()
+    for event in events:
+        tracked = set(_targets(g, u, event))
+        if groups and g.n * (len(groups[-1]) + 1) * len(eps_values) << len(union | tracked) <= STACK_CELLS:
+            groups[-1].append(event)
+            union |= tracked
+        else:
+            groups.append([event])
+            union = tracked
+    return [row for group in groups for row in _dp_pass(g, u, group, eps_values)]
+
+
+def _dp_pass(g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence[float]) -> list[list[list[float]]]:
+    """One backward pass for several events, stacked as value[v, key, e, mask]
+    over the masks of the union of their tracked vertices.
+
+    After t steps the table holds the horizon-t values, so the pass to the
+    largest horizon yields every shorter one unchanged.  A key's value at
+    mask M depends only on M's bits among its own targets, and every key
+    takes the same operations, so each key's rows equal its pass alone bit
+    for bit.  The eps = 0 row is the plain walk bit for bit: for values in
+    [0, 1], 1.0 * mean + 0.0 * max is mean."""
+    tracked = [_targets(g, u, event) for event in events]
+    union = sorted(set().union(*tracked))
+    bits = [0] * g.n
+    for i, v in enumerate(union):
+        bits[v] = 1 << i
+    masks = np.arange(1 << len(union))
+    starts = [0 if event.kind is EventKind.RETURN_TO_START else bits[u] for event in events]
     eps = np.array(eps_values, dtype=float)[:, None]
     keep = 1.0 - eps
-    masks = np.arange(full + 1)
     kid_rows = [masks | bits[w] for w in range(g.n)]
     nbrs = [np.array(adj) for adj in g.adj]
     # Horizon-0 values are the terminal indicator; monotonicity (children
     # masks are supersets) then keeps satisfied masks at value 1 through
-    # every backward step without special casing.  value[v, e, mask].
-    value = np.where(_satisfied(event, masks, full), 1.0, 0.0)
-    value = np.tile(value, (g.n, len(eps), 1))
-    # kid[w, e, mask]: the value of stepping to w from `mask`.  Each step
-    # reads only kid, so it overwrites value in place: two tables in all.
+    # every backward step without special casing.
+    terminal = [_satisfied(event, masks, sum(bits[v] for v in targets)) for event, targets in zip(events, tracked)]
+    value = np.tile(np.where(terminal, 1.0, 0.0)[:, None, :], (g.n, 1, len(eps), 1))
+    # kid[w, key, e, mask]: the value of stepping to w from `mask`.  Each
+    # step reads only kid, so it overwrites value in place: two tables in all.
     kid = np.empty_like(value)
-    out = np.empty((len(eps), event.horizon + 1))
-    out[:, 0] = value[u, :, start]
-    for step in range(1, event.horizon + 1):
+    keys = np.arange(len(events))
+    out = np.empty((len(events), len(eps), max(event.horizon for event in events) + 1))
+    out[:, :, 0] = value[u, keys, :, starts]
+    for step in range(1, out.shape[2]):
         for w, rows in enumerate(kid_rows):
-            np.take(value[w], rows, axis=1, out=kid[w])
+            np.take(value[w], rows, axis=2, out=kid[w])
         for v, adj in enumerate(nbrs):
             kids = kid[adj]
             mean = np.add.reduce(kids) / len(adj)
             value[v] = keep * mean + eps * np.maximum.reduce(kids)
-        out[:, step] = value[u, :, start]
-    return out.tolist()
+        out[:, :, step] = value[u, keys, :, starts]
+    return [out[k, :, : event.horizon + 1].tolist() for k, event in enumerate(events)]
 
 
 def srw_event_prob(g: Graph, u: int, event: EventSpec) -> float:
     """Exact probability that the simple random walk from u satisfies the
     event within its horizon."""
-    return _horizon_values(g, u, event, (0.0,))[0][-1]
+    return _horizon_values(g, u, [event], (0.0,))[0][0][-1]
 
 
 def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> float:
@@ -208,7 +253,7 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
     eps=0 reduces to the plain walk, eps=1 to full control.
     """
     _check_eps(eps)
-    return _horizon_values(g, u, event, (eps,))[0][-1]
+    return _horizon_values(g, u, [event], (eps,))[0][0][-1]
 
 
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
@@ -238,72 +283,99 @@ def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fractio
 # one-step operator, power means
 
 
-def _floats(x: Sequence[float], message: str) -> list[float]:
-    """x as a list of floats; OracleError(message) unless x is one flat
-    sequence of numbers."""
+def _vectors(x: Sequence | np.ndarray, message: str) -> np.ndarray:
+    """x as a float array whose last axis holds the vectors; OracleError(message)
+    for a number or a ragged nest."""
     try:
-        return [float(e) for e in x]
-    except TypeError:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
         raise OracleError(message) from None
+    if x.ndim == 0:
+        raise OracleError(message)
+    return x
 
 
-def biased_operator(eps: float, b: Sequence[float], v: Sequence[float]) -> float:
-    """sum_i ((1-eps)/d + eps * b_i) * v_i for a bias distribution b."""
-    b = _floats(b, "bias and value vectors must have equal length")
-    v = _floats(v, "bias and value vectors must have equal length")
-    if len(b) != len(v):
+def _coordinates(x: np.ndarray) -> list:
+    """The coordinates of x's vectors, first to last: floats for one vector,
+    so that its sums and powers are Python's, or for a stack one array of
+    the leading shape each."""
+    return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
+
+
+def biased_operator(eps: float | np.ndarray, b: Sequence | np.ndarray, v: Sequence | np.ndarray) -> float | np.ndarray:
+    """sum_i ((1-eps)/d + eps * b_i) * v_i for a bias distribution b.
+
+    b and v hold their vectors along the last axis: one pair gives a float,
+    a stack of pairs an array of the leading shape, with eps a number or an
+    array of that shape."""
+    b = _vectors(b, "bias and value vectors must have equal length")
+    v = _vectors(v, "bias and value vectors must have equal length")
+    if b.shape != v.shape:
         raise OracleError("bias and value vectors must have equal length")
     _check_eps(eps)
-    if abs(sum(b) - 1.0) > 1e-9 or min(b) < -1e-12:
+    bs, vs = _coordinates(b), _coordinates(v)
+    if np.any(abs(sum(bs) - 1.0) > 1e-9) or (b < -1e-12).any():
         raise OracleError("bias must be a probability vector")
-    if min(v) < 0:
+    if (v < 0).any():
         raise OracleError("value entries must be nonnegative")
-    uniform = (1.0 - eps) / len(v)
-    return sum((uniform + eps * bi) * vi for bi, vi in zip(b, v))
+    uniform = (1.0 - eps) / len(vs)
+    return sum((uniform + eps * bi) * vi for bi, vi in zip(bs, vs))
 
 
-def power_mean(r: float, v: Sequence[float]) -> float:
-    """M_r(v) = ((v_1^r + ... + v_d^r) / d)^(1/r); r = inf gives max."""
-    v = _floats(v, "power mean needs a non-empty vector")
-    if not v:
+def power_mean(r: float, v: Sequence | np.ndarray) -> float | np.ndarray:
+    """M_r(v) = ((v_1^r + ... + v_d^r) / d)^(1/r); r = inf gives max.
+
+    v holds its vectors along the last axis: one vector gives a float, a
+    stack of them an array of the leading shape."""
+    v = _vectors(v, "power mean needs a non-empty vector")
+    if not v.shape[-1]:
         raise OracleError("power mean needs a non-empty vector")
-    if min(v) < 0:
+    if (v < 0).any():
         raise OracleError("power mean entries must be nonnegative")
     if not r >= 1:
         raise OracleError("power mean implemented for r >= 1 only")
+    xs = _coordinates(v)
     if math.isinf(r):
-        return max(v)
-    if r == 1:
-        return sum(v) / len(v)
+        return max(xs) if v.ndim == 1 else v.max(axis=-1)
     try:
-        total = sum(x**r for x in v)
-    except OverflowError:  # a float power raises where numpy's gives inf
+        with np.errstate(over="ignore"):  # numpy's power past the float range is inf
+            total = sum(x**r for x in xs)
+    except OverflowError:  # where a float power raises
         return math.inf
-    return (total / len(v)) ** (1.0 / r)
+    return (total / len(xs)) ** (1.0 / r)
 
 
-def _leq_with_slack(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+def _leq_with_slack(lhs: float | np.ndarray, rhs: float | np.ndarray) -> bool | np.ndarray:
+    return lhs <= rhs + 1e-12 * np.maximum(1.0, abs(rhs))
 
 
-def conv_lemma_audit(d: int, eps: float, eta: float, v: Sequence[float], b: Sequence[float]) -> bool:
+def conv_lemma_audit(
+    d: int, eps: float | np.ndarray, eta: float | np.ndarray, v: Sequence | np.ndarray, b: Sequence | np.ndarray
+) -> bool | np.ndarray:
     """One-step convexity bounds on the biased operator.
 
     Always: B_{eps,b}(v) <= (1 + eps(d-1)) * M_1(v).
     When eps <= 1/d^(2 eta) and 0 < eta <= 1, additionally:
     B_{eps,b}(v) <= exp(4/d^eta) * M_{(1+eta)/eta}(v).
-    The second check is skipped (not failed) off its precondition.
+    The second check is skipped (not failed) off its precondition.  v and b
+    hold their vectors along the last axis: one pair gives a bool, a stack
+    of pairs a bool array of the leading shape, with eps and eta numbers or
+    arrays of that shape.
     """
-    if len(v) != d or len(b) != d:
+    v = _vectors(v, "vectors must have length d")
+    b = _vectors(b, "vectors must have length d")
+    if v.shape[-1] != d or b.shape[-1] != d:
         raise OracleError("vectors must have length d")
     lhs = biased_operator(eps, b, v)
-    if not _leq_with_slack(lhs, (1.0 + eps * (d - 1)) * power_mean(1, v)):
-        return False
-    if 0.0 < eta <= 1.0 and eps <= 1.0 / d ** (2.0 * eta):
-        rhs = math.exp(4.0 / d**eta) * power_mean((1.0 + eta) / eta, v)
-        if not _leq_with_slack(lhs, rhs):
-            return False
-    return True
+    ok = _leq_with_slack(lhs, (1.0 + eps * (d - 1)) * power_mean(1, v))
+    # the second claim's constants are Python floats, one pair per distinct eta
+    for e in set(np.ravel(eta).tolist()):
+        if 0.0 < e <= 1.0:
+            at = (eta == e) & (eps <= 1.0 / d ** (2.0 * e))
+            if np.any(at):
+                rhs = math.exp(4.0 / d**e) * power_mean((1.0 + e) / e, v)
+                ok &= _leq_with_slack(lhs, rhs) | np.logical_not(at)
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 def eta_grid(d: int) -> tuple[float, ...]:
@@ -383,11 +455,11 @@ def boost_bound_grid(
 ) -> list[BoostReport]:
     """The boost report of every (event, eps, eta), in that nesting order.
 
-    Events that differ only in horizon share one DP pass over the distinct
-    values of (0, *eps_values), run to their largest horizon; its eps = 0
-    row is the plain walk and supplies p.  Each p and q* equals the
-    single-eps pass of `srw_event_prob` and `optimal_tbrw_event_prob` bit
-    for bit.
+    Events that differ only in horizon are one DP key, run to their largest
+    horizon over the distinct values of (0, *eps_values); the keys are
+    stacked on the passes of `_horizon_values`, and the eps = 0 row is the
+    plain walk and supplies p.  Each p and q* equals the single-eps pass of
+    `srw_event_prob` and `optimal_tbrw_event_prob` bit for bit.
     """
     for eps in eps_values:
         _check_eps(eps)
@@ -398,7 +470,8 @@ def boost_bound_grid(
         key = (event.kind, event.targets)
         tmax[key] = max(tmax.get(key, 0), event.horizon)
     grid = tuple(dict.fromkeys((0.0, *eps_values)))
-    values = {key: _horizon_values(g, u, EventSpec(key[0], t, key[1]), grid) for key, t in tmax.items()}
+    keyed = [EventSpec(kind, t, targets) for (kind, targets), t in tmax.items()]
+    values = dict(zip(tmax, _horizon_values(g, u, keyed, grid)))
     d_max = max(g.degrees)
     d_min = min(g.degrees)
     reports = []

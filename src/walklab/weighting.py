@@ -251,6 +251,8 @@ def stationary_ratio_audit(w: EdgeWeighting, k: int, beta: float | None = None) 
         raise WeightingError("stationary_ratio_audit needs a beta that is not nan")
     d_min = min(g.degrees)
     d_max = max(g.degrees)
+    if d_min == 0:
+        raise WeightingError("stationary_ratio_audit needs n >= 2")
     try:
         bound = (d_max * beta * beta / d_min) ** k
     except OverflowError:

@@ -833,8 +833,8 @@ def test_boost_audit_on_one_vertex_is_input_error(tmp_path, capsys, event, t):
 
 def test_boost_audit_takes_p_and_q_star_from_one_dp_pass(monkeypatch, capsys):
     passes = []
-    real = oracle._horizon_values
-    monkeypatch.setattr(oracle, "_horizon_values", lambda *args: passes.append(args[3]) or real(*args))
+    real = oracle._dp_pass
+    monkeypatch.setattr(oracle, "_dp_pass", lambda *args: passes.append(args[3]) or real(*args))
     code, out, _ = run(capsys, "boost-audit", "--generate", "complete:6", "--event", "cover", "--t", "6",
                        "--eps", "0.05")
     assert code == 0 and read_summary(out)["ok"] is True
@@ -914,14 +914,54 @@ def test_lemma_sweep_files_are_pinned(tmp_path, capsys):
     }
 
 
-def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsys):
-    # the block-draw loop passes the audit what randrange/next_float give
-    seen = []
-    monkeypatch.setattr(cli, "conv_lemma_audit", lambda *args: seen.append(args) or True)
-    code, _, _ = run(capsys, "lemma-sweep", "--nmax", "2", "--tmax", "1", "--draws", "300", "--seed", "5")
+def test_lemma_sweep_makes_one_dp_pass_per_graph(monkeypatch, capsys):
+    # the certify slot's six catalog graphs, every event of a graph stacked
+    passes = []
+    real = oracle._dp_pass
+    monkeypatch.setattr(oracle, "_dp_pass", lambda *args: passes.append(len(args[2])) or real(*args))
+    code, out, _ = run(capsys, "lemma-sweep", "--nmax", "5", "--tmax", "4", "--draws", "0", "--seed", "5")
+    assert code == 0 and read_summary(out)["queries"] == 2664
+    # complete:2, complete:4, complete:5, cycle:3, cycle:4, cycle:5: n hit
+    # events, n(n - 1)/2 pair events and cover each
+    assert passes == [4, 11, 16, 7, 11, 16]
+
+
+def test_lemma_sweep_criterion_9_files_are_pinned(tmp_path, capsys):
+    # acceptance criterion 9's full grid: the 6-vertex graphs (prism, k33,
+    # octahedron), horizon 5 and 10000 convexity draws
+    code, _, _ = run(
+        capsys, "lemma-sweep", "--nmax", "6", "--tmax", "5", "--draws", "10000", "--seed", "900",
+        "--no-timestamp", "--out", str(tmp_path),
+    )
     assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("audit.jsonl", "summary.json")
+    }
+    assert digests == {
+        "audit.jsonl": "fc7cfc5680f5ad9153d284b3e3b9b04c22097fedaa169f38009d03880ef027d1",
+        "summary.json": "ba65618da3b8f75f4b1cb19fd74f20d3ec0d1ec5e07d44d598d0d9f92f6c97b7",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, queries, draws",
+    [(["--tmax", "0"], 0, 10), (["--draws", "0"], 2664, 0), (["--nmax", "0"], 0, 10), (["--draws", "1"], 2664, 1)],
+)
+def test_lemma_sweep_with_no_events_or_no_draws_succeeds(capsys, argv, queries, draws):
+    base = {"--nmax": "5", "--tmax": "4", "--draws": "10"}
+    base.update(zip(argv[::2], argv[1::2]))
+    code, out, _ = run(capsys, "lemma-sweep", *[x for item in base.items() for x in item], "--seed", "3")
+    payload = read_summary(out)
+    assert code == 0
+    assert (payload["queries"], payload["conv_draws"], payload["failures"], payload["conv_failures"]) == (
+        queries, draws, 0, 0)
+
+
+def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsys):
+    # the batches carry what randrange/next_float give, in stream order
+    # within each degree, in one chunk and across chunk ends (300 = 42 * 7 + 6)
     rng = SplitMix64.stream(5, 0)
-    expected = []
+    expected = {d: [] for d in range(3, 7)}
     for _ in range(300):
         d = 3 + rng.randrange(4)
         raw = [rng.next_float() for _ in range(d)]
@@ -929,8 +969,33 @@ def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsy
         b = [x / total for x in raw]
         v = [rng.next_float() for _ in range(d)]
         eta = (0.25, 0.5, 1.0)[rng.randrange(3)]
-        expected.append((d, rng.next_float() / d ** (2.0 * eta), eta, v, b))
-    assert seen == expected
+        expected[d].append((d, rng.next_float() / d ** (2.0 * eta), eta, v, b))
+
+    def audit(d, eps, eta, v, b):
+        seen[d] += zip([d] * len(v), eps.tolist(), eta.tolist(), v.tolist(), b.tolist())
+        return np.ones(len(v), dtype=bool)
+
+    monkeypatch.setattr(cli, "conv_lemma_audit", audit)
+    for chunk in (cli.CONV_CHUNK, 7):
+        seen = {d: [] for d in range(3, 7)}
+        monkeypatch.setattr(cli, "CONV_CHUNK", chunk)
+        code, _, _ = run(capsys, "lemma-sweep", "--nmax", "2", "--tmax", "1", "--draws", "300", "--seed", "5")
+        assert code == 0 and seen == expected, chunk
+
+
+def test_lemma_sweep_convexity_memory_does_not_grow_with_draws():
+    # draws and records of a chunk at a time (the next chunk's block is made
+    # before the last one is freed): measured 1.2 MiB for 3 and for 20 chunks
+    peaks = []
+    for count in (3 * cli.CONV_CHUNK, 20 * cli.CONV_CHUNK):
+        tracemalloc.start()
+        try:
+            failures = sum(int(np.count_nonzero(~ok)) for ok in cli._conv_audits(5, count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert failures == 0
+    assert peaks[1] < 2 * 2**20 and peaks[1] < 1.05 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("failing", ["boost", "conv"])
@@ -940,7 +1005,7 @@ def test_lemma_sweep_counts_each_violation_and_exits_1(monkeypatch, capsys, fail
         # q* below p: every report of the grid fails
         monkeypatch.setattr(cli, "boost_bound_grid", lambda *args: [replace(r, q_star=r.p - 1.0) for r in real(*args)])
     else:
-        monkeypatch.setattr(cli, "conv_lemma_audit", lambda *args: False)
+        monkeypatch.setattr(cli, "conv_lemma_audit", lambda d, eps, eta, v, b: np.zeros(len(v), dtype=bool))
     code, out, _ = run(capsys, "lemma-sweep", "--nmax", "3", "--tmax", "2", "--draws", "40", "--seed", "5")
     payload = read_summary(out)
     assert code == 1

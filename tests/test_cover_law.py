@@ -40,7 +40,7 @@ def cover_law_deviation(g, kind: str, eps: float, trials: int, label: str) -> fl
     empirical = np.cumsum(np.bincount(steps, minlength=horizon + 1)) / trials
     # F_N and the exact law both reach 1 as t grows past T, and the exact law
     # only rises, so the sup over t <= T is the sup over all t
-    exact = np.array(_horizon_values(g, START, EventSpec(EventKind.COVER_ALL, horizon), (eps,))[0])
+    exact = np.array(_horizon_values(g, START, [EventSpec(EventKind.COVER_ALL, horizon)], (eps,))[0][0])
     if kind == "srw":
         return float(np.max(np.abs(empirical - exact)))
     return float(np.max(empirical - exact))

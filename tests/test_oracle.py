@@ -31,7 +31,7 @@ from walklab.oracle import (
     srw_event_prob,
     srw_expected_cover_exact,
 )
-from walklab.oracle import _encode, _horizon_values, _satisfied
+from walklab.oracle import STACK_CELLS, _encode, _horizon_values, _satisfied
 from walklab.rng import SplitMix64
 
 
@@ -266,11 +266,70 @@ def eps_grid_queries(draw):
 @settings(max_examples=150, deadline=None)
 def test_eps_grid_pass_equals_one_eps_passes(query):
     g, u, event, grid = query
-    rows = _horizon_values(g, u, event, grid)
+    [rows] = _horizon_values(g, u, [event], grid)
     assert len(rows) == len(grid)
     for eps, row in zip(grid, rows):
         assert len(row) == event.horizon + 1
-        assert row == _horizon_values(g, u, event, [eps])[0] == one_eps_horizon_values(g, u, event, eps), eps
+        assert row == _horizon_values(g, u, [event], [eps])[0][0] == one_eps_horizon_values(g, u, event, eps), eps
+
+
+@st.composite
+def stacked_queries(draw):
+    g = DP_GRAPHS[draw(st.sampled_from(sorted(DP_GRAPHS)))]
+    events = []
+    for kind in draw(st.lists(st.sampled_from(EventKind), min_size=1, max_size=12)):
+        targets = frozenset()
+        if kind in (EventKind.HIT_ALL, EventKind.HIT_ANY):
+            targets = draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1), min_size=1, max_size=4))
+        events.append(EventSpec(kind, draw(st.integers(min_value=0, max_value=5)), targets))
+    u = draw(st.integers(min_value=0, max_value=g.n - 1))
+    grid = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    return g, u, events, grid
+
+
+@given(stacked_queries())
+@settings(max_examples=150, deadline=None)
+def test_stacked_pass_equals_per_event_passes(query):
+    # events of every kind share passes up to STACK_CELLS; each event's rows
+    # are its pass alone and the single-eps reference, bit for bit
+    g, u, events, grid = query
+    tables = _horizon_values(g, u, events, grid)
+    assert len(tables) == len(events)
+    for event, table in zip(events, tables):
+        assert table == _horizon_values(g, u, [event], grid)[0]
+        assert table == [one_eps_horizon_values(g, u, event, eps) for eps in grid], event
+
+
+def test_stacked_passes_keep_within_the_cell_budget(monkeypatch):
+    # cover on hypercube:4 is 2^20 cells alone and runs alone; the 120 pair
+    # events stack only while their shared table stays within STACK_CELLS
+    g = generate("hypercube", dim=4)
+    pairs = [EventSpec(EventKind.HIT_ALL, 3, frozenset({a, b})) for a in range(16) for b in range(a + 1, 16)]
+    passes = []
+    real = oracle._dp_pass
+    monkeypatch.setattr(oracle, "_dp_pass", lambda *args: passes.append(args) or real(*args))
+
+    def peak_of(events):
+        passes.clear()
+        tracemalloc.start()
+        try:
+            _horizon_values(g, 0, events, [0.0, 0.05])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = peak_of(pairs)
+    assert all(g.n * len(keys) * 2 << len(set().union(*(e.targets for e in keys))) <= STACK_CELLS
+               for _, _, keys, _ in passes)
+    assert 1 < len(passes) < len(pairs)
+    # two value tables of STACK_CELLS float64 cells, the gathered children
+    # and the index rows; measured 0.72 MiB
+    assert peak < 4 * 8 * STACK_CELLS, peak
+    # the cover pass peaks alone, as the pairs' tables are freed before it
+    cover = EventSpec(EventKind.COVER_ALL, 3)
+    alone = peak_of([cover])
+    assert alone > 16 * 2**20 and peak_of([cover, *pairs]) < alone + 2**20
+    assert len(passes[0][2]) == 1
 
 
 def test_dp_pass_memory_does_not_grow_with_the_horizon():
@@ -280,7 +339,7 @@ def test_dp_pass_memory_does_not_grow_with_the_horizon():
     g = generate("hypercube", dim=4)
     tracemalloc.start()
     try:
-        _horizon_values(g, 0, EventSpec(EventKind.COVER_ALL, 12), [0.0])
+        _horizon_values(g, 0, [EventSpec(EventKind.COVER_ALL, 12)], [0.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,7 +535,6 @@ def test_float_conv_audit_verdict_matches_numpy(vectors, eps, eta):
 
 BAD_AUDIT_INPUTS = {
     "operator-length": (biased_operator, numpy_biased_operator, (0.5, (0.5, 0.5), (1.0, 2.0, 3.0))),
-    "operator-not-flat": (biased_operator, numpy_biased_operator, (0.5, [[0.5, 0.5]], [[1.0, 2.0]])),
     "operator-eps-high": (biased_operator, numpy_biased_operator, (1.5, (0.5, 0.5), (1.0, 2.0))),
     "operator-eps-low": (biased_operator, numpy_biased_operator, (-0.1, (0.5, 0.5), (1.0, 2.0))),
     "operator-bias-sum": (biased_operator, numpy_biased_operator, (0.5, (0.9, 0.3), (1.0, 2.0))),
@@ -485,7 +543,6 @@ BAD_AUDIT_INPUTS = {
     "mean-r-below-1": (power_mean, numpy_power_mean, (0.5, (1.0, 2.0))),
     "mean-negative": (power_mean, numpy_power_mean, (2, (-1.0, 2.0))),
     "mean-empty": (power_mean, numpy_power_mean, (2, ())),
-    "mean-not-flat": (power_mean, numpy_power_mean, (2, [[1.0, 2.0]])),
     "audit-length": (conv_lemma_audit, numpy_conv_lemma_audit, (3, 0.1, 1.0, (1.0, 2.0), (0.5, 0.5))),
     "audit-eps-high": (conv_lemma_audit, numpy_conv_lemma_audit, (2, 1.5, 1.0, (1.0, 2.0), (0.5, 0.5))),
 }
@@ -499,6 +556,86 @@ def test_float_audit_rejects_what_numpy_rejected(case):
     with pytest.raises(OracleError) as got:
         audit(*args)
     assert str(got.value) == str(expected.value)
+
+
+# --- stacks of vectors along the last axis ----------------------------------------
+
+
+@st.composite
+def audit_stacks(draw):
+    """(d, eps, eta, v, b) rows of one degree, eps and eta per row."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    size = draw(st.integers(min_value=0, max_value=12))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    raw = np.array(draw(st.lists(st.lists(weight, min_size=d, max_size=d).filter(any), min_size=size, max_size=size)))
+    b = raw / raw.sum(axis=-1, keepdims=True) if size else np.empty((0, d))
+    v = np.array(draw(st.lists(st.lists(st.floats(0.0, 1e3), min_size=d, max_size=d), min_size=size, max_size=size)))
+    eps = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    eta = np.array(draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 0.05, 1.5]), min_size=size, max_size=size)))
+    return d, eps, eta, v.reshape(size, d), b
+
+
+def scalar_rows(d, eps, eta, v, b):
+    return [(d, float(e), float(h), list(vr), list(br)) for e, h, vr, br in zip(eps, eta, v.tolist(), b.tolist())]
+
+
+@given(audit_stacks(), st.one_of(st.sampled_from([1, 2, math.inf]), st.floats(1.0, 8.0)))
+@settings(max_examples=200)
+def test_a_stack_of_vectors_gives_the_row_by_row_results(stack, r):
+    d, eps, eta, v, b = stack
+    rows = scalar_rows(d, eps, eta, v, b)
+    assert conv_lemma_audit(d, eps, eta, v, b).tolist() == [conv_lemma_audit(*row) for row in rows]
+    # + and * are the same IEEE operations in either form; a power is numpy's
+    assert biased_operator(eps, b, v).tolist() == [biased_operator(e, br, vr) for _, e, _, vr, br in rows]
+    means = power_mean(r, v)
+    assert means.shape == (len(rows),)
+    assert all(within_ulps(got, power_mean(r, vr)) for got, (_, _, _, vr, _) in zip(means.tolist(), rows))
+    # a leading shape of two axes
+    assert conv_lemma_audit(d, eps[None], eta[None], v[None], b[None]).shape == (1, len(rows))
+
+
+def test_verdicts_inside_the_slack_agree_row_by_row():
+    # equality cases of the first claim: b one-hot on the argmax of v, and v
+    # concentrated on one entry.  B(v) falls short of the bound by
+    # eps * (sum v - max v), so the small entries beside the top one put it
+    # inside the 1e-12 slack of the bound or just outside it
+    cases = []
+    for d in range(1, 9):
+        for eta in (0.25, 0.5, 1.0):
+            for eps in (0.0, 0.01, 1.0 / d ** (2.0 * eta), 0.5, 1.0):
+                for rest in (0.0, 1e-13, 3e-13, 1e-12, 4e-12, 1e-9):
+                    for top in (1.0, 3e-5, 7e4):
+                        v = [top] + [rest * top] * (d - 1)
+                        b = [1.0] + [0.0] * (d - 1)
+                        cases.append((d, eps, eta, v, b))
+                        cases.append((d, eps, eta, v[::-1], b[::-1]))
+    for d in range(1, 9):
+        chosen = [case for case in cases if case[0] == d]
+        eps, eta, v, b = (np.array([case[i] for case in chosen]) for i in range(1, 5))
+        assert conv_lemma_audit(d, eps, eta, v, b).tolist() == [conv_lemma_audit(*case) for case in chosen]
+    assert all(conv_lemma_audit(*case) for case in cases)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: biased_operator(0.5, [[0.5, 0.5], [1.0]], [[1.0, 2.0], [3.0]]),
+        lambda: biased_operator(0.5, 0.5, 1.0),
+        lambda: power_mean(2, [[1.0, 2.0], [1.0]]),
+        lambda: power_mean(2, 3.0),
+        lambda: power_mean(2, np.empty((3, 0))),
+        lambda: conv_lemma_audit(2, 0.1, 1.0, [[1.0, 2.0], [1.0]], [[0.5, 0.5], [1.0]]),
+        lambda: conv_lemma_audit(2, 0.1, 1.0, np.ones((3, 2)), np.full((3, 3), 1 / 3)),
+        lambda: conv_lemma_audit(2, np.array([0.1, 1.5]), 1.0, np.ones((2, 2)), np.full((2, 2), 0.5)),
+        lambda: conv_lemma_audit(2, 0.1, 1.0, np.ones((2, 2)), np.array([[0.5, 0.5], [0.9, 0.3]])),
+        lambda: conv_lemma_audit(2, 0.1, 1.0, np.array([[1.0, 1.0], [1.0, -1.0]]), np.full((2, 2), 0.5)),
+    ],
+    ids=["operator-ragged", "operator-number", "mean-ragged", "mean-number", "mean-empty-vectors",
+         "audit-ragged", "audit-length", "audit-eps-row", "audit-bias-row", "audit-value-row"],
+)
+def test_a_stack_is_checked_as_every_vector_is(call):
+    with pytest.raises(OracleError):
+        call()
 
 
 # --- one-step convexity bounds ---------------------------------------------------
@@ -677,7 +814,7 @@ def test_exact_cover_equals_the_tail_sum_of_the_cover_law(g):
     # a second engine; at t = 60 E[T], P(T > t) is down to rounding (~1e-15).
     u = g.n - 1
     expect = srw_expected_cover_exact(g)[u]
-    law = _horizon_values(g, u, EventSpec(EventKind.COVER_ALL, math.ceil(60 * expect)), [0.0])[0]
+    law = _horizon_values(g, u, [EventSpec(EventKind.COVER_ALL, math.ceil(60 * expect))], [0.0])[0][0]
     assert sum(1.0 - f for f in law) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 

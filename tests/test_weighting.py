@@ -586,3 +586,13 @@ def test_ratio_audit_overflowing_bound_passes():
     w = target_decay_weighting(g, [0], 0.5)
     assert stationary_ratio_audit(w, 3, beta=1e100)
     assert not stationary_ratio_audit(w, 3, beta=1.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_ratio_audit_on_one_vertex_is_a_weighting_error(k):
+    # d_min is 0 there: the bound's division must not raise ZeroDivisionError
+    w = uniform_weighting(build_graph([], 1))
+    with pytest.raises(WeightingError, match="needs n >= 2"):
+        stationary_ratio_audit(w, k)
+    with pytest.raises(WeightingError, match="needs n >= 2"):
+        stationary_ratio_audit(w, k, beta=2.0)
