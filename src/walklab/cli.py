@@ -41,6 +41,7 @@ from . import graphs as graphmod
 from .chains import SpectralReport, edge_conductance_exact, spectral_gap
 from .graphs import SUBSET_GUARD, Graph, WalklabError
 from .oracle import (
+    HORIZON_GUARD,
     EventKind,
     EventSpec,
     boost_bound_audit,
@@ -328,7 +329,8 @@ def _cover_estimate(g: Graph, args: argparse.Namespace, kind: str, eps: float, s
     estimate = estimate_cover_time(g, spec, trials=args.trials, seed=args.seed)
     (lo, hi), mean, sd = estimate.ci95, estimate.mean, estimate.stddev
     stats = {"walk_kind": kind, "eps": eps, "mean": mean, "stddev": sd, "ci95_lo": lo, "ci95_hi": hi}
-    return stats, [[row.trial, row.start_vertex, row.steps, kind, eps, args.seed] for row in estimate.rows]
+    trials = enumerate(zip(estimate.starts, estimate.steps))
+    return stats, [[t, start, steps, kind, eps, args.seed] for t, (start, steps) in trials]
 
 
 def _cmd_cover_sim(args: argparse.Namespace) -> int:
@@ -420,6 +422,8 @@ def _conv_audits(seed: int, count: int) -> Iterator[np.ndarray]:
 
 
 def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
+    if args.tmax > HORIZON_GUARD:
+        raise InputError(f"--tmax {args.tmax} exceeds the event horizon guard {HORIZON_GUARD}")
     catalog = {name: g for name, g in graphmod.small_regular_catalog().items() if g.n <= args.nmax}
     rows: list[dict] = []
     failures = 0

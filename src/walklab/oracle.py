@@ -4,9 +4,11 @@ Events here are visited-set measurable: whether a length-t trajectory
 satisfies the event depends only on which target vertices it has touched.
 That collapses the d^t trajectory tree onto DP states
 (current vertex, visited-target mask, steps remaining), which is what makes
-exact cover probabilities feasible up to n = MASK_GUARD.  The plain walk's
-exact expected cover time, from every start at once, takes one stacked
-linear solve per popcount layer of visited sets, up to n = COVER_GUARD.
+exact cover probabilities feasible up to n = MASK_GUARD and horizons up to
+HORIZON_GUARD.  `_encode` is the one encoder of those masks, for a pass and
+its rational twin `event_prob_exact` alike.  The plain walk's exact expected
+cover time, from every start at once, takes one stacked linear solve per
+popcount layer of visited sets, up to n = COVER_GUARD.
 
 Two walks are evaluated on the same DP: the simple random walk (value =
 mean of child values) and the optimal epsilon-biased walk
@@ -39,6 +41,9 @@ from .rng import SplitMix64
 
 MASK_GUARD = 20
 COVER_GUARD = 16
+# Largest event horizon: a pass keeps 8 bytes per event, eps and step, 8 MiB
+# each at the guard; the longest horizon the tests use is 1975.
+HORIZON_GUARD = 1 << 20
 # Cells (vertex x event x eps x mask) of one value table that events may
 # share: stacking small events saves numpy calls, but each one is computed
 # over every mask of the union of the tracked sets.
@@ -103,6 +108,8 @@ class EventSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise OracleError("event horizon must be >= 0")
+        if self.horizon > HORIZON_GUARD:
+            raise GuardError(f"event horizon {self.horizon} exceeds guard {HORIZON_GUARD}")
         if self.kind in (EventKind.HIT_ALL, EventKind.HIT_ANY) and not self.targets:
             raise OracleError("hit events need at least one target")
         if self.kind in (EventKind.COVER_ALL, EventKind.RETURN_TO_START) and self.targets:
@@ -156,16 +163,18 @@ def _targets(g: Graph, u: int, event: EventSpec) -> list[int]:
     return targets
 
 
-def _encode(g: Graph, u: int, event: EventSpec) -> tuple[list[int], int, int]:
-    """The event as DP masks from start u: each vertex's mask bit (0 when
-    inert), the mask of every tracked vertex, and the mask at time 0."""
-    targets = _targets(g, u, event)
+def _encode(g: Graph, u: int, events: Sequence[EventSpec]) -> tuple[list[int], list[int], list[int]]:
+    """The events as DP masks from start u, over the union of their tracked
+    vertices: each vertex's mask bit (0 when no event tracks it), and each
+    event's want mask (its tracked vertices) and mask at time 0."""
+    tracked = [_targets(g, u, event) for event in events]
     bits = [0] * g.n
-    for i, v in enumerate(targets):
+    for i, v in enumerate(sorted(set().union(*tracked))):
         bits[v] = 1 << i
+    wants = [sum(bits[v] for v in targets) for targets in tracked]
     # A return event does not count time 0 as a visit to the start.
-    start = 0 if event.kind is EventKind.RETURN_TO_START else bits[u]
-    return bits, (1 << len(targets)) - 1, start
+    starts = [0 if event.kind is EventKind.RETURN_TO_START else bits[u] for event in events]
+    return bits, wants, starts
 
 
 def _satisfied(event: EventSpec, mask: np.ndarray | int, want: int):
@@ -198,7 +207,7 @@ def _horizon_values(
 
 def _dp_pass(g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence[float]) -> list[list[list[float]]]:
     """One backward pass for several events, stacked as value[v, key, e, mask]
-    over the masks of the union of their tracked vertices.
+    over the masks `_encode` lays out on the union of their tracked vertices.
 
     After t steps the table holds the horizon-t values, so the pass to the
     largest horizon yields every shorter one unchanged.  A key's value at
@@ -206,13 +215,8 @@ def _dp_pass(g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence
     takes the same operations, so each key's rows equal its pass alone bit
     for bit.  The eps = 0 row is the plain walk bit for bit: for values in
     [0, 1], 1.0 * mean + 0.0 * max is mean."""
-    tracked = [_targets(g, u, event) for event in events]
-    union = sorted(set().union(*tracked))
-    bits = [0] * g.n
-    for i, v in enumerate(union):
-        bits[v] = 1 << i
-    masks = np.arange(1 << len(union))
-    starts = [0 if event.kind is EventKind.RETURN_TO_START else bits[u] for event in events]
+    bits, wants, starts = _encode(g, u, events)
+    masks = np.arange(1 << (g.n - bits.count(0)))
     eps = np.array(eps_values, dtype=float)[:, None]
     keep = 1.0 - eps
     kid_rows = [masks | bits[w] for w in range(g.n)]
@@ -220,7 +224,7 @@ def _dp_pass(g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence
     # Horizon-0 values are the terminal indicator; monotonicity (children
     # masks are supersets) then keeps satisfied masks at value 1 through
     # every backward step without special casing.
-    terminal = [_satisfied(event, masks, sum(bits[v] for v in targets)) for event, targets in zip(events, tracked)]
+    terminal = [_satisfied(event, masks, want) for event, want in zip(events, wants)]
     value = np.tile(np.where(terminal, 1.0, 0.0)[:, None, :], (g.n, 1, len(eps), 1))
     # kid[w, key, e, mask]: the value of stepping to w from `mask`.  Each
     # step reads only kid, so it overwrites value in place: two tables in all.
@@ -259,11 +263,11 @@ def optimal_tbrw_event_prob(g: Graph, u: int, event: EventSpec, eps: float) -> f
 def event_prob_exact(g: Graph, u: int, event: EventSpec, eps: Fraction = Fraction(0)) -> Fraction:
     """Rational-arithmetic twin of the DP, for float cross-validation."""
     _check_eps(eps)
-    bits, full, start = _encode(g, u, event)
+    bits, (want,), (start,) = _encode(g, u, [event])
     memo: dict[tuple[int, int, int], Fraction] = {}
 
     def value(v: int, mask: int, left: int) -> Fraction:
-        if _satisfied(event, mask, full):
+        if _satisfied(event, mask, want):
             return Fraction(1)
         if left == 0:
             return Fraction(0)

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence
 
@@ -357,7 +357,7 @@ def _cover_lockstep(
 
     Every live trial has taken the same number of steps, so every stream
     stands at counter + steps * (draws per step) and one `splitmix_block`
-    refill of m steps serves all rows.  Each refill is decoded once, as the
+    refill of m steps serves them all.  Each refill is decoded once, as the
     scalar loops decode their blocks: srw's choice u % span, the sweep's
     `_decode_pairs`.  A position is
     v * width, and nbr[v * width + c] is the position one step from v on
@@ -374,9 +374,9 @@ def _cover_lockstep(
     were unvisited before it.  These update `left`, and each trial's result
     holds the step of its latest first visit, its cover time once `left`
     is 0.  Blocks start at n - 1 steps, which no trial covers in fewer, and
-    double up to the refill cap.  Finished rows are dropped once they make
-    up a quarter of the batch.  When fewer than _LOCKSTEP_MIN rows are
-    live, it returns every trial's steps (0 if unfinished) and the
+    double up to the refill cap.  Finished trials are dropped once they
+    make up a quarter of the batch.  When fewer than _LOCKSTEP_MIN trials
+    are live, it returns every trial's steps (0 if unfinished) and the
     unfinished trials' (index, vertex, steps, visited) for the scalar loop.
     """
     n = g.n
@@ -483,19 +483,12 @@ class WalkSpec:
 
 
 @dataclass
-class CoverRow:
-    trial: int
-    start_vertex: int
-    steps: int
-
-
-@dataclass
 class CoverEstimate:
     mean: float
     stddev: float
     ci95: tuple[float, float]
-    trials: int
-    rows: list[CoverRow] = field(default_factory=list)
+    starts: list[int]
+    steps: list[int]
 
 
 def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
@@ -638,15 +631,16 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
     """Monte Carlo cover-time estimate with per-trial derived streams.
 
     Trial i uses the stream seed XOR i, so the estimate is a pure function
-    of (graph, spec, trials, seed).  Every run takes at least n - 1 steps;
-    that invariant is asserted on each trial.  The spec is checked, and the
-    phase strategy's psi resolved, once here, not once per trial.
+    of (graph, spec, trials, seed), and trial t starts at starts[t] and takes
+    steps[t] steps.  Every run takes at least n - 1 steps, asserted on the
+    shortest.  The spec is checked, and the phase strategy's psi resolved,
+    once here, not once per trial.
 
     Trials play in batches: as many srw or sweep trials as hold their
     visited arrays in _LOCKSTEP_CELLS and one step's draws in _REFILL_DRAWS
     (see `_cover_lockstep`), or as many phase trials as hold their bias
     rows in _LOCKSTEP_CELLS; each trial's steps equal those of its scalar
-    run, so the rows do not depend on how trials are batched.
+    run, so the estimate does not depend on how trials are batched.
     """
     if trials < 2:
         raise WalkError(f"a cover-time estimate needs at least 2 trials, got {trials}")
@@ -657,20 +651,17 @@ def estimate_cover_time(g: Graph, spec: WalkSpec, trials: int, seed: int) -> Cov
         starts = [trial % g.n if g.n <= 64 else 0 for trial in range(trials)]
     width = max(1, _LOCKSTEP_CELLS // max(1, 2 * g.m) if spec.kind == "phase"
                 else min(_LOCKSTEP_CELLS // g.n, _REFILL_DRAWS // _DRAWS_PER_STEP[spec.kind]))
-    counts: list[int] = []
+    steps: list[int] = []
     for first in range(0, trials, width):
         batch = starts[first:first + width]
-        counts += _cover_trials(g, spec, stream_seeds(seed, np.arange(first, first + len(batch))), 0, batch)
-    rows: list[CoverRow] = []
-    for trial, (start, steps) in enumerate(zip(starts, counts)):
-        if steps < g.n - 1:
-            raise WalkError("cover run shorter than n - 1 steps; engine is corrupt")
-        rows.append(CoverRow(trial=trial, start_vertex=start, steps=steps))
-    data = np.array([r.steps for r in rows], dtype=float)
+        steps += _cover_trials(g, spec, stream_seeds(seed, np.arange(first, first + len(batch))), 0, batch)
+    if min(steps) < g.n - 1:
+        raise WalkError("cover run shorter than n - 1 steps; engine is corrupt")
+    data = np.array(steps, dtype=float)
     mean = float(data.mean())
     sd = float(data.std(ddof=1))
     half = 1.96 * sd / math.sqrt(trials)
-    return CoverEstimate(mean=mean, stddev=sd, ci95=(mean - half, mean + half), trials=trials, rows=rows)
+    return CoverEstimate(mean=mean, stddev=sd, ci95=(mean - half, mean + half), starts=starts, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -848,6 +848,15 @@ def test_boost_audit_exits_1_on_a_violation(monkeypatch, capsys):
     assert code == 1 and read_summary(out)["ok"] is False
 
 
+@pytest.mark.parametrize("t", ["1000000000000", "100000000000000000000"])
+def test_boost_audit_past_the_horizon_guard_is_bad_input(capsys, t):
+    # past the guard, a pass's t + 1 values per event and eps fit neither in
+    # memory (10^12) nor in a numpy dimension (10^20)
+    code, out, err = run(capsys, "boost-audit", "--generate", "complete:4", "--event", "cover", "--t", t)
+    assert code == 2 and out == ""
+    assert err == f"error: event horizon {t} exceeds guard {oracle.HORIZON_GUARD}\n"
+
+
 # --- lemma-sweep -----------------------------------------------------------------------
 
 
@@ -955,6 +964,14 @@ def test_lemma_sweep_with_no_events_or_no_draws_succeeds(capsys, argv, queries, 
     assert code == 0
     assert (payload["queries"], payload["conv_draws"], payload["failures"], payload["conv_failures"]) == (
         queries, draws, 0, 0)
+
+
+def test_lemma_sweep_checks_tmax_before_it_builds_an_event(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "_sweep_events", lambda *args: built.append(args) or [])
+    code, out, err = run(capsys, "lemma-sweep", "--tmax", "1000000000000", "--draws", "0", "--seed", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert built == []
 
 
 def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsys):
@@ -1230,11 +1247,11 @@ def cli_calls(draw):
         event = good_or_bad(["hit:0", "hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"],
                             ["hit:99", "hit:x", "bogus"])
         argv.append(f"--event={draw(event)}")
-        argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0', 'x']))}")
+        argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0', 'x', '1000000000000']))}")
         argv += flags(draw, eps=FLOATS, eta=FLOATS, start=SMALL_INTS)
     elif command == "lemma-sweep":
         argv.append(f"--nmax={draw(st.sampled_from(['-1', '0', '4', 'four']))}")
-        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2', '2.0']))}")
+        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2', '2.0', '1000000000000']))}")
         argv.append(f"--draws={draw(st.sampled_from(['-1', '0', '10', '']))}")
     # one flag no subcommand owns, in about one call of ten
     argv += draw(st.sampled_from([[]] * 9 + [["--warp-speed=9"]]))

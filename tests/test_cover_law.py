@@ -35,7 +35,7 @@ def label_seed(label: str) -> int:
 def cover_law_deviation(g, kind: str, eps: float, trials: int, label: str) -> float:
     """sup_t |F_N - p| for srw, sup_t (F_N - q*) at eps for a biased kind."""
     est = estimate_cover_time(g, WalkSpec(kind=kind, eps=eps, start=START), trials=trials, seed=label_seed(label))
-    steps = np.array([row.steps for row in est.rows])
+    steps = np.array(est.steps)
     horizon = int(steps.max())
     empirical = np.cumsum(np.bincount(steps, minlength=horizon + 1)) / trials
     # F_N and the exact law both reach 1 as t grows past T, and the exact law

@@ -8,7 +8,8 @@ with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and lists every entry that moved, and why, in CHANGES.md.
+which prints the name of every entry whose record it changed, added or
+dropped; CHANGES.md lists each of them, and why it moved.
 
 Values that pass through LAPACK (`spectral`'s eigenvalues) are pinned for
 numpy 2.4.6 on x86-64; a mismatch on another platform is a reproducibility
@@ -136,5 +137,9 @@ def test_golden_output(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
     manifest = {name: observe(argv) for name, argv in CASES.items()}
+    for name in sorted(old.keys() | manifest.keys()):
+        if old.get(name) != manifest.get(name):
+            print(name)
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -225,7 +225,7 @@ def one_eps_horizon_values(g, u, event, eps):
     """The DP pass for a single eps that the eps-grid pass replaced, kept as
     its reference: value[mask, v], one stacked gather per vertex, and the
     plain-walk mean alone when eps is 0."""
-    bits, full, start = _encode(g, u, event)
+    bits, (full,), (start,) = _encode(g, u, [event])
     masks = np.arange(full + 1)
     kid_rows = [masks | bits[w] for w in range(g.n)]
     value = np.where(_satisfied(event, masks, full), 1.0, 0.0)
@@ -350,6 +350,14 @@ def test_dp_values_stay_in_unit_interval():
     for g in small_regular_catalog().values():
         q = optimal_tbrw_event_prob(g, 0, EventSpec(EventKind.COVER_ALL, 6), 0.4)
         assert 0.0 <= q <= 1.0
+
+
+def test_event_horizons_stop_at_the_guard():
+    assert EventSpec(EventKind.COVER_ALL, oracle.HORIZON_GUARD).horizon == oracle.HORIZON_GUARD
+    with pytest.raises(GuardError, match="event horizon"):
+        EventSpec(EventKind.COVER_ALL, oracle.HORIZON_GUARD + 1)
+    with pytest.raises(GuardError, match="event horizon"):
+        parse_event_text("hit:1", 10**20)
 
 
 def test_oracle_guards():

@@ -439,10 +439,10 @@ def test_srw_cover_replays_modulo_degree_stepping_on_an_irregular_graph(monkeypa
         return out, rest
 
     monkeypatch.setattr(walks, "_cover_lockstep", spy)
-    rows = estimate_cover_time(IRREGULAR, WalkSpec(kind="srw"), trials=trials, seed=-31).rows
+    steps = estimate_cover_time(IRREGULAR, WalkSpec(kind="srw"), trials=trials, seed=-31).steps
     want = [stepped_cover_steps(IRREGULAR, WalkSpec(kind="srw"), SplitMix64.stream(-31, t), t % 10)
             for t in range(trials)]
-    assert [r.steps for r in rows] == want
+    assert steps == want
     assert bool(handed) is lockstep and all(handed)  # the lockstep engine left trials to the scalar loop
 
 
@@ -588,9 +588,9 @@ def test_phase_rows_equal_per_trial_cover_runs(monkeypatch, trials):
     g = generate("random_regular", n=16, d=3, seed=9)
     spec = phase(0.25, psi=2.0)
     want = scalar_steps(g, spec, trials, 404)
-    assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
+    assert estimate_cover_time(g, spec, trials=trials, seed=404).steps == want
     monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 64 * 2 * g.m)
-    assert [r.steps for r in estimate_cover_time(g, spec, trials=trials, seed=404).rows] == want
+    assert estimate_cover_time(g, spec, trials=trials, seed=404).steps == want
 
 
 # eps 0.25, eps 1.0, and a psi whose tilt reaches eps: theta = min(0.25, 1 - e^(-10/32)) = 0.25
@@ -680,7 +680,7 @@ def test_phase_estimate_computes_expansion_once(monkeypatch):
     exact = walks.vertex_expansion_exact
     monkeypatch.setattr(walks, "vertex_expansion_exact", lambda h: calls.append(h) or exact(h))
     est = estimate_cover_time(g, phase(0.25), trials=5, seed=77)
-    assert [r.steps for r in est.rows] == per_trial
+    assert est.steps == per_trial
     assert len(calls) == 1
     with pytest.raises(WalkError):  # rejected before the expansion is enumerated
         estimate_cover_time(generate("cycle", n=8), phase(0.25), trials=2, seed=1)
@@ -690,7 +690,8 @@ def test_phase_estimate_computes_expansion_once(monkeypatch):
     rr24 = generate("random_regular", n=24, d=3, seed=1)
     unbiased = estimate_cover_time(rr24, phase(0.0), trials=4, seed=77)
     assert calls == []
-    assert unbiased.rows == estimate_cover_time(rr24, phase(0.0, psi=1.0), trials=4, seed=77).rows
+    tilted = estimate_cover_time(rr24, phase(0.0, psi=1.0), trials=4, seed=77)
+    assert (unbiased.starts, unbiased.steps) == (tilted.starts, tilted.steps)
 
 
 def test_phase_estimate_builds_bias_rows_once(monkeypatch):
@@ -703,7 +704,7 @@ def test_phase_estimate_builds_bias_rows_once(monkeypatch):
     monkeypatch.setattr(Graph, "slots", counted)
     g = generate("random_regular", n=16, d=3, seed=9)
     est = estimate_cover_time(g, phase(0.25), trials=5, seed=77)
-    assert len(built) == 1 and len(est.rows) == 5
+    assert len(built) == 1 and len(est.steps) == 5
 
 
 def test_phase_cover_accepts_configured_expansion():
@@ -740,8 +741,8 @@ def test_estimate_cover_time_deterministic_and_round_robin():
     assert a.mean == b.mean and a.stddev == b.stddev
     c = estimate_cover_time(g, spec, trials=64, seed=43)
     assert c.mean != a.mean
-    assert [r.start_vertex for r in a.rows] == [t % 4 for t in range(64)]
-    assert all(r.steps >= 3 for r in a.rows)
+    assert a.starts == [t % 4 for t in range(64)]
+    assert all(steps >= 3 for steps in a.steps)
     lo, hi = a.ci95
     assert lo <= a.mean <= hi
 
@@ -749,10 +750,10 @@ def test_estimate_cover_time_deterministic_and_round_robin():
 def test_estimate_cover_time_fixed_start_and_large_n_default():
     g = generate("complete", n=4)
     est = estimate_cover_time(g, WalkSpec(kind="srw", start=2), trials=8, seed=1)
-    assert all(r.start_vertex == 2 for r in est.rows)
+    assert all(start == 2 for start in est.starts)
     big = generate("random_regular", n=66, d=3, seed=2)
     est = estimate_cover_time(big, WalkSpec(kind="srw"), trials=3, seed=1)
-    assert all(r.start_vertex == 0 for r in est.rows)
+    assert all(start == 0 for start in est.starts)
     with pytest.raises(WalkError):
         estimate_cover_time(g, WalkSpec(kind="srw"), trials=1, seed=1)
 
@@ -814,7 +815,7 @@ def test_lockstep_steps_equal_scalar_steps(case, trials, seed, block_steps):
         if block_steps is not None:
             mp.setattr(walks, "_REFILL_DRAWS", block_steps * walks._DRAWS_PER_STEP[spec.kind] * trials)
         est = estimate_cover_time(g, spec, trials=trials, seed=seed)
-    assert [r.steps for r in est.rows] == scalar_steps(g, spec, trials, seed)
+    assert est.steps == scalar_steps(g, spec, trials, seed)
 
 
 def recording(calls, fn):
@@ -873,10 +874,11 @@ def test_lockstep_leaves_a_graph_with_an_oversized_padded_table_scalar(monkeypat
     calls = []
     monkeypatch.setattr(walks, "_cover_lockstep", recording(calls, walks._cover_lockstep))
     monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 8 * 420 - 1)  # still room for 419 trials
-    rows = estimate_cover_time(g, WalkSpec(kind="srw"), trials=40, seed=5).rows
+    scalar = estimate_cover_time(g, WalkSpec(kind="srw"), trials=40, seed=5)
     assert calls == []
     monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 8 * 420)
-    assert estimate_cover_time(g, WalkSpec(kind="srw"), trials=40, seed=5).rows == rows
+    lockstep = estimate_cover_time(g, WalkSpec(kind="srw"), trials=40, seed=5)
+    assert (lockstep.starts, lockstep.steps) == (scalar.starts, scalar.steps)
     assert len(calls) == 1
 
 
@@ -889,17 +891,19 @@ def test_lockstep_leaves_a_graph_with_an_oversized_padded_table_scalar(monkeypat
     ],
 )
 def test_cover_rows_are_a_prefix_of_longer_runs(g, spec):
-    longer = estimate_cover_time(g, spec, trials=300, seed=-5).rows
+    longer = estimate_cover_time(g, spec, trials=300, seed=-5)
     for trials in (20, 40, 299):
-        assert estimate_cover_time(g, spec, trials=trials, seed=-5).rows == longer[:trials]
+        est = estimate_cover_time(g, spec, trials=trials, seed=-5)
+        assert (est.starts, est.steps) == (longer.starts[:trials], longer.steps[:trials])
 
 
 def test_cover_rows_do_not_depend_on_the_batch_width(monkeypatch):
     g = generate("cycle", n=64)
     for spec in (WalkSpec(kind="srw"), WalkSpec(kind="sweep", eps=0.25)):
-        whole = estimate_cover_time(g, spec, trials=150, seed=2024).rows
+        whole = estimate_cover_time(g, spec, trials=150, seed=2024)
         monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 40 * g.n)  # batches of 40, 40, 40, 30
-        assert estimate_cover_time(g, spec, trials=150, seed=2024).rows == whole
+        batched = estimate_cover_time(g, spec, trials=150, seed=2024)
+        assert (batched.starts, batched.steps) == (whole.starts, whole.steps)
         monkeypatch.undo()
 
 
@@ -939,7 +943,7 @@ def test_lockstep_batches_and_refills_stay_bounded(monkeypatch):
     firsts = [0, width, 2 * width, 3 * width, 200]
     batches = [(seeds.tolist(), counter, len(starts)) for _, _, seeds, counter, starts in calls]
     assert batches == [(stream_seeds(1, np.arange(a, b)).tolist(), 0, b - a) for a, b in zip(firsts, firsts[1:])]
-    assert est.trials == 200
+    assert len(est.steps) == 200
     # one refill holds at most _REFILL_DRAWS draws, however wide the batch
     monkeypatch.undo()
     calls = []
