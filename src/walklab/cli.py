@@ -27,13 +27,14 @@ unknown subcommand see all of them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -41,7 +42,9 @@ from . import graphs as graphmod
 from .chains import SpectralReport, edge_conductance_exact, spectral_gap
 from .graphs import SUBSET_GUARD, Graph, WalklabError
 from .oracle import (
+    BOOST_SLACK,
     HORIZON_GUARD,
+    BoostValues,
     EventKind,
     EventSpec,
     boost_bound_audit,
@@ -168,6 +171,29 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     raise InputError("a graph is required: pass --graph FILE or --generate SPEC")
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _stamp(args: argparse.Namespace) -> str | None:
+    return None if args.no_timestamp else datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+@contextlib.contextmanager
+def _audit_file(args: argparse.Namespace, stamp: str | None) -> Iterator[TextIO | None]:
+    """audit.jsonl under --out, open for lines as they are made, after a
+    `stamp` line unless it is None; None without --out."""
+    if args.out is None:
+        yield None
+        return
+    with (_out_dir(args) / "audit.jsonl").open("w") as fh:
+        if stamp:
+            fh.write(json.dumps({"timestamp": stamp}) + "\n")
+        yield fh
+
+
 def _report(
     args: argparse.Namespace,
     payload: dict,
@@ -183,15 +209,10 @@ def _report(
     """
     if args.out is not None:
         encode = json.JSONEncoder(sort_keys=True).encode
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat(timespec="seconds")
+        out, stamp = _out_dir(args), _stamp(args)
         if audit is not None:
-            with (out / "audit.jsonl").open("w") as fh:
-                if stamp:
-                    fh.write(json.dumps({"timestamp": stamp}) + "\n")
-                for row in audit:
-                    fh.write(encode(row) + "\n")
+            with _audit_file(args, stamp) as fh:
+                fh.writelines(encode(row) + "\n" for row in audit)
         if results is not None:
             with (out / "results.csv").open("w", newline="") as fh:
                 if stamp:
@@ -378,6 +399,10 @@ def _cmd_boost_audit(args: argparse.Namespace) -> int:
 
 
 CONV_CHUNK = 2048  # convexity audits decoded per draw block, whatever --draws is
+# Most audit rows one lemma-sweep may make: memory grows with the rows of the
+# largest graph's grid.  At the default --nmax this is --tmax 546, which took
+# 5.7 s, a 53 MiB peak and a 246 MiB audit.jsonl on a 2-core x86 box.
+SWEEP_ROWS = 1 << 20
 
 
 def _sweep_events(g: Graph, tmax: int) -> list[EventSpec]:
@@ -391,6 +416,12 @@ def _sweep_events(g: Graph, tmax: int) -> list[EventSpec]:
                     events.append(EventSpec(EventKind.HIT_ALL, t, frozenset({a, b})))
         events.append(EventSpec(EventKind.COVER_ALL, t))
     return events
+
+
+def _sweep_grid(g: Graph) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The eps and the eta values lemma-sweep audits on catalog graph g."""
+    d = g.regular_degree
+    return (0.0, 0.05, 1.0 / d**2), eta_grid(d)
 
 
 def _conv_audits(seed: int, count: int) -> Iterator[np.ndarray]:
@@ -421,29 +452,80 @@ def _conv_audits(seed: int, count: int) -> Iterator[np.ndarray]:
             yield conv_lemma_audit(d, eps, eta, v, raw / sum(raw.T)[:, None])
 
 
+def _sweep_failures(grid: list[BoostValues]) -> int:
+    """The grid cells whose `BoostReport.ok` is false, by its rule taken a
+    level at a time: q* against p and bound1 per (event, eps), bound2 per cell."""
+    failures = 0
+    for values in grid:
+        floor = values.p - BOOST_SLACK
+        for q_star, bound1, applies in zip(values.q_stars, values.bound1s, values.applies):
+            if q_star < floor or (bound1 is not None and bound1 - q_star < -BOOST_SLACK):
+                failures += len(applies)
+                continue
+            for at, bound2 in zip(applies, values.bound2s):
+                if at and bound2 is not None and bound2 - q_star < -BOOST_SLACK:
+                    failures += 1
+    return failures
+
+
+def _number(x: float | None) -> str:
+    """x as JSON: repr is the encoder's text for a finite float."""
+    return "null" if x is None else repr(x)
+
+
+def _write_sweep_rows(fh: TextIO, name: str, grid: list[BoostValues]) -> None:
+    """Write one graph's audit.jsonl lines, an event's at a time.
+
+    A cell's line is the text JSONEncoder(sort_keys=True) writes for its
+    report's `to_json_dict`, keys in sorted order.  Each piece is made once
+    at its own level, per event, (event, eps) or (event, eta); only margin2
+    is made per cell."""
+    if not grid:
+        return
+    pairs = [[f', "eps": {json.dumps(eps)}, "eta": {json.dumps(eta)}, "event": ' for eta in grid[0].etas]
+             for eps in grid[0].eps_values]
+    graph_id = f', "graph_id": {json.dumps(name)}, "margin1": '
+    for values in grid:
+        event, p, t = json.dumps(values.event) + graph_id, f', "p": {values.p!r}, "q_star": ', f', "t": {values.t}}}\n'
+        bound2s = [_number(bound2) for bound2 in values.bound2s]
+        lines = []
+        for q_star, bound1, applies, row_pairs in zip(values.q_stars, values.bound1s, values.applies, pairs):
+            head = f'{{"bound1": {_number(bound1)}, "bound2": '
+            mid = f'{event}{_number(None if bound1 is None else bound1 - q_star)}, "margin2": '
+            tail = f"{p}{q_star!r}{t}"
+            for at, bound2, text, pair in zip(applies, values.bound2s, bound2s, row_pairs):
+                if at and bound2 is not None:
+                    lines.append(f"{head}{text}{pair}{mid}{bound2 - q_star!r}{tail}")
+                else:
+                    lines.append(f"{head}null{pair}{mid}null{tail}")
+        fh.writelines(lines)
+
+
 def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
     if args.tmax > HORIZON_GUARD:
         raise InputError(f"--tmax {args.tmax} exceeds the event horizon guard {HORIZON_GUARD}")
-    catalog = {name: g for name, g in graphmod.small_regular_catalog().items() if g.n <= args.nmax}
-    rows: list[dict] = []
+    catalog = sorted((name, g) for name, g in graphmod.small_regular_catalog().items() if g.n <= args.nmax)
+    # every horizon has the same events, and each event a row per (eps, eta)
+    rows = sum(args.tmax * len(_sweep_events(g, 1)) * math.prod(map(len, _sweep_grid(g))) for _, g in catalog)
+    if rows > SWEEP_ROWS:
+        raise InputError(f"--nmax {args.nmax} --tmax {args.tmax} make {rows} audit rows, past the limit {SWEEP_ROWS}")
     failures = 0
-    for name, g in sorted(catalog.items()):
-        d = g.regular_degree
-        reports = boost_bound_grid(g, 0, _sweep_events(g, args.tmax), (0.0, 0.05, 1.0 / d**2), eta_grid(d))
-        for report in reports:
-            rows.append(report.to_json_dict(graph_id=name))
-            if not report.ok:
-                failures += 1
+    with _audit_file(args, _stamp(args)) as fh:
+        for name, g in catalog:
+            grid = boost_bound_grid(g, 0, _sweep_events(g, args.tmax), *_sweep_grid(g))
+            failures += _sweep_failures(grid)
+            if fh is not None:
+                _write_sweep_rows(fh, name, grid)
 
     conv_failures = sum(int(np.count_nonzero(~ok)) for ok in _conv_audits(args.seed, args.draws))
     payload = {
-        "queries": len(rows),
+        "queries": rows,
         "failures": failures,
         "conv_draws": args.draws,
         "conv_failures": conv_failures,
         "seed": args.seed,
     }
-    _report(args, payload, audit=rows)
+    _report(args, payload)
     return 1 if failures or conv_failures else 0
 
 

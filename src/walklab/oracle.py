@@ -48,6 +48,8 @@ HORIZON_GUARD = 1 << 20
 # share: stacking small events saves numpy calls, but each one is computed
 # over every mask of the union of the tracked sets.
 STACK_CELLS = 1 << 15
+# How far q* may fall below p, or below a boost bound, in a met report.
+BOOST_SLACK = 1e-9
 
 __all__ = [
     "EventKind",
@@ -63,6 +65,7 @@ __all__ = [
     "boost_bound_audit",
     "boost_bound_grid",
     "BoostReport",
+    "BoostValues",
     "eta_grid",
     "srw_expected_cover_exact",
     "majorizes",
@@ -401,7 +404,8 @@ class BoostReport:
 
     bound1 = (1 + eps(d_max - 1))^t * p  always applies;
     bound2 = exp(4 t / d_min^eta) * p^(eta/(1+eta))  applies when
-    eps <= 1/d_max^(2 eta); it is None otherwise.
+    eps <= 1/d_max^(2 eta); it is None otherwise.  A bound past the float
+    range is None too, with a None margin, and is met, since q* <= 1.
     """
 
     event: str
@@ -410,12 +414,12 @@ class BoostReport:
     eta: float
     p: float
     q_star: float
-    bound1: float
+    bound1: float | None
     bound2: float | None
 
     @property
-    def margin1(self) -> float:
-        return self.bound1 - self.q_star
+    def margin1(self) -> float | None:
+        return None if self.bound1 is None else self.bound1 - self.q_star
 
     @property
     def margin2(self) -> float | None:
@@ -423,11 +427,9 @@ class BoostReport:
 
     @property
     def ok(self) -> bool:
-        if self.q_star < self.p - 1e-9:
+        if self.q_star < self.p - BOOST_SLACK:
             return False
-        if self.margin1 < -1e-9:
-            return False
-        return self.margin2 is None or self.margin2 >= -1e-9
+        return not any(margin is not None and margin < -BOOST_SLACK for margin in (self.margin1, self.margin2))
 
     def to_json_dict(self, graph_id: str) -> dict:
         return {
@@ -445,25 +447,66 @@ class BoostReport:
         }
 
 
+@dataclass(frozen=True)
+class BoostValues:
+    """One event's values over an eps x eta grid, each computed once at its
+    own level: p per event, q* and bound1 per eps, bound2 per eta.
+
+    bound2s[h] is bound2 at etas[h]; it applies at eps_values[e] where
+    applies[e][h].  A bound past the float range is None.
+    """
+
+    event: str
+    t: int
+    p: float
+    eps_values: tuple[float, ...]
+    etas: tuple[float, ...]
+    applies: tuple[tuple[bool, ...], ...]
+    q_stars: list[float]
+    bound1s: list[float | None]
+    bound2s: list[float | None]
+
+    def report(self, e: int, h: int) -> BoostReport:
+        """The report at (eps_values[e], etas[h])."""
+        bound2 = self.bound2s[h] if self.applies[e][h] else None
+        return BoostReport(
+            self.event, self.t, self.eps_values[e], self.etas[h], self.p, self.q_stars[e], self.bound1s[e], bound2
+        )
+
+
 def boost_bound_audit(g: Graph, u: int, event: EventSpec, eps: float, eta: float) -> BoostReport:
     """Evaluate p, q*, and the boost bounds for one (graph, event) query.
 
     q* dominates every eps-biased strategy, so q* within the bound proves
     the bound for all of them.
     """
-    return boost_bound_grid(g, u, [event], [eps], [eta])[0]
+    return boost_bound_grid(g, u, [event], [eps], [eta])[0].report(0, 0)
+
+
+def _from_log(log_scale: float, p: float, power: float = 1.0) -> float | None:
+    """scale * p^power for a scale past the float range, from its logarithm:
+    0 at p = 0 (not 0 * inf), None where the bound is past the range too."""
+    if p == 0.0:
+        return 0.0
+    try:
+        return math.exp(log_scale + power * math.log(p))
+    except OverflowError:
+        return None
 
 
 def boost_bound_grid(
     g: Graph, u: int, events: Sequence[EventSpec], eps_values: Sequence[float], etas: Sequence[float]
-) -> list[BoostReport]:
-    """The boost report of every (event, eps, eta), in that nesting order.
+) -> list[BoostValues]:
+    """The boost values of every event over the eps x eta grid, in order.
 
     Events that differ only in horizon are one DP key, run to their largest
     horizon over the distinct values of (0, *eps_values); the keys are
     stacked on the passes of `_horizon_values`, and the eps = 0 row is the
     plain walk and supplies p.  Each p and q* equals the single-eps pass of
-    `srw_event_prob` and `optimal_tbrw_event_prob` bit for bit.
+    `srw_event_prob` and `optimal_tbrw_event_prob` bit for bit.  A bound is
+    its float expression wherever that is finite; where a power or an
+    exponential would overflow, it is taken from its logarithm, as
+    `robustness._at_least` decides Theorem 3.1's.
     """
     for eps in eps_values:
         _check_eps(eps)
@@ -478,20 +521,31 @@ def boost_bound_grid(
     values = dict(zip(tmax, _horizon_values(g, u, keyed, grid)))
     d_max = max(g.degrees)
     d_min = min(g.degrees)
-    reports = []
+    eps_values, etas = tuple(eps_values), tuple(etas)
+    rows = [grid.index(eps) for eps in eps_values]
+    growths = [(1.0 + eps * (d_max - 1), math.log1p(eps * (d_max - 1))) for eps in eps_values]
+    roots = [(d_min**eta, eta / (1.0 + eta)) for eta in etas]
+    applies = tuple(tuple(eps <= 1.0 / d_max ** (2.0 * eta) for eta in etas) for eps in eps_values)
+    out = []
     for event in events:
         table = values[event.kind, event.targets]
-        text, t = event.describe(), event.horizon
+        t = event.horizon
         p = table[0][t]
-        for eps in eps_values:
-            q_star = table[grid.index(eps)][t]
-            bound1 = (1.0 + eps * (d_max - 1)) ** t * p
-            for eta in etas:
-                bound2 = None
-                if eps <= 1.0 / d_max ** (2.0 * eta):
-                    bound2 = math.exp(4.0 * t / d_min**eta) * p ** (eta / (1.0 + eta)) if p > 0 else 0.0
-                reports.append(BoostReport(text, t, eps, eta, p, q_star, bound1, bound2))
-    return reports
+        bound1s: list[float | None] = []
+        for base, log_base in growths:
+            try:
+                bound1s.append(base**t * p)
+            except OverflowError:
+                bound1s.append(_from_log(t * log_base, p))
+        bound2s: list[float | None] = []
+        for root, power in roots:
+            try:
+                bound2s.append(math.exp(4.0 * t / root) * p**power if p > 0 else 0.0)
+            except OverflowError:
+                bound2s.append(_from_log(4.0 * t / root, p, power))
+        q_stars = [table[row][t] for row in rows]
+        out.append(BoostValues(event.describe(), t, p, eps_values, etas, applies, q_stars, bound1s, bound2s))
+    return out
 
 
 # ---------------------------------------------------------------------------

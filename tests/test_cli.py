@@ -857,6 +857,34 @@ def test_boost_audit_past_the_horizon_guard_is_bad_input(capsys, t):
     assert err == f"error: event horizon {t} exceeds guard {oracle.HORIZON_GUARD}\n"
 
 
+@pytest.mark.parametrize("argv, bound", [
+    # exp(4t / d_min^eta) = exp(841): bound2 always applies at eps 0
+    (["--generate", "cycle:8", "--event", "hit:4", "--t", "250", "--eps", "0", "--eta", "0.25"], "bound2"),
+    # (1 + 0.7 (d_max - 1))^t = 2.4^1000
+    (["--generate", "complete:4", "--event", "hit:1", "--t", "1000", "--eps", "0.7", "--eta", "1"], "bound1"),
+])
+def test_boost_audit_bound_past_the_float_range_is_null_and_met(capsys, argv, bound):
+    code, out, err = run(capsys, "boost-audit", *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=reject_constant)
+    margin = bound.replace("bound", "margin")
+    assert payload[bound] is None and payload[margin] is None and payload["ok"] is True
+    assert payload["p"] > 0.99
+
+
+def test_boost_audit_p_zero_bound_is_zero_where_its_power_overflows(tmp_path, capsys):
+    # a path 0..160 and 100 leaves on vertex 0: vertex 160 is out of reach in
+    # 159 steps, so p = q* = 0, while (1 + (d_max - 1))^159 = 101^159 overflows
+    edges = [(v, v + 1) for v in range(160)] + [(0, leaf) for leaf in range(161, 261)]
+    path = tmp_path / "broom.txt"
+    path.write_text(f"261 {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    code, out, err = run(capsys, "boost-audit", "--graph", str(path), "--event", "hit:160", "--t", "159", "--eps", "1")
+    assert code == 0 and err == ""
+    payload = read_summary(out)
+    assert (payload["p"], payload["q_star"], payload["bound1"], payload["margin1"]) == (0.0, 0.0, 0.0, 0.0)
+    assert payload["bound2"] is None and payload["ok"] is True
+
+
 # --- lemma-sweep -----------------------------------------------------------------------
 
 
@@ -881,30 +909,42 @@ def test_lemma_sweep_small_grid(capsys):
 
 def test_lemma_sweep_rows_match_per_query_audits(tmp_path, capsys):
     # each row is its own one-query audit, and its p and q* are the
-    # single-eps DP passes bit for bit (JSON floats round-trip exactly)
-    code, _, _ = run(
-        capsys, "lemma-sweep", "--nmax", "5", "--tmax", "4", "--draws", "0", "--seed", "9",
-        "--out", str(tmp_path), "--no-timestamp",
-    )
-    assert code == 0
-    expected, singles = [], []
-    for name, g in sorted(small_regular_catalog().items()):
-        if g.n > 5:
-            continue
-        d = g.regular_degree
-        for event in _sweep_events(g, 4):
-            p = srw_event_prob(g, 0, event)
-            for eps in (0.0, 0.05, 1.0 / d**2):
-                q_star = optimal_tbrw_event_prob(g, 0, event, eps)
-                for eta in eta_grid(d):
-                    row = boost_bound_audit(g, 0, event, eps, eta).to_json_dict(graph_id=name)
-                    expected.append(json.dumps(row, sort_keys=True) + "\n")
-                    singles.append((p, q_star))
-    got = (tmp_path / "audit.jsonl").read_text().splitlines(keepends=True)
-    # report the first differing row only: a full diff of ~2700 rows takes minutes
-    mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
-    assert len(got) == len(expected) and mismatch is None, mismatch
-    assert [(row["p"], row["q_star"]) for row in map(json.loads, got)] == singles
+    # single-eps DP passes bit for bit (JSON floats round-trip exactly).
+    # --nmax 5 --tmax 4 is the certify slot; at --nmax 6, complete:6 has no
+    # bound2 at eps 0.05 and eta 1 (1/25 < 0.05); at --tmax 200, complete:2
+    # (degree 1) has exp(4t) past the float range at every eps, checked at
+    # t = 200 only
+    cases = ((5, 4, range(1, 5), set()), (6, 2, range(1, 3), {0.05}), (2, 200, [200], {0.0, 0.05, 1.0}))
+    for nmax, tmax, horizons, null_eps in cases:
+        out = tmp_path / f"{nmax}-{tmax}"
+        code, _, _ = run(
+            capsys, "lemma-sweep", "--nmax", str(nmax), "--tmax", str(tmax), "--draws", "0", "--seed", "9",
+            "--out", str(out), "--no-timestamp",
+        )
+        assert code == 0
+        expected, singles = [], []
+        for name, g in sorted(small_regular_catalog().items()):
+            if g.n > nmax:
+                continue
+            d = g.regular_degree
+            for event in _sweep_events(g, tmax):
+                if event.horizon not in horizons:
+                    continue
+                p = srw_event_prob(g, 0, event)
+                for eps in (0.0, 0.05, 1.0 / d**2):
+                    q_star = optimal_tbrw_event_prob(g, 0, event, eps)
+                    for eta in eta_grid(d):
+                        row = boost_bound_audit(g, 0, event, eps, eta).to_json_dict(graph_id=name)
+                        expected.append(json.dumps(row, sort_keys=True) + "\n")
+                        singles.append((p, q_star))
+        lines = (out / "audit.jsonl").read_text().splitlines(keepends=True)
+        got = [line for line in lines if json.loads(line)["t"] in horizons]
+        # report the first differing row only: a full diff of ~2700 rows takes minutes
+        mismatch = next(((i, a, b) for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+        assert len(got) == len(expected) and mismatch is None, (nmax, tmax, mismatch)
+        rows = list(map(json.loads, got))
+        assert [(row["p"], row["q_star"]) for row in rows] == singles
+        assert {row["eps"] for row in rows if row["bound2"] is None} == null_eps
 
 
 def test_lemma_sweep_files_are_pinned(tmp_path, capsys):
@@ -974,6 +1014,63 @@ def test_lemma_sweep_checks_tmax_before_it_builds_an_event(monkeypatch, capsys):
     assert built == []
 
 
+def test_lemma_sweep_past_the_float_range_writes_null_and_meets_the_bound(tmp_path, capsys):
+    # complete:2 has degree 1, so exp(4t / d_min^eta) overflows from t = 178 on
+    code, out, err = run(capsys, "lemma-sweep", "--nmax", "4", "--tmax", "200", "--draws", "0", "--seed", "1",
+                         "--out", str(tmp_path), "--no-timestamp")
+    assert code == 0 and err == ""
+    assert read_summary(out)["failures"] == 0
+    past = [row for row in audit_rows(tmp_path) if row["graph_id"] == "complete:2" and row["t"] >= 178]
+    assert len(past) == 23 * 4 * 3 * 3
+    assert all(row["bound2"] is None and row["margin2"] is None for row in past if row["eps"] == 0.0)
+
+
+def test_lemma_sweep_counts_the_cells_whose_report_fails(monkeypatch, capsys):
+    # each of BoostReport.ok's three checks fails on its own in some cells:
+    # q* below p, margin1 below the slack, and margin2 at some eta only
+    real, grids = cli.boost_bound_grid, []
+
+    def perturbed(*args):
+        grid = []
+        for k, values in enumerate(real(*args)):
+            if k % 3 == 0:
+                values = replace(values, q_stars=[values.p - 1e-6] * len(values.q_stars))
+            elif k % 3 == 1:
+                values = replace(values, bound1s=[q_star - 2e-9 for q_star in values.q_stars])
+            else:
+                values = replace(values, bound2s=[values.q_stars[-1] - 2e-9 * (h % 2) for h in range(len(values.etas))])
+            grid.append(values)
+        grids.append(grid)
+        return grid
+
+    monkeypatch.setattr(cli, "boost_bound_grid", perturbed)
+    code, out, _ = run(capsys, "lemma-sweep", "--nmax", "4", "--tmax", "3", "--draws", "0", "--seed", "5")
+    payload = read_summary(out)
+    cells = [
+        values.report(e, h) for grid in grids for values in grid
+        for e in range(len(values.eps_values)) for h in range(len(values.etas))
+    ]
+    expected = sum(not report.ok for report in cells)
+    assert code == 1 and payload["queries"] == len(cells)
+    assert payload["failures"] == expected
+    # the third kind of event fails in only some of its cells
+    assert 2 * len(cells) / 3 < expected < len(cells)
+
+
+def test_lemma_sweep_checks_its_row_count_before_any_dp_pass(monkeypatch, capsys):
+    # 1920 rows per horizon at the default --nmax: 546 horizons fit in
+    # SWEEP_ROWS = 2^20, 547 do not
+    calls = []
+    monkeypatch.setattr(cli, "boost_bound_grid", lambda *args: calls.append(args) or [])
+    code, out, _ = run(capsys, "lemma-sweep", "--tmax", "546", "--draws", "0", "--seed", "1")
+    assert code == 0 and read_summary(out)["queries"] == 546 * 1920 <= cli.SWEEP_ROWS
+    assert len(calls) == len(small_regular_catalog())
+    calls.clear()
+    code, out, err = run(capsys, "lemma-sweep", "--tmax", "547", "--draws", "0", "--seed", "1")
+    assert code == 2 and out == "" and calls == []
+    assert err == f"error: --nmax 6 --tmax 547 make {547 * 1920} audit rows, past the limit {cli.SWEEP_ROWS}\n"
+
+
 def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsys):
     # the batches carry what randrange/next_float give, in stream order
     # within each degree, in one chunk and across chunk ends (300 = 42 * 7 + 6)
@@ -1020,7 +1117,8 @@ def test_lemma_sweep_counts_each_violation_and_exits_1(monkeypatch, capsys, fail
     if failing == "boost":
         real = cli.boost_bound_grid
         # q* below p: every report of the grid fails
-        monkeypatch.setattr(cli, "boost_bound_grid", lambda *args: [replace(r, q_star=r.p - 1.0) for r in real(*args)])
+        monkeypatch.setattr(cli, "boost_bound_grid",
+                            lambda *args: [replace(v, q_stars=[v.p - 1.0] * len(v.q_stars)) for v in real(*args)])
     else:
         monkeypatch.setattr(cli, "conv_lemma_audit", lambda d, eps, eta, v, b: np.zeros(len(v), dtype=bool))
     code, out, _ = run(capsys, "lemma-sweep", "--nmax", "3", "--tmax", "2", "--draws", "40", "--seed", "5")
@@ -1247,11 +1345,12 @@ def cli_calls(draw):
         event = good_or_bad(["hit:0", "hit:1", "hitall:0,1", "hitany:1,2", "cover", "return"],
                             ["hit:99", "hit:x", "bogus"])
         argv.append(f"--event={draw(event)}")
-        argv.append(f"--t={draw(good_or_bad(['1', '3'], ['-1', '0', 'x', '1000000000000']))}")
-        argv += flags(draw, eps=FLOATS, eta=FLOATS, start=SMALL_INTS)
+        # horizons of 200 and 1000 with eta 0.25 and eps 0.7 take both bounds past the float range
+        argv.append(f"--t={draw(good_or_bad(['1', '3', '200', '1000'], ['-1', '0', 'x', '1000000000000']))}")
+        argv += flags(draw, eps=FLOATS | st.just("0.7"), eta=FLOATS, start=SMALL_INTS)
     elif command == "lemma-sweep":
         argv.append(f"--nmax={draw(st.sampled_from(['-1', '0', '4', 'four']))}")
-        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2', '2.0', '1000000000000']))}")
+        argv.append(f"--tmax={draw(st.sampled_from(['-1', '0', '2', '200', '2.0', '1000000000000']))}")
         argv.append(f"--draws={draw(st.sampled_from(['-1', '0', '10', '']))}")
     # one flag no subcommand owns, in about one call of ten
     argv += draw(st.sampled_from([[]] * 9 + [["--warp-speed=9"]]))

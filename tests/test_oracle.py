@@ -753,6 +753,26 @@ def test_boost_report_fails_each_of_its_three_checks():
     assert not boost_report(bound2=0.5 - 1e-6).ok  # margin2 < 0
     # within the 1e-9 slack each check still passes
     assert boost_report(q_star=0.5, p=0.5 + 1e-10, bound1=0.5 - 1e-10, bound2=0.5 - 1e-10).ok
+    # a bound past the float range is None, with a None margin, and met
+    assert boost_report(bound1=None).margin1 is None and boost_report(bound1=None).ok
+    assert not boost_report(q_star=0.25 - 1e-6, bound1=None).ok
+
+
+@pytest.mark.parametrize("p, bound1, bound2", [
+    (math.exp(-600.0), math.exp(1000 * math.log1p(0.7 * 2) - 600.0), None),  # e^275, and e^(3039 - 120)
+    (1.0, None, None),
+    (0.0, 0.0, 0.0),  # not 0 * inf
+])
+def test_boost_bounds_past_a_float_power_come_from_logarithms(monkeypatch, p, bound1, bound2):
+    # on complete:4 (degree 3) at t = 1000, 2.4^1000 = e^875 and
+    # exp(4000 / 3^0.25) = e^3039 overflow; p decides whether each bound is
+    # in the float range
+    monkeypatch.setattr(oracle, "_horizon_values",
+                        lambda g, u, events, grid: [[[p] * (e.horizon + 1) for _ in grid] for e in events])
+    (values,) = boost_bound_grid(generate("complete", n=4), 0, [hit(1, 1000)], (0.7,), (0.25,))
+    assert values.bound1s == [bound1 if bound1 is None else pytest.approx(bound1, rel=1e-12, abs=0.0)]
+    assert values.bound2s == [bound2]
+    assert values.report(0, 0).ok
 
 
 def test_boost_bound_grid_equals_per_query_audits():
@@ -773,6 +793,8 @@ def test_boost_bound_grid_equals_per_query_audits():
     expected = [
         boost_bound_audit(g, 2, event, eps, eta) for event in events for eps in eps_values for eta in etas
     ]
+    cells = [(e, h) for e in range(len(eps_values)) for h in range(len(etas))]
+    grid = [values.report(e, h) for values in grid for e, h in cells]
     assert grid == expected
     singles = [
         (srw_event_prob(g, 2, event), optimal_tbrw_event_prob(g, 2, event, eps))
