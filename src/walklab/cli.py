@@ -177,20 +177,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _stamp(args: argparse.Namespace) -> str | None:
-    return None if args.no_timestamp else datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 @contextlib.contextmanager
-def _audit_file(args: argparse.Namespace, stamp: str | None) -> Iterator[TextIO | None]:
-    """audit.jsonl under --out, open for lines as they are made, after a
-    `stamp` line unless it is None; None without --out."""
+def _audit_file(args: argparse.Namespace) -> Iterator[TextIO | None]:
+    """audit.jsonl under --out, open for lines as they are made, after the
+    run's timestamp line unless --no-timestamp; None without --out."""
     if args.out is None:
         yield None
         return
     with (_out_dir(args) / "audit.jsonl").open("w") as fh:
-        if stamp:
-            fh.write(json.dumps({"timestamp": stamp}) + "\n")
+        if args.stamp:
+            fh.write(json.dumps({"timestamp": args.stamp}) + "\n")
         yield fh
 
 
@@ -205,13 +201,13 @@ def _report(
 
     With --out, first write `audit` rows to audit.jsonl, `results` rows
     (header first) to results.csv and `payload` to summary.json; each file
-    starts with a timestamp unless --no-timestamp is given.
+    starts with the run's timestamp unless --no-timestamp is given.
     """
     if args.out is not None:
         encode = json.JSONEncoder(sort_keys=True).encode
-        out, stamp = _out_dir(args), _stamp(args)
+        out, stamp = _out_dir(args), args.stamp
         if audit is not None:
-            with _audit_file(args, stamp) as fh:
+            with _audit_file(args) as fh:
                 fh.writelines(encode(row) + "\n" for row in audit)
         if results is not None:
             with (out / "results.csv").open("w", newline="") as fh:
@@ -510,7 +506,7 @@ def _cmd_lemma_sweep(args: argparse.Namespace) -> int:
     if rows > SWEEP_ROWS:
         raise InputError(f"--nmax {args.nmax} --tmax {args.tmax} make {rows} audit rows, past the limit {SWEEP_ROWS}")
     failures = 0
-    with _audit_file(args, _stamp(args)) as fh:
+    with _audit_file(args) as fh:
         for name, g in catalog:
             grid = boost_bound_grid(g, 0, _sweep_events(g, args.tmax), *_sweep_grid(g))
             failures += _sweep_failures(grid)
@@ -631,6 +627,8 @@ def build_parser(command: str | None = None) -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
+        # one clock reading stamps every file of the run
+        args.stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat(timespec="seconds")
         return args.handler(args)
     except (WalklabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,8 @@ from .rng import SplitMix64
 
 SUBSET_GUARD = 24
 SUBSET_CHUNK_BITS = 20
+# the most edges a generator builds; each family refuses more before it builds any list
+GENERATE_EDGES = 1 << 20
 
 __all__ = [
     "Graph",
@@ -216,21 +218,30 @@ def build_graph(edges: Iterable[Sequence[int]], n: int) -> Graph:
 # generators
 
 
+def _check_edges(kind: str, m: int) -> None:
+    """Refuse a `kind` graph of m edges, past GENERATE_EDGES, before it is built."""
+    if m > GENERATE_EDGES:
+        raise GuardError(f"{kind} graph has more than {GENERATE_EDGES} edges, the generator limit")
+
+
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
+    _check_edges("cycle", n)
     return build_graph([(i, (i + 1) % n) for i in range(n)], n)
 
 
 def _complete(n: int) -> Graph:
     if n < 2:
         raise GraphError("complete graph needs n >= 2")
+    _check_edges("complete", n * (n - 1) // 2)
     return build_graph(list(combinations(range(n), 2)), n)
 
 
 def _hypercube(dim: int) -> Graph:
     if dim < 1:
         raise GraphError("hypercube needs dim >= 1")
+    _check_edges("hypercube", dim << min(dim - 1, 64))  # dim 2^(dim - 1), and no huge int for a huge dim
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
     return build_graph(edges, n)
@@ -245,8 +256,9 @@ def _circulant(n: int, offsets: Sequence[int]) -> Graph:
     if any(s < 1 or s > n // 2 for s in offs):
         raise GraphError("circulant offsets must lie in [1, n//2]")
     # each edge once: offset n/2 joins v to v + n/2 for the lower half only
-    edges = [(v, (v + s) % n) for s in offs for v in range(n // 2 if 2 * s == n else n)]
-    return build_graph(edges, n)
+    counts = [n // 2 if 2 * s == n else n for s in offs]
+    _check_edges("circulant", sum(counts))
+    return build_graph([(v, (v + s) % n) for s, count in zip(offs, counts) for v in range(count)], n)
 
 
 def _random_regular(n: int, d: int, seed: int) -> Graph:
@@ -261,6 +273,7 @@ def _random_regular(n: int, d: int, seed: int) -> Graph:
         raise GraphError("random_regular needs n*d even")
     if not (1 <= d < n):
         raise GraphError("random_regular needs 1 <= d < n")
+    _check_edges("random_regular", n * d // 2)
     rng = SplitMix64(seed)
     stubs_template = [v for v in range(n) for _ in range(d)]
     for _ in range(100000):
@@ -287,7 +300,7 @@ def generate(kind: str, **params) -> Graph:
     """Named graph families.  Deterministic given all parameters.
 
     kinds: cycle(n), complete(n), hypercube(dim), circulant(n, offsets),
-    random_regular(n, d, seed).
+    random_regular(n, d, seed); none of more than GENERATE_EDGES edges.
     """
     if kind not in _FAMILIES:
         raise GraphError(f"unknown graph kind {kind!r}")

@@ -16,12 +16,10 @@ The stream format has one owner: `to_unit` decodes a draw (an int or a
 uint64 array) to a uniform, `stream_seeds` derives a batch of trial seeds.
 `_blocks` serves a stream as successive `block_u64` blocks, FIRST_BLOCK
 draws first (or a size the caller expects to use) and doubling up to
-MAX_BLOCK; the walk loops decode each block in numpy before they read it.
-A phase-walk trial reads a column of its batch's `splitmix_block` block
-first and goes on from its own `_blocks` only if it runs past it.
-`draws` iterates a stream's u64 ints, or their remainders mod a span,
-through a C-level iterator over those blocks, so a draw costs no Python
-frame and the served sequence is exactly that of next_u64.
+MAX_BLOCK; the walk loop reads each block decoded in numpy.  `draws`
+iterates a stream's u64 ints, or their remainders mod a span, through a
+C-level iterator over those blocks, so a draw costs no Python frame and
+the served sequence is exactly that of next_u64.
 """
 from __future__ import annotations
 

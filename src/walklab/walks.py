@@ -3,13 +3,13 @@
 The central walk is the epsilon-biased step: with probability 1 - epsilon
 move to a uniform neighbour, otherwise sample from a bias vector over the
 neighbours.  `step` is the single-step reference: one step from a vertex,
-given the bias row aligned with its neighbours.  The cover runs play that
-step in one loop, `_biased_walk`, which asks a `pick(v, r) -> slot` for the
-bias row's sample at each biased step: the phase walk's pick bisects vertex
-v's `_thresholds`, the running maxima of the cumulative sums of its row of
-the target-decay bias, in one flat list (`_bisector`), which picks what
-`step`'s scan picks for every r; the sweep walk's returns the slot of the
-forward or backward neighbour of a cycle (`_sweep_picks`).
+given the bias row aligned with its neighbours.  Every walk kind plays
+that step in one loop, `_walk`, which asks a `pick(v, r) -> slot` for the
+bias row's sample at each biased step (srw takes none): the phase walk's
+pick bisects vertex v's `_thresholds`, the running maxima of the cumulative
+sums of its row of the target-decay bias, in one flat list (`_bisector`),
+which picks what `step`'s scan picks for every r; the sweep walk's returns
+the slot of the forward or backward neighbour of a cycle (`_sweep_picks`).
 
 `extract_bias_matrix` inverts the mixture: given a reversible chain Q
 supported on the graph's edges with Q >= (1 - eps)/d entrywise on edges,
@@ -32,14 +32,14 @@ spec once, in `_checked`, and make one call (a batch of one for `cover_run`)
 to `_cover_trials(g, spec, seeds, counter, starts) -> steps`, which, like
 `_phase_trials`, plays trial i on the stream seeded seeds[i] from `counter`
 on.  A trial that has taken `steps` steps resumes at counter + (draws per
-step) * steps: 1 draw per srw step, 2 per sweep or phase step.  The scalar
-loops read draw blocks that numpy has decoded as the lockstep engine decodes
-them: `_cover_run_srw` an srw choice u % span per draw, walked through the
-padded neighbour table of `_srw_table`, and `_biased_walk` one (choice, r)
-pair per step from `_decode_pairs`, choice -1 where the coin says biased.
-Blocks start at the draws of the shortest possible run (`left` srw steps, or
-`left - stop` biased ones) and double from there; a phase batch's first
-block is one `splitmix_block` call for all its trials (see `_phase_trials`).
+step) * steps: 1 draw per srw step, 2 per sweep or phase step.  `_walk`
+reads one int choice per step from blocks decoded as the lockstep engine
+decodes them: srw's u % span, a column of `_srw_table`, or `_decode_pairs`'
+uniform neighbour, -1 where the coin says biased, with the r of each biased
+step queued by `_pair_draws`.  Blocks start at the draws of the shortest
+possible run (`left` srw steps, or `left - stop` biased ones) and double
+from there; a phase batch's first block is one `splitmix_block` call for
+all its trials (see `_phase_trials`).
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Callable, Iterator, Sequence
@@ -233,10 +234,18 @@ def _decode_pairs(z: np.ndarray, d: int, eps: float) -> tuple[np.ndarray, np.nda
     return choice, r
 
 
-def _pair_draws(rng: SplitMix64, d: int, eps: float, first: int) -> Iterator[tuple[int, float]]:
-    """`rng`'s draws as the (choice, r) pairs of `_decode_pairs`, a block at a
-    time; blocks start at `first` draws, an even number (see `rng._blocks`)."""
-    return chain.from_iterable(zip(*(a.tolist() for a in _decode_pairs(z, d, eps))) for z in _blocks(rng, first))
+def _pair_draws(rng: SplitMix64, d: int, eps: float, first: int, rs: deque[float]) -> Iterator[int]:
+    """`rng`'s draws as the choices of `_decode_pairs`, a block at a time;
+    decoding a block queues its biased steps' r's on `rs`, in order, before
+    its first choice is served.  Blocks start at `first` draws, an even
+    number (see `rng._blocks`)."""
+
+    def decoded(z: np.ndarray) -> list[int]:
+        choice, r = _decode_pairs(z, d, eps)
+        rs.extend(r[choice < 0].tolist())
+        return choice.tolist()
+
+    return chain.from_iterable(map(decoded, _blocks(rng, first)))
 
 
 class _Ring(tuple):
@@ -247,7 +256,7 @@ class _Ring(tuple):
 
 
 def _srw_table(g: Graph) -> tuple[list[Sequence[int]], int | None]:
-    """(table, span) for the srw loops: table[v][c] = adj[v][c % deg v] for c
+    """(table, span) for the srw walk: table[v][c] = adj[v][c % deg v] for c
     in range(span), span = `_slot_span(g)`, so draw u moves to
     table[v][u % span].  Rows of degree span are adj's own.  A table wider
     than _LOCKSTEP_CELLS cells and 2m has `_Ring` rows and span None."""
@@ -257,46 +266,22 @@ def _srw_table(g: Graph) -> tuple[list[Sequence[int]], int | None]:
     return [nbrs if len(nbrs) == span else tuple(nbrs[c % len(nbrs)] for c in range(span)) for nbrs in g.adj], span
 
 
-def _cover_run_srw(table: Sequence[Sequence[int]], choices: Iterator[int], visited: bytearray, cur: int, steps: int,
-                   left: int) -> int:
-    """Simple random walk until the `left` unvisited vertices are visited:
-    one choice per step, the move table[cur][choice] (see `_srw_table`)."""
-    if not left:
-        return steps
-    for c in choices:
-        cur = table[cur][c]
-        steps += 1
-        if not visited[cur]:
-            visited[cur] = 1
-            left -= 1
-            if not left:
-                break
-    return steps
+def _walk(adj: Sequence[Sequence[int]], choices: Iterator[int], rs: deque[float] | None, visited: bytearray, cur: int,
+          steps: int, left: int, stop: int, pick: Callable[[int, float], int] | None) -> tuple[int, int, int]:
+    """Walk until at most `stop` of the `left` unvisited vertices remain.
 
-
-def _biased_walk(
-    adj: Sequence[Sequence[int]],
-    pairs: Iterator[tuple[int, float]],
-    visited: bytearray,
-    cur: int,
-    steps: int,
-    left: int,
-    stop: int,
-    pick: Callable[[int, float], int] | None,
-) -> tuple[int, int, int]:
-    """Epsilon-biased walk until at most `stop` of the `left` unvisited vertices remain.
-
-    One (choice, r) pair per step, as `_decode_pairs` reads `step`'s coin
-    and r: choice -1 takes the slot pick(cur, r), the bias row's sample at
-    r (`_bisector` for the phase walk, `_sweep_picks` for the sweep), any
-    other choice is the uniform neighbour.  Marks `visited` in place and
-    returns (cur, steps, left).
+    One choice per step: -1, a biased step, takes the slot pick(cur, r) for
+    the next r of the queue `rs`, the bias row's sample at r; any other
+    choice c moves to adj[cur][c].  The biased walks read `_pair_draws`; srw
+    reads `rng.draws` through its `_srw_table`, with no queue and no pick.
+    Marks `visited` in place and returns (cur, steps, left).
     """
     if left <= stop:
         return cur, steps, left
-    for c, r in pairs:
+    pop = rs.popleft if rs is not None else None
+    for c in choices:
         if c < 0:
-            c = pick(cur, r)
+            c = pick(cur, pop())
         cur = adj[cur][c]
         steps += 1
         if not visited[cur]:
@@ -334,7 +319,7 @@ def _sweep_picks(g: Graph) -> Callable[[bytearray], Callable[[int, float], int]]
 
 
 # Lockstep engine bounds: batches, and tails of batches, narrower than
-# _LOCKSTEP_MIN trials run the scalar loops; the visited array of one batch,
+# _LOCKSTEP_MIN trials run the scalar loop; the visited array of one batch,
 # and the padded neighbour table, hold at most _LOCKSTEP_CELLS cells, and one
 # refill at most _REFILL_DRAWS draws (128 KiB).
 _LOCKSTEP_MIN = 32
@@ -358,7 +343,7 @@ def _cover_lockstep(
     Every live trial has taken the same number of steps, so every stream
     stands at counter + steps * (draws per step) and one `splitmix_block`
     refill of m steps serves them all.  Each refill is decoded once, as the
-    scalar loops decode their blocks: srw's choice u % span, the sweep's
+    scalar loop decodes its blocks: srw's choice u % span, the sweep's
     `_decode_pairs`.  A position is
     v * width, and nbr[v * width + c] is the position one step from v on
     choice c: srw's adj[v][c % deg v], or the sweep's uniform choice c in
@@ -545,19 +530,20 @@ def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     else:
         out, rest = [0] * len(starts), [(i, s, 0, bytearray(n)) for i, s in enumerate(starts)]
     if spec.kind == "sweep":
-        sweep, span = _sweep_picks(g), _slot_span(g)
+        adj, sweep, span = g.adj, _sweep_picks(g), _slot_span(g)
     else:
-        table, span = _srw_table(g)
+        adj, span = _srw_table(g)
     for i, cur, steps, visited in rest:
         visited[cur] = 1  # the start, or the vertex the lockstep sweep marks late
         rng = SplitMix64(int(seeds[i]))
         rng.counter = counter + dps * steps
         left = visited.count(0)
         if spec.kind == "sweep":
-            pairs = _pair_draws(rng, span, spec.eps, 2 * left)
-            out[i] = _biased_walk(g.adj, pairs, visited, cur, steps, left, 0, sweep(visited))[1]
+            rs = deque()
+            choices, pick = _pair_draws(rng, span, spec.eps, 2 * left, rs), sweep(visited)
         else:
-            out[i] = _cover_run_srw(table, draws(rng, span, left), visited, cur, steps, left)
+            choices, rs, pick = draws(rng, span, left), None, None
+        out[i] = _walk(adj, choices, rs, visited, cur, steps, left, 0, pick)[1]
     return out
 
 
@@ -574,14 +560,15 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     `_thresholds` in place; each trial then reads its own as one flat list,
     through `_bisector`, made just before it walks, one trial at a time.
 
-    A trial resumes each phase at counter + 2 * steps, as the scalar srw and
-    sweep loops do.  One `splitmix_block` call per phase draws a block for
+    A trial resumes each phase at counter + 2 * steps, the resume rule of
+    every walk kind.  One `splitmix_block` call per phase draws a block for
     every trial from its own counter, decoded once by `_decode_pairs`; a
-    trial's columns become lists just before it walks.  The block holds the
-    draws of the phase's shortest length, 2 (left - stop), or the median
-    draws the batch's trials used in the previous phase if more, at most
-    MAX_BLOCK.  A trial that runs past it goes on from its own `_blocks`;
-    no draws are held across phases.
+    trial's choices, and the r's of its biased steps that start its queue,
+    become lists just before it walks.  The block holds the draws of the
+    phase's shortest length, 2 (left - stop), or the median draws the
+    batch's trials used in the previous phase if more, at most MAX_BLOCK.
+    A trial that runs past it goes on from its own `_pair_draws`; no draws
+    are held across phases.
     """
     n, d, eps = g.n, g.regular_degree, spec.eps
     dps = _DRAWS_PER_STEP["phase"]
@@ -606,8 +593,9 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
         choice, r = _decode_pairs(splitmix_block(seeds, np.array(at, dtype=np.uint64), size).T, d, eps)
         for i, (rng, pick) in enumerate(zip(streams, picks)):
             rng.counter = at[i] + size
-            pairs = chain(zip(choice[:, i].tolist(), r[:, i].tolist()), _pair_draws(rng, d, eps, size))
-            cur[i], steps[i], _ = _biased_walk(g.adj, pairs, visited[i], cur[i], steps[i], left, stop, pick)
+            rs = deque(r[:, i][choice[:, i] < 0].tolist())
+            choices = chain(choice[:, i].tolist(), _pair_draws(rng, d, eps, size, rs))
+            cur[i], steps[i], _ = _walk(g.adj, choices, rs, visited[i], cur[i], steps[i], left, stop, pick)
         del choice, r  # freed before the next phase's build
         size = sorted(counter + dps * s - a for s, a in zip(steps, at))[len(at) // 2]  # the median draws used
         left = stop

@@ -267,7 +267,7 @@ REFERENCE_ONLY = {
     "oracle.schur_audit": "acceptance criterion 12: Schur convexity of the boost",
     "oracle.robin_hood_pair": "acceptance criterion 12: the pairs schur_audit is run on",
     "oracle.majorizes": "acceptance criterion 12: schur_audit's precondition, also asserted there",
-    "walks.step": "the single-step reference the decoded draw pairs and bisected thresholds of `_biased_walk` "
+    "walks.step": "the single-step reference the decoded choices, queued r's and bisected thresholds of `_walk` "
     "are tested against in test_biased_walk_replays_step_draw_for_draw",
     "walks.cover_run": "the single-trial entry point README documents, which "
     "test_phase_batches_of_any_width_play_each_trial_alone plays each batched trial against",

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,23 @@ def test_dense_commands_refuse_a_large_graph_before_allocating(capsys, argv):
     assert code == 2 and out == ""
     assert peak <= 16 << 20, peak
     assert err == "error: induced_chain is dense; n=4096 exceeds guard 512\n"
+
+
+@pytest.mark.parametrize("spec", ["cycle:1048577", "complete:1449", "hypercube:17", "circulant:1048577:1",
+                                  "random-regular:699052:3:1", "complete:100000", "hypercube:64"])
+def test_generator_spec_past_the_edge_limit_is_refused_before_building(capsys, spec):
+    # one edge past GENERATE_EDGES = 2^20 (or far past it): exit 2 before any
+    # edge list is built; at the limit cycle:1048576 takes 3.5 s and 485 MiB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "spectral", "--generate", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert peak <= 1 << 20, peak
+    kind = spec.split(":")[0].replace("-", "_")
+    assert err == f"error: {kind} graph has more than {graphs.GENERATE_EDGES} edges, the generator limit\n"
 
 
 def test_spectral_rejects_graph_and_generate_together(tmp_path, capsys):
@@ -165,6 +183,47 @@ def test_generate_help_and_spec_error_read_the_family_table(monkeypatch):
     assert generate_help.endswith(", random-regular:<n>:<d>:<seed>, wheel-graph:<n>")
     with pytest.raises(graphs.GraphError, match="expected wheel-graph:<n>$"):
         graphs.parse_generate_spec("wheel-graph")
+
+
+class AdvancingClock:
+    """A `datetime` stand-in whose clock advances one second per reading."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def now(self, tz):
+        self.reads += 1
+        return datetime(2026, 1, 1, 12, 0, self.reads, tzinfo=tz)
+
+
+def file_stamps(out_dir):
+    """The timestamp each file of a run's --out directory starts with."""
+    stamps = {}
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        if path.name == "audit.jsonl":
+            stamps[path.name] = json.loads(text.splitlines()[0])["timestamp"]
+        elif path.name == "results.csv":
+            stamps[path.name] = text.splitlines()[0].removeprefix("# generated ")
+        else:
+            stamps[path.name] = json.loads(text)["timestamp"]
+    return stamps
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["lemma-sweep", "--nmax", "2", "--tmax", "1", "--draws", "1", "--seed", "1"], ["audit.jsonl", "summary.json"]),
+    (["cover-sim", "--generate", "cycle:8", "--trials", "4", "--seed", "1"], ["results.csv", "summary.json"]),
+    (["lipschitz-audit", "--generate", "cycle:8", "--count", "2", "--seed", "1"], ["audit.jsonl", "summary.json"]),
+], ids=["lemma-sweep", "cover-sim", "lipschitz-audit"])
+def test_every_file_of_a_run_carries_the_same_stamp(monkeypatch, tmp_path, capsys, argv, files):
+    # a clock that moves between readings: one reading per run stamps every file
+    clock = AdvancingClock()
+    monkeypatch.setattr(cli, "datetime", clock)
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    stamps = file_stamps(tmp_path)
+    assert sorted(stamps) == files
+    assert set(stamps.values()) == {"2026-01-01T12:00:01+00:00"} and clock.reads == 1
 
 
 # --- cover-sim -------------------------------------------------------------------
@@ -1281,7 +1340,7 @@ SPECS = good_or_bad(
     ["cycle:8", "complete:5", "hypercube:3", "circulant:8:1,2", "random-regular:8:3:1",
      "random-regular:10:3:4"],
     ["cycle:2", "complete:1", "hypercube:0", "random-regular:5:3:1", "random-regular:4:5:1",
-     "moebius:7", "cycle"],
+     "moebius:7", "cycle", "complete:100000", "hypercube:64"],
 )
 # values that no int or float flag parses
 MALFORMED = ["abc", "1e", ""]

@@ -204,6 +204,18 @@ FAMILY_PARAMS = {
 }
 
 
+@pytest.mark.parametrize("spec", ["cycle:12", "complete:7", "hypercube:5", "circulant:12:1,6", "random-regular:10:4:3"])
+def test_each_family_counts_its_edges_against_the_limit(monkeypatch, spec):
+    # each family's count is its graph's m (offset n/2 of a circulant
+    # included): at a limit of m it builds, one edge under it refuses
+    m = parse_generate_spec(spec).m
+    monkeypatch.setattr(graphs, "GENERATE_EDGES", m)
+    assert parse_generate_spec(spec).m == m
+    monkeypatch.setattr(graphs, "GENERATE_EDGES", m - 1)
+    with pytest.raises(GuardError, match=f"more than {m - 1} edges"):
+        parse_generate_spec(spec)
+
+
 def test_family_params_cover_every_family():
     assert {kind: names for kind, (names, _) in FAMILY_PARAMS.items()} == {
         kind: names for kind, (_, names) in graphs._FAMILIES.items()

@@ -1,5 +1,7 @@
 """Counter-based random stream: reference vectors and stream algebra."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,31 +161,42 @@ def stepped_pair(rng, d, eps):
 
 
 def pair_draws(rng):
-    """The walk decoder's (choice, r) pairs on a 3-regular graph at eps 0.25."""
-    return _pair_draws(rng, 3, 0.25, FIRST_BLOCK)
+    """The walk decoder's choices on a 3-regular graph at eps 0.25, and the
+    queue it fills with the r of each biased step."""
+    rs = deque()
+    return _pair_draws(rng, 3, 0.25, FIRST_BLOCK, rs), rs
+
+
+def assert_pairs_match(seed, count):
+    """`count` decoded choices equal `stepped_pair`'s, and the queue, popped
+    at each biased step as the walk loop pops it, gives those steps' r's."""
+    direct = SplitMix64(seed)
+    want = [stepped_pair(direct, 3, 0.25) for _ in range(count)]
+    choices, rs = pair_draws(SplitMix64(seed))
+    got = [next(choices) for _ in range(count)]
+    assert all(type(c) is int for c in got)
+    assert got == [c for c, _ in want]
+    queued = [rs.popleft() for c in got if c < 0]
+    assert all(type(r) is float for r in queued)
+    assert queued == [r for c, r in want if c < 0]
 
 
 def test_draws_match_direct():
     direct = SplitMix64(4096)
     u64 = draws(SplitMix64(4096)).__next__
     assert [u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
-    direct2 = SplitMix64(8192)
-    pair = pair_draws(SplitMix64(8192)).__next__
-    assert [pair() for _ in range(100)] == [stepped_pair(direct2, 3, 0.25) for _ in range(100)]
+    assert_pairs_match(8192, 100)
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
     # refill at the cap at least once
     count = 20_500
     direct3 = SplitMix64(-77)
     u64 = draws(SplitMix64(-77)).__next__
     assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
-    direct4 = SplitMix64(2**64 + 5)
-    pair = pair_draws(SplitMix64(2**64 + 5)).__next__
-    got = [pair() for _ in range(count // 2)]
-    assert all(type(c) is int and type(r) is float for c, r in got)
-    assert got == [stepped_pair(direct4, 3, 0.25) for _ in range(count // 2)]
+    assert_pairs_match(2**64 + 5, count // 2)
 
 
-@pytest.mark.parametrize("make, per_item", [(draws, 1), (pair_draws, 2)], ids=["draws", "pair_draws"])
+@pytest.mark.parametrize("make, per_item", [(draws, 1), (lambda rng: pair_draws(rng)[0], 2)],
+                         ids=["draws", "pair_draws"])
 def test_draws_grow_blocks_up_to_the_cap(make, per_item):
     rng = SplitMix64(3)
     next_draw = make(rng).__next__

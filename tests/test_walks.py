@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from functools import cached_property
 
@@ -328,8 +329,6 @@ def stepped_path(g, start, eps, rule, rng, stop):
     return path, visited
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.25, 1.0])
-@pytest.mark.parametrize("seed", [3, 2**64 + 9])
 class RecordingPick:
     """A `pick` that records each (vertex, r) it is asked for."""
 
@@ -356,9 +355,9 @@ def biased_steps(path, eps, seed):
 @pytest.mark.parametrize("seed", [3, 2**64 + 9])
 def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # phase rows: one phase toward every vertex but the start on rr64, run
-    # until half of them are visited, reading decoded draw pairs from a
-    # block sized to the phase and picking biased steps through the flat
-    # thresholds, as `_phase_trials` does
+    # until half of them are visited, reading decoded choices from a block
+    # sized to the phase, each biased step's r from the queue, and picking
+    # biased steps through the flat thresholds, as `_phase_trials` does
     g = generate("random_regular", n=64, d=3, seed=5)
     built = decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0] if eps > 0.0 else None
     rows = built.tolist() if eps > 0.0 else []
@@ -367,9 +366,10 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     adj = RecordingAdj(g.adj)
     visited = visited_bytes(g.n, {0})
     left, stop = g.n - 1, (g.n - 1) // 2
-    pairs = walks._pair_draws(SplitMix64(seed), 3, eps, 2 * (left - stop))
+    rs = deque()
+    choices = walks._pair_draws(SplitMix64(seed), 3, eps, 2 * (left - stop), rs)
     pick = RecordingPick(walks._bisector(walks._thresholds(built).reshape(-1).tolist(), 2) if eps > 0.0 else None)
-    cur, steps, left = walks._biased_walk(adj, pairs, visited, 0, 0, left, stop, pick)
+    cur, steps, left = walks._walk(adj, choices, rs, visited, 0, 0, left, stop, pick)
     assert adj.path + [cur] == expected
     assert steps == len(expected) - 1 and left == g.n - len(seen)
     assert visited == visited_bytes(g.n, seen)
@@ -379,9 +379,10 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     expected, _ = stepped_path(cyc, 5, eps, sweep_rule, SplitMix64(seed), 0)
     adj = RecordingAdj(cyc.adj)
     visited = visited_bytes(cyc.n, {5})
-    pairs = walks._pair_draws(SplitMix64(seed), 2, eps, 2 * (cyc.n - 1))
+    rs = deque()
+    choices = walks._pair_draws(SplitMix64(seed), 2, eps, 2 * (cyc.n - 1), rs)
     pick = RecordingPick(walks._sweep_picks(cyc)(visited))
-    cur, steps, left = walks._biased_walk(adj, pairs, visited, 5, 0, cyc.n - 1, 0, pick)
+    cur, steps, left = walks._walk(adj, choices, rs, visited, 5, 0, cyc.n - 1, 0, pick)
     assert adj.path + [cur] == expected
     assert (steps, left) == (len(expected) - 1, 0)
     assert pick.calls == biased_steps(expected, eps, seed)
@@ -444,6 +445,43 @@ def test_srw_cover_replays_modulo_degree_stepping_on_an_irregular_graph(monkeypa
             for t in range(trials)]
     assert steps == want
     assert bool(handed) is lockstep and all(handed)  # the lockstep engine left trials to the scalar loop
+
+
+def test_every_walk_kind_steps_through_the_one_loop(monkeypatch):
+    # srw played scalar (a 12-trial batch) and handed over by the lockstep
+    # engine (a 40-trial batch), the sweep and the phase walk: `_walk` takes
+    # every step the lockstep engine does not, and the spied runs give the
+    # steps of unspied ones
+    cases = [(IRREGULAR, WalkSpec(kind="srw"), 12), (IRREGULAR, WalkSpec(kind="srw"), 40),
+             (generate("cycle", n=24), WalkSpec(kind="sweep", eps=0.25), 12),
+             (generate("random_regular", n=64, d=3, seed=5), WalkSpec(kind="phase", eps=0.25, psi=2.0), 4)]
+    want = [estimate_cover_time(g, spec, trials=trials, seed=9).steps for g, spec, trials in cases]
+    loop, engine = walks._walk, walks._cover_lockstep
+    walked, handed = [], []
+
+    def spy_loop(adj, choices, rs, visited, cur, steps, left, stop, pick):
+        out = loop(adj, choices, rs, visited, cur, steps, left, stop, pick)
+        walked.append((steps, out[1]))
+        return out
+
+    def spy_engine(*args):
+        out, rest = engine(*args)
+        handed.extend((i, steps) for i, _, steps, _ in rest)
+        return out, rest
+
+    monkeypatch.setattr(walks, "_walk", spy_loop)
+    monkeypatch.setattr(walks, "_cover_lockstep", spy_engine)
+    for (g, spec, trials), steps in zip(cases, want):
+        walked.clear()
+        handed.clear()
+        assert estimate_cover_time(g, spec, trials=trials, seed=9).steps == steps
+        if trials == 40:  # the lockstep tail: one loop call per trial handed over, finishing it
+            assert 0 < len(handed) < walks._LOCKSTEP_MIN
+            assert walked == [(before, steps[i]) for i, before in handed]
+        else:  # every step of every trial, in one loop call per trial (per phase for phase trials)
+            assert not handed
+            assert len(walked) == trials * (6 if spec.kind == "phase" else 1)
+            assert sum(after - before for before, after in walked) == sum(steps)
 
 
 # --- cover runs ----------------------------------------------------------------
