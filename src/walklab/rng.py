@@ -1,30 +1,23 @@
 """Deterministic 64-bit random number generation.
 
 Every randomized component in the package draws from a splitmix-style
-generator.  The k-th output of a stream depends only on (seed, k), which
-makes scalar and block generation bit-identical and lets Monte Carlo
+generator.  The k-th output of a stream depends only on (seed, k mod 2^64),
+which makes scalar and block generation bit-identical and lets Monte Carlo
 drivers hand out one independent stream per trial (seed XOR trial index)
 without coordination.  Because the k-th output is a pure function of
 (seed, k), `splitmix_block` computes the next draws of many streams in one
 vector call, from one counter for all of them or from a counter per stream
-(the phase walk's trials, each where its last phase left it);
+(a batch of walk trials, each where it left off);
 `SplitMix64.block_u64` is its one-stream case.  Runs are
 therefore reproducible bit-for-bit within this implementation and
 statistically across implementations.
 
 The stream format has one owner: `to_unit` decodes a draw (an int or a
 uint64 array) to a uniform, `stream_seeds` derives a batch of trial seeds.
-`_blocks` serves a stream as successive `block_u64` blocks, FIRST_BLOCK
-draws first (or a size the caller expects to use) and doubling up to
-MAX_BLOCK; the walk loop reads each block decoded in numpy.  `draws`
-iterates a stream's u64 ints, or their remainders mod a span, through a
-C-level iterator over those blocks, so a draw costs no Python frame and
-the served sequence is exactly that of next_u64.
+How a walk blocks its draws is decided in `walks`, which draws through
+`splitmix_block` alone.
 """
 from __future__ import annotations
-
-from itertools import chain, repeat
-from typing import Iterator
 
 import numpy as np
 
@@ -55,18 +48,20 @@ def stream_seeds(seed: int, indices: np.ndarray) -> np.ndarray:
     return np.uint64(seed & MASK64) ^ np.asarray(indices).astype(np.uint64)
 
 
-def splitmix_block(seeds: np.ndarray, counter: int | np.ndarray, m: int) -> np.ndarray:
+def splitmix_block(seeds: np.ndarray, counter: int | list[int] | np.ndarray, m: int) -> np.ndarray:
     """Outputs counter + 1 .. counter + m of every stream in `seeds`.
 
     Row i holds the next m draws of the stream seeded with seeds[i] whose
-    counter stands at `counter`, one int for every stream or a uint64 array
-    of one counter per stream (broadcast like `seeds`).  The array is
+    counter stands at `counter`, one int for every stream or one per stream
+    (ints or a uint64 array, broadcast like `seeds`), of any size: output k
+    depends on k mod 2^64 only, so each counter is reduced first.  The array is
     counter-major in memory (its transpose is C-contiguous), so a column,
     one draw of every stream, is contiguous.
     """
     if m < 0:
         raise ValueError(f"splitmix_block needs m >= 0, got {m}")
-    ks = np.arange(1, m + 1, dtype=np.uint64)[:, None] + np.asarray(counter, dtype=np.uint64)
+    at = np.asarray(counter & MASK64 if isinstance(counter, int) else [c & MASK64 for c in counter], dtype=np.uint64)
+    ks = np.arange(1, m + 1, dtype=np.uint64)[:, None] + at
     z = ks * np.uint64(_GAMMA) + np.asarray(seeds, dtype=np.uint64)[None, :]
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
@@ -119,27 +114,3 @@ class SplitMix64:
         for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
-
-FIRST_BLOCK = 64
-MAX_BLOCK = 8192
-
-
-def _blocks(rng: SplitMix64, first: int) -> Iterator[np.ndarray]:
-    """Successive uint64 blocks of `rng`: `first` draws, clipped to
-    [FIRST_BLOCK, MAX_BLOCK], then doubling up to MAX_BLOCK.  An even `first`
-    gives blocks of even sizes.  A phase-walk trial that runs past its
-    batch's block goes on here, with `first` the size of that block."""
-    block = min(max(first, FIRST_BLOCK), MAX_BLOCK)
-    while block < MAX_BLOCK:
-        yield rng.block_u64(block)
-        block *= 2
-    yield from map(rng.block_u64, repeat(MAX_BLOCK))
-
-
-def draws(rng: SplitMix64, span: int | None = None, first: int = FIRST_BLOCK) -> Iterator[int]:
-    """Iterator over `rng`'s u64 stream: item k is what the k-th next_u64 would
-    return, or its remainder mod `span`, taken in numpy a block at a time.
-    Draws are generated in blocks (see `_blocks`) and served by a C-level
-    iterator, so a short run generates few draws it never uses and a long
-    one pays no Python frame per draw."""
-    return chain.from_iterable((z if span is None else z % span).tolist() for z in _blocks(rng, first))

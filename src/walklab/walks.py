@@ -32,14 +32,13 @@ spec once, in `_checked`, and make one call (a batch of one for `cover_run`)
 to `_cover_trials(g, spec, seeds, counter, starts) -> steps`, which, like
 `_phase_trials`, plays trial i on the stream seeded seeds[i] from `counter`
 on.  A trial that has taken `steps` steps resumes at counter + (draws per
-step) * steps: 1 draw per srw step, 2 per sweep or phase step.  `_walk`
-reads one int choice per step from blocks decoded as the lockstep engine
-decodes them: srw's u % span, a column of `_srw_table`, or `_decode_pairs`'
-uniform neighbour, -1 where the coin says biased, with the r of each biased
-step queued by `_pair_draws`.  Blocks start at the draws of the shortest
-possible run (`left` srw steps, or `left - stop` biased ones) and double
-from there; a phase batch's first block is one `splitmix_block` call for
-all its trials (see `_phase_trials`).
+step) * steps: 1 draw per srw step, 2 per sweep or phase step.  Apart
+from the reference `step`, this module draws through `splitmix_block`
+alone, every scalar walk in `_play`: one block for a batch, then blocks of
+each trial's own stream.  `_walk` reads one int choice per step from
+blocks decoded as the lockstep engine decodes them: srw's u % span, a
+column of `_srw_table`, or `_decode_pairs`' uniform neighbour, -1 where the
+coin says biased, with the r of each biased step queued beside the choices.
 
 Monte Carlo estimation is deterministic: trial i draws from the splitmix
 stream seed XOR i, so results are bit-identical across runs and across
@@ -58,13 +57,13 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .chains import ReversibleChain
 from .graphs import SUBSET_GUARD, Graph, WalklabError, bfs_columns, vertex_expansion_exact
-from .rng import MAX_BLOCK, SplitMix64, _blocks, draws, splitmix_block, stream_seeds, to_unit
+from .rng import SplitMix64, splitmix_block, stream_seeds, to_unit
 from .weighting import _target_decay, slot_transitions, target_decay_weighting, uniform_weighting
 
 # psi used by the phase strategy when the graph is too large for exact
@@ -234,20 +233,6 @@ def _decode_pairs(z: np.ndarray, d: int, eps: float) -> tuple[np.ndarray, np.nda
     return choice, r
 
 
-def _pair_draws(rng: SplitMix64, d: int, eps: float, first: int, rs: deque[float]) -> Iterator[int]:
-    """`rng`'s draws as the choices of `_decode_pairs`, a block at a time;
-    decoding a block queues its biased steps' r's on `rs`, in order, before
-    its first choice is served.  Blocks start at `first` draws, an even
-    number (see `rng._blocks`)."""
-
-    def decoded(z: np.ndarray) -> list[int]:
-        choice, r = _decode_pairs(z, d, eps)
-        rs.extend(r[choice < 0].tolist())
-        return choice.tolist()
-
-    return chain.from_iterable(map(decoded, _blocks(rng, first)))
-
-
 class _Ring(tuple):
     """A neighbour tuple read at any choice c as nbrs[c % deg]."""
 
@@ -272,9 +257,9 @@ def _walk(adj: Sequence[Sequence[int]], choices: Iterator[int], rs: deque[float]
 
     One choice per step: -1, a biased step, takes the slot pick(cur, r) for
     the next r of the queue `rs`, the bias row's sample at r; any other
-    choice c moves to adj[cur][c].  The biased walks read `_pair_draws`; srw
-    reads `rng.draws` through its `_srw_table`, with no queue and no pick.
-    Marks `visited` in place and returns (cur, steps, left).
+    choice c moves to adj[cur][c].  `_play` serves the choices and fills the
+    queue; srw, reading its `_srw_table`, has neither queue nor pick.  Marks
+    `visited` in place and returns (cur, steps, left).
     """
     if left <= stop:
         return cur, steps, left
@@ -326,6 +311,43 @@ _LOCKSTEP_MIN = 32
 _LOCKSTEP_CELLS = 1 << 20
 _REFILL_DRAWS = 1 << 14
 _DRAWS_PER_STEP = {"srw": 1, "sweep": 2, "phase": 2}
+# Draws per trial in a scalar walk's block (see `_play`).
+MIN_BLOCK = 64
+MAX_BLOCK = 8192
+
+
+def _play(adj: Sequence[Sequence[int]], decode: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+          dps: int, seeds: np.ndarray, at: list[int], size: int, runs: Iterable[tuple]) -> list[tuple[int, int, int]]:
+    """What `_walk` returns for each of `runs`, its (cur, steps, visited,
+    left, stop, pick), walked in turn on the stream seeded seeds[i] from
+    counter at[i].  Every scalar walk draws here.
+
+    One `splitmix_block` call gives each trial its first `size` draws,
+    clipped to [MIN_BLOCK, MAX_BLOCK] and to _LOCKSTEP_CELLS for the batch,
+    in whole steps of `dps` draws; `decode` maps draws (first axis) to one
+    choice per step and the r of each step (None for srw).  A trial that
+    runs past its column goes on from blocks of its own stream of the same
+    size, doubling up to MAX_BLOCK.  A block's biased r's join the queue
+    before its first choice is served.
+    """
+    size = min(max(size, MIN_BLOCK), MAX_BLOCK, _LOCKSTEP_CELLS // max(len(at), 1))
+    size = max(dps, size - size % dps)
+    choice, r = decode(splitmix_block(seeds, at, size).T)
+
+    def served(i: int, rs: deque[float] | None) -> Iterator[list[int]]:
+        c, rc, k, m = choice[:, i], None if r is None else r[:, i], at[i] + size, size
+        while True:
+            if rs is not None:
+                rs.extend(rc[c < 0].tolist())
+            yield c.tolist()
+            c, rc = decode(splitmix_block(seeds[i:i + 1], k, m)[0])
+            k, m = k + m, min(2 * m, MAX_BLOCK)
+
+    played = []
+    for i, (cur, steps, visited, left, stop, pick) in enumerate(runs):
+        rs = None if r is None else deque()
+        played.append(_walk(adj, chain.from_iterable(served(i, rs)), rs, visited, cur, steps, left, stop, pick))
+    return played
 
 
 def _slot_span(g: Graph) -> int:
@@ -509,7 +531,15 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
         psi = vertex_expansion_exact(g)[0] if spec.eps > 0.0 and g.n <= SUBSET_GUARD else DEFAULT_PSI_CONFIG
     if not (math.isfinite(psi) and psi >= 0.0):
         raise WalkError(f"psi must be finite and >= 0, got {psi}")
+    if _tilt(spec.eps, psi) == 1.0:
+        raise WalkError(f"the phase tilt min(eps, 1 - e^(-psi/32)) rounds to 1 at eps {spec.eps}, psi {psi}: "
+                        "lower --psi or --eps")
     return replace(spec, psi=psi)
+
+
+def _tilt(eps: float, psi: float) -> float:
+    """The phase walk's tilt theta = min(eps, 1 - e^(-psi/32))."""
+    return min(eps, 1.0 - math.exp(-psi / 32.0))
 
 
 def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, starts: Sequence[int]) -> list[int]:
@@ -520,7 +550,8 @@ def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     least _LOCKSTEP_MIN trials whose padded neighbour table fits in
     _LOCKSTEP_CELLS runs in `_cover_lockstep`.  Every other trial, and every
     trial the lockstep engine leaves unfinished, plays the scalar loop from
-    its vertex, visited set and steps, at counter + (draws per step) * steps.
+    its vertex, visited set and steps, at counter + (draws per step) * steps,
+    in one `_play` call whose block holds a fresh trial's n - 1 steps.
     """
     if spec.kind == "phase":
         return _phase_trials(g, spec, seeds, counter, starts)
@@ -530,20 +561,17 @@ def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     else:
         out, rest = [0] * len(starts), [(i, s, 0, bytearray(n)) for i, s in enumerate(starts)]
     if spec.kind == "sweep":
-        adj, sweep, span = g.adj, _sweep_picks(g), _slot_span(g)
+        adj, against, span = g.adj, _sweep_picks(g), _slot_span(g)
+        decode = lambda z: _decode_pairs(z, span, spec.eps)
     else:
-        adj, span = _srw_table(g)
-    for i, cur, steps, visited in rest:
+        (adj, span), against = _srw_table(g), lambda visited: None
+        decode = lambda z: (z % span if span else z, None)  # span None (`_Ring` rows) or 0 (n = 1)
+    for _, cur, _, visited in rest:
         visited[cur] = 1  # the start, or the vertex the lockstep sweep marks late
-        rng = SplitMix64(int(seeds[i]))
-        rng.counter = counter + dps * steps
-        left = visited.count(0)
-        if spec.kind == "sweep":
-            rs = deque()
-            choices, pick = _pair_draws(rng, span, spec.eps, 2 * left, rs), sweep(visited)
-        else:
-            choices, rs, pick = draws(rng, span, left), None, None
-        out[i] = _walk(adj, choices, rs, visited, cur, steps, left, 0, pick)[1]
+    runs = [(cur, steps, visited, visited.count(0), 0, against(visited)) for _, cur, steps, visited in rest]
+    index, at = [i for i, *_ in rest], [counter + dps * steps for _, _, steps, _ in rest]
+    for i, (_, steps, _) in zip(index, _play(adj, decode, dps, seeds[index], at, dps * (n - 1), runs)):
+        out[i] = steps
     return out
 
 
@@ -561,28 +589,23 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     through `_bisector`, made just before it walks, one trial at a time.
 
     A trial resumes each phase at counter + 2 * steps, the resume rule of
-    every walk kind.  One `splitmix_block` call per phase draws a block for
-    every trial from its own counter, decoded once by `_decode_pairs`; a
-    trial's choices, and the r's of its biased steps that start its queue,
-    become lists just before it walks.  The block holds the draws of the
-    phase's shortest length, 2 (left - stop), or the median draws the
-    batch's trials used in the previous phase if more, at most MAX_BLOCK.
-    A trial that runs past it goes on from its own `_pair_draws`; no draws
+    every walk kind, and draws in `_play`, whose batch block starts at the
+    draws of the phase's shortest length, 2 (left - stop), or the median
+    draws the batch's trials used in the previous phase if more.  No draws
     are held across phases.
     """
     n, d, eps = g.n, g.regular_degree, spec.eps
     dps = _DRAWS_PER_STEP["phase"]
-    theta = min(eps, 1.0 - math.exp(-spec.psi / 32.0))
+    theta = _tilt(eps, spec.psi)
     srw = slot_transitions(uniform_weighting(g)) if eps > 0.0 else None  # a lone vertex at eps = 0 has no slots
-    streams = [SplitMix64(seed) for seed in seeds.tolist()]
     cur, steps = list(starts), [0] * len(starts)
     visited = [bytearray(n) for _ in starts]
     for vis, start in zip(visited, starts):
         vis[start] = 1
+    decode = lambda z: _decode_pairs(z, d, eps)
     left, size = n - 1, 0
     while left:
         stop = left // 2
-        size = min(max(dps * (left - stop), size), MAX_BLOCK)
         picks = repeat(None)
         if eps > 0.0:
             unvisited = np.frombuffer(b"".join(visited), dtype=np.uint8).reshape(-1, n) == 0
@@ -590,13 +613,9 @@ def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
             picks = (_bisector(t.reshape(-1).tolist(), d - 1)
                      for t in _thresholds(_decay_rows(g, unvisited, theta, eps, srw)))
         at = [counter + dps * s for s in steps]
-        choice, r = _decode_pairs(splitmix_block(seeds, np.array(at, dtype=np.uint64), size).T, d, eps)
-        for i, (rng, pick) in enumerate(zip(streams, picks)):
-            rng.counter = at[i] + size
-            rs = deque(r[:, i][choice[:, i] < 0].tolist())
-            choices = chain(choice[:, i].tolist(), _pair_draws(rng, d, eps, size, rs))
-            cur[i], steps[i], _ = _walk(g.adj, choices, rs, visited[i], cur[i], steps[i], left, stop, pick)
-        del choice, r  # freed before the next phase's build
+        played = _play(g.adj, decode, dps, seeds, at, max(dps * (left - stop), size),
+                       zip(cur, steps, visited, repeat(left), repeat(stop), picks))
+        cur, steps, _ = map(list, zip(*played))
         size = sorted(counter + dps * s - a for s, a in zip(steps, at))[len(at) // 2]  # the median draws used
         left = stop
     return steps

@@ -174,9 +174,12 @@ def _target_decay(g: Graph, dist: np.ndarray, theta: float) -> EdgeWeighting:
     to U; a stack of them for a stack of distance rows."""
     if not (0.0 <= theta < 1.0):
         raise WeightingError("target decay needs theta in [0, 1)")
-    powers = np.array([(1.0 - theta) ** k for k in range(int(dist.max()) + 1)])
+    powers = [(1.0 - theta) ** k for k in range(int(dist.max()) + 1)]
+    if powers[-1] == 0.0:
+        raise WeightingError(f"target decay with tilt theta = {theta!r} underflows: its weight (1 - theta)^k "
+                             f"is 0 from distance k = {powers.index(0.0)} on")
     sl = g.slots
-    return EdgeWeighting(g, powers[dist.take(sl.vertex[sl.edge_slots], axis=-1).max(axis=-2)])
+    return EdgeWeighting(g, np.array(powers)[dist.take(sl.vertex[sl.edge_slots], axis=-1).max(axis=-2)])
 
 
 def bottleneck_weighting(g: Graph, beta: float) -> tuple[EdgeWeighting, tuple[int, int]]:

@@ -16,7 +16,10 @@ weighting: a second graph could disagree with `w.graph`.
 No module imports a name it never uses, unless its `__all__` re-exports it.
 
 `rng` owns the stream format: no other module decodes a draw by
-hand (the constant 2**-53) or derives stream seeds from MASK64.  Likewise
+hand (the constant 2**-53) or derives stream seeds from MASK64.  `walks`
+draws only through `rng.splitmix_block`, so it alone decides how a walk's
+draws are blocked: apart from the reference `walks.step`, it makes no
+`SplitMix64` and calls none of its drawing methods.  Likewise
 `chains` owns the half-mass limit 1/2 + 1e-12 of conductance, `weighting`
 the Lipschitz slack 1 + 1e-12, and `graphs` the comment rule of the text
 inputs (the split on "#").
@@ -157,6 +160,26 @@ def test_only_rng_decodes_draws_and_derives_stream_seeds(path):
     assert _stream_format_uses(path) == []
 
 
+_STREAM_CALLS = {"SplitMix64", "stream", "next_u64", "next_float", "randrange", "block_u64", "shuffle"}
+
+
+def _stream_calls(path: Path, text: str | None = None, reference: str = "step") -> list[str]:
+    """Where a file (or `text` in its place), outside its function named
+    `reference`, makes a SplitMix64 or draws from one by a method call."""
+    tree = ast.parse(path.read_text() if text is None else text)
+    skip = {id(node) for top in tree.body if getattr(top, "name", None) == reference for node in ast.walk(top)}
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in skip
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in _STREAM_CALLS
+    ]
+
+
+def test_walks_draws_only_through_splitmix_block():
+    assert _stream_calls(PKG / "walks.py") == []
+
+
 def test_the_stream_format_check_finds_the_uses_in_rng():
     uses = _stream_format_uses(Path(walklab.__file__).with_name("rng.py"))
     assert any(use.endswith("MASK64") for use in uses) and any(use.endswith("2.0 ** (-53)") for use in uses)
@@ -227,6 +250,11 @@ def test_the_one_owner_checks_find_what_they_look_for():
     assert _constant_uses(robustness, LIPSCHITZ_SLACK, "rough = beta > sigma * (1.0 + 1e-12)") != []
     assert _constant_uses(robustness, HALF_MASS, "if mass > 0.5 + 1e-12:\n    pass") != []
     assert _comment_splits(robustness, "line = raw.split('#', 1)[0]") != []
+    walks = PKG / "walks.py"
+    assert _stream_calls(walks, reference="") != []  # `step` itself draws by next_float
+    for text in ("rng = SplitMix64(seed)", "rng = SplitMix64.stream(seed, 0)", "z = rng.block_u64(64)",
+                 "def walk(rng):\n    return rng.next_u64() % 3"):
+        assert _stream_calls(walks, text) != [], text
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,31 @@ def test_cover_sim_rejects_bad_psi(capsys, psi):
     assert err.startswith("error: psi must be finite and >= 0") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("psi, code", [("1200", 2), ("1100", 0)])
+def test_cover_sim_refuses_a_phase_tilt_that_rounds_to_one(capsys, tmp_path, psi, code):
+    # 1 - e^(-psi/32) rounds to 1.0 from psi = 1197.8 on, so theta = min(1, it)
+    # is 1, which the target decay cannot take; the error names the flags
+    got, out, err = run(
+        capsys, "cover-sim", "--generate", "random-regular:8:3:1", "--walk", "phase", "--eps", "1",
+        "--psi", psi, "--trials", "2", "--seed", "1", "--out", str(tmp_path), "--no-timestamp",
+    )
+    assert got == code and "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: the phase tilt") and "--psi" in err and "--eps" in err
+
+
+def test_cover_sim_names_the_distance_where_the_tilt_underflows(capsys, tmp_path):
+    # theta = 1 - e^(-1000/32) is below 1, but (1 - theta)^k underflows to 0
+    # at distance 24, within the diameter 50 of circulant:200:1,2
+    code, out, err = run(
+        capsys, "cover-sim", "--generate", "circulant:200:1,2", "--walk", "phase", "--eps", "1",
+        "--psi", "1000", "--trials", "2", "--seed", "1", "--out", str(tmp_path), "--no-timestamp",
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: target decay with tilt theta = 0.9999999999999732 underflows")
+    assert "distance k = 24" in err
+
+
 @pytest.mark.parametrize("spec", ["random-regular:16:3:1", "complete:5"])
 def test_cover_sim_sweep_needs_a_cycle(capsys, spec):
     code, out, err = run(

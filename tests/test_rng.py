@@ -1,24 +1,23 @@
-"""Counter-based random stream: reference vectors and stream algebra."""
+"""Counter-based random stream: reference vectors and stream algebra, and
+the blocks a scalar walk trial draws its stream in (`walks._play`)."""
 
-from collections import deque
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.rng import (
-    FIRST_BLOCK,
-    MASK64,
-    MAX_BLOCK,
-    SplitMix64,
-    _blocks,
-    draws,
-    splitmix_block,
-    stream_seeds,
-    to_unit,
-)
-from walklab.walks import _pair_draws
+from walklab import walks
+from walklab.graphs import build_graph, generate
+from walklab.rng import MASK64, SplitMix64, splitmix_block, stream_seeds, to_unit
+from walklab.walks import MAX_BLOCK, MIN_BLOCK, WalkSpec, _decode_pairs
+
+
+def RAW(z):
+    """srw's decode for a table read modulo each degree: the draws themselves."""
+    return z, None
+
 
 # First outputs of the classic splitmix64 sequence for seed 0, as published
 # alongside the xoshiro generators; pins the mixing constants.
@@ -160,20 +159,33 @@ def stepped_pair(rng, d, eps):
     return (-1 if coin < eps else min(int(r * d), d - 1)), r
 
 
-def pair_draws(rng):
-    """The walk decoder's choices on a 3-regular graph at eps 0.25, and the
-    queue it fills with the r of each biased step."""
-    rs = deque()
-    return _pair_draws(rng, 3, 0.25, FIRST_BLOCK, rs), rs
+def played(monkeypatch, seed, count, size, decode=RAW, dps=1):
+    """What `walks._play` serves one trial on `seed`'s stream from counter 0,
+    with a batch block asked for `size` draws: the first `count` choices
+    `_walk` reads, its queue of r's (None for srw) and the size of every
+    block drawn."""
+    seen, sizes = [], []
+    block = walks.splitmix_block
+
+    def walk(adj, choices, rs, *state):
+        seen.append((list(islice(choices, count)), rs))
+        return 0, 0, 0
+
+    monkeypatch.setattr(walks, "_walk", walk)
+    monkeypatch.setattr(walks, "splitmix_block", lambda seeds, at, m: sizes.append(m) or block(seeds, at, m))
+    walks._play([], decode, dps, stream_seeds(seed, np.array([0])), [0], size, [(0, 0, None, 1, 0, None)])
+    (choices, rs), = seen
+    return choices, rs, sizes
 
 
-def assert_pairs_match(seed, count):
-    """`count` decoded choices equal `stepped_pair`'s, and the queue, popped
-    at each biased step as the walk loop pops it, gives those steps' r's."""
+def assert_pairs_match(monkeypatch, seed, count):
+    """`count` choices of a 3-regular walk at eps 0.25, decoded by
+    `_decode_pairs` from `splitmix_block` blocks as `walks._play` serves
+    them, equal `stepped_pair`'s, and the queue, popped at each biased step
+    as the walk loop pops it, gives those steps' r's."""
     direct = SplitMix64(seed)
     want = [stepped_pair(direct, 3, 0.25) for _ in range(count)]
-    choices, rs = pair_draws(SplitMix64(seed))
-    got = [next(choices) for _ in range(count)]
+    got, rs, _ = played(monkeypatch, seed, count, 0, lambda z: _decode_pairs(z, 3, 0.25), 2)
     assert all(type(c) is int for c in got)
     assert got == [c for c, _ in want]
     queued = [rs.popleft() for c in got if c < 0]
@@ -181,63 +193,72 @@ def assert_pairs_match(seed, count):
     assert queued == [r for c, r in want if c < 0]
 
 
-def test_draws_match_direct():
+def test_draws_match_direct(monkeypatch):
     direct = SplitMix64(4096)
-    u64 = draws(SplitMix64(4096)).__next__
-    assert [u64() for _ in range(100)] == [direct.next_u64() for _ in range(100)]
-    assert_pairs_match(8192, 100)
+    assert played(monkeypatch, 4096, 100, 0)[0] == [direct.next_u64() for _ in range(100)]
+    assert_pairs_match(monkeypatch, 8192, 100)
     # 20500 draws cross every doubling of the block up to MAX_BLOCK and
     # refill at the cap at least once
     count = 20_500
     direct3 = SplitMix64(-77)
-    u64 = draws(SplitMix64(-77)).__next__
-    assert [u64() for _ in range(count)] == [direct3.next_u64() for _ in range(count)]
-    assert_pairs_match(2**64 + 5, count // 2)
+    assert played(monkeypatch, -77, count, 0)[0] == [direct3.next_u64() for _ in range(count)]
+    assert_pairs_match(monkeypatch, 2**64 + 5, count // 2)
 
 
-@pytest.mark.parametrize("make, per_item", [(draws, 1), (lambda rng: pair_draws(rng)[0], 2)],
+@pytest.mark.parametrize("decode, per_item", [(RAW, 1), (lambda z: _decode_pairs(z, 3, 0.25), 2)],
                          ids=["draws", "pair_draws"])
-def test_draws_grow_blocks_up_to_the_cap(make, per_item):
-    rng = SplitMix64(3)
-    next_draw = make(rng).__next__
-    next_draw()
-    assert rng.counter == 64  # a one-draw run generates 64 draws, not MAX_BLOCK
-    sizes = [64]
-    while sizes[-1] < MAX_BLOCK or len(sizes) < 10:
-        before = rng.counter
-        for _ in range(sizes[-1] // per_item):
-            next_draw()
-        sizes.append(rng.counter - before)
-    assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]
+def test_draws_grow_blocks_up_to_the_cap(monkeypatch, decode, per_item):
+    # a one-step run generates MIN_BLOCK = 64 draws, not MAX_BLOCK; a long
+    # one goes on from blocks of its own that start at that size and double
+    assert (MIN_BLOCK, MAX_BLOCK) == (64, 8192)
+    assert played(monkeypatch, 3, 1, 0, decode, per_item)[2] == [64]
+    sizes = [64, 64, 128, 256, 512, 1024, 2048, 4096, MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]
+    assert played(monkeypatch, 3, sum(sizes) // per_item, 0, decode, per_item)[2] == sizes
 
 
 @pytest.mark.parametrize(
     "first, sizes",
     [
-        (0, [64, 128, 256]),
-        (63, [64, 128, 256]),
-        (100, [100, 200, 400, 800, 1600, 3200, 6400, MAX_BLOCK, MAX_BLOCK]),
-        (5000, [5000, MAX_BLOCK, MAX_BLOCK]),
-        (MAX_BLOCK, [MAX_BLOCK, MAX_BLOCK]),
-        (10**6, [MAX_BLOCK, MAX_BLOCK]),
+        (0, [64, 64, 128, 256]),
+        (63, [64, 64, 128, 256]),
+        (100, [100, 100, 200, 400, 800, 1600, 3200, 6400, MAX_BLOCK, MAX_BLOCK]),
+        (5000, [5000, 5000, MAX_BLOCK, MAX_BLOCK]),
+        (MAX_BLOCK, [MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]),
+        (10**6, [MAX_BLOCK, MAX_BLOCK, MAX_BLOCK]),
     ],
 )
-def test_blocks_start_at_the_first_size_clipped_to_the_bounds(first, sizes):
-    rng = SplitMix64(11)
-    blocks = _blocks(rng, first)
-    got = [next(blocks) for _ in sizes]
-    assert [len(z) for z in got] == sizes and rng.counter == sum(sizes)
+def test_blocks_start_at_the_first_size_clipped_to_the_bounds(monkeypatch, first, sizes):
+    # the batch block holds `first` draws clipped to [MIN_BLOCK, MAX_BLOCK],
+    # and the trial's own blocks start at that size
+    got, _, drawn = played(monkeypatch, 11, sum(sizes), first)
+    assert drawn == sizes
     direct = SplitMix64(11)
-    assert np.concatenate(got).tolist() == [direct.next_u64() for _ in range(sum(sizes))]
+    assert got == [direct.next_u64() for _ in range(sum(sizes))]
+
+
+# a graph for each srw table span, the lcm of its degrees: 1, 2, 2 and 3,
+# and 7 down to 1; for span None the last one again, with a padded table
+# too wide for _LOCKSTEP_CELLS, so its rows are read modulo each degree
+SPAN_GRAPHS = {1: generate("complete", n=2), 2: generate("cycle", n=5),
+               6: build_graph([(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)], 10),
+               420: build_graph([(0, v) for v in range(1, 8)] + [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4)], 8)}
+SPAN_GRAPHS[None] = SPAN_GRAPHS[420]
 
 
 @pytest.mark.parametrize("span", [None, 1, 2, 6, 420])
-def test_draws_modulo_a_span_are_the_draws_modulo_the_span(span):
+def test_draws_modulo_a_span_are_the_draws_modulo_the_span(monkeypatch, span):
+    # an srw trial's choices are its draws mod the span of its table, or
+    # the draws themselves for a table read modulo each degree
+    g = SPAN_GRAPHS[span]
+    if span is None:
+        monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", 8 * 420 - 1)
+    assert walks._srw_table(g)[1] == span
+    seen = []
+    monkeypatch.setattr(walks, "_walk", lambda adj, choices, *state: seen.append(list(islice(choices, 1000))) or (0, 0, 0))
+    walks._cover_trials(g, WalkSpec(kind="srw"), stream_seeds(-9, np.array([0])), 0, [0])
     direct = SplitMix64(-9)
-    choice = draws(SplitMix64(-9), span, 100).__next__
-    count = 1000
-    want = [direct.next_u64() for _ in range(count)]
-    assert [choice() for _ in range(count)] == [u if span is None else u % span for u in want]
+    want = [direct.next_u64() for _ in range(1000)]
+    assert seen == [[u if span is None else u % span for u in want]]
 
 
 def test_negative_blocks_do_not_rewind_the_stream():
@@ -299,6 +320,26 @@ def test_splitmix_block_with_a_counter_per_stream_continues_each_stream(case):
         assert row.tolist() == stream.block_u64(m).tolist()
         stream.counter = counter
         assert row.tolist() == [stream.next_u64() for _ in range(m)]
+
+
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.integers(min_value=2**64 - 50, max_value=2**64 + 50) | st.integers(min_value=2**64, max_value=2**70),
+    st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=60)
+def test_splitmix_block_takes_counters_of_any_size(seed, counter, m):
+    # output k depends on k mod 2^64 only, so a counter near or past 2^64,
+    # one for every stream or one per stream, continues next_u64's stream
+    stream = SplitMix64(seed)
+    stream.counter = counter
+    want = [stream.next_u64() for _ in range(m)]
+    seeds = np.array([seed, seed], dtype=np.uint64)
+    assert splitmix_block(seeds, counter, m).tolist() == [want, want]
+    assert splitmix_block(seeds, [counter, counter % 2**64], m).tolist() == [want, want]
+    rng = SplitMix64(seed)
+    rng.counter = counter
+    assert rng.block_u64(m).tolist() == want and rng.counter == counter + m
 
 
 def test_state_is_serializable_by_value():

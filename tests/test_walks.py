@@ -3,7 +3,6 @@
 import functools
 import math
 import tracemalloc
-from collections import deque
 from dataclasses import replace
 from functools import cached_property
 
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from walklab.chains import ChainError, ReversibleChain
 from walklab.graphs import Graph, build_graph, generate
-from walklab import rng as rng_module
 from walklab.rng import SplitMix64, stream_seeds
 from walklab import walks
 from walklab.walks import (
@@ -355,9 +353,10 @@ def biased_steps(path, eps, seed):
 @pytest.mark.parametrize("seed", [3, 2**64 + 9])
 def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # phase rows: one phase toward every vertex but the start on rr64, run
-    # until half of them are visited, reading decoded choices from a block
-    # sized to the phase, each biased step's r from the queue, and picking
-    # biased steps through the flat thresholds, as `_phase_trials` does
+    # until half of them are visited, reading choices that `_play` decodes
+    # from a block sized to the phase and then the trial's own blocks, each
+    # biased step's r from the queue, and picking biased steps through the
+    # flat thresholds, as `_phase_trials` does
     g = generate("random_regular", n=64, d=3, seed=5)
     built = decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0] if eps > 0.0 else None
     rows = built.tolist() if eps > 0.0 else []
@@ -366,10 +365,10 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     adj = RecordingAdj(g.adj)
     visited = visited_bytes(g.n, {0})
     left, stop = g.n - 1, (g.n - 1) // 2
-    rs = deque()
-    choices = walks._pair_draws(SplitMix64(seed), 3, eps, 2 * (left - stop), rs)
+    seeds = stream_seeds(seed, np.array([0]))  # SplitMix64(seed)'s stream
     pick = RecordingPick(walks._bisector(walks._thresholds(built).reshape(-1).tolist(), 2) if eps > 0.0 else None)
-    cur, steps, left = walks._walk(adj, choices, rs, visited, 0, 0, left, stop, pick)
+    (cur, steps, left), = walks._play(adj, lambda z: walks._decode_pairs(z, 3, eps), 2, seeds, [0],
+                                      2 * (left - stop), [(0, 0, visited, left, stop, pick)])
     assert adj.path + [cur] == expected
     assert steps == len(expected) - 1 and left == g.n - len(seen)
     assert visited == visited_bytes(g.n, seen)
@@ -379,10 +378,9 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     expected, _ = stepped_path(cyc, 5, eps, sweep_rule, SplitMix64(seed), 0)
     adj = RecordingAdj(cyc.adj)
     visited = visited_bytes(cyc.n, {5})
-    rs = deque()
-    choices = walks._pair_draws(SplitMix64(seed), 2, eps, 2 * (cyc.n - 1), rs)
     pick = RecordingPick(walks._sweep_picks(cyc)(visited))
-    cur, steps, left = walks._walk(adj, choices, rs, visited, 5, 0, cyc.n - 1, 0, pick)
+    (cur, steps, left), = walks._play(adj, lambda z: walks._decode_pairs(z, 2, eps), 2, seeds, [0],
+                                      2 * (cyc.n - 1), [(5, 0, visited, cyc.n - 1, 0, pick)])
     assert adj.path + [cur] == expected
     assert (steps, left) == (len(expected) - 1, 0)
     assert pick.calls == biased_steps(expected, eps, seed)
@@ -606,6 +604,18 @@ def test_cover_run_plays_the_trial_from_the_rng_counter(kind, skip):
     assert rng.counter == reference.counter
 
 
+def test_cover_run_plays_from_a_counter_past_two_to_the_64():
+    # draw k depends on k mod 2^64 only, so a counter of 2^64 + 3 replays
+    # the trial from counter 3, and the rng's counter goes on from 2^64 + 3
+    cases = [(generate("cycle", n=8), WalkSpec(kind="srw"))] + list(COUNTER_CASES.values())
+    for g, spec in cases:
+        rng, reference = SplitMix64(7), SplitMix64(7)
+        rng.counter, reference.counter = 2**64 + 3, 3
+        steps = cover_run(g, spec, rng, 0)
+        assert steps == cover_run(g, spec, reference, 0)
+        assert rng.counter - 2**64 == reference.counter
+
+
 @pytest.mark.parametrize("kind", sorted(COUNTER_CASES))
 def test_successive_cover_runs_on_one_rng_play_from_consecutive_counters(kind):
     # the second call starts where the first one's last draw left the
@@ -667,26 +677,60 @@ def test_phase_batches_of_any_width_play_each_trial_alone(width, case):
         assert alone_steps(eps, psi)[t] == stepped_phase_steps(g, eps, psi, rng, starts[t])
 
 
+def block_calls(monkeypatch):
+    """Spy on `walks.splitmix_block`: each call's (streams, first seed, draws)."""
+    calls, batch = [], walks.splitmix_block
+    monkeypatch.setattr(walks, "splitmix_block",
+                        lambda seeds, at, m: calls.append((len(seeds), int(seeds[0]), m)) or batch(seeds, at, m))
+    return calls
+
+
 def test_phase_draw_blocks_start_at_the_phase_length(monkeypatch):
     # each phase draws one block for the whole batch, each trial's from its
     # own counter: the phase's shortest length, 2 (left - stop) draws, or
-    # twice the previous phase's median steps if more.  Only trials that
-    # run past it draw blocks of their own: three 32-trial estimates on
-    # rr512 make 27 batch calls (one per phase) and 600 block_u64 calls
-    # (bound: 600 + 3%), where one block_u64 stream per trial made 3486
+    # the previous phase's median draws if more, within [MIN_BLOCK,
+    # MAX_BLOCK].  A trial that runs past it draws blocks of its own, in
+    # turn, of the same size doubling up to MAX_BLOCK
     g = generate("random_regular", n=512, d=3, seed=11)
-    batches, sizes = [], []
-    block_u64, batch = SplitMix64.block_u64, walks.splitmix_block
-    monkeypatch.setattr(SplitMix64, "block_u64", lambda rng, m: sizes.append(m) or block_u64(rng, m))
-    monkeypatch.setattr(walks, "splitmix_block", lambda seeds, at, m: batches.append((len(seeds), m)) or batch(seeds, at, m))
-    for seed in (1, 2, 3):
-        estimate_cover_time(g, phase(0.25), trials=32, seed=seed)
-    assert len(batches) == 27 and {b for b, _ in batches} == {32}
-    assert batches[0][1] == 2 * (g.n - 1 - (g.n - 1) // 2)  # 512 draws, the first phase's 256 steps
-    assert all(2 * (left - left // 2) <= m <= rng_module.MAX_BLOCK
-               for (_, m), left in zip(batches, [511, 255, 127, 63, 31, 15, 7, 3, 1] * 3))
-    assert len(sizes) <= 618
-    assert min(sizes) >= min(m for _, m in batches)  # a trial's own blocks start at the batch block's size
+    calls = block_calls(monkeypatch)
+    estimate_cover_time(g, phase(0.25), trials=32, seed=1)
+    batches = [i for i, (streams, _, _) in enumerate(calls) if streams > 1]
+    assert len(batches) == 9 and {calls[i][0] for i in batches} == {32}
+    assert calls[batches[0]][2] == 2 * (g.n - 1 - (g.n - 1) // 2)  # 512 draws, the first phase's 256 steps
+    doubled = 0
+    for i, left, end in zip(batches, [511, 255, 127, 63, 31, 15, 7, 3, 1], batches[1:] + [len(calls)]):
+        size = calls[i][2]
+        assert max(2 * (left - left // 2), walks.MIN_BLOCK) <= size <= walks.MAX_BLOCK and size % 2 == 0
+        own = calls[i + 1:end]
+        assert all(streams == 1 for streams, _, _ in own)
+        trials = [seed for k, (_, seed, _) in enumerate(own) if k == 0 or own[k - 1][1] != seed]
+        assert len(trials) == len(set(trials))  # a trial draws all its blocks before the next one walks
+        for seed in trials:
+            sizes = [m for _, t, m in own if t == seed]
+            assert sizes == [min(size << j, walks.MAX_BLOCK) for j in range(len(sizes))]
+            doubled += len(sizes) > 1
+    assert doubled > 0
+
+
+@pytest.mark.parametrize("g, spec, trials, cells", [
+    (generate("cycle", n=16), WalkSpec(kind="srw"), 20, 160),
+    (generate("random_regular", n=64, d=3, seed=5), phase(0.25, psi=2.0), 20, 8 * 192),
+], ids=["srw", "phase"])
+def test_a_batch_block_holds_at_most_the_lockstep_cells(monkeypatch, g, spec, trials, cells):
+    # with _LOCKSTEP_CELLS small, batches of all-scalar srw trials (10 to a
+    # batch, so 16 draws each, below MIN_BLOCK) and of phase trials (8 to a
+    # batch, whose median draws pass 192) draw batch blocks of at most that
+    # many draws, an even number per trial for the phase walk, and every
+    # trial takes the steps it takes with the constant as it is
+    want = estimate_cover_time(g, spec, trials=trials, seed=3).steps
+    monkeypatch.setattr(walks, "_LOCKSTEP_CELLS", cells)
+    calls = block_calls(monkeypatch)
+    assert estimate_cover_time(g, spec, trials=trials, seed=3).steps == want
+    batches = [(streams, m) for streams, _, m in calls if streams > 1]
+    assert len(batches) > 1 and all(streams * m <= cells for streams, m in batches)
+    dps = walks._DRAWS_PER_STEP[spec.kind]
+    assert all(m % dps == 0 for _, m in batches)
+    assert any(m == cells // streams // dps * dps for streams, m in batches)  # the cap binds
 
 
 def test_phase_threshold_build_peaks_no_higher_than_its_rows():
