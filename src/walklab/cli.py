@@ -122,11 +122,15 @@ def _config_defaults(command: _Parser, path: str) -> dict[str, str]:
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line, raw in graphmod.content_lines(source):
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, text = line.partition("=")
-        values[key.strip().replace("-", "_")] = text.strip()
+        key = key.strip().replace("-", "_")
+        if key in lines:
+            raise InputError(f"{path}: config key {key} given twice, on lines {lines[key]} and {lineno}")
+        values[key], lines[key] = text.strip(), lineno
     unknown = set(values) - {action.dest for action in command._actions if action.dest != "help"}
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -340,25 +344,25 @@ def _cmd_robustness_sweep(args: argparse.Namespace) -> int:
 _COVER_HEADER = ["trial", "start_vertex", "steps", "walk_kind", "eps", "seed"]
 
 
-def _cover_estimate(g: Graph, args: argparse.Namespace, kind: str, eps: float, start: int | None = None):
+def _cover_estimate(g: Graph, args: argparse.Namespace, spec: WalkSpec):
     """One `estimate_cover_time` call: its summary stats and its results.csv rows."""
-    spec = WalkSpec(kind=kind, eps=eps, start=start, psi=args.psi)
     estimate = estimate_cover_time(g, spec, trials=args.trials, seed=args.seed)
     (lo, hi), mean, sd = estimate.ci95, estimate.mean, estimate.stddev
-    stats = {"walk_kind": kind, "eps": eps, "mean": mean, "stddev": sd, "ci95_lo": lo, "ci95_hi": hi}
+    stats = {"walk_kind": spec.kind, "eps": spec.eps, "mean": mean, "stddev": sd, "ci95_lo": lo, "ci95_hi": hi}
     trials = enumerate(zip(estimate.starts, estimate.steps))
-    return stats, [[t, start, steps, kind, eps, args.seed] for t, (start, steps) in trials]
+    return stats, [[t, start, steps, spec.kind, spec.eps, args.seed] for t, (start, steps) in trials]
 
 
 def _cmd_cover_sim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    stats, rows = _cover_estimate(g, args, args.walk, args.eps, args.start)
+    stats, rows = _cover_estimate(g, args, WalkSpec(args.walk, args.eps, args.start, args.psi))
     _report(args, {**stats, "trials": args.trials, "seed": args.seed}, results=[_COVER_HEADER, *rows])
     return 0
 
 
 def _cmd_cover_compare(args: argparse.Namespace) -> int:
-    """cover-sim once per kind (srw at eps 0), every estimate before any output."""
+    """cover-sim once per kind (srw at eps 0, --psi to phase alone), every
+    estimate before any output."""
     kinds = [kind.strip() for kind in args.kinds.split(",")]
     unknown = [kind for kind in kinds if kind not in WALK_KINDS]
     if unknown:
@@ -366,10 +370,13 @@ def _cmd_cover_compare(args: argparse.Namespace) -> int:
     repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
     if repeated:
         raise InputError(f"walk kinds given more than once: {', '.join(map(repr, repeated))}")
+    if args.psi is not None and "phase" not in kinds:
+        raise InputError("--psi sets the phase walk's expansion, and --kinds has no phase")
     g = _load_graph(args)
     per_kind, results = [], [_COVER_HEADER]
     for kind in kinds:
-        stats, rows = _cover_estimate(g, args, kind, 0.0 if kind == "srw" else args.eps)
+        spec = WalkSpec(kind, 0.0 if kind == "srw" else args.eps, psi=args.psi if kind == "phase" else None)
+        stats, rows = _cover_estimate(g, args, spec)
         per_kind.append(stats)
         results += rows
     base = next((stats for stats in per_kind if stats["walk_kind"] == "srw"), None)
@@ -394,7 +401,7 @@ def _cmd_boost_audit(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-CONV_CHUNK = 2048  # convexity audits decoded per draw block, whatever --draws is
+CONV_CHUNK = 2048  # convexity audits per draw block (15 draws each), whatever --draws is
 # Most audit rows one lemma-sweep may make: memory grows with the rows of the
 # largest graph's grid.  At the default --nmax this is --tmax 546, which took
 # 5.7 s, a 53 MiB peak and a 246 MiB audit.jsonl on a 2-core x86 box.
@@ -424,28 +431,20 @@ def _conv_audits(seed: int, count: int) -> Iterator[np.ndarray]:
     """Verdicts of `count` one-step convexity audits drawn from stream
     (seed, 0), a batch per degree for every CONV_CHUNK audits.
 
-    An audit reads 2d + 3 draws, as randrange and next_float would: d = 3 +
-    randrange(4), d bias weights, d values, the eta pick randrange(3) and
-    the eps draw.  A chunk decodes the most draws its audits can take and
-    walks the records to find where each starts; the next chunk goes on
-    from the end of its last record."""
-    seeds, counter, etas = stream_seeds(seed, [0]), 0, (0.25, 0.5, 1.0)
+    Audit i reads the fixed record of draws 15i + 1 .. 15i + 15, z0 .. z14:
+    d = 3 + z0 % 4, the d bias weights from z1, the d values from z7, the
+    eta pick z13 % 3 and the eps draw z14.  So a chunk is one block whose
+    rows are its audits' records."""
+    seeds, etas = stream_seeds(seed, [0]), (0.25, 0.5, 1.0)
     for first in range(0, count, CONV_CHUNK):
-        size = min(CONV_CHUNK, count - first)
-        z = splitmix_block(seeds, counter, 15 * size)[0]  # a record takes at most 2 * 6 + 3 draws
-        lengths, at = (2 * (z % 4) + 9).astype(np.uint8).tobytes(), [0] * size
-        for i in range(1, size):
-            at[i] = at[i - 1] + lengths[at[i - 1]]
-        counter += at[-1] + lengths[at[-1]]
-        at = np.array(at)
+        z = splitmix_block(seeds, 15 * first, 15 * min(CONV_CHUNK, count - first))[0].reshape(-1, 15)
         for d in range(3, 7):
-            rec = at[z[at] % 4 == d - 3, None] + np.arange(2 * d + 3)
-            raw, v, eps = to_unit(z[rec[:, 1 : d + 1]]), to_unit(z[rec[:, d + 1 : 2 * d + 1]]), to_unit(z[rec[:, -1]])
-            pick = z[rec[:, -2]] % 3
-            eta = np.array(etas)[pick]
+            rec = z[z[:, 0] % 4 == d - 3]
+            raw, v, eps = to_unit(rec[:, 1 : d + 1]), to_unit(rec[:, 7 : d + 7]), to_unit(rec[:, 14])
+            pick = rec[:, 13] % 3
             eps /= np.array([d ** (2.0 * e) for e in etas])[pick]
             # sum() adds the columns left to right, as it adds a list of floats
-            yield conv_lemma_audit(d, eps, eta, v, raw / sum(raw.T)[:, None])
+            yield conv_lemma_audit(d, eps, np.array(etas)[pick], v, raw / sum(raw.T)[:, None])
 
 
 def _sweep_failures(grid: list[BoostValues]) -> int:

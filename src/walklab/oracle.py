@@ -20,7 +20,9 @@ walk's p, and stacks the queries' events on shared passes as long as one
 value table stays within STACK_CELLS cells; `srw_event_prob` and
 `optimal_tbrw_event_prob` are the single-eps passes of one event it is
 checked against.  The one-step operator, power means and convexity audit
-take a stack of vectors along the last axis, as the sweep audits them.
+take a stack of vectors along the last axis, as the sweep audits them; one
+vector is evaluated as a stack of one, so its value is bit for bit its row
+in any stack.
 
 Everything is cross-checkable: the float DP against an exact rational DP,
 and both against a raw trajectory-tree recursion over small horizons that
@@ -302,13 +304,6 @@ def _vectors(x: Sequence | np.ndarray, message: str) -> np.ndarray:
     return x
 
 
-def _coordinates(x: np.ndarray) -> list:
-    """The coordinates of x's vectors, first to last: floats for one vector,
-    so that its sums and powers are Python's, or for a stack one array of
-    the leading shape each."""
-    return x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
-
-
 def biased_operator(eps: float | np.ndarray, b: Sequence | np.ndarray, v: Sequence | np.ndarray) -> float | np.ndarray:
     """sum_i ((1-eps)/d + eps * b_i) * v_i for a bias distribution b.
 
@@ -320,13 +315,14 @@ def biased_operator(eps: float | np.ndarray, b: Sequence | np.ndarray, v: Sequen
     if b.shape != v.shape:
         raise OracleError("bias and value vectors must have equal length")
     _check_eps(eps)
-    bs, vs = _coordinates(b), _coordinates(v)
+    bs, vs = np.moveaxis(np.atleast_2d(b), -1, 0), np.moveaxis(np.atleast_2d(v), -1, 0)
     if np.any(abs(sum(bs) - 1.0) > 1e-9) or (b < -1e-12).any():
         raise OracleError("bias must be a probability vector")
     if (v < 0).any():
         raise OracleError("value entries must be nonnegative")
     uniform = (1.0 - eps) / len(vs)
-    return sum((uniform + eps * bi) * vi for bi, vi in zip(bs, vs))
+    out = sum((uniform + eps * bi) * vi for bi, vi in zip(bs, vs))
+    return out.item() if v.ndim == 1 else out
 
 
 def power_mean(r: float, v: Sequence | np.ndarray) -> float | np.ndarray:
@@ -341,15 +337,14 @@ def power_mean(r: float, v: Sequence | np.ndarray) -> float | np.ndarray:
         raise OracleError("power mean entries must be nonnegative")
     if not r >= 1:
         raise OracleError("power mean implemented for r >= 1 only")
-    xs = _coordinates(v)
+    xs = np.atleast_2d(v)
     if math.isinf(r):
-        return max(xs) if v.ndim == 1 else v.max(axis=-1)
-    try:
-        with np.errstate(over="ignore"):  # numpy's power past the float range is inf
-            total = sum(x**r for x in xs)
-    except OverflowError:  # where a float power raises
-        return math.inf
-    return (total / len(xs)) ** (1.0 / r)
+        out = xs.max(axis=-1)
+    else:
+        with np.errstate(over="ignore"):  # a power past the float range is inf
+            total = sum(x**r for x in np.moveaxis(xs, -1, 0))
+        out = (total / xs.shape[-1]) ** (1.0 / r)
+    return out.item() if v.ndim == 1 else out
 
 
 def _leq_with_slack(lhs: float | np.ndarray, rhs: float | np.ndarray) -> bool | np.ndarray:

@@ -513,6 +513,8 @@ def _checked(g: Graph, spec: WalkSpec) -> WalkSpec:
     _check_eps(spec.eps)
     if spec.kind == "srw" and spec.eps != 0.0:
         raise WalkError(f"the simple random walk takes no bias: eps must be 0, got {spec.eps}")
+    if spec.kind != "phase" and spec.psi is not None:
+        raise WalkError(f"only the phase walk takes psi, got psi {spec.psi} for the {spec.kind} walk")
     if spec.start is not None and not (0 <= spec.start < g.n):
         raise WalkError(f"start vertex {spec.start} out of range for n={g.n}")
     if spec.kind == "sweep" and any(

@@ -296,6 +296,9 @@ def test_cover_sim_validates_walk_kind_and_trials(capsys):
         ("--eps", "0.25"),
         ("--walk", "sweep", "--eps", "1.5"),
         ("--walk", "sweep", "--eps", "-0.5"),
+        # a psi that no walk but phase reads used to be ignored
+        ("--walk", "srw", "--psi", "5"),
+        ("--walk", "sweep", "--psi", "0"),
     ],
 )
 def test_cover_sim_rejects_start_and_eps_out_of_range(capsys, extra):
@@ -417,9 +420,12 @@ def test_cover_compare_equals_cover_sim_per_kind(tmp_path, capsys, spec, kinds):
         (["--generate", "cycle:12", "--trials", "-5"], "error: a cover-time estimate needs at least 2 trials"),
         # a repeated kind would write two sets of rows with the same (walk_kind, trial)
         (["--generate", "cycle", "--kinds", "srw,sweep, srw"], "error: walk kinds given more than once: 'srw'"),
+        # a psi no kind reads used to be ignored
+        (["--generate", "cycle", "--kinds", "srw,sweep", "--psi", "5"],
+         "error: --psi sets the phase walk's expansion, and --kinds has no phase"),
     ],
     ids=["unknown-kind-before-graph", "unknown-kind", "phase-off-degree-3", "sweep-off-a-cycle", "negative-trials",
-         "repeated-kind-before-graph"],
+         "repeated-kind-before-graph", "psi-without-phase-before-graph"],
 )
 def test_cover_compare_bad_input_prints_nothing_but_one_error(capsys, argv, message):
     code, out, err = run(capsys, "cover-compare", "--trials", "4", "--seed", "5", *argv)
@@ -1156,18 +1162,21 @@ def test_lemma_sweep_checks_its_row_count_before_any_dp_pass(monkeypatch, capsys
 
 
 def test_lemma_sweep_convexity_draws_follow_the_scalar_stream(monkeypatch, capsys):
-    # the batches carry what randrange/next_float give, in stream order
-    # within each degree, in one chunk and across chunk ends (300 = 42 * 7 + 6)
+    # audit i decodes the record of scalar draws 15i + 1 .. 15i + 15; the
+    # batches carry the audits in stream order within each degree, in one
+    # chunk and across chunk ends (300 = 42 * 7 + 6)
     rng = SplitMix64.stream(5, 0)
     expected = {d: [] for d in range(3, 7)}
     for _ in range(300):
-        d = 3 + rng.randrange(4)
-        raw = [rng.next_float() for _ in range(d)]
+        z = [rng.next_u64() for _ in range(15)]
+        unit = [(x >> 11) / 2.0**53 for x in z]
+        d = 3 + z[0] % 4
+        raw = unit[1 : d + 1]
         total = sum(raw)
         b = [x / total for x in raw]
-        v = [rng.next_float() for _ in range(d)]
-        eta = (0.25, 0.5, 1.0)[rng.randrange(3)]
-        expected[d].append((d, rng.next_float() / d ** (2.0 * eta), eta, v, b))
+        v = unit[7 : d + 7]
+        eta = (0.25, 0.5, 1.0)[z[13] % 3]
+        expected[d].append((d, unit[14] / d ** (2.0 * eta), eta, v, b))
 
     def audit(d, eps, eta, v, b):
         seen[d] += zip([d] * len(v), eps.tolist(), eta.tolist(), v.tolist(), b.tolist())
@@ -1254,6 +1263,24 @@ def test_config_file_malformed_line(tmp_path, capsys):
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "cover-sim", "--config", "/nonexistent/nope.cfg")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, lines, key",
+    [
+        (["lipschitz-audit", "--generate", "cycle:8", "--seed", "1"], "count = 3\n# again\ncount = 4\n", "count"),
+        (["cover-sim", "--generate", "cycle:8", "--trials", "2", "--seed", "1"],
+         "no_timestamp = yes\n\nno-timestamp = no\n", "no_timestamp"),
+    ],
+    ids=["count", "no-timestamp"],
+)
+def test_config_key_given_twice_is_refused(tmp_path, capsys, command, lines, key):
+    # the last value used to win silently: 4 weightings, or a stamp on every file
+    config = tmp_path / "run.cfg"
+    config.write_text(lines)
+    code, out, err = run(capsys, *command, "--out", str(tmp_path / "out"), "--config", str(config))
+    assert code == 2 and out == "" and not (tmp_path / "out").exists()
+    assert err == f"error: {config}: config key {key} given twice, on lines 1 and 3\n"
 
 
 def every_flag():

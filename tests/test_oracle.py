@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from walklab import oracle
@@ -454,7 +454,7 @@ def test_power_mean_monotone_in_r():
         assert all(a <= b + 1e-12 for a, b in zip(ms, ms[1:]))
 
 
-# --- the one-step audit on Python floats vs its numpy reference -------------------
+# --- the one-step audit on one vector vs its numpy reference ----------------------
 
 
 def numpy_biased_operator(eps, b, v):
@@ -593,13 +593,27 @@ def test_a_stack_of_vectors_gives_the_row_by_row_results(stack, r):
     d, eps, eta, v, b = stack
     rows = scalar_rows(d, eps, eta, v, b)
     assert conv_lemma_audit(d, eps, eta, v, b).tolist() == [conv_lemma_audit(*row) for row in rows]
-    # + and * are the same IEEE operations in either form; a power is numpy's
+    # one vector is evaluated as a stack of one: the same numpy operations
     assert biased_operator(eps, b, v).tolist() == [biased_operator(e, br, vr) for _, e, _, vr, br in rows]
     means = power_mean(r, v)
     assert means.shape == (len(rows),)
-    assert all(within_ulps(got, power_mean(r, vr)) for got, (_, _, _, vr, _) in zip(means.tolist(), rows))
+    assert means.tolist() == [power_mean(r, vr) for _, _, _, vr, _ in rows]
     # a leading shape of two axes
     assert conv_lemma_audit(d, eps[None], eta[None], v[None], b[None]).shape == (1, len(rows))
+
+
+@given(audit_stacks(), st.one_of(st.sampled_from([1, 2, math.inf]), st.floats(1.0, 8.0)), st.data())
+@settings(max_examples=300)
+def test_one_vector_is_bit_for_bit_its_row_in_a_stack(stack, r, data):
+    # one vector used to be computed on Python floats, whose powers are
+    # libm's: power_mean differed from its stack row in the last ulp
+    d, eps, eta, v, b = stack
+    assume(len(v))
+    i = data.draw(st.integers(0, len(v) - 1))
+    e, h, vi, bi = float(eps[i]), float(eta[i]), v[i].tolist(), b[i].tolist()
+    got = (biased_operator(e, bi, vi), power_mean(r, vi), conv_lemma_audit(d, e, h, vi, bi))
+    assert list(map(type, got)) == [float, float, bool]
+    assert got == (biased_operator(eps, b, v)[i], power_mean(r, v)[i], conv_lemma_audit(d, eps, eta, v, b)[i])
 
 
 def test_verdicts_inside_the_slack_agree_row_by_row():

@@ -807,6 +807,17 @@ def test_phase_rejects_psi_that_is_not_finite_and_nonnegative(psi):
         estimate_cover_time(g, phase(0.0, psi=psi), trials=2, seed=1)
 
 
+@pytest.mark.parametrize("spec", [WalkSpec(kind="srw", psi=5.0), WalkSpec(kind="sweep", eps=0.25, psi=0.0)],
+                         ids=["srw", "sweep"])
+def test_only_the_phase_walk_takes_psi(spec):
+    # a psi no walk reads used to be ignored
+    g = generate("cycle", n=8)
+    with pytest.raises(WalkError, match=f"only the phase walk takes psi, got psi {spec.psi} for the {spec.kind} walk"):
+        cover_run(g, spec, SplitMix64(7), 0)
+    with pytest.raises(WalkError, match="only the phase walk takes psi"):
+        estimate_cover_time(g, spec, trials=2, seed=1)
+
+
 def test_sweep_cover_meets_linear_bound_on_cycle():
     # directional bias covers a cycle in about n/eps steps; the acceptance
     # bound of 3n/eps leaves wide slack
