@@ -5,8 +5,9 @@ spectrum is LAPACK's symmetric eigensolver (`np.linalg.eigvalsh`) applied to
 the similarity-symmetrized transition matrix D^{1/2} P D^{-1/2}; the full
 spectrum feeds the spectral report and the gap/conductance audits.
 Exhaustive conductance enumerates all 2^n subsets as bitmask arrays built by
-doubling (O(2^n), in chunks of at most 2^20 masks; see `graphs.subset_fold`)
-and is guarded at n <= graphs.SUBSET_GUARD; the spectral path at n <= 512.
+doubling and by a depth-first walk over the high vertices (O(2^n), no array
+over 2^SUBSET_CHUNK_BITS masks; see `graphs.first_subset_minimum`) and is
+guarded at n <= graphs.SUBSET_GUARD; the spectral path at n <= 512.
 """
 from __future__ import annotations
 
@@ -138,9 +139,15 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
     of positive terms only.  Adding vertex k to the vertices 0..k-1, a mask m
     without k gains lin_k[m] = sum of Q(j, k) over j in m, and m + {k} gains
     lout_k[~m] = sum of Q(k, j) over j not in m; lin_k and lout_k are
-    themselves built by doubling.  Cost is O(2^n), in chunks of at most 2^20
-    masks, guarded at n <= SUBSET_GUARD.  pi(S) <= 1/2 is tested as
-    pi(S) <= HALF_MASS = 1/2 + 1e-12.
+    themselves built by doubling.  Above the low SUBSET_CHUNK_BITS vertices
+    the `graphs.first_subset_minimum` walk decides each high vertex k in turn:
+    the mass (or the complement's mass) gains pi[k], and the flow gains k's
+    term, which started as its lin/lout fold over the low bits and gained
+    Q(j, k) or Q(k, j) as each earlier high vertex j was decided on the other
+    side of the cut.  Every mask still sums its terms in increasing vertex
+    order, so values do not depend on the leaf size.  Cost is O(2^n), guarded
+    at n <= SUBSET_GUARD.  pi(S) <= 1/2 is tested as pi(S) <= HALF_MASS =
+    1/2 + 1e-12.
 
     Tie rule: when both sides of a cut qualify (each has pi within 1e-12 of
     1/2), the side without vertex n - 1 is the candidate, so rounding of the
@@ -162,39 +169,43 @@ def edge_conductance_exact(chain: ReversibleChain) -> tuple[float, frozenset[int
         h = 1 << k
         np.add(flow_low[:h], subset_fold(np.add, f[k, :k], float)[::-1], out=flow_low[h : 2 * h])
         flow_low[:h] += subset_fold(np.add, f[:k, k], float)
+    # the flow term of each high vertex k, over the low bits: lout_k[~m] if k is in S, lin_k[m] if not
+    terms_in = [subset_fold(np.add, f[k, :low], float)[::-1] for k in range(low, n)]
+    terms_out = [subset_fold(np.add, f[:low, k], float) for k in range(low, n)]
+    # a node deciding vertex k writes its arrays into depth k - low's buffers, which
+    # the in child reuses once the out child's subtree is done: a fresh 2^14-entry
+    # float64 array sits at malloc's 128 KiB mmap threshold and page-faults anew
+    masses, flows = np.empty((2, n - low, 1 << low))
+    gained = [np.empty((n - 1 - k, 1 << low)) for k in range(low, n)]
 
-    def add_high(base: np.ndarray, inside: list[bool], members: bool) -> np.ndarray:
-        # base plus pi[k], in increasing k, for the high vertices k in (or out of) S
-        for k, k_in in enumerate(inside, start=low):
-            if k_in == members:
-                base = base + pi[k]
-        return base
+    def gain(terms: list, scalars: np.ndarray, out: np.ndarray) -> list:
+        # each later vertex's term plus its scalar; adding 0.0 to a sum of
+        # non-negative terms leaves it unchanged, so a zero is skipped
+        return [np.add(t, x, out=o) if x else t for t, x, o in zip(terms, scalars, out)]
 
-    def cut_term(k: int, inside: list[bool]) -> np.ndarray:
-        # lout_k[~m] when k is in S, lin_k[m] when it is not
-        k_in = inside[k - low]
-        row = f[k] if k_in else f[:, k]
-        term = subset_fold(np.add, row[:low], float)
-        for j, j_in in enumerate(inside[: k - low], start=low):
-            if j_in != k_in:
-                term += row[j]
-        return term[::-1] if k_in else term
+    # a node is (mass, complement's mass, flow, terms if in S, terms if not), its
+    # term lists holding the vertices not yet decided
+    def step(node, k: int, inside: bool):
+        mass, rest, flow, t_in, t_out = node
+        d = k - low
+        if inside:
+            return (np.add(mass, pi[k], out=masses[d]), rest, np.add(flow, t_in[0], out=flows[d]),
+                    t_in[1:], gain(t_out[1:], f[k, k + 1 :], gained[d]))
+        return (mass, np.add(rest, pi[k], out=masses[d]), np.add(flow, t_out[0], out=flows[d]),
+                gain(t_in[1:], f[k + 1 :, k], gained[d]), t_out[1:])
 
-    def chunk_ratio(top: int) -> np.ndarray:
-        inside = [bool(top >> (k - low) & 1) for k in range(low, n)]
-        mass = add_high(mass_low, inside, True)
+    def leaf_ratio(node, top: int) -> np.ndarray:
+        mass, rest, flow, _, _ = node
         valid = (mass > 0.0) & (mass <= HALF_MASS)
         # tie rule: masks from this row up hold n - 1, and yield to a complement that qualifies
         rows = slice(max(0, (1 << (n - 1)) - (top << low)), None)
-        valid[rows] &= add_high(mass_low[::-1][rows], inside, False) > HALF_MASS
-        flow = flow_low.copy()
-        for k in range(low, n):
-            flow += cut_term(k, inside)
+        valid[rows] &= rest[rows] > HALF_MASS
+        # flow is this leaf's own array: the last step's buffer, or at low = n the fold above
         np.divide(flow, mass, out=flow, where=valid)
         flow[~valid] = np.inf
         return flow
 
-    return first_subset_minimum(n, low, chunk_ratio)
+    return first_subset_minimum(n, low, (mass_low, mass_low[::-1], flow_low, terms_in, terms_out), step, leaf_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ on the vertices it takes, read by every enumeration and every caller that
 falls back above it.  Per-mask arrays are built by doubling: the array for
 vertices 0..k is the array for 0..k-1 followed by a copy of it that adds
 vertex k, so a fold over all 2^n masks costs O(2^n).
-Above 2^SUBSET_CHUNK_BITS masks the enumerators run over chunks that share
-the top n - SUBSET_CHUNK_BITS bits, so no array holds more than
-2^SUBSET_CHUNK_BITS entries.
+The low SUBSET_CHUNK_BITS vertices are folded that way once per call; the
+vertices above them are decided one at a time by a depth-first walk, each
+node's arrays its parent's plus one step for the vertex just decided, so the
+walk costs O(2^n) too and no array holds more than 2^SUBSET_CHUNK_BITS entries.
 """
 from __future__ import annotations
 
@@ -36,7 +37,8 @@ import numpy as np
 from .rng import SplitMix64
 
 SUBSET_GUARD = 24
-SUBSET_CHUNK_BITS = 20
+# a leaf of the subset walk spans the masks of the low 14 vertices: 2^14 entries, 128 KiB of float64
+SUBSET_CHUNK_BITS = 14
 # the most edges a generator builds; each family refuses more before it builds any list
 GENERATE_EDGES = 1 << 20
 
@@ -510,7 +512,8 @@ def subset_fold(op: np.ufunc, values, dtype) -> np.ndarray:
     values[j1] op ... over the set bits j0 < j1 < ... of m, built by doubling.
 
     The fold order is fixed (increasing j), so a float sum of a mask's
-    values is the same however the mask's bits are split into chunks.
+    values is the same however the mask's bits are split between the fold
+    and the steps of the `first_subset_minimum` walk.
     """
     out = np.zeros(1 << len(values), dtype=dtype)
     for j, v in enumerate(values):
@@ -519,29 +522,45 @@ def subset_fold(op: np.ufunc, values, dtype) -> np.ndarray:
     return out
 
 
-def first_subset_minimum(n: int, low: int, chunk_ratio) -> tuple[float, frozenset[int]]:
-    """First minimum of a per-mask ratio over all 2^n masks, chunk by chunk.
+def first_subset_minimum(n: int, low: int, root, step, leaf_ratio) -> tuple[float, frozenset[int]]:
+    """First minimum of a per-mask ratio over all 2^n masks, by a depth-first
+    walk over the high vertices low..n-1.
 
-    `chunk_ratio(top)` returns the ratios of the 2^low masks whose bits from
-    `low` up equal `top`, with np.inf for masks that are not candidates.
-    Chunks run in increasing `top` and a later chunk wins only on a strictly
-    smaller value, so ties resolve to the smallest bitmask overall.
+    A node at depth j has decided vertices low..low+j-1; `root` is the state
+    with none decided, and `step(state, k, inside)` is its child's state once
+    vertex k is decided in S (`inside`) or out of it.  At a leaf every high
+    vertex is decided, and `leaf_ratio(state, top)` returns the ratios of the
+    2^low masks whose bits from `low` up equal `top`, with np.inf for masks
+    that are not candidates.  The out child is walked first, so leaves arrive
+    in walk order (`top` bit-reversed), not in increasing mask order; the tie
+    rule is therefore explicit: the best (ratio, mask) pair wins, and ties
+    resolve to the smallest bitmask overall whatever the leaf size.
     """
-    best, best_mask = np.inf, 0
-    for top in range(1 << (n - low)):
-        ratio = chunk_ratio(top)
-        i = int(np.argmin(ratio))
-        if ratio[i] < best:
-            best, best_mask = float(ratio[i]), top << low | i
-    return best, frozenset(v for v in range(n) if best_mask >> v & 1)
+    best = (np.inf, 0)
+
+    def visit(state, k: int, top: int) -> None:
+        nonlocal best
+        if k == n:
+            ratio = leaf_ratio(state, top)
+            i = int(np.argmin(ratio))  # the first minimum: the smallest mask of the leaf's ties
+            best = min(best, (float(ratio[i]), top << low | i))
+            return
+        visit(step(state, k, False), k + 1, top)
+        visit(step(state, k, True), k + 1, top | 1 << (k - low))
+
+    visit(root, low, 0)
+    value, mask = best
+    return value, frozenset(v for v in range(n) if mask >> v & 1)
 
 
 def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
     """min over non-empty S with |S| <= n/2 of |Gamma(S) \\ S| / |S|.
 
     Exhaustive over all subsets: closed neighbourhoods are OR-folded over
-    the masks by doubling, O(2^n), in chunks of at most 2^20 masks; guarded
-    at n <= SUBSET_GUARD.  Ties resolve to the smallest subset bitmask.
+    the masks of the low SUBSET_CHUNK_BITS vertices by doubling, and each
+    high vertex the `first_subset_minimum` walk puts in S ORs its own in, so
+    the cost is O(2^n); guarded at n <= SUBSET_GUARD.  Ties resolve to the
+    smallest subset bitmask.
     """
     n = g.n
     if n > SUBSET_GUARD:
@@ -553,22 +572,22 @@ def vertex_expansion_exact(g: Graph) -> tuple[float, frozenset[int]]:
     # closed neighbourhood bitmasks; n <= SUBSET_GUARD bits fit in uint32
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     nbr = np.bitwise_or.reduceat(bits[sl.neighbor], sl.offsets[:-1]) | bits
-    masks = np.arange(1 << low, dtype=np.uint32)
-    pop_low = np.bitwise_count(masks)
-    closed_low = subset_fold(np.bitwise_or, nbr[:low], np.uint32)
+    pop_low = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
 
-    def chunk_ratio(top: int) -> np.ndarray:
-        closed = closed_low
-        for k in range(low, n):
-            if top >> (k - low) & 1:
-                closed = closed | nbr[k]
-        pop = pop_low + top.bit_count()
-        # closed neighbourhoods contain S, so Gamma(S) \ S = closed ^ S
-        outer = np.bitwise_count(closed ^ (masks | top << low))
+    # a node is (closed neighbourhood of each mask, |S| among the high vertices)
+    def step(node, k: int, inside: bool):
+        closed, count = node
+        return (closed | nbr[k], count + 1) if inside else node
+
+    def leaf_ratio(node, top: int) -> np.ndarray:
+        closed, count = node
+        pop = pop_low + count
+        # closed neighbourhoods contain S, so |Gamma(S) \ S| = |closed| - |S|
+        outer = np.bitwise_count(closed) - pop
         valid = (pop >= 1) & (2 * pop <= n)
-        return np.divide(outer, pop, out=np.full(masks.size, np.inf), where=valid)
+        return np.divide(outer, pop, out=np.full(pop.size, np.inf), where=valid)
 
-    return first_subset_minimum(n, low, chunk_ratio)
+    return first_subset_minimum(n, low, (subset_fold(np.bitwise_or, nbr[:low], np.uint32), 0), step, leaf_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,10 @@ CASES: dict[str, list[str]] = {
     "config-lipschitz": ["lipschitz-audit", "--config", "{config}", "--seed", "2"],
     "lipschitz-kmax-1e6": ["lipschitz-audit", "--generate", "cycle:5", "--kmax", "1000000", "--count", "1",
                            "--seed", "1"],
+    # the exact enumerators at the guard's 24 vertices, 10 vertices above the
+    # 2^14-mask leaves: the conductance of P, and of P^2K beside psi
+    "spectral-rr24": ["spectral", "--generate", "random-regular:24:3:1"],
+    "audit-rr24": ["robustness-audit", "--generate", "random-regular:24:3:1", "--subsets", "2", "--seed", "1"],
 }
 
 

@@ -1,10 +1,11 @@
 """The doubling subset enumerators against their gather/scatter references.
 
 `edge_conductance_exact` and `vertex_expansion_exact` build their per-mask
-arrays by doubling and run in chunks above 2^SUBSET_CHUNK_BITS masks.  The
-references below are the earlier O(n^2 2^n) and O(n 2^n) enumerators: one
-boolean gather/scatter over all masks per ordered pair with positive flow,
-or per vertex.
+arrays by doubling over the low SUBSET_CHUNK_BITS vertices and walk the
+vertices above them depth-first, one leaf of 2^SUBSET_CHUNK_BITS masks at a
+time.  The references below are the earlier O(n^2 2^n) and O(n 2^n)
+enumerators: one boolean gather/scatter over all masks per ordered pair with
+positive flow, or per vertex.
 """
 
 import itertools
@@ -103,20 +104,39 @@ def srw(g):
     return induced_chain(uniform_weighting(g))
 
 
+def random_circulant(rng: SplitMix64, n: int):
+    """A cycle on n >= 3 vertices with chords at random offsets, a connected
+    circulant: its symmetry ties many cuts exactly, across the leaves of the
+    subset walk."""
+    return generate("circulant", n=n, offsets=[1] + [s for s in range(2, n // 2 + 1) if rng.randrange(2)])
+
+
+def at_leaf_bits(bits: int, enumerate_, *args):
+    """`enumerate_(*args)` with leaves of 2^bits masks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "SUBSET_CHUNK_BITS", bits)
+        mp.setattr(graphs, "SUBSET_CHUNK_BITS", bits)
+        return enumerate_(*args)
+
+
 # --- conductance ------------------------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.booleans())
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(["lipschitz", "bottleneck", "circulant"]))
 @settings(max_examples=40, deadline=None)
-def test_conductance_matches_gather_scatter_reference(seed, bottleneck):
+def test_conductance_matches_gather_scatter_reference(seed, family):
     rng = SplitMix64(seed)
     n = 3 + rng.randrange(12)
-    if bottleneck and n >= 4:
+    if family == "bottleneck" and n >= 4:
         chain = bottleneck_chain(rng, n)
+    elif family == "circulant":
+        chain = power_chain(srw(random_circulant(rng, n)), 1 + rng.randrange(3))
     else:
         g = generate("complete", n=n)
         chain = power_chain(induced_chain(random_lipschitz_weighting(g, 3.0, rng)), 1 + rng.randrange(3))
     phi, argmin = edge_conductance_exact(chain)
+    # any leaf size gives the same value and witness, bit for bit
+    assert at_leaf_bits(1 + rng.randrange(n), edge_conductance_exact, chain) == (phi, argmin)
     ref_phi, _ = gather_scatter_conductance(chain)
     assert phi == pytest.approx(ref_phi, rel=1e-12, abs=0.0)
     assert cut_ratio(chain, argmin) == pytest.approx(phi, rel=1e-12, abs=0.0)
@@ -169,12 +189,17 @@ def test_half_mass_tie_rule_on_the_robustness_chain():
 # --- vertex expansion -----------------------------------------------------------
 
 
-@given(st.integers(min_value=0, max_value=10_000))
+@given(st.integers(min_value=0, max_value=10_000), st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_expansion_matches_gather_scatter_reference(seed):
+def test_expansion_matches_gather_scatter_reference(seed, circulant):
     rng = SplitMix64(seed)
-    g = random_connected_graph(rng, 2 + rng.randrange(15))
-    assert vertex_expansion_exact(g) == gather_scatter_expansion(g)
+    if circulant:
+        g = random_circulant(rng, 3 + rng.randrange(14))
+    else:
+        g = random_connected_graph(rng, 2 + rng.randrange(15))
+    want = gather_scatter_expansion(g)
+    assert vertex_expansion_exact(g) == want
+    assert at_leaf_bits(1 + rng.randrange(g.n), vertex_expansion_exact, g) == want
 
 
 # --- chunking -------------------------------------------------------------------
@@ -193,9 +218,15 @@ def test_chunked_enumeration_is_bit_identical(monkeypatch, bits):
 
 
 @pytest.mark.parametrize("enumerator", ["conductance", "expansion"])
-def test_enumerators_stay_under_64_mib_at_22_vertices(enumerator):
-    g = generate("random_regular", n=22, d=3, seed=4)
-    chain = power_chain(srw(g), 8)
+@pytest.mark.parametrize(
+    ("n", "seed", "steps", "mib"),
+    # the second instance is the benchmark's robustness-audit chain, P^2K with K = 8
+    [(22, 4, 8, 64), (20, 2, 16, 8)],
+    ids=["22-vertices-64-mib", "20-vertices-8-mib"],
+)
+def test_enumerators_stay_under_their_memory_bound(enumerator, n, seed, steps, mib):
+    g = generate("random_regular", n=n, d=3, seed=seed)
+    chain = power_chain(srw(g), steps)
     tracemalloc.start()
     try:
         if enumerator == "conductance":
@@ -205,4 +236,4 @@ def test_enumerators_stay_under_64_mib_at_22_vertices(enumerator):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < mib * 2**20
