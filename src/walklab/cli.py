@@ -118,8 +118,8 @@ def _config_defaults(command: _Parser, path: str) -> dict[str, str]:
     or off.
     """
     try:
-        source = Path(path).read_text()
-    except OSError as exc:
+        source = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     lines: dict[str, int] = {}

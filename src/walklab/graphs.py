@@ -56,6 +56,7 @@ __all__ = [
     "content_lines",
     "parse_endpoints",
     "parse_graph_text",
+    "read_text",
     "read_graph_file",
     "distances_from",
     "bfs_columns",
@@ -387,9 +388,17 @@ def parse_graph_text(text: str) -> Graph:
         raise GraphFileError(str(exc)) from exc
 
 
+def read_text(path) -> str:
+    """The text of a graph or weighting file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_graph_file(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    return parse_graph_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,18 @@ entries of B on each vertex's edges: `_decay_rows` solves for them with the
 dense path's `_bias` on the slot probabilities of `weighting`, for a batch
 of U sets at once (one `bfs_columns` call, O(m) array work per set), bit for
 bit as `induced_chain(w)` -> `extract_bias_matrix`.  Every phase trial runs
-phases of the same sizes, so `_phase_trials` plays a batch one phase at a
-time: one row build and one draw block for every trial, then each trial's
-phase in the loop.
+phases of the same sizes, so a batch plays one phase per round: one row
+build and one draw block for every trial, then each trial's phase in the
+loop.
 
 `cover_run` plays one trial and `estimate_cover_time` many; both check the
 spec once, in `_checked`, and make one call (a batch of one for `cover_run`)
-to `_cover_trials(g, spec, seeds, counter, starts) -> steps`, which, like
-`_phase_trials`, plays trial i on the stream seeded seeds[i] from `counter`
-on.  A trial that has taken `steps` steps resumes at counter + (draws per
-step) * steps: 1 draw per srw step, 2 per sweep or phase step.  Apart
-from the reference `step`, this module draws through `splitmix_block`
+to `_cover_trials(g, spec, seeds, counter, starts) -> steps`, the one driver
+of every walk kind: trial i plays the stream seeded seeds[i] from `counter`
+on, in rounds of `_play`, one to cover for srw and sweep, one per phase for
+the phase walk.  A trial that has taken `steps` steps resumes at counter +
+(draws per step) * steps: 1 draw per srw step, 2 per sweep or phase step.
+Apart from the reference `step`, this module draws through `splitmix_block`
 alone, every scalar walk in `_play`: one block for a batch, then blocks of
 each trial's own stream.  `_walk` reads one int choice per step from
 blocks decoded as the lockstep engine decodes them: srw's u % span, a
@@ -56,6 +57,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -548,79 +550,60 @@ def _cover_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, sta
     """Cover steps of a batch of trials of a checked spec: trial i starts at
     starts[i] and plays the stream seeded seeds[i] from `counter` on.
 
-    Phase batches play in `_phase_trials`.  An srw or sweep batch of at
-    least _LOCKSTEP_MIN trials whose padded neighbour table fits in
-    _LOCKSTEP_CELLS runs in `_cover_lockstep`.  Every other trial, and every
-    trial the lockstep engine leaves unfinished, plays the scalar loop from
-    its vertex, visited set and steps, at counter + (draws per step) * steps,
-    in one `_play` call whose block holds a fresh trial's n - 1 steps.
+    An srw or sweep batch of at least _LOCKSTEP_MIN trials whose padded
+    neighbour table fits in _LOCKSTEP_CELLS runs in `_cover_lockstep`.
+    Every other trial, and every trial the lockstep engine leaves
+    unfinished, plays rounds of `_play` from its vertex, visited set and
+    steps, at counter + (draws per step) * steps.  An srw or sweep trial
+    plays one round, to cover (stop 0).  A phase trial plays one round per
+    halving of its unvisited set U: the round retargets U, tilts by theta =
+    min(eps, 1 - e^(-psi/32)) and walks with the bias rows of Q(U, theta)
+    until half of U is visited.  `left` drops by one per first visit, so
+    every phase trial plays rounds of the same sizes, n - 1, (n - 1) // 2,
+    ..., 1: at most log2(n) + 1 of them.  Each round builds the rows of
+    every trial in one `_decay_rows` call (none when eps = 0) and turns
+    them into `_thresholds` in place; each trial then reads its own as one
+    flat list, through `_bisector`, made just before it walks.
+
+    A round's batch block starts at the draws of its shortest length,
+    (draws per step) * (left - stop) for the fewest `left`, or the median
+    draws the batch's trials used in the previous round if more.  No draws
+    are held across rounds.
     """
-    if spec.kind == "phase":
-        return _phase_trials(g, spec, seeds, counter, starts)
-    n, dps = g.n, _DRAWS_PER_STEP[spec.kind]
-    if len(starts) >= _LOCKSTEP_MIN and n * _slot_span(g) <= _LOCKSTEP_CELLS:
+    n, dps, eps, span = g.n, _DRAWS_PER_STEP[spec.kind], spec.eps, _slot_span(g)
+    if spec.kind != "phase" and len(starts) >= _LOCKSTEP_MIN and n * span <= _LOCKSTEP_CELLS:
         out, rest = _cover_lockstep(g, spec, seeds, counter, starts)
     else:
         out, rest = [0] * len(starts), [(i, s, 0, bytearray(n)) for i, s in enumerate(starts)]
-    if spec.kind == "sweep":
-        adj, against, span = g.adj, _sweep_picks(g), _slot_span(g)
-        decode = lambda z: _decode_pairs(z, span, spec.eps)
-    else:
-        (adj, span), against = _srw_table(g), lambda visited: None
-        decode = lambda z: (z % span if span else z, None)  # span None (`_Ring` rows) or 0 (n = 1)
-    for _, cur, _, visited in rest:
-        visited[cur] = 1  # the start, or the vertex the lockstep sweep marks late
-    runs = [(cur, steps, visited, visited.count(0), 0, against(visited)) for _, cur, steps, visited in rest]
-    index, at = [i for i, *_ in rest], [counter + dps * steps for _, _, steps, _ in rest]
-    for i, (_, steps, _) in zip(index, _play(adj, decode, dps, seeds[index], at, dps * (n - 1), runs)):
-        out[i] = steps
-    return out
+    adj, decode, picks = g.adj, lambda z: _decode_pairs(z, span, eps), lambda visited: repeat(None)
+    if spec.kind == "srw":
+        adj, span = _srw_table(g)
+        decode = lambda z: (z % span if span else z, None)  # span None: `_Ring` rows
+    elif spec.kind == "sweep":
+        picks = partial(map, _sweep_picks(g))
+    elif eps > 0.0:
+        theta, srw = _tilt(eps, spec.psi), slot_transitions(uniform_weighting(g))
 
-
-def _phase_trials(g: Graph, spec: WalkSpec, seeds: np.ndarray, counter: int, starts: Sequence[int]) -> list[int]:
-    """Cover steps of phase trials of a checked spec, played one phase at a
-    time; trial i plays the stream seeded seeds[i] from `counter` on.
-
-    Each phase retargets U = the trial's unvisited vertices, tilts by
-    theta = min(eps, 1 - e^(-psi/32)) and walks with the bias rows of
-    Q(U, theta) until half of U is visited.  `left` drops by one per first
-    visit, so every trial runs phases of the same sizes, n - 1, (n - 1) // 2,
-    ..., 1: at most log2(n) + 1 of them.  Each phase builds the rows of every
-    trial in one `_decay_rows` call (none when eps = 0) and turns them into
-    `_thresholds` in place; each trial then reads its own as one flat list,
-    through `_bisector`, made just before it walks, one trial at a time.
-
-    A trial resumes each phase at counter + 2 * steps, the resume rule of
-    every walk kind, and draws in `_play`, whose batch block starts at the
-    draws of the phase's shortest length, 2 (left - stop), or the median
-    draws the batch's trials used in the previous phase if more.  No draws
-    are held across phases.
-    """
-    n, d, eps = g.n, g.regular_degree, spec.eps
-    dps = _DRAWS_PER_STEP["phase"]
-    theta = _tilt(eps, spec.psi)
-    srw = slot_transitions(uniform_weighting(g)) if eps > 0.0 else None  # a lone vertex at eps = 0 has no slots
-    cur, steps = list(starts), [0] * len(starts)
-    visited = [bytearray(n) for _ in starts]
-    for vis, start in zip(visited, starts):
-        vis[start] = 1
-    decode = lambda z: _decode_pairs(z, d, eps)
-    left, size = n - 1, 0
-    while left:
-        stop = left // 2
-        picks = repeat(None)
-        if eps > 0.0:
+        def picks(visited: Sequence[bytearray]) -> Iterator[Callable[[int, float], int]]:
             unvisited = np.frombuffer(b"".join(visited), dtype=np.uint8).reshape(-1, n) == 0
-            # the rows are held by `picks` alone, so the next phase frees them before its build
-            picks = (_bisector(t.reshape(-1).tolist(), d - 1)
-                     for t in _thresholds(_decay_rows(g, unvisited, theta, eps, srw)))
+            return (_bisector(t.reshape(-1).tolist(), span - 1)
+                    for t in _thresholds(_decay_rows(g, unvisited, theta, eps, srw)))
+
+    index, cur, steps, visited = map(list, zip(*rest)) if rest else ([], [], [], [])
+    for c, vis in zip(cur, visited):
+        vis[c] = 1  # the start, or the vertex the lockstep sweep marks late
+    left, size = [vis.count(0) for vis in visited], 0
+    while any(left):
+        stop = min(left) // 2 if spec.kind == "phase" else 0  # every phase trial has the same `left`
         at = [counter + dps * s for s in steps]
-        played = _play(g.adj, decode, dps, seeds, at, max(dps * (left - stop), size),
-                       zip(cur, steps, visited, repeat(left), repeat(stop), picks))
-        cur, steps, _ = map(list, zip(*played))
+        # the rows are held by this round's picks alone, so the next round frees them before its build
+        played = _play(adj, decode, dps, seeds[index], at, max(dps * (min(left) - stop), size),
+                       zip(cur, steps, visited, left, repeat(stop), picks(visited)))
+        cur, steps, left = map(list, zip(*played))
         size = sorted(counter + dps * s - a for s, a in zip(steps, at))[len(at) // 2]  # the median draws used
-        left = stop
-    return steps
+    for i, s in zip(index, steps):
+        out[i] = s
+    return out
 
 
 def cover_run(g: Graph, spec: WalkSpec, rng: SplitMix64, start: int) -> int:

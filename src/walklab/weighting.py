@@ -40,7 +40,9 @@ from typing import Iterable
 import numpy as np
 
 from .chains import BALANCE_TOL, ROW_SUM_TOL, SPECTRAL_GUARD, ChainError, ReversibleChain
-from .graphs import Graph, GraphFileError, GuardError, WalklabError, content_lines, diameter, distances_from, parse_endpoints
+from .graphs import (
+    Graph, GraphFileError, GuardError, WalklabError, content_lines, diameter, distances_from, parse_endpoints, read_text,
+)
 from .rng import SplitMix64
 
 RATIO_TOL = 1e-12
@@ -357,6 +359,5 @@ def parse_weighting_text(text: str, g: Graph) -> EdgeWeighting:
 
 
 def read_weighting_file(path, g: Graph) -> EdgeWeighting:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_weighting_text(fh.read(), g)
+    return parse_weighting_text(read_text(path), g)
 

@@ -1333,6 +1333,7 @@ def test_config_keys_resolve_like_their_flags(tmp_path, command, action):
 
 # --- malformed flags and the README ----------------------------------------------------
 
+NOT_UTF8 = "not-utf8.txt"  # a file holding the one byte 0xff
 
 @pytest.mark.parametrize(
     "argv",
@@ -1344,12 +1345,19 @@ def test_config_keys_resolve_like_their_flags(tmp_path, command, action):
         [],
         ["cover-compare", "--generate", "cycle:8", "--trials", "abc", "--seed", "1"],
         ["robustness-sweep", "--generate", "cycle:8", "--weightings", "x", "--seed", "1"],
+        ["spectral", "--graph", NOT_UTF8],
+        ["spectral", "--generate", "cycle:4", "--weights", NOT_UTF8],
+        ["spectral", "--generate", "cycle:4", "--config", NOT_UTF8],
     ],
     ids=["non-numeric", "unknown-flag", "missing-value", "unknown-command", "no-command", "compare-trials",
-         "sweep-weightings"],
+         "sweep-weightings", "graph-not-utf8", "weights-not-utf8", "config-not-utf8"],
 )
-def test_malformed_flags_exit_2_in_process(capsys, argv):
-    # these used to print argparse's usage text and raise SystemExit(2)
+def test_malformed_flags_exit_2_in_process(capsys, monkeypatch, tmp_path, argv):
+    # these used to print argparse's usage text and raise SystemExit(2); a
+    # graph, weighting or config file that is not UTF-8 used to exit 1 with
+    # a UnicodeDecodeError traceback
+    (tmp_path / NOT_UTF8).write_bytes(b"\xff")
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "usage:" not in err and err.count("\n") == 1

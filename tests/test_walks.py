@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from functools import cached_property
 
@@ -356,7 +357,7 @@ def test_biased_walk_replays_step_draw_for_draw(eps, seed):
     # until half of them are visited, reading choices that `_play` decodes
     # from a block sized to the phase and then the trial's own blocks, each
     # biased step's r from the queue, and picking biased steps through the
-    # flat thresholds, as `_phase_trials` does
+    # flat thresholds, as a phase round of `_cover_trials` does
     g = generate("random_regular", n=64, d=3, seed=5)
     built = decay_rows(g, target_rows(g.n, [range(1, g.n)]), 0.06, eps)[0] if eps > 0.0 else None
     rows = built.tolist() if eps > 0.0 else []
@@ -407,7 +408,7 @@ def test_bisected_thresholds_sample_as_the_row_does(rows, normalize):
         scaled = [[x / sum(row) for x in row] if sum(row) > 0.0 else row for row in rows]
         rows = [new if all(map(math.isfinite, new)) else row for row, new in zip(rows, scaled)]
     d = len(rows[0])
-    thresholds = walks._thresholds(np.array([rows, rows]))  # a batch of two stacks, as `_phase_trials` builds
+    thresholds = walks._thresholds(np.array([rows, rows]))  # a batch of two stacks, as a phase round of `_cover_trials` builds
     assert thresholds.shape == (2, len(rows), d - 1)
     pick = walks._bisector(thresholds[1].reshape(-1).tolist(), d - 1)
     for v, row in enumerate(rows):
@@ -482,6 +483,20 @@ def test_every_walk_kind_steps_through_the_one_loop(monkeypatch):
             assert sum(after - before for before, after in walked) == sum(steps)
 
 
+@pytest.mark.parametrize("left, stop", [(0, 0), (1, 1), (2, 3)])
+def test_walk_at_its_stop_takes_no_step(left, stop):
+    # a trial with at most `stop` unvisited vertices left, such as a lockstep
+    # sweep trial whose late-marked vertex was its last, comes back as it
+    # went in: no choice is read, no pick made and no vertex marked
+    g = generate("cycle", n=6)
+    visited = visited_bytes(g.n, {0, 1, 2})
+    choices = iter([0, -1, 1, 0])
+    pick = RecordingPick(lambda v, r: 0)
+    assert walks._walk(g.adj, choices, deque([0.5]), visited, 2, 17, left, stop, pick) == (2, 17, left)
+    assert list(choices) == [0, -1, 1, 0] and pick.calls == []
+    assert visited == visited_bytes(g.n, {0, 1, 2})
+
+
 # --- cover runs ----------------------------------------------------------------
 
 
@@ -496,7 +511,7 @@ def test_cover_run_dispatch_and_validation():
 
 @pytest.mark.parametrize("kind", ["policy", "mystery"])
 def test_estimate_rejects_unknown_kind_before_any_trial(monkeypatch, kind):
-    for engine in ("_cover_trials", "_cover_lockstep", "_phase_trials"):
+    for engine in ("_cover_trials", "_cover_lockstep", "_play"):
         monkeypatch.setattr(walks, engine, lambda *args: pytest.fail("a trial ran"))
     with pytest.raises(WalkError, match="unknown walk kind"):
         estimate_cover_time(generate("complete", n=4), WalkSpec(kind=kind), trials=2, seed=1)
@@ -670,7 +685,7 @@ def test_phase_batches_of_any_width_play_each_trial_alone(width, case):
     g = generate("random_regular", n=64, d=3, seed=5)
     spec = walks._checked(g, phase(eps, psi))
     starts = [7 * t % g.n for t in range(width)]
-    assert walks._phase_trials(g, spec, WIDTH_SEEDS[:width], 3, starts) == alone_steps(eps, psi)[:width]
+    assert walks._cover_trials(g, spec, WIDTH_SEEDS[:width], 3, starts) == alone_steps(eps, psi)[:width]
     for t in range(min(width, 2)):
         rng = SplitMix64(int(WIDTH_SEEDS[t]))
         rng.counter = 3
@@ -735,10 +750,10 @@ def test_a_batch_block_holds_at_most_the_lockstep_cells(monkeypatch, g, spec, tr
 
 def test_phase_threshold_build_peaks_no_higher_than_its_rows():
     # one full-width batch of rows on rr(8192, 3), 32 sets, turned into
-    # thresholds in place, and each set's flat list built in turn as
-    # `_phase_trials` reads them: the tracemalloc peak (23.0 MiB) stays within
-    # the 25.1 MiB that building the rows alone took when the walk sampled
-    # the rows themselves
+    # thresholds in place, and each set's flat list built in turn as a
+    # phase round of `_cover_trials` reads them: the tracemalloc peak (23.0
+    # MiB) stays within the 25.1 MiB that building the rows alone took when
+    # the walk sampled the rows themselves
     g = generate("random_regular", n=8192, d=3, seed=11)
     rng = SplitMix64(5)
     targets = np.array([rng.block_u64(g.n) % np.uint64(2) == 0 for _ in range(32)])
